@@ -31,7 +31,6 @@ def _pipeline_config(cfg: dict, args) -> PipelineConfig:
         ("max_features", "max_features"),
         ("parallax_px", "parallax_px"),
         ("min_tracked", "min_tracked"),
-        ("motion_ba_depth", "motion_ba_depth"),
         ("optimize_extrinsic", "optimize_extrinsic"),
         ("pixel_sigma_px", "pixel_sigma"),
         ("focal", "focal"),

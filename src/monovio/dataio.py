@@ -219,11 +219,11 @@ _SCALAR_KEYS = {
     "period", "width", "z0", "z_amp", "radius", "speed", "amp_y", "freq_y",
     "amp_z", "freq_z", "start", "amp", "freq", "ramp",
     "est_sigma_a", "est_sigma_w", "est_sigma_ba", "est_sigma_bw",
-    "parallax_px", "pnp_threshold", "epipolar_threshold",
+    "parallax_px",
 }
 _INT_KEYS = {
     "seed", "landmarks", "loop_max_per_query", "window_size", "max_features",
-    "min_tracked", "motion_ba_depth", "min_loop_inliers", "edge_fanout",
+    "min_tracked", "min_loop_inliers", "edge_fanout",
     "graph_capacity", "init_window", "solver_max_iterations", "align_count",
 }
 _BOOL_KEYS = {"optimize_extrinsic", "disable_loop", "test_mode"}

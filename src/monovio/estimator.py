@@ -179,7 +179,6 @@ class EstimatorConfig:
     min_tracked: int = 30  # keyframe gate
     min_triangulation_parallax_deg: float = 1.0
     max_features: int = 100
-    motion_ba_depth: int = 3
     optimize_extrinsic: bool = True
     solver: SolverConfig = field(default_factory=SolverConfig)
 
@@ -282,6 +281,9 @@ def visual_residual(
 ):
     """Unit-sphere reprojection residual of a feature anchored in camera i and
     observed in camera j, projected on the observed ray's tangent plane.
+
+    Scalar reference for the batched kernel in _WindowProblem, which is what
+    the solver and marginalization use.
 
     Returns (r, jac) where jac maps 'p_i', 'th_i', 'p_j', 'th_j', 'ext_p',
     'ext_th', 'lam' to (2, .) blocks (jac is None without Jacobians).
@@ -683,30 +685,21 @@ class SlidingWindowEstimator:
 
     # -- solving ----------------------------------------------------------------
 
-    def build_and_solve(self, loops=(), variable_mask=None,
-                        solver: SolverConfig | None = None) -> SolveReport:
-        """Damped Gauss-Newton over the window; mutates the window state."""
-        solver = solver or self.config.solver
+    def build_and_solve(self, loops=(), fix_extrinsic: bool = False) -> SolveReport:
+        """Damped Gauss-Newton over the window; mutates the window state.
+
+        The extrinsic is held constant when fix_extrinsic is set for this
+        solve or when the configuration disables its refinement.
+        """
         feats = self._optimized_features()
         problem = _WindowProblem(self, feats, list(loops))
-        report = problem.solve(solver, variable_mask)
+        mask = np.ones(problem.dim, dtype=bool)
+        if fix_extrinsic or not self.config.optimize_extrinsic:
+            mask[problem.ext_col : problem.ext_col + 6] = False
+        report = problem.solve(self.config.solver, mask)
         problem.write_back(self)
         self.prune_bad_depths()
         self._refresh_deltas()
-        return report
-
-    def motion_only_ba(self, depth: int | None = None,
-                       solver: SolverConfig | None = None) -> SolveReport:
-        """Optimize only poses and velocities of the latest frames; depths,
-        extrinsic, biases, and older states stay constant."""
-        depth = min(depth or self.config.motion_ba_depth, len(self.frames))
-        feats = self._optimized_features()
-        problem = _WindowProblem(self, feats, [])
-        mask = np.zeros(problem.dim, dtype=bool)
-        for idx in range(len(self.frames) - depth, len(self.frames)):
-            mask[15 * idx : 15 * idx + 9] = True  # dp, dtheta, dv
-        report = problem.solve(solver or self.config.solver, mask)
-        problem.write_back(self)
         return report
 
     def _refresh_deltas(self) -> None:
@@ -727,13 +720,10 @@ class SlidingWindowEstimator:
         retained, so future solves use only not-yet-consumed pairs.
         """
         old_id = self.frame_ids[0]
-        feats = self._optimized_features()
-        marg_feats = [f for f in feats if f.anchor_id() == old_id]
-        problem = _WindowProblem(self, feats, [])
-        self.prior = problem.marginalize_frame(old_id, marg_feats)
+        marg_feats = [f for f in self._optimized_features() if f.anchor_id() == old_id]
+        self.prior = _WindowProblem(self, marg_feats, []).marginalize_frame()
         self.marginalized_keyframes.append((old_id, self.frames[0].copy()))
         old_cam_pose = self._camera_pose(0)
-        marg_ids = {f.fid for f in marg_feats}
         self.frames.pop(0)
         self.frame_ids.pop(0)
         self.keyframe_flags.pop(0)
@@ -749,18 +739,7 @@ class SlidingWindowEstimator:
                 continue
             new_anchor = feat.anchor_id()
             feat.obs = {new_anchor: feat.obs[new_anchor]}
-        dead = []
-        for fid, feat in self.features.items():
-            if fid in marg_ids or old_id not in feat.obs:
-                continue
-            was_anchor = feat.anchor_id() == old_id
-            old_ray = feat.obs.pop(old_id)
-            if not feat.obs:
-                dead.append(fid)
-            elif was_anchor and feat.inv_depth is not None:
-                self._transfer_anchor(feat, old_ray, old_cam_pose)
-        for fid in dead:
-            del self.features[fid]
+        self._remove_frame_observations(old_id, old_cam_pose)
 
     def pop_marginalized_keyframes(self) -> list[tuple[int, ImuFrameState]]:
         out = self.marginalized_keyframes
@@ -781,7 +760,6 @@ class _WindowProblem:
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
                  loops: list[LoopObservationSet]):
-        self.config = est.config
         self.frame_ids = list(est.frame_ids)
         self.n_frames = len(est.frames)
         self.feats = feats
@@ -1036,37 +1014,37 @@ class _WindowProblem:
         np.add.at(b, cols, bb)
         return float(np.sum(robust_cost(s)))
 
-    def assemble(self):
-        """Normal equations (H, b) and robustified cost at the current iterate."""
-        D = self.dim
-        H = np.zeros((D, D))
-        b = np.zeros(D)
+    def _add_prior(self, H, b) -> float:
+        """Accumulate the marginalization prior; returns its cost."""
+        if self.prior is None:
+            return 0.0
+        rp, D = self._prior_residual(with_jacobian=True)
+        cols = []
+        for fid in self.prior.frame_ids:
+            base = 15 * self.id_to_idx[fid]
+            cols.extend(range(base, base + 15))
+        cols.extend(range(self.ext_col, self.ext_col + 6))
+        cols = np.array(cols, dtype=int)
+        Jp = self.prior.H @ D
+        H[np.ix_(cols, cols)] += Jp.T @ Jp
+        b[cols] += Jp.T @ rp
+        return float(rp @ rp)
+
+    def _add_imu(self, H, b, k: int) -> float:
+        """Accumulate the IMU factor between frames k and k + 1; returns its cost."""
+        rw, Jk, Jk1 = self._imu_whitened(k, with_jacobians=True)
+        c0, c1 = 15 * k, 15 * (k + 1)
+        H[c0 : c0 + 15, c0 : c0 + 15] += Jk.T @ Jk
+        H[c0 : c0 + 15, c1 : c1 + 15] += Jk.T @ Jk1
+        H[c1 : c1 + 15, c0 : c0 + 15] += Jk1.T @ Jk
+        H[c1 : c1 + 15, c1 : c1 + 15] += Jk1.T @ Jk1
+        b[c0 : c0 + 15] += Jk.T @ rw
+        b[c1 : c1 + 15] += Jk1.T @ rw
+        return float(rw @ rw)
+
+    def _add_visual(self, H, b) -> float:
+        """Accumulate the window and loop visual factors; returns their robust cost."""
         cost = 0.0
-
-        if self.prior is not None:
-            rp, D = self._prior_residual(with_jacobian=True)
-            cost += float(rp @ rp)
-            cols = []
-            for fid in self.prior.frame_ids:
-                base = 15 * self.id_to_idx[fid]
-                cols.extend(range(base, base + 15))
-            cols.extend(range(self.ext_col, self.ext_col + 6))
-            cols = np.array(cols, dtype=int)
-            Jp = self.prior.H @ D
-            H[np.ix_(cols, cols)] += Jp.T @ Jp
-            b[cols] += Jp.T @ rp
-
-        for k in range(len(self.deltas)):
-            rw, Jk, Jk1 = self._imu_whitened(k, with_jacobians=True)
-            cost += float(rw @ rw)
-            c0, c1 = 15 * k, 15 * (k + 1)
-            H[c0 : c0 + 15, c0 : c0 + 15] += Jk.T @ Jk
-            H[c0 : c0 + 15, c1 : c1 + 15] += Jk.T @ Jk1
-            H[c1 : c1 + 15, c0 : c0 + 15] += Jk1.T @ Jk
-            H[c1 : c1 + 15, c1 : c1 + 15] += Jk1.T @ Jk1
-            b[c0 : c0 + 15] += Jk.T @ rw
-            b[c1 : c1 + 15] += Jk1.T @ rw
-
         Rw, pw = self._frame_arrays()
         if len(self.v_feat):
             r, J, cols = self._visual_jacobian(
@@ -1080,18 +1058,23 @@ class _WindowProblem:
                 self.l_ua, self.l_uo, Rw, pw,
             )
             cost += self._scatter_visual(H, b, r, J, cols)
+        return cost
+
+    def assemble(self):
+        """Normal equations (H, b) and robustified cost at the current iterate."""
+        H = np.zeros((self.dim, self.dim))
+        b = np.zeros(self.dim)
+        cost = self._add_prior(H, b)
+        for k in range(len(self.deltas)):
+            cost += self._add_imu(H, b, k)
+        cost += self._add_visual(H, b)
         return H, b, cost
 
     # -- damped Gauss-Newton ---------------------------------------------------
 
-    def solve(self, config: SolverConfig, variable_mask=None) -> SolveReport:
+    def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
+        """Damped Gauss-Newton over the variables selected by the boolean mask."""
         report = SolveReport()
-        if variable_mask is None:
-            mask = np.ones(self.dim, dtype=bool)
-            if not self.config.optimize_extrinsic:
-                mask[self.ext_col : self.ext_col + 6] = False
-        else:
-            mask = np.asarray(variable_mask, dtype=bool)
         cost = self.evaluate_cost()
         if not np.isfinite(cost):
             raise EstimatorError("non-finite cost at the initial iterate")
@@ -1142,78 +1125,20 @@ class _WindowProblem:
 
     # -- marginalization ----------------------------------------------------------
 
-    def marginalize_frame(self, old_id: int, marg_feats: list[Feature]) -> MarginalizationPrior:
-        """New prior from eliminating the oldest frame plus features anchored
-        in it, consuming the old prior, its IMU factor, and those visual
-        factors (robust weights frozen at the current estimate)."""
-        if self.id_to_idx[old_id] != 0:
-            raise EstimatorError("only the oldest frame can be marginalized")
-
-        retained_ids = [fid for fid in self.frame_ids if fid != old_id]
-        n_marg = 15 + len(marg_feats)
-        n_ret = 15 * len(retained_ids) + 6
-        Hfull = np.zeros((n_marg + n_ret, n_marg + n_ret))
-        bfull = np.zeros(n_marg + n_ret)
-
-        lam_col = {f.fid: 15 + i for i, f in enumerate(marg_feats)}
-        ret_base = {fid: n_marg + 15 * i for i, fid in enumerate(retained_ids)}
-        ext0 = n_marg + 15 * len(retained_ids)
-
-        def cols_of(fid):
-            return 0 if fid == old_id else ret_base[fid]
-
-        if self.prior is not None:
-            rp, D = self._prior_residual(with_jacobian=True)
-            cols = []
-            for fid in self.prior.frame_ids:
-                base = cols_of(fid)
-                cols.extend(range(base, base + 15))
-            cols.extend(range(ext0, ext0 + 6))
-            cols = np.array(cols, dtype=int)
-            Jp = self.prior.H @ D
-            Hfull[np.ix_(cols, cols)] += Jp.T @ Jp
-            bfull[cols] += Jp.T @ rp
-
-        rw, Jk, Jk1 = self._imu_whitened(0, with_jacobians=True)
-        b1 = cols_of(self.frame_ids[1])
-        sl0 = slice(0, 15)
-        sl1 = slice(b1, b1 + 15)
-        Hfull[sl0, sl0] += Jk.T @ Jk
-        Hfull[sl0, sl1] += Jk.T @ Jk1
-        Hfull[sl1, sl0] += Jk1.T @ Jk
-        Hfull[sl1, sl1] += Jk1.T @ Jk1
-        bfull[sl0] += Jk.T @ rw
-        bfull[sl1] += Jk1.T @ rw
-
-        f0 = self.frames[0]
-        for feat in marg_feats:
-            fi = self.feats.index(feat)
-            keys = sorted(k for k in feat.obs if k in self.id_to_idx)
-            ua = feat.obs[keys[0]]
-            for k in keys[1:]:
-                fj = self.frames[self.id_to_idx[k]]
-                try:
-                    rr, jac = visual_residual(
-                        f0.q, f0.p, fj.q, fj.p, self.extrinsic, ua,
-                        self.lam[fi], feat.obs[k],
-                    )
-                except EstimatorError:
-                    continue
-                rr = rr / self.sigma
-                w = float(huber_weight(rr @ rr))
-                rows = np.zeros((2, n_marg + n_ret))
-                rows[:, 0:3] = jac["p_i"] / self.sigma
-                rows[:, 3:6] = jac["th_i"] / self.sigma
-                cj = cols_of(k)
-                rows[:, cj : cj + 3] = jac["p_j"] / self.sigma
-                rows[:, cj + 3 : cj + 6] = jac["th_j"] / self.sigma
-                rows[:, ext0 : ext0 + 3] = jac["ext_p"] / self.sigma
-                rows[:, ext0 + 3 : ext0 + 6] = jac["ext_th"] / self.sigma
-                rows[:, lam_col[feat.fid]] = (jac["lam"] / self.sigma)[:, 0]
-                Hfull += w * rows.T @ rows
-                bfull += w * rows.T @ rr
-
-        H_red, b_red = schur_complement(Hfull, bfull, n_marg)
+    def marginalize_frame(self) -> MarginalizationPrior:
+        """New prior from eliminating the oldest frame and the problem's
+        features (those anchored in it), consuming the old prior, the oldest
+        IMU factor, and those visual factors (robust weights frozen at the
+        current estimate)."""
+        H = np.zeros((self.dim, self.dim))
+        b = np.zeros(self.dim)
+        self._add_prior(H, b)
+        self._add_imu(H, b, 0)
+        self._add_visual(H, b)
+        # eliminated block first: [frame 0, depths | frames 1.., extrinsic]
+        order = np.r_[0:15, self.feat_col : self.dim, 15 : self.feat_col]
+        H_red, b_red = schur_complement(H[np.ix_(order, order)], b[order], 15 + len(self.feats))
         Hp, rp = information_sqrt(H_red, b_red)
-        lin_frames = {fid: self.frames[self.id_to_idx[fid]].copy() for fid in retained_ids}
+        retained_ids = self.frame_ids[1:]
+        lin_frames = {fid: f.copy() for fid, f in zip(retained_ids, self.frames[1:])}
         return MarginalizationPrior(retained_ids, lin_frames, self.extrinsic.copy(), rp, Hp)

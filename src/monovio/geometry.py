@@ -8,12 +8,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-QUAT_NORM_TOL = 1e-9
-ROT_ORTHO_TOL = 1e-9
 
 
 class GimbalLockError(ValueError):
@@ -198,16 +193,6 @@ def skew(v):
     return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
-def omega_matrix(w):
-    """4x4 quaternion-rate matrix for scalar-first layout: q_dot = 0.5 * Omega(w) @ q."""
-    w = np.asarray(w, dtype=float)
-    out = np.zeros(w.shape[:-1] + (4, 4))
-    out[..., 0, 1:] = -w
-    out[..., 1:, 0] = w
-    out[..., 1:, 1:] = -skew(w)
-    return out
-
-
 def small_angle_quat(dtheta):
     """First-order perturbation quaternion [1, dtheta/2], normalized."""
     dtheta = np.asarray(dtheta, dtype=float)
@@ -274,40 +259,3 @@ def wrap_angle(a):
     a = np.asarray(a, dtype=float)
     out = -((-a + np.pi) % (2.0 * np.pi) - np.pi)
     return float(out) if out.ndim == 0 else out
-
-
-def sphere_backproject(obs):
-    """Normalized-image-plane point (u, v) -> unit ray normalize((u, v, 1))."""
-    obs = np.asarray(obs, dtype=float)
-    ray = np.concatenate([obs, np.ones(obs.shape[:-1] + (1,))], axis=-1)
-    return ray / np.linalg.norm(ray, axis=-1, keepdims=True)
-
-
-@dataclass
-class Pose:
-    """Rigid transform: rotation quaternion (w,x,y,z) plus translation (m)."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.q = quat_canonical(np.asarray(self.q, dtype=float))
-        self.p = np.asarray(self.p, dtype=float)
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(quat_identity(), np.zeros(3))
-
-    def rotation(self) -> np.ndarray:
-        return quat_to_rot(self.q)
-
-    def transform(self, v) -> np.ndarray:
-        """Map a point from this pose's child frame into the parent frame."""
-        return quat_rotate(self.q, v) + self.p
-
-    def inverse(self) -> "Pose":
-        qi = quat_inverse(self.q)
-        return Pose(qi, -quat_rotate(qi, self.p))
-
-    def compose(self, other: "Pose") -> "Pose":
-        return Pose(quat_mul(self.q, other.q), self.transform(other.p))

@@ -49,7 +49,6 @@ from .posegraph import (
     PoseGraph,
     PoseGraphConfig,
     PoseGraphVertex,
-    relocalization_constraint,
     verify_loop_candidate,
     vertex_from_state,
 )
@@ -386,7 +385,6 @@ class VioPipeline:
         self._rate_out: list[tuple[float, np.ndarray, np.ndarray]] = []
         self._timers: dict[str, float] = {}
         self._frames_since_init = 0
-        self._extrinsic_enabled = config.estimator.optimize_extrinsic
         # 4-DOF correction mapping the drifting odometry frame into the graph
         # frame: p_graph = Rz(yaw) p_vio + t. Updated once per crossing event
         # from verified relocalizations.
@@ -461,7 +459,6 @@ class VioPipeline:
         ]
         states = self._apply_continuity(states)
         self._frames_since_init = 0
-        self.est.config.optimize_extrinsic = False  # released after warm-up
         # a fresh segment starts aligned with the published (graph) frame
         self._corr_yaw = 0.0
         self._corr_t = np.zeros(3)
@@ -470,7 +467,7 @@ class VioPipeline:
         for k, (_, _, frame_obs) in enumerate(self._init_buffer):
             self.est.observe(frame_obs, frame_idx=k)
         self.est.triangulate_new_features()
-        self.est.build_and_solve()
+        self.est.build_and_solve(fix_extrinsic=True)  # released after warm-up
         self._segment += 1
         self.report.segments = self._segment + 1
         kind = "init" if self._segment == 0 else "reinit"
@@ -512,9 +509,6 @@ class VioPipeline:
         cfg = self.config
         self._frames_since_init += 1
         warmed_up = self._frames_since_init > cfg.extrinsic_warmup_frames
-        if warmed_up and self._extrinsic_enabled and not self.est.config.optimize_extrinsic:
-            self.est.config.optimize_extrinsic = True
-            self._last_extrinsic = self.est.extrinsic.copy()
         t0 = self._tic()
         seg = segment_samples(self.imu, t_prev, t)
         bias = self.est.latest().bias
@@ -544,15 +538,9 @@ class VioPipeline:
 
         t0 = self._tic()
         active = [pl.observations for pl in self._active_loops]
-        if active:
-            # relocalization measures drift, not calibration: hold the
-            # extrinsic constant while loop terms act on the window
-            ext_opt = self.est.config.optimize_extrinsic
-            self.est.config.optimize_extrinsic = False
-            self.est.build_and_solve(loops=active)
-            self.est.config.optimize_extrinsic = ext_opt
-        else:
-            self.est.build_and_solve()
+        # relocalization measures drift, not calibration: hold the extrinsic
+        # constant while loop terms act on the window
+        self.est.build_and_solve(loops=active, fix_extrinsic=not warmed_up or bool(active))
         self.report.n_solves += 1
         self._toc("solve", t0)
 
@@ -632,13 +620,10 @@ class VioPipeline:
         q_v_graph, p_v_graph = pose
         try:
             _, _, yaw_q_win = yaw_roll_pitch_decompose(query_state.q)
-            roll_v, pitch_v, yaw_v_win = yaw_roll_pitch_decompose(pl.loop_q_win)
             roll_vg, pitch_vg, yaw_v_graph = yaw_roll_pitch_decompose(q_v_graph)
         except ValueError:
             return
-        R_v_win = rot_zyx(roll_v, pitch_v, yaw_v_win)
-        rel_p = R_v_win.T @ (query_state.p - pl.loop_p_win)
-        rel_yaw = wrap_angle(yaw_q_win - yaw_v_win)
+        rel_p, rel_yaw = pl.edge_rel
         R_v_graph = rot_zyx(roll_vg, pitch_vg, yaw_v_graph)
         p_q_graph = p_v_graph + R_v_graph @ rel_p
         yaw_q_graph = wrap_angle(yaw_v_graph + rel_yaw)
@@ -804,28 +789,15 @@ def pipeline_from_scenario(data: ScenarioData, config: PipelineConfig,
     cam = camera_times(cfg)
     if config.enable_loops and loop_candidates is None:
         loop_candidates = synthesize_loops(data.ground_truth, cam, cfg.seed)
-    obs_index = _ObservationIndex(data)
+    obs_index = TrackObservationIndex(data.tracks)
     return VioPipeline(
         data.imu, cam, obs_index, data.sfm, cfg.extrinsic, config,
         loop_candidates=loop_candidates, seed=cfg.seed,
     )
 
 
-class _ObservationIndex:
-    """Pre-bucketed track observations keyed by rounded timestamp."""
-
-    def __init__(self, data: ScenarioData):
-        self._by_time: dict[float, dict[int, np.ndarray]] = {}
-        for track in data.tracks:
-            for tt, ray in zip(track.times, track.rays):
-                self._by_time.setdefault(round(tt, 9), {})[track.feature_id] = ray
-
-    def __call__(self, t: float) -> dict[int, np.ndarray]:
-        return dict(self._by_time.get(round(t, 9), {}))
-
-
 class TrackObservationIndex:
-    """Observation lookup for file-ingested tracks."""
+    """Track observations bucketed by rounded timestamp."""
 
     def __init__(self, tracks):
         self._by_time: dict[float, dict[int, np.ndarray]] = {}

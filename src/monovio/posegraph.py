@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import LoopObservationSet, huber_weight, robust_cost
+from .estimator import huber_weight, robust_cost
 from .geometry import (
     quat_canonical,
     quat_inverse,
@@ -368,32 +368,6 @@ def edge_residual(vi: PoseGraphVertex, vj: PoseGraphVertex, edge: SequentialEdge
     r[:3] = R_i.T @ (vj.p - vi.p) - edge.rel_p
     r[3] = wrap_angle(vj.yaw - vi.yaw - edge.rel_yaw)
     return r
-
-
-def relocalization_constraint(
-    loop_vid: int,
-    loop_q: np.ndarray,
-    loop_p: np.ndarray,
-    query_vid: int,
-    query_q: np.ndarray,
-    query_p: np.ndarray,
-    observations: LoopObservationSet,
-    inliers: int,
-) -> tuple[LoopEdge, LoopObservationSet]:
-    """Package the relocalization result: the 4-DOF loop edge for the graph
-    plus the constant-pose observation set the estimator consumed.
-
-    Both poses must be expressed in the same frame (the loop frame's pose as
-    recovered in the window frame by the absolute-pose stage); the relative
-    transform is then invariant to the window's own drift.
-    """
-    _, _, yaw_q = yaw_roll_pitch_decompose(query_q)
-    roll_v, pitch_v, yaw_v = yaw_roll_pitch_decompose(loop_q)
-    R_v = rot_zyx(roll_v, pitch_v, yaw_v)
-    rel_p = R_v.T @ (np.asarray(query_p, dtype=float) - np.asarray(loop_p, dtype=float))
-    rel_yaw = wrap_angle(yaw_q - yaw_v)
-    edge = LoopEdge(loop_vid, query_vid, rel_p, rel_yaw, inliers=inliers)
-    return edge, observations
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,70 @@ class TestMarginalization:
         assert est.prior.columns() == 15 * n + 6
         assert len(est.frames) == est.capacity
 
+    def test_prior_equals_schur_of_consumed_factors(self):
+        # reference: dense Jacobian of the factors the first marginalization
+        # consumes (oldest IMU factor, visual pairs of features anchored in the
+        # oldest frame), built from the scalar residual primitives, with frame
+        # 0 and those depths eliminated by a plain dense Schur complement
+        from monovio.preintegration import imu_residual_jacobians, weight_residual
+
+        cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10, pixel_sigma_px=1.5)
+        data = build_scenario(cfg)
+        est, cam = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        frames = [f.copy() for f in est.frames]
+        ids = list(est.frame_ids)
+        ext = est.extrinsic.copy()
+        sigma = est.config.obs_sigma
+        marg = [
+            (f.inv_depth, [f.obs[k] for k in sorted(f.obs)], [ids.index(k) for k in sorted(f.obs)])
+            for f in est._optimized_features() if f.anchor_id() == ids[0]
+        ]
+        assert marg
+        r0, J0, J1 = imu_residual_jacobians(est.deltas[0], frames[0], frames[1], est.config.gravity)
+        P0 = est.deltas[0].P
+
+        # columns: [frame 0, marginalized depths | frames 1.., extrinsic]
+        n_m = 15 + len(marg)
+        ext0 = n_m + 15 * (len(frames) - 1)
+        n = ext0 + 6
+
+        def col(idx):
+            return 0 if idx == 0 else n_m + 15 * (idx - 1)
+
+        J = np.zeros((15, n))
+        J[:, 0:15] = weight_residual(J0, P0)
+        J[:, col(1) : col(1) + 15] = weight_residual(J1, P0)
+        rows, res = [J], [weight_residual(r0, P0)]
+        fa = frames[0]
+        for m, (lam, rays, idxs) in enumerate(marg):
+            for ray, idx in zip(rays[1:], idxs[1:]):
+                fo = frames[idx]
+                r, jac = visual_residual(fa.q, fa.p, fo.q, fo.p, ext, rays[0], lam, ray)
+                r = r / sigma
+                w = np.sqrt(float(huber_weight(r @ r)))
+                J = np.zeros((2, n))
+                J[:, 0:3], J[:, 3:6] = jac["p_i"], jac["th_i"]
+                J[:, col(idx) : col(idx) + 3], J[:, col(idx) + 3 : col(idx) + 6] = jac["p_j"], jac["th_j"]
+                J[:, ext0 : ext0 + 3], J[:, ext0 + 3 :] = jac["ext_p"], jac["ext_th"]
+                J[:, 15 + m] = jac["lam"][:, 0]
+                rows.append(w * J / sigma)
+                res.append(w * r)
+        J, r = np.vstack(rows), np.concatenate(res)
+        H, b = J.T @ J, J.T @ r
+        K = np.linalg.solve(H[:n_m, :n_m], H[:n_m, n_m:])
+        H_ref = H[n_m:, n_m:] - H[n_m:, :n_m] @ K
+        b_ref = b[n_m:] - K.T @ b[:n_m]
+
+        t_new = camera_times(cfg)[11]
+        delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
+        est.add_frame(t_new, delta, data.observations_at(t_new), is_keyframe=True)
+        prior = est.prior
+        assert prior.frame_ids == ids[1:]
+        tol = 1e-8 * np.abs(H_ref).max()
+        np.testing.assert_allclose(prior.H.T @ prior.H, H_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(prior.H.T @ prior.r, b_ref, rtol=0, atol=tol)
+
     def test_nonkeyframe_drop_merges_deltas(self):
         cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=11)
         data = build_scenario(cfg)
@@ -572,47 +636,6 @@ class TestMarginalization:
         reduced = marginalize_prior_only(prior, victim)
         assert victim not in reduced.frame_ids
         assert reduced.columns() == prior.columns() - 15
-
-
-class TestMotionOnlyBA:
-    def _setup(self):
-        cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=14)
-        data = build_scenario(cfg)
-        est = fixed_point_estimator(cfg, data)
-        est.build_and_solve()
-        return est
-
-    def test_no_change_at_optimum(self):
-        est = self._setup()
-        before = [f.copy() for f in est.frames]
-        est.motion_only_ba()
-        for a, b in zip(before, est.frames):
-            assert np.linalg.norm(a.p - b.p) < 1e-10
-            assert geo.quat_angle_between(a.q, b.q) < 1e-10
-
-    def test_constant_blocks_bit_identical(self):
-        est = self._setup()
-        depth = est.config.motion_ba_depth
-        frozen = [f.copy() for f in est.frames[:-depth]]
-        ext_before = est.extrinsic.copy()
-        lams_before = {fid: f.inv_depth for fid, f in est.features.items()}
-        est.frames[-1].p = est.frames[-1].p + np.array([0.02, 0.0, -0.01])
-        est.motion_only_ba()
-        for a, b in zip(frozen, est.frames[: len(frozen)]):
-            np.testing.assert_array_equal(a.p, b.p)
-            np.testing.assert_array_equal(a.q, b.q)
-            np.testing.assert_array_equal(a.v, b.v)
-            np.testing.assert_array_equal(a.bias.accel, b.bias.accel)
-        np.testing.assert_array_equal(ext_before.p_b_c, est.extrinsic.p_b_c)
-        for fid, f in est.features.items():
-            assert lams_before[fid] == f.inv_depth
-
-    def test_perturbation_recovered(self):
-        est = self._setup()
-        truth = est.frames[-1].p.copy()
-        est.frames[-1].p = truth + np.array([0.05, 0.0, 0.0])
-        rep = est.motion_only_ba(solver=type(est.config.solver)(max_iterations=30, rel_cost_tol=1e-14))
-        assert np.linalg.norm(est.frames[-1].p - truth) < 1e-6
 
 
 class TestForwardPropagation:

@@ -69,38 +69,6 @@ class TestSkew:
             np.testing.assert_array_equal(out[i], geo.skew(v[i]))
 
 
-class TestOmegaMatrix:
-    def test_zero(self):
-        np.testing.assert_array_equal(geo.omega_matrix(np.zeros(3)), np.zeros((4, 4)))
-
-    def test_antisymmetric(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            O = geo.omega_matrix(rng.standard_normal(3))
-            np.testing.assert_allclose(O, -O.T, atol=1e-15)
-
-    def test_quaternion_rate_at_identity(self):
-        # q_dot = 0.5 * Omega(w) q must match the finite difference of the
-        # closed-form rotation exp(w t) around t = 0.
-        w = np.array([0.0, 0.0, 1.0])
-        qdot = 0.5 * geo.omega_matrix(w) @ geo.quat_identity()
-        np.testing.assert_allclose(qdot, [0.0, 0.0, 0.0, 0.5], atol=1e-15)
-        h = 1e-6
-        fd = (geo.quat_exp(w * h) - geo.quat_exp(-w * h)) / (2 * h)
-        np.testing.assert_allclose(qdot, fd, atol=1e-9)
-
-    def test_quaternion_rate_at_random_attitude(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            q = random_quat(rng)
-            w = rng.standard_normal(3)
-            qdot = 0.5 * geo.omega_matrix(w) @ q
-            h = 1e-6
-            fd = (geo.quat_mul(q, geo.quat_exp(w * h)) - geo.quat_mul(q, geo.quat_exp(-w * h))) / (2 * h)
-            # quat_mul renormalizes, so compare directions projected off q
-            np.testing.assert_allclose(qdot - (qdot @ q) * q, fd - (fd @ q) * q, atol=1e-6)
-
-
 class TestSmallAngleQuat:
     def test_zero(self):
         np.testing.assert_array_equal(geo.small_angle_quat(np.zeros(3)), geo.quat_identity())
@@ -175,24 +143,6 @@ class TestEulerDecompose:
             geo.yaw_roll_pitch_decompose(q)
 
 
-class TestSphereBackproject:
-    def test_optical_axis(self):
-        np.testing.assert_allclose(geo.sphere_backproject([0.0, 0.0]), [0, 0, 1], atol=1e-15)
-
-    def test_45_degree_ray(self):
-        np.testing.assert_allclose(
-            geo.sphere_backproject([1.0, 0.0]), [np.sqrt(0.5), 0.0, np.sqrt(0.5)], atol=1e-12
-        )
-
-    def test_projection_round_trip(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            P = rng.uniform(-1, 1, 3)
-            P[2] = rng.uniform(0.5, 5.0)
-            ray = geo.sphere_backproject(P[:2] / P[2])
-            np.testing.assert_allclose(ray, P / np.linalg.norm(P), atol=1e-12)
-
-
 class TestConversions:
     def test_quat_rot_round_trip(self):
         rng = np.random.default_rng(10)
@@ -224,17 +174,3 @@ class TestWrapAngle:
         assert geo.wrap_angle(-np.pi) == pytest.approx(np.pi)
         assert geo.wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
         assert geo.wrap_angle(0.3) == pytest.approx(0.3)
-
-
-class TestPose:
-    def test_compose_inverse(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            a = geo.Pose(random_quat(rng), rng.standard_normal(3))
-            b = geo.Pose(random_quat(rng), rng.standard_normal(3))
-            ab = a.compose(b)
-            v = rng.standard_normal(3)
-            np.testing.assert_allclose(ab.transform(v), a.transform(b.transform(v)), atol=1e-12)
-            ident = a.compose(a.inverse())
-            assert geo.quat_angle(ident.q) < 1e-9
-            np.testing.assert_allclose(ident.p, np.zeros(3), atol=1e-12)

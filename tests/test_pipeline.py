@@ -118,9 +118,11 @@ class TestDataIO:
 
     def test_config_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("duration = 10\nnot_a_key = 5\n")
-        with pytest.raises(dataio.FormatError, match="unknown key"):
-            dataio.parse_config(path)
+        # the last three are retired keys that nothing reads
+        for key in ("not_a_key", "pnp_threshold", "epipolar_threshold", "motion_ba_depth"):
+            path.write_text(f"duration = 10\n{key} = 5\n")
+            with pytest.raises(dataio.FormatError, match=f"unknown key '{key}'"):
+                dataio.parse_config(path)
 
     def test_config_parses_vectors_and_comments(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -169,6 +171,15 @@ class TestPipeline:
         # IMU-rate stream is much denser than the window stream
         assert len(rep.rate_times) > 5 * len(rep.window_times)
         assert np.all(np.diff(rep.rate_times) > 0)
+
+    def test_run_leaves_caller_config_unchanged(self):
+        cfg = quick_config(duration=4.0)
+        pc = PipelineConfig(enable_loops=False, model_noise=MODEL)
+        rep = pipeline_from_scenario(build_scenario(cfg), pc).run()
+        assert rep.init_events
+        # the run ends while extrinsic refinement is still held back
+        assert rep.n_frames < pc.init_window + pc.extrinsic_warmup_frames
+        assert pc.estimator.optimize_extrinsic is True
 
     def test_blackout_triggers_failure_and_new_segment(self):
         cfg = quick_config(
