@@ -7,8 +7,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import dataio
 from .estimator import EstimatorConfig, SolverConfig
 from .pipeline import (
@@ -21,7 +19,7 @@ from .pipeline import (
 )
 from .posegraph import PoseGraph, PoseGraphConfig
 from .preintegration import NoiseParams
-from .simulator import ScenarioConfig, build_scenario, camera_times, synthesize_loops
+from .simulator import build_scenario, camera_times, synthesize_loops
 
 
 def _pipeline_config(cfg: dict, args) -> PipelineConfig:

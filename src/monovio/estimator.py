@@ -34,8 +34,8 @@ from .initialization import ExtrinsicCalib
 from .preintegration import (
     BiasState,
     PreintegratedDelta,
-    covariance_sqrt,
-    imu_residual_jacobians,
+    StackedDeltas,
+    imu_residual_jacobians_batch,
     merge_deltas,
 )
 
@@ -421,49 +421,46 @@ def information_sqrt(H: np.ndarray, b: np.ndarray):
 
 
 def _theta_difference(q, q_lin):
-    """2 vec(q (x) q_lin^-1) with its exact tangent Jacobian.
+    """2 vec(q (x) q_lin^-1) with its exact tangent Jacobian; broadcasts over
+    leading axes.
 
     For a left perturbation q <- dq (x) q the derivative of the difference is
     w_e I - skew(v_e) with e the error quaternion (identity only at e = 1).
     """
     e = quat_mul(q, quat_inverse(q_lin))
-    if e[0] < 0:
-        e = -e
-    d = 2.0 * e[1:]
-    J = e[0] * np.eye(3) - skew(e[1:])
+    e = e * np.where(e[..., :1] < 0.0, -1.0, 1.0)
+    d = 2.0 * e[..., 1:]
+    J = e[..., 0, None, None] * np.eye(3) - skew(e[..., 1:])
     return d, J
 
 
-def local_difference(state: ImuFrameState, lin: ImuFrameState, with_jacobian: bool = False):
-    """15-vector local difference consistent with the solver parameterization.
-
-    Optionally returns the 15x15 Jacobian of the difference w.r.t. the local
-    perturbation of `state` (identity except the attitude block).
-    """
-    d = np.empty(15)
-    d[0:3] = state.p - lin.p
-    dth, Jth = _theta_difference(state.q, lin.q)
-    d[3:6] = dth
-    d[6:9] = state.v - lin.v
-    d[9:12] = state.bias.accel - lin.bias.accel
-    d[12:15] = state.bias.gyro - lin.bias.gyro
-    if not with_jacobian:
-        return d
-    J = np.eye(15)
-    J[3:6, 3:6] = Jth
-    return d, J
+def stack_states(frames: list[ImuFrameState]):
+    """Frame states as arrays (p, q, v, ba, bw), one row per frame."""
+    return (
+        np.array([f.p for f in frames], dtype=float).reshape(-1, 3),
+        np.array([f.q for f in frames], dtype=float).reshape(-1, 4),
+        np.array([f.v for f in frames], dtype=float).reshape(-1, 3),
+        np.array([f.bias.accel for f in frames], dtype=float).reshape(-1, 3),
+        np.array([f.bias.gyro for f in frames], dtype=float).reshape(-1, 3),
+    )
 
 
-def extrinsic_difference(ext: ExtrinsicCalib, lin: ExtrinsicCalib, with_jacobian: bool = False):
+def local_difference(x, lin):
+    """Local differences (N, 15) of stacked states x = (p, q, v, ba, bw) from
+    lin, consistent with the solver parameterization, and the (N, 3, 3)
+    attitude blocks of their Jacobians w.r.t. the local perturbation of x
+    (the rest of each Jacobian is the identity)."""
+    dth, Jth = _theta_difference(x[1], lin[1])
+    d = np.concatenate([x[0] - lin[0], dth, x[2] - lin[2], x[3] - lin[3], x[4] - lin[4]], axis=1)
+    return d, Jth
+
+
+def extrinsic_difference(ext: ExtrinsicCalib, lin: ExtrinsicCalib):
+    """6-vector counterpart of local_difference for the extrinsic."""
     d = np.empty(6)
     d[0:3] = ext.p_b_c - lin.p_b_c
-    dth, Jth = _theta_difference(ext.q_b_c, lin.q_b_c)
-    d[3:6] = dth
-    if not with_jacobian:
-        return d
-    J = np.eye(6)
-    J[3:6, 3:6] = Jth
-    return d, J
+    d[3:6], Jth = _theta_difference(ext.q_b_c, lin.q_b_c)
+    return d, Jth
 
 
 def marginalize_prior_only(prior: MarginalizationPrior, drop_frame_id: int):
@@ -721,7 +718,7 @@ class SlidingWindowEstimator:
         """
         old_id = self.frame_ids[0]
         marg_feats = [f for f in self._optimized_features() if f.anchor_id() == old_id]
-        self.prior = _WindowProblem(self, marg_feats, []).marginalize_frame()
+        self.prior = _WindowProblem(self, marg_feats, [], imu_factors=1).marginalize_frame()
         self.marginalized_keyframes.append((old_id, self.frames[0].copy()))
         old_cam_pose = self._camera_pose(0)
         self.frames.pop(0)
@@ -752,31 +749,39 @@ class SlidingWindowEstimator:
 
 
 class _WindowProblem:
-    """Dense normal-equation assembly over one window configuration.
+    """Dense normal equations over one window configuration.
 
     Variable layout: 15 per frame (dp, dtheta, dv, dba, dbw), then 6 extrinsic,
     then one inverse depth per optimized feature.
+
+    assemble() returns (H, b, cost) at the current iterate in one vectorized
+    pass per factor type: the prior's tangent map touches only its attitude
+    rows and columns; all IMU factors go through one batched kernel whitened
+    by each delta's cached sqrt_information; the visual blocks are summed
+    with np.bincount over index layouts fixed at construction.
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
-                 loops: list[LoopObservationSet]):
+                 loops: list[LoopObservationSet], imu_factors: int | None = None):
+        """imu_factors limits the problem to the window's leading IMU
+        factors (default: all of them)."""
         self.frame_ids = list(est.frame_ids)
         self.n_frames = len(est.frames)
         self.feats = feats
         self.prior = est.prior
-        self.deltas = list(est.deltas)
+        self.deltas = list(est.deltas[:imu_factors])
+        self.imu = StackedDeltas(self.deltas)
         self.gravity = est.config.gravity
         self.sigma = est.config.obs_sigma
 
-        self.frames = [f.copy() for f in est.frames]
+        self.t = [f.t for f in est.frames]
+        self.p, self.q, self.v, self.ba, self.bw = stack_states(est.frames)
         self.extrinsic = est.extrinsic.copy()
         self.lam = np.array([f.inv_depth for f in feats], dtype=float)
 
         self.dim = 15 * self.n_frames + 6 + len(feats)
         self.ext_col = 15 * self.n_frames
         self.feat_col = self.ext_col + 6
-
-        self.whiteners = [covariance_sqrt(d.P) for d in self.deltas]
 
         id_to_idx = {fid: k for k, fid in enumerate(self.frame_ids)}
         self.id_to_idx = id_to_idx
@@ -822,29 +827,47 @@ class _WindowProblem:
         self.l_R = np.array(l_R, dtype=float).reshape(-1, 3, 3)
         self.l_p = np.array(l_p, dtype=float).reshape(-1, 3)
 
+        self.v_index = self._visual_index(self.v_anchor, self.v_obs, self.v_feat)
+        self.l_index = self._visual_index(self.l_anchor, None, self.l_feat)
+
+        if self.prior is not None:
+            ids = self.prior.frame_ids
+            if any(fid not in id_to_idx for fid in ids):
+                raise EstimatorError("prior references a frame outside the window")
+            self.prior_idx = np.array([id_to_idx[fid] for fid in ids], dtype=int)
+            self.prior_lin = stack_states([self.prior.lin_frames[fid] for fid in ids])
+            self.prior_cols = np.concatenate(
+                [(15 * self.prior_idx[:, None] + np.arange(15)).ravel(), self.ext_col + np.arange(6)]
+            )
+            self.prior_info = self.prior.H.T @ self.prior.H
+
     # -- iterate management ----------------------------------------------------
 
     def snapshot(self):
-        return ([f.copy() for f in self.frames], self.extrinsic.copy(), self.lam.copy())
+        return (self.p, self.q, self.v, self.ba, self.bw, self.extrinsic.copy(), self.lam.copy())
 
     def restore(self, snap):
-        frames, ext, lam = snap
-        self.frames = [f.copy() for f in frames]
+        # retract replaces the state arrays instead of writing into them, so
+        # a snapshot may share them
+        self.p, self.q, self.v, self.ba, self.bw, ext, lam = snap
         self.extrinsic = ext.copy()
         self.lam = lam.copy()
 
     def retract(self, dx: np.ndarray) -> None:
-        for k, f in enumerate(self.frames):
-            base = 15 * k
-            f.p = f.p + dx[base : base + 3]
-            dth = dx[base + 3 : base + 6]
-            if dth[0] or dth[1] or dth[2]:
-                f.q = quat_canonical(quat_mul(small_angle_quat(dth), f.q))
-            f.v = f.v + dx[base + 6 : base + 9]
-            f.bias = BiasState(
-                f.bias.accel + dx[base + 9 : base + 12],
-                f.bias.gyro + dx[base + 12 : base + 15],
-            )
+        """Apply a local step. Raises ValueError, leaving the iterate
+        unchanged, when the step takes a bias past BiasState's sanity bound."""
+        d = dx[: self.ext_col].reshape(-1, 15)
+        ba = self.ba + d[:, 9:12]
+        bw = self.bw + d[:, 12:15]
+        BiasState.check(ba, bw)
+        self.p = self.p + d[:, 0:3]
+        dth = d[:, 3:6]
+        turned = np.any(dth != 0.0, axis=1)
+        if np.any(turned):
+            q = quat_canonical(quat_mul(small_angle_quat(dth), self.q))
+            self.q = np.where(turned[:, None], q, self.q)
+        self.v = self.v + d[:, 6:9]
+        self.ba, self.bw = ba, bw
         dpe = dx[self.ext_col : self.ext_col + 3]
         dte = dx[self.ext_col + 3 : self.ext_col + 6]
         if np.any(dpe) or np.any(dte):
@@ -855,9 +878,15 @@ class _WindowProblem:
         if len(self.lam):
             self.lam = np.maximum(self.lam + dx[self.feat_col :], 1e-4)
 
+    def frame_states(self) -> list[ImuFrameState]:
+        """The current iterate as frame states."""
+        return [
+            ImuFrameState(t, p.copy(), q.copy(), v.copy(), BiasState(ba.copy(), bw.copy()))
+            for t, p, q, v, ba, bw in zip(self.t, self.p, self.q, self.v, self.ba, self.bw)
+        ]
+
     def write_back(self, est: SlidingWindowEstimator) -> None:
-        for k in range(len(est.frames)):
-            est.frames[k] = self.frames[k]
+        est.frames = self.frame_states()
         est.extrinsic = self.extrinsic
         for fi, feat in enumerate(self.feats):
             feat.inv_depth = float(self.lam[fi])
@@ -865,8 +894,7 @@ class _WindowProblem:
     # -- residuals ---------------------------------------------------------------
 
     def _frame_arrays(self):
-        qs = np.array([f.q for f in self.frames])
-        return quat_to_rot(qs), np.array([f.p for f in self.frames])
+        return quat_to_rot(self.q), self.p
 
     def _visual_terms(self, anchor, obs_R, obs_p, feat_idx, u_anchor, u_obs, Rw, pw):
         """Whitened tangent-plane residuals plus geometry intermediates."""
@@ -890,192 +918,158 @@ class _WindowProblem:
         aux = (R_bc, f_ci, f_bi, Ri, d_j, e_j, nP, nvec, B)
         return r, aux
 
-    def _prior_residual(self, with_jacobian: bool = False):
-        """Prior residual r_p + H_p d, optionally with the tangent map D such
-        that the Jacobian w.r.t. the local perturbation is H_p @ D."""
-        prior = self.prior
-        cols = prior.columns()
-        d = np.zeros(cols)
-        D = np.eye(cols) if with_jacobian else None
-        for blk, fid in enumerate(prior.frame_ids):
-            if fid not in self.id_to_idx:
-                raise EstimatorError("prior references a frame outside the window")
-            sl = slice(15 * blk, 15 * blk + 15)
-            if with_jacobian:
-                d[sl], D[sl, sl] = local_difference(
-                    self.frames[self.id_to_idx[fid]], prior.lin_frames[fid], True
-                )
-            else:
-                d[sl] = local_difference(self.frames[self.id_to_idx[fid]], prior.lin_frames[fid])
-        if with_jacobian:
-            d[-6:], D[-6:, -6:] = extrinsic_difference(self.extrinsic, prior.lin_extrinsic, True)
-        else:
-            d[-6:] = extrinsic_difference(self.extrinsic, prior.lin_extrinsic)
-        r = prior.r + prior.H @ d
-        if with_jacobian:
-            return r, D
-        return r
-
-    def _imu_whitened(self, k: int, with_jacobians: bool):
-        r, Jk, Jk1 = imu_residual_jacobians(
-            self.deltas[k], self.frames[k], self.frames[k + 1], self.gravity,
-            with_jacobians=with_jacobians,
-        )
-        L = self.whiteners[k]
-        rw = np.linalg.solve(L, r)
-        if not with_jacobians:
-            return rw, None, None
-        return rw, np.linalg.solve(L, Jk), np.linalg.solve(L, Jk1)
-
-    def evaluate_cost(self) -> float:
-        cost = 0.0
-        if self.prior is not None:
-            rp = self._prior_residual()
-            cost += float(rp @ rp)
-        for k in range(len(self.deltas)):
-            rw, _, _ = self._imu_whitened(k, with_jacobians=False)
-            cost += float(rw @ rw)
-        Rw, pw = self._frame_arrays()
-        if len(self.v_feat):
-            r, _ = self._visual_terms(
-                self.v_anchor, Rw[self.v_obs], pw[self.v_obs], self.v_feat,
-                self.v_ua, self.v_uo, Rw, pw,
-            )
-            cost += float(np.sum(robust_cost(np.sum(r * r, axis=1))))
-        if len(self.l_feat):
-            r, _ = self._visual_terms(
-                self.l_anchor, self.l_R, self.l_p, self.l_feat, self.l_ua,
-                self.l_uo, Rw, pw,
-            )
-            cost += float(np.sum(robust_cost(np.sum(r * r, axis=1))))
-        return cost
+    def _prior_residual(self):
+        """Prior residual r_p + H_p d and the attitude blocks of the tangent
+        map D (identity elsewhere) such that its Jacobian is H_p D: (N, 3, 3)
+        for the prior's frames and (3, 3) for the extrinsic."""
+        i = self.prior_idx
+        d, Jth = local_difference((self.p[i], self.q[i], self.v[i], self.ba[i], self.bw[i]),
+                                  self.prior_lin)
+        d_ext, J_ext = extrinsic_difference(self.extrinsic, self.prior.lin_extrinsic)
+        r = self.prior.r + self.prior.H @ np.concatenate([d.ravel(), d_ext])
+        return r, Jth, J_ext
 
     # -- assembly -----------------------------------------------------------------
 
+    def _visual_index(self, anchor, obs_idx, feat_idx):
+        """Column indices of the stacked Jacobian blocks of _visual_jacobian,
+        and the flat indices of their outer products in H."""
+        blocks = [15 * anchor[:, None] + np.arange(6)]
+        if obs_idx is not None:
+            blocks.append(15 * obs_idx[:, None] + np.arange(6))
+        blocks.append(np.broadcast_to(self.ext_col + np.arange(6), (len(anchor), 6)))
+        blocks.append(self.feat_col + feat_idx[:, None])
+        cols = np.concatenate(blocks, axis=1)
+        return cols, (cols[:, :, None] * self.dim + cols[:, None, :]).ravel()
+
     def _visual_jacobian(self, anchor, obs_idx, obs_R, obs_p, feat_idx,
                          u_anchor, u_obs, Rw, pw):
-        """Whitened residuals, stacked Jacobian blocks, and column indices."""
+        """Whitened residuals and Jacobian blocks laid out as _visual_index."""
         r, aux = self._visual_terms(anchor, obs_R, obs_p, feat_idx, u_anchor, u_obs, Rw, pw)
         R_bc, f_ci, f_bi, Ri, d_j, e_j, nP, nvec, B = aux
-        K = len(feat_idx)
-        I3 = np.eye(3)
-
-        proj = I3[None, :, :] - nvec[:, :, None] * nvec[:, None, :]
-        M = -np.einsum("kir,kij->krj", B, proj) / (nP[:, None, None] * self.sigma)
-        # A = R_bc^T R_j^T per observation
-        A = np.einsum("ab,kcb->kac", R_bc.T, obs_R)
-        MA = np.einsum("krj,kja->kra", M, A)
-
-        Ri_fbi = np.einsum("kab,kb->ka", Ri, f_bi)
-        J_pi = MA
-        J_thi = -np.einsum("kra,kab->krb", MA, skew(Ri_fbi))
+        # M = d r / d P = -B^T (I - n n^T) / |P|, whitened
+        Bt = np.swapaxes(B, 1, 2)
+        Btn = np.einsum("kri,ki->kr", Bt, nvec)
+        M = (Btn[:, :, None] * nvec[:, None, :] - Bt) / (nP[:, None, None] * self.sigma)
+        MRbc = M @ R_bc.T  # d r / d e_j
+        MA = MRbc @ np.swapaxes(obs_R, 1, 2)  # d r / d f_w
+        MARi = MA @ Ri
         lam = self.lam[feat_idx]
-        v_lam = np.einsum(
-            "kab,kb->ka", Ri, (u_anchor @ R_bc.T) * (-1.0 / lam**2)[:, None]
-        )
-        J_lam = np.einsum("kra,ka->kr", MA, v_lam)[:, :, None]
-        RjTRi = np.einsum("kba,kbc->kac", obs_R, Ri)
-        J_extp = np.einsum(
-            "krj,kja->kra", M, np.einsum("ab,kbc->kac", R_bc.T, RjTRi - I3[None])
-        )
-        term1 = np.einsum(
-            "krj,kja->kra", M, np.einsum("ab,kbc->kac", R_bc.T, skew(e_j))
-        )
-        MARi = np.einsum("kra,kab->krb", MA, Ri)
-        term2 = np.einsum("krb,kbc->krc", MARi, skew(f_ci @ R_bc.T))
-        J_extth = term1 - term2
 
+        J = np.empty((len(r), 2, 13 if obs_idx is None else 19))
+        J[:, :, 0:3] = MA
+        J[:, :, 3:6] = -MA @ skew(np.einsum("kab,kb->ka", Ri, f_bi))
+        c = 6
         if obs_idx is not None:
-            J_pj = -MA
-            J_thj = np.einsum("kra,kab->krb", MA, skew(d_j))
-            Jfull = np.concatenate([J_pi, J_thi, J_pj, J_thj, J_extp, J_extth, J_lam], axis=2)
-            cols = np.empty((K, 19), dtype=int)
-            cols[:, 0:3] = 15 * anchor[:, None] + np.arange(3)
-            cols[:, 3:6] = 15 * anchor[:, None] + 3 + np.arange(3)
-            cols[:, 6:9] = 15 * obs_idx[:, None] + np.arange(3)
-            cols[:, 9:12] = 15 * obs_idx[:, None] + 3 + np.arange(3)
-            cols[:, 12:18] = self.ext_col + np.arange(6)
-            cols[:, 18] = self.feat_col + feat_idx
-        else:
-            Jfull = np.concatenate([J_pi, J_thi, J_extp, J_extth, J_lam], axis=2)
-            cols = np.empty((K, 13), dtype=int)
-            cols[:, 0:3] = 15 * anchor[:, None] + np.arange(3)
-            cols[:, 3:6] = 15 * anchor[:, None] + 3 + np.arange(3)
-            cols[:, 6:12] = self.ext_col + np.arange(6)
-            cols[:, 12] = self.feat_col + feat_idx
-        return r, Jfull, cols
+            J[:, :, 6:9] = -MA
+            J[:, :, 9:12] = MA @ skew(d_j)
+            c = 12
+        J[:, :, c : c + 3] = MARi - MRbc
+        J[:, :, c + 3 : c + 6] = MRbc @ skew(e_j) - MARi @ skew(f_ci @ R_bc.T)
+        J[:, :, c + 6] = np.einsum(
+            "krb,kb->kr", MARi, (u_anchor @ R_bc.T) * (-1.0 / lam**2)[:, None]
+        )
+        return r, J
 
-    def _scatter_visual(self, H, b, r, Jfull, cols) -> float:
+    def _scatter_visual(self, H, b, r, J, index) -> float:
+        """Accumulate Huber-reweighted blocks; returns their robust cost."""
+        cols, flat = index
         s = np.sum(r * r, axis=1)
-        w = huber_weight(s)
-        Hb = np.einsum("k,kri,krj->kij", w, Jfull, Jfull)
-        bb = np.einsum("k,kri,kr->ki", w, Jfull, r)
-        np.add.at(H, (cols[:, :, None], cols[:, None, :]), Hb)
-        np.add.at(b, cols, bb)
+        sw = np.sqrt(huber_weight(s))
+        Jw = J * sw[:, None, None]
+        JwT = np.swapaxes(Jw, 1, 2)
+        Hb = JwT @ Jw
+        bb = np.einsum("kir,kr->ki", JwT, r * sw[:, None])
+        n = self.dim
+        H += np.bincount(flat, Hb.ravel(), n * n).reshape(n, n)
+        b += np.bincount(cols.ravel(), bb.ravel(), n)
         return float(np.sum(robust_cost(s)))
 
     def _add_prior(self, H, b) -> float:
-        """Accumulate the marginalization prior; returns its cost."""
+        """Accumulate the marginalization prior; returns its cost.
+
+        Its Jacobian is H_p D with D the identity except on attitude blocks,
+        so J^T J = D^T (H_p^T H_p) D and J^T r = D^T H_p^T r need only the
+        attitude rows of the constant information mapped."""
         if self.prior is None:
             return 0.0
-        rp, D = self._prior_residual(with_jacobian=True)
-        cols = []
-        for fid in self.prior.frame_ids:
-            base = 15 * self.id_to_idx[fid]
-            cols.extend(range(base, base + 15))
-        cols.extend(range(self.ext_col, self.ext_col + 6))
-        cols = np.array(cols, dtype=int)
-        Jp = self.prior.H @ D
-        H[np.ix_(cols, cols)] += Jp.T @ Jp
-        b[cols] += Jp.T @ rp
+        rp, Jth, J_ext = self._prior_residual()
+
+        def map_rows(M):  # D^T M, on a C-ordered copy so the reshape is a view
+            M = np.array(M, order="C")
+            att = M[: 15 * len(Jth)].reshape(len(Jth), 15, -1)[:, 3:6]
+            att[...] = np.swapaxes(Jth, 1, 2) @ att
+            M[-3:] = J_ext.T @ M[-3:]
+            return M
+
+        cols = self.prior_cols
+        H[np.ix_(cols, cols)] += map_rows(map_rows(self.prior_info).T)
+        b[cols] += map_rows((self.prior.H.T @ rp)[:, None])[:, 0]
         return float(rp @ rp)
 
-    def _add_imu(self, H, b, k: int) -> float:
-        """Accumulate the IMU factor between frames k and k + 1; returns its cost."""
-        rw, Jk, Jk1 = self._imu_whitened(k, with_jacobians=True)
-        c0, c1 = 15 * k, 15 * (k + 1)
-        H[c0 : c0 + 15, c0 : c0 + 15] += Jk.T @ Jk
-        H[c0 : c0 + 15, c1 : c1 + 15] += Jk.T @ Jk1
-        H[c1 : c1 + 15, c0 : c0 + 15] += Jk1.T @ Jk
-        H[c1 : c1 + 15, c1 : c1 + 15] += Jk1.T @ Jk1
-        b[c0 : c0 + 15] += Jk.T @ rw
-        b[c1 : c1 + 15] += Jk1.T @ rw
-        return float(rw @ rw)
+    def _add_imu(self, H, b) -> float:
+        """Accumulate all IMU factors of the problem; returns their cost."""
+        K = len(self.imu)
+        if K == 0:
+            return 0.0
+        n = K + 1
+        r, Jk, Jk1 = imu_residual_jacobians_batch(
+            self.imu, self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n], self.gravity,
+        )
+        W = self.imu.sqrt_info
+        rw = np.einsum("kij,kj->ki", W, r)
+        J = W @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)
+        JT = np.swapaxes(J, 1, 2)
+        Hb = JT @ J
+        bb = np.einsum("kir,kr->ki", JT, rw)
+        # factor k fills the 2x2 block of frames (k, k + 1)
+        Hv = H[: 15 * n, : 15 * n].reshape(n, 15, n, 15)
+        bv = b[: 15 * n].reshape(n, 15)
+        k = np.arange(K)
+        for i, ri in ((0, k), (1, k + 1)):
+            bv[ri] += bb[:, 15 * i : 15 * i + 15]
+            for j, rj in ((0, k), (1, k + 1)):
+                Hv[ri, :, rj, :] += Hb[:, 15 * i : 15 * i + 15, 15 * j : 15 * j + 15]
+        return float(np.sum(rw * rw))
 
     def _add_visual(self, H, b) -> float:
         """Accumulate the window and loop visual factors; returns their robust cost."""
         cost = 0.0
         Rw, pw = self._frame_arrays()
         if len(self.v_feat):
-            r, J, cols = self._visual_jacobian(
+            r, J = self._visual_jacobian(
                 self.v_anchor, self.v_obs, Rw[self.v_obs], pw[self.v_obs],
                 self.v_feat, self.v_ua, self.v_uo, Rw, pw,
             )
-            cost += self._scatter_visual(H, b, r, J, cols)
+            cost += self._scatter_visual(H, b, r, J, self.v_index)
         if len(self.l_feat):
-            r, J, cols = self._visual_jacobian(
+            r, J = self._visual_jacobian(
                 self.l_anchor, None, self.l_R, self.l_p, self.l_feat,
                 self.l_ua, self.l_uo, Rw, pw,
             )
-            cost += self._scatter_visual(H, b, r, J, cols)
+            cost += self._scatter_visual(H, b, r, J, self.l_index)
         return cost
 
     def assemble(self):
         """Normal equations (H, b) and robustified cost at the current iterate."""
         H = np.zeros((self.dim, self.dim))
         b = np.zeros(self.dim)
-        cost = self._add_prior(H, b)
-        for k in range(len(self.deltas)):
-            cost += self._add_imu(H, b, k)
-        cost += self._add_visual(H, b)
+        cost = self._add_prior(H, b) + self._add_imu(H, b) + self._add_visual(H, b)
         return H, b, cost
 
     # -- damped Gauss-Newton ---------------------------------------------------
 
     def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
-        """Damped Gauss-Newton over the variables selected by the boolean mask."""
+        """Damped Gauss-Newton over the variables selected by the boolean mask.
+
+        Each iterate is assembled once: the starting one, then each trial
+        iterate, whose (H, b) become the next iteration's system when its cost
+        does not rise. A trial whose cost rises, or whose step pushes a bias
+        past BiasState's sanity bound, is rejected: the iterate is restored
+        and the damping raised.
+        """
         report = SolveReport()
-        cost = self.evaluate_cost()
+        H, b, cost = self.assemble()
         if not np.isfinite(cost):
             raise EstimatorError("non-finite cost at the initial iterate")
         report.costs.append(cost)
@@ -1084,7 +1078,6 @@ class _WindowProblem:
             return report
         lam = config.initial_lambda
         for _ in range(config.max_iterations):
-            H, b, _ = self.assemble()
             Hm = H[np.ix_(mask, mask)]
             bm = b[mask]
             diag = np.diag(Hm).copy()
@@ -1102,11 +1095,15 @@ class _WindowProblem:
                 dx = np.zeros(self.dim)
                 dx[mask] = step
                 snap = self.snapshot()
-                self.retract(dx)
-                new_cost = self.evaluate_cost()
+                try:
+                    self.retract(dx)
+                except ValueError:  # a bias left its bound; iterate unchanged
+                    lam *= config.lambda_up
+                    continue
+                H_new, b_new, new_cost = self.assemble()
                 if np.isfinite(new_cost) and new_cost <= cost:
                     rel = (cost - new_cost) / max(cost, 1e-30)
-                    cost = new_cost
+                    H, b, cost = H_new, b_new, new_cost
                     report.costs.append(cost)
                     lam = max(lam / config.lambda_down, config.min_lambda)
                     accepted = True
@@ -1127,18 +1124,15 @@ class _WindowProblem:
 
     def marginalize_frame(self) -> MarginalizationPrior:
         """New prior from eliminating the oldest frame and the problem's
-        features (those anchored in it), consuming the old prior, the oldest
-        IMU factor, and those visual factors (robust weights frozen at the
-        current estimate)."""
-        H = np.zeros((self.dim, self.dim))
-        b = np.zeros(self.dim)
-        self._add_prior(H, b)
-        self._add_imu(H, b, 0)
-        self._add_visual(H, b)
+        features (those anchored in it), consuming the old prior, the
+        problem's IMU factors (only the oldest one, see _marginalize_oldest),
+        and those visual factors (robust weights frozen at the current
+        estimate)."""
+        H, b, _ = self.assemble()
         # eliminated block first: [frame 0, depths | frames 1.., extrinsic]
         order = np.r_[0:15, self.feat_col : self.dim, 15 : self.feat_col]
         H_red, b_red = schur_complement(H[np.ix_(order, order)], b[order], 15 + len(self.feats))
         Hp, rp = information_sqrt(H_red, b_red)
         retained_ids = self.frame_ids[1:]
-        lin_frames = {fid: f.copy() for fid, f in zip(retained_ids, self.frames[1:])}
+        lin_frames = dict(zip(retained_ids, self.frame_states()[1:]))
         return MarginalizationPrior(retained_ids, lin_frames, self.extrinsic.copy(), rp, Hp)

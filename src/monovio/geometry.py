@@ -107,12 +107,17 @@ def quat_to_rot(q):
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    rows = [
-        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
+    R[..., 0, 1] = 2.0 * (xy - wz)
+    R[..., 0, 2] = 2.0 * (xz + wy)
+    R[..., 1, 0] = 2.0 * (xy + wz)
+    R[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
+    R[..., 1, 2] = 2.0 * (yz - wx)
+    R[..., 2, 0] = 2.0 * (xz - wy)
+    R[..., 2, 1] = 2.0 * (yz + wx)
+    R[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
+    return R
 
 
 def rot_to_quat(R):
@@ -188,9 +193,11 @@ def skew(v):
         x, y, z = v
         return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    rows = [[zero, -z, y], [z, zero, -x], [-y, x, zero]]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2] = -z, y
+    S[..., 1, 0], S[..., 1, 2] = z, -x
+    S[..., 2, 0], S[..., 2, 1] = -y, x
+    return S
 
 
 def small_angle_quat(dtheta):

@@ -29,7 +29,6 @@ from .geometry import (
     quat_canonical,
     quat_inverse,
     quat_mul,
-    quat_to_rot,
     rot_to_quat,
     rot_zyx,
     wrap_angle,
@@ -53,7 +52,7 @@ from .posegraph import (
     vertex_from_state,
 )
 from .preintegration import NoiseParams, integrate_segment, segment_samples
-from .simulator import GRAVITY_W, LoopCandidate, ScenarioData
+from .simulator import LoopCandidate, ScenarioData
 
 
 @dataclass

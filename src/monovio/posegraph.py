@@ -9,16 +9,14 @@ absolute-pose test against window structure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import huber_weight, robust_cost
 from .geometry import (
     quat_canonical,
-    quat_inverse,
     quat_mul,
-    quat_rotate,
     quat_to_rot,
     rot_zyx,
     skew,

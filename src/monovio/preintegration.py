@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    quat_canonical,
+    quat_conjugate,
     quat_exp,
     quat_identity,
     quat_inverse,
     quat_mul,
-    quat_normalize,
-    quat_rotate,
     quat_to_rot,
     skew,
     small_angle_quat,
@@ -36,6 +34,10 @@ MAX_SAMPLE_GAP = 0.1  # seconds; larger steps are rejected as data gaps
 # beyond these deltas callers should re-propagate
 REPROP_ACCEL_THRESHOLD = 0.05  # m/s^2
 REPROP_GYRO_THRESHOLD = 0.01  # rad/s
+
+# default sanity bounds on bias norms
+MAX_ACCEL_BIAS = 2.0  # m/s^2
+MAX_GYRO_BIAS = 1.0  # rad/s
 
 
 class PreintegrationError(ValueError):
@@ -78,17 +80,24 @@ class BiasState:
     accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    max_accel: float = 2.0
-    max_gyro: float = 1.0
+    max_accel: float = MAX_ACCEL_BIAS
+    max_gyro: float = MAX_GYRO_BIAS
 
     def __post_init__(self):
         self.accel = np.asarray(self.accel, dtype=float)
         self.gyro = np.asarray(self.gyro, dtype=float)
-        if not (np.all(np.isfinite(self.accel)) and np.all(np.isfinite(self.gyro))):
+        self.check(self.accel, self.gyro, self.max_accel, self.max_gyro)
+
+    @staticmethod
+    def check(accel, gyro, max_accel: float = MAX_ACCEL_BIAS,
+              max_gyro: float = MAX_GYRO_BIAS) -> None:
+        """Raise ValueError unless every bias row (last axis) is finite and
+        inside the sanity bounds."""
+        if not (np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
             raise ValueError("bias must be finite")
-        if np.linalg.norm(self.accel) >= self.max_accel:
+        if np.any(np.linalg.norm(accel, axis=-1) >= max_accel):
             raise ValueError("accelerometer bias exceeds sanity bound")
-        if np.linalg.norm(self.gyro) >= self.max_gyro:
+        if np.any(np.linalg.norm(gyro, axis=-1) >= max_gyro):
             raise ValueError("gyroscope bias exceeds sanity bound")
 
     def copy(self) -> "BiasState":
@@ -155,6 +164,7 @@ class PreintegratedDelta:
         self._G[12:15, 9:12] = _EYE3
         self._A = np.empty((15, 15))
         self._S1 = np.empty((15, 15))
+        self._sqrt_info = None  # cached L^-1 of P; reset when P changes
 
     def integrate_sample(self, s0: ImuSample, s1: ImuSample) -> "PreintegratedDelta":
         """Advance the delta by one sample interval [s0.t, s1.t]."""
@@ -248,7 +258,16 @@ class PreintegratedDelta:
         P += (G * (self._qd * dt)) @ G.T
         self.P = 0.5 * (P + P.T)  # keep symmetric PSD
         self.J = A @ self.J
+        self._sqrt_info = None
         return self
+
+    def sqrt_information(self) -> np.ndarray:
+        """Whitener L^-1 with L L^T = P (see covariance_sqrt), so that L^-1 r
+        is the whitened residual. Computed once per covariance."""
+        if self._sqrt_info is None:
+            L = covariance_sqrt(self.P)
+            self._sqrt_info = np.linalg.solve(L, _EYE15)
+        return self._sqrt_info
 
     # Jacobian sub-blocks of Eq-style bias correction
     @property
@@ -411,20 +430,24 @@ def imu_residual(delta: PreintegratedDelta, state_k, state_k1, gravity) -> np.nd
     return r
 
 
+def _quat_mat(rows) -> np.ndarray:
+    M = np.empty(np.shape(rows[0][0]) + (4, 4))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            M[..., i, j] = entry
+    return M
+
+
 def quat_left_mat(q) -> np.ndarray:
-    """4x4 matrix L(q) with L(q) @ p == q (x) p."""
-    w, x, y, z = q
-    return np.array(
-        [[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]]
-    )
+    """4x4 matrix L(q) with L(q) @ p == q (x) p; broadcasts over leading axes."""
+    w, x, y, z = (np.asarray(q, dtype=float)[..., i] for i in range(4))
+    return _quat_mat([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
 
 
 def quat_right_mat(q) -> np.ndarray:
-    """4x4 matrix R(q) with R(q) @ p == p (x) q."""
-    w, x, y, z = q
-    return np.array(
-        [[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]]
-    )
+    """4x4 matrix R(q) with R(q) @ p == p (x) q; broadcasts over leading axes."""
+    w, x, y, z = (np.asarray(q, dtype=float)[..., i] for i in range(4))
+    return _quat_mat([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
 
 
 def imu_residual_jacobians(
@@ -433,7 +456,9 @@ def imu_residual_jacobians(
     """Residual plus 15x15 Jacobians w.r.t. both frame states.
 
     Per-frame tangent ordering is (dp, dtheta, dv, dba, dbw) with the attitude
-    perturbed on the left in the world frame: q <- dq (x) q.
+    perturbed on the left in the world frame: q <- dq (x) q. Scalar reference
+    for imu_residual_jacobians_batch, which the window solve and
+    marginalization use.
     """
     g = np.asarray(gravity, dtype=float)
     dt = delta.dt_total
@@ -496,6 +521,94 @@ def imu_residual_jacobians(
     Jk[12:15, 12:15] = -I3
     Jk1[9:12, 9:12] = I3
     Jk1[12:15, 12:15] = I3
+    return r, Jk, Jk1
+
+
+class StackedDeltas:
+    """Terms of consecutive deltas stacked along a leading factor axis, for
+    imu_residual_jacobians_batch. Factor k links window states k and k + 1."""
+
+    def __init__(self, deltas: list[PreintegratedDelta]):
+        self.dt = np.array([d.dt_total for d in deltas])
+        self.alpha = np.array([d.alpha for d in deltas]).reshape(-1, 3)
+        self.beta = np.array([d.beta for d in deltas]).reshape(-1, 3)
+        self.gamma = np.array([d.gamma for d in deltas]).reshape(-1, 4)
+        self.lin_ba = np.array([d.lin_bias.accel for d in deltas]).reshape(-1, 3)
+        self.lin_bw = np.array([d.lin_bias.gyro for d in deltas]).reshape(-1, 3)
+        self.J = np.array([d.J for d in deltas]).reshape(-1, 15, 15)
+        self.sqrt_info = np.array([d.sqrt_information() for d in deltas]).reshape(-1, 15, 15)
+
+    def __len__(self) -> int:
+        return len(self.dt)
+
+
+def _mv(M, x):
+    return np.einsum("kij,kj->ki", M, x)
+
+
+def imu_residual_jacobians_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
+    """imu_residual_jacobians over all factors of st at once.
+
+    p, q, v, ba, bw stack the K + 1 window states the K factors link. Returns
+    residuals (K, 15) and Jacobians (K, 15, 15) w.r.t. states k and k + 1.
+    """
+    g = np.asarray(gravity, dtype=float)
+    K = len(st)
+    dt = st.dt[:, None]
+    Rk_t = np.swapaxes(quat_to_rot(q[:-1]), 1, 2)
+    J = st.J
+    j_gamma_bw = J[:, 6:9, 12:15]
+
+    # first-order bias correction (PreintegratedDelta.correct_for_bias)
+    dba = ba[:-1] - st.lin_ba
+    dbw = bw[:-1] - st.lin_bw
+    alpha_c = st.alpha + _mv(J[:, 0:3, 9:12], dba) + _mv(J[:, 0:3, 12:15], dbw)
+    beta_c = st.beta + _mv(J[:, 3:6, 9:12], dba) + _mv(J[:, 3:6, 12:15], dbw)
+    phi = _mv(j_gamma_bw, dbw)
+    gamma_c = quat_mul(st.gamma, small_angle_quat(phi))
+
+    u = p[1:] - p[:-1] + 0.5 * g * dt * dt - v[:-1] * dt
+    w = v[1:] + g * dt - v[:-1]
+    q_rel = quat_mul(quat_conjugate(q[:-1]), q[1:])
+    e = quat_mul(q_rel, quat_conjugate(gamma_c))
+
+    r = np.empty((K, 15))
+    r[:, 0:3] = _mv(Rk_t, u) - alpha_c
+    r[:, 3:6] = _mv(Rk_t, w) - beta_c
+    r[:, 6:9] = 2.0 * e[:, 1:]
+    r[:, 9:12] = ba[1:] - ba[:-1]
+    r[:, 12:15] = bw[1:] - bw[:-1]
+
+    L = e[:, 0, None, None] * _EYE3 - skew(e[:, 1:])
+    LR = L @ Rk_t
+    # theta-row bias Jacobian through the normalized correction quaternion
+    s_un = np.concatenate([np.ones((K, 1)), 0.5 * phi], axis=1)
+    n = np.linalg.norm(s_un, axis=1)
+    s_hat = s_un / n[:, None]
+    ds_un = np.zeros((K, 4, 3))
+    ds_un[:, 1:, :] = 0.5 * j_gamma_bw
+    proj = np.eye(4) - s_hat[:, :, None] * s_hat[:, None, :]
+    ds = (proj @ ds_un) / n[:, None, None]
+    ds[:, 1:, :] *= -1.0  # conjugation
+    de_dbw = quat_left_mat(q_rel) @ (quat_right_mat(quat_conjugate(st.gamma)) @ ds)
+
+    Jk = np.zeros((K, 15, 15))
+    Jk1 = np.zeros((K, 15, 15))
+    Jk[:, 0:3, 0:3] = -Rk_t
+    Jk[:, 0:3, 3:6] = Rk_t @ skew(u)
+    Jk[:, 0:3, 6:9] = -Rk_t * dt[:, :, None]
+    Jk[:, 0:3, 9:15] = -J[:, 0:3, 9:15]
+    Jk1[:, 0:3, 0:3] = Rk_t
+    Jk[:, 3:6, 3:6] = Rk_t @ skew(w)
+    Jk[:, 3:6, 6:9] = -Rk_t
+    Jk[:, 3:6, 9:15] = -J[:, 3:6, 9:15]
+    Jk1[:, 3:6, 6:9] = Rk_t
+    Jk[:, 6:9, 3:6] = -LR
+    Jk[:, 6:9, 12:15] = 2.0 * de_dbw[:, 1:, :]
+    Jk1[:, 6:9, 3:6] = LR
+    for a in (9, 12):
+        Jk[:, a : a + 3, a : a + 3] = -_EYE3
+        Jk1[:, a : a + 3, a : a + 3] = _EYE3
     return r, Jk, Jk1
 
 

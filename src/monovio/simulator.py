@@ -9,7 +9,7 @@ attitude reads +g on body z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -5,10 +5,11 @@ from monovio import geometry as geo
 from monovio.estimator import (
     EstimatorConfig,
     EstimatorError,
-    FailureThresholds,
     Feature,
     ImuFrameState,
+    LoopObservationSet,
     SlidingWindowEstimator,
+    SolveReport,
     TriangulationError,
     detect_failure,
     huber,
@@ -16,7 +17,6 @@ from monovio.estimator import (
     imu_forward_propagate,
     information_sqrt,
     keyframe_decision,
-    local_difference,
     marginalize_prior_only,
     schur_complement,
     triangulate_feature,
@@ -40,7 +40,7 @@ from monovio.simulator import (
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 
 
-def seeded_estimator(cfg, data, n_frames=11, config=None, at_ground_truth=True):
+def seeded_estimator(cfg, data, n_frames=11, config=None):
     """Window seeded with ground-truth states, deltas, and observations."""
     gt, imu = data.ground_truth, data.imu
     cam = camera_times(cfg)[:n_frames]
@@ -331,6 +331,25 @@ class TestSolver:
         assert all(b <= a for a, b in zip(rep.costs, rep.costs[1:]))
         assert rep.final_cost <= rep.initial_cost
 
+    def test_bias_step_past_bound_is_rejected(self):
+        # window seeded at a gyro bias of 0.95 rad/s (bound 1.0) while the
+        # samples carry 1.15 rad/s: the undamped step leaves the bound
+        near = BiasState(gyro=[0.0, 0.0, 0.95])
+        cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=18, bias0=near)
+        data = build_scenario(cfg)
+        for s in data.imu:
+            s.gyro = s.gyro + np.array([0.0, 0.0, 0.2])
+        est, _ = seeded_estimator(cfg, data)
+        for f in est.frames:
+            f.bias = near.copy()
+        est.deltas = [d.repropagate(near) for d in est.deltas]
+        rep = est.build_and_solve()
+        assert isinstance(rep, SolveReport) and rep.iterations >= 1
+        assert rep.final_cost < rep.initial_cost
+        for f in est.frames:
+            assert np.linalg.norm(f.bias.gyro) < f.bias.max_gyro
+            assert np.linalg.norm(f.bias.accel) < f.bias.max_accel
+
     def test_matches_independent_solver_on_small_problem(self):
         # 3-frame window, ground truth start, frame 0 and extrinsic frozen to
         # pin the gauge; compare against a generic numeric-Jacobian solver
@@ -358,19 +377,19 @@ class TestSolver:
         tight = type(est.config.solver)(max_iterations=60, rel_cost_tol=1e-14)
         rep = problem.solve(tight, mask)
         ours = np.concatenate(
-            [np.concatenate([f.p, f.v, f.bias.accel, f.bias.gyro]) for f in problem.frames[1:]]
+            [np.concatenate([f.p, f.v, f.bias.accel, f.bias.gyro]) for f in problem.frame_states()[1:]]
             + [problem.lam]
         )
-        our_qs = [f.q.copy() for f in problem.frames[1:]]
+        our_qs = [f.q.copy() for f in problem.frame_states()[1:]]
 
         problem.restore(start)
         x_ind = _independent_minimize(problem, mask)
         problem.retract(_embed(problem, mask, x_ind))
         ind = np.concatenate(
-            [np.concatenate([f.p, f.v, f.bias.accel, f.bias.gyro]) for f in problem.frames[1:]]
+            [np.concatenate([f.p, f.v, f.bias.accel, f.bias.gyro]) for f in problem.frame_states()[1:]]
             + [problem.lam]
         )
-        ind_qs = [f.q.copy() for f in problem.frames[1:]]
+        ind_qs = [f.q.copy() for f in problem.frame_states()[1:]]
         assert np.abs(ours - ind).max() < 1e-6
         for qa, qb in zip(our_qs, ind_qs):
             assert geo.quat_angle_between(qa, qb) < 1e-6
@@ -388,18 +407,16 @@ def _residual_stack(problem):
     from monovio.preintegration import imu_residual, weight_residual
 
     out = []
+    frames = problem.frame_states()
     for k in range(len(problem.deltas)):
-        r = imu_residual(
-            problem.deltas[k], problem.frames[k], problem.frames[k + 1], problem.gravity
-        )
+        r = imu_residual(problem.deltas[k], frames[k], frames[k + 1], problem.gravity)
         out.append(weight_residual(r, problem.deltas[k].P))
     for k in range(len(problem.v_feat)):
         fi = problem.v_feat[k]
         ai = problem.v_anchor[k]
         oi = problem.v_obs[k]
         r, _ = visual_residual(
-            problem.frames[ai].q, problem.frames[ai].p,
-            problem.frames[oi].q, problem.frames[oi].p,
+            frames[ai].q, frames[ai].p, frames[oi].q, frames[oi].p,
             problem.extrinsic, problem.v_ua[k], problem.lam[fi], problem.v_uo[k],
             with_jacobians=False,
         )
@@ -732,6 +749,7 @@ class TestImuResidualJacobiansInWindow:
         from monovio.estimator import _WindowProblem
 
         problem = _WindowProblem(est, feats, [])
+        frames = problem.frame_states()
         Rw, pw = problem._frame_arrays()
         r_batch, _ = problem._visual_terms(
             problem.v_anchor, Rw[problem.v_obs], pw[problem.v_obs], problem.v_feat,
@@ -742,8 +760,7 @@ class TestImuResidualJacobiansInWindow:
             ai = problem.v_anchor[k]
             oi = problem.v_obs[k]
             r_single, _ = visual_residual(
-                problem.frames[ai].q, problem.frames[ai].p,
-                problem.frames[oi].q, problem.frames[oi].p,
+                frames[ai].q, frames[ai].p, frames[oi].q, frames[oi].p,
                 problem.extrinsic, problem.v_ua[k], problem.lam[fi], problem.v_uo[k],
                 with_jacobians=False,
             )
@@ -768,11 +785,160 @@ class TestImuResidualJacobiansInWindow:
             e[idx] = h
             problem.restore(base)
             problem.retract(e)
-            cp = problem.evaluate_cost()
+            cp = problem.assemble()[2]
             problem.restore(base)
             problem.retract(-e)
-            cm = problem.evaluate_cost()
+            cm = problem.assemble()[2]
             problem.restore(base)
             g_num = (cp - cm) / (2 * h)
             # b is J^T W r, gradient of ||r||^2-style cost is 2 b
             assert g_num == pytest.approx(2 * b[idx], rel=2e-3, abs=2e-4)
+
+    def test_batched_imu_kernel_matches_scalar_reference(self):
+        # every frame carries its own non-zero bias offset from each delta's
+        # linearization bias, so the first-order correction is exercised
+        from monovio.estimator import stack_states
+        from monovio.preintegration import (
+            StackedDeltas,
+            imu_residual_jacobians,
+            imu_residual_jacobians_batch,
+        )
+
+        cfg = ScenarioConfig(duration=3.0, cam_rate=5.0, seed=19,
+                             noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
+        data = build_scenario(cfg)
+        est, _ = seeded_estimator(cfg, data, n_frames=8)
+        rng = np.random.default_rng(6)
+        for f in est.frames:
+            f.bias = BiasState(rng.normal(0.0, 0.05, 3), rng.normal(0.0, 0.01, 3))
+        r, Jk, Jk1 = imu_residual_jacobians_batch(
+            StackedDeltas(est.deltas), *stack_states(est.frames), est.config.gravity
+        )
+        assert len(r) == len(est.deltas) == 7
+        for k, delta in enumerate(est.deltas):
+            assert np.all(est.frames[k].bias.gyro != delta.lin_bias.gyro)
+            ref = imu_residual_jacobians(delta, est.frames[k], est.frames[k + 1], est.config.gravity)
+            for got, want in zip((r[k], Jk[k], Jk1[k]), ref):
+                tol = 1e-12 * max(1.0, np.abs(want).max())
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_assembly_matches_dense_reference(self):
+        # (H, b, cost) of one assemble() against J^T J, J^T r and the summed
+        # cost of a dense Jacobian stacked from the scalar primitives: the
+        # prior, every IMU factor, window and loop visual rows
+        from monovio.estimator import _WindowProblem
+        from monovio.preintegration import imu_residual_jacobians, weight_residual
+
+        cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=20, pixel_sigma_px=1.5,
+                             noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
+        data = build_scenario(cfg)
+        est, cam = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        t_new = camera_times(cfg)[11]
+        delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
+        est.add_frame(t_new, delta, data.observations_at(t_new), is_keyframe=True)
+        est.triangulate_new_features()
+        assert est.prior is not None
+        # move every state off the prior's and the deltas' linearization points
+        rng = np.random.default_rng(7)
+        for f in est.frames:
+            f.p = f.p + rng.normal(0.0, 0.003, 3)
+            f.q = geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), f.q)
+            f.v = f.v + rng.normal(0.0, 0.01, 3)
+            f.bias = BiasState(rng.normal(0.0, 0.02, 3), rng.normal(0.0, 0.005, 3))
+        est.extrinsic = ExtrinsicCalib(
+            est.extrinsic.p_b_c + rng.normal(0.0, 0.003, 3),
+            geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), est.extrinsic.q_b_c),
+        )
+        feats = est._optimized_features()
+
+        # loop frame: the ground-truth body pose at t = 0.1 s, between the
+        # first two camera frames; one correspondence is turned 3 deg to make
+        # an outlier
+        ext = est.extrinsic
+        gt = data.ground_truth
+        i = int(round(0.1 * cfg.imu_rate))
+        q_wc = geo.quat_mul(gt.q[i], ext.q_b_c)
+        p_wc = gt.p[i] + geo.quat_rotate(gt.q[i], ext.p_b_c)
+        pairs = []
+        for f in feats[:12]:
+            ray = geo.quat_rotate(geo.quat_inverse(q_wc), gt.landmarks[f.fid] - p_wc)
+            pairs.append((f.fid, ray / np.linalg.norm(ray)))
+        pairs[0] = (pairs[0][0], geo.quat_rotate(geo.quat_exp([0.0, np.deg2rad(3.0), 0.0]), pairs[0][1]))
+        loop = LoopObservationSet(gt.q[i], gt.p[i], pairs)
+        problem = _WindowProblem(est, feats, [loop])
+        H, b, cost = problem.assemble()
+
+        n = problem.dim
+        frames = problem.frame_states()
+        rows, res = [], []
+        ref_cost = 0.0
+
+        prior = est.prior
+        D = np.eye(prior.columns())
+        d = np.zeros(prior.columns())
+        pcols = []
+        for blk, fid in enumerate(prior.frame_ids):
+            f, lin = frames[problem.id_to_idx[fid]], prior.lin_frames[fid]
+            pcols += list(range(15 * problem.id_to_idx[fid], 15 * problem.id_to_idx[fid] + 15))
+            e = geo.quat_mul(f.q, geo.quat_inverse(lin.q))
+            e = -e if e[0] < 0 else e
+            d[15 * blk : 15 * blk + 15] = np.concatenate(
+                [f.p - lin.p, 2 * e[1:], f.v - lin.v, f.bias.accel - lin.bias.accel,
+                 f.bias.gyro - lin.bias.gyro])
+            D[15 * blk + 3 : 15 * blk + 6, 15 * blk + 3 : 15 * blk + 6] = e[0] * np.eye(3) - geo.skew(e[1:])
+        e = geo.quat_mul(ext.q_b_c, geo.quat_inverse(prior.lin_extrinsic.q_b_c))
+        e = -e if e[0] < 0 else e
+        d[-6:] = np.concatenate([ext.p_b_c - prior.lin_extrinsic.p_b_c, 2 * e[1:]])
+        D[-3:, -3:] = e[0] * np.eye(3) - geo.skew(e[1:])
+        pcols += list(range(problem.ext_col, problem.ext_col + 6))
+        J = np.zeros((prior.dim(), n))
+        J[:, pcols] = prior.H @ D
+        r = prior.r + prior.H @ d
+        rows.append(J)
+        res.append(r)
+        ref_cost += r @ r
+
+        for k, delta in enumerate(problem.deltas):
+            r, Jk, Jk1 = imu_residual_jacobians(delta, frames[k], frames[k + 1], problem.gravity)
+            J = np.zeros((15, n))
+            J[:, 15 * k : 15 * k + 15] = weight_residual(Jk, delta.P)
+            J[:, 15 * k + 15 : 15 * k + 30] = weight_residual(Jk1, delta.P)
+            r = weight_residual(r, delta.P)
+            rows.append(J)
+            res.append(r)
+            ref_cost += r @ r
+
+        sigma = problem.sigma
+        window = [(problem.v_anchor[k], problem.v_obs[k], problem.v_feat[k], problem.v_ua[k],
+                   problem.v_uo[k]) for k in range(len(problem.v_feat))]
+        loops = [(problem.l_anchor[k], None, problem.l_feat[k], problem.l_ua[k], problem.l_uo[k])
+                 for k in range(len(problem.l_feat))]
+        assert len(loops) == 12
+        active = 0
+        for ai, oi, fi, ua, uo in window + loops:
+            fa = frames[ai]
+            q_j, p_j = (loop.q_w_v, loop.p_w_v) if oi is None else (frames[oi].q, frames[oi].p)
+            r, jac = visual_residual(fa.q, fa.p, q_j, p_j, ext, ua, problem.lam[fi], uo)
+            r = r / sigma
+            s = float(r @ r)
+            active += s > 1.0
+            w = np.sqrt(float(huber_weight(s)))
+            J = np.zeros((2, n))
+            J[:, 15 * ai : 15 * ai + 3], J[:, 15 * ai + 3 : 15 * ai + 6] = jac["p_i"], jac["th_i"]
+            if oi is not None:
+                J[:, 15 * oi : 15 * oi + 3] = jac["p_j"]
+                J[:, 15 * oi + 3 : 15 * oi + 6] = jac["th_j"]
+            J[:, problem.ext_col : problem.ext_col + 3] = jac["ext_p"]
+            J[:, problem.ext_col + 3 : problem.ext_col + 6] = jac["ext_th"]
+            J[:, problem.feat_col + fi] = jac["lam"][:, 0]
+            rows.append(w * J / sigma)
+            res.append(w * r)
+            ref_cost += huber(s)
+        assert 0 < active < len(window) + len(loops)  # both Huber branches
+
+        J, r = np.vstack(rows), np.concatenate(res)
+        H_ref, b_ref = J.T @ J, J.T @ r
+        np.testing.assert_allclose(H, H_ref, rtol=0, atol=1e-9 * np.abs(H_ref).max())
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-9 * np.abs(b_ref).max())
+        assert cost == pytest.approx(ref_cost, rel=1e-10, abs=0)

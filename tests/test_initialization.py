@@ -3,15 +3,12 @@ import pytest
 
 from monovio import geometry as geo
 from monovio.initialization import (
-    BodyFrames,
     ExtrinsicCalib,
     InitializationError,
     UpToScaleFrame,
     calibrate_gyro_bias,
     camera_to_body_poses,
-    complete_initialization,
     excitation_gates,
-    gravity_aligning_rotation,
     refine_gravity,
     run_alignment,
     solve_velocity_gravity_scale,
@@ -20,7 +17,6 @@ from monovio.preintegration import BiasState, NoiseParams, integrate_segment, se
 from monovio.simulator import (
     GRAVITY_W,
     ScenarioConfig,
-    build_scenario,
     camera_pose_at,
     camera_times,
     make_ground_truth,

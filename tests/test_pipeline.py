@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from monovio import dataio
 from monovio.cli import main as cli_main
-from monovio.estimator import EstimatorConfig, FeatureTrack
+from monovio.estimator import FeatureTrack
 from monovio.pipeline import (
     PipelineConfig,
     TrackObservationIndex,

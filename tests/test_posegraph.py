@@ -6,7 +6,6 @@ from monovio.posegraph import (
     CorrespondenceSet,
     DegenerateGeometryError,
     LoopEdge,
-    NoConsensusError,
     PoseGraph,
     PoseGraphConfig,
     PoseGraphError,

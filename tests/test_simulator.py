@@ -6,7 +6,6 @@ from monovio.estimator import triangulate_feature
 from monovio.preintegration import BiasState, NoiseParams, integrate_segment, segment_samples
 from monovio.simulator import (
     GRAVITY_W,
-    LoopCandidate,
     ScenarioConfig,
     build_scenario,
     camera_pose_at,
