@@ -21,7 +21,6 @@ import numpy as np
 from .geometry import (
     quat_angle_between,
     quat_canonical,
-    quat_exp,
     quat_inverse,
     quat_mul,
     quat_rotate,
@@ -37,6 +36,7 @@ from .preintegration import (
     StackedDeltas,
     imu_residual_jacobians_batch,
     merge_deltas,
+    midpoint_path,
 )
 
 
@@ -326,30 +326,27 @@ def visual_residual(
     return r, jac
 
 
-def imu_forward_propagate(state: ImuFrameState, samples, gravity):
-    """Dead-reckon IMU-rate states from the latest estimate (midpoint rule).
-
-    Returns a list of (t, p, q, v); biases held at the state's estimates.
-    """
+def _compose_imu_state(state: ImuFrameState, dt, alpha, beta, gamma, gravity):
+    """World (p, q, v) reached from state after pre-integrated terms spanning
+    dt. Broadcasts over a leading axis of dt, alpha, beta and gamma."""
     g = np.asarray(gravity, dtype=float)
-    ba, bw = state.bias.accel, state.bias.gyro
-    p, q, v = state.p.copy(), state.q.copy(), state.v.copy()
-    t_prev = state.t
-    out = []
-    for s0, s1 in zip(samples[:-1], samples[1:]):
-        dt = s1.t - s0.t
-        if dt <= 0.0:
-            raise EstimatorError("timestamp regression in forward propagation")
-        if s0.t < t_prev - 1e-9:
-            continue
-        w_mid = 0.5 * (s0.gyro + s1.gyro) - bw
-        q1 = quat_mul(q, quat_exp(w_mid * dt))
-        a_w = 0.5 * (quat_rotate(q, s0.accel - ba) + quat_rotate(q1, s1.accel - ba)) - g
-        p = p + v * dt + 0.5 * a_w * dt * dt
-        v = v + a_w * dt
-        q = q1
-        out.append((s1.t, p.copy(), q.copy(), v.copy()))
-    return out
+    dt = np.asarray(dt, dtype=float)[..., None]
+    R_t = quat_to_rot(state.q).T
+    p = state.p + state.v * dt - 0.5 * g * dt * dt + alpha @ R_t
+    v = state.v - g * dt + beta @ R_t
+    return p, quat_mul(state.q, gamma), v
+
+
+def imu_forward_propagate(state: ImuFrameState, samples, gravity):
+    """Dead-reckon IMU-rate states from the latest estimate: the state composed
+    with the midpoint path of samples (which start at state.t) at the state's
+    biases. Returns a list of (t, p, q, v), one per sample after the first.
+    """
+    path = midpoint_path(samples, state.bias)
+    p, q, v = _compose_imu_state(
+        state, path.t[1:] - path.t[0], path.alpha[1:], path.beta[1:], path.gamma[1:], gravity
+    )
+    return list(zip(path.t[1:].tolist(), p, q, v))
 
 
 def detect_failure(
@@ -546,14 +543,9 @@ class SlidingWindowEstimator:
     def predict_state(self, delta: PreintegratedDelta) -> ImuFrameState:
         """Propagate the latest state through a pre-integrated delta."""
         last = self.frames[-1]
-        g = self.config.gravity
-        dt = delta.dt_total
         alpha, beta, gamma = delta.correct_for_bias(last.bias)
-        R = quat_to_rot(last.q)
-        p = last.p + last.v * dt - 0.5 * g * dt * dt + R @ alpha
-        v = last.v - g * dt + R @ beta
-        q = quat_canonical(quat_mul(last.q, gamma))
-        return ImuFrameState(last.t + dt, p, q, v, last.bias.copy())
+        p, q, v = _compose_imu_state(last, delta.dt_total, alpha, beta, gamma, self.config.gravity)
+        return ImuFrameState(last.t + delta.dt_total, p, quat_canonical(q), v, last.bias.copy())
 
     def add_frame(self, t: float, delta: PreintegratedDelta,
                   observations: dict[int, np.ndarray], is_keyframe: bool) -> None:

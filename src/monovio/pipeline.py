@@ -16,6 +16,7 @@ import numpy as np
 
 from .estimator import (
     EstimatorConfig,
+    EstimatorError,
     FailureThresholds,
     ImuFrameState,
     LoopObservationSet,
@@ -51,7 +52,7 @@ from .posegraph import (
     verify_loop_candidate,
     vertex_from_state,
 )
-from .preintegration import NoiseParams, integrate_segment, segment_samples
+from .preintegration import NoiseParams, PreintegrationError, integrate_segment, segment_samples
 from .simulator import LoopCandidate, ScenarioData
 
 
@@ -447,6 +448,11 @@ class VioPipeline:
                 self._toc("init", t0)
                 return False
             result, world, deltas = run_alignment(frames, deltas, self.extrinsic, cfg.g_mag)
+        except PreintegrationError:
+            # the window's IMU stream has a gap: start collecting after it
+            self._init_buffer.clear()
+            self._toc("init", t0)
+            return False
         except InitializationError:
             self._toc("init", t0)
             return False
@@ -466,7 +472,11 @@ class VioPipeline:
         for k, (_, _, frame_obs) in enumerate(self._init_buffer):
             self.est.observe(frame_obs, frame_idx=k)
         self.est.triangulate_new_features()
-        self.est.build_and_solve(fix_extrinsic=True)  # released after warm-up
+        try:
+            self.est.build_and_solve(fix_extrinsic=True)  # released after warm-up
+        except EstimatorError:
+            self._toc("init", t0)
+            return False
         self._segment += 1
         self.report.segments = self._segment + 1
         kind = "init" if self._segment == 0 else "reinit"
@@ -509,9 +519,16 @@ class VioPipeline:
         self._frames_since_init += 1
         warmed_up = self._frames_since_init > cfg.extrinsic_warmup_frames
         t0 = self._tic()
-        seg = segment_samples(self.imu, t_prev, t)
         bias = self.est.latest().bias
-        delta = integrate_segment(seg, bias, cfg.model_noise)
+        try:
+            seg = segment_samples(self.imu, t_prev, t)
+            delta = integrate_segment(seg, bias, cfg.model_noise)
+        except PreintegrationError:
+            # no usable IMU stream over the frame interval (a gap longer than
+            # MAX_SAMPLE_GAP, samples out of order, or a stream that ends
+            # before t): nothing to propagate the window with
+            self._toc("preintegration", t0)
+            return self._fail(t, "imu_gap")
         self._toc("preintegration", t0)
 
         # keyframe decision against the last keyframe reference
@@ -539,7 +556,11 @@ class VioPipeline:
         active = [pl.observations for pl in self._active_loops]
         # relocalization measures drift, not calibration: hold the extrinsic
         # constant while loop terms act on the window
-        self.est.build_and_solve(loops=active, fix_extrinsic=not warmed_up or bool(active))
+        try:
+            self.est.build_and_solve(loops=active, fix_extrinsic=not warmed_up or bool(active))
+        except EstimatorError:
+            self._toc("solve", t0)
+            return self._fail(t, "numerical")
         self.report.n_solves += 1
         self._toc("solve", t0)
 
@@ -578,10 +599,7 @@ class VioPipeline:
             # relocalization; a jump here is the correction, not a failure
             failed, reason = False, None
         if failed:
-            self.report.failure_events.append((float(t), reason))
-            self._last_output = None
-            self._active_loops = []
-            return False
+            return self._fail(t, reason)
 
         t0 = self._tic()
         out = self.est.latest_snapshot()
@@ -599,6 +617,13 @@ class VioPipeline:
         self._record_window_output()
         self._toc("propagation", t0)
         return True
+
+    def _fail(self, t, reason) -> bool:
+        """Record a failure event; the caller re-initializes."""
+        self.report.failure_events.append((float(t), reason))
+        self._last_output = None
+        self._active_loops = []
+        return False
 
     # -- odometry -> graph drift correction ---------------------------------------
 

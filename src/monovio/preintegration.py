@@ -13,6 +13,7 @@ g_w = (0, 0, +9.81): a resting sensor at identity attitude reads +g on z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,20 +47,6 @@ class PreintegrationError(ValueError):
 
 _EYE3 = np.eye(3)
 _EYE15 = np.eye(15)
-
-
-def so3_right_jacobian(theta_vec) -> np.ndarray:
-    """Right Jacobian of SO(3): d exp(theta + d) ~ exp(theta) exp(Jr d)."""
-    theta_vec = np.asarray(theta_vec, dtype=float)
-    th = np.sqrt(theta_vec @ theta_vec)
-    K = skew(theta_vec)
-    if th < 1e-6:
-        return _EYE3 - 0.5 * K + (1.0 / 6.0) * (K @ K)
-    return (
-        _EYE3
-        - (1.0 - np.cos(th)) / th**2 * K
-        + (th - np.sin(th)) / th**3 * (K @ K)
-    )
 
 
 @dataclass
@@ -139,14 +126,15 @@ class NoiseParams:
 class PreintegratedDelta:
     """Pre-integrated IMU terms between two frame timestamps.
 
-    Mutated by a single owner while samples stream in; treat as immutable once
-    the segment is closed.
+    Built by integrate_segment: the mean (alpha, beta, gamma) is the endpoint
+    of midpoint_path over the retained samples, the same path that IMU-rate
+    forward propagation composes with; P and J follow that path. Treat as
+    immutable once built.
     """
 
-    def __init__(self, lin_bias: BiasState, noise: NoiseParams, with_covariance: bool = True):
+    def __init__(self, lin_bias: BiasState, noise: NoiseParams):
         self.lin_bias = lin_bias.copy()
         self.noise = noise
-        self.with_covariance = with_covariance
         self.alpha = np.zeros(3)
         self.beta = np.zeros(3)
         self.gamma = quat_identity()
@@ -154,116 +142,11 @@ class PreintegratedDelta:
         self.P = np.zeros((15, 15))
         self.J = np.eye(15)
         self.samples: list[ImuSample] = []
-        # hot-path caches: attitude matrix of gamma, noise diagonal, scratch
-        self._R = np.eye(3)
-        self._qd = noise.q_diag()
-        self._F = np.zeros((15, 15))
-        self._G = np.zeros((15, 12))
-        self._G[6:9, 3:6] = -_EYE3
-        self._G[9:12, 6:9] = _EYE3
-        self._G[12:15, 9:12] = _EYE3
-        self._A = np.empty((15, 15))
-        self._S1 = np.empty((15, 15))
-        self._sqrt_info = None  # cached L^-1 of P; reset when P changes
-
-    def integrate_sample(self, s0: ImuSample, s1: ImuSample) -> "PreintegratedDelta":
-        """Advance the delta by one sample interval [s0.t, s1.t]."""
-        dt = s1.t - s0.t
-        if dt <= 0.0:
-            raise PreintegrationError(f"non-monotonic timestamps: {s0.t} -> {s1.t}")
-        if dt > MAX_SAMPLE_GAP:
-            raise PreintegrationError(f"sample gap {dt:.4f}s exceeds {MAX_SAMPLE_GAP}s")
-        if self.samples:
-            if abs(self.samples[-1].t - s0.t) > 1e-9:
-                raise PreintegrationError("sample s0 does not continue the buffer")
-        else:
-            self.samples.append(s0)
-
-        ba, bw = self.lin_bias.accel, self.lin_bias.gyro
-        w_mid = 0.5 * (s0.gyro + s1.gyro) - bw
-        a0 = s0.accel - ba
-        a1 = s1.accel - ba
-
-        dq = quat_exp(w_mid * dt)
-        dR = quat_to_rot(dq)
-        Jr = so3_right_jacobian(w_mid * dt) if self.with_covariance else None
-        sk0 = skew(a0) if self.with_covariance else None
-        sk1 = skew(a1) if self.with_covariance else None
-        self._step(dt, a0, a1, dq, dR, Jr, sk0, sk1)
-        self.samples.append(s1)
-        return self
-
-    def _step(self, dt, a0, a1, dq, dR, Jr, sk0, sk1):
-        """One midpoint step from precomputed per-step geometry."""
-        gw, gx, gy, gz = self.gamma
-        dw, dx, dy, dz = dq
-        gamma_next = np.array(
-            [
-                gw * dw - gx * dx - gy * dy - gz * dz,
-                gw * dx + gx * dw + gy * dz - gz * dy,
-                gw * dy - gx * dz + gy * dw + gz * dx,
-                gw * dz + gx * dy - gy * dx + gz * dw,
-            ]
-        )
-        gamma_next /= np.sqrt(gamma_next @ gamma_next)
-
-        # R1 continues the cached attitude chain; dR.T is the exact transport
-        # of d_theta across the step
-        R0 = self._R
-        R1 = R0 @ dR
-        a_mid = 0.5 * (R0 @ a0 + R1 @ a1)
-
-        if self.with_covariance:
-            # discrete transition of the midpoint step; its dt->0 limit is the
-            # continuous-time error dynamics (alpha row coupled only through
-            # beta). Exact attitude transport and SO(3) right Jacobian keep
-            # the bias Jacobian consistent with finite differences of
-            # re-propagation at the 1e-4 level.
-            T = dR.T
-            R1a1 = R1 @ sk1
-            m_theta = -0.5 * (R0 @ sk0 + R1a1 @ T)
-            bw_to_amid = (0.5 * dt) * (R1a1 @ Jr)
-            R_sum = R0 + R1
-            F = self._F
-            F[0:3, 3:6] = _EYE3
-            F[0:3, 6:9] = (0.5 * dt) * m_theta
-            F[0:3, 9:12] = (-0.25 * dt) * R_sum
-            F[0:3, 12:15] = (0.5 * dt) * bw_to_amid
-            F[3:6, 6:9] = m_theta
-            F[3:6, 9:12] = -0.5 * R_sum
-            F[3:6, 12:15] = bw_to_amid
-            F[6:9, 6:9] = (T - _EYE3) / dt
-            F[6:9, 12:15] = -Jr
-            self._G[3:6, 0:3] = -R0
-            self.propagate_covariance(F, self._G, dt)
-
-        self.alpha = self.alpha + self.beta * dt + 0.5 * a_mid * dt * dt
-        self.beta = self.beta + a_mid * dt
-        self.gamma = gamma_next
-        self._R = R1
-        self.dt_total += dt
-
-    def propagate_covariance(self, F: np.ndarray, G: np.ndarray, dt: float) -> "PreintegratedDelta":
-        """P <- (I+F dt) P (I+F dt)^T + (G dt) Qd (G dt)^T and J <- (I+F dt) J.
-
-        Qd is the discrete noise covariance Q/dt, so the injected term reduces
-        to G Q G^T dt with Q the density matrix.
-        """
-        if dt <= 0.0:
-            raise PreintegrationError("dt must be positive")
-        A = np.multiply(F, dt, out=self._A)
-        A.flat[::16] += 1.0
-        AP = np.matmul(A, self.P, out=self._S1)
-        P = AP @ A.T
-        P += (G * (self._qd * dt)) @ G.T
-        self.P = 0.5 * (P + P.T)  # keep symmetric PSD
-        self.J = A @ self.J
-        self._sqrt_info = None
-        return self
+        self._sqrt_info = None  # cached L^-1 of P
 
     def sqrt_information(self) -> np.ndarray:
         """Whitener L^-1 with L L^T = P (see covariance_sqrt), so that L^-1 r
-        is the whitened residual. Computed once per covariance."""
+        is the whitened residual. Computed once."""
         if self._sqrt_info is None:
             L = covariance_sqrt(self.P)
             self._sqrt_info = np.linalg.solve(L, _EYE15)
@@ -314,7 +197,7 @@ class PreintegratedDelta:
         """Full re-integration of the retained sample buffer at a new bias."""
         if len(self.samples) < 2:
             raise PreintegrationError("no retained samples to re-propagate")
-        return integrate_segment(self.samples, new_bias, self.noise, self.with_covariance)
+        return integrate_segment(self.samples, new_bias, self.noise)
 
 
 def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> PreintegratedDelta:
@@ -326,7 +209,7 @@ def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> Prein
     if abs(first.samples[-1].t - second.samples[0].t) > 1e-9:
         raise PreintegrationError("deltas are not adjacent")
     samples = first.samples + second.samples[1:]
-    return integrate_segment(samples, first.lin_bias, first.noise, first.with_covariance)
+    return integrate_segment(samples, first.lin_bias, first.noise)
 
 
 def so3_right_jacobian_batch(rotvecs: np.ndarray) -> np.ndarray:
@@ -341,45 +224,135 @@ def so3_right_jacobian_batch(rotvecs: np.ndarray) -> np.ndarray:
     return _EYE3 - c1[:, None, None] * K + c2[:, None, None] * KK
 
 
-def integrate_segment(
-    samples: list[ImuSample],
-    bias: BiasState,
-    noise: NoiseParams,
-    with_covariance: bool = True,
-) -> PreintegratedDelta:
-    """Pre-integrate a whole sample list, batching the per-step geometry.
+def _mv(M, x):
+    return np.einsum("kij,kj->ki", M, x)
 
-    Identical math to streaming integrate_sample calls; the per-step
-    increment quaternions, rotations, right Jacobians, and skews are just
-    precomputed vectorized.
+
+@dataclass
+class MidpointPath:
+    """Midpoint-rule mean path over N + 1 samples at a fixed bias.
+
+    Row k of alpha, beta, gamma and R is the pre-integrated mean from the
+    first sample to sample k (row 0 is the identity). The per-step arrays
+    (N rows) and accel hold what the covariance recursion of
+    integrate_segment needs.
     """
-    delta = PreintegratedDelta(bias, noise, with_covariance)
-    if len(samples) < 2:
-        return delta
+
+    t: np.ndarray  # (N + 1,) sample times
+    accel: np.ndarray  # (N + 1, 3) bias-corrected specific force
+    dt: np.ndarray  # (N,) step lengths
+    rotvec: np.ndarray  # (N, 3) midpoint rotation of each step
+    dq: np.ndarray  # (N, 4) exact step increment, quat_exp(rotvec)
+    alpha: np.ndarray  # (N + 1, 3)
+    beta: np.ndarray  # (N + 1, 3)
+    gamma: np.ndarray  # (N + 1, 4)
+    R: np.ndarray  # (N + 1, 3, 3) attitude matrices of gamma
+
+
+def midpoint_path(samples: list[ImuSample], bias: BiasState) -> MidpointPath:
+    """Validate a sample list and integrate its mean with the midpoint rule.
+
+    The attitude chain gamma_{k+1} = gamma_k (x) exp(w_mid dt) is the only
+    sequential part; the midpoint specific force and the cumulative sums for
+    beta and alpha are vectorized over all steps.
+    """
     ts = np.array([s.t for s in samples])
     dts = np.diff(ts)
     if np.any(dts <= 0.0):
         raise PreintegrationError("non-monotonic timestamps in segment")
     if np.any(dts > MAX_SAMPLE_GAP):
         raise PreintegrationError(f"sample gap exceeds {MAX_SAMPLE_GAP}s")
-    acc = np.array([s.accel for s in samples])
+    acc = np.array([s.accel for s in samples]) - bias.accel
     gyr = np.array([s.gyro for s in samples])
-    w_mid = 0.5 * (gyr[:-1] + gyr[1:]) - bias.gyro
-    a0s = acc[:-1] - bias.accel
-    a1s = acc[1:] - bias.accel
-    rotvecs = w_mid * dts[:, None]
+    rotvecs = (0.5 * (gyr[:-1] + gyr[1:]) - bias.gyro) * dts[:, None]
     dqs = quat_exp(rotvecs)
-    dRs = quat_to_rot(dqs)
-    if with_covariance:
-        Jrs = so3_right_jacobian_batch(rotvecs)
-        sk0s = skew(a0s)
-        sk1s = skew(a1s)
+
+    # Hamilton product on Python floats: per-step numpy calls would cost more
+    # than the arithmetic
+    gw, gx, gy, gz = 1.0, 0.0, 0.0, 0.0
+    chain = [(gw, gx, gy, gz)]
+    for dw, dx, dy, dz in dqs.tolist():
+        w = gw * dw - gx * dx - gy * dy - gz * dz
+        x = gw * dx + gx * dw + gy * dz - gz * dy
+        y = gw * dy - gx * dz + gy * dw + gz * dx
+        z = gw * dz + gx * dy - gy * dx + gz * dw
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        gw, gx, gy, gz = w / n, x / n, y / n, z / n
+        chain.append((gw, gx, gy, gz))
+    gammas = np.array(chain)
+    Rs = quat_to_rot(gammas)
+
+    dv = 0.5 * (_mv(Rs[:-1], acc[:-1]) + _mv(Rs[1:], acc[1:])) * dts[:, None]
+    beta = np.zeros((len(ts), 3))
+    np.cumsum(dv, axis=0, out=beta[1:])
+    alpha = np.zeros((len(ts), 3))
+    np.cumsum((beta[:-1] + 0.5 * dv) * dts[:, None], axis=0, out=alpha[1:])
+    return MidpointPath(ts, acc, dts, rotvecs, dqs, alpha, beta, gammas, Rs)
+
+
+def integrate_segment(
+    samples: list[ImuSample], bias: BiasState, noise: NoiseParams
+) -> PreintegratedDelta:
+    """Pre-integrate a sample list at a linearization bias.
+
+    The mean is the endpoint of midpoint_path. Covariance and bias Jacobian
+    follow that path in one sequential loop, reading each step's attitude
+    from it, with the first-order transition P <- A P A^T + (G dt) Qd (G dt)^T,
+    J <- A J, A = I + F dt. Qd is the discrete noise covariance Q/dt, so the
+    injected term reduces to G Q G^T dt with Q the density matrix.
+    """
+    delta = PreintegratedDelta(bias, noise)
+    if len(samples) < 2:
+        return delta
+    path = midpoint_path(samples, bias)
+    Rs = path.R
+    Ts = np.swapaxes(quat_to_rot(path.dq), 1, 2)
+    Jrs = so3_right_jacobian_batch(path.rotvec)
+    sks = skew(path.accel)
+    qd = noise.q_diag()
+
+    F = np.zeros((15, 15))
+    F[0:3, 3:6] = _EYE3
+    G = np.zeros((15, 12))
+    G[6:9, 3:6] = -_EYE3
+    G[9:12, 6:9] = _EYE3
+    G[12:15, 9:12] = _EYE3
+    P = np.zeros((15, 15))
+    J = np.eye(15)
+    for i, dt in enumerate(path.dt.tolist()):
+        # discrete transition of the midpoint step; its dt->0 limit is the
+        # continuous-time error dynamics (alpha row coupled only through
+        # beta). Exact attitude transport T = dR^T and the SO(3) right
+        # Jacobian keep the bias Jacobian consistent with finite differences
+        # of re-propagation at the 1e-4 level.
+        R0, R1, T = Rs[i], Rs[i + 1], Ts[i]
+        R1a1 = R1 @ sks[i + 1]
+        m_theta = -0.5 * (R0 @ sks[i] + R1a1 @ T)
+        bw_to_amid = (0.5 * dt) * (R1a1 @ Jrs[i])
+        R_sum = R0 + R1
+        F[0:3, 6:9] = (0.5 * dt) * m_theta
+        F[0:3, 9:12] = (-0.25 * dt) * R_sum
+        F[0:3, 12:15] = (0.5 * dt) * bw_to_amid
+        F[3:6, 6:9] = m_theta
+        F[3:6, 9:12] = -0.5 * R_sum
+        F[3:6, 12:15] = bw_to_amid
+        F[6:9, 6:9] = (T - _EYE3) / dt
+        F[6:9, 12:15] = -Jrs[i]
+        G[3:6, 0:3] = -R0
+        A = F * dt
+        A.flat[::16] += 1.0
+        P = (A @ P) @ A.T
+        P += (G * (qd * dt)) @ G.T
+        P = 0.5 * (P + P.T)  # keep symmetric PSD
+        J = A @ J
+
+    delta.alpha = path.alpha[-1]
+    delta.beta = path.beta[-1]
+    delta.gamma = path.gamma[-1]
+    delta.dt_total = float(path.t[-1] - path.t[0])
+    delta.P = P
+    delta.J = J
     delta.samples = list(samples)
-    for i in range(len(dts)):
-        if with_covariance:
-            delta._step(dts[i], a0s[i], a1s[i], dqs[i], dRs[i], Jrs[i], sk0s[i], sk1s[i])
-        else:
-            delta._step(dts[i], a0s[i], a1s[i], dqs[i], dRs[i], None, None, None)
     return delta
 
 
@@ -540,10 +513,6 @@ class StackedDeltas:
 
     def __len__(self) -> int:
         return len(self.dt)
-
-
-def _mv(M, x):
-    return np.einsum("kij,kj->ki", M, x)
 
 
 def imu_residual_jacobians_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):

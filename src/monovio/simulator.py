@@ -103,10 +103,6 @@ class GroundTruth:
     bias_a: np.ndarray | None = None
     bias_w: np.ndarray | None = None
 
-    def pose_at(self, t):
-        sample = eval_trajectory(self.config, np.atleast_1d(np.asarray(t, dtype=float)))
-        return sample
-
 
 # ---------------------------------------------------------------------------
 # analytic trajectory models
@@ -514,15 +510,6 @@ class ScenarioData:
     imu: list[ImuSample]
     tracks: list[FeatureTrack]
     sfm: list[UpToScaleFrame]
-
-    def observations_at(self, t: float, tol: float = 1e-6) -> dict[int, np.ndarray]:
-        obs = {}
-        for track in self.tracks:
-            times = np.asarray(track.times)
-            k = np.searchsorted(times, t - tol)
-            if k < len(times) and abs(times[k] - t) <= tol:
-                obs[track.feature_id] = track.rays[k]
-        return obs
 
 
 def build_scenario(config: ScenarioConfig) -> ScenarioData:

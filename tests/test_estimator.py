@@ -23,10 +23,12 @@ from monovio.estimator import (
     visual_residual,
 )
 from monovio.initialization import ExtrinsicCalib
+from monovio.pipeline import TrackObservationIndex
 from monovio.preintegration import (
     BiasState,
     ImuSample,
     NoiseParams,
+    PreintegrationError,
     integrate_segment,
     segment_samples,
 )
@@ -54,8 +56,9 @@ def seeded_estimator(cfg, data, n_frames=11, config=None):
         for k in range(len(cam) - 1)
     ]
     est.seed(states, deltas)
+    obs_index = TrackObservationIndex(data.tracks)
     for k, t in enumerate(cam):
-        for fid, ray in data.observations_at(t).items():
+        for fid, ray in obs_index(t).items():
             f = est.features.setdefault(fid, Feature(fid))
             f.obs[est.frame_ids[k]] = ray
     est.triangulate_new_features()
@@ -530,7 +533,7 @@ class TestMarginalization:
         t_new = camera_times(cfg)[11]
         seg = segment_samples(data.imu, cam[-1], t_new)
         delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
-        est.add_frame(t_new, delta, data.observations_at(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
         assert est.prior is not None
         n = est.config.window_size
         assert est.prior.columns() == 15 * n + 6
@@ -593,7 +596,7 @@ class TestMarginalization:
 
         t_new = camera_times(cfg)[11]
         delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
-        est.add_frame(t_new, delta, data.observations_at(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
         prior = est.prior
         assert prior.frame_ids == ids[1:]
         tol = 1e-8 * np.abs(H_ref).max()
@@ -610,7 +613,7 @@ class TestMarginalization:
         seg = segment_samples(data.imu, cam[-1], t_new)
         delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
         samples_before = list(est.deltas[-1].samples)
-        est.add_frame(t_new, delta, data.observations_at(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
         # merged delta covers the union of the two sample buffers
         merged = est.deltas[-1]
         assert merged.samples[0].t == samples_before[0].t
@@ -632,7 +635,7 @@ class TestMarginalization:
             t_prev, t_new = all_cam[k - 1], all_cam[k]
             seg = segment_samples(data.imu, t_prev, t_new)
             delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
-            est.add_frame(t_new, delta, data.observations_at(t_new), is_keyframe=True)
+            est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
             est.triangulate_new_features()
             est.build_and_solve()
             i = int(round(t_new * cfg.imu_rate))
@@ -647,7 +650,7 @@ class TestMarginalization:
         all_cam = camera_times(cfg)
         seg = segment_samples(data.imu, cam[-1], all_cam[11])
         delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
-        est.add_frame(all_cam[11], delta, data.observations_at(all_cam[11]), True)
+        est.add_frame(all_cam[11], delta, TrackObservationIndex(data.tracks)(all_cam[11]), True)
         prior = est.prior
         victim = prior.frame_ids[3]
         reduced = marginalize_prior_only(prior, victim)
@@ -694,8 +697,35 @@ class TestForwardPropagation:
     def test_timestamp_regression_rejected(self):
         state = ImuFrameState(0.0, np.zeros(3), geo.quat_identity(), np.zeros(3))
         samples = [ImuSample(0.0, np.zeros(3), np.zeros(3)), ImuSample(-0.01, np.zeros(3), np.zeros(3))]
-        with pytest.raises(EstimatorError):
+        with pytest.raises(PreintegrationError):
             imu_forward_propagate(state, samples, np.array([0, 0, 9.81]))
+
+    def test_every_sample_equals_state_composed_with_prefix_delta(self):
+        # the IMU-rate output and the window's deltas come from one midpoint
+        # path, so only the summation order of the composition may differ
+        cfg = ScenarioConfig(
+            duration=2.0, seed=15, noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5),
+            bias0=BiasState(accel=[0.02, -0.01, 0.015], gyro=[0.003, -0.002, 0.004]),
+        )
+        data = build_scenario(cfg)
+        gt = data.ground_truth
+        g = np.array([0.0, 0.0, 9.81])
+        i0 = 100
+        samples = data.imu[i0 : i0 + 101]
+        bias = BiasState(accel=[0.03, 0.01, -0.02], gyro=[0.004, -0.003, 0.002])
+        state = ImuFrameState(gt.t[i0], gt.p[i0], gt.q[i0], gt.v[i0], bias)
+        assert np.linalg.norm(gt.omega_body[i0 : i0 + 101], axis=1).min() > 0.1
+        out = imu_forward_propagate(state, samples, g)
+        assert len(out) == len(samples) - 1
+        R0 = geo.quat_to_rot(state.q)
+        for k, (t, p, q, v) in enumerate(out, start=1):
+            d = integrate_segment(samples[: k + 1], bias, MODEL_NOISE)
+            dt = d.dt_total
+            assert t == samples[k].t
+            np.testing.assert_allclose(
+                p, state.p + state.v * dt - 0.5 * g * dt**2 + R0 @ d.alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v, state.v - g * dt + R0 @ d.beta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q, geo.quat_mul(state.q, d.gamma), rtol=0, atol=1e-12)
 
 
 class TestFailureDetection:
@@ -836,7 +866,7 @@ class TestImuResidualJacobiansInWindow:
         est.build_and_solve()
         t_new = camera_times(cfg)[11]
         delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
-        est.add_frame(t_new, delta, data.observations_at(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
         est.triangulate_new_features()
         assert est.prior is not None
         # move every state off the prior's and the deltas' linearization points

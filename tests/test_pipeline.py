@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from monovio import dataio
 from monovio.cli import main as cli_main
-from monovio.estimator import FeatureTrack
+from monovio.estimator import EstimatorError, FeatureTrack, SlidingWindowEstimator
 from monovio.pipeline import (
     PipelineConfig,
     TrackObservationIndex,
@@ -213,6 +215,47 @@ class TestPipeline:
         gt = data.ground_truth
         res = evaluate_ate(rep.window_times, rep.window_p, gt.t, gt.p, "4dof", 50)
         assert res["drift_pct"] < 0.5
+
+
+class TestFailureRecovery:
+    """Errors inside a frame become failure events followed by
+    re-initialization; none escapes VioPipeline.run()."""
+
+    @pytest.mark.parametrize(
+        "gap, steady", [((6.05, 6.3), True), ((1.05, 1.3), False)], ids=["steady", "init"]
+    )
+    def test_imu_gap(self, gap, steady):
+        data = build_scenario(quick_config(duration=12.0))
+        data = replace(data, imu=[s for s in data.imu if not gap[0] < s.t < gap[1]])
+        rep = pipeline_from_scenario(data, PipelineConfig(enable_loops=False, model_noise=MODEL)).run()
+        kinds = [kind for _, kind in rep.init_events]
+        if steady:
+            assert [reason for _, reason in rep.failure_events] == ["imu_gap"]
+            t_fail = rep.failure_events[0][0]
+            assert gap[0] < t_fail < gap[1] + 0.2
+            assert kinds == ["init", "reinit"] and rep.init_events[1][0] > t_fail
+        else:
+            assert rep.failure_events == []
+            assert kinds == ["init"] and rep.init_events[0][0] > gap[1]
+
+    def test_solver_error(self, monkeypatch):
+        solve = SlidingWindowEstimator.build_and_solve
+        steady_calls = []
+
+        def flaky(est, loops=None, **kwargs):
+            if loops is not None:  # steady state passes its loop terms
+                steady_calls.append(est.latest().t)
+                if len(steady_calls) == 4:
+                    raise EstimatorError("non-finite Gauss-Newton step")
+                return solve(est, loops, **kwargs)
+            return solve(est, **kwargs)
+
+        monkeypatch.setattr(SlidingWindowEstimator, "build_and_solve", flaky)
+        data = build_scenario(quick_config(duration=10.0))
+        rep = pipeline_from_scenario(data, PipelineConfig(enable_loops=False, model_noise=MODEL)).run()
+        assert rep.failure_events == [(steady_calls[3], "numerical")]
+        assert [kind for _, kind in rep.init_events] == ["init", "reinit"]
+        assert rep.init_events[1][0] > steady_calls[3]
 
 
 class TestCli:

@@ -90,18 +90,16 @@ class TestMeanIntegration:
         np.testing.assert_array_equal(d.beta, np.zeros(3))
 
     def test_rejects_non_monotonic(self):
-        d = PreintegratedDelta(BiasState(), NO_NOISE)
         s0 = ImuSample(0.0, np.zeros(3), np.zeros(3))
         s1 = ImuSample(-0.01, np.zeros(3), np.zeros(3))
         with pytest.raises(PreintegrationError):
-            d.integrate_sample(s0, s1)
+            integrate_segment([s0, s1], BiasState(), NO_NOISE)
 
     def test_rejects_gap(self):
-        d = PreintegratedDelta(BiasState(), NO_NOISE)
         s0 = ImuSample(0.0, np.zeros(3), np.zeros(3))
         s1 = ImuSample(0.2, np.zeros(3), np.zeros(3))
         with pytest.raises(PreintegrationError):
-            d.integrate_sample(s0, s1)
+            integrate_segment([s0, s1], BiasState(), NO_NOISE)
 
     def test_smooth_segment_against_fine_oracle(self):
         # 200 Hz production integration vs an independent 20 kHz matrix-form
@@ -157,14 +155,10 @@ class TestCovariance:
     def test_psd_and_symmetric_along_random_motion(self):
         rng = np.random.default_rng(3)
         noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
-        d = PreintegratedDelta(BiasState(), noise)
-        t = 0.0
-        prev = ImuSample(t, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3))
-        for _ in range(150):
-            t += 0.005
-            cur = ImuSample(t, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3))
-            d.integrate_sample(prev, cur)
-            prev = cur
+        samples = [ImuSample(0.0, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3))]
+        for k in range(1, 151):
+            samples.append(ImuSample(0.005 * k, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3)))
+            d = integrate_segment(samples, BiasState(), noise)
             np.testing.assert_array_equal(d.P, d.P.T)
             assert np.linalg.eigvalsh(d.P).min() > -1e-12
 
@@ -214,7 +208,7 @@ class TestCovariance:
 
 
 class TestBiasCorrection:
-    def _excited_delta(self, noise=NO_NOISE, with_cov=True):
+    def _excited_delta(self, noise=NO_NOISE):
         # gentle excitation: the first-order Jacobian recursion carries an
         # O(dt * |w|^2) discretization term that would mask the quantities
         # these tests measure at aggressive rates
@@ -224,11 +218,7 @@ class TestBiasCorrection:
         def gyro_fn(t):
             return np.array([0.1 * np.sin(t * 2), -0.08 * np.cos(t * 1.2), 0.12 * np.sin(t)])
 
-        samples = make_samples(200, 0.5, accel_fn, gyro_fn)
-        d = PreintegratedDelta(BiasState(), noise, with_cov)
-        for s0, s1 in zip(samples[:-1], samples[1:]):
-            d.integrate_sample(s0, s1)
-        return d
+        return integrate_segment(make_samples(200, 0.5, accel_fn, gyro_fn), BiasState(), noise)
 
     def test_zero_delta_is_bitwise_identity(self):
         d = self._excited_delta()
@@ -368,21 +358,6 @@ class TestMergeAndSegment:
         m = interpolate_sample(s0, s1, 0.005)
         np.testing.assert_allclose(m.accel, [0.5, 1.0, 1.5])
         np.testing.assert_allclose(m.gyro, [2.0, 2.5, 3.0])
-
-    def test_streaming_equals_batched(self):
-        rng = np.random.default_rng(21)
-        samples = [
-            ImuSample(0.01 * i, rng.normal(0, 1, 3), rng.normal(0, 0.3, 3)) for i in range(60)
-        ]
-        noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
-        d1 = PreintegratedDelta(BiasState(), noise)
-        for s0, s1 in zip(samples[:-1], samples[1:]):
-            d1.integrate_sample(s0, s1)
-        d2 = integrate_segment(samples, BiasState(), noise)
-        np.testing.assert_allclose(d1.alpha, d2.alpha, atol=1e-15)
-        np.testing.assert_allclose(d1.gamma, d2.gamma, atol=1e-15)
-        np.testing.assert_allclose(d1.P, d2.P, atol=1e-18)
-        np.testing.assert_allclose(d1.J, d2.J, atol=1e-15)
 
 
 class TestImuResidual:
