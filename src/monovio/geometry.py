@@ -229,18 +229,22 @@ def tangent_basis(g_dir):
     return b1, b2
 
 
-def rot_zyx(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+def rot_zyx(roll, pitch, yaw) -> np.ndarray:
+    """R = Rz(yaw) @ Ry(pitch) @ Rx(roll); broadcasts over arrays of angles."""
     cr, sr = np.cos(roll), np.sin(roll)
     cp, sp = np.cos(pitch), np.sin(pitch)
     cy, sy = np.cos(yaw), np.sin(yaw)
-    return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
+    R = np.empty(np.broadcast(cr, cp, cy).shape + (3, 3))
+    R[..., 0, 0] = cy * cp
+    R[..., 0, 1] = cy * sp * sr - sy * cr
+    R[..., 0, 2] = cy * sp * cr + sy * sr
+    R[..., 1, 0] = sy * cp
+    R[..., 1, 1] = sy * sp * sr + cy * cr
+    R[..., 1, 2] = sy * sp * cr - cy * sr
+    R[..., 2, 0] = -sp
+    R[..., 2, 1] = cp * sr
+    R[..., 2, 2] = cp * cr
+    return R
 
 
 def yaw_roll_pitch_decompose(q):

@@ -1,8 +1,10 @@
 """End-to-end batch runner: initialization, sliding-window odometry,
 relocalization, and 4-DOF pose-graph optimization, plus trajectory metrics.
 
-Test mode serializes the three stages for bit-reproducible outputs; live mode
-runs the pose graph in its own thread on published snapshots.
+The pose graph goes through one driver. Test mode applies its updates inline,
+so outputs are bit-reproducible; live mode applies them in one worker thread
+beside the odometry. In both modes the odometry reads the graph only through
+the vertex values the driver publishes after each update.
 """
 
 from __future__ import annotations
@@ -229,97 +231,95 @@ def tilt_errors(q_est, q_gt):
 
 
 # ---------------------------------------------------------------------------
-# pose-graph driver (synchronous facade + threaded worker)
+# pose-graph driver: one apply step, one published read path
 
 
 class GraphDriver:
-    """Synchronous pose-graph driver used in test mode."""
+    """Applies keyframes and loop edges to the pose graph and publishes the
+    vertex values each update changes; readers see only published values.
 
-    def __init__(self, graph: PoseGraph):
+    With ``threaded=False`` (test mode) the caller applies each update inline.
+    With ``threaded=True`` (live mode) one worker thread applies them from a
+    queue, beside the odometry; a worker that raises stops applying, and
+    ``finish`` re-raises its exception.
+    """
+
+    def __init__(self, graph: PoseGraph, threaded: bool = False):
         self.graph = graph
+        self._lock = threading.Lock()
+        self._published: dict[int, tuple] = {}  # vid -> (t, p, roll, pitch, yaw)
+        self._error: Exception | None = None
+        self._queue: queue.Queue | None = None
+        self._thread: threading.Thread | None = None
+        if threaded:
+            self._queue = queue.Queue()
+            self._thread = threading.Thread(target=self._work, daemon=True)
+            self._thread.start()
+
+    def _apply(self, item: PoseGraphVertex | LoopEdge) -> None:
+        if isinstance(item, LoopEdge):
+            self.graph.add_loop_edge(item)
+            self.graph.optimize()
+            changed = self.graph.order
+        else:
+            self.graph.add_keyframe(item)
+            changed = (item.vid,)
+        self._publish(changed)
+
+    def _publish(self, vids) -> None:
+        values = {}
+        for vid in vids:
+            v = self.graph.vertices[vid]
+            values[vid] = (v.t, v.p.copy(), v.roll, v.pitch, v.yaw)
+        with self._lock:
+            self._published.update(values)
+
+    def _work(self) -> None:
+        try:
+            while (item := self._queue.get()) is not None:
+                self._apply(item)
+        except Exception as exc:  # handed to the caller by finish()
+            self._error = exc
+
+    def _submit(self, item) -> None:
+        if self._queue is None:
+            self._apply(item)
+        else:
+            self._queue.put(item)
 
     def submit_vertex(self, vertex: PoseGraphVertex) -> None:
-        self.graph.add_keyframe(vertex)
+        self._submit(vertex)
 
-    def submit_loop_edge(self, edge) -> None:
-        self.graph.add_loop_edge(edge)
-        self.graph.optimize()
+    def submit_loop_edge(self, edge: LoopEdge) -> None:
+        self._submit(edge)
 
     def vertex_pose(self, vid: int):
-        v = self.graph.vertices.get(vid)
-        if v is None:
+        """Published (quaternion, position) of a vertex, or None."""
+        with self._lock:
+            entry = self._published.get(vid)
+        if entry is None:
             return None
-        return v.quaternion(), v.p.copy()
+        _, p, roll, pitch, yaw = entry
+        return rot_to_quat(rot_zyx(roll, pitch, yaw)), p.copy()
 
     def vertex_at_time(self, t: float, tol: float = 1e-6):
-        for vid in self.graph.order:
-            if abs(self.graph.vertices[vid].t - t) <= tol:
-                return vid
-        return None
-
-    def finish(self) -> PoseGraph:
-        self.graph.optimize()
-        return self.graph
-
-
-class ThreadedGraphDriver:
-    """Live-mode driver: one optimizer thread owns the graph; consumers read
-    immutable published snapshots."""
-
-    def __init__(self, graph: PoseGraph):
-        self.graph = graph
-        self._queue: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()
-        self._snapshot: dict = {}
-        self._times: dict = {}
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _publish(self):
-        snap = {}
-        times = {}
-        for vid in self.graph.order:
-            v = self.graph.vertices[vid]
-            snap[vid] = (v.quaternion(), v.p.copy())
-            times[vid] = v.t
+        """Id of the first published vertex within tol of time t, or None."""
         with self._lock:
-            self._snapshot = snap
-            self._times = times
-
-    def _run(self):
-        while True:
-            item = self._queue.get()
-            if item is None:
-                break
-            kind, payload = item
-            if kind == "vertex":
-                self.graph.add_keyframe(payload)
-            elif kind == "loop":
-                self.graph.add_loop_edge(payload)
-                self.graph.optimize()
-            self._publish()
-
-    def submit_vertex(self, vertex) -> None:
-        self._queue.put(("vertex", vertex))
-
-    def submit_loop_edge(self, edge) -> None:
-        self._queue.put(("loop", edge))
-
-    def vertex_pose(self, vid: int):
-        with self._lock:
-            return self._snapshot.get(vid)
-
-    def vertex_at_time(self, t: float, tol: float = 1e-6):
-        with self._lock:
-            for vid, vt in self._times.items():
-                if abs(vt - t) <= tol:
+            for vid, entry in self._published.items():
+                if abs(entry[0] - t) <= tol:
                     return vid
         return None
 
     def finish(self) -> PoseGraph:
-        self._queue.put(None)
-        self._thread.join()
+        """Apply every submitted update, optimize once more and return the
+        graph; re-raises the exception that stopped a worker."""
+        if self._thread is not None:
+            self._queue.put(None)
+            self._thread.join()
+            if self._error is not None:
+                raise self._error
         self.graph.optimize()
+        self._publish(self.graph.order)
         return self.graph
 
 
@@ -369,7 +369,7 @@ class VioPipeline:
 
         self.report = RunReport()
         self.graph = PoseGraph(config.graph)
-        self.driver = (GraphDriver if config.test_mode else ThreadedGraphDriver)(self.graph)
+        self.driver = GraphDriver(self.graph, threaded=not config.test_mode)
         self.est = SlidingWindowEstimator(config.estimator, extrinsic)
 
         self._segment = -1
@@ -380,7 +380,6 @@ class VioPipeline:
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops: list[_PendingLoop] = []
         self._frame_is_kf: dict[int, bool] = {}
-        self._continuity: tuple[np.ndarray, np.ndarray] | None = None  # (Rz, T)
         self._window_out: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
         self._rate_out: list[tuple[float, np.ndarray, np.ndarray]] = []
         self._timers: dict[str, float] = {}
@@ -462,9 +461,8 @@ class VioPipeline:
             ImuFrameState(world.t[k], world.p_w_b[k], world.q_w_b[k], world.v_w_b[k], bias.copy())
             for k in range(len(world.t))
         ]
-        states = self._apply_continuity(states)
         self._frames_since_init = 0
-        # a fresh segment starts aligned with the published (graph) frame
+        # a new pose-graph segment starts with no odometry->graph correction
         self._corr_yaw = 0.0
         self._corr_t = np.zeros(3)
         self._corr_update_time = -np.inf
@@ -491,26 +489,6 @@ class VioPipeline:
         self._record_window_output()
         self._toc("init", t0)
         return True
-
-    def _apply_continuity(self, states):
-        """Start a new segment at the last published pose (position + yaw)."""
-        if self._last_output is None:
-            return states
-        p_last, q_last = self._corrected_pose(self._last_output.p, self._last_output.q)
-        try:
-            _, _, yaw_last = yaw_roll_pitch_decompose(q_last)
-            _, _, yaw_new = yaw_roll_pitch_decompose(states[0].q)
-        except ValueError:
-            return states
-        dpsi = wrap_angle(yaw_last - yaw_new)
-        Rz = rot_zyx(0.0, 0.0, dpsi)
-        q_dz = rot_to_quat(Rz)
-        p0 = states[0].p.copy()
-        for s in states:
-            s.p = Rz @ (s.p - p0) + p_last
-            s.q = quat_canonical(quat_mul(q_dz, s.q))
-            s.v = Rz @ s.v
-        return states
 
     # -- steady-state frame processing ---------------------------------------------
 
@@ -723,9 +701,6 @@ class VioPipeline:
             self.report.loop_candidates += 1
             vid = self.driver.vertex_at_time(cand.candidate_t)
             if vid is None:
-                continue
-            pose = self.driver.vertex_pose(vid)
-            if pose is None:
                 continue
             points = self._window_points(cand.feature_ids)
             corr = CorrespondenceSet(cand.feature_ids, cand.rays_query, cand.rays_candidate)

@@ -454,23 +454,6 @@ class PoseGraph:
         )
         return idx, p, yaw, roll, pitch, free_col, col, fi, ti, rel_p, rel_yaw, is_loop, base_w
 
-    @staticmethod
-    def _rotations(roll, pitch, yaw):
-        cr, sr = np.cos(roll), np.sin(roll)
-        cp, sp = np.cos(pitch), np.sin(pitch)
-        cy, sy = np.cos(yaw), np.sin(yaw)
-        R = np.empty(roll.shape + (3, 3))
-        R[..., 0, 0] = cy * cp
-        R[..., 0, 1] = cy * sp * sr - sy * cr
-        R[..., 0, 2] = cy * sp * cr + sy * sr
-        R[..., 1, 0] = sy * cp
-        R[..., 1, 1] = sy * sp * sr + cy * cr
-        R[..., 1, 2] = sy * sp * cr - cy * sr
-        R[..., 2, 0] = -sp
-        R[..., 2, 1] = cp * sr
-        R[..., 2, 2] = cp * cr
-        return R
-
     def optimize(self, fixed: set[int] | None = None) -> dict:
         """Damped Gauss-Newton over (p, yaw); roll/pitch stay constant.
 
@@ -493,7 +476,7 @@ class PoseGraph:
         th = cfg.huber_threshold
 
         def residuals(p, yaw):
-            R_i = self._rotations(roll[fi], pitch[fi], yaw[fi])
+            R_i = rot_zyx(roll[fi], pitch[fi], yaw[fi])
             d = p[ti] - p[fi]
             r_p = np.einsum("eba,eb->ea", R_i, d) - rel_p
             r_y = wrap_angle(yaw[ti] - yaw[fi] - rel_yaw)
@@ -646,20 +629,17 @@ class PoseGraph:
         self.sequential_edges = [
             e for e in self.sequential_edges if e.from_id != vid and e.to_id != vid
         ]
-        victim = self.vertices[vid]
-        # re-stitch by composing the measurement chains through the victim
-        seen = set()
+        R_m = self.vertices[vid].vio_rotation()
+        # re-stitch by composing the measurement chains through the victim,
+        # adding no edge between a pair that already has one
+        present = {(e.from_id, e.to_id) for e in self.sequential_edges}
         for ein in incoming:
+            R_i = self.vertices[ein.from_id].vio_rotation()
             for eout in outgoing:
                 key = (ein.from_id, eout.to_id)
-                if key in seen or ein.from_id == eout.to_id:
+                if key in present or ein.from_id == eout.to_id:
                     continue
-                if any(e.from_id == key[0] and e.to_id == key[1] for e in self.sequential_edges):
-                    continue
-                seen.add(key)
-                vi = self.vertices[ein.from_id]
-                R_i = vi.vio_rotation()
-                R_m = victim.vio_rotation()
+                present.add(key)
                 rel_p = ein.rel_p + R_i.T @ (R_m @ eout.rel_p)
                 rel_yaw = wrap_angle(ein.rel_yaw + eout.rel_yaw)
                 self.sequential_edges.append(

@@ -142,6 +142,14 @@ class TestEulerDecompose:
         with pytest.raises(geo.GimbalLockError):
             geo.yaw_roll_pitch_decompose(q)
 
+    def test_batched_rot_zyx_equals_scalar_calls(self):
+        rng = np.random.default_rng(13)
+        roll, pitch, yaw = rng.uniform(-np.pi, np.pi, (3, 500))
+        R = geo.rot_zyx(roll, pitch, yaw)
+        assert R.shape == (500, 3, 3)
+        stacked = np.array([geo.rot_zyx(r, p, y) for r, p, y in zip(roll, pitch, yaw)])
+        np.testing.assert_array_equal(R, stacked)
+
 
 class TestConversions:
     def test_quat_rot_round_trip(self):

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ from monovio import dataio
 from monovio.cli import main as cli_main
 from monovio.estimator import EstimatorError, FeatureTrack, SlidingWindowEstimator
 from monovio.pipeline import (
+    GraphDriver,
     PipelineConfig,
     TrackObservationIndex,
     VioPipeline,
@@ -16,6 +19,7 @@ from monovio.pipeline import (
     pipeline_from_scenario,
     tilt_errors,
 )
+from monovio.posegraph import LoopEdge, PoseGraph, PoseGraphError, vertex_from_state
 from monovio.preintegration import BiasState, ImuSample, NoiseParams
 from monovio.simulator import ScenarioConfig, build_scenario, camera_times
 from monovio import geometry as geo
@@ -27,6 +31,14 @@ def quick_config(**kw):
     base = dict(duration=16.0, cam_rate=5.0, seed=3, traj={"period": 12.0})
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def noisy_config(**kw):
+    """The noisy loop scenario: sensor noise, pixel noise and IMU biases."""
+    return quick_config(
+        noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5), pixel_sigma_px=1.5,
+        bias0=BiasState(accel=[0.02, -0.01, 0.015], gyro=[0.003, -0.002, 0.004]), **kw,
+    )
 
 
 class TestEvaluateAte:
@@ -180,12 +192,7 @@ class TestPipeline:
         assert pc.estimator.optimize_extrinsic is True
 
     def test_blackout_triggers_failure_and_new_segment(self):
-        cfg = quick_config(
-            duration=30.0, seed=3,
-            noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5), pixel_sigma_px=1.5,
-            bias0=BiasState(accel=[0.02, -0.01, 0.015], gyro=[0.003, -0.002, 0.004]),
-            blackout_start=12.0, blackout_duration=2.0,
-        )
+        cfg = noisy_config(duration=30.0, blackout_start=12.0, blackout_duration=2.0)
         data = build_scenario(cfg)
         pipe = pipeline_from_scenario(data, PipelineConfig(enable_loops=True))
         rep = pipe.run()
@@ -215,6 +222,119 @@ class TestPipeline:
         gt = data.ground_truth
         res = evaluate_ate(rep.window_times, rep.window_p, gt.t, gt.p, "4dof", 50)
         assert res["drift_pct"] < 0.5
+
+
+def driver_script(n=24):
+    """Two laps of a circle with drifting vertex values; from the second lap,
+    every fifth keyframe closes a loop to its twin on the first."""
+    items = []
+    for k in range(2 * n):
+        th = 2 * np.pi * k / n
+        p = np.array([np.cos(th), np.sin(th), 0.1 * np.sin(2 * th)]) + 0.004 * k
+        q = geo.rot_to_quat(geo.rot_zyx(0.05 * np.sin(th), 0.04 * np.cos(th), th + 0.003 * k))
+        items.append(vertex_from_state(k, 0.4 * k, p, q))
+        if k >= n and k % 5 == 0:
+            items.append(LoopEdge(k - n, k, np.zeros(3), 0.0, inliers=40))
+    return items
+
+
+def drive(driver, items, threaded):
+    """Submit a script, reading back each submitted keyframe after every
+    item (in threaded mode, while the worker applies updates)."""
+    times = []
+    for item in items:
+        if isinstance(item, LoopEdge):
+            driver.submit_loop_edge(item)
+        else:
+            driver.submit_vertex(item)
+            times.append(item.t)
+        for t in times:
+            vid = driver.vertex_at_time(t)
+            if vid is None:
+                assert threaded
+                continue
+            q, p = driver.vertex_pose(vid)
+            if not threaded:  # an inline update is published before submit returns
+                v = driver.graph.vertices[vid]
+                assert np.array_equal(p, v.p) and np.array_equal(q, v.quaternion())
+    return driver.finish()
+
+
+class TestGraphDriver:
+    def test_inline_and_threaded_give_identical_graphs(self):
+        before = threading.active_count()
+        inline = GraphDriver(PoseGraph())
+        threaded = GraphDriver(PoseGraph(), threaded=True)
+        a = drive(inline, driver_script(), threaded=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the reader and the worker often
+        try:
+            b = drive(threaded, driver_script(), threaded=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(a.loop_edges) == 5
+        assert a.order == b.order
+        for vid in a.order:
+            va, vb = a.vertices[vid], b.vertices[vid]
+            assert np.array_equal(va.p, vb.p) and va.yaw == vb.yaw
+            assert (va.roll, va.pitch, va.t) == (vb.roll, vb.pitch, vb.t)
+        assert len(a.sequential_edges) == len(b.sequential_edges)
+        for ea, eb in zip(a.sequential_edges + a.loop_edges, b.sequential_edges + b.loop_edges):
+            assert (ea.from_id, ea.to_id, ea.rel_yaw) == (eb.from_id, eb.to_id, eb.rel_yaw)
+            assert np.array_equal(ea.rel_p, eb.rel_p)
+        for vid in a.order:
+            t = a.vertices[vid].t
+            assert inline.vertex_at_time(t) == threaded.vertex_at_time(t) == vid
+            (qa, pa), (qb, pb) = inline.vertex_pose(vid), threaded.vertex_pose(vid)
+            assert np.array_equal(qa, qb) and np.array_equal(pa, pb)
+            assert np.array_equal(pa, a.vertices[vid].p)
+            assert np.array_equal(qa, a.vertices[vid].quaternion())
+        assert inline.vertex_pose(999) is None and threaded.vertex_pose(999) is None
+        assert inline.vertex_at_time(-1.0) is None and threaded.vertex_at_time(-1.0) is None
+
+    def test_threaded_worker_error_raised_by_finish(self):
+        def vertex(k):
+            return vertex_from_state(k, float(k), np.array([k, 0.0, 0.0]), geo.quat_identity())
+
+        unknown = LoopEdge(0, 99, np.zeros(3), 0.0)
+        inline = GraphDriver(PoseGraph())
+        inline.submit_vertex(vertex(0))
+        with pytest.raises(PoseGraphError):
+            inline.submit_loop_edge(unknown)
+
+        before = threading.active_count()
+        threaded = GraphDriver(PoseGraph(), threaded=True)
+        threaded.submit_vertex(vertex(0))
+        threaded.submit_loop_edge(unknown)
+        threaded.submit_vertex(vertex(1))  # after the failure: never applied
+        with pytest.raises(PoseGraphError):
+            threaded.finish()
+        assert threading.active_count() == before
+        assert threaded.graph.order == [0]
+
+
+class TestLiveMode:
+    def test_live_mode_matches_test_mode(self):
+        data = build_scenario(noisy_config(duration=28.0))
+        gt = data.ground_truth
+        reports = {}
+        for test_mode in (True, False):
+            before = threading.active_count()
+            pc = PipelineConfig(enable_loops=True, test_mode=test_mode)
+            reports[test_mode] = pipeline_from_scenario(data, pc).run()
+            assert threading.active_count() == before
+        ref, live = reports[True], reports[False]
+        assert ref.loop_edges >= 1
+        assert live.segments == ref.segments
+        assert live.failure_events == ref.failure_events
+        ate = {
+            mode: evaluate_ate(rep.window_times, rep.window_p, gt.t, gt.p, "4dof", 50)["rmse"]
+            for mode, rep in reports.items()
+        }
+        # live mode reads graph values that may lag the worker by a few
+        # updates; the window trajectory must still agree to within 2 cm
+        assert abs(ate[False] - ate[True]) <= 0.02
 
 
 class TestFailureRecovery:
