@@ -310,14 +310,19 @@ class GraphDriver:
                     return vid
         return None
 
+    def close(self) -> None:
+        """Stop the worker once it has applied every update already
+        submitted. Inline, or once the worker has stopped, it does nothing."""
+        if self._thread is not None and self._thread.is_alive():
+            self._queue.put(None)
+            self._thread.join()
+
     def finish(self) -> PoseGraph:
         """Apply every submitted update, optimize once more and return the
         graph; re-raises the exception that stopped a worker."""
-        if self._thread is not None:
-            self._queue.put(None)
-            self._thread.join()
-            if self._error is not None:
-                raise self._error
+        self.close()
+        if self._error is not None:
+            raise self._error
         self.graph.optimize()
         self._publish(self.graph.order)
         return self.graph
@@ -369,7 +374,7 @@ class VioPipeline:
 
         self.report = RunReport()
         self.graph = PoseGraph(config.graph)
-        self.driver = GraphDriver(self.graph, threaded=not config.test_mode)
+        self.driver: GraphDriver | None = None  # lives for one run()
         self.est = SlidingWindowEstimator(config.estimator, extrinsic)
 
         self._segment = -1
@@ -404,21 +409,27 @@ class VioPipeline:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RunReport:
-        initialized = False
-        t_prev = None
-        for t in self.cam_times:
-            obs = self.obs_by_time(t)
-            self.report.n_frames += 1
-            if not initialized:
-                initialized = self._try_initialize(t, obs)
+        # live mode's graph worker starts here and is stopped on every exit,
+        # so a run that raises leaves no thread behind
+        self.driver = GraphDriver(self.graph, threaded=not self.config.test_mode)
+        try:
+            initialized = False
+            t_prev = None
+            for t in self.cam_times:
+                obs = self.obs_by_time(t)
+                self.report.n_frames += 1
+                if not initialized:
+                    initialized = self._try_initialize(t, obs)
+                    t_prev = t
+                    continue
+                ok = self._process_frame(t_prev, t, obs)
+                if not ok:
+                    initialized = False
+                    self._init_buffer.clear()
                 t_prev = t
-                continue
-            ok = self._process_frame(t_prev, t, obs)
-            if not ok:
-                initialized = False
-                self._init_buffer.clear()
-            t_prev = t
-        self._finish()
+            self._finish()
+        finally:
+            self.driver.close()
         return self.report
 
     # -- initialization ------------------------------------------------------------

@@ -368,6 +368,20 @@ def edge_residual(vi: PoseGraphVertex, vj: PoseGraphVertex, edge: SequentialEdge
     return r
 
 
+# Nonzeros of one edge's block of the normal equations, one row each:
+# (row end, row component, column end, column component, term, sign). Ends:
+# 0 = from, 1 = to; components 0-2 = position, 3 = yaw; terms: w,
+# w (|u|^2 + 1), w u_x, w u_y with u = z x (p_to - p_from), u_z = 0. See
+# PoseGraph.optimize.
+_H_ENTRIES = np.array(
+    [(0, c, 0, c, 0, 1) for c in range(3)] + [(0, 3, 0, 3, 1, 1)]
+    + [(0, c, 0, 3, 2 + c, 1) for c in range(2)] + [(0, 3, 0, c, 2 + c, 1) for c in range(2)]
+    + [(1, c, 1, c, 0, 1) for c in range(4)]
+    + [(a, c, 1 - a, c, 0, -1) for a in range(2) for c in range(4)]
+    + [(0, 3, 1, c, 2 + c, -1) for c in range(2)] + [(1, c, 0, 3, 2 + c, -1) for c in range(2)]
+)
+
+
 # ---------------------------------------------------------------------------
 # the graph
 
@@ -383,7 +397,10 @@ class PoseGraphConfig:
     loop_weight_scale: float = 100.0
     max_iterations: int = 25
     initial_lambda: float = 1e-6
-    rel_cost_tol: float = 1e-12
+    # stop once an accepted step lowers the cost by less than this fraction
+    # of it: Ceres' function_tolerance default (VINS-Mono solves its 4-DOF
+    # graph in Ceres with at most 5 iterations)
+    rel_cost_tol: float = 1e-6
 
 
 class PoseGraph:
@@ -452,13 +469,35 @@ class PoseGraph:
                 for e in edges
             ]
         )
-        return idx, p, yaw, roll, pitch, free_col, col, fi, ti, rel_p, rel_yaw, is_loop, base_w
+        return p, yaw, roll, pitch, free_col, col, fi, ti, rel_p, rel_yaw, is_loop, base_w
 
     def optimize(self, fixed: set[int] | None = None) -> dict:
-        """Damped Gauss-Newton over (p, yaw); roll/pitch stay constant.
+        """Levenberg-Marquardt over (p, yaw); roll/pitch stay constant.
 
         Sequential edges enter with identity information; loop edges with
-        identity scaled by inliers / min_inliers and a robust kernel.
+        identity scaled by inliers / min_inliers and a Huber kernel. By default
+        the first vertex of every segment is fixed.
+
+        The rotation cancels in the normal equations. With u = z x (p_j - p_i),
+        an edge of weight w adds w [[I, u], [u^T, |u|^2 + 1]] to its
+        from-vertex block, w I_4 to its to-vertex block and
+        w [[-I, 0], [-u^T, -1]] between them (rows from, columns to), so the
+        position block is the weighted graph Laplacian (x) I_3. The gradient
+        needs only q = R_i r_p = p_j - p_i - R_i rel_p, the position residual
+        in the world frame.
+
+        H + lambda diag(H) is factored once, by SuperLU in symmetric mode
+        with a minimum-degree ordering of A^T + A, and each step solves that
+        factor against the gradient at the current iterate. A step is
+        accepted when it does not raise the true (robust) cost. A rejected
+        or non-finite step re-linearizes H at the current iterate and
+        re-factors it with lambda x 10. An accepted step re-factors it, with
+        lambda unchanged, only when the cost fell by less than half or more
+        than 1.5 times the reduction the factor's model predicted: a loop
+        edge leaving or joining the Huber branch changes its weight, and a
+        factor built with the old weight converges only slowly. The loop
+        stops when an accepted step lowers the cost by less than
+        rel_cost_tol of it.
         """
         if not self.order:
             return {"iterations": 0, "costs": [], "termination": "empty"}
@@ -469,118 +508,124 @@ class PoseGraph:
         if not fixed:
             raise PoseGraphError("at least one vertex must be fixed per segment")
         cfg = self.config
-        (idx, p, yaw, roll, pitch, free_col, n_free, fi, ti, rel_p, rel_yaw,
+        (p, yaw, roll, pitch, free_col, n_free, fi, ti, rel_p, rel_yaw,
          is_loop, base_w) = self._packed(fixed)
         if not len(fi) or n_free == 0:
             return {"iterations": 0, "costs": [], "termination": "nothing_to_do"}
-        th = cfg.huber_threshold
-
-        def residuals(p, yaw):
-            R_i = rot_zyx(roll[fi], pitch[fi], yaw[fi])
-            d = p[ti] - p[fi]
-            r_p = np.einsum("eba,eb->ea", R_i, d) - rel_p
-            r_y = wrap_angle(yaw[ti] - yaw[fi] - rel_yaw)
-            return R_i, d, r_p, r_y
-
-        def total_cost(p, yaw):
-            _, _, r_p, r_y = residuals(p, yaw)
-            s = np.sum(r_p * r_p, axis=1) + r_y * r_y
-            c = float(np.sum(s[~is_loop]))
-            sl = base_w[is_loop] * s[is_loop] / th
-            c += float(np.sum(robust_cost(sl))) * th
-            return c
-
-        # columns: 4 per free vertex plus a trash block for fixed vertices
-        dim = 4 * n_free
-        col_of = np.where(free_col >= 0, 4 * free_col, dim)
-        zhat = np.array([0.0, 0.0, 1.0])
-
-        def assemble(p, yaw):
-            import scipy.sparse as sp
-
-            R_i, d, r_p, r_y = residuals(p, yaw)
-            s = np.sum(r_p * r_p, axis=1) + r_y * r_y
-            w = np.where(is_loop, base_w * huber_weight(base_w * s / th), base_w)
-            E = len(fi)
-            J = np.zeros((E, 4, 8))
-            R_it = np.swapaxes(R_i, 1, 2)
-            J[:, :3, 0:3] = -R_it
-            J[:, :3, 3] = -np.einsum("eab,eb->ea", R_it, np.cross(np.broadcast_to(zhat, d.shape), d))
-            J[:, 3, 3] = -1.0
-            J[:, :3, 4:7] = R_it
-            J[:, 3, 7] = 1.0
-            r = np.concatenate([r_p, r_y[:, None]], axis=1)
-            # fixed vertices map to a trash block beyond the dim columns
-            cols = np.empty((E, 8), dtype=int)
-            cols[:, 0:4] = col_of[fi][:, None] + np.arange(4)
-            cols[:, 4:8] = col_of[ti][:, None] + np.arange(4)
-            Hb = np.einsum("e,eri,erj->eij", w, J, J)
-            bb = np.einsum("e,eri,er->ei", w, J, r)
-            rows_idx = np.repeat(cols[:, :, None], 8, axis=2).ravel()
-            cols_idx = np.repeat(cols[:, None, :], 8, axis=1).ravel()
-            H = sp.coo_matrix(
-                (Hb.ravel(), (rows_idx, cols_idx)), shape=(dim + 4, dim + 4)
-            ).tocsr()[:dim, :dim]
-            b = np.zeros(dim + 4)
-            np.add.at(b, cols, bb)
-            return H, b[:dim]
-
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        cost = total_cost(p, yaw)
+        th = cfg.huber_threshold
+        free = free_col >= 0
+        dim = 4 * n_free
+
+        def linearize(p, yaw):
+            """Cost, weights and world-frame residual terms at (p, yaw)."""
+            R_i = rot_zyx(roll, pitch, yaw)[fi]
+            d = p[ti] - p[fi]
+            q = d - np.einsum("eab,eb->ea", R_i, rel_p)
+            r_y = wrap_angle(yaw[ti] - yaw[fi] - rel_yaw)
+            s = np.einsum("ea,ea->e", q, q) + r_y * r_y
+            c = float(np.sum(s[~is_loop]))
+            c += float(np.sum(robust_cost(base_w[is_loop] * s[is_loop] / th))) * th
+            w = np.where(is_loop, base_w * huber_weight(base_w * s / th), base_w)
+            return c, w, d, q, r_y
+
+        # gradient rows: (vertex, component) of the from and to ends
+        g_keys = (np.concatenate([fi, ti])[:, None] * 4 + np.arange(4)).ravel()
+        n_rows = 4 * len(p)
+
+        def gradient(w, d, q, r_y):
+            wq = w[:, None] * q
+            u_q = d[:, 0] * q[:, 1] - d[:, 1] * q[:, 0]
+            g = np.empty((2 * len(w), 4))
+            g[: len(w), :3] = -wq
+            g[: len(w), 3] = -w * (u_q + r_y)
+            g[len(w):, :3] = wq
+            g[len(w):, 3] = w * r_y
+            g = np.bincount(g_keys, g.ravel(), minlength=n_rows)
+            return g.reshape(-1, 4)[free].ravel()
+
+        # CSC pattern of H, fixed for this call: the _H_ENTRIES of each edge
+        # whose two ends are free, plus the diagonal of every free column (an
+        # edge-less free vertex has only that)
+        row_end, row_comp, col_end, col_comp, term, sign = _H_ENTRIES.T
+        base = 4 * free_col[np.stack([fi, ti], axis=1)]
+        keep = (base[:, row_end] >= 0) & (base[:, col_end] >= 0)
+        rows = (base[:, row_end] + row_comp)[keep]
+        cols = (base[:, col_end] + col_comp)[keep]
+        keys = np.concatenate([cols * dim + rows, np.arange(dim) * (dim + 1)])
+        pattern, slot = np.unique(keys, return_inverse=True)
+        indices = pattern % dim
+        indptr = np.zeros(dim + 1, dtype=int)
+        np.cumsum(np.bincount(pattern // dim, minlength=dim), out=indptr[1:])
+        edge_slot, diag_slot = slot[: len(rows)], slot[len(rows):]
+
+        def factor(w, d, lam):
+            """SuperLU factor of H + lam diag(H) at the iterate of (w, d)."""
+            u2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+            # u = z x d = (-d_y, d_x, 0)
+            terms = np.stack([w, w * (u2 + 1.0), -w * d[:, 1], w * d[:, 0]], axis=1)
+            data = np.bincount(edge_slot, (terms[:, term] * sign)[keep],
+                               minlength=len(pattern))
+            diag = data[diag_slot]
+            data[diag_slot] += lam * np.maximum(diag, 1e-12)
+            A = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
+            return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                             options={"SymmetricMode": True})
+
+        cost, w, d, q, r_y = linearize(p, yaw)
         costs = [cost]
         lam = cfg.initial_lambda
+        lu = None
         iterations = 0
         rel = np.inf
-        free_rows = free_col >= 0
         for _ in range(cfg.max_iterations):
-            H, b = assemble(p, yaw)
-            diag = np.asarray(H.diagonal()).ravel()
-            diag[diag < 1e-12] = 1e-12
+            g = gradient(w, d, q, r_y)
             accepted = False
             for _try in range(12):
-                try:
-                    dx = spla.spsolve((H + sp.diags(lam * diag)).tocsc(), -b)
-                except RuntimeError:
-                    lam *= 10
-                    continue
+                if lu is None:
+                    try:
+                        lu = factor(w, d, lam)
+                    except RuntimeError:
+                        lam *= 10
+                        continue
+                dx = lu.solve(-g).reshape(-1, 4)
                 if not np.all(np.isfinite(dx)):
                     lam *= 10
+                    lu = None
                     continue
                 p_new = p.copy()
                 yaw_new = yaw.copy()
-                p_new[free_rows] += dx.reshape(-1, 4)[:, 0:3]
-                yaw_new[free_rows] = wrap_angle(yaw_new[free_rows] + dx.reshape(-1, 4)[:, 3])
-                new_cost = total_cost(p_new, yaw_new)
-                if np.isfinite(new_cost) and new_cost <= cost:
-                    rel = (cost - new_cost) / max(cost, 1e-30)
+                p_new[free] += dx[:, 0:3]
+                yaw_new[free] = wrap_angle(yaw_new[free] + dx[:, 3])
+                new = linearize(p_new, yaw_new)
+                if np.isfinite(new[0]) and new[0] <= cost:
+                    rel = (cost - new[0]) / max(cost, 1e-30)
+                    # the factor's model predicts a reduction of -g.dx; a
+                    # reused factor shrinks the error by about |1 - gain|
+                    # per step, so past one half it is rebuilt here
+                    gain = (cost - new[0]) / max(-float(g @ dx.ravel()), 1e-300)
+                    if abs(gain - 1.0) > 0.5:
+                        lu = None
                     p, yaw = p_new, yaw_new
-                    cost = new_cost
+                    cost, w, d, q, r_y = new
                     costs.append(cost)
-                    lam = max(lam / 10, 1e-15)
                     accepted = True
                     break
                 lam *= 10
+                lu = None
             iterations += 1
             if not accepted:
                 break
             if rel < cfg.rel_cost_tol or cost < 1e-20:
                 break
-        for i, vid in enumerate(self.order):
+        for vid, p_i, yaw_i in zip(self.order, p, wrap_angle(yaw).tolist()):
             v = self.vertices[vid]
-            v.p = p[i]
-            v.yaw = float(wrap_angle(yaw[i]))
-        term = "converged" if accepted else "stalled"
-        return {"iterations": iterations, "costs": costs, "termination": term}
-
-    # -- residual-based bookkeeping ------------------------------------------
-
-    def loop_edge_residuals(self) -> list[np.ndarray]:
-        return [
-            edge_residual(self.vertices[e.from_id], self.vertices[e.to_id], e)
-            for e in self.loop_edges
-        ]
+            v.p = p_i
+            v.yaw = yaw_i
+        termination = "converged" if accepted else "stalled"
+        return {"iterations": iterations, "costs": costs, "termination": termination}
 
     # -- downsampling ----------------------------------------------------------
 

@@ -336,6 +336,24 @@ class TestLiveMode:
         # updates; the window trajectory must still agree to within 2 cm
         assert abs(ate[False] - ate[True]) <= 0.02
 
+    def test_interrupted_run_leaves_no_worker(self):
+        before = threading.active_count()
+        pipe = pipeline_from_scenario(build_scenario(quick_config(duration=6.0)),
+                                      PipelineConfig(enable_loops=False, test_mode=False))
+        index, frames = pipe.obs_by_time, []
+
+        def interrupted(t):
+            frames.append(t)
+            if len(frames) == 20:
+                raise KeyboardInterrupt
+            return index(t)
+
+        pipe.obs_by_time = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            pipe.run()
+        assert len(frames) == 20
+        assert threading.active_count() == before
+
 
 class TestFailureRecovery:
     """Errors inside a frame become failure events followed by

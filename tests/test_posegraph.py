@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from monovio import geometry as geo
 from monovio.posegraph import (
@@ -246,7 +249,8 @@ class TestGraphOptimization:
         g = circle_graph(30, loop=True, drift_deg=10.0)
         info = g.optimize()
         assert info["termination"] == "converged"
-        r = g.loop_edge_residuals()[0]
+        e = g.loop_edges[0]
+        r = edge_residual(g.vertices[e.from_id], g.vertices[e.to_id], e)
         assert np.linalg.norm(r[:3]) < 1e-6
         assert abs(r[3]) < 1e-6
         # drift distributed: accepted costs monotone non-increasing
@@ -286,6 +290,198 @@ class TestGraphOptimization:
         g = circle_graph(5, loop=False)
         with pytest.raises(PoseGraphError):
             g.optimize(fixed=set())
+
+
+def two_segment_graph():
+    """Two circular segments with states moved off the optimum: a loop edge
+    from a fixed vertex, one into a fixed vertex of the other segment, and a
+    cross-segment outlier whose 1.9 m error puts it on the Huber branch."""
+    rng = np.random.default_rng(5)
+    g = PoseGraph()
+    centers = [np.zeros(3), np.array([0.5, -0.3, 0.2])]
+    vid = 0
+    for seg, n in enumerate((14, 10)):
+        for k in range(n):
+            th = 2 * np.pi * k / n
+            p = centers[seg] + np.array([np.cos(th), np.sin(th), 0.1 * np.sin(2 * th)])
+            q = geo.rot_to_quat(geo.rot_zyx(0.05 * np.sin(th), 0.04 * np.cos(th), th + np.pi / 2))
+            g.add_keyframe(vertex_from_state(vid, 0.4 * vid, p, q, segment=seg))
+            vid += 1
+    for a, b, inliers, error in [(0, 12, 50, 0.0), (21, 0, 30, 0.0), (5, 18, 60, 1.0)]:
+        va, vb = g.vertices[a], g.vertices[b]
+        rel_p = va.vio_rotation().T @ (vb.vio_p - va.vio_p) + error * np.array([1.5, -1.0, 0.5])
+        g.add_loop_edge(LoopEdge(a, b, rel_p, geo.wrap_angle(vb.vio_yaw - va.vio_yaw), inliers))
+    for v in g.vertices.values():
+        v.p = v.p + rng.normal(0.0, 0.01, 3)
+        v.yaw = geo.wrap_angle(v.yaw + rng.normal(0.0, 0.005))
+    return g
+
+
+def dense_normal_equations(g, fixed, h=1e-6):
+    """J^T W J and J^T W r over the free (p, yaw) columns, with each edge's
+    Jacobian from central differences of edge_residual and its Huber weight
+    evaluated directly; also returns the loop edges' Huber arguments."""
+    cfg = g.config
+    col = {vid: 4 * i for i, vid in enumerate(g.order)}
+    H = np.zeros((4 * len(g.order),) * 2)
+    b = np.zeros(4 * len(g.order))
+    huber_args = []
+    for e in g.sequential_edges + g.loop_edges:
+        ends = [g.vertices[e.from_id], g.vertices[e.to_id]]
+        r = edge_residual(*ends, e)
+        J = np.zeros((4, len(b)))
+        for end, v in enumerate(ends):
+            for k in range(4):
+                step = h * np.eye(4)[k]
+                moved = []
+                for sgn in (1.0, -1.0):
+                    args = list(ends)
+                    args[end] = replace(v, p=v.p + sgn * step[:3], yaw=v.yaw + sgn * step[3])
+                    moved.append(edge_residual(*args, e))
+                J[:, col[v.vid] + k] = (moved[0] - moved[1]) / (2 * h)
+        w = 1.0
+        if isinstance(e, LoopEdge):
+            w = max(e.inliers / cfg.min_inliers, 1.0) * cfg.loop_weight_scale
+            x = w * (r @ r) / cfg.huber_threshold
+            huber_args.append(x)
+            if x > 1.0:
+                w /= np.sqrt(x)
+        H += w * J.T @ J
+        b += w * J.T @ r
+    free = [col[vid] + k for vid in g.order if vid not in fixed for k in range(4)]
+    return H[np.ix_(free, free)], b[free], huber_args
+
+
+class _Captured(Exception):
+    pass
+
+
+def noisy_circle_graph(drift_deg, yaw_only):
+    """circle_graph with noisy edge measurements, so the optimum has a
+    non-zero cost and the default rel_cost_tol decides when to stop. With
+    yaw_only the vertices drift in yaw alone, little enough that the loop
+    edge starts on the quadratic branch of its Huber kernel; otherwise they
+    also drift 0.1 m in position, which starts it on the robust branch."""
+    g = circle_graph(30, loop=True, drift_deg=0.0 if yaw_only else drift_deg)
+    rng = np.random.default_rng(2)
+    for e in g.sequential_edges + g.loop_edges:
+        e.rel_p = e.rel_p + rng.normal(0.0, 0.01, 3)
+        e.rel_yaw = geo.wrap_angle(e.rel_yaw + rng.normal(0.0, 0.003))
+    if yaw_only:
+        for k, vid in enumerate(g.order):
+            v = g.vertices[vid]
+            drift = np.deg2rad(drift_deg) * k / (len(g) - 1)
+            v.p = geo.rot_zyx(0.0, 0.0, drift) @ v.p
+            v.yaw = geo.wrap_angle(v.yaw + drift)
+    return g
+
+
+def assert_matches_tight_reference(g, info, make):
+    """Final cost within 1e-6 relative, and every vertex within 1e-4 m and
+    1e-4 rad, of a run to rel_cost_tol = 1e-16 on the graph make() builds."""
+    ref = make()
+    ref.config = PoseGraphConfig(max_iterations=100, rel_cost_tol=1e-16)
+    ref_info = ref.optimize()
+    assert info["costs"][-1] <= ref_info["costs"][-1] * (1 + 1e-6)
+    for vid in g.order:
+        assert np.linalg.norm(g.vertices[vid].p - ref.vertices[vid].p) < 1e-4
+        assert abs(geo.wrap_angle(g.vertices[vid].yaw - ref.vertices[vid].yaw)) < 1e-4
+
+
+class FactorCounter:
+    """Wraps scipy's splu and spsolve and counts factorizations, solves
+    against a factor, and spsolve calls."""
+
+    def __init__(self, monkeypatch):
+        self.factored, self.solved, self.spsolved = [], [], []
+        splu = spla.splu
+        counter = self
+
+        class CountingFactor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                counter.solved.append(len(rhs))
+                return self.lu.solve(rhs)
+
+        def counting_splu(A, **kwargs):
+            self.factored.append(A.shape)
+            return CountingFactor(splu(A, **kwargs))
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(spla, "spsolve", lambda *args, **kwargs: self.spsolved.append(1))
+
+
+class TestGraphSolver:
+    def test_closed_form_matches_dense_reference(self, monkeypatch):
+        g = two_segment_graph()
+        fixed = {0, 14}  # the first vertex of each segment
+        H_ref, b_ref, huber_args = dense_normal_equations(g, fixed)
+        # the premise: only the outlier loop edge is on the Huber branch
+        assert [x > 1.0 for x in huber_args] == [False, False, True]
+
+        seen = {}
+
+        class Recorder:
+            def solve(self, rhs):
+                seen["b"] = -rhs
+                raise _Captured
+
+        def splu(A, **kwargs):
+            seen["H"] = A.toarray()
+            return Recorder()
+
+        # lambda = 0 makes the first factored matrix H itself
+        g.config = replace(g.config, initial_lambda=0.0)
+        monkeypatch.setattr(spla, "splu", splu)
+        with pytest.raises(_Captured):
+            g.optimize()
+        assert seen["H"].shape == H_ref.shape == (4 * 22, 4 * 22)
+        np.testing.assert_allclose(seen["H"], H_ref, rtol=0, atol=1e-8 * np.abs(H_ref).max())
+        np.testing.assert_allclose(seen["b"], b_ref, rtol=0, atol=1e-8 * np.abs(b_ref).max())
+
+    def test_one_factorization_reused_across_steps(self, monkeypatch):
+        def make():
+            return noisy_circle_graph(2.0, yaw_only=True)
+
+        g = make()
+        assert dense_normal_equations(g, {g.order[0]})[2][0] < 1.0  # quadratic branch
+        counter = FactorCounter(monkeypatch)
+        info = g.optimize()
+        assert info["termination"] == "converged"
+        assert len(counter.factored) == 1 and counter.spsolved == []
+        # no step was rejected: one solve per iteration, each accepted
+        assert info["iterations"] >= 2
+        assert len(counter.solved) == info["iterations"] == len(info["costs"]) - 1
+        assert_matches_tight_reference(g, info, make)
+
+    def test_factor_rebuilt_when_loop_weight_changes(self, monkeypatch):
+        # the loop edge starts on the robust branch, so the first factor
+        # holds a fraction of the weight it has at the optimum
+        def make():
+            return noisy_circle_graph(3.0, yaw_only=False)
+
+        g = make()
+        assert dense_normal_equations(g, {g.order[0]})[2][0] > 1.0  # robust branch
+        counter = FactorCounter(monkeypatch)
+        info = g.optimize()
+        assert info["termination"] == "converged"
+        assert len(counter.factored) >= 2 and counter.spsolved == []
+        assert_matches_tight_reference(g, info, make)
+
+    def test_edgeless_free_vertex_does_not_move(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        circle_graph(12, loop=True, drift_deg=5.0).save(path)
+        with open(path, "a") as f:
+            f.write("VERTEX 99 5.0 0.3 -0.2 0.1 0.01 0.02 0.7 0\n")
+        g = PoseGraph.load(path)
+        assert not any(99 in (e.from_id, e.to_id) for e in g.sequential_edges + g.loop_edges)
+        p, yaw = g.vertices[99].p.copy(), g.vertices[99].yaw
+        info = g.optimize()
+        assert info["termination"] == "converged" and info["iterations"] >= 1
+        assert np.array_equal(g.vertices[99].p, p)
+        assert abs(g.vertices[99].yaw - yaw) <= 1e-12
 
 
 class TestDownsample:
