@@ -17,7 +17,7 @@ from .pipeline import (
     pipeline_from_scenario,
     TrackObservationIndex,
 )
-from .posegraph import PoseGraph, PoseGraphConfig
+from .posegraph import PoseGraph, PoseGraphConfig, PoseGraphError
 from .preintegration import NoiseParams
 from .simulator import build_scenario, camera_times, synthesize_loops
 
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except dataio.FormatError as exc:
+    except (dataio.FormatError, PoseGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

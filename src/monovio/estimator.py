@@ -31,6 +31,7 @@ from .geometry import (
 )
 from .initialization import ExtrinsicCalib
 from .preintegration import (
+    GRAVITY,
     BiasState,
     PreintegratedDelta,
     StackedDeltas,
@@ -38,6 +39,28 @@ from .preintegration import (
     merge_deltas,
     midpoint_path,
 )
+
+
+# damping schedule of the window solve (SolverConfig holds the rest)
+INITIAL_LAMBDA = 1e-4
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 10.0
+MAX_DAMPING_RETRIES = 8
+ABS_COST_TOL = 1e-16  # already at a zero-residual fixed point
+# keep enough damping that cost-free null-space (gauge) directions cannot
+# wander on numerical noise in the gradient
+MIN_LAMBDA = 1e-7
+
+MIN_TRIANGULATION_PARALLAX_DEG = 1.0
+
+# detect_failure thresholds on consecutive estimator outputs
+FAILURE_MIN_TRACKED = 20
+FAILURE_POSITION_JUMP = 1.0
+FAILURE_ROTATION_JUMP = np.deg2rad(30.0)
+FAILURE_BIAS_ACCEL_JUMP = 0.5
+FAILURE_BIAS_GYRO_JUMP = 0.1
+FAILURE_EXTRINSIC_POS_JUMP = 0.05
+FAILURE_EXTRINSIC_ROT_JUMP = np.deg2rad(5.0)
 
 
 class EstimatorError(RuntimeError):
@@ -143,15 +166,7 @@ class MarginalizationPrior:
 @dataclass
 class SolverConfig:
     max_iterations: int = 10
-    initial_lambda: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
-    max_damping_retries: int = 8
     rel_cost_tol: float = 1e-6
-    abs_cost_tol: float = 1e-16  # already at a zero-residual fixed point
-    # keep enough damping that cost-free null-space (gauge) directions cannot
-    # wander on numerical noise in the gradient
-    min_lambda: float = 1e-7
 
 
 @dataclass
@@ -172,12 +187,10 @@ class SolveReport:
 @dataclass
 class EstimatorConfig:
     window_size: int = 10  # keyframes; the window holds window_size + 1 frames
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))
     focal: float = 460.0
     pixel_sigma: float = 1.5  # px-equivalent on the tangent plane
     parallax_px: float = 20.0  # keyframe gate
     min_tracked: int = 30  # keyframe gate
-    min_triangulation_parallax_deg: float = 1.0
     max_features: int = 100
     optimize_extrinsic: bool = True
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -185,17 +198,6 @@ class EstimatorConfig:
     @property
     def obs_sigma(self) -> float:
         return self.pixel_sigma / self.focal
-
-
-@dataclass
-class FailureThresholds:
-    min_tracked: int = 20
-    position_jump: float = 1.0
-    rotation_jump: float = np.deg2rad(30.0)
-    bias_accel_jump: float = 0.5
-    bias_gyro_jump: float = 0.1
-    extrinsic_pos_jump: float = 0.05
-    extrinsic_rot_jump: float = np.deg2rad(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +245,8 @@ def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float = 20.0,
     return avg_px > parallax_px
 
 
-def triangulate_feature(rays, cam_q, cam_p, min_parallax_deg: float = 1.0) -> float:
+def triangulate_feature(rays, cam_q, cam_p,
+                        min_parallax_deg: float = MIN_TRIANGULATION_PARALLAX_DEG) -> float:
     """Linear (DLT) triangulation; returns inverse depth along the first ray.
 
     rays are unit vectors in each observing camera; cam_q/cam_p are the
@@ -353,28 +356,26 @@ def detect_failure(
     prev: ImuFrameState,
     cur: ImuFrameState,
     tracked_count: int,
-    thresholds: FailureThresholds | None = None,
     prev_extrinsic: ExtrinsicCalib | None = None,
     cur_extrinsic: ExtrinsicCalib | None = None,
 ):
     """Sanity checks on consecutive estimator outputs; returns (failed, reason)."""
-    th = thresholds or FailureThresholds()
-    if tracked_count < th.min_tracked:
+    if tracked_count < FAILURE_MIN_TRACKED:
         return True, "tracking"
     if not (np.all(np.isfinite(cur.p)) and np.all(np.isfinite(cur.v))):
         return True, "numerical"
-    if np.linalg.norm(cur.p - prev.p) > th.position_jump:
+    if np.linalg.norm(cur.p - prev.p) > FAILURE_POSITION_JUMP:
         return True, "discontinuity"
-    if quat_angle_between(prev.q, cur.q) > th.rotation_jump:
+    if quat_angle_between(prev.q, cur.q) > FAILURE_ROTATION_JUMP:
         return True, "discontinuity"
-    if np.linalg.norm(cur.bias.accel - prev.bias.accel) > th.bias_accel_jump:
+    if np.linalg.norm(cur.bias.accel - prev.bias.accel) > FAILURE_BIAS_ACCEL_JUMP:
         return True, "bias"
-    if np.linalg.norm(cur.bias.gyro - prev.bias.gyro) > th.bias_gyro_jump:
+    if np.linalg.norm(cur.bias.gyro - prev.bias.gyro) > FAILURE_BIAS_GYRO_JUMP:
         return True, "bias"
     if prev_extrinsic is not None and cur_extrinsic is not None:
-        if np.linalg.norm(cur_extrinsic.p_b_c - prev_extrinsic.p_b_c) > th.extrinsic_pos_jump:
+        if np.linalg.norm(cur_extrinsic.p_b_c - prev_extrinsic.p_b_c) > FAILURE_EXTRINSIC_POS_JUMP:
             return True, "extrinsic"
-        if quat_angle_between(prev_extrinsic.q_b_c, cur_extrinsic.q_b_c) > th.extrinsic_rot_jump:
+        if quat_angle_between(prev_extrinsic.q_b_c, cur_extrinsic.q_b_c) > FAILURE_EXTRINSIC_ROT_JUMP:
             return True, "extrinsic"
     return False, None
 
@@ -544,7 +545,7 @@ class SlidingWindowEstimator:
         """Propagate the latest state through a pre-integrated delta."""
         last = self.frames[-1]
         alpha, beta, gamma = delta.correct_for_bias(last.bias)
-        p, q, v = _compose_imu_state(last, delta.dt_total, alpha, beta, gamma, self.config.gravity)
+        p, q, v = _compose_imu_state(last, delta.dt_total, alpha, beta, gamma, GRAVITY)
         return ImuFrameState(last.t + delta.dt_total, p, quat_canonical(q), v, last.bias.copy())
 
     def add_frame(self, t: float, delta: PreintegratedDelta,
@@ -640,9 +641,7 @@ class SlidingWindowEstimator:
             qs = np.array([p[0] for p in poses])
             ps = np.array([p[1] for p in poses])
             try:
-                feat.inv_depth = triangulate_feature(
-                    rays, qs, ps, self.config.min_triangulation_parallax_deg
-                )
+                feat.inv_depth = triangulate_feature(rays, qs, ps)
                 added += 1
             except TriangulationError:
                 continue
@@ -763,7 +762,6 @@ class _WindowProblem:
         self.prior = est.prior
         self.deltas = list(est.deltas[:imu_factors])
         self.imu = StackedDeltas(self.deltas)
-        self.gravity = est.config.gravity
         self.sigma = est.config.obs_sigma
 
         self.t = [f.t for f in est.frames]
@@ -1006,7 +1004,7 @@ class _WindowProblem:
             return 0.0
         n = K + 1
         r, Jk, Jk1 = imu_residual_jacobians_batch(
-            self.imu, self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n], self.gravity,
+            self.imu, self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n], GRAVITY,
         )
         W = self.imu.sqrt_info
         rw = np.einsum("kij,kj->ki", W, r)
@@ -1065,10 +1063,10 @@ class _WindowProblem:
         if not np.isfinite(cost):
             raise EstimatorError("non-finite cost at the initial iterate")
         report.costs.append(cost)
-        if cost <= config.abs_cost_tol:
+        if cost <= ABS_COST_TOL:
             report.termination = "converged"
             return report
-        lam = config.initial_lambda
+        lam = INITIAL_LAMBDA
         for _ in range(config.max_iterations):
             Hm = H[np.ix_(mask, mask)]
             bm = b[mask]
@@ -1076,11 +1074,11 @@ class _WindowProblem:
             diag[diag < 1e-12] = 1e-12
             accepted = False
             rel = 0.0
-            for _attempt in range(config.max_damping_retries):
+            for _attempt in range(MAX_DAMPING_RETRIES):
                 try:
                     step = np.linalg.solve(Hm + lam * np.diag(diag), -bm)
                 except np.linalg.LinAlgError:
-                    lam *= config.lambda_up
+                    lam *= LAMBDA_UP
                     continue
                 if not np.all(np.isfinite(step)):
                     raise EstimatorError("non-finite Gauss-Newton step")
@@ -1090,23 +1088,23 @@ class _WindowProblem:
                 try:
                     self.retract(dx)
                 except ValueError:  # a bias left its bound; iterate unchanged
-                    lam *= config.lambda_up
+                    lam *= LAMBDA_UP
                     continue
                 H_new, b_new, new_cost = self.assemble()
                 if np.isfinite(new_cost) and new_cost <= cost:
                     rel = (cost - new_cost) / max(cost, 1e-30)
                     H, b, cost = H_new, b_new, new_cost
                     report.costs.append(cost)
-                    lam = max(lam / config.lambda_down, config.min_lambda)
+                    lam = max(lam / LAMBDA_DOWN, MIN_LAMBDA)
                     accepted = True
                     break
                 self.restore(snap)
-                lam *= config.lambda_up
+                lam *= LAMBDA_UP
             report.iterations += 1
             if not accepted:
                 report.termination = "no_decrease_after_max_damping"
                 return report
-            if rel < config.rel_cost_tol or cost <= config.abs_cost_tol:
+            if rel < config.rel_cost_tol or cost <= ABS_COST_TOL:
                 report.termination = "converged"
                 return report
         report.termination = "max_iterations"

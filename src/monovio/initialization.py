@@ -23,9 +23,7 @@ from .geometry import (
     tangent_basis,
     yaw_roll_pitch_decompose,
 )
-from .preintegration import BiasState, PreintegratedDelta
-
-GRAVITY_MAGNITUDE = 9.81
+from .preintegration import GRAVITY_MAGNITUDE, BiasState, PreintegratedDelta
 
 MIN_ROTATION_EXCITATION = np.deg2rad(5.0)  # total rotation across the window
 MIN_ACCEL_VARIANCE = 0.05  # (m/s^2)^2 across the window
@@ -210,17 +208,16 @@ def refine_gravity(
     body: BodyFrames,
     deltas: list[PreintegratedDelta],
     extrinsic: ExtrinsicCalib,
-    g_mag: float = GRAVITY_MAGNITUDE,
     max_iterations: int = 10,
     tol_rad: float = 1e-5,
 ):
-    """Re-solve the alignment with gravity constrained to magnitude g_mag.
+    """Re-solve the alignment with gravity constrained to GRAVITY_MAGNITUDE.
 
     Gravity is reduced to two tangent-plane displacements around the current
     direction estimate; iterate until the direction converges.
     """
     g0 = np.linalg.norm(gravity_c0)
-    if abs(g0 - g_mag) > 0.2 * g_mag:
+    if abs(g0 - GRAVITY_MAGNITUDE) > 0.2 * GRAVITY_MAGNITUDE:
         raise InitializationError("gravity estimate too far from nominal magnitude")
     H, z = _alignment_system(body, deltas, extrinsic)
     n = len(body)
@@ -232,10 +229,10 @@ def refine_gravity(
         B = np.stack([b1, b2], axis=1)  # (3, 2)
         Hg = H[:, g_cols]
         H2 = np.concatenate([H[:, : 3 * n], Hg @ B, H[:, 3 * n + 3 :]], axis=1)
-        z2 = z - Hg @ (g_mag * direction)
+        z2 = z - Hg @ (GRAVITY_MAGNITUDE * direction)
         x, *_ = np.linalg.lstsq(H2, z2, rcond=None)
         w12 = x[3 * n : 3 * n + 2]
-        g_new = g_mag * direction + B @ w12
+        g_new = GRAVITY_MAGNITUDE * direction + B @ w12
         new_direction = g_new / np.linalg.norm(g_new)
         velocities = x[: 3 * n].reshape(n, 3)
         scale = float(x[3 * n + 2])
@@ -247,10 +244,10 @@ def refine_gravity(
         raise InitializationError("gravity refinement did not converge")
     if scale <= 0.0:
         raise InitializationError(f"non-positive scale {scale:.4g}")
-    return g_mag * direction, velocities, scale
+    return GRAVITY_MAGNITUDE * direction, velocities, scale
 
 
-def gravity_aligning_rotation(gravity_c0: np.ndarray, g_mag: float = GRAVITY_MAGNITUDE) -> np.ndarray:
+def gravity_aligning_rotation(gravity_c0: np.ndarray) -> np.ndarray:
     """q_w_c0 rotating the c0-frame gravity onto +z, with yaw pinned to zero."""
     g_dir = gravity_c0 / np.linalg.norm(gravity_c0)
     z = np.array([0.0, 0.0, 1.0])
@@ -274,14 +271,13 @@ def complete_initialization(
     velocities: np.ndarray,
     gravity_c0: np.ndarray,
     scale: float,
-    g_mag: float = GRAVITY_MAGNITUDE,
 ) -> tuple[InitializationResult, WorldFrameInit]:
     """Rotate the aligned solution into the gravity-aligned world frame.
 
     Output poses are metric, with the first body frame at the origin and the
     gravity vector mapped onto (0, 0, g).
     """
-    q_w_c0 = gravity_aligning_rotation(gravity_c0, g_mag)
+    q_w_c0 = gravity_aligning_rotation(gravity_c0)
     result = InitializationResult(
         gyro_bias=np.asarray(gyro_bias, dtype=float),
         velocities=np.asarray(velocities, dtype=float),
@@ -326,7 +322,6 @@ def run_alignment(
     frames: list[UpToScaleFrame],
     deltas: list[PreintegratedDelta],
     extrinsic: ExtrinsicCalib,
-    g_mag: float = GRAVITY_MAGNITUDE,
 ) -> tuple[InitializationResult, WorldFrameInit, list[PreintegratedDelta]]:
     """Full alignment pipeline: gyro bias, linear solve, gravity refinement,
     world-frame completion. Returns the re-propagated deltas as well."""
@@ -335,10 +330,6 @@ def run_alignment(
     new_bias = BiasState(np.zeros(3), gyro_bias)
     deltas = [d.repropagate(new_bias) for d in deltas]
     _, gravity_c0, _ = solve_velocity_gravity_scale(body, deltas, extrinsic)
-    gravity_c0, velocities, scale = refine_gravity(
-        gravity_c0, body, deltas, extrinsic, g_mag=g_mag
-    )
-    result, world = complete_initialization(
-        body, gyro_bias, velocities, gravity_c0, scale, g_mag=g_mag
-    )
+    gravity_c0, velocities, scale = refine_gravity(gravity_c0, body, deltas, extrinsic)
+    result, world = complete_initialization(body, gyro_bias, velocities, gravity_c0, scale)
     return result, world, deltas

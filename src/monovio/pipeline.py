@@ -19,7 +19,6 @@ import numpy as np
 from .estimator import (
     EstimatorConfig,
     EstimatorError,
-    FailureThresholds,
     ImuFrameState,
     LoopObservationSet,
     SlidingWindowEstimator,
@@ -54,8 +53,23 @@ from .posegraph import (
     verify_loop_candidate,
     vertex_from_state,
 )
-from .preintegration import NoiseParams, PreintegrationError, integrate_segment, segment_samples
+from .preintegration import (
+    GRAVITY,
+    NoiseParams,
+    PreintegrationError,
+    integrate_segment,
+    segment_samples,
+)
 from .simulator import LoopCandidate, ScenarioData
+
+MIN_INIT_TRACKED = 20
+# extrinsic refinement is weakly observable until the window has cycled;
+# keep it frozen (and exempt from failure checks) for this many frames
+EXTRINSIC_WARMUP_FRAMES = 15
+# keyframes marginalized during the settling phase carry transient error
+# (bias and scale still converging); keep them out of the pose graph so
+# loops never anchor to them
+GRAPH_ADMISSION_DELAY = 60
 
 
 @dataclass
@@ -64,22 +78,12 @@ class PipelineConfig:
     # estimator's assumed IMU densities (floored: never zero even for
     # noise-free simulation, otherwise whitening degenerates)
     model_noise: NoiseParams = field(default_factory=lambda: NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
-    failure: FailureThresholds = field(default_factory=FailureThresholds)
     graph: PoseGraphConfig = field(default_factory=PoseGraphConfig)
     init_window: int = 10
-    min_init_tracked: int = 20
     enable_loops: bool = True
     test_mode: bool = True
     graph_capacity: int = 2000
     align_count: int = 150
-    g_mag: float = 9.81
-    # extrinsic refinement is weakly observable until the window has cycled;
-    # keep it frozen (and exempt from failure checks) for this many frames
-    extrinsic_warmup_frames: int = 15
-    # keyframes marginalized during the settling phase carry transient error
-    # (bias and scale still converging); keep them out of the pose graph so
-    # loops never anchor to them
-    graph_admission_delay: int = 60
     # one 4-DOF graph edge per crossing event: verified relocalizations inside
     # the cooldown keep feeding the estimator's loop terms but the redundant
     # edges (mutual scatter at the window-structure noise level) are not added
@@ -384,7 +388,6 @@ class VioPipeline:
         self._kf_reference: tuple[dict, float] | None = None
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops: list[_PendingLoop] = []
-        self._frame_is_kf: dict[int, bool] = {}
         self._window_out: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
         self._rate_out: list[tuple[float, np.ndarray, np.ndarray]] = []
         self._timers: dict[str, float] = {}
@@ -437,7 +440,7 @@ class VioPipeline:
     def _try_initialize(self, t, obs) -> bool:
         cfg = self.config
         sfm = self.sfm_by_time.get(round(t, 9))
-        if sfm is None or len(obs) < cfg.min_init_tracked:
+        if sfm is None or len(obs) < MIN_INIT_TRACKED:
             self._init_buffer.clear()
             return False
         self._init_buffer.append((t, sfm, obs))
@@ -457,7 +460,7 @@ class VioPipeline:
             if not excitation_gates(deltas, window_samples):
                 self._toc("init", t0)
                 return False
-            result, world, deltas = run_alignment(frames, deltas, self.extrinsic, cfg.g_mag)
+            result, world, deltas = run_alignment(frames, deltas, self.extrinsic)
         except PreintegrationError:
             # the window's IMU stream has a gap: start collecting after it
             self._init_buffer.clear()
@@ -495,8 +498,6 @@ class VioPipeline:
         self._kf_reference = (dict(self._init_buffer[-1][2]), t)
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops = []
-        for fid in self.est.frame_ids:
-            self._frame_is_kf[fid] = True
         self._record_window_output()
         self._toc("init", t0)
         return True
@@ -506,7 +507,7 @@ class VioPipeline:
     def _process_frame(self, t_prev, t, obs) -> bool:
         cfg = self.config
         self._frames_since_init += 1
-        warmed_up = self._frames_since_init > cfg.extrinsic_warmup_frames
+        warmed_up = self._frames_since_init > EXTRINSIC_WARMUP_FRAMES
         t0 = self._tic()
         bias = self.est.latest().bias
         try:
@@ -530,7 +531,6 @@ class VioPipeline:
 
         t0 = self._tic()
         self.est.add_frame(t, delta, obs, is_kf)
-        self._frame_is_kf[self.est.frame_ids[-1]] = is_kf
         self.est.triangulate_new_features()
         self._toc("window", t0)
 
@@ -576,10 +576,9 @@ class VioPipeline:
                 self._update_correction(pl, query_state, t)
                 pl.corrected = True
 
-        settling = self._frames_since_init <= cfg.extrinsic_warmup_frames + 2
+        settling = self._frames_since_init <= EXTRINSIC_WARMUP_FRAMES + 2
         failed, reason = detect_failure(
             self._last_output, self.est.latest(), self.est.tracked_feature_count(),
-            cfg.failure,
             None if settling else self._last_extrinsic,
             None if settling else self.est.extrinsic,
         )
@@ -596,7 +595,7 @@ class VioPipeline:
             rate_states = imu_forward_propagate(
                 ImuFrameState(t_prev, self._last_output.p, self._last_output.q,
                               self._last_output.v, self._last_output.bias),
-                seg, cfg.estimator.gravity,
+                seg, GRAVITY,
             )
             for ts, p, q, _ in rate_states:
                 pc_, qc_ = self._corrected_pose(p, q)
@@ -668,7 +667,7 @@ class VioPipeline:
         t0 = self._tic()
         for fid, state in self.est.pop_marginalized_keyframes():
             self.report.n_keyframes += 1
-            if self._frames_since_init <= self.config.graph_admission_delay:
+            if self._frames_since_init <= GRAPH_ADMISSION_DELAY:
                 continue  # settling-phase pose, keep it out of the graph
             p_g, q_g = self._corrected_pose(state.p, state.q)
             try:
@@ -705,9 +704,9 @@ class VioPipeline:
         cands = self.loops_by_query.get(round(t, 9), [])
         if not cands:
             return
-        query_fid = self.est.frame_ids[-1]
-        if not self._frame_is_kf.get(query_fid, False):
+        if not self.est.keyframe_flags[-1]:
             return
+        query_fid = self.est.frame_ids[-1]
         for cand in cands:
             self.report.loop_candidates += 1
             vid = self.driver.vertex_at_time(cand.candidate_t)

@@ -30,6 +30,11 @@ DEFAULT_EPIPOLAR_THRESHOLD = 1e-3
 DEFAULT_PNP_THRESHOLD = 3.0 / 460.0
 DEFAULT_MIN_INLIERS = 25
 DEFAULT_EDGE_FANOUT = 4
+HUBER_THRESHOLD = 1.0  # squared-norm scale for loop edges
+# loop information = identity * (inliers / min_inliers) * LOOP_WEIGHT_SCALE;
+# the scale makes loop constraints dominate the sequential-chain stiffness
+# so verified loops close to well under their own measurement noise
+LOOP_WEIGHT_SCALE = 100.0
 
 
 class PoseGraphError(RuntimeError):
@@ -390,11 +395,6 @@ _H_ENTRIES = np.array(
 class PoseGraphConfig:
     edge_fanout: int = DEFAULT_EDGE_FANOUT
     min_inliers: int = DEFAULT_MIN_INLIERS
-    huber_threshold: float = 1.0  # squared-norm scale for loop edges
-    # loop information = identity * (inliers / min_inliers) * loop_weight_scale;
-    # the scale makes loop constraints dominate the sequential-chain stiffness
-    # so verified loops close to well under their own measurement noise
-    loop_weight_scale: float = 100.0
     max_iterations: int = 25
     initial_lambda: float = 1e-6
     # stop once an accepted step lowers the cost by less than this fraction
@@ -463,7 +463,7 @@ class PoseGraph:
         is_loop = np.array([isinstance(e, LoopEdge) for e in edges], dtype=bool)
         base_w = np.array(
             [
-                max(e.inliers / self.config.min_inliers, 1.0) * self.config.loop_weight_scale
+                max(e.inliers / self.config.min_inliers, 1.0) * LOOP_WEIGHT_SCALE
                 if isinstance(e, LoopEdge)
                 else 1.0
                 for e in edges
@@ -515,7 +515,7 @@ class PoseGraph:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
-        th = cfg.huber_threshold
+        th = HUBER_THRESHOLD
         free = free_col >= 0
         dim = 4 * n_free
 
@@ -674,18 +674,21 @@ class PoseGraph:
         self.sequential_edges = [
             e for e in self.sequential_edges if e.from_id != vid and e.to_id != vid
         ]
-        R_m = self.vertices[vid].vio_rotation()
+        m = self.vertices[vid]
         # re-stitch by composing the measurement chains through the victim,
         # adding no edge between a pair that already has one
         present = {(e.from_id, e.to_id) for e in self.sequential_edges}
         for ein in incoming:
-            R_i = self.vertices[ein.from_id].vio_rotation()
+            # R_i^T R_m from the edge's own relative yaw, not from vio_yaw,
+            # which a loaded graph holds only as the optimized yaw
+            i = self.vertices[ein.from_id]
+            R_im = rot_zyx(i.roll, i.pitch, 0.0).T @ rot_zyx(m.roll, m.pitch, ein.rel_yaw)
             for eout in outgoing:
                 key = (ein.from_id, eout.to_id)
                 if key in present or ein.from_id == eout.to_id:
                     continue
                 present.add(key)
-                rel_p = ein.rel_p + R_i.T @ (R_m @ eout.rel_p)
+                rel_p = ein.rel_p + R_im @ eout.rel_p
                 rel_yaw = wrap_angle(ein.rel_yaw + eout.rel_yaw)
                 self.sequential_edges.append(
                     SequentialEdge(ein.from_id, eout.to_id, rel_p, rel_yaw)
@@ -733,6 +736,8 @@ class PoseGraph:
                     p = np.array([float(x) for x in parts[3:6]])
                     roll, pitch, yaw = (float(x) for x in parts[6:9])
                     seg = int(parts[9])
+                    if vid in graph.vertices:
+                        raise PoseGraphError(f"repeated VERTEX {vid} on line {lineno}")
                     graph.vertices[vid] = PoseGraphVertex(vid, t, p, yaw, roll, pitch, seg)
                     graph.order.append(vid)
                 elif parts[0] == "EDGE":
@@ -743,6 +748,8 @@ class PoseGraph:
                     rel_p = np.array([float(x) for x in parts[4:7]])
                     rel_yaw = float(parts[7])
                     inliers = int(parts[8])
+                    if from_id not in graph.vertices or to_id not in graph.vertices:
+                        raise PoseGraphError(f"EDGE names an unknown vertex on line {lineno}")
                     if kind == "LOOP":
                         graph.add_loop_edge(LoopEdge(from_id, to_id, rel_p, rel_yaw, inliers=inliers))
                     elif kind == "SEQ":

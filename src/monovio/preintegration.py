@@ -29,6 +29,11 @@ from .geometry import (
     small_angle_quat,
 )
 
+# g_w of the accelerometer model above
+GRAVITY_MAGNITUDE = 9.81  # m/s^2
+GRAVITY = np.array([0.0, 0.0, GRAVITY_MAGNITUDE])
+GRAVITY.setflags(write=False)  # shared by every module; never modified
+
 MAX_SAMPLE_GAP = 0.1  # seconds; larger steps are rejected as data gaps
 
 # first-order bias correction is valid only near the linearization point;
@@ -36,7 +41,7 @@ MAX_SAMPLE_GAP = 0.1  # seconds; larger steps are rejected as data gaps
 REPROP_ACCEL_THRESHOLD = 0.05  # m/s^2
 REPROP_GYRO_THRESHOLD = 0.01  # rad/s
 
-# default sanity bounds on bias norms
+# sanity bounds on bias norms
 MAX_ACCEL_BIAS = 2.0  # m/s^2
 MAX_GYRO_BIAS = 1.0  # rad/s
 
@@ -67,28 +72,24 @@ class BiasState:
     accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    max_accel: float = MAX_ACCEL_BIAS
-    max_gyro: float = MAX_GYRO_BIAS
-
     def __post_init__(self):
         self.accel = np.asarray(self.accel, dtype=float)
         self.gyro = np.asarray(self.gyro, dtype=float)
-        self.check(self.accel, self.gyro, self.max_accel, self.max_gyro)
+        self.check(self.accel, self.gyro)
 
     @staticmethod
-    def check(accel, gyro, max_accel: float = MAX_ACCEL_BIAS,
-              max_gyro: float = MAX_GYRO_BIAS) -> None:
+    def check(accel, gyro) -> None:
         """Raise ValueError unless every bias row (last axis) is finite and
-        inside the sanity bounds."""
+        inside the sanity bounds MAX_ACCEL_BIAS and MAX_GYRO_BIAS."""
         if not (np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
             raise ValueError("bias must be finite")
-        if np.any(np.linalg.norm(accel, axis=-1) >= max_accel):
+        if np.any(np.linalg.norm(accel, axis=-1) >= MAX_ACCEL_BIAS):
             raise ValueError("accelerometer bias exceeds sanity bound")
-        if np.any(np.linalg.norm(gyro, axis=-1) >= max_gyro):
+        if np.any(np.linalg.norm(gyro, axis=-1) >= MAX_GYRO_BIAS):
             raise ValueError("gyroscope bias exceeds sanity bound")
 
     def copy(self) -> "BiasState":
-        return BiasState(self.accel.copy(), self.gyro.copy(), self.max_accel, self.max_gyro)
+        return BiasState(self.accel.copy(), self.gyro.copy())
 
 
 @dataclass

@@ -16,9 +16,7 @@ import numpy as np
 from .estimator import FeatureTrack
 from .geometry import quat_canonical, quat_inverse, quat_mul, quat_rotate, tangent_basis
 from .initialization import ExtrinsicCalib, UpToScaleFrame
-from .preintegration import BiasState, ImuSample, NoiseParams
-
-GRAVITY_W = np.array([0.0, 0.0, 9.81])
+from .preintegration import GRAVITY, BiasState, ImuSample, NoiseParams
 
 
 def default_extrinsic() -> ExtrinsicCalib:
@@ -303,7 +301,7 @@ def synthesize_imu(gt: GroundTruth, noise: NoiseParams, bias0: BiasState, seed: 
     n_a = rng.standard_normal((n, 3)) * (noise.sigma_a / sq)
     n_w = rng.standard_normal((n, 3)) * (noise.sigma_w / sq)
 
-    specific_force = gt.a_world + GRAVITY_W
+    specific_force = gt.a_world + GRAVITY
     q_inv = quat_inverse(gt.q)
     accel_body = quat_rotate(q_inv, specific_force)
     accel = accel_body + bias_a + n_a

@@ -25,6 +25,9 @@ from monovio.estimator import (
 from monovio.initialization import ExtrinsicCalib
 from monovio.pipeline import TrackObservationIndex
 from monovio.preintegration import (
+    GRAVITY,
+    MAX_ACCEL_BIAS,
+    MAX_GYRO_BIAS,
     BiasState,
     ImuSample,
     NoiseParams,
@@ -350,8 +353,8 @@ class TestSolver:
         assert isinstance(rep, SolveReport) and rep.iterations >= 1
         assert rep.final_cost < rep.initial_cost
         for f in est.frames:
-            assert np.linalg.norm(f.bias.gyro) < f.bias.max_gyro
-            assert np.linalg.norm(f.bias.accel) < f.bias.max_accel
+            assert np.linalg.norm(f.bias.gyro) < MAX_GYRO_BIAS
+            assert np.linalg.norm(f.bias.accel) < MAX_ACCEL_BIAS
 
     def test_matches_independent_solver_on_small_problem(self):
         # 3-frame window, ground truth start, frame 0 and extrinsic frozen to
@@ -412,7 +415,7 @@ def _residual_stack(problem):
     out = []
     frames = problem.frame_states()
     for k in range(len(problem.deltas)):
-        r = imu_residual(problem.deltas[k], frames[k], frames[k + 1], problem.gravity)
+        r = imu_residual(problem.deltas[k], frames[k], frames[k + 1], GRAVITY)
         out.append(weight_residual(r, problem.deltas[k].P))
     for k in range(len(problem.v_feat)):
         fi = problem.v_feat[k]
@@ -559,7 +562,7 @@ class TestMarginalization:
             for f in est._optimized_features() if f.anchor_id() == ids[0]
         ]
         assert marg
-        r0, J0, J1 = imu_residual_jacobians(est.deltas[0], frames[0], frames[1], est.config.gravity)
+        r0, J0, J1 = imu_residual_jacobians(est.deltas[0], frames[0], frames[1], GRAVITY)
         P0 = est.deltas[0].P
 
         # columns: [frame 0, marginalized depths | frames 1.., extrinsic]
@@ -842,12 +845,12 @@ class TestImuResidualJacobiansInWindow:
         for f in est.frames:
             f.bias = BiasState(rng.normal(0.0, 0.05, 3), rng.normal(0.0, 0.01, 3))
         r, Jk, Jk1 = imu_residual_jacobians_batch(
-            StackedDeltas(est.deltas), *stack_states(est.frames), est.config.gravity
+            StackedDeltas(est.deltas), *stack_states(est.frames), GRAVITY
         )
         assert len(r) == len(est.deltas) == 7
         for k, delta in enumerate(est.deltas):
             assert np.all(est.frames[k].bias.gyro != delta.lin_bias.gyro)
-            ref = imu_residual_jacobians(delta, est.frames[k], est.frames[k + 1], est.config.gravity)
+            ref = imu_residual_jacobians(delta, est.frames[k], est.frames[k + 1], GRAVITY)
             for got, want in zip((r[k], Jk[k], Jk1[k]), ref):
                 tol = 1e-12 * max(1.0, np.abs(want).max())
                 np.testing.assert_allclose(got, want, rtol=0, atol=tol)
@@ -930,7 +933,7 @@ class TestImuResidualJacobiansInWindow:
         ref_cost += r @ r
 
         for k, delta in enumerate(problem.deltas):
-            r, Jk, Jk1 = imu_residual_jacobians(delta, frames[k], frames[k + 1], problem.gravity)
+            r, Jk, Jk1 = imu_residual_jacobians(delta, frames[k], frames[k + 1], GRAVITY)
             J = np.zeros((15, n))
             J[:, 15 * k : 15 * k + 15] = weight_residual(Jk, delta.P)
             J[:, 15 * k + 15 : 15 * k + 30] = weight_residual(Jk1, delta.P)

@@ -1,4 +1,5 @@
-"""Source hygiene: no module in src/ or tests/ imports a name it never uses."""
+"""Source hygiene: no module in src/ or tests/ imports a name it never uses,
+and no function in src/ takes a parameter it never reads."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,27 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of each def that its body (nested defs included) never
+    reads, an augmented assignment counting as a read; self, cls and names
+    starting with an underscore are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = set()
+        for n in (n for stmt in node.body for n in ast.walk(stmt)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+                read.add(n.target.id)
+        out += [f"{node.name}({p.arg}) (line {node.lineno})" for p in params
+                if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -57,3 +79,22 @@ def test_scanner_flags_unused_and_keeps_used():
         "    return system.argv\n"
     )
     assert unused_imports(src) == ["e (line 3)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_parameter_scanner_flags_unread_and_keeps_read():
+    src = (
+        "class A:\n"
+        "    def m(self, x, _y, *args, z=1, **kw):\n"
+        "        def inner(cls):\n"
+        "            return x\n"
+        "        z = 2\n"
+        "        kw += 1\n"
+        "        return inner\n"
+    )
+    assert unused_parameters(src) == ["m(args) (line 2)", "m(z) (line 2)"]

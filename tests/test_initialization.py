@@ -13,9 +13,8 @@ from monovio.initialization import (
     run_alignment,
     solve_velocity_gravity_scale,
 )
-from monovio.preintegration import BiasState, NoiseParams, integrate_segment, segment_samples
+from monovio.preintegration import GRAVITY, BiasState, NoiseParams, integrate_segment, segment_samples
 from monovio.simulator import (
-    GRAVITY_W,
     ScenarioConfig,
     camera_pose_at,
     camera_times,
@@ -137,7 +136,7 @@ class TestLinearAlignment:
         vel, g_c0, s = solve_velocity_gravity_scale(body, deltas, cfg.extrinsic)
         assert abs(s - 3.3) / 3.3 < 1e-3
         q0, _ = camera_pose_at(cfg, 0.0)
-        g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY_W)
+        g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY)
         ang = np.arccos(np.clip(g_c0 @ g_true / (np.linalg.norm(g_c0) * 9.81), -1, 1))
         assert np.rad2deg(ang) < 0.1
 
@@ -173,7 +172,7 @@ class TestGravityRefinement:
         _, frames, deltas, _ = make_window(cfg)
         body = camera_to_body_poses(frames, cfg.extrinsic)
         q0, _ = camera_pose_at(cfg, 0.0)
-        g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY_W)
+        g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY)
         return cfg, body, deltas, g_true
 
     def test_magnitude_constrained_exactly(self):
@@ -263,7 +262,7 @@ class TestEndToEnd:
         assert np.linalg.norm(res.gyro_bias - true_bw) < 1e-3
         assert abs(res.scale - 3.3) / 3.3 < 1e-3
         q0, _ = camera_pose_at(cfg, 0.0)
-        g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY_W)
+        g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY)
         ang = np.arccos(np.clip(res.gravity_c0 @ g_true / (9.81 * 9.81), -1, 1))
         assert ang < 1e-3
         # velocities against ground truth (norms are frame-invariant)

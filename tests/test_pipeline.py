@@ -9,6 +9,7 @@ from monovio import dataio
 from monovio.cli import main as cli_main
 from monovio.estimator import EstimatorError, FeatureTrack, SlidingWindowEstimator
 from monovio.pipeline import (
+    EXTRINSIC_WARMUP_FRAMES,
     GraphDriver,
     PipelineConfig,
     TrackObservationIndex,
@@ -188,7 +189,7 @@ class TestPipeline:
         rep = pipeline_from_scenario(build_scenario(cfg), pc).run()
         assert rep.init_events
         # the run ends while extrinsic refinement is still held back
-        assert rep.n_frames < pc.init_window + pc.extrinsic_warmup_frames
+        assert rep.n_frames < pc.init_window + EXTRINSIC_WARMUP_FRAMES
         assert pc.estimator.optimize_extrinsic is True
 
     def test_blackout_triggers_failure_and_new_segment(self):

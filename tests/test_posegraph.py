@@ -5,7 +5,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from monovio import geometry as geo
+from monovio.cli import main as cli_main
 from monovio.posegraph import (
+    HUBER_THRESHOLD,
+    LOOP_WEIGHT_SCALE,
     CorrespondenceSet,
     DegenerateGeometryError,
     LoopEdge,
@@ -341,8 +344,8 @@ def dense_normal_equations(g, fixed, h=1e-6):
                 J[:, col[v.vid] + k] = (moved[0] - moved[1]) / (2 * h)
         w = 1.0
         if isinstance(e, LoopEdge):
-            w = max(e.inliers / cfg.min_inliers, 1.0) * cfg.loop_weight_scale
-            x = w * (r @ r) / cfg.huber_threshold
+            w = max(e.inliers / cfg.min_inliers, 1.0) * LOOP_WEIGHT_SCALE
+            x = w * (r @ r) / HUBER_THRESHOLD
             huber_args.append(x)
             if x > 1.0:
                 w /= np.sqrt(x)
@@ -506,6 +509,33 @@ class TestDownsample:
             np.testing.assert_allclose(e.rel_p, direct_p, atol=1e-10)
             assert abs(geo.wrap_angle(e.rel_yaw - direct_yaw)) < 1e-10
 
+    def test_restitched_edges_same_after_save_and_load(self, tmp_path):
+        # odometry whose yaw drifts 10 degrees around the circle, closed by a
+        # truthful loop edge: the optimized yaw, which is all a loaded graph
+        # keeps, differs from the odometry yaw the edges were measured in
+        n = 30
+        g = PoseGraph()
+        for k in range(n):
+            th = 2 * np.pi * k / (n - 1)
+            drift = np.deg2rad(10.0) * k / (n - 1)
+            p = geo.rot_zyx(0.0, 0.0, drift) @ np.array([np.cos(th), np.sin(th), 0.1 * np.sin(2 * th)])
+            q = geo.rot_to_quat(geo.rot_zyx(0.05 * np.sin(th), 0.04 * np.cos(th), th + np.pi / 2 + drift))
+            g.add_keyframe(vertex_from_state(k, 0.1 * k, p, q))
+        g.add_loop_edge(LoopEdge(0, n - 1, np.zeros(3), 0.0, inliers=50))
+        g.optimize()
+        path = tmp_path / "graph.txt"
+        g.save(path)
+        loaded = PoseGraph.load(path)
+        g.downsample(12, seed=3)
+        loaded.downsample(12, seed=3)
+        assert loaded.order == g.order
+        edges = {(e.from_id, e.to_id): e for e in g.sequential_edges}
+        assert sorted(edges) == sorted((e.from_id, e.to_id) for e in loaded.sequential_edges)
+        for e in loaded.sequential_edges:
+            ref = edges[(e.from_id, e.to_id)]
+            np.testing.assert_allclose(e.rel_p, ref.rel_p, rtol=0, atol=1e-6)
+            assert abs(geo.wrap_angle(e.rel_yaw - ref.rel_yaw)) < 1e-6
+
     def test_uniform_line_spacing_statistics(self):
         # uniform line at capacity: surviving spacing stays statistically
         # uniform (no systematic clustering)
@@ -525,6 +555,13 @@ class TestDownsample:
         # mean spacing doubles; dispersion stays moderate for density-guided removal
         assert np.mean(gaps) == pytest.approx(0.2, rel=0.05)
         assert np.std(gaps) / np.mean(gaps) < 0.8
+
+
+INCONSISTENT_GRAPHS = {
+    "repeated_vertex": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\nVERTEX 0 2 2 0 0 0 0 0 0\n",
+    "edge_to_unknown_vertex": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
+                              "EDGE SEQ 0 7 1 0 0 0 0\n",
+}
 
 
 class TestSerialization:
@@ -548,3 +585,15 @@ class TestSerialization:
         path.write_text("VERTEX 0 0.0 1.0\n")
         with pytest.raises(PoseGraphError):
             PoseGraph.load(path)
+
+    @pytest.mark.parametrize("text", INCONSISTENT_GRAPHS.values(), ids=INCONSISTENT_GRAPHS.keys())
+    def test_inconsistent_records_rejected(self, tmp_path, text, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(PoseGraphError, match="line 3"):
+            PoseGraph.load(path)
+        rc = cli_main(["posegraph", "--input", str(path), "--output", str(tmp_path / "out.txt"),
+                       "--optimize"])
+        assert rc == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()

@@ -3,9 +3,8 @@ import pytest
 
 from monovio import geometry as geo
 from monovio.estimator import triangulate_feature
-from monovio.preintegration import BiasState, NoiseParams, integrate_segment, segment_samples
+from monovio.preintegration import GRAVITY, BiasState, NoiseParams, integrate_segment, segment_samples
 from monovio.simulator import (
-    GRAVITY_W,
     ScenarioConfig,
     build_scenario,
     camera_pose_at,
@@ -110,7 +109,7 @@ class TestImuSynthesis:
         gt = make_ground_truth(cfg)
         samples, _ = synthesize_imu(gt, NO_NOISE, cfg.bias0, seed=4)
         cam = camera_times(cfg)
-        g = GRAVITY_W
+        g = GRAVITY
         for k in range(4, 10):
             t0, t1 = cam[k], cam[k + 1]
             seg = segment_samples(samples, t0, t1)
