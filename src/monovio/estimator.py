@@ -4,7 +4,9 @@ Window states (poses, velocities, biases), camera-IMU extrinsic, and feature
 inverse depths are jointly optimized by damped Gauss-Newton over prior, IMU,
 visual, and loop-closure residuals. Old keyframes are marginalized into a
 Gaussian prior with the Schur complement; non-keyframes are dropped with
-their inertial data merged into the neighboring pre-integration.
+their inertial data merged into the neighboring pre-integration. Each damped
+step eliminates the inverse depths, whose block of the normal equations is
+diagonal, and solves the remaining pose system by Cholesky.
 
 Local parameterization: per frame (dp, dtheta, dv, dba, dbw) with attitude
 perturbed on the left in the world frame; extrinsic (dp, dtheta); one inverse
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .geometry import (
     quat_angle_between,
@@ -224,8 +227,8 @@ def robust_cost(s):
     return np.where(s <= 1.0, s, 2.0 * np.sqrt(np.maximum(s, 0.0)) - 1.0)
 
 
-def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float = 20.0,
-                      min_tracked: int = 30, focal: float = 460.0) -> bool:
+def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float, min_tracked: int,
+                      focal: float) -> bool:
     """Keyframe if rotation-compensated average parallax exceeds the threshold
     or too few features are tracked.
 
@@ -736,20 +739,49 @@ class SlidingWindowEstimator:
 
 
 # ---------------------------------------------------------------------------
-# dense window problem
+# window problem on the reduced camera system
+
+
+@dataclass
+class NormalBlocks:
+    """Gauss-Newton normal equations of a window, split at the depth columns.
+
+    The full system is [[H_pp, W^T], [W, diag(v)]] with gradient (b_p, b_l):
+    H_pp over the 15 per-frame and 6 extrinsic columns, W coupling each
+    inverse depth to those columns, and v the depth block, which is diagonal
+    because every visual row involves exactly one feature.
+    """
+
+    H_pp: np.ndarray  # (P, P)
+    W: np.ndarray  # (F, P)
+    v: np.ndarray  # (F,)
+    b_p: np.ndarray  # (P,)
+    b_l: np.ndarray  # (F,)
+
+
+def eliminate_depths(H_pp, b_p, W, b_l, inv_v):
+    """Schur complement of a diagonal depth block given its inverse inv_v:
+    the pose-and-extrinsic system left after minimizing over the depths."""
+    root = np.sqrt(inv_v)
+    A = W * root[:, None]
+    return H_pp - A.T @ A, b_p - A.T @ (root * b_l)
 
 
 class _WindowProblem:
-    """Dense normal equations over one window configuration.
+    """Normal equations over one window configuration, kept as NormalBlocks.
 
-    Variable layout: 15 per frame (dp, dtheta, dv, dba, dbw), then 6 extrinsic,
-    then one inverse depth per optimized feature.
+    Variable layout: 15 per frame (dp, dtheta, dv, dba, dbw), then 6 extrinsic
+    (together the feat_col pose columns), then one inverse depth per optimized
+    feature.
 
-    assemble() returns (H, b, cost) at the current iterate in one vectorized
-    pass per factor type: the prior's tangent map touches only its attitude
-    rows and columns; all IMU factors go through one batched kernel whitened
-    by each delta's cached sqrt_information; the visual blocks are summed
-    with np.bincount over index layouts fixed at construction.
+    evaluate() returns the robust cost at the current iterate with the
+    residual terms and geometry intermediates it computed; linearize() turns
+    those terms into NormalBlocks without recomputing them. The prior's
+    columns are the window's leading frames and the extrinsic, and its
+    Jacobian is one product over them; all IMU factors go through one batched
+    kernel whitened by each delta's cached sqrt_information; the visual rows
+    are summed with np.bincount over index layouts fixed at construction,
+    their pose columns into H_pp and their depth column into W, v and b_l.
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
@@ -821,15 +853,12 @@ class _WindowProblem:
         self.l_index = self._visual_index(self.l_anchor, None, self.l_feat)
 
         if self.prior is not None:
+            # marginalization keeps every frame after the oldest, so the
+            # prior's frames lead the window
             ids = self.prior.frame_ids
-            if any(fid not in id_to_idx for fid in ids):
-                raise EstimatorError("prior references a frame outside the window")
-            self.prior_idx = np.array([id_to_idx[fid] for fid in ids], dtype=int)
+            if ids != self.frame_ids[: len(ids)]:
+                raise EstimatorError("prior frames are not the window's leading frames")
             self.prior_lin = stack_states([self.prior.lin_frames[fid] for fid in ids])
-            self.prior_cols = np.concatenate(
-                [(15 * self.prior_idx[:, None] + np.arange(15)).ravel(), self.ext_col + np.arange(6)]
-            )
-            self.prior_info = self.prior.H.T @ self.prior.H
 
     # -- iterate management ----------------------------------------------------
 
@@ -881,7 +910,7 @@ class _WindowProblem:
         for fi, feat in enumerate(self.feats):
             feat.inv_depth = float(self.lam[fi])
 
-    # -- residuals ---------------------------------------------------------------
+    # -- evaluation ---------------------------------------------------------------
 
     def _frame_arrays(self):
         return quat_to_rot(self.q), self.p
@@ -905,38 +934,73 @@ class _WindowProblem:
         b1, b2 = tangent_basis(u_obs)
         B = np.stack([b1, b2], axis=2)  # (K, 3, 2)
         r = np.einsum("kir,ki->kr", B, u_obs - nvec) / self.sigma
-        aux = (R_bc, f_ci, f_bi, Ri, d_j, e_j, nP, nvec, B)
+        aux = (R_bc, lam, u_anchor, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec, B)
         return r, aux
 
     def _prior_residual(self):
         """Prior residual r_p + H_p d and the attitude blocks of the tangent
         map D (identity elsewhere) such that its Jacobian is H_p D: (N, 3, 3)
         for the prior's frames and (3, 3) for the extrinsic."""
-        i = self.prior_idx
-        d, Jth = local_difference((self.p[i], self.q[i], self.v[i], self.ba[i], self.bw[i]),
+        n = len(self.prior_lin[0])
+        d, Jth = local_difference((self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n]),
                                   self.prior_lin)
         d_ext, J_ext = extrinsic_difference(self.extrinsic, self.prior.lin_extrinsic)
         r = self.prior.r + self.prior.H @ np.concatenate([d.ravel(), d_ext])
         return r, Jth, J_ext
 
-    # -- assembly -----------------------------------------------------------------
+    def _imu_terms(self):
+        """Whitened residuals of all IMU factors and their unwhitened
+        Jacobians w.r.t. frames k and k + 1."""
+        n = len(self.imu) + 1
+        r, Jk, Jk1 = imu_residual_jacobians_batch(
+            self.imu, self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n], GRAVITY,
+        )
+        return np.einsum("kij,kj->ki", self.imu.sqrt_info, r), Jk, Jk1
+
+    def evaluate(self):
+        """Robustified cost at the current iterate, and the terms that
+        linearize() builds this iterate's normal equations from."""
+        prior = None if self.prior is None else self._prior_residual()
+        imu = self._imu_terms() if len(self.imu) else None
+        Rw, pw = self._frame_arrays()
+        sets = []
+        if len(self.v_feat):
+            sets.append((True, self.v_index, (self.v_anchor, Rw[self.v_obs], pw[self.v_obs],
+                                              self.v_feat, self.v_ua, self.v_uo)))
+        if len(self.l_feat):
+            sets.append((False, self.l_index, (self.l_anchor, self.l_R, self.l_p,
+                                               self.l_feat, self.l_ua, self.l_uo)))
+        visual, visual_cost = [], 0.0
+        for two_frames, index, args in sets:
+            r, aux = self._visual_terms(*args, Rw, pw)
+            s = np.sum(r * r, axis=1)
+            visual_cost += float(np.sum(robust_cost(s)))
+            visual.append((two_frames, index, r, s, aux))
+        cost = (
+            (0.0 if prior is None else float(prior[0] @ prior[0]))
+            + (0.0 if imu is None else float(np.sum(imu[0] * imu[0])))
+            + visual_cost
+        )
+        return cost, (prior, imu, visual)
+
+    # -- linearization --------------------------------------------------------------
 
     def _visual_index(self, anchor, obs_idx, feat_idx):
-        """Column indices of the stacked Jacobian blocks of _visual_jacobian,
-        and the flat indices of their outer products in H."""
+        """Pose columns of the Jacobian blocks of _visual_jacobian, whose last
+        column is the feature's depth, with the flat indices of their outer
+        products in H_pp and of their depth couplings in W."""
         blocks = [15 * anchor[:, None] + np.arange(6)]
         if obs_idx is not None:
             blocks.append(15 * obs_idx[:, None] + np.arange(6))
         blocks.append(np.broadcast_to(self.ext_col + np.arange(6), (len(anchor), 6)))
-        blocks.append(self.feat_col + feat_idx[:, None])
         cols = np.concatenate(blocks, axis=1)
-        return cols, (cols[:, :, None] * self.dim + cols[:, None, :]).ravel()
+        P = self.feat_col
+        flat_pp = (cols[:, :, None] * P + cols[:, None, :]).ravel()
+        return cols, flat_pp, (feat_idx[:, None] * P + cols).ravel(), feat_idx
 
-    def _visual_jacobian(self, anchor, obs_idx, obs_R, obs_p, feat_idx,
-                         u_anchor, u_obs, Rw, pw):
-        """Whitened residuals and Jacobian blocks laid out as _visual_index."""
-        r, aux = self._visual_terms(anchor, obs_R, obs_p, feat_idx, u_anchor, u_obs, Rw, pw)
-        R_bc, f_ci, f_bi, Ri, d_j, e_j, nP, nvec, B = aux
+    def _visual_jacobian(self, aux, two_frames: bool):
+        """Whitened Jacobian blocks laid out as _visual_index."""
+        R_bc, lam, u_anchor, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec, B = aux
         # M = d r / d P = -B^T (I - n n^T) / |P|, whitened
         Bt = np.swapaxes(B, 1, 2)
         Btn = np.einsum("kri,ki->kr", Bt, nvec)
@@ -944,13 +1008,12 @@ class _WindowProblem:
         MRbc = M @ R_bc.T  # d r / d e_j
         MA = MRbc @ np.swapaxes(obs_R, 1, 2)  # d r / d f_w
         MARi = MA @ Ri
-        lam = self.lam[feat_idx]
 
-        J = np.empty((len(r), 2, 13 if obs_idx is None else 19))
+        J = np.empty((len(nP), 2, 19 if two_frames else 13))
         J[:, :, 0:3] = MA
         J[:, :, 3:6] = -MA @ skew(np.einsum("kab,kb->ka", Ri, f_bi))
         c = 6
-        if obs_idx is not None:
+        if two_frames:
             J[:, :, 6:9] = -MA
             J[:, :, 9:12] = MA @ skew(d_j)
             c = 12
@@ -959,141 +1022,144 @@ class _WindowProblem:
         J[:, :, c + 6] = np.einsum(
             "krb,kb->kr", MARi, (u_anchor @ R_bc.T) * (-1.0 / lam**2)[:, None]
         )
-        return r, J
+        return J
 
-    def _scatter_visual(self, H, b, r, J, index) -> float:
-        """Accumulate Huber-reweighted blocks; returns their robust cost."""
-        cols, flat = index
-        s = np.sum(r * r, axis=1)
+    def _add_visual(self, blocks: NormalBlocks, r, s, J, index) -> None:
+        """Accumulate Huber-reweighted visual rows."""
+        cols, flat_pp, flat_w, feat = index
         sw = np.sqrt(huber_weight(s))
         Jw = J * sw[:, None, None]
-        JwT = np.swapaxes(Jw, 1, 2)
-        Hb = JwT @ Jw
-        bb = np.einsum("kir,kr->ki", JwT, r * sw[:, None])
-        n = self.dim
-        H += np.bincount(flat, Hb.ravel(), n * n).reshape(n, n)
-        b += np.bincount(cols.ravel(), bb.ravel(), n)
-        return float(np.sum(robust_cost(s)))
+        rw = r * sw[:, None]
+        Jp, Jl = Jw[:, :, :-1], Jw[:, :, -1]
+        P, F = len(blocks.b_p), len(blocks.b_l)
+        Hb = np.swapaxes(Jp, 1, 2) @ Jp
+        blocks.H_pp += np.bincount(flat_pp, Hb.ravel(), P * P).reshape(P, P)
+        Wb = np.einsum("kri,kr->ki", Jp, Jl)
+        blocks.W += np.bincount(flat_w, Wb.ravel(), F * P).reshape(F, P)
+        blocks.v += np.bincount(feat, np.einsum("kr,kr->k", Jl, Jl), F)
+        blocks.b_p += np.bincount(cols.ravel(), np.einsum("kri,kr->ki", Jp, rw).ravel(), P)
+        blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
 
-    def _add_prior(self, H, b) -> float:
-        """Accumulate the marginalization prior; returns its cost.
+    def _add_prior(self, blocks: NormalBlocks, rp, Jth, J_ext) -> None:
+        """Accumulate the marginalization prior, whose Jacobian is H_p D with
+        D the identity except on attitude blocks."""
+        JT = self.prior.H.T.copy()  # (H_p D)^T, mapped in place below
+        n = 15 * len(Jth)
+        att = JT[:n].reshape(len(Jth), 15, -1)[:, 3:6]
+        att[...] = np.swapaxes(Jth, 1, 2) @ att
+        JT[-3:] = J_ext.T @ JT[-3:]
+        JtJ = JT @ JT.T
+        g = JT @ rp
+        H, e = blocks.H_pp, self.ext_col
+        H[:n, :n] += JtJ[:n, :n]
+        H[:n, e:] += JtJ[:n, n:]
+        H[e:, :n] += JtJ[n:, :n]
+        H[e:, e:] += JtJ[n:, n:]
+        blocks.b_p[:n] += g[:n]
+        blocks.b_p[e:] += g[n:]
 
-        Its Jacobian is H_p D with D the identity except on attitude blocks,
-        so J^T J = D^T (H_p^T H_p) D and J^T r = D^T H_p^T r need only the
-        attitude rows of the constant information mapped."""
-        if self.prior is None:
-            return 0.0
-        rp, Jth, J_ext = self._prior_residual()
-
-        def map_rows(M):  # D^T M, on a C-ordered copy so the reshape is a view
-            M = np.array(M, order="C")
-            att = M[: 15 * len(Jth)].reshape(len(Jth), 15, -1)[:, 3:6]
-            att[...] = np.swapaxes(Jth, 1, 2) @ att
-            M[-3:] = J_ext.T @ M[-3:]
-            return M
-
-        cols = self.prior_cols
-        H[np.ix_(cols, cols)] += map_rows(map_rows(self.prior_info).T)
-        b[cols] += map_rows((self.prior.H.T @ rp)[:, None])[:, 0]
-        return float(rp @ rp)
-
-    def _add_imu(self, H, b) -> float:
-        """Accumulate all IMU factors of the problem; returns their cost."""
-        K = len(self.imu)
-        if K == 0:
-            return 0.0
+    def _add_imu(self, blocks: NormalBlocks, rw, Jk, Jk1) -> None:
+        """Accumulate all IMU factors of the problem."""
+        K = len(rw)
         n = K + 1
-        r, Jk, Jk1 = imu_residual_jacobians_batch(
-            self.imu, self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n], GRAVITY,
-        )
-        W = self.imu.sqrt_info
-        rw = np.einsum("kij,kj->ki", W, r)
-        J = W @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)
+        J = self.imu.sqrt_info @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)
         JT = np.swapaxes(J, 1, 2)
         Hb = JT @ J
         bb = np.einsum("kir,kr->ki", JT, rw)
         # factor k fills the 2x2 block of frames (k, k + 1)
-        Hv = H[: 15 * n, : 15 * n].reshape(n, 15, n, 15)
-        bv = b[: 15 * n].reshape(n, 15)
+        Hv = blocks.H_pp[: 15 * n, : 15 * n].reshape(n, 15, n, 15)
+        bv = blocks.b_p[: 15 * n].reshape(n, 15)
         k = np.arange(K)
         for i, ri in ((0, k), (1, k + 1)):
             bv[ri] += bb[:, 15 * i : 15 * i + 15]
             for j, rj in ((0, k), (1, k + 1)):
                 Hv[ri, :, rj, :] += Hb[:, 15 * i : 15 * i + 15, 15 * j : 15 * j + 15]
-        return float(np.sum(rw * rw))
 
-    def _add_visual(self, H, b) -> float:
-        """Accumulate the window and loop visual factors; returns their robust cost."""
-        cost = 0.0
-        Rw, pw = self._frame_arrays()
-        if len(self.v_feat):
-            r, J = self._visual_jacobian(
-                self.v_anchor, self.v_obs, Rw[self.v_obs], pw[self.v_obs],
-                self.v_feat, self.v_ua, self.v_uo, Rw, pw,
-            )
-            cost += self._scatter_visual(H, b, r, J, self.v_index)
-        if len(self.l_feat):
-            r, J = self._visual_jacobian(
-                self.l_anchor, None, self.l_R, self.l_p, self.l_feat,
-                self.l_ua, self.l_uo, Rw, pw,
-            )
-            cost += self._scatter_visual(H, b, r, J, self.l_index)
-        return cost
-
-    def assemble(self):
-        """Normal equations (H, b) and robustified cost at the current iterate."""
-        H = np.zeros((self.dim, self.dim))
-        b = np.zeros(self.dim)
-        cost = self._add_prior(H, b) + self._add_imu(H, b) + self._add_visual(H, b)
-        return H, b, cost
+    def linearize(self, terms) -> NormalBlocks:
+        """Normal equations at the iterate evaluate() returned terms for."""
+        prior, imu, visual = terms
+        P, F = self.feat_col, len(self.feats)
+        blocks = NormalBlocks(np.zeros((P, P)), np.zeros((F, P)), np.zeros(F),
+                              np.zeros(P), np.zeros(F))
+        if prior is not None:
+            self._add_prior(blocks, *prior)
+        if imu is not None:
+            self._add_imu(blocks, *imu)
+        for two_frames, index, r, s, aux in visual:
+            self._add_visual(blocks, r, s, self._visual_jacobian(aux, two_frames), index)
+        return blocks
 
     # -- damped Gauss-Newton ---------------------------------------------------
 
-    def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
-        """Damped Gauss-Newton over the variables selected by the boolean mask.
+    def damped_step(self, blocks: NormalBlocks, pose_mask: np.ndarray, lam: float) -> np.ndarray:
+        """Solution dx of (H_m + lam diag(max(diag H_m, 1e-12))) dx_m = -b_m
+        over the masked pose columns and every depth, zero elsewhere.
 
-        Each iterate is assembled once: the starting one, then each trial
-        iterate, whose (H, b) become the next iteration's system when its cost
-        does not rise. A trial whose cost rises, or whose step pushes a bias
-        past BiasState's sanity bound, is rejected: the iterate is restored
-        and the damping raised.
+        The damped depth block stays diagonal, so the depths are eliminated
+        first and the reduced pose system is solved by Cholesky; raises
+        LinAlgError when that system is not positive definite.
         """
+        H = blocks.H_pp[pose_mask][:, pose_mask]
+        W = blocks.W[:, pose_mask]
+        H[np.diag_indices_from(H)] += lam * np.maximum(np.diag(H), 1e-12)
+        v_lam = blocks.v + lam * np.maximum(blocks.v, 1e-12)
+        S, g = eliminate_depths(H, blocks.b_p[pose_mask], W, blocks.b_l, 1.0 / v_lam)
+        # numpy factors: scipy may link a BLAS of its own, whose thread pool,
+        # woken by a factorization of this size, contends with numpy's when
+        # the thread count is not pinned; its triangular solves stay serial
+        L = np.linalg.cholesky(S)
+        y = solve_triangular(L, -g, lower=True, check_finite=False)
+        dp = solve_triangular(L, y, trans="T", lower=True, check_finite=False)
+        dx = np.zeros(self.dim)
+        dx[: self.feat_col][pose_mask] = dp
+        dx[self.feat_col :] = -(blocks.b_l + W @ dp) / v_lam
+        return dx
+
+    def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
+        """Damped Gauss-Newton over the variables selected by the boolean
+        mask, which may hold pose and extrinsic columns constant but no depth.
+
+        Every trial iterate is evaluated for its cost. It is linearized only
+        when it is accepted and another iteration will step from it, so a
+        solve builds one system per iteration. A trial whose cost rises, or
+        whose step pushes a bias past BiasState's sanity bound, is rejected:
+        the iterate is restored and the damping raised, as it is when the
+        damped system is not positive definite.
+        """
+        if not np.all(mask[self.feat_col :]):
+            raise ValueError("inverse depths cannot be held constant")
+        pose_mask = mask[: self.feat_col]
         report = SolveReport()
-        H, b, cost = self.assemble()
+        cost, terms = self.evaluate()
         if not np.isfinite(cost):
             raise EstimatorError("non-finite cost at the initial iterate")
         report.costs.append(cost)
         if cost <= ABS_COST_TOL:
             report.termination = "converged"
             return report
+        blocks = self.linearize(terms)
         lam = INITIAL_LAMBDA
-        for _ in range(config.max_iterations):
-            Hm = H[np.ix_(mask, mask)]
-            bm = b[mask]
-            diag = np.diag(Hm).copy()
-            diag[diag < 1e-12] = 1e-12
+        for it in range(config.max_iterations):
             accepted = False
             rel = 0.0
             for _attempt in range(MAX_DAMPING_RETRIES):
                 try:
-                    step = np.linalg.solve(Hm + lam * np.diag(diag), -bm)
+                    dx = self.damped_step(blocks, pose_mask, lam)
                 except np.linalg.LinAlgError:
                     lam *= LAMBDA_UP
                     continue
-                if not np.all(np.isfinite(step)):
+                if not np.all(np.isfinite(dx)):
                     raise EstimatorError("non-finite Gauss-Newton step")
-                dx = np.zeros(self.dim)
-                dx[mask] = step
                 snap = self.snapshot()
                 try:
                     self.retract(dx)
                 except ValueError:  # a bias left its bound; iterate unchanged
                     lam *= LAMBDA_UP
                     continue
-                H_new, b_new, new_cost = self.assemble()
+                new_cost, new_terms = self.evaluate()
                 if np.isfinite(new_cost) and new_cost <= cost:
                     rel = (cost - new_cost) / max(cost, 1e-30)
-                    H, b, cost = H_new, b_new, new_cost
+                    cost, terms = new_cost, new_terms
                     report.costs.append(cost)
                     lam = max(lam / LAMBDA_DOWN, MIN_LAMBDA)
                     accepted = True
@@ -1107,6 +1173,8 @@ class _WindowProblem:
             if rel < config.rel_cost_tol or cost <= ABS_COST_TOL:
                 report.termination = "converged"
                 return report
+            if it + 1 < config.max_iterations:
+                blocks = self.linearize(terms)
         report.termination = "max_iterations"
         return report
 
@@ -1117,11 +1185,16 @@ class _WindowProblem:
         features (those anchored in it), consuming the old prior, the
         problem's IMU factors (only the oldest one, see _marginalize_oldest),
         and those visual factors (robust weights frozen at the current
-        estimate)."""
-        H, b, _ = self.assemble()
-        # eliminated block first: [frame 0, depths | frames 1.., extrinsic]
-        order = np.r_[0:15, self.feat_col : self.dim, 15 : self.feat_col]
-        H_red, b_red = schur_complement(H[np.ix_(order, order)], b[order], 15 + len(self.feats))
+        estimate). The depths are eliminated first by their diagonal Schur
+        complement, then frame 0 from the reduced system."""
+        blocks = self.linearize(self.evaluate()[1])
+        v = blocks.v
+        # like schur_complement's pseudo-inverse, a depth without information
+        # (no baseline to any observer) is dropped instead of inverted
+        keep = v > max(float(v.max(initial=0.0)) * 1e-12, 1e-14)
+        inv_v = np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
+        H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
+        H_red, b_red = schur_complement(H, b, 15)
         Hp, rp = information_sqrt(H_red, b_red)
         retained_ids = self.frame_ids[1:]
         lin_frames = dict(zip(retained_ids, self.frame_states()[1:]))

@@ -27,7 +27,6 @@ from .geometry import (
 
 DEFAULT_RANSAC_ITERATIONS = 200
 DEFAULT_EPIPOLAR_THRESHOLD = 1e-3
-DEFAULT_PNP_THRESHOLD = 3.0 / 460.0
 DEFAULT_MIN_INLIERS = 25
 DEFAULT_EDGE_FANOUT = 4
 HUBER_THRESHOLD = 1.0  # squared-norm scale for loop edges
@@ -270,7 +269,7 @@ def _refine_pnp(R, t, points, rays, iterations=10):
 def ransac_pnp(
     points: np.ndarray,
     rays: np.ndarray,
-    threshold: float = DEFAULT_PNP_THRESHOLD,
+    threshold: float,
     iterations: int = DEFAULT_RANSAC_ITERATIONS,
     seed: int = 0,
 ):
@@ -315,8 +314,8 @@ def ransac_pnp(
 def verify_loop_candidate(
     correspondences: CorrespondenceSet,
     points_by_id: dict[int, np.ndarray],
+    pnp_threshold: float,
     epipolar_threshold: float = DEFAULT_EPIPOLAR_THRESHOLD,
-    pnp_threshold: float = DEFAULT_PNP_THRESHOLD,
     iterations: int = DEFAULT_RANSAC_ITERATIONS,
     min_inliers: int = DEFAULT_MIN_INLIERS,
     seed: int = 0,
@@ -325,7 +324,9 @@ def verify_loop_candidate(
 
     Stage 1 tests the ray pairs against an epipolar model; stage 2 tests the
     surviving matches against the window's 3D structure with an absolute-pose
-    model. Candidates without enough inliers are rejected (None).
+    model, whose inlier gate pnp_threshold is an angle between rays in radians
+    (pixels over the focal length). Candidates without enough inliers are
+    rejected (None).
     """
     try:
         _, mask_f = ransac_fundamental(
@@ -732,10 +733,12 @@ class PoseGraph:
                 if parts[0] == "VERTEX":
                     if len(parts) != 10:
                         raise PoseGraphError(f"malformed VERTEX on line {lineno}")
-                    vid, t = int(parts[1]), float(parts[2])
-                    p = np.array([float(x) for x in parts[3:6]])
-                    roll, pitch, yaw = (float(x) for x in parts[6:9])
-                    seg = int(parts[9])
+                    try:
+                        vid, t, seg = int(parts[1]), float(parts[2]), int(parts[9])
+                        p = np.array([float(x) for x in parts[3:6]])
+                        roll, pitch, yaw = (float(x) for x in parts[6:9])
+                    except ValueError:
+                        raise PoseGraphError(f"non-numeric VERTEX field on line {lineno}") from None
                     if vid in graph.vertices:
                         raise PoseGraphError(f"repeated VERTEX {vid} on line {lineno}")
                     graph.vertices[vid] = PoseGraphVertex(vid, t, p, yaw, roll, pitch, seg)
@@ -744,10 +747,12 @@ class PoseGraph:
                     if len(parts) != 9:
                         raise PoseGraphError(f"malformed EDGE on line {lineno}")
                     kind = parts[1]
-                    from_id, to_id = int(parts[2]), int(parts[3])
-                    rel_p = np.array([float(x) for x in parts[4:7]])
-                    rel_yaw = float(parts[7])
-                    inliers = int(parts[8])
+                    try:
+                        from_id, to_id, inliers = int(parts[2]), int(parts[3]), int(parts[8])
+                        rel_p = np.array([float(x) for x in parts[4:7]])
+                        rel_yaw = float(parts[7])
+                    except ValueError:
+                        raise PoseGraphError(f"non-numeric EDGE field on line {lineno}") from None
                     if from_id not in graph.vertices or to_id not in graph.vertices:
                         raise PoseGraphError(f"EDGE names an unknown vertex on line {lineno}")
                     if kind == "LOOP":

@@ -126,7 +126,7 @@ class TestKeyframeDecision:
         # rays 25/460 rad apart with identity compensation
         ang = 25.0 / 460.0
         pairs = [(np.array([0, 0, 1.0]), np.array([np.sin(ang), 0, np.cos(ang)]))] * 40
-        assert keyframe_decision(pairs, geo.quat_identity(), parallax_px=20.0)
+        assert keyframe_decision(pairs, geo.quat_identity(), 20.0, 30, 460.0)
 
     def test_pure_rotation_compensated_away(self):
         rng = np.random.default_rng(0)
@@ -138,12 +138,12 @@ class TestKeyframeDecision:
             u_cur[2] = abs(u_cur[2]) + 1
             u_cur /= np.linalg.norm(u_cur)
             pairs.append((R @ u_cur, u_cur))  # raw parallax large, compensated zero
-        assert not keyframe_decision(pairs, q_rel, parallax_px=20.0)
-        assert keyframe_decision(pairs, geo.quat_identity(), parallax_px=20.0)
+        assert not keyframe_decision(pairs, q_rel, 20.0, 30, 460.0)
+        assert keyframe_decision(pairs, geo.quat_identity(), 20.0, 30, 460.0)
 
     def test_low_track_count(self):
         pairs = [(np.array([0, 0, 1.0]), np.array([0, 0, 1.0]))] * 15
-        assert keyframe_decision(pairs, geo.quat_identity(), min_tracked=30)
+        assert keyframe_decision(pairs, geo.quat_identity(), 20.0, 30, 460.0)
 
 
 class TestTriangulation:
@@ -771,6 +771,58 @@ class TestFailureDetection:
         assert not failed and reason is None
 
 
+def loop_window_problem():
+    """Window problem with a prior, every IMU factor and one loop set, every
+    state moved off its linearization point, and one loop correspondence an
+    outlier on the Huber branch. Returns (problem, loop)."""
+    from monovio.estimator import _WindowProblem
+
+    cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=20, pixel_sigma_px=1.5,
+                         noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
+    data = build_scenario(cfg)
+    est, cam = seeded_estimator(cfg, data)
+    est.build_and_solve()
+    t_new = camera_times(cfg)[11]
+    delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
+    est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+    est.triangulate_new_features()
+    assert est.prior is not None
+    # move every state off the prior's and the deltas' linearization points
+    rng = np.random.default_rng(7)
+    for f in est.frames:
+        f.p = f.p + rng.normal(0.0, 0.003, 3)
+        f.q = geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), f.q)
+        f.v = f.v + rng.normal(0.0, 0.01, 3)
+        f.bias = BiasState(rng.normal(0.0, 0.02, 3), rng.normal(0.0, 0.005, 3))
+    est.extrinsic = ExtrinsicCalib(
+        est.extrinsic.p_b_c + rng.normal(0.0, 0.003, 3),
+        geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), est.extrinsic.q_b_c),
+    )
+    feats = est._optimized_features()
+
+    # loop frame: the ground-truth body pose at t = 0.1 s, between the
+    # first two camera frames; one correspondence is turned 3 deg to make
+    # an outlier
+    ext = est.extrinsic
+    gt = data.ground_truth
+    i = int(round(0.1 * cfg.imu_rate))
+    q_wc = geo.quat_mul(gt.q[i], ext.q_b_c)
+    p_wc = gt.p[i] + geo.quat_rotate(gt.q[i], ext.p_b_c)
+    pairs = []
+    for f in feats[:12]:
+        ray = geo.quat_rotate(geo.quat_inverse(q_wc), gt.landmarks[f.fid] - p_wc)
+        pairs.append((f.fid, ray / np.linalg.norm(ray)))
+    pairs[0] = (pairs[0][0], geo.quat_rotate(geo.quat_exp([0.0, np.deg2rad(3.0), 0.0]), pairs[0][1]))
+    loop = LoopObservationSet(gt.q[i], gt.p[i], pairs)
+    return _WindowProblem(est, feats, [loop]), loop
+
+
+def dense_system(blocks):
+    """NormalBlocks as one dense (H, b) over [poses, extrinsic | depths]."""
+    H = np.block([[blocks.H_pp, blocks.W.T], [blocks.W, np.diag(blocks.v)]])
+    return H, np.concatenate([blocks.b_p, blocks.b_l])
+
+
 class TestImuResidualJacobiansInWindow:
     def test_analytic_jacobians_in_assembled_problem(self):
         # cross-check: batched assembly equals the scalar reference residual
@@ -809,7 +861,8 @@ class TestImuResidualJacobiansInWindow:
         from monovio.estimator import _WindowProblem
 
         problem = _WindowProblem(est, feats, [])
-        H, b, cost = problem.assemble()
+        blocks = problem.linearize(problem.evaluate()[1])
+        b = np.concatenate([blocks.b_p, blocks.b_l])
         h = 1e-6
         base = problem.snapshot()
         rng = np.random.default_rng(0)
@@ -818,10 +871,10 @@ class TestImuResidualJacobiansInWindow:
             e[idx] = h
             problem.restore(base)
             problem.retract(e)
-            cp = problem.assemble()[2]
+            cp = problem.evaluate()[0]
             problem.restore(base)
             problem.retract(-e)
-            cm = problem.assemble()[2]
+            cm = problem.evaluate()[0]
             problem.restore(base)
             g_num = (cp - cm) / (2 * h)
             # b is J^T W r, gradient of ||r||^2-style cost is 2 b
@@ -856,58 +909,22 @@ class TestImuResidualJacobiansInWindow:
                 np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
     def test_assembly_matches_dense_reference(self):
-        # (H, b, cost) of one assemble() against J^T J, J^T r and the summed
-        # cost of a dense Jacobian stacked from the scalar primitives: the
-        # prior, every IMU factor, window and loop visual rows
-        from monovio.estimator import _WindowProblem
+        # (H, b, cost) of one evaluate() and linearize() against J^T J, J^T r
+        # and the summed cost of a dense Jacobian stacked from the scalar
+        # primitives: the prior, every IMU factor, window and loop visual rows
         from monovio.preintegration import imu_residual_jacobians, weight_residual
 
-        cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=20, pixel_sigma_px=1.5,
-                             noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
-        data = build_scenario(cfg)
-        est, cam = seeded_estimator(cfg, data)
-        est.build_and_solve()
-        t_new = camera_times(cfg)[11]
-        delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
-        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
-        est.triangulate_new_features()
-        assert est.prior is not None
-        # move every state off the prior's and the deltas' linearization points
-        rng = np.random.default_rng(7)
-        for f in est.frames:
-            f.p = f.p + rng.normal(0.0, 0.003, 3)
-            f.q = geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), f.q)
-            f.v = f.v + rng.normal(0.0, 0.01, 3)
-            f.bias = BiasState(rng.normal(0.0, 0.02, 3), rng.normal(0.0, 0.005, 3))
-        est.extrinsic = ExtrinsicCalib(
-            est.extrinsic.p_b_c + rng.normal(0.0, 0.003, 3),
-            geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), est.extrinsic.q_b_c),
-        )
-        feats = est._optimized_features()
-
-        # loop frame: the ground-truth body pose at t = 0.1 s, between the
-        # first two camera frames; one correspondence is turned 3 deg to make
-        # an outlier
-        ext = est.extrinsic
-        gt = data.ground_truth
-        i = int(round(0.1 * cfg.imu_rate))
-        q_wc = geo.quat_mul(gt.q[i], ext.q_b_c)
-        p_wc = gt.p[i] + geo.quat_rotate(gt.q[i], ext.p_b_c)
-        pairs = []
-        for f in feats[:12]:
-            ray = geo.quat_rotate(geo.quat_inverse(q_wc), gt.landmarks[f.fid] - p_wc)
-            pairs.append((f.fid, ray / np.linalg.norm(ray)))
-        pairs[0] = (pairs[0][0], geo.quat_rotate(geo.quat_exp([0.0, np.deg2rad(3.0), 0.0]), pairs[0][1]))
-        loop = LoopObservationSet(gt.q[i], gt.p[i], pairs)
-        problem = _WindowProblem(est, feats, [loop])
-        H, b, cost = problem.assemble()
+        problem, loop = loop_window_problem()
+        cost, terms = problem.evaluate()
+        H, b = dense_system(problem.linearize(terms))
+        ext = problem.extrinsic
 
         n = problem.dim
         frames = problem.frame_states()
         rows, res = [], []
         ref_cost = 0.0
 
-        prior = est.prior
+        prior = problem.prior
         D = np.eye(prior.columns())
         d = np.zeros(prior.columns())
         pcols = []
@@ -975,3 +992,22 @@ class TestImuResidualJacobiansInWindow:
         np.testing.assert_allclose(H, H_ref, rtol=0, atol=1e-9 * np.abs(H_ref).max())
         np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-9 * np.abs(b_ref).max())
         assert cost == pytest.approx(ref_cost, rel=1e-10, abs=0)
+
+    def test_reduced_step_equals_dense_damped_step(self):
+        # the Schur/Cholesky step against np.linalg.solve on the dense damped
+        # system rebuilt from the blocks, whose depth diagonal is damped like
+        # the rest; with the extrinsic free and held, at two dampings
+        problem, _ = loop_window_problem()
+        blocks = problem.linearize(problem.evaluate()[1])
+        H, b = dense_system(blocks)
+        full = np.ones(problem.dim, dtype=bool)
+        no_ext = full.copy()
+        no_ext[problem.ext_col : problem.ext_col + 6] = False
+        for mask in (full, no_ext):
+            Hm = H[np.ix_(mask, mask)]
+            for lam in (1e-4, 1e-1):
+                ref = np.zeros(problem.dim)
+                damped = Hm + lam * np.diag(np.maximum(np.diag(Hm), 1e-12))
+                ref[mask] = np.linalg.solve(damped, -b[mask])
+                dx = problem.damped_step(blocks, mask[: problem.feat_col], lam)
+                np.testing.assert_allclose(dx, ref, rtol=0, atol=1e-6 * np.abs(ref).max())

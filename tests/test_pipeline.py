@@ -7,7 +7,7 @@ import pytest
 
 from monovio import dataio
 from monovio.cli import main as cli_main
-from monovio.estimator import EstimatorError, FeatureTrack, SlidingWindowEstimator
+from monovio.estimator import EstimatorError, FeatureTrack, SlidingWindowEstimator, _WindowProblem
 from monovio.pipeline import (
     EXTRINSIC_WARMUP_FRAMES,
     GraphDriver,
@@ -191,6 +191,30 @@ class TestPipeline:
         # the run ends while extrinsic refinement is still held back
         assert rep.n_frames < pc.init_window + EXTRINSIC_WARMUP_FRAMES
         assert pc.estimator.optimize_extrinsic is True
+
+    def test_each_solve_linearizes_once_per_iteration(self, monkeypatch):
+        # an iterate is linearized only when a step is taken from it: the
+        # starting one and each accepted trial but the last
+        linearize, solve = _WindowProblem.linearize, _WindowProblem.solve
+        built, per_solve = [], []
+
+        def counted_linearize(problem, terms):
+            built.append(problem)
+            return linearize(problem, terms)
+
+        def counted_solve(problem, config, mask):
+            start = len(built)
+            report = solve(problem, config, mask)
+            per_solve.append((len(built) - start, report.iterations, report.termination))
+            return report
+
+        monkeypatch.setattr(_WindowProblem, "linearize", counted_linearize)
+        monkeypatch.setattr(_WindowProblem, "solve", counted_solve)
+        rep = pipeline_from_scenario(build_scenario(noisy_config(duration=8.0)),
+                                     PipelineConfig(enable_loops=False)).run()
+        assert rep.n_frames and len(per_solve) > 10
+        assert {"converged", "max_iterations"} <= {term for *_, term in per_solve}
+        assert all(n == iterations for n, iterations, _ in per_solve)
 
     def test_blackout_triggers_failure_and_new_segment(self):
         cfg = noisy_config(duration=30.0, blackout_start=12.0, blackout_duration=2.0)

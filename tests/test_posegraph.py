@@ -24,6 +24,9 @@ from monovio.posegraph import (
     vertex_from_state,
 )
 
+# absolute-pose inlier gate: 3 px at a 460 px focal length
+PNP_THRESHOLD = 3.0 / 460.0
+
 
 def two_view_scene(n=60, outlier_frac=0.0, seed=0, pure_rotation=False):
     """Synthetic ray correspondences between two cameras with labels."""
@@ -53,7 +56,7 @@ def two_view_scene(n=60, outlier_frac=0.0, seed=0, pure_rotation=False):
                 ang = np.arccos(np.clip(cand @ rays_b[i], -1, 1))
                 line = E @ cand
                 epi = abs(rays_a[i] @ line) / max(np.linalg.norm(line), 1e-12)
-                if ang > 5 * (3.0 / 460.0) and epi > 5e-3:
+                if ang > 5 * PNP_THRESHOLD and epi > 5e-3:
                     break
             rays_b[i] = cand
             labels[i] = False
@@ -89,7 +92,7 @@ class TestRansacFundamental:
 class TestRansacPnp:
     def test_noise_free_pose_recovery(self):
         X, _, rays_b, _, (R_a, p_a, R_b, p_b) = two_view_scene()
-        R, t, mask = ransac_pnp(X, rays_b, seed=2)
+        R, t, mask = ransac_pnp(X, rays_b, PNP_THRESHOLD, seed=2)
         assert mask.all()
         # ground truth world->camera: x_c = R_b^T (X - p_b)
         R_gt = R_b.T
@@ -100,12 +103,12 @@ class TestRansacPnp:
     def test_too_few_pairs(self):
         X, _, rays_b, _, _ = two_view_scene(n=5)
         with pytest.raises(PoseGraphError):
-            ransac_pnp(X, rays_b)
+            ransac_pnp(X, rays_b, PNP_THRESHOLD)
 
     def test_outliers_rejected_exactly(self):
         for seed in range(10):
             X, _, rays_b, labels, _ = two_view_scene(outlier_frac=0.3, seed=100 + seed)
-            _, _, mask = ransac_pnp(X, rays_b, seed=seed)
+            _, _, mask = ransac_pnp(X, rays_b, PNP_THRESHOLD, seed=seed)
             np.testing.assert_array_equal(mask, labels)
 
 
@@ -114,7 +117,7 @@ class TestVerification:
         X, ra, rb, labels, _ = two_view_scene(outlier_frac=0.3, seed=3)
         corr = CorrespondenceSet(np.arange(len(X)), ra, rb)
         points = {i: X[i] for i in range(len(X))}
-        out = verify_loop_candidate(corr, points, seed=3)
+        out = verify_loop_candidate(corr, points, PNP_THRESHOLD, seed=3)
         assert out is not None
         mask, (R, t) = out
         np.testing.assert_array_equal(mask, labels)
@@ -123,7 +126,7 @@ class TestVerification:
         X, ra, rb, labels, _ = two_view_scene(n=30, seed=4)
         corr = CorrespondenceSet(np.arange(len(X)), ra, rb)
         points = {i: X[i] for i in range(len(X))}
-        assert verify_loop_candidate(corr, points, min_inliers=50, seed=4) is None
+        assert verify_loop_candidate(corr, points, PNP_THRESHOLD, min_inliers=50, seed=4) is None
 
     def test_rejects_garbage(self):
         rng = np.random.default_rng(5)
@@ -133,7 +136,7 @@ class TestVerification:
         rb /= np.linalg.norm(rb, axis=1, keepdims=True)
         corr = CorrespondenceSet(np.arange(40), ra, rb)
         points = {i: rng.standard_normal(3) * 5 for i in range(40)}
-        assert verify_loop_candidate(corr, points, seed=5) is None
+        assert verify_loop_candidate(corr, points, PNP_THRESHOLD, seed=5) is None
 
 
 class TestEdges:
@@ -561,6 +564,9 @@ INCONSISTENT_GRAPHS = {
     "repeated_vertex": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\nVERTEX 0 2 2 0 0 0 0 0 0\n",
     "edge_to_unknown_vertex": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
                               "EDGE SEQ 0 7 1 0 0 0 0\n",
+    "non_numeric_vertex": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\nVERTEX 2 abc 0 0 0 0 0 0 0\n",
+    "non_numeric_edge": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
+                        "EDGE LOOP 0 1 1 0 0 0 x\n",
 }
 
 
