@@ -464,26 +464,6 @@ def extrinsic_difference(ext: ExtrinsicCalib, lin: ExtrinsicCalib):
     return d, Jth
 
 
-def marginalize_prior_only(prior: MarginalizationPrior, drop_frame_id: int):
-    """Remove one frame from a prior by Schur-eliminating its columns."""
-    if prior is None or drop_frame_id not in prior.frame_ids:
-        return prior
-    idx = prior.frame_ids.index(drop_frame_id)
-    n_cols = prior.columns()
-    drop = np.zeros(n_cols, dtype=bool)
-    drop[15 * idx : 15 * idx + 15] = True
-    order = np.concatenate([np.where(drop)[0], np.where(~drop)[0]])
-    H = prior.H.T @ prior.H
-    b = prior.H.T @ prior.r
-    H_red, b_red = schur_complement(H[np.ix_(order, order)], b[order], 15)
-    Hs, rs = information_sqrt(H_red, b_red)
-    if Hs.shape[0] == 0:
-        return None
-    ids = [fid for fid in prior.frame_ids if fid != drop_frame_id]
-    lin = {fid: prior.lin_frames[fid] for fid in ids}
-    return MarginalizationPrior(ids, lin, prior.lin_extrinsic, rs, Hs)
-
-
 # ---------------------------------------------------------------------------
 # sliding-window estimator
 
@@ -573,7 +553,8 @@ class SlidingWindowEstimator:
 
         Latest frame a keyframe: marginalize the oldest frame into the prior.
         Otherwise: drop the latest frame, discard its visual measurements, and
-        merge its IMU samples into the incoming delta.
+        merge its IMU samples into the incoming delta. The prior stays as it
+        is: it never holds the latest frame.
         """
         if self.keyframe_flags[-1]:
             self._marginalize_oldest()
@@ -583,7 +564,6 @@ class SlidingWindowEstimator:
         self.keyframe_flags.pop()
         tail_delta = self.deltas.pop()
         self._remove_frame_observations(dropped_id, old_cam_pose=None)
-        self.prior = marginalize_prior_only(self.prior, dropped_id)
         return merge_deltas(tail_delta, incoming_delta)
 
     def _remove_frame_observations(self, frame_id: int, old_cam_pose) -> None:

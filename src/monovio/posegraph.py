@@ -9,7 +9,9 @@ absolute-pose test against window structure).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -405,7 +407,11 @@ class PoseGraphConfig:
 
 
 class PoseGraph:
-    """Keyframe vertices with sequential and loop edges; 4-DOF optimization."""
+    """Keyframe vertices with sequential and loop edges; 4-DOF optimization.
+
+    An edge list is appended to or replaced, and an edge is not changed once
+    it is in one: optimize keeps the rows of the edges it has read.
+    """
 
     def __init__(self, config: PoseGraphConfig | None = None):
         self.config = config or PoseGraphConfig()
@@ -413,6 +419,7 @@ class PoseGraph:
         self.order: list[int] = []
         self.sequential_edges: list[SequentialEdge] = []
         self.loop_edges: list[LoopEdge] = []
+        self._rows: dict = {}  # edge list name -> (list, rows); see _edge_rows
 
     def __len__(self) -> int:
         return len(self.order)
@@ -422,10 +429,11 @@ class PoseGraph:
         keyframes with sequential edges."""
         if vertex.vid in self.vertices:
             raise PoseGraphError(f"duplicate vertex id {vertex.vid}")
-        prev = [v for v in self.order if self.vertices[v].segment == vertex.segment]
+        same = (v for v in reversed(self.order) if self.vertices[v].segment == vertex.segment)
+        prev = list(islice(same, max(self.config.edge_fanout, 0)))
         self.vertices[vertex.vid] = vertex
         self.order.append(vertex.vid)
-        for pid in prev[-self.config.edge_fanout :]:
+        for pid in reversed(prev):
             self.sequential_edges.append(
                 sequential_edge_from_vio(self.vertices[pid], vertex)
             )
@@ -442,35 +450,44 @@ class PoseGraph:
 
     # -- optimization -------------------------------------------------------
 
+    def _edge_rows(self) -> list[np.ndarray]:
+        """Rows (from id, to id, rel_p, rel_yaw, inliers) of the sequential
+        then the loop edges. Each edge is read once: a list's rows are
+        extended by the edges appended to it since the last call, and dropped
+        when the list object is replaced. An edge is not changed once added."""
+        tables = []
+        for name in ("sequential_edges", "loop_edges"):
+            edges = getattr(self, name)
+            held, rows = self._rows.get(name, (None, None))
+            if held is not edges or len(rows) > len(edges):
+                rows = np.zeros((0, 7))
+            if len(edges) > len(rows):
+                new = [(e.from_id, e.to_id, *e.rel_p, e.rel_yaw, getattr(e, "inliers", 0))
+                       for e in edges[len(rows):]]
+                rows = np.concatenate([rows, np.array(new, dtype=float)])
+            self._rows[name] = (edges, rows)
+            tables.append(rows)
+        return tables
+
     def _packed(self, fixed: set[int]):
         """Array views of the graph for batched optimization."""
-        order = self.order
-        idx = {vid: i for i, vid in enumerate(order)}
-        p = np.array([self.vertices[v].p for v in order])
-        yaw = np.array([self.vertices[v].yaw for v in order])
-        roll = np.array([self.vertices[v].roll for v in order])
-        pitch = np.array([self.vertices[v].pitch for v in order])
-        free_col = np.full(len(order), -1, dtype=int)
-        col = 0
-        for i, vid in enumerate(order):
-            if vid not in fixed:
-                free_col[i] = col
-                col += 1
-        edges = self.sequential_edges + self.loop_edges
-        fi = np.array([idx[e.from_id] for e in edges], dtype=int)
-        ti = np.array([idx[e.to_id] for e in edges], dtype=int)
-        rel_p = np.array([e.rel_p for e in edges]).reshape(-1, 3)
-        rel_yaw = np.array([e.rel_yaw for e in edges])
-        is_loop = np.array([isinstance(e, LoopEdge) for e in edges], dtype=bool)
-        base_w = np.array(
-            [
-                max(e.inliers / self.config.min_inliers, 1.0) * LOOP_WEIGHT_SCALE
-                if isinstance(e, LoopEdge)
-                else 1.0
-                for e in edges
-            ]
+        verts = [self.vertices[v] for v in self.order]
+        p = np.array([v.p for v in verts])
+        roll, pitch, yaw = np.array([(v.roll, v.pitch, v.yaw) for v in verts]).T.copy()
+        ids = np.array(self.order)
+        free = ~np.isin(ids, list(fixed))
+        free_col = np.where(free, np.cumsum(free) - 1, -1)
+        seq, loop = self._edge_rows()
+        rows = np.concatenate([seq, loop])
+        sorter = np.argsort(ids)
+        fi, ti = sorter[np.searchsorted(ids, rows[:, :2].T.astype(int), sorter=sorter)]
+        is_loop = np.arange(len(rows)) >= len(seq)
+        base_w = np.where(
+            is_loop, np.maximum(rows[:, 6] / self.config.min_inliers, 1.0) * LOOP_WEIGHT_SCALE, 1.0
         )
-        return p, yaw, roll, pitch, free_col, col, fi, ti, rel_p, rel_yaw, is_loop, base_w
+        # contiguous copies: strided columns slow every gather in linearize
+        return (p, yaw, roll, pitch, free_col, int(free.sum()), fi, ti,
+                np.ascontiguousarray(rows[:, 2:5]), rows[:, 5].copy(), is_loop, base_w)
 
     def optimize(self, fixed: set[int] | None = None) -> dict:
         """Levenberg-Marquardt over (p, yaw); roll/pitch stay constant.
@@ -637,21 +654,28 @@ class PoseGraph:
         distance to the surviving chain neighbors); vertices with loop
         constraints and segment anchors are always kept. Sequential
         connectivity is re-stitched by composing the removed vertex's edges.
+        The edge list keeps the surviving edges in their order, then the
+        stitched ones in the order they were made.
         """
         rng = np.random.default_rng(seed)
+        if len(self.order) <= capacity:
+            return 0
+        verts = [self.vertices[v] for v in self.order]
+        pos = np.array([v.p for v in verts])
+        seg = np.array([v.segment for v in verts])
+        removable = ~np.array([v.has_loop for v in verts])
+        removable[np.unique(seg, return_index=True)[1]] = False  # segment anchors
+        # live edges by key, in list order, and each vertex's edges by key
+        edges = dict(enumerate(self.sequential_edges))
+        keys = count(len(edges))
+        incoming = {v: {} for v in self.order}
+        outgoing = {v: {} for v in self.order}
+        for k, e in edges.items():
+            outgoing[e.from_id][k] = incoming[e.to_id][k] = e
+        pairs = Counter((e.from_id, e.to_id) for e in edges.values())
         removed = 0
-        anchors = {next(v for v in self.order if self.vertices[v].segment == s)
-                   for s in self.segments()}
-        while len(self.order) > capacity:
+        while len(self.order) > capacity and removable.any():
             n = len(self.order)
-            pos = np.array([self.vertices[v].p for v in self.order])
-            seg = np.array([self.vertices[v].segment for v in self.order])
-            removable = np.array(
-                [not self.vertices[v].has_loop and v not in anchors for v in self.order]
-            )
-            if not removable.any():
-                break
-            gaps = np.full(n, np.inf)
             fwd = np.linalg.norm(pos[1:] - pos[:-1], axis=1)
             same = seg[1:] == seg[:-1]
             prev_gap = np.full(n, np.nan)
@@ -664,38 +688,37 @@ class PoseGraph:
             total = dens.sum()
             if total <= 0:
                 break
-            victim = self.order[int(rng.choice(n, p=dens / total))]
-            self._remove_vertex(victim)
+            i = int(rng.choice(n, p=dens / total))
+            vid = self.order.pop(i)
+            pos, seg, removable = (np.delete(a, i, axis=0) for a in (pos, seg, removable))
+            m = self.vertices.pop(vid)
+            ins, outs = incoming.pop(vid), outgoing.pop(vid)
+            for k, e in ins.items():
+                del outgoing[e.from_id][k], edges[k]
+                pairs[e.from_id, vid] -= 1
+            for k, e in outs.items():
+                del incoming[e.to_id][k], edges[k]
+                pairs[vid, e.to_id] -= 1
+            # re-stitch by composing the measurement chains through the victim,
+            # adding no edge between a pair that already has one
+            for ein in ins.values():
+                # R_i^T R_m from the edge's own relative yaw, not from vio_yaw,
+                # which a loaded graph holds only as the optimized yaw
+                a = self.vertices[ein.from_id]
+                R_im = rot_zyx(a.roll, a.pitch, 0.0).T @ rot_zyx(m.roll, m.pitch, ein.rel_yaw)
+                for eout in outs.values():
+                    key = (ein.from_id, eout.to_id)
+                    if pairs[key] or ein.from_id == eout.to_id:
+                        continue
+                    pairs[key] += 1
+                    e = SequentialEdge(*key, ein.rel_p + R_im @ eout.rel_p,
+                                       wrap_angle(ein.rel_yaw + eout.rel_yaw))
+                    k = next(keys)
+                    edges[k] = outgoing[key[0]][k] = incoming[key[1]][k] = e
             removed += 1
+        self.sequential_edges = list(edges.values())
+        self._rows.pop("sequential_edges", None)  # frees the replaced list
         return removed
-
-    def _remove_vertex(self, vid: int) -> None:
-        incoming = [e for e in self.sequential_edges if e.to_id == vid]
-        outgoing = [e for e in self.sequential_edges if e.from_id == vid]
-        self.sequential_edges = [
-            e for e in self.sequential_edges if e.from_id != vid and e.to_id != vid
-        ]
-        m = self.vertices[vid]
-        # re-stitch by composing the measurement chains through the victim,
-        # adding no edge between a pair that already has one
-        present = {(e.from_id, e.to_id) for e in self.sequential_edges}
-        for ein in incoming:
-            # R_i^T R_m from the edge's own relative yaw, not from vio_yaw,
-            # which a loaded graph holds only as the optimized yaw
-            i = self.vertices[ein.from_id]
-            R_im = rot_zyx(i.roll, i.pitch, 0.0).T @ rot_zyx(m.roll, m.pitch, ein.rel_yaw)
-            for eout in outgoing:
-                key = (ein.from_id, eout.to_id)
-                if key in present or ein.from_id == eout.to_id:
-                    continue
-                present.add(key)
-                rel_p = ein.rel_p + R_im @ eout.rel_p
-                rel_yaw = wrap_angle(ein.rel_yaw + eout.rel_yaw)
-                self.sequential_edges.append(
-                    SequentialEdge(ein.from_id, eout.to_id, rel_p, rel_yaw)
-                )
-        del self.vertices[vid]
-        self.order.remove(vid)
 
     # -- serialization -----------------------------------------------------------
 
@@ -755,6 +778,8 @@ class PoseGraph:
                         raise PoseGraphError(f"non-numeric EDGE field on line {lineno}") from None
                     if from_id not in graph.vertices or to_id not in graph.vertices:
                         raise PoseGraphError(f"EDGE names an unknown vertex on line {lineno}")
+                    if from_id == to_id:
+                        raise PoseGraphError(f"EDGE joins a vertex to itself on line {lineno}")
                     if kind == "LOOP":
                         graph.add_loop_edge(LoopEdge(from_id, to_id, rel_p, rel_yaw, inliers=inliers))
                     elif kind == "SEQ":

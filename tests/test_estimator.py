@@ -17,7 +17,6 @@ from monovio.estimator import (
     imu_forward_propagate,
     information_sqrt,
     keyframe_decision,
-    marginalize_prior_only,
     schur_complement,
     triangulate_feature,
     visual_residual,
@@ -644,21 +643,6 @@ class TestMarginalization:
             i = int(round(t_new * cfg.imu_rate))
             assert np.linalg.norm(est.latest().p - gt.p[i]) < 0.02
         assert est.prior is not None
-
-    def test_marginalize_prior_only_drops_frame(self):
-        cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=13)
-        data = build_scenario(cfg)
-        est, cam = seeded_estimator(cfg, data)
-        est.build_and_solve()
-        all_cam = camera_times(cfg)
-        seg = segment_samples(data.imu, cam[-1], all_cam[11])
-        delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
-        est.add_frame(all_cam[11], delta, TrackObservationIndex(data.tracks)(all_cam[11]), True)
-        prior = est.prior
-        victim = prior.frame_ids[3]
-        reduced = marginalize_prior_only(prior, victim)
-        assert victim not in reduced.frame_ids
-        assert reduced.columns() == prior.columns() - 15
 
 
 class TestForwardPropagation:

@@ -216,6 +216,25 @@ class TestPipeline:
         assert {"converged", "max_iterations"} <= {term for *_, term in per_solve}
         assert all(n == iterations for n, iterations, _ in per_solve)
 
+    def test_dropping_a_non_keyframe_keeps_the_prior(self, monkeypatch):
+        # the dropped frame is the newest, which a prior never holds, so a
+        # slide that drops it leaves the prior the very same object
+        add_frame = SlidingWindowEstimator.add_frame
+        drops = []
+
+        def checked_add_frame(est, *args):
+            prior = est.prior
+            drop = len(est.frames) == est.capacity and not est.keyframe_flags[-1]
+            add_frame(est, *args)
+            if drop:
+                drops.append((prior, est.prior))
+
+        monkeypatch.setattr(SlidingWindowEstimator, "add_frame", checked_add_frame)
+        pipeline_from_scenario(build_scenario(noisy_config(duration=8.0)),
+                               PipelineConfig(enable_loops=False)).run()
+        assert sum(before is not None for before, _ in drops) >= 5
+        assert all(after is before for before, after in drops)
+
     def test_blackout_triggers_failure_and_new_segment(self):
         cfg = noisy_config(duration=30.0, blackout_start=12.0, blackout_duration=2.0)
         data = build_scenario(cfg)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from monovio.posegraph import (
     PoseGraphConfig,
     PoseGraphError,
     PoseGraphVertex,
+    SequentialEdge,
     edge_residual,
     ransac_fundamental,
     ransac_pnp,
@@ -229,6 +231,22 @@ class TestGraphOptimization:
         last_edges = [e for e in g.sequential_edges if e.to_id == 9]
         assert len(last_edges) == 4
 
+    def test_edges_over_interleaved_segments(self):
+        # reference rule: the last edge_fanout earlier vertices of the same
+        # segment, in insertion order
+        segments = np.random.default_rng(4).integers(0, 3, 40).tolist()
+        g = PoseGraph(PoseGraphConfig(edge_fanout=4))
+        expected = []
+        for vid, seg in enumerate(segments):
+            q = geo.rot_to_quat(geo.rot_zyx(0.03 * seg, -0.02, 0.1 * vid))
+            g.add_keyframe(vertex_from_state(vid, float(vid), np.array([vid, seg, 0.0]), q, segment=seg))
+            earlier = [u for u in range(vid) if segments[u] == seg]
+            expected += [(u, vid) for u in earlier[-4:]]
+        assert [(e.from_id, e.to_id) for e in g.sequential_edges] == expected
+        for e in g.sequential_edges:
+            ref = sequential_edge_from_vio(g.vertices[e.from_id], g.vertices[e.to_id])
+            assert np.array_equal(e.rel_p, ref.rel_p) and e.rel_yaw == ref.rel_yaw
+
     def test_duplicate_id_rejected(self):
         g = PoseGraph()
         g.add_keyframe(vertex_from_state(0, 0.0, np.zeros(3), geo.quat_identity()))
@@ -419,33 +437,91 @@ class FactorCounter:
         monkeypatch.setattr(spla, "spsolve", lambda *args, **kwargs: self.spsolved.append(1))
 
 
+def assert_closed_form_matches_dense_reference(g, monkeypatch):
+    """The first matrix optimize factors, at lambda = 0, and its gradient
+    equal dense_normal_equations, with the first vertex of every segment
+    fixed."""
+    fixed = {next(v for v in g.order if g.vertices[v].segment == s) for s in g.segments()}
+    H_ref, b_ref, _ = dense_normal_equations(g, fixed)
+    seen = {}
+
+    class Recorder:
+        def solve(self, rhs):
+            seen["b"] = -rhs
+            raise _Captured
+
+    def splu(A, **kwargs):
+        seen["H"] = A.toarray()
+        return Recorder()
+
+    # lambda = 0 makes the first factored matrix H itself
+    g.config = replace(g.config, initial_lambda=0.0)
+    monkeypatch.setattr(spla, "splu", splu)
+    with pytest.raises(_Captured):
+        g.optimize()
+    assert seen["H"].shape == H_ref.shape == (4 * (len(g) - len(fixed)),) * 2
+    np.testing.assert_allclose(seen["H"], H_ref, rtol=0, atol=1e-8 * np.abs(H_ref).max())
+    np.testing.assert_allclose(seen["b"], b_ref, rtol=0, atol=1e-8 * np.abs(b_ref).max())
+
+
+def jittered(g, seed):
+    """Move every vertex off the optimum, so the gradient is not zero."""
+    rng = np.random.default_rng(seed)
+    for v in g.vertices.values():
+        v.p = v.p + rng.normal(0.0, 0.01, 3)
+        v.yaw = geo.wrap_angle(v.yaw + rng.normal(0.0, 0.005))
+    return g
+
+
+def loaded_graph(tmp_path):
+    path = tmp_path / "graph.txt"
+    two_segment_graph().save(path)
+    return PoseGraph.load(path)
+
+
+def downsampled_graph(tmp_path):
+    g = two_segment_graph()
+    g.optimize()
+    assert g.downsample(16, seed=1) == 8
+    return jittered(g, 6)
+
+
+def replaced_graph(tmp_path):
+    g = two_segment_graph()
+    g.optimize()
+    g.sequential_edges = [SequentialEdge(e.from_id, e.to_id, e.rel_p + 0.05, e.rel_yaw - 0.02)
+                          for e in g.sequential_edges]
+    return jittered(g, 8)
+
+
+def grown_graph(tmp_path):
+    g = downsampled_graph(tmp_path)
+    g.optimize()
+    for vid in (24, 25, 26):
+        th = 0.3 * (vid - 23)
+        p = np.array([0.5 + np.cos(th), -0.3 + np.sin(th), 0.2])
+        g.add_keyframe(vertex_from_state(vid, 0.4 * vid, p, geo.rot_to_quat(geo.rot_zyx(0.02, -0.01, th)),
+                                         segment=1))
+    g.add_loop_edge(LoopEdge(5, 25, np.array([0.3, 0.1, -0.2]), 0.2, inliers=40))
+    return jittered(g, 7)
+
+
 class TestGraphSolver:
     def test_closed_form_matches_dense_reference(self, monkeypatch):
         g = two_segment_graph()
-        fixed = {0, 14}  # the first vertex of each segment
-        H_ref, b_ref, huber_args = dense_normal_equations(g, fixed)
         # the premise: only the outlier loop edge is on the Huber branch
+        huber_args = dense_normal_equations(g, {0, 14})[2]
         assert [x > 1.0 for x in huber_args] == [False, False, True]
+        assert_closed_form_matches_dense_reference(g, monkeypatch)
+        assert len(g) - len(g.segments()) == 22
 
-        seen = {}
-
-        class Recorder:
-            def solve(self, rhs):
-                seen["b"] = -rhs
-                raise _Captured
-
-        def splu(A, **kwargs):
-            seen["H"] = A.toarray()
-            return Recorder()
-
-        # lambda = 0 makes the first factored matrix H itself
-        g.config = replace(g.config, initial_lambda=0.0)
-        monkeypatch.setattr(spla, "splu", splu)
-        with pytest.raises(_Captured):
-            g.optimize()
-        assert seen["H"].shape == H_ref.shape == (4 * 22, 4 * 22)
-        np.testing.assert_allclose(seen["H"], H_ref, rtol=0, atol=1e-8 * np.abs(H_ref).max())
-        np.testing.assert_allclose(seen["b"], b_ref, rtol=0, atol=1e-8 * np.abs(b_ref).max())
+    @pytest.mark.parametrize("make", [loaded_graph, downsampled_graph, replaced_graph, grown_graph],
+                             ids=["loaded", "downsampled", "replaced", "grown_after_downsample"])
+    def test_edge_rows_follow_the_graph(self, make, tmp_path, monkeypatch):
+        # optimize reuses the rows of edges it has read: load fills the edge
+        # lists itself, and the other graphs were optimized before their
+        # lists were replaced (by downsample or by assignment) or extended
+        assert_closed_form_matches_dense_reference(make(tmp_path), monkeypatch)
 
     def test_one_factorization_reused_across_steps(self, monkeypatch):
         def make():
@@ -490,11 +566,61 @@ class TestGraphSolver:
         assert abs(g.vertices[99].yaw - yaw) <= 1e-12
 
 
+def pinned_downsample_graph():
+    """Two noisy figure-eight segments of 70 and 50 keyframes, fanout 4,
+    with loop edges inside and across them."""
+    rng = np.random.default_rng(11)
+    g = PoseGraph()
+    vid = 0
+    for seg, n in enumerate((70, 50)):
+        for k in range(n):
+            th = 4 * np.pi * k / n
+            p = np.array([np.sin(th), 0.5 * np.sin(2 * th), 0.1 * seg]) + rng.normal(0.0, 0.02, 3)
+            q = geo.rot_to_quat(geo.rot_zyx(*rng.normal(0.0, 0.05, 2), th + rng.normal(0.0, 0.01)))
+            g.add_keyframe(vertex_from_state(vid, 0.4 * vid, p, q, segment=seg))
+            vid += 1
+    for a, b in [(3, 38), (20, 55), (10, 80), (75, 100), (90, 115)]:
+        va, vb = g.vertices[a], g.vertices[b]
+        rel_p = va.vio_rotation().T @ (vb.vio_p - va.vio_p)
+        g.add_loop_edge(LoopEdge(a, b, rel_p, geo.wrap_angle(vb.vio_yaw - va.vio_yaw), inliers=40))
+    return g
+
+
+# pinned_downsample_graph() downsampled to 50 by the one-vertex-at-a-time
+# implementation: seed -> (surviving ids, sequential edge count, SHA-256 of the
+# edge rows (from, to, rel_p, rel_yaw) as little-endian float64)
+PINNED_DOWNSAMPLE = {
+    0: ([0, 3, 4, 6, 10, 13, 19, 20, 23, 24, 32, 36, 37, 38, 43, 46, 49, 53, 55, 56, 59, 61, 64, 67,
+         70, 71, 73, 75, 77, 79, 80, 83, 85, 86, 88, 90, 91, 95, 96, 98, 100, 101, 103, 107, 109,
+         111, 113, 114, 115, 118],
+        601, "c1109cd8f3575662336360160fe5e03e46945f76ea97008e78753bbe03947f5a"),
+    1: ([0, 2, 3, 6, 10, 11, 12, 14, 18, 20, 22, 25, 30, 35, 37, 38, 39, 40, 42, 46, 47, 50, 53, 55,
+         57, 62, 64, 65, 67, 70, 73, 74, 75, 77, 80, 82, 83, 85, 86, 90, 96, 100, 102, 107, 108,
+         109, 110, 113, 115, 119],
+        420, "d6861a364514d0224146f8ac10f02c5a7a394839e6b0e382f22a56f9f347894d"),
+    2: ([0, 3, 4, 5, 10, 14, 19, 20, 24, 26, 27, 29, 31, 33, 38, 39, 41, 42, 44, 48, 54, 55, 59, 62,
+         65, 68, 70, 74, 75, 76, 80, 84, 86, 87, 89, 90, 92, 94, 96, 97, 100, 103, 106, 107, 110,
+         112, 114, 115, 117, 119],
+        601, "a4ba9311d29259735935476645248c295d773cead6eb181e74c08e7defbac17c"),
+}
+
+
 class TestDownsample:
     def test_under_capacity_unchanged(self):
         g = circle_graph(10, loop=False)
         removed = g.downsample(20, seed=0)
         assert removed == 0 and len(g) == 10
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_DOWNSAMPLE))
+    def test_pinned_result(self, seed):
+        ids, n_edges, digest = PINNED_DOWNSAMPLE[seed]
+        g = pinned_downsample_graph()
+        assert g.downsample(50, seed=seed) == 70
+        assert g.order == ids and sorted(g.vertices) == ids
+        rows = np.array([(e.from_id, e.to_id, *e.rel_p, e.rel_yaw) for e in g.sequential_edges],
+                        dtype="<f8")
+        assert len(rows) == n_edges
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
     def test_loop_vertices_kept(self):
         g = circle_graph(30, loop=True)
@@ -567,6 +693,8 @@ INCONSISTENT_GRAPHS = {
     "non_numeric_vertex": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\nVERTEX 2 abc 0 0 0 0 0 0 0\n",
     "non_numeric_edge": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
                         "EDGE LOOP 0 1 1 0 0 0 x\n",
+    "edge_to_itself": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
+                      "EDGE SEQ 1 1 0 0 0 0 0\n",
 }
 
 
