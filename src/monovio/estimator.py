@@ -38,7 +38,8 @@ from .preintegration import (
     BiasState,
     PreintegratedDelta,
     StackedDeltas,
-    imu_residual_jacobians_batch,
+    imu_jacobians_batch,
+    imu_residuals_batch,
     merge_deltas,
     midpoint_path,
 )
@@ -759,9 +760,12 @@ class _WindowProblem:
     those terms into NormalBlocks without recomputing them. The prior's
     columns are the window's leading frames and the extrinsic, and its
     Jacobian is one product over them; all IMU factors go through one batched
-    kernel whitened by each delta's cached sqrt_information; the visual rows
+    kernel whitened by each delta's cached sqrt_information, its residual
+    half in evaluate() and its Jacobian half in linearize(); the visual rows
     are summed with np.bincount over index layouts fixed at construction,
     their pose columns into H_pp and their depth column into W, v and b_l.
+    The observed rays, and so their tangent bases, are fixed at construction
+    too.
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
@@ -804,6 +808,7 @@ class _WindowProblem:
         self.v_feat = np.array(feat_idx, dtype=int)
         self.v_ua = np.array(u_anchor, dtype=float).reshape(-1, 3)
         self.v_uo = np.array(u_obs, dtype=float).reshape(-1, 3)
+        self.v_B = np.stack(tangent_basis(self.v_uo), axis=2)  # (K, 3, 2)
 
         feat_pos = {f.fid: i for i, f in enumerate(feats)}
         l_feat, l_anchor, l_ua, l_uo, l_R, l_p = [], [], [], [], [], []
@@ -826,6 +831,7 @@ class _WindowProblem:
         self.l_anchor = np.array(l_anchor, dtype=int)
         self.l_ua = np.array(l_ua, dtype=float).reshape(-1, 3)
         self.l_uo = np.array(l_uo, dtype=float).reshape(-1, 3)
+        self.l_B = np.stack(tangent_basis(self.l_uo), axis=2)
         self.l_R = np.array(l_R, dtype=float).reshape(-1, 3, 3)
         self.l_p = np.array(l_p, dtype=float).reshape(-1, 3)
 
@@ -895,8 +901,9 @@ class _WindowProblem:
     def _frame_arrays(self):
         return quat_to_rot(self.q), self.p
 
-    def _visual_terms(self, anchor, obs_R, obs_p, feat_idx, u_anchor, u_obs, Rw, pw):
-        """Whitened tangent-plane residuals plus geometry intermediates."""
+    def _visual_terms(self, anchor, obs_R, obs_p, feat_idx, u_anchor, u_obs, B, Rw, pw):
+        """Whitened tangent-plane residuals plus geometry intermediates; B
+        holds the tangent bases of the observed rays u_obs, (K, 3, 2)."""
         R_bc = quat_to_rot(self.extrinsic.q_b_c)
         p_bc = self.extrinsic.p_b_c
         lam = self.lam[feat_idx]
@@ -911,8 +918,6 @@ class _WindowProblem:
         if np.any(nP < 1e-6):
             raise EstimatorError("feature collapses onto an observing camera center")
         nvec = P / nP[:, None]
-        b1, b2 = tangent_basis(u_obs)
-        B = np.stack([b1, b2], axis=2)  # (K, 3, 2)
         r = np.einsum("kir,ki->kr", B, u_obs - nvec) / self.sigma
         aux = (R_bc, lam, u_anchor, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec, B)
         return r, aux
@@ -929,13 +934,13 @@ class _WindowProblem:
         return r, Jth, J_ext
 
     def _imu_terms(self):
-        """Whitened residuals of all IMU factors and their unwhitened
-        Jacobians w.r.t. frames k and k + 1."""
+        """Whitened residuals of all IMU factors, and the intermediates that
+        their Jacobians w.r.t. frames k and k + 1 are built from."""
         n = len(self.imu) + 1
-        r, Jk, Jk1 = imu_residual_jacobians_batch(
+        r, aux = imu_residuals_batch(
             self.imu, self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n], GRAVITY,
         )
-        return np.einsum("kij,kj->ki", self.imu.sqrt_info, r), Jk, Jk1
+        return np.einsum("kij,kj->ki", self.imu.sqrt_info, r), aux
 
     def evaluate(self):
         """Robustified cost at the current iterate, and the terms that
@@ -946,10 +951,10 @@ class _WindowProblem:
         sets = []
         if len(self.v_feat):
             sets.append((True, self.v_index, (self.v_anchor, Rw[self.v_obs], pw[self.v_obs],
-                                              self.v_feat, self.v_ua, self.v_uo)))
+                                              self.v_feat, self.v_ua, self.v_uo, self.v_B)))
         if len(self.l_feat):
             sets.append((False, self.l_index, (self.l_anchor, self.l_R, self.l_p,
-                                               self.l_feat, self.l_ua, self.l_uo)))
+                                               self.l_feat, self.l_ua, self.l_uo, self.l_B)))
         visual, visual_cost = [], 0.0
         for two_frames, index, args in sets:
             r, aux = self._visual_terms(*args, Rw, pw)
@@ -1038,8 +1043,9 @@ class _WindowProblem:
         blocks.b_p[:n] += g[:n]
         blocks.b_p[e:] += g[n:]
 
-    def _add_imu(self, blocks: NormalBlocks, rw, Jk, Jk1) -> None:
+    def _add_imu(self, blocks: NormalBlocks, rw, aux) -> None:
         """Accumulate all IMU factors of the problem."""
+        Jk, Jk1 = imu_jacobians_batch(self.imu, aux)
         K = len(rw)
         n = K + 1
         J = self.imu.sqrt_info @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)

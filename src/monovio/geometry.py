@@ -4,6 +4,13 @@ Conventions used throughout the package:
   - Quaternions are Hamilton, scalar-first, stored as numpy arrays [w, x, y, z].
   - R(q) maps body-frame vectors into the parent frame: v_parent = R(q) @ v_body.
   - Most functions broadcast over leading batch dimensions.
+
+Cross products are written out component by component (cross) instead of
+calling np.cross: np.cross spends tens of microseconds per call on
+broadcasting and axis handling, far more than the six products of a
+3-vector, and the frame path calls it thousands of times per second of data.
+The components follow np.cross's own multiply-subtract order, so the results
+are bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -79,14 +86,40 @@ def quat_mul(a, b):
     return quat_normalize(out)
 
 
+def cross(a, b):
+    """a x b over the last axis, broadcasting; bitwise equal to np.cross(a, b)
+    (each component is a1 * b2 - a2 * b1 and so on, every product rounded
+    before the subtraction)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    c[..., 0] = a1 * b2 - a2 * b1
+    c[..., 1] = a2 * b0 - a0 * b2
+    c[..., 2] = a0 * b1 - a1 * b0
+    return c
+
+
 def quat_rotate(q, v):
-    """Rotate vector(s) v by quaternion(s) q without forming the matrix."""
+    """Rotate vector(s) v by quaternion(s) q without forming the matrix:
+    v + w t + qv x t with t = 2 qv x v."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
+    if q.ndim == 1 and v.ndim == 1:
+        # one vector: the same operations on Python floats
+        w, x, y, z = q.tolist()
+        vx, vy, vz = v.tolist()
+        tx, ty, tz = 2.0 * (y * vz - z * vy), 2.0 * (z * vx - x * vz), 2.0 * (x * vy - y * vx)
+        return np.array(
+            [
+                vx + w * tx + (y * tz - z * ty),
+                vy + w * ty + (z * tx - x * tz),
+                vz + w * tz + (x * ty - y * tx),
+            ]
+        )
     qv = q[..., 1:]
     w = q[..., :1]
-    t = 2.0 * np.cross(qv, v)
-    return v + w * t + np.cross(qv, t)
+    t = 2.0 * cross(qv, v)
+    return v + w * t + cross(qv, t)
 
 
 def quat_to_rot(q):
@@ -223,9 +256,9 @@ def tangent_basis(g_dir):
     pivot_z[..., 2] = 1.0
     use_z = (np.abs(g[..., 0]) > 1.0 - 1e-6)[..., None]
     pivot = np.where(use_z, pivot_z, pivot_x)
-    b1 = np.cross(g, pivot)
+    b1 = cross(g, pivot)
     b1 = b1 / np.linalg.norm(b1, axis=-1, keepdims=True)
-    b2 = np.cross(g, b1)
+    b2 = cross(g, b1)
     return b1, b2
 
 

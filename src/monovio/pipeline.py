@@ -395,8 +395,7 @@ class VioPipeline:
         # 4-DOF correction mapping the drifting odometry frame into the graph
         # frame: p_graph = Rz(yaw) p_vio + t. Updated once per crossing event
         # from verified relocalizations.
-        self._corr_yaw = 0.0
-        self._corr_t = np.zeros(3)
+        self._set_correction(0.0, np.zeros(3))
         self._corr_update_time = -np.inf
         self._last_edge_time = -np.inf
         self._raw_vio_pose: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -477,8 +476,7 @@ class VioPipeline:
         ]
         self._frames_since_init = 0
         # a new pose-graph segment starts with no odometry->graph correction
-        self._corr_yaw = 0.0
-        self._corr_t = np.zeros(3)
+        self._set_correction(0.0, np.zeros(3))
         self._corr_update_time = -np.inf
         self.est.seed(states, deltas)
         for k, (_, _, frame_obs) in enumerate(self._init_buffer):
@@ -615,11 +613,15 @@ class VioPipeline:
 
     # -- odometry -> graph drift correction ---------------------------------------
 
+    def _set_correction(self, yaw: float, t: np.ndarray) -> None:
+        """Set the correction p_graph = Rz(yaw) p_vio + t. Rz and its
+        quaternion are kept: every IMU-rate output sample is corrected."""
+        Rz = rot_zyx(0.0, 0.0, yaw)
+        self._corr_R, self._corr_q, self._corr_t = Rz, rot_to_quat(Rz), t
+
     def _corrected_pose(self, p, q):
-        Rz = rot_zyx(0.0, 0.0, self._corr_yaw)
-        q_z = rot_to_quat(Rz)
-        return Rz @ np.asarray(p, dtype=float) + self._corr_t, quat_canonical(
-            quat_mul(q_z, np.asarray(q, dtype=float))
+        return self._corr_R @ np.asarray(p, dtype=float) + self._corr_t, quat_canonical(
+            quat_mul(self._corr_q, np.asarray(q, dtype=float))
         )
 
     def _update_correction(self, pl: "_PendingLoop", query_state, t: float) -> None:
@@ -639,9 +641,9 @@ class VioPipeline:
         R_v_graph = rot_zyx(roll_vg, pitch_vg, yaw_v_graph)
         p_q_graph = p_v_graph + R_v_graph @ rel_p
         yaw_q_graph = wrap_angle(yaw_v_graph + rel_yaw)
-        self._corr_yaw = wrap_angle(yaw_q_graph - yaw_q_win)
-        Rz = rot_zyx(0.0, 0.0, self._corr_yaw)
-        self._corr_t = p_q_graph - Rz @ query_state.p
+        corr_yaw = wrap_angle(yaw_q_graph - yaw_q_win)
+        Rz = rot_zyx(0.0, 0.0, corr_yaw)
+        self._set_correction(corr_yaw, p_q_graph - Rz @ query_state.p)
         self._corr_update_time = t
 
     def _decide_keyframe(self, obs) -> bool:

@@ -14,7 +14,9 @@ g_w = (0, 0, +9.81): a resting sensor at identity attitude reads +g on z.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -297,55 +299,30 @@ def integrate_segment(
     """Pre-integrate a sample list at a linearization bias.
 
     The mean is the endpoint of midpoint_path. Covariance and bias Jacobian
-    follow that path in one sequential loop, reading each step's attitude
-    from it, with the first-order transition P <- A P A^T + (G dt) Qd (G dt)^T,
-    J <- A J, A = I + F dt. Qd is the discrete noise covariance Q/dt, so the
-    injected term reduces to G Q G^T dt with Q the density matrix.
+    follow that path with the first-order transition
+    P <- A P A^T + (G dt) Qd (G dt)^T, J <- A J, A = I + F dt. Qd is the
+    discrete noise covariance Q/dt, so the injected term reduces to
+    G Q G^T dt with Q the density matrix.
+
+    Every step's A and injected term is built in one batch from the path's
+    arrays (_transition_batch); only the recursion over P and J is a
+    sequential loop, one product at a time in step order. A pairwise
+    (parallel-prefix) product of the A's would be faster but rounds
+    differently, so it is not used.
     """
     delta = PreintegratedDelta(bias, noise)
     if len(samples) < 2:
         return delta
     path = midpoint_path(samples, bias)
-    Rs = path.R
-    Ts = np.swapaxes(quat_to_rot(path.dq), 1, 2)
-    Jrs = so3_right_jacobian_batch(path.rotvec)
-    sks = skew(path.accel)
-    qd = noise.q_diag()
-
-    F = np.zeros((15, 15))
-    F[0:3, 3:6] = _EYE3
-    G = np.zeros((15, 12))
-    G[6:9, 3:6] = -_EYE3
-    G[9:12, 6:9] = _EYE3
-    G[12:15, 9:12] = _EYE3
+    A, Q = _transition_batch(path, noise.q_diag())
     P = np.zeros((15, 15))
     J = np.eye(15)
-    for i, dt in enumerate(path.dt.tolist()):
-        # discrete transition of the midpoint step; its dt->0 limit is the
-        # continuous-time error dynamics (alpha row coupled only through
-        # beta). Exact attitude transport T = dR^T and the SO(3) right
-        # Jacobian keep the bias Jacobian consistent with finite differences
-        # of re-propagation at the 1e-4 level.
-        R0, R1, T = Rs[i], Rs[i + 1], Ts[i]
-        R1a1 = R1 @ sks[i + 1]
-        m_theta = -0.5 * (R0 @ sks[i] + R1a1 @ T)
-        bw_to_amid = (0.5 * dt) * (R1a1 @ Jrs[i])
-        R_sum = R0 + R1
-        F[0:3, 6:9] = (0.5 * dt) * m_theta
-        F[0:3, 9:12] = (-0.25 * dt) * R_sum
-        F[0:3, 12:15] = (0.5 * dt) * bw_to_amid
-        F[3:6, 6:9] = m_theta
-        F[3:6, 9:12] = -0.5 * R_sum
-        F[3:6, 12:15] = bw_to_amid
-        F[6:9, 6:9] = (T - _EYE3) / dt
-        F[6:9, 12:15] = -Jrs[i]
-        G[3:6, 0:3] = -R0
-        A = F * dt
-        A.flat[::16] += 1.0
-        P = (A @ P) @ A.T
-        P += (G * (qd * dt)) @ G.T
+    dot = np.dot  # the same BLAS products as @, with less call overhead
+    for A_i, Q_i in zip(A, Q):
+        P = dot(dot(A_i, P), A_i.T)
+        P += Q_i
         P = 0.5 * (P + P.T)  # keep symmetric PSD
-        J = A @ J
+        J = dot(A_i, J)
 
     delta.alpha = path.alpha[-1]
     delta.beta = path.beta[-1]
@@ -357,12 +334,58 @@ def integrate_segment(
     return delta
 
 
+def _transition_batch(path: MidpointPath, qd: np.ndarray):
+    """Per-step transitions A = I + F dt (N, 15, 15) and injected noise
+    (G * (qd dt)) G^T (N, 15, 15) of a midpoint path, qd being the diagonal
+    of the density matrix.
+
+    F is the discrete transition of the midpoint step; its dt->0 limit is
+    the continuous-time error dynamics (alpha row coupled only through
+    beta). Exact attitude transport T = dR^T and the SO(3) right Jacobian
+    keep the bias Jacobian consistent with finite differences of
+    re-propagation at the 1e-4 level.
+    """
+    dt = path.dt[:, None, None]
+    R0, R1 = path.R[:-1], path.R[1:]
+    T = np.swapaxes(quat_to_rot(path.dq), 1, 2)
+    Jr = so3_right_jacobian_batch(path.rotvec)
+    sk = skew(path.accel)
+    R1a1 = R1 @ sk[1:]
+    m_theta = -0.5 * (R0 @ sk[:-1] + R1a1 @ T)
+    bw_to_amid = (0.5 * dt) * (R1a1 @ Jr)
+    R_sum = R0 + R1
+
+    A = np.zeros((len(dt), 15, 15))
+    A[:, 0:3, 3:6] = _EYE3
+    A[:, 0:3, 6:9] = (0.5 * dt) * m_theta
+    A[:, 0:3, 9:12] = (-0.25 * dt) * R_sum
+    A[:, 0:3, 12:15] = (0.5 * dt) * bw_to_amid
+    A[:, 3:6, 6:9] = m_theta
+    A[:, 3:6, 9:12] = -0.5 * R_sum
+    A[:, 3:6, 12:15] = bw_to_amid
+    A[:, 6:9, 6:9] = (T - _EYE3) / dt
+    A[:, 6:9, 12:15] = -Jr
+    A *= dt  # F -> F dt
+    A.reshape(-1, 225)[:, ::16] += 1.0  # + I
+
+    G = np.zeros((len(dt), 15, 12))
+    G[:, 3:6, 0:3] = -R0
+    G[:, 6:9, 3:6] = -_EYE3
+    G[:, 9:12, 6:9] = _EYE3
+    G[:, 12:15, 9:12] = _EYE3
+    Q = (G * (qd * dt)) @ np.swapaxes(G, 1, 2)
+    return A, Q
+
+
 def interpolate_sample(s0: ImuSample, s1: ImuSample, t: float) -> ImuSample:
     """Linear interpolation of both channels at a frame-boundary time."""
     if not (s0.t <= t <= s1.t):
         raise PreintegrationError("interpolation time outside sample interval")
     w = 0.0 if s1.t == s0.t else (t - s0.t) / (s1.t - s0.t)
     return ImuSample(t, (1 - w) * s0.accel + w * s1.accel, (1 - w) * s0.gyro + w * s1.gyro)
+
+
+_sample_time = attrgetter("t")
 
 
 def segment_samples(samples: list[ImuSample], t0: float, t1: float) -> list[ImuSample]:
@@ -374,9 +397,10 @@ def segment_samples(samples: list[ImuSample], t0: float, t1: float) -> list[ImuS
     """
     if t1 <= t0:
         raise PreintegrationError("empty segment")
-    times = np.array([s.t for s in samples])
-    i0 = int(np.searchsorted(times, t0 + 1e-9, side="right")) - 1
-    i1 = int(np.searchsorted(times, t1 - 1e-9, side="left"))
+    # binary searches over the time-ordered stream: the last sample at or
+    # before t0 (+ snap) and the first at or after t1 (- snap)
+    i0 = bisect_right(samples, t0 + 1e-9, key=_sample_time) - 1
+    i1 = bisect_left(samples, t1 - 1e-9, key=_sample_time)
     if i0 < 0 or i1 >= len(samples):
         raise PreintegrationError("segment extends beyond the sample stream")
     seg: list[ImuSample] = []
@@ -384,8 +408,7 @@ def segment_samples(samples: list[ImuSample], t0: float, t1: float) -> list[ImuS
         seg.append(samples[i0])
     else:
         seg.append(interpolate_sample(samples[i0], samples[i0 + 1], t0))
-    for i in range(i0 + 1, i1):
-        seg.append(samples[i])
+    seg += samples[i0 + 1 : i1]
     if abs(samples[i1].t - t1) < 1e-9:
         seg.append(samples[i1])
     else:
@@ -431,8 +454,8 @@ def imu_residual_jacobians(
 
     Per-frame tangent ordering is (dp, dtheta, dv, dba, dbw) with the attitude
     perturbed on the left in the world frame: q <- dq (x) q. Scalar reference
-    for imu_residual_jacobians_batch, which the window solve and
-    marginalization use.
+    for imu_residuals_batch and imu_jacobians_batch, which the window solve
+    and marginalization use.
     """
     g = np.asarray(gravity, dtype=float)
     dt = delta.dt_total
@@ -500,7 +523,8 @@ def imu_residual_jacobians(
 
 class StackedDeltas:
     """Terms of consecutive deltas stacked along a leading factor axis, for
-    imu_residual_jacobians_batch. Factor k links window states k and k + 1."""
+    imu_residuals_batch and imu_jacobians_batch. Factor k links window
+    states k and k + 1."""
 
     def __init__(self, deltas: list[PreintegratedDelta]):
         self.dt = np.array([d.dt_total for d in deltas])
@@ -516,25 +540,25 @@ class StackedDeltas:
         return len(self.dt)
 
 
-def imu_residual_jacobians_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
-    """imu_residual_jacobians over all factors of st at once.
+def imu_residuals_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
+    """Residuals of imu_residual_jacobians over all factors of st at once.
 
-    p, q, v, ba, bw stack the K + 1 window states the K factors link. Returns
-    residuals (K, 15) and Jacobians (K, 15, 15) w.r.t. states k and k + 1.
+    p, q, v, ba, bw stack the K + 1 window states the K factors link.
+    Returns the residuals (K, 15) and the intermediates that
+    imu_jacobians_batch builds the Jacobians at this iterate from.
     """
     g = np.asarray(gravity, dtype=float)
     K = len(st)
     dt = st.dt[:, None]
     Rk_t = np.swapaxes(quat_to_rot(q[:-1]), 1, 2)
     J = st.J
-    j_gamma_bw = J[:, 6:9, 12:15]
 
     # first-order bias correction (PreintegratedDelta.correct_for_bias)
     dba = ba[:-1] - st.lin_ba
     dbw = bw[:-1] - st.lin_bw
     alpha_c = st.alpha + _mv(J[:, 0:3, 9:12], dba) + _mv(J[:, 0:3, 12:15], dbw)
     beta_c = st.beta + _mv(J[:, 3:6, 9:12], dba) + _mv(J[:, 3:6, 12:15], dbw)
-    phi = _mv(j_gamma_bw, dbw)
+    phi = _mv(J[:, 6:9, 12:15], dbw)
     gamma_c = quat_mul(st.gamma, small_angle_quat(phi))
 
     u = p[1:] - p[:-1] + 0.5 * g * dt * dt - v[:-1] * dt
@@ -548,7 +572,17 @@ def imu_residual_jacobians_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
     r[:, 6:9] = 2.0 * e[:, 1:]
     r[:, 9:12] = ba[1:] - ba[:-1]
     r[:, 12:15] = bw[1:] - bw[:-1]
+    return r, (Rk_t, phi, u, w, q_rel, e)
 
+
+def imu_jacobians_batch(st: StackedDeltas, aux):
+    """Jacobians (K, 15, 15) of the residuals imu_residuals_batch returned aux
+    with, w.r.t. states k and k + 1."""
+    Rk_t, phi, u, w, q_rel, e = aux
+    K = len(st)
+    dt = st.dt[:, None]
+    J = st.J
+    j_gamma_bw = J[:, 6:9, 12:15]
     L = e[:, 0, None, None] * _EYE3 - skew(e[:, 1:])
     LR = L @ Rk_t
     # theta-row bias Jacobian through the normalized correction quaternion
@@ -579,7 +613,7 @@ def imu_residual_jacobians_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
     for a in (9, 12):
         Jk[:, a : a + 3, a : a + 3] = -_EYE3
         Jk1[:, a : a + 3, a : a + 3] = _EYE3
-    return r, Jk, Jk1
+    return Jk, Jk1
 
 
 def weight_residual(residual: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -822,7 +822,7 @@ class TestImuResidualJacobiansInWindow:
         Rw, pw = problem._frame_arrays()
         r_batch, _ = problem._visual_terms(
             problem.v_anchor, Rw[problem.v_obs], pw[problem.v_obs], problem.v_feat,
-            problem.v_ua, problem.v_uo, Rw, pw,
+            problem.v_ua, problem.v_uo, problem.v_B, Rw, pw,
         )
         for k in range(len(problem.v_feat)):
             fi = problem.v_feat[k]
@@ -871,7 +871,8 @@ class TestImuResidualJacobiansInWindow:
         from monovio.preintegration import (
             StackedDeltas,
             imu_residual_jacobians,
-            imu_residual_jacobians_batch,
+            imu_jacobians_batch,
+            imu_residuals_batch,
         )
 
         cfg = ScenarioConfig(duration=3.0, cam_rate=5.0, seed=19,
@@ -881,9 +882,9 @@ class TestImuResidualJacobiansInWindow:
         rng = np.random.default_rng(6)
         for f in est.frames:
             f.bias = BiasState(rng.normal(0.0, 0.05, 3), rng.normal(0.0, 0.01, 3))
-        r, Jk, Jk1 = imu_residual_jacobians_batch(
-            StackedDeltas(est.deltas), *stack_states(est.frames), GRAVITY
-        )
+        st = StackedDeltas(est.deltas)
+        r, aux = imu_residuals_batch(st, *stack_states(est.frames), GRAVITY)
+        Jk, Jk1 = imu_jacobians_batch(st, aux)
         assert len(r) == len(est.deltas) == 7
         for k, delta in enumerate(est.deltas):
             assert np.all(est.frames[k].bias.gyro != delta.lin_bias.gyro)

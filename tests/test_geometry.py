@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monovio import geometry as geo
+from reference import quat_rotate_np, tangent_basis_np
 
 
 def random_quat(rng):
@@ -115,6 +116,54 @@ class TestTangentBasis:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             geo.tangent_basis([0.0, 0.0, 2.0])
+
+
+class TestCrossWithoutNpCross:
+    """cross, quat_rotate and tangent_basis avoid np.cross; their results
+    must equal the np.cross forms bit for bit (signed zeros included), on
+    single vectors and on batches."""
+
+    @staticmethod
+    def vectors(rng, n):
+        v = rng.standard_normal((n, 3))
+        v[:4] = [[0.0, 0.0, 0.0], [-0.0, 1.0, -0.0], [1.0, 0.0, 0.0], [-1e-300, 3.0, 1e300]]
+        return v
+
+    @staticmethod
+    def same(a, b):
+        return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_cross(self):
+        rng = np.random.default_rng(21)
+        a, b = self.vectors(rng, 50), self.vectors(rng, 50)[::-1]
+        assert self.same(geo.cross(a, b), np.cross(a, b))
+        assert self.same(geo.cross(a, b[7]), np.cross(a, b[7]))
+        for k in range(len(a)):
+            assert self.same(geo.cross(a[k], b[k]), np.cross(a[k], b[k]))
+
+    def test_quat_rotate(self):
+        rng = np.random.default_rng(22)
+        q = np.array([random_quat(rng) for _ in range(50)])
+        q[:3] = [[1.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 1.0], [-0.5, 0.5, -0.5, 0.5]]
+        v = self.vectors(rng, 50)
+        for k in range(len(q)):
+            assert self.same(geo.quat_rotate(q[k], v[k]), quat_rotate_np(q[k], v[k]))
+            assert self.same(geo.quat_rotate(q[k].tolist(), v[k].tolist()),
+                             quat_rotate_np(q[k], v[k]))
+        assert self.same(geo.quat_rotate(q, v), quat_rotate_np(q, v))
+        assert self.same(geo.quat_rotate(q[5], v), quat_rotate_np(q[5], v))
+        assert self.same(geo.quat_rotate(q, v[5]), quat_rotate_np(q, v[5]))
+
+    def test_tangent_basis(self):
+        rng = np.random.default_rng(23)
+        g = rng.standard_normal((60, 3))
+        g[:3] = [[1.0, 0.0, 0.0], [-1.0, 1e-4, 0.0], [0.0, 0.0, -1.0]]
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        for got, want in zip(geo.tangent_basis(g), tangent_basis_np(g)):
+            assert self.same(got, want)
+        for k in range(len(g)):
+            for got, want in zip(geo.tangent_basis(g[k]), tangent_basis_np(g[k])):
+                assert self.same(got, want)
 
 
 class TestEulerDecompose:

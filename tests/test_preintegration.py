@@ -17,6 +17,8 @@ from monovio.preintegration import (
     segment_samples,
     weight_residual,
 )
+from monovio.simulator import ScenarioConfig, build_scenario
+from reference import integrate_segment_stepwise, segment_samples_searchsorted
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0)
 
@@ -358,6 +360,76 @@ class TestMergeAndSegment:
         m = interpolate_sample(s0, s1, 0.005)
         np.testing.assert_allclose(m.accel, [0.5, 1.0, 1.5])
         np.testing.assert_allclose(m.gyro, [2.0, 2.5, 3.0])
+
+
+class TestBatchedTransitions:
+    """integrate_segment builds its transitions in one batch; P and J must
+    equal the per-step construction bit for bit."""
+
+    NOISE = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
+    BIAS = BiasState([0.05, -0.02, 0.03], [0.004, -0.003, 0.002])
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        # a simulated 200 Hz stream with sensor noise and non-zero biases
+        return build_scenario(ScenarioConfig(duration=2.0, seed=3)).imu
+
+    @pytest.mark.parametrize("n", [2, 41, 81])
+    def test_bitwise_equal_to_stepwise(self, stream, n):
+        for start in (0, 57, 230):
+            seg = stream[start : start + n]
+            delta = integrate_segment(seg, self.BIAS, self.NOISE)
+            P, J = integrate_segment_stepwise(seg, self.BIAS, self.NOISE)
+            assert np.array_equal(delta.P, P) and np.array_equal(delta.J, J)
+            assert delta.P.tobytes() == P.tobytes()  # signed zeros too
+
+    def test_merge_bitwise_equal_to_stepwise(self, stream):
+        d1 = integrate_segment(stream[0:41], self.BIAS, self.NOISE)
+        d2 = integrate_segment(stream[40:81], BiasState(), self.NOISE)
+        merged = merge_deltas(d1, d2)
+        P, J = integrate_segment_stepwise(stream[0:81], self.BIAS, self.NOISE)
+        assert np.array_equal(merged.P, P) and np.array_equal(merged.J, J)
+
+
+class TestSegmentBoundaries:
+    """segment_samples finds its boundaries by bisection; the segments must
+    be the ones the whole-stream searchsorted gave, snapping included."""
+
+    def test_matches_searchsorted(self):
+        samples = make_samples(200, 1.0, lambda t: np.array([t, 0, 0]), const_fn([0, 0, 0.1]))
+        times = [s.t for s in samples]
+        raw = {id(s) for s in samples}
+        # +-1e-9 exactly: t0 + 1e-9 (t1 - 1e-9) lands on a sample time, where
+        # the right and left sides of the search differ
+        offsets = [0.0, 0.4e-9, -0.4e-9, 1e-9, -1e-9, 0.99e-9, -0.99e-9, 1.01e-9, -1.01e-9,
+                   3e-9, 0.0025]
+        bounds = [t + d for t in (times[0], times[1], times[37], times[-2], times[-1])
+                  for d in offsets]
+        checked = 0
+        for t0 in bounds:
+            for t1 in bounds:
+                try:
+                    want = segment_samples_searchsorted(samples, t0, t1)
+                except PreintegrationError:
+                    with pytest.raises(PreintegrationError):
+                        segment_samples(samples, t0, t1)
+                    continue
+                got = segment_samples(samples, t0, t1)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.t == w.t
+                    assert np.array_equal(g.accel, w.accel)
+                    assert np.array_equal(g.gyro, w.gyro)
+                # snapped and interior samples are the stream's own objects
+                assert [id(g) in raw for g in got] == [id(w) in raw for w in want]
+                checked += 1
+        assert checked > 300
+
+    def test_snaps_to_raw_samples(self):
+        samples = make_samples(200, 1.0, lambda t: np.array([t, 0, 0]), const_fn([0, 0, 0]))
+        seg = segment_samples(samples, samples[10].t + 0.5e-9, samples[51].t - 0.5e-9)
+        assert seg[0] is samples[10] and seg[-1] is samples[51]
+        assert len(seg) == 42
 
 
 class TestImuResidual:
