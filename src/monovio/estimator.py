@@ -282,57 +282,6 @@ def triangulate_feature(rays, cam_q, cam_p,
     return 1.0 / depth
 
 
-def visual_residual(
-    q_i, p_i, q_j, p_j, extrinsic: ExtrinsicCalib, anchor_ray, inv_depth,
-    observed_ray, with_jacobians: bool = True,
-):
-    """Unit-sphere reprojection residual of a feature anchored in camera i and
-    observed in camera j, projected on the observed ray's tangent plane.
-
-    Scalar reference for the batched kernel in _WindowProblem, which is what
-    the solver and marginalization use.
-
-    Returns (r, jac) where jac maps 'p_i', 'th_i', 'p_j', 'th_j', 'ext_p',
-    'ext_th', 'lam' to (2, .) blocks (jac is None without Jacobians).
-    """
-    R_i = quat_to_rot(q_i)
-    R_j = quat_to_rot(q_j)
-    R_bc = quat_to_rot(extrinsic.q_b_c)
-    p_bc = extrinsic.p_b_c
-    u_i = np.asarray(anchor_ray, dtype=float)
-    u_j = np.asarray(observed_ray, dtype=float)
-
-    f_ci = u_i / inv_depth
-    f_bi = R_bc @ f_ci + p_bc
-    f_w = R_i @ f_bi + p_i
-    d_j = f_w - np.asarray(p_j, dtype=float)
-    f_bj = R_j.T @ d_j
-    e_j = f_bj - p_bc
-    P = R_bc.T @ e_j
-    nP = np.linalg.norm(P)
-    if nP < 1e-6:
-        raise EstimatorError("feature collapses onto the observing camera center")
-    nvec = P / nP
-    b1, b2 = tangent_basis(u_j)
-    B = np.stack([b1, b2], axis=1)  # (3, 2)
-    r = B.T @ (u_j - nvec)
-    if not with_jacobians:
-        return r, None
-
-    M = -B.T @ (np.eye(3) - np.outer(nvec, nvec)) / nP  # (2, 3): d r / d P
-    A = R_bc.T @ R_j.T
-    jac = {
-        "p_i": M @ A,
-        "th_i": -M @ A @ skew(R_i @ f_bi),
-        "p_j": -M @ A,
-        "th_j": M @ A @ skew(d_j),
-        "lam": (M @ A @ R_i @ R_bc @ (-u_i / inv_depth**2)).reshape(2, 1),
-        "ext_p": M @ R_bc.T @ (R_j.T @ R_i - np.eye(3)),
-        "ext_th": M @ (R_bc.T @ skew(e_j) - A @ R_i @ skew(R_bc @ f_ci)),
-    }
-    return r, jac
-
-
 def _compose_imu_state(state: ImuFrameState, dt, alpha, beta, gamma, gravity):
     """World (p, q, v) reached from state after pre-integrated terms spanning
     dt. Broadcasts over a leading axis of dt, alpha, beta and gamma."""
@@ -730,7 +679,13 @@ class NormalBlocks:
     The full system is [[H_pp, W^T], [W, diag(v)]] with gradient (b_p, b_l):
     H_pp over the 15 per-frame and 6 extrinsic columns, W coupling each
     inverse depth to those columns, and v the depth block, which is diagonal
-    because every visual row involves exactly one feature.
+    because every visual row involves exactly one feature. The visual rows
+    reach H_pp and b_p one frame-pair chunk at a time (see _VisualIndex),
+    and W, v and b_l one row at a time.
+
+    The blocks that _WindowProblem.linearize returns are buffers the problem
+    owns and refills in place: they are valid until the next linearize on
+    the same problem. Copy them to keep them longer.
     """
 
     H_pp: np.ndarray  # (P, P)
@@ -740,12 +695,61 @@ class NormalBlocks:
     b_l: np.ndarray  # (F,)
 
 
-def eliminate_depths(H_pp, b_p, W, b_l, inv_v):
+def eliminate_depths(H_pp, b_p, W, b_l, inv_v, A=None, AtA=None):
     """Schur complement of a diagonal depth block given its inverse inv_v:
-    the pose-and-extrinsic system left after minimizing over the depths."""
+    the pose-and-extrinsic system (H_pp, b) left after minimizing over the
+    depths. H_pp is reduced in place; A and AtA are work arrays of the shapes
+    of W and H_pp, allocated when not given."""
     root = np.sqrt(inv_v)
-    A = W * root[:, None]
-    return H_pp - A.T @ A, b_p - A.T @ (root * b_l)
+    A = np.multiply(W, root[:, None], out=A)
+    H_pp -= np.matmul(A.T, A, out=AtA)
+    return H_pp, b_p - A.T @ (root * b_l)
+
+
+# visual rows per chunk of the frame-pair layout (see _VisualIndex)
+VISUAL_CHUNK_ROWS = 8
+_BLOCK36 = np.arange(36).reshape(6, 6)
+
+
+def _distinct(flat, size):
+    """Sorted distinct values of the non-negative ints flat, all below size,
+    and the position of each element of flat among them: np.unique with
+    return_inverse, by a lookup table instead of a sort."""
+    seen = np.zeros(size, dtype=bool)
+    seen[flat] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[flat]
+
+
+@dataclass
+class _VisualIndex:
+    """Where one set of visual rows (window rows, or loop rows) goes in the
+    normal equations; fixed at construction.
+
+    A row's C pose columns are the 6-column groups of its anchor, its
+    observer (window rows only) and the extrinsic, so all rows of one frame
+    pair share them. The rows of a pair fill chunks of VISUAL_CHUNK_ROWS
+    rows in a zero-padded buffer, whose padding slots are never written.
+    Row k's two residual rows sit at slot[k] of that buffer seen as
+    (chunks * VISUAL_CHUNK_ROWS, 2, C + 1): the whitened pose Jacobian, then
+    the whitened residual. Each chunk's product with itself gives its
+    Hessian block and gradient, and one np.bincount over target sums them
+    per entry of the distinct 6 x 6 blocks of H_pp that the chunks touch and
+    of the groups' 6-segments of b_p (h_entries, flat, then b_entries). The
+    depth column stays per row: w_target sums W per entry (w_entries, flat)
+    and feat sums v and b_l per feature.
+    """
+
+    two_frames: bool
+    feat: np.ndarray  # (K,) feature of each row
+    slot: np.ndarray  # (K,)
+    jac: np.ndarray  # (K, 2, C + 1) Jacobian buffer, the depth column last
+    chunks: np.ndarray  # (chunks, 2 VISUAL_CHUNK_ROWS, C + 1)
+    products: np.ndarray  # (chunks, C + 1, C + 1)
+    target: np.ndarray  # (chunks * (C + 1)^2,)
+    h_entries: np.ndarray
+    b_entries: np.ndarray
+    w_entries: np.ndarray
+    w_target: np.ndarray  # (K * C,)
 
 
 class _WindowProblem:
@@ -761,11 +765,19 @@ class _WindowProblem:
     columns are the window's leading frames and the extrinsic, and its
     Jacobian is one product over them; all IMU factors go through one batched
     kernel whitened by each delta's cached sqrt_information, its residual
-    half in evaluate() and its Jacobian half in linearize(); the visual rows
-    are summed with np.bincount over index layouts fixed at construction,
-    their pose columns into H_pp and their depth column into W, v and b_l.
-    The observed rays, and so their tangent bases, are fixed at construction
-    too.
+    half in evaluate() and its Jacobian half in linearize(). The visual rows
+    are assembled per frame pair: each set's _VisualIndex, fixed at
+    construction, packs the rows of one pair into chunks whose products are
+    summed into H_pp and b_p, while the depth column goes into W, v and b_l
+    row by row. The observed rays, and so their tangent bases, are fixed at
+    construction too.
+
+    Every per-iteration array of more than about 100 KB is a buffer that the
+    problem allocates once: the NormalBlocks that linearize() zeroes and
+    refills (valid until its next call), the prior's Jacobian and product,
+    each visual set's Jacobian, chunk and product buffers, and damped_step's
+    masked system, depth couplings and elimination products. Only numpy's
+    Cholesky factor is allocated per step.
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
@@ -836,7 +848,13 @@ class _WindowProblem:
         self.l_p = np.array(l_p, dtype=float).reshape(-1, 3)
 
         self.v_index = self._visual_index(self.v_anchor, self.v_obs, self.v_feat)
-        self.l_index = self._visual_index(self.l_anchor, None, self.l_feat)
+        self.l_index = self._visual_index(self.l_anchor, None, self.l_feat) if loops else None
+
+        P, F = self.feat_col, len(feats)
+        # zeroed by linearize
+        self.blocks = NormalBlocks(np.empty((P, P)), np.empty((F, P)), np.empty(F),
+                                   np.empty(P), np.empty(F))
+        self._step_work = None  # damped_step's buffers, sized by its mask
 
         if self.prior is not None:
             # marginalization keeps every frame after the oldest, so the
@@ -845,6 +863,9 @@ class _WindowProblem:
             if ids != self.frame_ids[: len(ids)]:
                 raise EstimatorError("prior frames are not the window's leading frames")
             self.prior_lin = stack_states([self.prior.lin_frames[fid] for fid in ids])
+            cols = self.prior.columns()
+            self._prior_JT = np.empty((cols, self.prior.dim()))
+            self._prior_JtJ = np.empty((cols, cols))
 
     # -- iterate management ----------------------------------------------------
 
@@ -883,11 +904,12 @@ class _WindowProblem:
         if len(self.lam):
             self.lam = np.maximum(self.lam + dx[self.feat_col :], 1e-4)
 
-    def frame_states(self) -> list[ImuFrameState]:
-        """The current iterate as frame states."""
+    def frame_states(self, first: int = 0) -> list[ImuFrameState]:
+        """The current iterate as frame states, from window frame first on."""
+        rows = (a[first:] for a in (self.t, self.p, self.q, self.v, self.ba, self.bw))
         return [
             ImuFrameState(t, p.copy(), q.copy(), v.copy(), BiasState(ba.copy(), bw.copy()))
-            for t, p, q, v, ba, bw in zip(self.t, self.p, self.q, self.v, self.ba, self.bw)
+            for t, p, q, v, ba, bw in zip(*rows)
         ]
 
     def write_back(self, est: SlidingWindowEstimator) -> None:
@@ -950,17 +972,17 @@ class _WindowProblem:
         Rw, pw = self._frame_arrays()
         sets = []
         if len(self.v_feat):
-            sets.append((True, self.v_index, (self.v_anchor, Rw[self.v_obs], pw[self.v_obs],
-                                              self.v_feat, self.v_ua, self.v_uo, self.v_B)))
+            sets.append((self.v_index, (self.v_anchor, Rw[self.v_obs], pw[self.v_obs],
+                                        self.v_feat, self.v_ua, self.v_uo, self.v_B)))
         if len(self.l_feat):
-            sets.append((False, self.l_index, (self.l_anchor, self.l_R, self.l_p,
-                                               self.l_feat, self.l_ua, self.l_uo, self.l_B)))
+            sets.append((self.l_index, (self.l_anchor, self.l_R, self.l_p,
+                                        self.l_feat, self.l_ua, self.l_uo, self.l_B)))
         visual, visual_cost = [], 0.0
-        for two_frames, index, args in sets:
+        for index, args in sets:
             r, aux = self._visual_terms(*args, Rw, pw)
             s = np.sum(r * r, axis=1)
             visual_cost += float(np.sum(robust_cost(s)))
-            visual.append((two_frames, index, r, s, aux))
+            visual.append((index, r, s, aux))
         cost = (
             (0.0 if prior is None else float(prior[0] @ prior[0]))
             + (0.0 if imu is None else float(np.sum(imu[0] * imu[0])))
@@ -970,21 +992,60 @@ class _WindowProblem:
 
     # -- linearization --------------------------------------------------------------
 
-    def _visual_index(self, anchor, obs_idx, feat_idx):
-        """Pose columns of the Jacobian blocks of _visual_jacobian, whose last
-        column is the feature's depth, with the flat indices of their outer
-        products in H_pp and of their depth couplings in W."""
-        blocks = [15 * anchor[:, None] + np.arange(6)]
-        if obs_idx is not None:
-            blocks.append(15 * obs_idx[:, None] + np.arange(6))
-        blocks.append(np.broadcast_to(self.ext_col + np.arange(6), (len(anchor), 6)))
-        cols = np.concatenate(blocks, axis=1)
-        P = self.feat_col
-        flat_pp = (cols[:, :, None] * P + cols[:, None, :]).ravel()
-        return cols, flat_pp, (feat_idx[:, None] * P + cols).ravel(), feat_idx
+    def _visual_index(self, anchor, obs_idx, feat_idx) -> _VisualIndex:
+        """Frame-pair chunk layout of a set of visual rows (see _VisualIndex).
+        A row's 6-column groups start at column 15 g, g being its anchor, its
+        observer and the extrinsic, which counts as frame n_frames."""
+        K, G = len(anchor), self.n_frames + 1
+        groups = [anchor] if obs_idx is None else [anchor, obs_idx]
+        groups = np.stack(groups + [np.full(K, G - 1)], axis=1)  # (K, B)
+        B = groups.shape[1]
+        C, P, six = 6 * B, self.feat_col, np.arange(6)
 
-    def _visual_jacobian(self, aux, two_frames: bool):
-        """Whitened Jacobian blocks laid out as _visual_index."""
+        # rows in pair order; each pair starts a new chunk
+        pair = groups[:, 0] * G + groups[:, 1]
+        order = np.argsort(pair, kind="stable")
+        count = np.bincount(pair, minlength=G * G)
+        n_chunks = -(-count // VISUAL_CHUNK_ROWS)
+        chunk0 = np.cumsum(n_chunks) - n_chunks
+        first = np.cumsum(count) - count
+        sorted_pair = pair[order]
+        slot = np.empty(K, dtype=int)
+        slot[order] = (chunk0[sorted_pair] * VISUAL_CHUNK_ROWS
+                       + np.arange(K) - first[sorted_pair])
+        n = int(n_chunks.sum())
+        chunk_groups = np.empty((n, B), dtype=int)
+        chunk_groups[slot // VISUAL_CHUNK_ROWS] = groups
+
+        # entry (c, i, j) of the products: H_pp for i, j < C, b_p for the
+        # residual column (j = C), nothing for the rest; the sums hold the
+        # distinct 6 x 6 blocks of group pairs, then a 6-segment per group
+        block_pairs = chunk_groups[:, :, None] * G + chunk_groups[:, None, :]
+        blocks, at = _distinct(block_pairs.ravel(), G * G)
+        nh = 36 * len(blocks)
+        target = np.full((n, C + 1, C + 1), nh + 6 * G)
+        at = (36 * at).reshape(n, B, 1, B, 1) + _BLOCK36[:, None, :]
+        target[:, :C, :C] = at.reshape(n, C, C)
+        target[:, :C, C] = (nh + 6 * chunk_groups[:, :, None] + six).reshape(n, C)
+        bi, bj = np.divmod(blocks, G)
+        h_entries = (15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()
+
+        # W entries: distinct (feature, group) pairs
+        fg, w_at = _distinct((feat_idx[:, None] * G + groups).ravel(), len(self.feats) * G)
+        fi, g = np.divmod(fg, G)
+        w_entries = (fi * P + 15 * g)[:, None] + six
+
+        return _VisualIndex(
+            two_frames=obs_idx is not None, feat=feat_idx, slot=slot,
+            jac=np.empty((K, 2, C + 1)), chunks=np.zeros((n, 2 * VISUAL_CHUNK_ROWS, C + 1)),
+            products=np.empty((n, C + 1, C + 1)), target=target.ravel(),
+            h_entries=h_entries.ravel(), b_entries=(15 * np.arange(G)[:, None] + six).ravel(),
+            w_entries=w_entries.ravel(), w_target=(w_at[:, None] * 6 + six).ravel(),
+        )
+
+    def _visual_jacobian(self, aux, two_frames: bool, J: np.ndarray) -> np.ndarray:
+        """Whitened Jacobian blocks in the column order of _visual_index,
+        then the feature's depth, written into J and returned."""
         R_bc, lam, u_anchor, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec, B = aux
         # M = d r / d P = -B^T (I - n n^T) / |P|, whitened
         Bt = np.swapaxes(B, 1, 2)
@@ -994,7 +1055,6 @@ class _WindowProblem:
         MA = MRbc @ np.swapaxes(obs_R, 1, 2)  # d r / d f_w
         MARi = MA @ Ri
 
-        J = np.empty((len(nP), 2, 19 if two_frames else 13))
         J[:, :, 0:3] = MA
         J[:, :, 3:6] = -MA @ skew(np.einsum("kab,kb->ka", Ri, f_bi))
         c = 6
@@ -1009,31 +1069,41 @@ class _WindowProblem:
         )
         return J
 
-    def _add_visual(self, blocks: NormalBlocks, r, s, J, index) -> None:
-        """Accumulate Huber-reweighted visual rows."""
-        cols, flat_pp, flat_w, feat = index
+    def _add_visual(self, blocks: NormalBlocks, r, s, aux, index: _VisualIndex) -> None:
+        """Accumulate Huber-reweighted visual rows: their pose columns chunk
+        by chunk, their depth column row by row."""
+        J = self._visual_jacobian(aux, index.two_frames, index.jac)
         sw = np.sqrt(huber_weight(s))
-        Jw = J * sw[:, None, None]
+        J *= sw[:, None, None]
         rw = r * sw[:, None]
-        Jp, Jl = Jw[:, :, :-1], Jw[:, :, -1]
-        P, F = len(blocks.b_p), len(blocks.b_l)
-        Hb = np.swapaxes(Jp, 1, 2) @ Jp
-        blocks.H_pp += np.bincount(flat_pp, Hb.ravel(), P * P).reshape(P, P)
+        C = J.shape[2] - 1
+        Jp, Jl = J[:, :, :C], J[:, :, C]
+        rows = index.chunks.reshape(-1, 2, C + 1)
+        rows[index.slot, :, :C] = Jp
+        rows[index.slot, :, C] = rw
+        np.matmul(np.swapaxes(index.chunks, 1, 2), index.chunks, out=index.products)
+        nh, nb = len(index.h_entries), len(index.b_entries)
+        # the last sum collects the entries that neither H_pp nor b_p takes
+        sums = np.bincount(index.target, index.products.ravel(), nh + nb + 1)
+        blocks.H_pp.reshape(-1)[index.h_entries] += sums[:nh]
+        blocks.b_p[index.b_entries] += sums[nh : nh + nb]
         Wb = np.einsum("kri,kr->ki", Jp, Jl)
-        blocks.W += np.bincount(flat_w, Wb.ravel(), F * P).reshape(F, P)
-        blocks.v += np.bincount(feat, np.einsum("kr,kr->k", Jl, Jl), F)
-        blocks.b_p += np.bincount(cols.ravel(), np.einsum("kri,kr->ki", Jp, rw).ravel(), P)
-        blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
+        blocks.W.reshape(-1)[index.w_entries] += np.bincount(
+            index.w_target, Wb.ravel(), len(index.w_entries))
+        F = len(blocks.b_l)
+        blocks.v += np.bincount(index.feat, np.einsum("kr,kr->k", Jl, Jl), F)
+        blocks.b_l += np.bincount(index.feat, np.einsum("kr,kr->k", Jl, rw), F)
 
     def _add_prior(self, blocks: NormalBlocks, rp, Jth, J_ext) -> None:
         """Accumulate the marginalization prior, whose Jacobian is H_p D with
         D the identity except on attitude blocks."""
-        JT = self.prior.H.T.copy()  # (H_p D)^T, mapped in place below
+        JT = self._prior_JT  # (H_p D)^T, mapped in place below
+        np.copyto(JT, self.prior.H.T)
         n = 15 * len(Jth)
         att = JT[:n].reshape(len(Jth), 15, -1)[:, 3:6]
         att[...] = np.swapaxes(Jth, 1, 2) @ att
         JT[-3:] = J_ext.T @ JT[-3:]
-        JtJ = JT @ JT.T
+        JtJ = np.matmul(JT, JT.T, out=self._prior_JtJ)
         g = JT @ rp
         H, e = blocks.H_pp, self.ext_col
         H[:n, :n] += JtJ[:n, :n]
@@ -1062,17 +1132,18 @@ class _WindowProblem:
                 Hv[ri, :, rj, :] += Hb[:, 15 * i : 15 * i + 15, 15 * j : 15 * j + 15]
 
     def linearize(self, terms) -> NormalBlocks:
-        """Normal equations at the iterate evaluate() returned terms for."""
+        """Normal equations at the iterate evaluate() returned terms for, in
+        the problem's own NormalBlocks: valid until the next linearize."""
         prior, imu, visual = terms
-        P, F = self.feat_col, len(self.feats)
-        blocks = NormalBlocks(np.zeros((P, P)), np.zeros((F, P)), np.zeros(F),
-                              np.zeros(P), np.zeros(F))
+        blocks = self.blocks
+        for a in (blocks.H_pp, blocks.W, blocks.v, blocks.b_p, blocks.b_l):
+            a.fill(0.0)
         if prior is not None:
             self._add_prior(blocks, *prior)
         if imu is not None:
             self._add_imu(blocks, *imu)
-        for two_frames, index, r, s, aux in visual:
-            self._add_visual(blocks, r, s, self._visual_jacobian(aux, two_frames), index)
+        for index, r, s, aux in visual:
+            self._add_visual(blocks, r, s, aux, index)
         return blocks
 
     # -- damped Gauss-Newton ---------------------------------------------------
@@ -1085,11 +1156,18 @@ class _WindowProblem:
         first and the reduced pose system is solved by Cholesky; raises
         LinAlgError when that system is not positive definite.
         """
-        H = blocks.H_pp[pose_mask][:, pose_mask]
-        W = blocks.W[:, pose_mask]
-        H[np.diag_indices_from(H)] += lam * np.maximum(np.diag(H), 1e-12)
+        H, W, A, AtA = self._step_buffers(pose_mask)
+        sel = np.flatnonzero(pose_mask)
+        m = len(sel)
+        if not m or sel[-1] == m - 1:  # leading columns: all, or all but the extrinsic
+            np.copyto(H, blocks.H_pp[:m, :m])
+            np.copyto(W, blocks.W[:, :m])
+        else:
+            H[...] = blocks.H_pp[np.ix_(sel, sel)]
+            W[...] = blocks.W[:, sel]
+        H.flat[:: m + 1] += lam * np.maximum(np.diagonal(H), 1e-12)
         v_lam = blocks.v + lam * np.maximum(blocks.v, 1e-12)
-        S, g = eliminate_depths(H, blocks.b_p[pose_mask], W, blocks.b_l, 1.0 / v_lam)
+        S, g = eliminate_depths(H, blocks.b_p[sel], W, blocks.b_l, 1.0 / v_lam, A, AtA)
         # numpy factors: scipy may link a BLAS of its own, whose thread pool,
         # woken by a factorization of this size, contends with numpy's when
         # the thread count is not pinned; its triangular solves stay serial
@@ -1100,6 +1178,16 @@ class _WindowProblem:
         dx[: self.feat_col][pose_mask] = dp
         dx[self.feat_col :] = -(blocks.b_l + W @ dp) / v_lam
         return dx
+
+    def _step_buffers(self, pose_mask: np.ndarray):
+        """damped_step's (H, W, A, AtA) for the masked pose columns,
+        allocated again only when the number of those columns changes."""
+        m = int(np.count_nonzero(pose_mask))
+        if self._step_work is None or len(self._step_work[0]) != m:
+            F = len(self.feats)
+            self._step_work = (np.empty((m, m)), np.empty((F, m)), np.empty((F, m)),
+                               np.empty((m, m)))
+        return self._step_work
 
     def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
         """Damped Gauss-Newton over the variables selected by the boolean
@@ -1179,9 +1267,10 @@ class _WindowProblem:
         # (no baseline to any observer) is dropped instead of inverted
         keep = v > max(float(v.max(initial=0.0)) * 1e-12, 1e-14)
         inv_v = np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
+        # the problem ends here, so its blocks are reduced in place
         H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
         H_red, b_red = schur_complement(H, b, 15)
         Hp, rp = information_sqrt(H_red, b_red)
         retained_ids = self.frame_ids[1:]
-        lin_frames = dict(zip(retained_ids, self.frame_states()[1:]))
+        lin_frames = dict(zip(retained_ids, self.frame_states(1)))
         return MarginalizationPrior(retained_ids, lin_frames, self.extrinsic.copy(), rp, Hp)

@@ -204,7 +204,14 @@ class PreintegratedDelta:
 
 
 def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> PreintegratedDelta:
-    """Pre-integrate the concatenated sample buffers at the first delta's bias."""
+    """Pre-integrate the concatenated sample buffers at the first delta's bias.
+
+    The mean path is integrated over the whole buffer, but the covariance
+    and Jacobian recursion continues from first.P and first.J over the
+    second delta's steps only: the first delta's steps are the same
+    operations at the same bias, so the result equals integrate_segment over
+    the concatenated buffer bit for bit.
+    """
     if not first.samples:
         return second.repropagate(first.lin_bias)
     if not second.samples:
@@ -212,7 +219,8 @@ def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> Prein
     if abs(first.samples[-1].t - second.samples[0].t) > 1e-9:
         raise PreintegrationError("deltas are not adjacent")
     samples = first.samples + second.samples[1:]
-    return integrate_segment(samples, first.lin_bias, first.noise)
+    return _integrate_from(samples, first.lin_bias, first.noise,
+                           len(first.samples) - 1, first.P, first.J)
 
 
 def so3_right_jacobian_batch(rotvecs: np.ndarray) -> np.ndarray:
@@ -310,13 +318,17 @@ def integrate_segment(
     (parallel-prefix) product of the A's would be faster but rounds
     differently, so it is not used.
     """
-    delta = PreintegratedDelta(bias, noise)
     if len(samples) < 2:
-        return delta
+        return PreintegratedDelta(bias, noise)
+    return _integrate_from(samples, bias, noise, 0, np.zeros((15, 15)), np.eye(15))
+
+
+def _integrate_from(samples, bias, noise, start: int, P, J) -> PreintegratedDelta:
+    """integrate_segment with the covariance and Jacobian recursion started
+    at step `start` from the P and J that its first `start` steps reach."""
+    delta = PreintegratedDelta(bias, noise)
     path = midpoint_path(samples, bias)
-    A, Q = _transition_batch(path, noise.q_diag())
-    P = np.zeros((15, 15))
-    J = np.eye(15)
+    A, Q = _transition_batch(path, noise.q_diag(), start)
     dot = np.dot  # the same BLAS products as @, with less call overhead
     for A_i, Q_i in zip(A, Q):
         P = dot(dot(A_i, P), A_i.T)
@@ -334,10 +346,12 @@ def integrate_segment(
     return delta
 
 
-def _transition_batch(path: MidpointPath, qd: np.ndarray):
+def _transition_batch(path: MidpointPath, qd: np.ndarray, start: int):
     """Per-step transitions A = I + F dt (N, 15, 15) and injected noise
-    (G * (qd dt)) G^T (N, 15, 15) of a midpoint path, qd being the diagonal
-    of the density matrix.
+    (G * (qd dt)) G^T (N, 15, 15) of a midpoint path's steps from `start`
+    on, qd being the diagonal of the density matrix. Each step's pair is
+    computed from that step's arrays alone, so it is the same whatever
+    `start` is.
 
     F is the discrete transition of the midpoint step; its dt->0 limit is
     the continuous-time error dynamics (alpha row coupled only through
@@ -345,11 +359,11 @@ def _transition_batch(path: MidpointPath, qd: np.ndarray):
     keep the bias Jacobian consistent with finite differences of
     re-propagation at the 1e-4 level.
     """
-    dt = path.dt[:, None, None]
-    R0, R1 = path.R[:-1], path.R[1:]
-    T = np.swapaxes(quat_to_rot(path.dq), 1, 2)
-    Jr = so3_right_jacobian_batch(path.rotvec)
-    sk = skew(path.accel)
+    dt = path.dt[start:, None, None]
+    R0, R1 = path.R[start:-1], path.R[start + 1 :]
+    T = np.swapaxes(quat_to_rot(path.dq[start:]), 1, 2)
+    Jr = so3_right_jacobian_batch(path.rotvec[start:])
+    sk = skew(path.accel[start:])
     R1a1 = R1 @ sk[1:]
     m_theta = -0.5 * (R0 @ sk[:-1] + R1a1 @ T)
     bw_to_amid = (0.5 * dt) * (R1a1 @ Jr)

@@ -3,9 +3,11 @@ bit for bit where the kernel claims bitwise equality."""
 
 import numpy as np
 
-from monovio.geometry import quat_to_rot, skew
+from monovio.estimator import EstimatorError, NormalBlocks, huber_weight
+from monovio.geometry import quat_to_rot, skew, tangent_basis
 from monovio.preintegration import (
     PreintegrationError,
+    integrate_segment,
     interpolate_sample,
     midpoint_path,
     so3_right_jacobian_batch,
@@ -57,6 +59,12 @@ def integrate_segment_stepwise(samples, bias, noise):
     return P, J
 
 
+def merge_deltas_reintegrated(first, second):
+    """merge_deltas of two adjacent deltas with sample buffers, by
+    integrate_segment over the whole concatenated buffer."""
+    return integrate_segment(first.samples + second.samples[1:], first.lin_bias, first.noise)
+
+
 def quat_rotate_np(q, v):
     """Rotation of v by q through np.cross."""
     q = np.asarray(q, dtype=float)
@@ -95,3 +103,90 @@ def segment_samples_searchsorted(samples, t0, t1):
     else:
         last = interpolate_sample(samples[i1 - 1], samples[i1], t1)
     return [first, *samples[i0 + 1 : i1], last]
+
+
+def visual_residual(
+    q_i, p_i, q_j, p_j, extrinsic, anchor_ray, inv_depth,
+    observed_ray, with_jacobians: bool = True,
+):
+    """Unit-sphere reprojection residual of a feature anchored in camera i and
+    observed in camera j, projected on the observed ray's tangent plane.
+
+    Scalar reference for the batched kernel of _WindowProblem.
+
+    Returns (r, jac) where jac maps 'p_i', 'th_i', 'p_j', 'th_j', 'ext_p',
+    'ext_th', 'lam' to (2, .) blocks (jac is None without Jacobians).
+    """
+    R_i = quat_to_rot(q_i)
+    R_j = quat_to_rot(q_j)
+    R_bc = quat_to_rot(extrinsic.q_b_c)
+    p_bc = extrinsic.p_b_c
+    u_i = np.asarray(anchor_ray, dtype=float)
+    u_j = np.asarray(observed_ray, dtype=float)
+
+    f_ci = u_i / inv_depth
+    f_bi = R_bc @ f_ci + p_bc
+    f_w = R_i @ f_bi + p_i
+    d_j = f_w - np.asarray(p_j, dtype=float)
+    f_bj = R_j.T @ d_j
+    e_j = f_bj - p_bc
+    P = R_bc.T @ e_j
+    nP = np.linalg.norm(P)
+    if nP < 1e-6:
+        raise EstimatorError("feature collapses onto the observing camera center")
+    nvec = P / nP
+    b1, b2 = tangent_basis(u_j)
+    B = np.stack([b1, b2], axis=1)  # (3, 2)
+    r = B.T @ (u_j - nvec)
+    if not with_jacobians:
+        return r, None
+
+    M = -B.T @ (np.eye(3) - np.outer(nvec, nvec)) / nP  # (2, 3): d r / d P
+    A = R_bc.T @ R_j.T
+    jac = {
+        "p_i": M @ A,
+        "th_i": -M @ A @ skew(R_i @ f_bi),
+        "p_j": -M @ A,
+        "th_j": M @ A @ skew(d_j),
+        "lam": (M @ A @ R_i @ R_bc @ (-u_i / inv_depth**2)).reshape(2, 1),
+        "ext_p": M @ R_bc.T @ (R_j.T @ R_i - np.eye(3)),
+        "ext_th": M @ (R_bc.T @ skew(e_j) - A @ R_i @ skew(R_bc @ f_ci)),
+    }
+    return r, jac
+
+
+def linearize_per_row(problem, terms):
+    """problem.linearize(terms) into fresh NormalBlocks, with every visual
+    row's outer products scattered on their own: np.bincount over each row's
+    flat entries of H_pp and W, without the frame-pair chunks."""
+    prior, imu, visual = terms
+    P, F = problem.feat_col, len(problem.feats)
+    blocks = NormalBlocks(np.zeros((P, P)), np.zeros((F, P)), np.zeros(F), np.zeros(P), np.zeros(F))
+    if prior is not None:
+        problem._add_prior(blocks, *prior)
+    if imu is not None:
+        problem._add_imu(blocks, *imu)
+    for index, r, s, aux in visual:
+        J = problem._visual_jacobian(aux, index.two_frames, np.empty_like(index.jac))
+        if index.two_frames:
+            frames = [problem.v_anchor, problem.v_obs]
+        else:
+            frames = [problem.l_anchor]
+        cols = np.concatenate(
+            [15 * f[:, None] + np.arange(6) for f in frames]
+            + [np.broadcast_to(problem.ext_col + np.arange(6), (len(r), 6))], axis=1)
+        feat = index.feat
+        flat_pp = (cols[:, :, None] * P + cols[:, None, :]).ravel()
+        flat_w = (feat[:, None] * P + cols).ravel()
+        sw = np.sqrt(huber_weight(s))
+        Jw = J * sw[:, None, None]
+        rw = r * sw[:, None]
+        Jp, Jl = Jw[:, :, :-1], Jw[:, :, -1]
+        Hb = np.swapaxes(Jp, 1, 2) @ Jp
+        blocks.H_pp += np.bincount(flat_pp, Hb.ravel(), P * P).reshape(P, P)
+        Wb = np.einsum("kri,kr->ki", Jp, Jl)
+        blocks.W += np.bincount(flat_w, Wb.ravel(), F * P).reshape(F, P)
+        blocks.v += np.bincount(feat, np.einsum("kr,kr->k", Jl, Jl), F)
+        blocks.b_p += np.bincount(cols.ravel(), np.einsum("kri,kr->ki", Jp, rw).ravel(), P)
+        blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
+    return blocks

@@ -19,7 +19,6 @@ from monovio.estimator import (
     keyframe_decision,
     schur_complement,
     triangulate_feature,
-    visual_residual,
 )
 from monovio.initialization import ExtrinsicCalib
 from monovio.pipeline import TrackObservationIndex
@@ -40,8 +39,15 @@ from monovio.simulator import (
     camera_times,
     default_extrinsic,
 )
+from reference import linearize_per_row, visual_residual
 
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
+# bounds on the tracemalloc peaks, above their start, of one linearize and
+# one damped_step of loop_window_problem: 193 and 238 KB read with the
+# per-problem buffers, 818 and 905 KB with the per-row assembly; one more
+# array of the pose block's size (171 x 171) would cross either
+LINEARIZE_PEAK_KB = 400
+STEP_PEAK_KB = 400
 
 
 def seeded_estimator(cfg, data, n_frames=11, config=None):
@@ -996,3 +1002,70 @@ class TestImuResidualJacobiansInWindow:
                 ref[mask] = np.linalg.solve(damped, -b[mask])
                 dx = problem.damped_step(blocks, mask[: problem.feat_col], lam)
                 np.testing.assert_allclose(dx, ref, rtol=0, atol=1e-6 * np.abs(ref).max())
+
+
+def assert_blocks_match(got, ref):
+    for name in ("H_pp", "W", "v", "b_p", "b_l"):
+        a, b = getattr(got, name), getattr(ref, name)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max(), err_msg=name)
+
+
+class TestFramePairAssembly:
+    def test_chunked_assembly_matches_per_row_reference(self):
+        # window and loop rows, with frame pairs longer than one chunk
+        from monovio.estimator import VISUAL_CHUNK_ROWS
+
+        problem, _ = loop_window_problem()
+        pairs = problem.v_anchor * problem.n_frames + problem.v_obs
+        assert len(problem.l_feat) and np.bincount(pairs).max() > VISUAL_CHUNK_ROWS
+        terms = problem.evaluate()[1]
+        assert_blocks_match(problem.linearize(terms), linearize_per_row(problem, terms))
+
+    def test_reused_buffers_hold_no_stale_rows(self):
+        # a problem linearized at a second iterate equals the per-row
+        # reference there, and bit for bit a fresh problem at that iterate
+        from monovio.estimator import _WindowProblem
+
+        problem, loop = loop_window_problem()
+        first = problem.linearize(problem.evaluate()[1])
+        H_first = first.H_pp.copy()
+        mask = np.ones(problem.feat_col, dtype=bool)
+        problem.retract(problem.damped_step(first, mask, 1e-2))
+        terms = problem.evaluate()[1]
+        second = problem.linearize(terms)
+        assert second is first and not np.array_equal(second.H_pp, H_first)
+        assert_blocks_match(second, linearize_per_row(problem, terms))
+
+        est = SlidingWindowEstimator(EstimatorConfig(), problem.extrinsic)
+        est.frames, est.frame_ids = problem.frame_states(), list(problem.frame_ids)
+        est.deltas, est.prior = problem.deltas, problem.prior
+        fresh = _WindowProblem(est, problem.feats, [loop])
+        fresh.restore(problem.snapshot())
+        blocks = fresh.linearize(fresh.evaluate()[1])
+        for name in ("H_pp", "W", "v", "b_p", "b_l"):
+            assert np.array_equal(getattr(blocks, name), getattr(second, name)), name
+
+    def test_linearize_and_step_allocate_below_fixed_bound(self):
+        # per-iteration arrays live in buffers that the problem allocates
+        # once, so a warmed problem's linearize and damped_step stay below
+        # fixed peaks (readings beside LINEARIZE_PEAK_KB)
+        import tracemalloc
+
+        problem, _ = loop_window_problem()
+        assert problem.n_frames == 11
+        mask = np.ones(problem.feat_col, dtype=bool)
+        terms = problem.evaluate()[1]
+        problem.damped_step(problem.linearize(terms), mask, 1e-4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            blocks = problem.linearize(terms)
+            lin_kb = (tracemalloc.get_traced_memory()[1] - base) / 1024
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            problem.damped_step(blocks, mask, 1e-4)
+            step_kb = (tracemalloc.get_traced_memory()[1] - base) / 1024
+        finally:
+            tracemalloc.stop()
+        assert lin_kb < LINEARIZE_PEAK_KB and step_kb < STEP_PEAK_KB

@@ -18,7 +18,11 @@ from monovio.preintegration import (
     weight_residual,
 )
 from monovio.simulator import ScenarioConfig, build_scenario
-from reference import integrate_segment_stepwise, segment_samples_searchsorted
+from reference import (
+    integrate_segment_stepwise,
+    merge_deltas_reintegrated,
+    segment_samples_searchsorted,
+)
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0)
 
@@ -389,6 +393,21 @@ class TestBatchedTransitions:
         merged = merge_deltas(d1, d2)
         P, J = integrate_segment_stepwise(stream[0:81], self.BIAS, self.NOISE)
         assert np.array_equal(merged.P, P) and np.array_equal(merged.J, J)
+
+    @pytest.mark.parametrize("n", [2, 41, 81])
+    def test_merge_continues_bitwise_from_first(self, stream, n):
+        # merge_deltas continues the first delta's recursion; it must equal
+        # re-integrating the concatenated buffer, whatever the split
+        for start, n2 in ((0, 2), (57, 41), (230, 81)):
+            d1 = integrate_segment(stream[start : start + n], self.BIAS, self.NOISE)
+            tail = stream[start + n - 1 : start + n - 1 + n2]
+            d2 = integrate_segment(tail, BiasState(), self.NOISE)
+            merged = merge_deltas(d1, d2)
+            ref = merge_deltas_reintegrated(d1, d2)
+            for name in ("P", "J", "alpha", "beta", "gamma"):
+                assert np.array_equal(getattr(merged, name), getattr(ref, name)), name
+            assert merged.P.tobytes() == ref.P.tobytes()  # signed zeros too
+            assert merged.dt_total == ref.dt_total and len(merged.samples) == len(ref.samples)
 
 
 class TestSegmentBoundaries:
