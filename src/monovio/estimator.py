@@ -706,18 +706,19 @@ def eliminate_depths(H_pp, b_p, W, b_l, inv_v, A=None, AtA=None):
     return H_pp, b_p - A.T @ (root * b_l)
 
 
+def _free_run(pose_mask: np.ndarray) -> tuple[int, int]:
+    """Bounds (lo, hi) of the free pose columns of pose_mask; raises
+    ValueError unless they are one contiguous run."""
+    free = np.flatnonzero(pose_mask)
+    lo, hi = (int(free[0]), int(free[-1]) + 1) if len(free) else (0, 0)
+    if hi - lo != len(free):
+        raise ValueError("held pose columns must lead or trail the free ones")
+    return lo, hi
+
+
 # visual rows per chunk of the frame-pair layout (see _VisualIndex)
 VISUAL_CHUNK_ROWS = 8
 _BLOCK36 = np.arange(36).reshape(6, 6)
-
-
-def _distinct(flat, size):
-    """Sorted distinct values of the non-negative ints flat, all below size,
-    and the position of each element of flat among them: np.unique with
-    return_inverse, by a lookup table instead of a sort."""
-    seen = np.zeros(size, dtype=bool)
-    seen[flat] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[flat]
 
 
 @dataclass
@@ -772,12 +773,10 @@ class _WindowProblem:
     row by row. The observed rays, and so their tangent bases, are fixed at
     construction too.
 
-    Every per-iteration array of more than about 100 KB is a buffer that the
-    problem allocates once: the NormalBlocks that linearize() zeroes and
-    refills (valid until its next call), the prior's Jacobian and product,
-    each visual set's Jacobian, chunk and product buffers, and damped_step's
-    masked system, depth couplings and elimination products. Only numpy's
-    Cholesky factor is allocated per step.
+    Every iteration writes into buffers that the problem allocates once: the
+    NormalBlocks that linearize() zeroes and refills (valid until its next
+    call), each visual set's Jacobian, chunk and product buffers, and
+    damped_step's masked system, depth couplings and elimination products.
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
@@ -854,7 +853,7 @@ class _WindowProblem:
         # zeroed by linearize
         self.blocks = NormalBlocks(np.empty((P, P)), np.empty((F, P)), np.empty(F),
                                    np.empty(P), np.empty(F))
-        self._step_work = None  # damped_step's buffers, sized by its mask
+        self._step_work = None  # damped_step's buffers, sized by its free columns
 
         if self.prior is not None:
             # marginalization keeps every frame after the oldest, so the
@@ -863,9 +862,6 @@ class _WindowProblem:
             if ids != self.frame_ids[: len(ids)]:
                 raise EstimatorError("prior frames are not the window's leading frames")
             self.prior_lin = stack_states([self.prior.lin_frames[fid] for fid in ids])
-            cols = self.prior.columns()
-            self._prior_JT = np.empty((cols, self.prior.dim()))
-            self._prior_JtJ = np.empty((cols, cols))
 
     # -- iterate management ----------------------------------------------------
 
@@ -1021,7 +1017,7 @@ class _WindowProblem:
         # residual column (j = C), nothing for the rest; the sums hold the
         # distinct 6 x 6 blocks of group pairs, then a 6-segment per group
         block_pairs = chunk_groups[:, :, None] * G + chunk_groups[:, None, :]
-        blocks, at = _distinct(block_pairs.ravel(), G * G)
+        blocks, at = np.unique(block_pairs.ravel(), return_inverse=True)
         nh = 36 * len(blocks)
         target = np.full((n, C + 1, C + 1), nh + 6 * G)
         at = (36 * at).reshape(n, B, 1, B, 1) + _BLOCK36[:, None, :]
@@ -1031,7 +1027,7 @@ class _WindowProblem:
         h_entries = (15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()
 
         # W entries: distinct (feature, group) pairs
-        fg, w_at = _distinct((feat_idx[:, None] * G + groups).ravel(), len(self.feats) * G)
+        fg, w_at = np.unique((feat_idx[:, None] * G + groups).ravel(), return_inverse=True)
         fi, g = np.divmod(fg, G)
         w_entries = (fi * P + 15 * g)[:, None] + six
 
@@ -1097,13 +1093,12 @@ class _WindowProblem:
     def _add_prior(self, blocks: NormalBlocks, rp, Jth, J_ext) -> None:
         """Accumulate the marginalization prior, whose Jacobian is H_p D with
         D the identity except on attitude blocks."""
-        JT = self._prior_JT  # (H_p D)^T, mapped in place below
-        np.copyto(JT, self.prior.H.T)
+        JT = self.prior.H.T.copy()  # (H_p D)^T, mapped in place below
         n = 15 * len(Jth)
         att = JT[:n].reshape(len(Jth), 15, -1)[:, 3:6]
         att[...] = np.swapaxes(Jth, 1, 2) @ att
         JT[-3:] = J_ext.T @ JT[-3:]
-        JtJ = np.matmul(JT, JT.T, out=self._prior_JtJ)
+        JtJ = JT @ JT.T
         g = JT @ rp
         H, e = blocks.H_pp, self.ext_col
         H[:n, :n] += JtJ[:n, :n]
@@ -1150,24 +1145,21 @@ class _WindowProblem:
 
     def damped_step(self, blocks: NormalBlocks, pose_mask: np.ndarray, lam: float) -> np.ndarray:
         """Solution dx of (H_m + lam diag(max(diag H_m, 1e-12))) dx_m = -b_m
-        over the masked pose columns and every depth, zero elsewhere.
+        over the masked pose columns and every depth, zero elsewhere. The
+        masked pose columns must be one run (see _free_run).
 
         The damped depth block stays diagonal, so the depths are eliminated
         first and the reduced pose system is solved by Cholesky; raises
         LinAlgError when that system is not positive definite.
         """
-        H, W, A, AtA = self._step_buffers(pose_mask)
-        sel = np.flatnonzero(pose_mask)
-        m = len(sel)
-        if not m or sel[-1] == m - 1:  # leading columns: all, or all but the extrinsic
-            np.copyto(H, blocks.H_pp[:m, :m])
-            np.copyto(W, blocks.W[:, :m])
-        else:
-            H[...] = blocks.H_pp[np.ix_(sel, sel)]
-            W[...] = blocks.W[:, sel]
+        lo, hi = _free_run(pose_mask)
+        m = hi - lo
+        H, W, A, AtA = self._step_buffers(m)
+        np.copyto(H, blocks.H_pp[lo:hi, lo:hi])
+        np.copyto(W, blocks.W[:, lo:hi])
         H.flat[:: m + 1] += lam * np.maximum(np.diagonal(H), 1e-12)
         v_lam = blocks.v + lam * np.maximum(blocks.v, 1e-12)
-        S, g = eliminate_depths(H, blocks.b_p[sel], W, blocks.b_l, 1.0 / v_lam, A, AtA)
+        S, g = eliminate_depths(H, blocks.b_p[lo:hi], W, blocks.b_l, 1.0 / v_lam, A, AtA)
         # numpy factors: scipy may link a BLAS of its own, whose thread pool,
         # woken by a factorization of this size, contends with numpy's when
         # the thread count is not pinned; its triangular solves stay serial
@@ -1175,14 +1167,13 @@ class _WindowProblem:
         y = solve_triangular(L, -g, lower=True, check_finite=False)
         dp = solve_triangular(L, y, trans="T", lower=True, check_finite=False)
         dx = np.zeros(self.dim)
-        dx[: self.feat_col][pose_mask] = dp
+        dx[lo:hi] = dp
         dx[self.feat_col :] = -(blocks.b_l + W @ dp) / v_lam
         return dx
 
-    def _step_buffers(self, pose_mask: np.ndarray):
-        """damped_step's (H, W, A, AtA) for the masked pose columns,
-        allocated again only when the number of those columns changes."""
-        m = int(np.count_nonzero(pose_mask))
+    def _step_buffers(self, m: int):
+        """damped_step's (H, W, A, AtA) for m free pose columns, allocated
+        again only when m changes."""
         if self._step_work is None or len(self._step_work[0]) != m:
             F = len(self.feats)
             self._step_work = (np.empty((m, m)), np.empty((F, m)), np.empty((F, m)),
@@ -1192,6 +1183,8 @@ class _WindowProblem:
     def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
         """Damped Gauss-Newton over the variables selected by the boolean
         mask, which may hold pose and extrinsic columns constant but no depth.
+        The held pose columns must lead (the oldest frames) or trail (the
+        extrinsic) the free ones, which damped_step solves for as one block.
 
         Every trial iterate is evaluated for its cost. It is linearized only
         when it is accepted and another iteration will step from it, so a
@@ -1203,6 +1196,7 @@ class _WindowProblem:
         if not np.all(mask[self.feat_col :]):
             raise ValueError("inverse depths cannot be held constant")
         pose_mask = mask[: self.feat_col]
+        _free_run(pose_mask)  # raises before any step
         report = SolveReport()
         cost, terms = self.evaluate()
         if not np.isfinite(cost):

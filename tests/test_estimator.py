@@ -43,10 +43,11 @@ from reference import linearize_per_row, visual_residual
 
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 # bounds on the tracemalloc peaks, above their start, of one linearize and
-# one damped_step of loop_window_problem: 193 and 238 KB read with the
-# per-problem buffers, 818 and 905 KB with the per-row assembly; one more
-# array of the pose block's size (171 x 171) would cross either
-LINEARIZE_PEAK_KB = 400
+# one damped_step of loop_window_problem: 455 and 237 KB read with the
+# per-problem buffers (linearize's peak is the prior's Jacobian and product,
+# allocated per call), 818 and 905 KB with the per-row assembly; one more
+# array of the pose block's size (171 x 171, 234 KB) would cross either
+LINEARIZE_PEAK_KB = 600
 STEP_PEAK_KB = 400
 
 
@@ -404,6 +405,23 @@ class TestSolver:
         assert np.abs(ours - ind).max() < 1e-6
         for qa, qb in zip(our_qs, ind_qs):
             assert geo.quat_angle_between(qa, qb) < 1e-6
+
+    def test_rejects_masks_it_cannot_solve(self):
+        # a held depth, or held pose columns inside the free ones (frame 1
+        # between free frames 0 and 2), is refused before any step
+        problem, _ = loop_window_problem()
+        p0 = problem.p
+        held_depth = np.ones(problem.dim, dtype=bool)
+        held_depth[-1] = False
+        held_frame = np.ones(problem.dim, dtype=bool)
+        held_frame[15:30] = False
+        for mask in (held_depth, held_frame):
+            with pytest.raises(ValueError):
+                problem.solve(EstimatorConfig().solver, mask)
+        with pytest.raises(ValueError):
+            problem.damped_step(problem.linearize(problem.evaluate()[1]),
+                                held_frame[: problem.feat_col], 1e-4)
+        assert problem.p is p0  # retract replaces the state arrays
 
 
 def _embed(problem, mask, x):
