@@ -130,7 +130,8 @@ def cmd_run(args) -> int:
         cfg_for_ext = dataio.scenario_from_config(cfg_dict)
         pipe = VioPipeline(
             imu, obs_index.times(), obs_index, sfm, cfg_for_ext.extrinsic, pc,
-            loop_candidates=loops, seed=args.seed or cfg_dict.get("seed", 0),
+            loop_candidates=loops,
+            seed=args.seed if args.seed is not None else cfg_dict.get("seed", 0),
         )
         gt_times = gt_p = None
         if args.gt:

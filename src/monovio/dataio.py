@@ -167,7 +167,7 @@ def read_loops(path) -> list[LoopCandidate]:
                 LoopCandidate(
                     current["query_t"], current["candidate_t"],
                     np.array(fids, dtype=int), np.array(rqs), np.array(rcs),
-                    np.ones(len(fids), dtype=bool), None, None,
+                    np.ones(len(fids), dtype=bool),
                 )
             )
 
@@ -227,6 +227,8 @@ _INT_KEYS = {
     "graph_capacity", "init_window", "solver_max_iterations", "align_count",
 }
 _BOOL_KEYS = {"optimize_extrinsic", "disable_loop", "test_mode"}
+_BOOL_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False)
 _VEC_KEYS = {"bias_a", "bias_w", "extrinsic_p", "extrinsic_rpy_deg"}
 _STR_KEYS = {"trajectory"}
 
@@ -253,7 +255,9 @@ def parse_config(path) -> dict:
                 elif key in _INT_KEYS:
                     out[key] = int(val)
                 elif key in _BOOL_KEYS:
-                    out[key] = val.lower() in ("1", "true", "yes", "on")
+                    if val.lower() not in _BOOL_WORDS:
+                        raise ValueError("expected 1/true/yes/on or 0/false/no/off")
+                    out[key] = _BOOL_WORDS[val.lower()]
                 elif key in _VEC_KEYS:
                     vec = np.array([float(x) for x in val.replace(",", " ").split()])
                     if vec.shape != (3,):

@@ -160,12 +160,6 @@ class MarginalizationPrior:
     r: np.ndarray
     H: np.ndarray
 
-    def dim(self) -> int:
-        return self.H.shape[0]
-
-    def columns(self) -> int:
-        return self.H.shape[1]
-
 
 @dataclass
 class SolverConfig:
@@ -178,14 +172,6 @@ class SolveReport:
     costs: list[float] = field(default_factory=list)
     iterations: int = 0
     termination: str = ""
-
-    @property
-    def initial_cost(self) -> float:
-        return self.costs[0] if self.costs else 0.0
-
-    @property
-    def final_cost(self) -> float:
-        return self.costs[-1] if self.costs else 0.0
 
 
 @dataclass
@@ -208,13 +194,6 @@ class EstimatorConfig:
 # free operations
 
 
-def huber(s: float) -> float:
-    """Robust norm on a squared weighted residual: s below 1, 2*sqrt(s)-1 above."""
-    if s < 0.0:
-        raise ValueError("huber expects a squared norm")
-    return s if s <= 1.0 else 2.0 * np.sqrt(s) - 1.0
-
-
 def huber_weight(s):
     """Gauss-Newton reweighting d rho / d s, on the robust branch 1/sqrt(s)."""
     s = np.asarray(s, dtype=float)
@@ -224,6 +203,7 @@ def huber_weight(s):
 
 
 def robust_cost(s):
+    """Huber norm of a squared weighted residual: s below 1, 2*sqrt(s)-1 above."""
     s = np.asarray(s, dtype=float)
     return np.where(s <= 1.0, s, 2.0 * np.sqrt(np.maximum(s, 0.0)) - 1.0)
 
@@ -249,8 +229,7 @@ def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float, min_tracked: int
     return avg_px > parallax_px
 
 
-def triangulate_feature(rays, cam_q, cam_p,
-                        min_parallax_deg: float = MIN_TRIANGULATION_PARALLAX_DEG) -> float:
+def triangulate_feature(rays, cam_q, cam_p) -> float:
     """Linear (DLT) triangulation; returns inverse depth along the first ray.
 
     rays are unit vectors in each observing camera; cam_q/cam_p are the
@@ -267,7 +246,7 @@ def triangulate_feature(rays, cam_q, cam_p,
     for k in range(1, n):
         uk = Rs[0].T @ (Rs[k] @ rays[k])
         max_par = max(max_par, np.arccos(np.clip(rays[0] @ uk, -1, 1)))
-    if max_par < np.deg2rad(min_parallax_deg):
+    if max_par < np.deg2rad(MIN_TRIANGULATION_PARALLAX_DEG):
         raise TriangulationError("insufficient parallax")
     A = np.zeros((3 * n, 3))
     b = np.zeros(3 * n)

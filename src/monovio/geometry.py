@@ -200,16 +200,6 @@ def quat_exp(rotvec):
     return quat_normalize(np.concatenate([w, rotvec * k], axis=-1))
 
 
-def quat_log(q):
-    """Unit quaternion -> rotation vector (inverse of quat_exp)."""
-    q = quat_canonical(q)
-    w = np.clip(q[..., 0], -1.0, 1.0)
-    vn = np.linalg.norm(q[..., 1:], axis=-1)
-    angle = 2.0 * np.arctan2(vn, w)
-    scale = np.where(vn < 1e-12, 2.0, angle / np.where(vn < 1e-12, 1.0, vn))
-    return q[..., 1:] * scale[..., None]
-
-
 def quat_angle(q) -> float:
     """Absolute rotation angle of a quaternion, in radians."""
     q = np.asarray(q, dtype=float)

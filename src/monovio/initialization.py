@@ -27,6 +27,8 @@ from .preintegration import GRAVITY_MAGNITUDE, BiasState, PreintegratedDelta
 
 MIN_ROTATION_EXCITATION = np.deg2rad(5.0)  # total rotation across the window
 MIN_ACCEL_VARIANCE = 0.05  # (m/s^2)^2 across the window
+# gravity refinement stops once the direction moves less than this per step
+GRAVITY_DIRECTION_TOL = 1e-5  # rad
 
 
 class InitializationError(RuntimeError):
@@ -209,7 +211,6 @@ def refine_gravity(
     deltas: list[PreintegratedDelta],
     extrinsic: ExtrinsicCalib,
     max_iterations: int = 10,
-    tol_rad: float = 1e-5,
 ):
     """Re-solve the alignment with gravity constrained to GRAVITY_MAGNITUDE.
 
@@ -238,7 +239,7 @@ def refine_gravity(
         scale = float(x[3 * n + 2])
         step = np.arccos(np.clip(new_direction @ direction, -1.0, 1.0))
         direction = new_direction
-        if step < tol_rad:
+        if step < GRAVITY_DIRECTION_TOL:
             break
     else:
         raise InitializationError("gravity refinement did not converge")

@@ -70,6 +70,10 @@ EXTRINSIC_WARMUP_FRAMES = 15
 # (bias and scale still converging); keep them out of the pose graph so
 # loops never anchor to them
 GRAPH_ADMISSION_DELAY = 60
+# evaluation pairs an estimate with the ground-truth sample within this time
+ATE_MATCH_TOL = 0.005  # seconds
+# a loop candidate's frame is the published vertex within this time
+VERTEX_TIME_TOL = 1e-6  # seconds
 
 
 @dataclass
@@ -150,12 +154,12 @@ class EvaluationError(ValueError):
     pass
 
 
-def _match_timestamps(t_est, t_gt, tol=0.005):
+def _match_timestamps(t_est, t_gt):
     j = np.searchsorted(t_gt, t_est)
     pairs = []
     for i, tj in enumerate(t_est):
         for cand in (j[i] - 1, j[i]):
-            if 0 <= cand < len(t_gt) and abs(t_gt[cand] - tj) <= tol:
+            if 0 <= cand < len(t_gt) and abs(t_gt[cand] - tj) <= ATE_MATCH_TOL:
                 pairs.append((i, cand))
                 break
     return pairs
@@ -190,7 +194,7 @@ def evaluate_ate(t_est, p_est, t_gt, p_gt, mode: str = "4dof", align_count: int 
     """Trajectory error after least-squares alignment on the leading outputs.
 
     Returns a dict with rmse, final drift vector, drift percentage of the
-    matched ground-truth path length, and the aligned estimate.
+    matched ground-truth path length, and that path length.
     """
     pairs = _match_timestamps(np.asarray(t_est, dtype=float), np.asarray(t_gt, dtype=float))
     if len(pairs) < 3:
@@ -206,8 +210,7 @@ def evaluate_ate(t_est, p_est, t_gt, p_gt, mode: str = "4dof", align_count: int 
         R, T = align_6dof(pe[:n_align], pg[:n_align])
     else:
         raise ValueError(f"unknown alignment mode '{mode}'")
-    aligned = pe @ R.T + T
-    err = aligned - pg
+    err = pe @ R.T + T - pg
     rmse = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
     final_drift = err[-1]
     path = float(np.sum(np.linalg.norm(np.diff(pg, axis=0), axis=1)))
@@ -217,21 +220,7 @@ def evaluate_ate(t_est, p_est, t_gt, p_gt, mode: str = "4dof", align_count: int 
         "final_drift": final_drift,
         "drift_pct": drift_pct,
         "path_length": path,
-        "aligned": aligned,
-        "matched_gt": pg,
-        "errors": err,
     }
-
-
-def tilt_errors(q_est, q_gt):
-    """Roll/pitch (gravity-direction) error angle per pose, yaw-invariant."""
-    z = np.array([0.0, 0.0, 1.0])
-    out = []
-    for qe, qg in zip(q_est, q_gt):
-        ze = quat_rotate(quat_inverse(qe), z)
-        zg = quat_rotate(quat_inverse(qg), z)
-        out.append(np.arccos(np.clip(ze @ zg, -1.0, 1.0)))
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +295,12 @@ class GraphDriver:
         _, p, roll, pitch, yaw = entry
         return rot_to_quat(rot_zyx(roll, pitch, yaw)), p.copy()
 
-    def vertex_at_time(self, t: float, tol: float = 1e-6):
-        """Id of the first published vertex within tol of time t, or None."""
+    def vertex_at_time(self, t: float):
+        """Id of the first published vertex within VERTEX_TIME_TOL of time t,
+        or None."""
         with self._lock:
             for vid, entry in self._published.items():
-                if abs(entry[0] - t) <= tol:
+                if abs(entry[0] - t) <= VERTEX_TIME_TOL:
                     return vid
         return None
 

@@ -27,7 +27,9 @@ from .geometry import (
     yaw_roll_pitch_decompose,
 )
 
-DEFAULT_RANSAC_ITERATIONS = 200
+RANSAC_ITERATIONS = 200  # most draws per RANSAC stage
+RANSAC_CONFIDENCE = 0.999  # adaptive stopping: chance of one all-inlier draw
+PNP_REFINE_ITERATIONS = 10  # Gauss-Newton steps on the absolute-pose inliers
 DEFAULT_EPIPOLAR_THRESHOLD = 1e-3
 DEFAULT_MIN_INLIERS = 25
 DEFAULT_EDGE_FANOUT = 4
@@ -50,14 +52,13 @@ class NoConsensusError(RuntimeError):
     pass
 
 
-def _ransac_iterations_needed(inlier_ratio: float, sample_size: int,
-                              confidence: float = 0.999) -> int:
+def _ransac_iterations_needed(inlier_ratio: float, sample_size: int) -> int:
     """Adaptive RANSAC stopping: draws needed to hit one all-inlier sample."""
     inlier_ratio = min(max(inlier_ratio, 1e-3), 1.0 - 1e-12)
     p_good = inlier_ratio**sample_size
     if p_good >= 1.0 - 1e-12:
         return 1
-    return int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - p_good))) + 1
+    return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log(1.0 - p_good))) + 1
 
 
 @dataclass
@@ -82,16 +83,8 @@ class PoseGraphVertex:
         if self.vio_yaw is None:
             self.vio_yaw = self.yaw
 
-    def rotation(self) -> np.ndarray:
-        return rot_zyx(self.roll, self.pitch, self.yaw)
-
     def vio_rotation(self) -> np.ndarray:
         return rot_zyx(self.roll, self.pitch, self.vio_yaw)
-
-    def quaternion(self) -> np.ndarray:
-        from .geometry import rot_to_quat
-
-        return rot_to_quat(self.rotation())
 
 
 @dataclass
@@ -164,7 +157,6 @@ def ransac_fundamental(
     rays_query: np.ndarray,
     rays_candidate: np.ndarray,
     threshold: float = DEFAULT_EPIPOLAR_THRESHOLD,
-    iterations: int = DEFAULT_RANSAC_ITERATIONS,
     seed: int = 0,
 ):
     """Epipolar model over unit-ray pairs inside RANSAC; returns (F, mask).
@@ -181,8 +173,8 @@ def ransac_fundamental(
     rng = np.random.default_rng(seed)
     best_mask = None
     best_count = 0
-    needed = iterations
-    for it in range(iterations):
+    needed = RANSAC_ITERATIONS
+    for it in range(RANSAC_ITERATIONS):
         if it >= needed:
             break
         pick = rng.choice(n, size=8, replace=False)
@@ -195,7 +187,7 @@ def ransac_fundamental(
         if mask.sum() > best_count:
             best_count = int(mask.sum())
             best_mask = mask
-            needed = min(iterations, _ransac_iterations_needed(best_count / n, 8))
+            needed = min(RANSAC_ITERATIONS, _ransac_iterations_needed(best_count / n, 8))
     if best_mask is None or best_count < 8:
         raise NoConsensusError("no epipolar model with at least 8 inliers")
     _rank_check(rays_query[best_mask], rays_candidate[best_mask])
@@ -240,12 +232,12 @@ def _angular_errors(R, t, points, rays):
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def _refine_pnp(R, t, points, rays, iterations=10):
+def _refine_pnp(R, t, points, rays):
     """Gauss-Newton on tangent-plane reprojection over (theta, t)."""
     from .geometry import quat_exp, rot_to_quat
 
     q = rot_to_quat(R)
-    for _ in range(iterations):
+    for _ in range(PNP_REFINE_ITERATIONS):
         Rk = quat_to_rot(q)
         pred = points @ Rk.T + t
         norms = np.linalg.norm(pred, axis=1)
@@ -272,7 +264,6 @@ def ransac_pnp(
     points: np.ndarray,
     rays: np.ndarray,
     threshold: float,
-    iterations: int = DEFAULT_RANSAC_ITERATIONS,
     seed: int = 0,
 ):
     """Absolute pose from 3D-2D (unit-ray) pairs inside RANSAC.
@@ -288,8 +279,8 @@ def ransac_pnp(
     rng = np.random.default_rng(seed)
     best = None
     best_count = 0
-    needed = iterations
-    for it in range(iterations):
+    needed = RANSAC_ITERATIONS
+    for it in range(RANSAC_ITERATIONS):
         if it >= needed:
             break
         pick = rng.choice(n, size=6, replace=False)
@@ -302,7 +293,7 @@ def ransac_pnp(
         if mask.sum() > best_count:
             best_count = int(mask.sum())
             best = (R, t, mask)
-            needed = min(iterations, _ransac_iterations_needed(best_count / n, 6))
+            needed = min(RANSAC_ITERATIONS, _ransac_iterations_needed(best_count / n, 6))
     if best is None or best_count < 6:
         raise NoConsensusError("no absolute-pose consensus")
     R, t, mask = best
@@ -318,7 +309,6 @@ def verify_loop_candidate(
     points_by_id: dict[int, np.ndarray],
     pnp_threshold: float,
     epipolar_threshold: float = DEFAULT_EPIPOLAR_THRESHOLD,
-    iterations: int = DEFAULT_RANSAC_ITERATIONS,
     min_inliers: int = DEFAULT_MIN_INLIERS,
     seed: int = 0,
 ):
@@ -333,7 +323,7 @@ def verify_loop_candidate(
     try:
         _, mask_f = ransac_fundamental(
             correspondences.rays_query, correspondences.rays_candidate,
-            epipolar_threshold, iterations, seed,
+            epipolar_threshold, seed,
         )
     except (PoseGraphError, NoConsensusError, DegenerateGeometryError):
         return None
@@ -344,7 +334,7 @@ def verify_loop_candidate(
     points = np.array([points_by_id[fid] for fid in correspondences.feature_ids[stage2]])
     rays = correspondences.rays_candidate[stage2]
     try:
-        R, t, mask_p = ransac_pnp(points, rays, pnp_threshold, iterations, seed)
+        R, t, mask_p = ransac_pnp(points, rays, pnp_threshold, seed)
     except (PoseGraphError, NoConsensusError):
         return None
     mask = np.zeros(len(correspondences), dtype=bool)
@@ -356,7 +346,7 @@ def verify_loop_candidate(
 
 
 # ---------------------------------------------------------------------------
-# edges and residuals
+# edges
 
 
 def sequential_edge_from_vio(pose_i: PoseGraphVertex, pose_j: PoseGraphVertex) -> SequentialEdge:
@@ -365,15 +355,6 @@ def sequential_edge_from_vio(pose_i: PoseGraphVertex, pose_j: PoseGraphVertex) -
     rel_p = R_i.T @ (pose_j.vio_p - pose_i.vio_p)
     rel_yaw = wrap_angle(pose_j.vio_yaw - pose_i.vio_yaw)
     return SequentialEdge(pose_i.vid, pose_j.vid, rel_p, rel_yaw)
-
-
-def edge_residual(vi: PoseGraphVertex, vj: PoseGraphVertex, edge: SequentialEdge) -> np.ndarray:
-    """[R(roll_i, pitch_i, yaw_i)^-1 (p_j - p_i) - rel_p ; wrap(yaw_j - yaw_i - rel_yaw)]."""
-    R_i = vi.rotation()
-    r = np.empty(4)
-    r[:3] = R_i.T @ (vj.p - vi.p) - edge.rel_p
-    r[3] = wrap_angle(vj.yaw - vi.yaw - edge.rel_yaw)
-    return r
 
 
 # Nonzeros of one edge's block of the normal equations, one row each:
@@ -494,7 +475,9 @@ class PoseGraph:
 
         Sequential edges enter with identity information; loop edges with
         identity scaled by inliers / min_inliers and a Huber kernel. By default
-        the first vertex of every segment is fixed.
+        the first vertex of every segment is fixed. An edge's residual is
+        [R_i^T (p_j - p_i) - rel_p ; wrap(yaw_j - yaw_i - rel_yaw)], with R_i
+        = R(roll_i, pitch_i, yaw_i).
 
         The rotation cancels in the normal equations. With u = z x (p_j - p_i),
         an edge of weight w adds w [[I, u], [u^T, |u|^2 + 1]] to its

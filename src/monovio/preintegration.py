@@ -24,7 +24,6 @@ from .geometry import (
     quat_conjugate,
     quat_exp,
     quat_identity,
-    quat_inverse,
     quat_mul,
     quat_to_rot,
     skew,
@@ -430,17 +429,6 @@ def segment_samples(samples: list[ImuSample], t0: float, t1: float) -> list[ImuS
     return seg
 
 
-def imu_residual(delta: PreintegratedDelta, state_k, state_k1, gravity) -> np.ndarray:
-    """15-vector (d_alpha, d_beta, d_theta, d_ba, d_bw) of the pre-integrated
-    IMU measurement against two window states.
-
-    The stored terms are first corrected to state_k's bias. state_k/state_k1
-    need fields p, v, q (world frame) and bias.
-    """
-    r, _, _ = imu_residual_jacobians(delta, state_k, state_k1, gravity, with_jacobians=False)
-    return r
-
-
 def _quat_mat(rows) -> np.ndarray:
     M = np.empty(np.shape(rows[0][0]) + (4, 4))
     for i, row in enumerate(rows):
@@ -459,80 +447,6 @@ def quat_right_mat(q) -> np.ndarray:
     """4x4 matrix R(q) with R(q) @ p == p (x) q; broadcasts over leading axes."""
     w, x, y, z = (np.asarray(q, dtype=float)[..., i] for i in range(4))
     return _quat_mat([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
-
-
-def imu_residual_jacobians(
-    delta: PreintegratedDelta, state_k, state_k1, gravity, with_jacobians: bool = True
-):
-    """Residual plus 15x15 Jacobians w.r.t. both frame states.
-
-    Per-frame tangent ordering is (dp, dtheta, dv, dba, dbw) with the attitude
-    perturbed on the left in the world frame: q <- dq (x) q. Scalar reference
-    for imu_residuals_batch and imu_jacobians_batch, which the window solve
-    and marginalization use.
-    """
-    g = np.asarray(gravity, dtype=float)
-    dt = delta.dt_total
-    Rk_t = quat_to_rot(state_k.q).T
-
-    alpha_c, beta_c, gamma_c = delta.correct_for_bias(state_k.bias)
-
-    u = state_k1.p - state_k.p + 0.5 * g * dt * dt - state_k.v * dt
-    w = state_k1.v + g * dt - state_k.v
-
-    q_rel = quat_mul(quat_inverse(state_k.q), state_k1.q)
-    e = quat_mul(q_rel, quat_inverse(gamma_c))
-
-    r = np.zeros(15)
-    r[0:3] = Rk_t @ u - alpha_c
-    r[3:6] = Rk_t @ w - beta_c
-    r[6:9] = 2.0 * e[1:]
-    r[9:12] = state_k1.bias.accel - state_k.bias.accel
-    r[12:15] = state_k1.bias.gyro - state_k.bias.gyro
-
-    if not with_jacobians:
-        return r, None, None
-
-    I3 = np.eye(3)
-    L = e[0] * I3 - skew(e[1:])  # d(2 vec([1, x/2] (x) e)) / dx
-
-    # theta-row bias Jacobian, exact through the normalized correction
-    # quaternion s = normalize([1, 0.5 J dbw]): e = q_rel (x) conj(s) (x) gamma_hat^-1
-    _, dbw = delta.bias_delta(state_k.bias)
-    s_un = np.concatenate([[1.0], 0.5 * delta.j_gamma_bw @ dbw])
-    n = np.linalg.norm(s_un)
-    s_hat = s_un / n
-    ds_un = np.zeros((4, 3))
-    ds_un[1:, :] = 0.5 * delta.j_gamma_bw
-    ds = (np.eye(4) - np.outer(s_hat, s_hat)) @ ds_un / n
-    conj4 = np.diag([1.0, -1.0, -1.0, -1.0])
-    de_dbw = quat_left_mat(q_rel) @ quat_right_mat(quat_inverse(delta.gamma)) @ conj4 @ ds
-
-    Jk = np.zeros((15, 15))
-    Jk1 = np.zeros((15, 15))
-    # alpha rows
-    Jk[0:3, 0:3] = -Rk_t
-    Jk[0:3, 3:6] = Rk_t @ skew(u)
-    Jk[0:3, 6:9] = -Rk_t * dt
-    Jk[0:3, 9:12] = -delta.j_alpha_ba
-    Jk[0:3, 12:15] = -delta.j_alpha_bw
-    Jk1[0:3, 0:3] = Rk_t
-    # beta rows
-    Jk[3:6, 3:6] = Rk_t @ skew(w)
-    Jk[3:6, 6:9] = -Rk_t
-    Jk[3:6, 9:12] = -delta.j_beta_ba
-    Jk[3:6, 12:15] = -delta.j_beta_bw
-    Jk1[3:6, 6:9] = Rk_t
-    # theta rows
-    Jk[6:9, 3:6] = -L @ Rk_t
-    Jk[6:9, 12:15] = 2.0 * de_dbw[1:, :]
-    Jk1[6:9, 3:6] = L @ Rk_t
-    # bias rows
-    Jk[9:12, 9:12] = -I3
-    Jk[12:15, 12:15] = -I3
-    Jk1[9:12, 9:12] = I3
-    Jk1[12:15, 12:15] = I3
-    return r, Jk, Jk1
 
 
 class StackedDeltas:
@@ -555,11 +469,13 @@ class StackedDeltas:
 
 
 def imu_residuals_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
-    """Residuals of imu_residual_jacobians over all factors of st at once.
+    """Residuals of the K factors of st against the window states they link.
 
-    p, q, v, ba, bw stack the K + 1 window states the K factors link.
-    Returns the residuals (K, 15) and the intermediates that
-    imu_jacobians_batch builds the Jacobians at this iterate from.
+    Residual k is the 15-vector (d_alpha, d_beta, d_theta, d_ba, d_bw) of
+    factor k, its terms first corrected to state k's bias, against states k
+    and k + 1. p, q, v, ba, bw stack the K + 1 window states. Returns the
+    residuals (K, 15) and the intermediates that imu_jacobians_batch builds
+    the Jacobians at this iterate from.
     """
     g = np.asarray(gravity, dtype=float)
     K = len(st)
@@ -591,7 +507,11 @@ def imu_residuals_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
 
 def imu_jacobians_batch(st: StackedDeltas, aux):
     """Jacobians (K, 15, 15) of the residuals imu_residuals_batch returned aux
-    with, w.r.t. states k and k + 1."""
+    with, w.r.t. states k and k + 1.
+
+    Per-frame tangent ordering is (dp, dtheta, dv, dba, dbw) with the attitude
+    perturbed on the left in the world frame: q <- dq (x) q.
+    """
     Rk_t, phi, u, w, q_rel, e = aux
     K = len(st)
     dt = st.dt[:, None]
@@ -628,12 +548,6 @@ def imu_jacobians_batch(st: StackedDeltas, aux):
         Jk[:, a : a + 3, a : a + 3] = -_EYE3
         Jk1[:, a : a + 3, a : a + 3] = _EYE3
     return Jk, Jk1
-
-
-def weight_residual(residual: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Whiten a residual by the square root of its covariance: L^-1 r, L L^T = P."""
-    L = covariance_sqrt(P)
-    return np.linalg.solve(L, residual)
 
 
 def covariance_sqrt(P: np.ndarray) -> np.ndarray:

@@ -98,8 +98,6 @@ class GroundTruth:
     q: np.ndarray
     omega_body: np.ndarray
     landmarks: np.ndarray
-    bias_a: np.ndarray | None = None
-    bias_w: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +305,6 @@ def synthesize_imu(gt: GroundTruth, noise: NoiseParams, bias0: BiasState, seed: 
     accel = accel_body + bias_a + n_a
     gyro = gt.omega_body + bias_w + n_w
     samples = [ImuSample(float(gt.t[i]), accel[i], gyro[i]) for i in range(n)]
-    gt.bias_a = bias_a
-    gt.bias_w = bias_w
     return samples, (bias_a, bias_w)
 
 
@@ -405,8 +401,6 @@ class LoopCandidate:
     rays_query: np.ndarray  # (K, 3) unit rays in the query camera
     rays_candidate: np.ndarray  # (K, 3) unit rays in the candidate camera
     inlier_mask: np.ndarray  # ground-truth labels (False = injected outlier)
-    q_w_candidate: np.ndarray  # ground-truth body pose of the candidate frame
-    p_w_candidate: np.ndarray
 
 
 def synthesize_loops(gt: GroundTruth, keyframe_times, seed: int) -> list[LoopCandidate]:
@@ -462,10 +456,7 @@ def _build_candidate(gt: GroundTruth, tq: float, tc: float, rng) -> LoopCandidat
                 rng, rays_c[mask_c], uq[row], E_gt, qwc_c, pwc_c, gt.landmarks[both[row]]
             )
             inlier[row] = False
-    body = eval_trajectory(config, np.array([tc]))
-    return LoopCandidate(
-        tq, tc, both.astype(int), uq, uc, inlier, body.q[0], body.p[0]
-    )
+    return LoopCandidate(tq, tc, both.astype(int), uq, uc, inlier)
 
 
 def _essential_between(q_wc_a, p_wc_a, q_wc_b, p_wc_b):

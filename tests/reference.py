@@ -4,12 +4,23 @@ bit for bit where the kernel claims bitwise equality."""
 import numpy as np
 
 from monovio.estimator import EstimatorError, NormalBlocks, huber_weight
-from monovio.geometry import quat_to_rot, skew, tangent_basis
+from monovio.geometry import (
+    quat_canonical,
+    quat_inverse,
+    quat_mul,
+    quat_to_rot,
+    rot_zyx,
+    skew,
+    tangent_basis,
+    wrap_angle,
+)
 from monovio.preintegration import (
     PreintegrationError,
     integrate_segment,
     interpolate_sample,
     midpoint_path,
+    quat_left_mat,
+    quat_right_mat,
     so3_right_jacobian_batch,
 )
 
@@ -65,6 +76,16 @@ def merge_deltas_reintegrated(first, second):
     return integrate_segment(first.samples + second.samples[1:], first.lin_bias, first.noise)
 
 
+def quat_log(q):
+    """Unit quaternion -> rotation vector (inverse of quat_exp)."""
+    q = quat_canonical(q)
+    w = np.clip(q[..., 0], -1.0, 1.0)
+    vn = np.linalg.norm(q[..., 1:], axis=-1)
+    angle = 2.0 * np.arctan2(vn, w)
+    scale = np.where(vn < 1e-12, 2.0, angle / np.where(vn < 1e-12, 1.0, vn))
+    return q[..., 1:] * scale[..., None]
+
+
 def quat_rotate_np(q, v):
     """Rotation of v by q through np.cross."""
     q = np.asarray(q, dtype=float)
@@ -103,6 +124,87 @@ def segment_samples_searchsorted(samples, t0, t1):
     else:
         last = interpolate_sample(samples[i1 - 1], samples[i1], t1)
     return [first, *samples[i0 + 1 : i1], last]
+
+
+def imu_residual_jacobians(delta, state_k, state_k1, gravity):
+    """IMU residual of one pre-integrated delta plus its 15x15 Jacobians
+    w.r.t. both frame states; scalar reference for imu_residuals_batch and
+    imu_jacobians_batch.
+
+    The residual is (d_alpha, d_beta, d_theta, d_ba, d_bw), the stored terms
+    first corrected to state_k's bias. state_k/state_k1 need fields p, v, q
+    (world frame) and bias. Per-frame tangent ordering is (dp, dtheta, dv,
+    dba, dbw) with the attitude perturbed on the left in the world frame:
+    q <- dq (x) q.
+    """
+    g = np.asarray(gravity, dtype=float)
+    dt = delta.dt_total
+    Rk_t = quat_to_rot(state_k.q).T
+
+    alpha_c, beta_c, gamma_c = delta.correct_for_bias(state_k.bias)
+
+    u = state_k1.p - state_k.p + 0.5 * g * dt * dt - state_k.v * dt
+    w = state_k1.v + g * dt - state_k.v
+
+    q_rel = quat_mul(quat_inverse(state_k.q), state_k1.q)
+    e = quat_mul(q_rel, quat_inverse(gamma_c))
+
+    r = np.zeros(15)
+    r[0:3] = Rk_t @ u - alpha_c
+    r[3:6] = Rk_t @ w - beta_c
+    r[6:9] = 2.0 * e[1:]
+    r[9:12] = state_k1.bias.accel - state_k.bias.accel
+    r[12:15] = state_k1.bias.gyro - state_k.bias.gyro
+
+    L = e[0] * _EYE3 - skew(e[1:])  # d(2 vec([1, x/2] (x) e)) / dx
+
+    # theta-row bias Jacobian, exact through the normalized correction
+    # quaternion s = normalize([1, 0.5 J dbw]): e = q_rel (x) conj(s) (x) gamma_hat^-1
+    _, dbw = delta.bias_delta(state_k.bias)
+    s_un = np.concatenate([[1.0], 0.5 * delta.j_gamma_bw @ dbw])
+    n = np.linalg.norm(s_un)
+    s_hat = s_un / n
+    ds_un = np.zeros((4, 3))
+    ds_un[1:, :] = 0.5 * delta.j_gamma_bw
+    ds = (np.eye(4) - np.outer(s_hat, s_hat)) @ ds_un / n
+    conj4 = np.diag([1.0, -1.0, -1.0, -1.0])
+    de_dbw = quat_left_mat(q_rel) @ quat_right_mat(quat_inverse(delta.gamma)) @ conj4 @ ds
+
+    Jk = np.zeros((15, 15))
+    Jk1 = np.zeros((15, 15))
+    # alpha rows
+    Jk[0:3, 0:3] = -Rk_t
+    Jk[0:3, 3:6] = Rk_t @ skew(u)
+    Jk[0:3, 6:9] = -Rk_t * dt
+    Jk[0:3, 9:12] = -delta.j_alpha_ba
+    Jk[0:3, 12:15] = -delta.j_alpha_bw
+    Jk1[0:3, 0:3] = Rk_t
+    # beta rows
+    Jk[3:6, 3:6] = Rk_t @ skew(w)
+    Jk[3:6, 6:9] = -Rk_t
+    Jk[3:6, 9:12] = -delta.j_beta_ba
+    Jk[3:6, 12:15] = -delta.j_beta_bw
+    Jk1[3:6, 6:9] = Rk_t
+    # theta rows
+    Jk[6:9, 3:6] = -L @ Rk_t
+    Jk[6:9, 12:15] = 2.0 * de_dbw[1:, :]
+    Jk1[6:9, 3:6] = L @ Rk_t
+    # bias rows
+    Jk[9:12, 9:12] = -_EYE3
+    Jk[12:15, 12:15] = -_EYE3
+    Jk1[9:12, 9:12] = _EYE3
+    Jk1[12:15, 12:15] = _EYE3
+    return r, Jk, Jk1
+
+
+def edge_residual(vi, vj, edge):
+    """4-DOF pose-graph edge residual, as PoseGraph.optimize defines it:
+    [R(roll_i, pitch_i, yaw_i)^-1 (p_j - p_i) - rel_p ; wrap(yaw_j - yaw_i - rel_yaw)]."""
+    R_i = rot_zyx(vi.roll, vi.pitch, vi.yaw)
+    r = np.empty(4)
+    r[:3] = R_i.T @ (vj.p - vi.p) - edge.rel_p
+    r[3] = wrap_angle(vj.yaw - vi.yaw - edge.rel_yaw)
+    return r
 
 
 def visual_residual(

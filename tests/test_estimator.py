@@ -12,11 +12,11 @@ from monovio.estimator import (
     SolveReport,
     TriangulationError,
     detect_failure,
-    huber,
     huber_weight,
     imu_forward_propagate,
     information_sqrt,
     keyframe_decision,
+    robust_cost,
     schur_complement,
     triangulate_feature,
 )
@@ -39,7 +39,7 @@ from monovio.simulator import (
     camera_times,
     default_extrinsic,
 )
-from reference import linearize_per_row, visual_residual
+from reference import imu_residual_jacobians, linearize_per_row, visual_residual
 
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 # bounds on the tracemalloc peaks, above their start, of one linearize and
@@ -107,24 +107,20 @@ def fixed_point_estimator(cfg, data, n_frames=11):
 
 class TestHuber:
     def test_values(self):
-        assert huber(0.25) == 0.25
-        assert huber(4.0) == pytest.approx(3.0)
+        assert robust_cost(0.25) == 0.25
+        assert float(robust_cost(4.0)) == pytest.approx(3.0)
 
     def test_continuity_at_one(self):
-        assert huber(1.0) == 1.0
+        assert robust_cost(1.0) == 1.0
         assert 2 * np.sqrt(1.0) - 1 == 1.0
         eps = 1e-9
-        assert abs(huber(1 + eps) - huber(1 - eps)) < 3 * eps
+        assert abs(robust_cost(1 + eps) - robust_cost(1 - eps)) < 3 * eps
 
     def test_weight_matches_derivative(self):
         for s in [0.2, 0.9, 1.5, 9.0]:
             h = 1e-7
-            fd = (huber(s + h) - huber(s - h)) / (2 * h)
-            assert float(huber_weight(s)) == pytest.approx(fd, rel=1e-5)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            huber(-0.1)
+            fd = (robust_cost(s + h) - robust_cost(s - h)) / (2 * h)
+            assert float(huber_weight(s)) == pytest.approx(float(fd), rel=1e-5)
 
 
 class TestKeyframeDecision:
@@ -329,7 +325,7 @@ class TestSolver:
         est = fixed_point_estimator(cfg, data)
         rep = est.build_and_solve()
         assert rep.iterations <= 2
-        assert rep.final_cost < 1e-12
+        assert rep.costs[-1] < 1e-12
         assert rep.termination == "converged"
 
     def test_accepted_steps_never_increase_cost(self):
@@ -341,7 +337,7 @@ class TestSolver:
         est, _ = seeded_estimator(cfg, data)
         rep = est.build_and_solve()
         assert all(b <= a for a, b in zip(rep.costs, rep.costs[1:]))
-        assert rep.final_cost <= rep.initial_cost
+        assert rep.costs[-1] <= rep.costs[0]
 
     def test_bias_step_past_bound_is_rejected(self):
         # window seeded at a gyro bias of 0.95 rad/s (bound 1.0) while the
@@ -357,7 +353,7 @@ class TestSolver:
         est.deltas = [d.repropagate(near) for d in est.deltas]
         rep = est.build_and_solve()
         assert isinstance(rep, SolveReport) and rep.iterations >= 1
-        assert rep.final_cost < rep.initial_cost
+        assert rep.costs[-1] < rep.costs[0]
         for f in est.frames:
             assert np.linalg.norm(f.bias.gyro) < MAX_GYRO_BIAS
             assert np.linalg.norm(f.bias.accel) < MAX_ACCEL_BIAS
@@ -431,15 +427,13 @@ def _embed(problem, mask, x):
 
 
 def _residual_stack(problem):
-    """Stacked whitened residuals built from the residual primitives only
-    (no analytic Jacobians, no assembly machinery)."""
-    from monovio.preintegration import imu_residual, weight_residual
-
+    """Stacked whitened residuals built from the scalar residual references
+    (no assembly machinery)."""
     out = []
     frames = problem.frame_states()
-    for k in range(len(problem.deltas)):
-        r = imu_residual(problem.deltas[k], frames[k], frames[k + 1], GRAVITY)
-        out.append(weight_residual(r, problem.deltas[k].P))
+    for k, delta in enumerate(problem.deltas):
+        r, _, _ = imu_residual_jacobians(delta, frames[k], frames[k + 1], GRAVITY)
+        out.append(delta.sqrt_information() @ r)
     for k in range(len(problem.v_feat)):
         fi = problem.v_feat[k]
         ai = problem.v_anchor[k]
@@ -562,7 +556,7 @@ class TestMarginalization:
         est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
         assert est.prior is not None
         n = est.config.window_size
-        assert est.prior.columns() == 15 * n + 6
+        assert est.prior.H.shape[1] == 15 * n + 6
         assert len(est.frames) == est.capacity
 
     def test_prior_equals_schur_of_consumed_factors(self):
@@ -570,8 +564,6 @@ class TestMarginalization:
         # consumes (oldest IMU factor, visual pairs of features anchored in the
         # oldest frame), built from the scalar residual primitives, with frame
         # 0 and those depths eliminated by a plain dense Schur complement
-        from monovio.preintegration import imu_residual_jacobians, weight_residual
-
         cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10, pixel_sigma_px=1.5)
         data = build_scenario(cfg)
         est, cam = seeded_estimator(cfg, data)
@@ -586,7 +578,7 @@ class TestMarginalization:
         ]
         assert marg
         r0, J0, J1 = imu_residual_jacobians(est.deltas[0], frames[0], frames[1], GRAVITY)
-        P0 = est.deltas[0].P
+        W0 = est.deltas[0].sqrt_information()
 
         # columns: [frame 0, marginalized depths | frames 1.., extrinsic]
         n_m = 15 + len(marg)
@@ -597,9 +589,9 @@ class TestMarginalization:
             return 0 if idx == 0 else n_m + 15 * (idx - 1)
 
         J = np.zeros((15, n))
-        J[:, 0:15] = weight_residual(J0, P0)
-        J[:, col(1) : col(1) + 15] = weight_residual(J1, P0)
-        rows, res = [J], [weight_residual(r0, P0)]
+        J[:, 0:15] = W0 @ J0
+        J[:, col(1) : col(1) + 15] = W0 @ J1
+        rows, res = [J], [W0 @ r0]
         fa = frames[0]
         for m, (lam, rays, idxs) in enumerate(marg):
             for ray, idx in zip(rays[1:], idxs[1:]):
@@ -894,7 +886,6 @@ class TestImuResidualJacobiansInWindow:
         from monovio.estimator import stack_states
         from monovio.preintegration import (
             StackedDeltas,
-            imu_residual_jacobians,
             imu_jacobians_batch,
             imu_residuals_batch,
         )
@@ -921,8 +912,6 @@ class TestImuResidualJacobiansInWindow:
         # (H, b, cost) of one evaluate() and linearize() against J^T J, J^T r
         # and the summed cost of a dense Jacobian stacked from the scalar
         # primitives: the prior, every IMU factor, window and loop visual rows
-        from monovio.preintegration import imu_residual_jacobians, weight_residual
-
         problem, loop = loop_window_problem()
         cost, terms = problem.evaluate()
         H, b = dense_system(problem.linearize(terms))
@@ -934,8 +923,8 @@ class TestImuResidualJacobiansInWindow:
         ref_cost = 0.0
 
         prior = problem.prior
-        D = np.eye(prior.columns())
-        d = np.zeros(prior.columns())
+        D = np.eye(prior.H.shape[1])
+        d = np.zeros(prior.H.shape[1])
         pcols = []
         for blk, fid in enumerate(prior.frame_ids):
             f, lin = frames[problem.id_to_idx[fid]], prior.lin_frames[fid]
@@ -951,7 +940,7 @@ class TestImuResidualJacobiansInWindow:
         d[-6:] = np.concatenate([ext.p_b_c - prior.lin_extrinsic.p_b_c, 2 * e[1:]])
         D[-3:, -3:] = e[0] * np.eye(3) - geo.skew(e[1:])
         pcols += list(range(problem.ext_col, problem.ext_col + 6))
-        J = np.zeros((prior.dim(), n))
+        J = np.zeros((prior.H.shape[0], n))
         J[:, pcols] = prior.H @ D
         r = prior.r + prior.H @ d
         rows.append(J)
@@ -961,9 +950,10 @@ class TestImuResidualJacobiansInWindow:
         for k, delta in enumerate(problem.deltas):
             r, Jk, Jk1 = imu_residual_jacobians(delta, frames[k], frames[k + 1], GRAVITY)
             J = np.zeros((15, n))
-            J[:, 15 * k : 15 * k + 15] = weight_residual(Jk, delta.P)
-            J[:, 15 * k + 15 : 15 * k + 30] = weight_residual(Jk1, delta.P)
-            r = weight_residual(r, delta.P)
+            W = delta.sqrt_information()
+            J[:, 15 * k : 15 * k + 15] = W @ Jk
+            J[:, 15 * k + 15 : 15 * k + 30] = W @ Jk1
+            r = W @ r
             rows.append(J)
             res.append(r)
             ref_cost += r @ r
@@ -993,7 +983,7 @@ class TestImuResidualJacobiansInWindow:
             J[:, problem.feat_col + fi] = jac["lam"][:, 0]
             rows.append(w * J / sigma)
             res.append(w * r)
-            ref_cost += huber(s)
+            ref_cost += robust_cost(s)
         assert 0 < active < len(window) + len(loops)  # both Huber branches
 
         J, r = np.vstack(rows), np.concatenate(res)

@@ -1,5 +1,6 @@
 """Source hygiene: no module in src/ or tests/ imports a name it never uses,
-and no function in src/ takes a parameter it never reads."""
+no function in src/ takes a parameter it never reads, and no definition in
+src/ is reached only from tests/."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+# the code a run reaches: the package, the benchmark and the tools
+RUN_FILES = sorted(p for d in ("src", "perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _annotation_names(node):
@@ -98,3 +102,63 @@ def test_parameter_scanner_flags_unread_and_keeps_read():
         "        return inner\n"
     )
     assert unused_parameters(src) == ["m(args) (line 2)", "m(z) (line 2)"]
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name, attribute and string constant that source loads."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def unreached_definitions(source: str, loaded: set[str]) -> list[str]:
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes, whose name is not in loaded; main, the console entry, is
+    exempt."""
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*FUNCTION_DEFS, ast.ClassDef)):
+            defs.append((node.name, node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{m.name}", m.name, m.lineno) for m in node.body
+                     if isinstance(m, FUNCTION_DEFS)
+                     and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return sorted(f"{qual} (line {line})" for qual, name, line in defs
+                  if name not in loaded and qual != "main")
+
+
+def test_no_definition_reached_only_from_tests():
+    loaded = set().union(*(loaded_names(p.read_text()) for p in RUN_FILES))
+    unreached = {str(p.relative_to(ROOT)): unreached_definitions(p.read_text(), loaded)
+                 for p in FILES if p.is_relative_to(ROOT / "src")}
+    assert {k: v for k, v in unreached.items() if v} == {}
+
+
+def test_reach_scanner_flags_unloaded_and_keeps_loaded():
+    src = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def used(self):\n"
+        "        return helper\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "def named_in_string():\n"
+        "    pass\n"
+        "def main():\n"
+        "    pass\n"
+        "def orphan():\n"
+        "    def nested():\n"
+        "        pass\n"
+    )
+    caller = "A().used()\nwrap(module, 'named_in_string')\n"
+    loaded = loaded_names(src) | loaded_names(caller)
+    assert unreached_definitions(src, loaded) == ["A.unused (line 6)", "orphan (line 14)"]

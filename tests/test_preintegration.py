@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from monovio import geometry as geo
+from monovio.estimator import stack_states
 from monovio.preintegration import (
     BiasState,
     ImuSample,
     NoiseParams,
     PreintegratedDelta,
     PreintegrationError,
+    StackedDeltas,
     covariance_sqrt,
-    imu_residual,
-    imu_residual_jacobians,
+    imu_jacobians_batch,
+    imu_residuals_batch,
     integrate_segment,
     interpolate_sample,
     merge_deltas,
     segment_samples,
-    weight_residual,
 )
 from monovio.simulator import ScenarioConfig, build_scenario
 from reference import (
@@ -451,6 +452,12 @@ class TestSegmentBoundaries:
         assert len(seg) == 42
 
 
+def imu_residual(d, sk, sk1, g):
+    """Residual of the one factor d between sk and sk1, by the batched kernel."""
+    r, _ = imu_residuals_batch(StackedDeltas([d]), *stack_states([sk, sk1]), g)
+    return r[0]
+
+
 class TestImuResidual:
     g_w = np.array([0.0, 0.0, 9.81])
 
@@ -510,7 +517,9 @@ class TestImuResidual:
                 q=geo.quat_normalize(rng.standard_normal(4)),
                 bias=BiasState(accel=rng.normal(0, 0.01, 3), gyro=rng.normal(0, 0.005, 3)),
             )
-            r0, Jk, Jk1 = imu_residual_jacobians(d, sk, sk1, g)
+            st = StackedDeltas([d])
+            _, aux = imu_residuals_batch(st, *stack_states([sk, sk1]), g)
+            Jk, Jk1 = (J[0] for J in imu_jacobians_batch(st, aux))
             h = 1e-6
             for which, state, J in ((0, sk, Jk), (1, sk1, Jk1)):
                 fd = np.zeros((15, 15))
@@ -538,14 +547,21 @@ def _retract_pair(sk, sk1, which, dx):
     return states
 
 
+def whitened(r, P):
+    """r whitened by PreintegratedDelta.sqrt_information for covariance P."""
+    d = PreintegratedDelta(BiasState(), NO_NOISE)
+    d.P = P
+    return d.sqrt_information() @ r
+
+
 class TestWeightResidual:
     def test_identity_unchanged(self):
         r = np.arange(15.0)
-        np.testing.assert_allclose(weight_residual(r, np.eye(15)), r, atol=1e-9)
+        np.testing.assert_allclose(whitened(r, np.eye(15)), r, atol=1e-9)
 
     def test_scalar_scaling(self):
         r = np.ones(15)
-        np.testing.assert_allclose(weight_residual(r, 4 * np.eye(15)), 0.5 * np.ones(15), atol=1e-9)
+        np.testing.assert_allclose(whitened(r, 4 * np.eye(15)), 0.5 * np.ones(15), atol=1e-9)
 
     def test_mahalanobis_norm(self):
         rng = np.random.default_rng(17)
@@ -553,7 +569,7 @@ class TestWeightResidual:
             A = rng.standard_normal((15, 15))
             P = A @ A.T + 0.5 * np.eye(15)
             r = rng.standard_normal(15)
-            w = weight_residual(r, P)
+            w = whitened(r, P)
             assert w @ w == pytest.approx(r @ np.linalg.solve(P, r), abs=1e-10)
 
     def test_sqrt_rejects_indefinite(self):
