@@ -2,11 +2,13 @@
 
 Window states (poses, velocities, biases), camera-IMU extrinsic, and feature
 inverse depths are jointly optimized by damped Gauss-Newton over prior, IMU,
-visual, and loop-closure residuals. Old keyframes are marginalized into a
-Gaussian prior with the Schur complement; non-keyframes are dropped with
-their inertial data merged into the neighboring pre-integration. Each damped
-step eliminates the inverse depths, whose block of the normal equations is
-diagonal, and solves the remaining pose system by Cholesky.
+and visual residuals. A loop-closure frame joins the solve as a frame held at
+its past pose, whose feature observations are visual rows like the window's
+own. Old keyframes are marginalized into a Gaussian prior with the Schur
+complement; non-keyframes are dropped with their inertial data merged into
+the neighboring pre-integration. Each damped step eliminates the inverse
+depths, whose block of the normal equations is diagonal, and solves the
+remaining pose system by Cholesky.
 
 Local parameterization: per frame (dp, dtheta, dv, dba, dbw) with attitude
 perturbed on the left in the world frame; extrinsic (dp, dtheta); one inverse
@@ -136,7 +138,6 @@ class LoopObservationSet:
     q_w_v: np.ndarray
     p_w_v: np.ndarray
     pairs: list[tuple[int, np.ndarray]]  # (feature id, unit ray in loop camera)
-    loop_vertex_id: int = -1
 
     def __post_init__(self):
         self.q_w_v = quat_canonical(np.asarray(self.q_w_v, dtype=float))
@@ -211,13 +212,13 @@ def robust_cost(s):
 def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float, min_tracked: int,
                       focal: float) -> bool:
     """Keyframe if rotation-compensated average parallax exceeds the threshold
-    or too few features are tracked.
+    or too few features are tracked (none at all is always too few).
 
     ray_pairs: (ray in last keyframe camera, ray in current camera) per shared
     feature; q_rel_cam rotates current-camera vectors into the keyframe camera
     (from short-term gyro integration), cancelling rotation-induced parallax.
     """
-    if len(ray_pairs) < min_tracked:
+    if not ray_pairs or len(ray_pairs) < min_tracked:
         return True
     R = quat_to_rot(q_rel_cam)
     total = 0.0
@@ -588,14 +589,18 @@ class SlidingWindowEstimator:
     def build_and_solve(self, loops=(), fix_extrinsic: bool = False) -> SolveReport:
         """Damped Gauss-Newton over the window; mutates the window state.
 
-        The extrinsic is held constant when fix_extrinsic is set for this
-        solve or when the configuration disables its refinement.
+        Each loop observation set is a frame held at its constant pose. The
+        extrinsic is held constant when fix_extrinsic is set for this solve,
+        when the configuration disables its refinement, or when loop sets
+        are given: relocalization measures drift, not calibration.
         """
         feats = self._optimized_features()
-        problem = _WindowProblem(self, feats, list(loops))
+        loops = list(loops)
+        problem = _WindowProblem(self, feats, loops)
         mask = np.ones(problem.dim, dtype=bool)
-        if fix_extrinsic or not self.config.optimize_extrinsic:
-            mask[problem.ext_col : problem.ext_col + 6] = False
+        if loops or fix_extrinsic or not self.config.optimize_extrinsic:
+            # the held frames' and the extrinsic's columns: one trailing run
+            mask[15 * problem.n_frames : problem.feat_col] = False
         report = problem.solve(self.config.solver, mask)
         problem.write_back(self)
         self.prune_bad_depths()
@@ -659,7 +664,8 @@ class NormalBlocks:
     H_pp over the 15 per-frame and 6 extrinsic columns, W coupling each
     inverse depth to those columns, and v the depth block, which is diagonal
     because every visual row involves exactly one feature. The visual rows
-    reach H_pp and b_p one frame-pair chunk at a time (see _VisualIndex),
+    reach H_pp and b_p one frame-pair chunk at a time (see
+    _WindowProblem._visual_layout),
     and W, v and b_l one row at a time.
 
     The blocks that _WindowProblem.linearize returns are buffers the problem
@@ -695,49 +701,20 @@ def _free_run(pose_mask: np.ndarray) -> tuple[int, int]:
     return lo, hi
 
 
-# visual rows per chunk of the frame-pair layout (see _VisualIndex)
+# visual rows per chunk of the frame-pair layout (see _WindowProblem._visual_layout)
 VISUAL_CHUNK_ROWS = 8
 _BLOCK36 = np.arange(36).reshape(6, 6)
-
-
-@dataclass
-class _VisualIndex:
-    """Where one set of visual rows (window rows, or loop rows) goes in the
-    normal equations; fixed at construction.
-
-    A row's C pose columns are the 6-column groups of its anchor, its
-    observer (window rows only) and the extrinsic, so all rows of one frame
-    pair share them. The rows of a pair fill chunks of VISUAL_CHUNK_ROWS
-    rows in a zero-padded buffer, whose padding slots are never written.
-    Row k's two residual rows sit at slot[k] of that buffer seen as
-    (chunks * VISUAL_CHUNK_ROWS, 2, C + 1): the whitened pose Jacobian, then
-    the whitened residual. Each chunk's product with itself gives its
-    Hessian block and gradient, and one np.bincount over target sums them
-    per entry of the distinct 6 x 6 blocks of H_pp that the chunks touch and
-    of the groups' 6-segments of b_p (h_entries, flat, then b_entries). The
-    depth column stays per row: w_target sums W per entry (w_entries, flat)
-    and feat sums v and b_l per feature.
-    """
-
-    two_frames: bool
-    feat: np.ndarray  # (K,) feature of each row
-    slot: np.ndarray  # (K,)
-    jac: np.ndarray  # (K, 2, C + 1) Jacobian buffer, the depth column last
-    chunks: np.ndarray  # (chunks, 2 VISUAL_CHUNK_ROWS, C + 1)
-    products: np.ndarray  # (chunks, C + 1, C + 1)
-    target: np.ndarray  # (chunks * (C + 1)^2,)
-    h_entries: np.ndarray
-    b_entries: np.ndarray
-    w_entries: np.ndarray
-    w_target: np.ndarray  # (K * C,)
 
 
 class _WindowProblem:
     """Normal equations over one window configuration, kept as NormalBlocks.
 
-    Variable layout: 15 per frame (dp, dtheta, dv, dba, dbw), then 6 extrinsic
-    (together the feat_col pose columns), then one inverse depth per optimized
-    feature.
+    Variable layout: 15 per frame (dp, dtheta, dv, dba, dbw), first the
+    window's frames, then one frame per loop observation set, then 6
+    extrinsic (together the feat_col pose columns), then one inverse depth
+    per optimized feature. A loop frame's state is its constant pose with
+    zero velocity and biases: its correspondences are visual rows it
+    observes, and the solve holds its columns.
 
     evaluate() returns the robust cost at the current iterate with the
     residual terms and geometry intermediates it computed; linearize() turns
@@ -746,15 +723,15 @@ class _WindowProblem:
     Jacobian is one product over them; all IMU factors go through one batched
     kernel whitened by each delta's cached sqrt_information, its residual
     half in evaluate() and its Jacobian half in linearize(). The visual rows
-    are assembled per frame pair: each set's _VisualIndex, fixed at
-    construction, packs the rows of one pair into chunks whose products are
+    are assembled per frame pair: a layout fixed at construction
+    (_visual_layout) packs the rows of one pair into chunks whose products are
     summed into H_pp and b_p, while the depth column goes into W, v and b_l
     row by row. The observed rays, and so their tangent bases, are fixed at
     construction too.
 
     Every iteration writes into buffers that the problem allocates once: the
     NormalBlocks that linearize() zeroes and refills (valid until its next
-    call), each visual set's Jacobian, chunk and product buffers, and
+    call), the visual rows' Jacobian, chunk and product buffers, and
     damped_step's masked system, depth couplings and elimination products.
     """
 
@@ -771,62 +748,34 @@ class _WindowProblem:
         self.sigma = est.config.obs_sigma
 
         self.t = [f.t for f in est.frames]
-        self.p, self.q, self.v, self.ba, self.bw = stack_states(est.frames)
+        held = [ImuFrameState(np.nan, loop.p_w_v, loop.q_w_v, np.zeros(3)) for loop in loops]
+        self.p, self.q, self.v, self.ba, self.bw = stack_states(est.frames + held)
         self.extrinsic = est.extrinsic.copy()
         self.lam = np.array([f.inv_depth for f in feats], dtype=float)
 
-        self.dim = 15 * self.n_frames + 6 + len(feats)
-        self.ext_col = 15 * self.n_frames
+        self.ext_col = 15 * len(self.p)
         self.feat_col = self.ext_col + 6
+        self.dim = self.feat_col + len(feats)
 
         id_to_idx = {fid: k for k, fid in enumerate(self.frame_ids)}
         self.id_to_idx = id_to_idx
-
-        anchor_idx, obs_idx, feat_idx, u_anchor, u_obs = [], [], [], [], []
-        for fi, feat in enumerate(feats):
-            keys = sorted(k for k in feat.obs if k in id_to_idx)
-            a = id_to_idx[keys[0]]
-            ua = feat.obs[keys[0]]
-            for k in keys[1:]:
-                anchor_idx.append(a)
-                obs_idx.append(id_to_idx[k])
-                feat_idx.append(fi)
-                u_anchor.append(ua)
-                u_obs.append(feat.obs[k])
-        self.v_anchor = np.array(anchor_idx, dtype=int)
-        self.v_obs = np.array(obs_idx, dtype=int)
-        self.v_feat = np.array(feat_idx, dtype=int)
-        self.v_ua = np.array(u_anchor, dtype=float).reshape(-1, 3)
-        self.v_uo = np.array(u_obs, dtype=float).reshape(-1, 3)
-        self.v_B = np.stack(tangent_basis(self.v_uo), axis=2)  # (K, 3, 2)
-
         feat_pos = {f.fid: i for i, f in enumerate(feats)}
-        l_feat, l_anchor, l_ua, l_uo, l_R, l_p = [], [], [], [], [], []
-        for loop in loops:
-            R_v = quat_to_rot(loop.q_w_v)
-            for fid, ray in loop.pairs:
-                if fid not in feat_pos:
-                    continue
-                fi = feat_pos[fid]
-                feat = feats[fi]
-                keys = sorted(k for k in feat.obs if k in id_to_idx)
-                l_feat.append(fi)
-                l_anchor.append(id_to_idx[keys[0]])
-                l_ua.append(feat.obs[keys[0]])
-                ray = np.asarray(ray, dtype=float)
-                l_uo.append(ray / np.linalg.norm(ray))
-                l_R.append(R_v)
-                l_p.append(loop.p_w_v)
-        self.l_feat = np.array(l_feat, dtype=int)
-        self.l_anchor = np.array(l_anchor, dtype=int)
-        self.l_ua = np.array(l_ua, dtype=float).reshape(-1, 3)
-        self.l_uo = np.array(l_uo, dtype=float).reshape(-1, 3)
-        self.l_B = np.stack(tangent_basis(self.l_uo), axis=2)
-        self.l_R = np.array(l_R, dtype=float).reshape(-1, 3, 3)
-        self.l_p = np.array(l_p, dtype=float).reshape(-1, 3)
-
-        self.v_index = self._visual_index(self.v_anchor, self.v_obs, self.v_feat)
-        self.l_index = self._visual_index(self.l_anchor, None, self.l_feat) if loops else None
+        # visual rows (feature, observer, observed ray): a feature's window
+        # observations after its anchor's, then the loop correspondences,
+        # each observed by its loop set's frame
+        rows = [(fi, id_to_idx[k], feat.obs[k]) for fi, feat in enumerate(feats)
+                for k in sorted(k for k in feat.obs if k in id_to_idx)[1:]]
+        rows += [(feat_pos[fid], self.n_frames + i, np.divide(ray, np.linalg.norm(ray)))
+                 for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
+        anchor_ids = [min(k for k in f.obs if k in id_to_idx) for f in feats]
+        self.v_feat = np.array([row[0] for row in rows], dtype=int)
+        self.v_obs = np.array([row[1] for row in rows], dtype=int)
+        self.v_uo = np.array([row[2] for row in rows], dtype=float).reshape(-1, 3)
+        self.v_anchor = np.array([id_to_idx[anchor_ids[fi]] for fi in self.v_feat], dtype=int)
+        self.v_ua = np.array([feats[fi].obs[anchor_ids[fi]] for fi in self.v_feat],
+                             dtype=float).reshape(-1, 3)
+        self.v_B = np.stack(tangent_basis(self.v_uo), axis=2)  # (K, 3, 2)
+        self._visual_layout()
 
         P, F = self.feat_col, len(feats)
         # zeroed by linearize
@@ -880,8 +829,10 @@ class _WindowProblem:
             self.lam = np.maximum(self.lam + dx[self.feat_col :], 1e-4)
 
     def frame_states(self, first: int = 0) -> list[ImuFrameState]:
-        """The current iterate as frame states, from window frame first on."""
-        rows = (a[first:] for a in (self.t, self.p, self.q, self.v, self.ba, self.bw))
+        """The current iterate as window frame states, from window frame
+        first on."""
+        n = self.n_frames
+        rows = (a[first:n] for a in (self.t, self.p, self.q, self.v, self.ba, self.bw))
         return [
             ImuFrameState(t, p.copy(), q.copy(), v.copy(), BiasState(ba.copy(), bw.copy()))
             for t, p, q, v, ba, bw in zip(*rows)
@@ -898,25 +849,26 @@ class _WindowProblem:
     def _frame_arrays(self):
         return quat_to_rot(self.q), self.p
 
-    def _visual_terms(self, anchor, obs_R, obs_p, feat_idx, u_anchor, u_obs, B, Rw, pw):
-        """Whitened tangent-plane residuals plus geometry intermediates; B
-        holds the tangent bases of the observed rays u_obs, (K, 3, 2)."""
+    def _visual_terms(self, Rw, pw):
+        """Whitened tangent-plane residuals of the visual rows plus geometry
+        intermediates, given every frame's rotation and position."""
         R_bc = quat_to_rot(self.extrinsic.q_b_c)
         p_bc = self.extrinsic.p_b_c
-        lam = self.lam[feat_idx]
-        f_ci = u_anchor / lam[:, None]
+        lam = self.lam[self.v_feat]
+        f_ci = self.v_ua / lam[:, None]
         f_bi = f_ci @ R_bc.T + p_bc
-        Ri = Rw[anchor]
-        f_w = np.einsum("kab,kb->ka", Ri, f_bi) + pw[anchor]
-        d_j = f_w - obs_p
+        Ri = Rw[self.v_anchor]
+        f_w = np.einsum("kab,kb->ka", Ri, f_bi) + pw[self.v_anchor]
+        obs_R = Rw[self.v_obs]
+        d_j = f_w - pw[self.v_obs]
         e_j = np.einsum("kba,kb->ka", obs_R, d_j) - p_bc
         P = e_j @ R_bc
         nP = np.linalg.norm(P, axis=1)
         if np.any(nP < 1e-6):
             raise EstimatorError("feature collapses onto an observing camera center")
         nvec = P / nP[:, None]
-        r = np.einsum("kir,ki->kr", B, u_obs - nvec) / self.sigma
-        aux = (R_bc, lam, u_anchor, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec, B)
+        r = np.einsum("kir,ki->kr", self.v_B, self.v_uo - nvec) / self.sigma
+        aux = (R_bc, lam, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec)
         return r, aux
 
     def _prior_residual(self):
@@ -944,36 +896,39 @@ class _WindowProblem:
         linearize() builds this iterate's normal equations from."""
         prior = None if self.prior is None else self._prior_residual()
         imu = self._imu_terms() if len(self.imu) else None
-        Rw, pw = self._frame_arrays()
-        sets = []
+        visual = None
         if len(self.v_feat):
-            sets.append((self.v_index, (self.v_anchor, Rw[self.v_obs], pw[self.v_obs],
-                                        self.v_feat, self.v_ua, self.v_uo, self.v_B)))
-        if len(self.l_feat):
-            sets.append((self.l_index, (self.l_anchor, self.l_R, self.l_p,
-                                        self.l_feat, self.l_ua, self.l_uo, self.l_B)))
-        visual, visual_cost = [], 0.0
-        for index, args in sets:
-            r, aux = self._visual_terms(*args, Rw, pw)
-            s = np.sum(r * r, axis=1)
-            visual_cost += float(np.sum(robust_cost(s)))
-            visual.append((index, r, s, aux))
+            r, aux = self._visual_terms(*self._frame_arrays())
+            visual = (r, np.sum(r * r, axis=1), aux)
         cost = (
             (0.0 if prior is None else float(prior[0] @ prior[0]))
             + (0.0 if imu is None else float(np.sum(imu[0] * imu[0])))
-            + visual_cost
+            + (0.0 if visual is None else float(np.sum(robust_cost(visual[1]))))
         )
         return cost, (prior, imu, visual)
 
     # -- linearization --------------------------------------------------------------
 
-    def _visual_index(self, anchor, obs_idx, feat_idx) -> _VisualIndex:
-        """Frame-pair chunk layout of a set of visual rows (see _VisualIndex).
-        A row's 6-column groups start at column 15 g, g being its anchor, its
-        observer and the extrinsic, which counts as frame n_frames."""
-        K, G = len(anchor), self.n_frames + 1
-        groups = [anchor] if obs_idx is None else [anchor, obs_idx]
-        groups = np.stack(groups + [np.full(K, G - 1)], axis=1)  # (K, B)
+    def _visual_layout(self) -> None:
+        """Fix where the visual rows go in the normal equations.
+
+        A row's C = 18 pose columns are the 6-column groups of its anchor,
+        its observer and the extrinsic, so all rows of one frame pair share
+        them; group g starts at column 15 g, the extrinsic counting as the
+        frame after the last. The rows of a pair fill chunks of
+        VISUAL_CHUNK_ROWS rows in the zero-padded v_chunks, whose padding
+        slots are never written. Row k's two residual rows sit at v_slot[k]
+        of that buffer seen as (chunks * VISUAL_CHUNK_ROWS, 2, C + 1): the
+        whitened pose Jacobian, then the whitened residual. Each chunk's
+        product with itself (v_products) gives its Hessian block and
+        gradient, and one np.bincount over v_target sums them per entry of
+        the distinct 6 x 6 blocks of H_pp that the chunks touch and of the
+        groups' 6-segments of b_p (v_h_entries, flat, then v_b_entries). The
+        depth column stays per row: v_w_target sums W per entry
+        (v_w_entries, flat), and the rows' features sum v and b_l.
+        """
+        K, G = len(self.v_feat), len(self.p) + 1
+        groups = np.stack([self.v_anchor, self.v_obs, np.full(K, G - 1)], axis=1)  # (K, B)
         B = groups.shape[1]
         C, P, six = 6 * B, self.feat_col, np.arange(6)
 
@@ -1006,24 +961,26 @@ class _WindowProblem:
         h_entries = (15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()
 
         # W entries: distinct (feature, group) pairs
-        fg, w_at = np.unique((feat_idx[:, None] * G + groups).ravel(), return_inverse=True)
+        fg, w_at = np.unique((self.v_feat[:, None] * G + groups).ravel(), return_inverse=True)
         fi, g = np.divmod(fg, G)
         w_entries = (fi * P + 15 * g)[:, None] + six
 
-        return _VisualIndex(
-            two_frames=obs_idx is not None, feat=feat_idx, slot=slot,
-            jac=np.empty((K, 2, C + 1)), chunks=np.zeros((n, 2 * VISUAL_CHUNK_ROWS, C + 1)),
-            products=np.empty((n, C + 1, C + 1)), target=target.ravel(),
-            h_entries=h_entries.ravel(), b_entries=(15 * np.arange(G)[:, None] + six).ravel(),
-            w_entries=w_entries.ravel(), w_target=(w_at[:, None] * 6 + six).ravel(),
-        )
+        self.v_slot = slot
+        self.v_jac = np.empty((K, 2, C + 1))  # the depth column last
+        self.v_chunks = np.zeros((n, 2 * VISUAL_CHUNK_ROWS, C + 1))
+        self.v_products = np.empty((n, C + 1, C + 1))
+        self.v_target = target.ravel()
+        self.v_h_entries = h_entries.ravel()
+        self.v_b_entries = (15 * np.arange(G)[:, None] + six).ravel()
+        self.v_w_entries = w_entries.ravel()
+        self.v_w_target = (w_at[:, None] * 6 + six).ravel()
 
-    def _visual_jacobian(self, aux, two_frames: bool, J: np.ndarray) -> np.ndarray:
-        """Whitened Jacobian blocks in the column order of _visual_index,
+    def _visual_jacobian(self, aux, J: np.ndarray) -> np.ndarray:
+        """Whitened Jacobian blocks in the column order of _visual_layout,
         then the feature's depth, written into J and returned."""
-        R_bc, lam, u_anchor, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec, B = aux
+        R_bc, lam, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec = aux
         # M = d r / d P = -B^T (I - n n^T) / |P|, whitened
-        Bt = np.swapaxes(B, 1, 2)
+        Bt = np.swapaxes(self.v_B, 1, 2)
         Btn = np.einsum("kri,ki->kr", Bt, nvec)
         M = (Btn[:, :, None] * nvec[:, None, :] - Bt) / (nP[:, None, None] * self.sigma)
         MRbc = M @ R_bc.T  # d r / d e_j
@@ -1032,42 +989,39 @@ class _WindowProblem:
 
         J[:, :, 0:3] = MA
         J[:, :, 3:6] = -MA @ skew(np.einsum("kab,kb->ka", Ri, f_bi))
-        c = 6
-        if two_frames:
-            J[:, :, 6:9] = -MA
-            J[:, :, 9:12] = MA @ skew(d_j)
-            c = 12
-        J[:, :, c : c + 3] = MARi - MRbc
-        J[:, :, c + 3 : c + 6] = MRbc @ skew(e_j) - MARi @ skew(f_ci @ R_bc.T)
-        J[:, :, c + 6] = np.einsum(
-            "krb,kb->kr", MARi, (u_anchor @ R_bc.T) * (-1.0 / lam**2)[:, None]
+        J[:, :, 6:9] = -MA
+        J[:, :, 9:12] = MA @ skew(d_j)
+        J[:, :, 12:15] = MARi - MRbc
+        J[:, :, 15:18] = MRbc @ skew(e_j) - MARi @ skew(f_ci @ R_bc.T)
+        J[:, :, 18] = np.einsum(
+            "krb,kb->kr", MARi, (self.v_ua @ R_bc.T) * (-1.0 / lam**2)[:, None]
         )
         return J
 
-    def _add_visual(self, blocks: NormalBlocks, r, s, aux, index: _VisualIndex) -> None:
+    def _add_visual(self, blocks: NormalBlocks, r, s, aux) -> None:
         """Accumulate Huber-reweighted visual rows: their pose columns chunk
         by chunk, their depth column row by row."""
-        J = self._visual_jacobian(aux, index.two_frames, index.jac)
+        J = self._visual_jacobian(aux, self.v_jac)
         sw = np.sqrt(huber_weight(s))
         J *= sw[:, None, None]
         rw = r * sw[:, None]
         C = J.shape[2] - 1
         Jp, Jl = J[:, :, :C], J[:, :, C]
-        rows = index.chunks.reshape(-1, 2, C + 1)
-        rows[index.slot, :, :C] = Jp
-        rows[index.slot, :, C] = rw
-        np.matmul(np.swapaxes(index.chunks, 1, 2), index.chunks, out=index.products)
-        nh, nb = len(index.h_entries), len(index.b_entries)
+        rows = self.v_chunks.reshape(-1, 2, C + 1)
+        rows[self.v_slot, :, :C] = Jp
+        rows[self.v_slot, :, C] = rw
+        np.matmul(np.swapaxes(self.v_chunks, 1, 2), self.v_chunks, out=self.v_products)
+        nh, nb = len(self.v_h_entries), len(self.v_b_entries)
         # the last sum collects the entries that neither H_pp nor b_p takes
-        sums = np.bincount(index.target, index.products.ravel(), nh + nb + 1)
-        blocks.H_pp.reshape(-1)[index.h_entries] += sums[:nh]
-        blocks.b_p[index.b_entries] += sums[nh : nh + nb]
+        sums = np.bincount(self.v_target, self.v_products.ravel(), nh + nb + 1)
+        blocks.H_pp.reshape(-1)[self.v_h_entries] += sums[:nh]
+        blocks.b_p[self.v_b_entries] += sums[nh : nh + nb]
         Wb = np.einsum("kri,kr->ki", Jp, Jl)
-        blocks.W.reshape(-1)[index.w_entries] += np.bincount(
-            index.w_target, Wb.ravel(), len(index.w_entries))
+        blocks.W.reshape(-1)[self.v_w_entries] += np.bincount(
+            self.v_w_target, Wb.ravel(), len(self.v_w_entries))
         F = len(blocks.b_l)
-        blocks.v += np.bincount(index.feat, np.einsum("kr,kr->k", Jl, Jl), F)
-        blocks.b_l += np.bincount(index.feat, np.einsum("kr,kr->k", Jl, rw), F)
+        blocks.v += np.bincount(self.v_feat, np.einsum("kr,kr->k", Jl, Jl), F)
+        blocks.b_l += np.bincount(self.v_feat, np.einsum("kr,kr->k", Jl, rw), F)
 
     def _add_prior(self, blocks: NormalBlocks, rp, Jth, J_ext) -> None:
         """Accumulate the marginalization prior, whose Jacobian is H_p D with
@@ -1116,8 +1070,8 @@ class _WindowProblem:
             self._add_prior(blocks, *prior)
         if imu is not None:
             self._add_imu(blocks, *imu)
-        for index, r, s, aux in visual:
-            self._add_visual(blocks, r, s, aux, index)
+        if visual is not None:
+            self._add_visual(blocks, *visual)
         return blocks
 
     # -- damped Gauss-Newton ---------------------------------------------------
@@ -1162,8 +1116,8 @@ class _WindowProblem:
     def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
         """Damped Gauss-Newton over the variables selected by the boolean
         mask, which may hold pose and extrinsic columns constant but no depth.
-        The held pose columns must lead (the oldest frames) or trail (the
-        extrinsic) the free ones, which damped_step solves for as one block.
+        The held pose columns must lead (the oldest frames) or trail (loop
+        frames and the extrinsic) the free ones, which damped_step solves for as one block.
 
         Every trial iterate is evaluated for its cost. It is linearized only
         when it is accepted and another iteration will step from it, so a

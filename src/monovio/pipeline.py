@@ -45,7 +45,6 @@ from .initialization import (
     run_alignment,
 )
 from .posegraph import (
-    CorrespondenceSet,
     LoopEdge,
     PoseGraph,
     PoseGraphConfig,
@@ -531,10 +530,8 @@ class VioPipeline:
 
         t0 = self._tic()
         active = [pl.observations for pl in self._active_loops]
-        # relocalization measures drift, not calibration: hold the extrinsic
-        # constant while loop terms act on the window
         try:
-            self.est.build_and_solve(loops=active, fix_extrinsic=not warmed_up or bool(active))
+            self.est.build_and_solve(loops=active, fix_extrinsic=not warmed_up)
         except EstimatorError:
             self._toc("solve", t0)
             return self._fail(t, "numerical")
@@ -705,12 +702,11 @@ class VioPipeline:
             if vid is None:
                 continue
             points = self._window_points(cand.feature_ids)
-            corr = CorrespondenceSet(cand.feature_ids, cand.rays_query, cand.rays_candidate)
             # verification gates widen with the assumed observation noise so
             # genuine matches survive; the tight defaults hold noise-free
             sigma = self.config.estimator.obs_sigma
             result = verify_loop_candidate(
-                corr, points,
+                cand.feature_ids, cand.rays_query, cand.rays_candidate, points,
                 epipolar_threshold=max(1e-3, 4.0 * sigma),
                 pnp_threshold=max(3.0 / self.config.estimator.focal, 4.0 * sigma),
                 min_inliers=self.config.graph.min_inliers,
@@ -734,10 +730,7 @@ class VioPipeline:
             # the estimator's constant loop pose comes from past odometry
             # output, keeping the Eq-style loop terms in the window's own
             # frame; the graph correction is handled separately
-            raw = self._raw_vio_pose.get(vid)
-            if raw is None:
-                continue
-            obs_set = LoopObservationSet(raw[0], raw[1], pairs, loop_vertex_id=vid)
+            obs_set = LoopObservationSet(*self._raw_vio_pose[vid], pairs)
             # loop camera pose in the window frame from the absolute-pose
             # stage; convert to a body pose for the 4-DOF edge
             q_wc = rot_to_quat(R_cw.T)

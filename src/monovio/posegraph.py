@@ -61,6 +61,32 @@ def _ransac_iterations_needed(inlier_ratio: float, sample_size: int) -> int:
     return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log(1.0 - p_good))) + 1
 
 
+def _consensus(n: int, sample_size: int, fit, inliers, seed: int):
+    """(model, mask) of the seeded RANSAC draw with the most inliers, under
+    adaptive stopping: fit(pick) makes a model from sample_size of the n
+    pairs (or raises LinAlgError) and inliers(model) masks the pairs it
+    explains. Raises NoConsensusError below sample_size inliers."""
+    rng = np.random.default_rng(seed)
+    best, best_count = None, 0
+    needed = RANSAC_ITERATIONS
+    for it in range(RANSAC_ITERATIONS):
+        if it >= needed:
+            break
+        pick = rng.choice(n, size=sample_size, replace=False)
+        try:
+            model = fit(pick)
+        except np.linalg.LinAlgError:
+            continue
+        mask = inliers(model)
+        if mask.sum() > best_count:
+            best_count = int(mask.sum())
+            best = (model, mask)
+            needed = min(RANSAC_ITERATIONS, _ransac_iterations_needed(best_count / n, sample_size))
+    if best is None or best_count < sample_size:
+        raise NoConsensusError(f"no model with at least {sample_size} inliers")
+    return best
+
+
 @dataclass
 class PoseGraphVertex:
     vid: int
@@ -102,23 +128,6 @@ class SequentialEdge:
 @dataclass
 class LoopEdge(SequentialEdge):
     inliers: int = 0
-
-
-@dataclass
-class CorrespondenceSet:
-    """Feature matches between a query keyframe and a loop candidate frame."""
-
-    feature_ids: np.ndarray
-    rays_query: np.ndarray  # (K, 3) unit rays in the query camera
-    rays_candidate: np.ndarray  # (K, 3) unit rays in the candidate camera
-
-    def __post_init__(self):
-        self.feature_ids = np.asarray(self.feature_ids, dtype=int)
-        self.rays_query = np.asarray(self.rays_query, dtype=float)
-        self.rays_candidate = np.asarray(self.rays_candidate, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.feature_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +179,10 @@ def ransac_fundamental(
     n = len(rays_query)
     if n < 8:
         raise PoseGraphError("need at least 8 correspondences for the epipolar test")
-    rng = np.random.default_rng(seed)
-    best_mask = None
-    best_count = 0
-    needed = RANSAC_ITERATIONS
-    for it in range(RANSAC_ITERATIONS):
-        if it >= needed:
-            break
-        pick = rng.choice(n, size=8, replace=False)
-        try:
-            F = _eight_point(rays_query[pick], rays_candidate[pick])
-        except np.linalg.LinAlgError:
-            continue
-        d = _epipolar_distances(F, rays_query, rays_candidate)
-        mask = d < threshold
-        if mask.sum() > best_count:
-            best_count = int(mask.sum())
-            best_mask = mask
-            needed = min(RANSAC_ITERATIONS, _ransac_iterations_needed(best_count / n, 8))
-    if best_mask is None or best_count < 8:
-        raise NoConsensusError("no epipolar model with at least 8 inliers")
+    _, best_mask = _consensus(
+        n, 8, lambda pick: _eight_point(rays_query[pick], rays_candidate[pick]),
+        lambda F: _epipolar_distances(F, rays_query, rays_candidate) < threshold, seed,
+    )
     _rank_check(rays_query[best_mask], rays_candidate[best_mask])
     F = _eight_point(rays_query[best_mask], rays_candidate[best_mask])
     mask = _epipolar_distances(F, rays_query, rays_candidate) < threshold
@@ -276,27 +269,10 @@ def ransac_pnp(
     n = len(points)
     if n < 6:
         raise PoseGraphError("need at least 6 correspondences for the absolute-pose test")
-    rng = np.random.default_rng(seed)
-    best = None
-    best_count = 0
-    needed = RANSAC_ITERATIONS
-    for it in range(RANSAC_ITERATIONS):
-        if it >= needed:
-            break
-        pick = rng.choice(n, size=6, replace=False)
-        try:
-            R, t = _pnp_dlt(points[pick], rays[pick])
-        except np.linalg.LinAlgError:
-            continue
-        errs = _angular_errors(R, t, points, rays)
-        mask = errs < threshold
-        if mask.sum() > best_count:
-            best_count = int(mask.sum())
-            best = (R, t, mask)
-            needed = min(RANSAC_ITERATIONS, _ransac_iterations_needed(best_count / n, 6))
-    if best is None or best_count < 6:
-        raise NoConsensusError("no absolute-pose consensus")
-    R, t, mask = best
+    (R, t), mask = _consensus(
+        n, 6, lambda pick: _pnp_dlt(points[pick], rays[pick]),
+        lambda model: _angular_errors(*model, points, rays) < threshold, seed,
+    )
     R, t = _refine_pnp(R, t, points[mask], rays[mask])
     mask = _angular_errors(R, t, points, rays) < threshold
     if mask.sum() < 6:
@@ -305,14 +281,18 @@ def ransac_pnp(
 
 
 def verify_loop_candidate(
-    correspondences: CorrespondenceSet,
+    feature_ids: np.ndarray,
+    rays_query: np.ndarray,
+    rays_candidate: np.ndarray,
     points_by_id: dict[int, np.ndarray],
     pnp_threshold: float,
     epipolar_threshold: float = DEFAULT_EPIPOLAR_THRESHOLD,
     min_inliers: int = DEFAULT_MIN_INLIERS,
     seed: int = 0,
 ):
-    """Two-step outlier rejection; returns (inlier mask, (R, t)) or None.
+    """Two-step outlier rejection of the feature matches between a query
+    keyframe and a loop candidate frame (unit rays in each camera); returns
+    (inlier mask, (R, t)) or None.
 
     Stage 1 tests the ray pairs against an epipolar model; stage 2 tests the
     surviving matches against the window's 3D structure with an absolute-pose
@@ -320,24 +300,22 @@ def verify_loop_candidate(
     (pixels over the focal length). Candidates without enough inliers are
     rejected (None).
     """
+    feature_ids = np.asarray(feature_ids, dtype=int)
+    rays_candidate = np.asarray(rays_candidate, dtype=float)
     try:
-        _, mask_f = ransac_fundamental(
-            correspondences.rays_query, correspondences.rays_candidate,
-            epipolar_threshold, seed,
-        )
+        _, mask_f = ransac_fundamental(rays_query, rays_candidate, epipolar_threshold, seed)
     except (PoseGraphError, NoConsensusError, DegenerateGeometryError):
         return None
-    have_point = np.array([fid in points_by_id for fid in correspondences.feature_ids])
+    have_point = np.array([fid in points_by_id for fid in feature_ids])
     stage2 = mask_f & have_point
     if stage2.sum() < 6:
         return None
-    points = np.array([points_by_id[fid] for fid in correspondences.feature_ids[stage2]])
-    rays = correspondences.rays_candidate[stage2]
+    points = np.array([points_by_id[fid] for fid in feature_ids[stage2]])
     try:
-        R, t, mask_p = ransac_pnp(points, rays, pnp_threshold, seed)
+        R, t, mask_p = ransac_pnp(points, rays_candidate[stage2], pnp_threshold, seed)
     except (PoseGraphError, NoConsensusError):
         return None
-    mask = np.zeros(len(correspondences), dtype=bool)
+    mask = np.zeros(len(feature_ids), dtype=bool)
     idx = np.where(stage2)[0]
     mask[idx[mask_p]] = True
     if mask.sum() < min_inliers:

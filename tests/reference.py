@@ -268,16 +268,13 @@ def linearize_per_row(problem, terms):
         problem._add_prior(blocks, *prior)
     if imu is not None:
         problem._add_imu(blocks, *imu)
-    for index, r, s, aux in visual:
-        J = problem._visual_jacobian(aux, index.two_frames, np.empty_like(index.jac))
-        if index.two_frames:
-            frames = [problem.v_anchor, problem.v_obs]
-        else:
-            frames = [problem.l_anchor]
+    if visual is not None:
+        r, s, aux = visual
+        J = problem._visual_jacobian(aux, np.empty_like(problem.v_jac))
         cols = np.concatenate(
-            [15 * f[:, None] + np.arange(6) for f in frames]
+            [15 * f[:, None] + np.arange(6) for f in (problem.v_anchor, problem.v_obs)]
             + [np.broadcast_to(problem.ext_col + np.arange(6), (len(r), 6))], axis=1)
-        feat = index.feat
+        feat = problem.v_feat
         flat_pp = (cols[:, :, None] * P + cols[:, None, :]).ravel()
         flat_w = (feat[:, None] * P + cols).ravel()
         sw = np.sqrt(huber_weight(s))

@@ -146,6 +146,9 @@ class TestKeyframeDecision:
     def test_low_track_count(self):
         pairs = [(np.array([0, 0, 1.0]), np.array([0, 0, 1.0]))] * 15
         assert keyframe_decision(pairs, geo.quat_identity(), 20.0, 30, 460.0)
+        # with no track gate, a frame sharing nothing with the last keyframe
+        # has no parallax to average and is a keyframe
+        assert keyframe_decision([], geo.quat_identity(), 20.0, 0, 460.0)
 
 
 class TestTriangulation:
@@ -401,6 +404,38 @@ class TestSolver:
         assert np.abs(ours - ind).max() < 1e-6
         for qa, qb in zip(our_qs, ind_qs):
             assert geo.quat_angle_between(qa, qb) < 1e-6
+
+    def test_loop_frame_and_extrinsic_stay_held(self, monkeypatch):
+        # relocalization moves the window onto the loop frame, whose state
+        # and the extrinsic stay bit for bit as they were, even when the
+        # caller leaves the extrinsic free
+        from monovio.estimator import _WindowProblem
+
+        est, _, loop = loop_window()
+        solve, solved = _WindowProblem.solve, []
+
+        def recording_solve(problem, config, mask):
+            n = problem.n_frames
+            held = [a[n:].copy() for a in (problem.p, problem.q, problem.v, problem.ba, problem.bw)]
+            solved.append((problem, held))
+            return solve(problem, config, mask)
+
+        monkeypatch.setattr(_WindowProblem, "solve", recording_solve)
+        ext = est.extrinsic.copy()
+        window_p = np.array([f.p for f in est.frames])
+        rep = est.build_and_solve(loops=[loop], fix_extrinsic=False)
+        (problem, held), = solved
+        assert rep.iterations >= 1 and rep.costs[-1] < rep.costs[0]
+        assert len(problem.p) == problem.n_frames + 1
+        np.testing.assert_array_equal(held[0], [loop.p_w_v])
+        np.testing.assert_allclose(held[1], [loop.q_w_v], rtol=0, atol=1e-15)
+        assert not np.any(np.concatenate(held[2:]))
+        n = problem.n_frames
+        for now, before in zip((problem.p, problem.q, problem.v, problem.ba, problem.bw), held):
+            np.testing.assert_array_equal(now[n:], before)
+        np.testing.assert_array_equal(est.extrinsic.p_b_c, ext.p_b_c)
+        np.testing.assert_array_equal(est.extrinsic.q_b_c, ext.q_b_c)
+        assert not np.array_equal(np.array([f.p for f in est.frames]), window_p)
 
     def test_rejects_masks_it_cannot_solve(self):
         # a held depth, or held pose columns inside the free ones (frame 1
@@ -771,12 +806,10 @@ class TestFailureDetection:
         assert not failed and reason is None
 
 
-def loop_window_problem():
-    """Window problem with a prior, every IMU factor and one loop set, every
-    state moved off its linearization point, and one loop correspondence an
-    outlier on the Huber branch. Returns (problem, loop)."""
-    from monovio.estimator import _WindowProblem
-
+def loop_window():
+    """Window with a prior, every state moved off its linearization point,
+    and one loop set, one of whose correspondences is an outlier on the
+    Huber branch. Returns (estimator, optimized features, loop)."""
     cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=20, pixel_sigma_px=1.5,
                          noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
     data = build_scenario(cfg)
@@ -813,7 +846,15 @@ def loop_window_problem():
         ray = geo.quat_rotate(geo.quat_inverse(q_wc), gt.landmarks[f.fid] - p_wc)
         pairs.append((f.fid, ray / np.linalg.norm(ray)))
     pairs[0] = (pairs[0][0], geo.quat_rotate(geo.quat_exp([0.0, np.deg2rad(3.0), 0.0]), pairs[0][1]))
-    loop = LoopObservationSet(gt.q[i], gt.p[i], pairs)
+    return est, feats, LoopObservationSet(gt.q[i], gt.p[i], pairs)
+
+
+def loop_window_problem():
+    """Window problem over loop_window() with every IMU factor and the loop
+    set. Returns (problem, loop)."""
+    from monovio.estimator import _WindowProblem
+
+    est, feats, loop = loop_window()
     return _WindowProblem(est, feats, [loop]), loop
 
 
@@ -835,11 +876,7 @@ class TestImuResidualJacobiansInWindow:
 
         problem = _WindowProblem(est, feats, [])
         frames = problem.frame_states()
-        Rw, pw = problem._frame_arrays()
-        r_batch, _ = problem._visual_terms(
-            problem.v_anchor, Rw[problem.v_obs], pw[problem.v_obs], problem.v_feat,
-            problem.v_ua, problem.v_uo, problem.v_B, Rw, pw,
-        )
+        r_batch, _ = problem._visual_terms(*problem._frame_arrays())
         for k in range(len(problem.v_feat)):
             fi = problem.v_feat[k]
             ai = problem.v_anchor[k]
@@ -958,33 +995,33 @@ class TestImuResidualJacobiansInWindow:
             res.append(r)
             ref_cost += r @ r
 
+        # the loop rows are those that the loop frame, held after the
+        # window's frames, observes; the dense reference fills its columns
         sigma = problem.sigma
-        window = [(problem.v_anchor[k], problem.v_obs[k], problem.v_feat[k], problem.v_ua[k],
-                   problem.v_uo[k]) for k in range(len(problem.v_feat))]
-        loops = [(problem.l_anchor[k], None, problem.l_feat[k], problem.l_ua[k], problem.l_uo[k])
-                 for k in range(len(problem.l_feat))]
-        assert len(loops) == 12
+        assert np.sum(problem.v_obs >= problem.n_frames) == 12
+        assert np.all(problem.v_obs <= problem.n_frames)
         active = 0
-        for ai, oi, fi, ua, uo in window + loops:
+        for k in range(len(problem.v_feat)):
+            ai, oi, fi = problem.v_anchor[k], problem.v_obs[k], problem.v_feat[k]
             fa = frames[ai]
-            q_j, p_j = (loop.q_w_v, loop.p_w_v) if oi is None else (frames[oi].q, frames[oi].p)
-            r, jac = visual_residual(fa.q, fa.p, q_j, p_j, ext, ua, problem.lam[fi], uo)
+            held = oi >= problem.n_frames
+            q_j, p_j = (loop.q_w_v, loop.p_w_v) if held else (frames[oi].q, frames[oi].p)
+            r, jac = visual_residual(fa.q, fa.p, q_j, p_j, ext, problem.v_ua[k], problem.lam[fi],
+                                     problem.v_uo[k])
             r = r / sigma
             s = float(r @ r)
             active += s > 1.0
             w = np.sqrt(float(huber_weight(s)))
             J = np.zeros((2, n))
             J[:, 15 * ai : 15 * ai + 3], J[:, 15 * ai + 3 : 15 * ai + 6] = jac["p_i"], jac["th_i"]
-            if oi is not None:
-                J[:, 15 * oi : 15 * oi + 3] = jac["p_j"]
-                J[:, 15 * oi + 3 : 15 * oi + 6] = jac["th_j"]
+            J[:, 15 * oi : 15 * oi + 3], J[:, 15 * oi + 3 : 15 * oi + 6] = jac["p_j"], jac["th_j"]
             J[:, problem.ext_col : problem.ext_col + 3] = jac["ext_p"]
             J[:, problem.ext_col + 3 : problem.ext_col + 6] = jac["ext_th"]
             J[:, problem.feat_col + fi] = jac["lam"][:, 0]
             rows.append(w * J / sigma)
             res.append(w * r)
             ref_cost += robust_cost(s)
-        assert 0 < active < len(window) + len(loops)  # both Huber branches
+        assert 0 < active < len(problem.v_feat)  # both Huber branches
 
         J, r = np.vstack(rows), np.concatenate(res)
         H_ref, b_ref = J.T @ J, J.T @ r
@@ -1024,8 +1061,9 @@ class TestFramePairAssembly:
         from monovio.estimator import VISUAL_CHUNK_ROWS
 
         problem, _ = loop_window_problem()
-        pairs = problem.v_anchor * problem.n_frames + problem.v_obs
-        assert len(problem.l_feat) and np.bincount(pairs).max() > VISUAL_CHUNK_ROWS
+        pairs = problem.v_anchor * len(problem.p) + problem.v_obs
+        assert np.any(problem.v_obs >= problem.n_frames)
+        assert np.bincount(pairs).max() > VISUAL_CHUNK_ROWS
         terms = problem.evaluate()[1]
         assert_blocks_match(problem.linearize(terms), linearize_per_row(problem, terms))
 

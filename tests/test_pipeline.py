@@ -7,7 +7,13 @@ import pytest
 
 from monovio import dataio
 from monovio.cli import main as cli_main
-from monovio.estimator import EstimatorError, FeatureTrack, SlidingWindowEstimator, _WindowProblem
+from monovio.estimator import (
+    EstimatorConfig,
+    EstimatorError,
+    FeatureTrack,
+    SlidingWindowEstimator,
+    _WindowProblem,
+)
 from monovio.pipeline import (
     EXTRINSIC_WARMUP_FRAMES,
     GraphDriver,
@@ -440,6 +446,17 @@ class TestFailureRecovery:
         else:
             assert rep.failure_events == []
             assert kinds == ["init"] and rep.init_events[0][0] > gap[1]
+
+    def test_frame_sharing_no_feature_with_last_keyframe(self):
+        # without the keyframe track gate, the first blackout frame shares no
+        # feature with the last keyframe: it is a keyframe, and the blackout
+        # a tracking failure
+        data = build_scenario(quick_config(duration=8.0, blackout_start=5.0, blackout_duration=1.0))
+        config = PipelineConfig(estimator=EstimatorConfig(min_tracked=0), enable_loops=False,
+                                model_noise=MODEL)
+        rep = pipeline_from_scenario(data, config).run()
+        assert [reason for _, reason in rep.failure_events][:1] == ["tracking"]
+        assert 5.0 <= rep.failure_events[0][0] < 6.0
 
     def test_solver_error(self, monkeypatch):
         solve = SlidingWindowEstimator.build_and_solve

@@ -10,7 +10,6 @@ from monovio.cli import main as cli_main
 from monovio.posegraph import (
     HUBER_THRESHOLD,
     LOOP_WEIGHT_SCALE,
-    CorrespondenceSet,
     DegenerateGeometryError,
     LoopEdge,
     PoseGraph,
@@ -117,18 +116,18 @@ class TestRansacPnp:
 class TestVerification:
     def test_accepts_good_candidate_and_recovers_labels(self):
         X, ra, rb, labels, _ = two_view_scene(outlier_frac=0.3, seed=3)
-        corr = CorrespondenceSet(np.arange(len(X)), ra, rb)
         points = {i: X[i] for i in range(len(X))}
-        out = verify_loop_candidate(corr, points, PNP_THRESHOLD, seed=3)
+        out = verify_loop_candidate(np.arange(len(X)), ra, rb, points, PNP_THRESHOLD, seed=3)
         assert out is not None
         mask, (R, t) = out
         np.testing.assert_array_equal(mask, labels)
 
     def test_rejects_below_min_inliers(self):
         X, ra, rb, labels, _ = two_view_scene(n=30, seed=4)
-        corr = CorrespondenceSet(np.arange(len(X)), ra, rb)
         points = {i: X[i] for i in range(len(X))}
-        assert verify_loop_candidate(corr, points, PNP_THRESHOLD, min_inliers=50, seed=4) is None
+        out = verify_loop_candidate(np.arange(len(X)), ra, rb, points, PNP_THRESHOLD,
+                                    min_inliers=50, seed=4)
+        assert out is None
 
     def test_rejects_garbage(self):
         rng = np.random.default_rng(5)
@@ -136,9 +135,8 @@ class TestVerification:
         ra /= np.linalg.norm(ra, axis=1, keepdims=True)
         rb = rng.standard_normal((40, 3))
         rb /= np.linalg.norm(rb, axis=1, keepdims=True)
-        corr = CorrespondenceSet(np.arange(40), ra, rb)
         points = {i: rng.standard_normal(3) * 5 for i in range(40)}
-        assert verify_loop_candidate(corr, points, PNP_THRESHOLD, seed=5) is None
+        assert verify_loop_candidate(np.arange(40), ra, rb, points, PNP_THRESHOLD, seed=5) is None
 
 
 class TestEdges:
