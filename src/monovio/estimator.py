@@ -517,9 +517,6 @@ class SlidingWindowEstimator:
         """Re-express an optimized depth in the feature's next observation frame."""
         q_ci, p_ci = old_cam_pose
         new_anchor = feat.anchor_id()
-        if new_anchor not in self.frame_ids:
-            feat.inv_depth = None
-            return
         q_cn, p_cn = self._camera_pose(self.frame_ids.index(new_anchor))
         X = quat_rotate(q_ci, old_ray / feat.inv_depth) + p_ci
         depth = feat.obs[new_anchor] @ quat_rotate(quat_inverse(q_cn), X - p_cn)
@@ -545,9 +542,7 @@ class SlidingWindowEstimator:
             feat = self.features[feat_id]
             if feat.inv_depth is not None or len(feat.obs) < 2:
                 continue
-            keys = sorted(k for k in feat.obs if k in self.frame_ids)
-            if len(keys) < 2:
-                continue
+            keys = sorted(feat.obs)
             idxs = [self.frame_ids.index(k) for k in keys]
             rays = [feat.obs[k] for k in keys]
             poses = [self._camera_pose(i) for i in idxs]
@@ -562,13 +557,8 @@ class SlidingWindowEstimator:
 
     def _optimized_features(self) -> list[Feature]:
         """Features entering the cost: valid depth and at least two window obs."""
-        window_ids = set(self.frame_ids)
-        feats = []
-        for feat_id in sorted(self.features):
-            f = self.features[feat_id]
-            n_obs = sum(1 for k in f.obs if k in window_ids)
-            if f.inv_depth is not None and n_obs >= 2:
-                feats.append(f)
+        feats = [f for _, f in sorted(self.features.items())
+                 if f.inv_depth is not None and len(f.obs) >= 2]
         if len(feats) > self.config.max_features:
             feats.sort(key=lambda f: (-len(f.obs), f.fid))
             feats = feats[: self.config.max_features]
@@ -764,10 +754,10 @@ class _WindowProblem:
         # observations after its anchor's, then the loop correspondences,
         # each observed by its loop set's frame
         rows = [(fi, id_to_idx[k], feat.obs[k]) for fi, feat in enumerate(feats)
-                for k in sorted(k for k in feat.obs if k in id_to_idx)[1:]]
+                for k in sorted(feat.obs)[1:]]
         rows += [(feat_pos[fid], self.n_frames + i, np.divide(ray, np.linalg.norm(ray)))
                  for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
-        anchor_ids = [min(k for k in f.obs if k in id_to_idx) for f in feats]
+        anchor_ids = [f.anchor_id() for f in feats]
         self.v_feat = np.array([row[0] for row in rows], dtype=int)
         self.v_obs = np.array([row[1] for row in rows], dtype=int)
         self.v_uo = np.array([row[2] for row in rows], dtype=float).reshape(-1, 3)

@@ -49,6 +49,7 @@ from .posegraph import (
     PoseGraph,
     PoseGraphConfig,
     PoseGraphVertex,
+    relative_4dof,
     verify_loop_candidate,
     vertex_from_state,
 )
@@ -73,6 +74,9 @@ GRAPH_ADMISSION_DELAY = 60
 ATE_MATCH_TOL = 0.005  # seconds
 # a loop candidate's frame is the published vertex within this time
 VERTEX_TIME_TOL = 1e-6  # seconds
+# verified loops refresh the odometry->graph correction at most once per
+# crossing event: once in this time
+CORRECTION_INTERVAL = 5.0  # seconds
 
 
 @dataclass
@@ -331,13 +335,9 @@ class _PendingLoop:
     loop_vertex_id: int
     observations: LoopObservationSet
     inliers: int
-    # loop frame's body pose recovered in the window frame (absolute-pose stage)
-    loop_q_win: np.ndarray = None
-    loop_p_win: np.ndarray = None
-    corrected: bool = False  # drift correction already updated from this loop
     # 4-DOF relative measurement (rel_p, rel_yaw) frozen right after the
     # query's relocalization solve; invariant to later window-frame drift
-    edge_rel: tuple | None = None
+    edge_rel: tuple
 
 
 class VioPipeline:
@@ -374,7 +374,7 @@ class VioPipeline:
         self._init_buffer: list[tuple[float, UpToScaleFrame, dict]] = []
         self._last_output: ImuFrameState | None = None
         self._last_extrinsic = extrinsic.copy()
-        self._kf_reference: tuple[dict, float] | None = None
+        self._kf_reference: dict[int, np.ndarray] = {}  # the last keyframe's observations
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops: list[_PendingLoop] = []
         self._window_out: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -482,7 +482,7 @@ class VioPipeline:
         self.report.init_events.append((float(t), kind))
         self._last_output = self.est.latest_snapshot()
         self._last_extrinsic = self.est.extrinsic.copy()
-        self._kf_reference = (dict(self._init_buffer[-1][2]), t)
+        self._kf_reference = dict(self._init_buffer[-1][2])
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops = []
         self._record_window_output()
@@ -513,7 +513,7 @@ class VioPipeline:
         self._gamma_since_kf = quat_mul(self._gamma_since_kf, gamma_c)
         is_kf = self._decide_keyframe(obs)
         if is_kf:
-            self._kf_reference = (dict(obs), t)
+            self._kf_reference = dict(obs)
             self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
 
         t0 = self._tic()
@@ -523,43 +523,22 @@ class VioPipeline:
 
         self._flush_marginalized()
 
+        new_loops = []
         if cfg.enable_loops:
             t0 = self._tic()
-            self._gather_loops(t)
+            new_loops = self._gather_loops(t)
             self._toc("loops", t0)
 
         t0 = self._tic()
-        active = [pl.observations for pl in self._active_loops]
+        loops = [pl.observations for pl in self._active_loops] + [obs for _, obs, _, _ in new_loops]
         try:
-            self.est.build_and_solve(loops=active, fix_extrinsic=not warmed_up)
+            self.est.build_and_solve(loops=loops, fix_extrinsic=not warmed_up)
         except EstimatorError:
             self._toc("solve", t0)
             return self._fail(t, "numerical")
         self.report.n_solves += 1
         self._toc("solve", t0)
-
-        # freeze each loop's 4-DOF relative measurement right after the
-        # query's relocalization solve (PnP pose and query pose share the
-        # window frame, so the relative is drift-invariant), and refresh the
-        # odometry->graph correction once per crossing event
-        query_state = self.est.latest()
-        for pl in self._active_loops:
-            if pl.query_frame_id != self.est.frame_ids[-1]:
-                continue
-            if pl.edge_rel is None:
-                try:
-                    _, _, yaw_q = yaw_roll_pitch_decompose(query_state.q)
-                    roll_v, pitch_v, yaw_v = yaw_roll_pitch_decompose(pl.loop_q_win)
-                except ValueError:
-                    continue
-                R_v = rot_zyx(roll_v, pitch_v, yaw_v)
-                pl.edge_rel = (
-                    R_v.T @ (query_state.p - pl.loop_p_win),
-                    wrap_angle(yaw_q - yaw_v),
-                )
-            if not pl.corrected and t - self._corr_update_time > 5.0:
-                self._update_correction(pl, query_state, t)
-                pl.corrected = True
+        self._resolve_loops(t, new_loops)
 
         settling = self._frames_since_init <= EXTRINSIC_WARMUP_FRAMES + 2
         failed, reason = detect_failure(
@@ -567,7 +546,7 @@ class VioPipeline:
             None if settling else self._last_extrinsic,
             None if settling else self.est.extrinsic,
         )
-        if failed and active and reason in ("discontinuity", "extrinsic"):
+        if failed and loops and reason == "discontinuity":
             # the window legitimately shifts onto the loop frames during
             # relocalization; a jump here is the correction, not a failure
             failed, reason = False, None
@@ -576,15 +555,14 @@ class VioPipeline:
 
         t0 = self._tic()
         out = self.est.latest_snapshot()
-        if t_prev is not None:
-            rate_states = imu_forward_propagate(
-                ImuFrameState(t_prev, self._last_output.p, self._last_output.q,
-                              self._last_output.v, self._last_output.bias),
-                seg, GRAVITY,
-            )
-            for ts, p, q, _ in rate_states:
-                pc_, qc_ = self._corrected_pose(p, q)
-                self._rate_out.append((ts, pc_, qc_))
+        rate_states = imu_forward_propagate(
+            ImuFrameState(t_prev, self._last_output.p, self._last_output.q,
+                          self._last_output.v, self._last_output.bias),
+            seg, GRAVITY,
+        )
+        for ts, p, q, _ in rate_states:
+            pc_, qc_ = self._corrected_pose(p, q)
+            self._rate_out.append((ts, pc_, qc_))
         self._last_output = out
         self._last_extrinsic = self.est.extrinsic.copy()
         self._record_window_output()
@@ -611,32 +589,8 @@ class VioPipeline:
             quat_mul(self._corr_q, np.asarray(q, dtype=float))
         )
 
-    def _update_correction(self, pl: "_PendingLoop", query_state, t: float) -> None:
-        """Refresh the 4-DOF odometry->graph correction from a verified loop:
-        express the query in the graph frame via (loop graph pose) composed
-        with the relative transform measured in the window frame."""
-        pose = self.driver.vertex_pose(pl.loop_vertex_id)
-        if pose is None:
-            return
-        q_v_graph, p_v_graph = pose
-        try:
-            _, _, yaw_q_win = yaw_roll_pitch_decompose(query_state.q)
-            roll_vg, pitch_vg, yaw_v_graph = yaw_roll_pitch_decompose(q_v_graph)
-        except ValueError:
-            return
-        rel_p, rel_yaw = pl.edge_rel
-        R_v_graph = rot_zyx(roll_vg, pitch_vg, yaw_v_graph)
-        p_q_graph = p_v_graph + R_v_graph @ rel_p
-        yaw_q_graph = wrap_angle(yaw_v_graph + rel_yaw)
-        corr_yaw = wrap_angle(yaw_q_graph - yaw_q_win)
-        Rz = rot_zyx(0.0, 0.0, corr_yaw)
-        self._set_correction(corr_yaw, p_q_graph - Rz @ query_state.p)
-        self._corr_update_time = t
-
     def _decide_keyframe(self, obs) -> bool:
-        if self._kf_reference is None:
-            return True
-        ref_obs, _ = self._kf_reference
+        ref_obs = self._kf_reference
         shared = [(ref_obs[fid], ray) for fid, ray in obs.items() if fid in ref_obs]
         q_bc = self.extrinsic.q_b_c
         q_rel_cam = quat_mul(quat_inverse(q_bc), quat_mul(self._gamma_since_kf, q_bc))
@@ -671,9 +625,7 @@ class VioPipeline:
             vertex.yaw = float(wrap_angle(yaw_g))
             self.driver.submit_vertex(vertex)
             self._raw_vio_pose[fid] = (state.q.copy(), state.p.copy())
-            for pl in [p for p in self._active_loops if p.query_frame_id == fid]:
-                if pl.edge_rel is None:
-                    continue
+            for pl in (p for p in self._active_loops if p.query_frame_id == fid):
                 if state.t - self._last_edge_time < self.config.loop_edge_cooldown:
                     continue
                 self._last_edge_time = state.t
@@ -683,19 +635,19 @@ class VioPipeline:
                 )
                 self.driver.submit_loop_edge(edge)
                 self.report.loop_edges += 1
-            self._active_loops = [p for p in self._active_loops if p.query_frame_id != fid]
         # drop loop sets whose query frame left the window without reaching the graph
         window = set(self.est.frame_ids)
         self._active_loops = [p for p in self._active_loops if p.query_frame_id in window]
         self._toc("graph", t0)
 
-    def _gather_loops(self, t):
+    def _gather_loops(self, t) -> list[tuple]:
+        """Verify this frame's loop candidates; returns the verified ones as
+        (loop vertex id, LoopObservationSet, inliers, (q, p) the loop frame's
+        body pose in the window frame)."""
         cands = self.loops_by_query.get(round(t, 9), [])
-        if not cands:
-            return
-        if not self.est.keyframe_flags[-1]:
-            return
-        query_fid = self.est.frame_ids[-1]
+        if not cands or not self.est.keyframe_flags[-1]:
+            return []
+        verified = []
         for cand in cands:
             self.report.loop_candidates += 1
             vid = self.driver.vertex_at_time(cand.candidate_t)
@@ -718,10 +670,8 @@ class VioPipeline:
             pairs = [
                 (int(fid), ray)
                 for fid, ray, keep in zip(cand.feature_ids, cand.rays_candidate, mask)
-                if keep and fid in points
+                if keep
             ]
-            if len(pairs) < self.config.graph.min_inliers:
-                continue
             self.report.loop_verified += 1
             n_prev = self.report.loop_verified - 1
             self.report.loop_mean_inliers = (
@@ -737,9 +687,42 @@ class VioPipeline:
             p_wc = -R_cw.T @ t_cw
             q_wb = quat_canonical(quat_mul(q_wc, quat_inverse(self.extrinsic.q_b_c)))
             p_wb = p_wc - quat_rotate(q_wb, self.extrinsic.p_b_c)
-            self._active_loops.append(
-                _PendingLoop(query_fid, vid, obs_set, len(pairs), q_wb, p_wb)
-            )
+            verified.append((vid, obs_set, len(pairs), (q_wb, p_wb)))
+        return verified
+
+    def _resolve_loops(self, t, new_loops) -> None:
+        """Resolve the loops verified in this frame, right after the query's
+        relocalization solve. Each one's 4-DOF relative pose of the query in
+        the loop frame is frozen (the PnP pose and the query pose share the
+        window frame, so it is drift-invariant) and stays pending until the
+        query frame reaches the graph or leaves the window. At most once per
+        CORRECTION_INTERVAL, a loop refreshes the odometry->graph correction:
+        the query's graph pose is the loop vertex's published pose composed
+        with that relative."""
+        query = self.est.latest()
+        try:
+            _, _, yaw_q = yaw_roll_pitch_decompose(query.q)
+        except ValueError:
+            return
+        for vid, observations, inliers, (q_wb, p_wb) in new_loops:
+            try:
+                roll_v, pitch_v, yaw_v = yaw_roll_pitch_decompose(q_wb)
+            except ValueError:
+                continue
+            rel_p, rel_yaw = relative_4dof(p_wb, roll_v, pitch_v, yaw_v, query.p, yaw_q)
+            self._active_loops.append(_PendingLoop(
+                self.est.frame_ids[-1], vid, observations, inliers, (rel_p, rel_yaw)))
+            if t - self._corr_update_time <= CORRECTION_INTERVAL:
+                continue
+            q_vg, p_vg = self.driver.vertex_pose(vid)
+            try:
+                roll_vg, pitch_vg, yaw_vg = yaw_roll_pitch_decompose(q_vg)
+            except ValueError:
+                continue
+            p_q_graph = p_vg + rot_zyx(roll_vg, pitch_vg, yaw_vg) @ rel_p
+            corr_yaw = wrap_angle(wrap_angle(yaw_vg + rel_yaw) - yaw_q)
+            self._set_correction(corr_yaw, p_q_graph - rot_zyx(0.0, 0.0, corr_yaw) @ query.p)
+            self._corr_update_time = t
 
     def _window_points(self, feature_ids) -> dict[int, np.ndarray]:
         """Current world positions of window features with optimized depth."""
@@ -749,8 +732,6 @@ class VioPipeline:
             if fid not in wanted or feat.inv_depth is None:
                 continue
             anchor = feat.anchor_id()
-            if anchor not in self.est.frame_ids:
-                continue
             q_wc, p_wc = self.est._camera_pose(self.est.frame_ids.index(anchor))
             pts[fid] = quat_rotate(q_wc, feat.obs[anchor] / feat.inv_depth) + p_wc
         return pts
@@ -774,19 +755,17 @@ class VioPipeline:
             self.report.rate_q = np.array([r[2] for r in self._rate_out])
 
 
-def pipeline_from_scenario(data: ScenarioData, config: PipelineConfig,
-                           loop_candidates=None) -> VioPipeline:
+def pipeline_from_scenario(data: ScenarioData, config: PipelineConfig) -> VioPipeline:
     """Wire a pipeline onto simulator output."""
     from .simulator import camera_times, synthesize_loops
 
     cfg = data.config
     cam = camera_times(cfg)
-    if config.enable_loops and loop_candidates is None:
-        loop_candidates = synthesize_loops(data.ground_truth, cam, cfg.seed)
+    loops = synthesize_loops(data.ground_truth, cam, cfg.seed) if config.enable_loops else None
     obs_index = TrackObservationIndex(data.tracks)
     return VioPipeline(
         data.imu, cam, obs_index, data.sfm, cfg.extrinsic, config,
-        loop_candidates=loop_candidates, seed=cfg.seed,
+        loop_candidates=loops, seed=cfg.seed,
     )
 
 

@@ -109,9 +109,6 @@ class PoseGraphVertex:
         if self.vio_yaw is None:
             self.vio_yaw = self.yaw
 
-    def vio_rotation(self) -> np.ndarray:
-        return rot_zyx(self.roll, self.pitch, self.vio_yaw)
-
 
 @dataclass
 class SequentialEdge:
@@ -327,11 +324,17 @@ def verify_loop_candidate(
 # edges
 
 
+def relative_4dof(p_i, roll_i: float, pitch_i: float, yaw_i: float, p_j, yaw_j: float):
+    """4-DOF pose (rel_p, rel_yaw) of pose j in the frame of pose i:
+    (R_i^T (p_j - p_i), wrap(yaw_j - yaw_i)) with R_i = R(roll_i, pitch_i, yaw_i)."""
+    R_i = rot_zyx(roll_i, pitch_i, yaw_i)
+    return R_i.T @ (p_j - p_i), wrap_angle(yaw_j - yaw_i)
+
+
 def sequential_edge_from_vio(pose_i: PoseGraphVertex, pose_j: PoseGraphVertex) -> SequentialEdge:
     """4-DOF relative measurement from the odometry values of two vertices."""
-    R_i = pose_i.vio_rotation()
-    rel_p = R_i.T @ (pose_j.vio_p - pose_i.vio_p)
-    rel_yaw = wrap_angle(pose_j.vio_yaw - pose_i.vio_yaw)
+    rel_p, rel_yaw = relative_4dof(pose_i.vio_p, pose_i.roll, pose_i.pitch, pose_i.vio_yaw,
+                                   pose_j.vio_p, pose_j.vio_yaw)
     return SequentialEdge(pose_i.vid, pose_j.vid, rel_p, rel_yaw)
 
 
@@ -707,8 +710,8 @@ class PoseGraph:
                 )
 
     @classmethod
-    def load(cls, path, config: PoseGraphConfig | None = None) -> "PoseGraph":
-        graph = cls(config)
+    def load(cls, path) -> "PoseGraph":
+        graph = cls()
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 parts = line.split()

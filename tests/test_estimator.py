@@ -695,6 +695,30 @@ class TestMarginalization:
             assert np.linalg.norm(est.latest().p - gt.p[i]) < 0.02
         assert est.prior is not None
 
+    def test_feature_observations_stay_in_the_window(self):
+        # observe adds only window frame ids, and both a marginalization and
+        # a drop remove the departing id from every feature: every
+        # observation belongs to a window frame
+        noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
+        cfg = ScenarioConfig(duration=8.0, cam_rate=5.0, seed=12, pixel_sigma_px=1.5, noise=noise)
+        data = build_scenario(cfg)
+        est, cam = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        obs_index = TrackObservationIndex(data.tracks)
+        all_cam = camera_times(cfg)
+        marginalized = dropped = 0
+        for k in range(11, 35):
+            dropped += not est.keyframe_flags[-1]
+            seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
+            delta = integrate_segment(seg, est.latest().bias, noise)
+            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=k % 3 != 0)
+            marginalized += len(est.pop_marginalized_keyframes())
+            window = set(est.frame_ids)
+            assert all(set(f.obs) <= window for f in est.features.values())
+            est.triangulate_new_features()
+            est.build_and_solve()
+        assert marginalized >= 5 and dropped >= 5
+
 
 class TestForwardPropagation:
     def test_hover(self):

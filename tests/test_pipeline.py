@@ -15,6 +15,7 @@ from monovio.estimator import (
     _WindowProblem,
 )
 from monovio.pipeline import (
+    CORRECTION_INTERVAL,
     EXTRINSIC_WARMUP_FRAMES,
     GraphDriver,
     PipelineConfig,
@@ -293,6 +294,44 @@ class TestPipeline:
         gt = data.ground_truth
         res = evaluate_ate(rep.window_times, rep.window_p, gt.t, gt.p, "4dof", 50)
         assert res["drift_pct"] < 0.5
+
+
+class TestRelocalization:
+    def test_verified_loop_sets_the_graph_correction(self, monkeypatch):
+        # after a verified loop, the query's corrected pose is the loop
+        # vertex's published pose composed with the loop's frozen relative;
+        # further loops within CORRECTION_INTERVAL leave the correction alone
+        resolve = VioPipeline._resolve_loops
+        calls = []
+
+        def recorded(pipe, t, new_loops):
+            query = pipe.est.latest()
+            before = pipe._corrected_pose(query.p, query.q)
+            n_pending = len(pipe._active_loops)
+            resolve(pipe, t, new_loops)
+            if new_loops:
+                calls.append((t, before, pipe._corrected_pose(query.p, query.q),
+                              pipe._active_loops[n_pending:],
+                              [pipe.driver.vertex_pose(vid) for vid, *_ in new_loops]))
+
+        monkeypatch.setattr(VioPipeline, "_resolve_loops", recorded)
+        rep = pipeline_from_scenario(build_scenario(noisy_config(duration=25.0)),
+                                     PipelineConfig(enable_loops=True)).run()
+        assert rep.loop_verified == sum(len(pending) for *_, pending, _ in calls)
+        updated, unchanged = [], []
+        for t, before, (p_c, q_c), pending, vertex_poses in calls:
+            if updated and t - updated[-1] <= CORRECTION_INTERVAL:
+                assert np.array_equal(p_c, before[0]) and np.array_equal(q_c, before[1])
+                unchanged.append(t)
+                continue
+            (q_v, p_v), (rel_p, rel_yaw) = vertex_poses[0], pending[0].edge_rel
+            roll_v, pitch_v, yaw_v = geo.yaw_roll_pitch_decompose(q_v)
+            np.testing.assert_allclose(p_c, p_v + geo.rot_zyx(roll_v, pitch_v, yaw_v) @ rel_p,
+                                       rtol=0, atol=1e-9)
+            yaw_c = geo.yaw_roll_pitch_decompose(q_c)[2]
+            assert abs(geo.wrap_angle(yaw_c - (yaw_v + rel_yaw))) < 1e-9
+            updated.append(t)
+        assert updated and unchanged
 
 
 def driver_script(n=24):

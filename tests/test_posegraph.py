@@ -210,7 +210,7 @@ def circle_graph(n=30, loop=True, drift_deg=0.0, seed=0):
             v.yaw = float(geo.wrap_angle(v.yaw + drift))
     if loop:
         a, b = g.vertices[0], g.vertices[n - 1]
-        rel_p = a.vio_rotation().T @ (b.vio_p - a.vio_p)
+        rel_p = geo.rot_zyx(a.roll, a.pitch, a.vio_yaw).T @ (b.vio_p - a.vio_p)
         rel_yaw = geo.wrap_angle(b.vio_yaw - a.vio_yaw)
         g.add_loop_edge(LoopEdge(0, n - 1, rel_p, rel_yaw, inliers=50))
     return g
@@ -255,7 +255,7 @@ class TestGraphOptimization:
         g = circle_graph(10, loop=False)
         for e in g.sequential_edges:
             a, b = g.vertices[e.from_id], g.vertices[e.to_id]
-            expected = a.vio_rotation().T @ (b.vio_p - a.vio_p)
+            expected = geo.rot_zyx(a.roll, a.pitch, a.vio_yaw).T @ (b.vio_p - a.vio_p)
             np.testing.assert_allclose(e.rel_p, expected, atol=1e-12)
             assert e.rel_yaw == pytest.approx(geo.wrap_angle(b.vio_yaw - a.vio_yaw))
 
@@ -331,7 +331,8 @@ def two_segment_graph():
             vid += 1
     for a, b, inliers, error in [(0, 12, 50, 0.0), (21, 0, 30, 0.0), (5, 18, 60, 1.0)]:
         va, vb = g.vertices[a], g.vertices[b]
-        rel_p = va.vio_rotation().T @ (vb.vio_p - va.vio_p) + error * np.array([1.5, -1.0, 0.5])
+        R_a = geo.rot_zyx(va.roll, va.pitch, va.vio_yaw)
+        rel_p = R_a.T @ (vb.vio_p - va.vio_p) + error * np.array([1.5, -1.0, 0.5])
         g.add_loop_edge(LoopEdge(a, b, rel_p, geo.wrap_angle(vb.vio_yaw - va.vio_yaw), inliers))
     for v in g.vertices.values():
         v.p = v.p + rng.normal(0.0, 0.01, 3)
@@ -579,7 +580,7 @@ def pinned_downsample_graph():
             vid += 1
     for a, b in [(3, 38), (20, 55), (10, 80), (75, 100), (90, 115)]:
         va, vb = g.vertices[a], g.vertices[b]
-        rel_p = va.vio_rotation().T @ (vb.vio_p - va.vio_p)
+        rel_p = geo.rot_zyx(va.roll, va.pitch, va.vio_yaw).T @ (vb.vio_p - va.vio_p)
         g.add_loop_edge(LoopEdge(a, b, rel_p, geo.wrap_angle(vb.vio_yaw - va.vio_yaw), inliers=40))
     return g
 
@@ -631,7 +632,7 @@ class TestDownsample:
         g.downsample(12, seed=3)
         for e in g.sequential_edges:
             a, b = g.vertices[e.from_id], g.vertices[e.to_id]
-            direct_p = a.vio_rotation().T @ (b.vio_p - a.vio_p)
+            direct_p = geo.rot_zyx(a.roll, a.pitch, a.vio_yaw).T @ (b.vio_p - a.vio_p)
             direct_yaw = geo.wrap_angle(b.vio_yaw - a.vio_yaw)
             np.testing.assert_allclose(e.rel_p, direct_p, atol=1e-10)
             assert abs(geo.wrap_angle(e.rel_yaw - direct_yaw)) < 1e-10
