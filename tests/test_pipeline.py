@@ -298,38 +298,60 @@ class TestPipeline:
 
 class TestRelocalization:
     def test_verified_loop_sets_the_graph_correction(self, monkeypatch):
-        # after a verified loop, the query's corrected pose is the loop
-        # vertex's published pose composed with the loop's frozen relative;
-        # further loops within CORRECTION_INTERVAL leave the correction alone
-        resolve = VioPipeline._resolve_loops
-        calls = []
+        # a verified loop's frozen relative is the query's 4-DOF pose in the
+        # frame of the loop's PnP body pose, both taken right after the
+        # query's solve; the query's corrected pose is then the loop vertex's
+        # published pose composed with that relative, and further loops within
+        # CORRECTION_INTERVAL leave the correction alone
+        gather, resolve = VioPipeline._gather_loops, VioPipeline._resolve_loops
+        pnp_poses, calls = {}, []
 
-        def recorded(pipe, t, new_loops):
+        def gathered(pipe, t):
+            verified = gather(pipe, t)
+            pnp_poses[t] = [(vid, q_wb.copy(), p_wb.copy())
+                            for vid, _, _, (q_wb, p_wb) in verified]
+            return verified
+
+        def resolved(pipe, t, new_loops):
             query = pipe.est.latest()
-            before = pipe._corrected_pose(query.p, query.q)
+            p_q, q_q = query.p.copy(), query.q.copy()
+            before = pipe._corrected_pose(p_q, q_q)
             n_pending = len(pipe._active_loops)
             resolve(pipe, t, new_loops)
             if new_loops:
-                calls.append((t, before, pipe._corrected_pose(query.p, query.q),
+                calls.append((t, p_q, q_q, pipe.est.frame_ids[-1], before,
+                              pipe._corrected_pose(p_q, q_q),
                               pipe._active_loops[n_pending:],
-                              [pipe.driver.vertex_pose(vid) for vid, *_ in new_loops]))
+                              [pipe.driver.vertex_pose(vid) for vid, _, _ in pnp_poses[t]]))
 
-        monkeypatch.setattr(VioPipeline, "_resolve_loops", recorded)
+        monkeypatch.setattr(VioPipeline, "_gather_loops", gathered)
+        monkeypatch.setattr(VioPipeline, "_resolve_loops", resolved)
         rep = pipeline_from_scenario(build_scenario(noisy_config(duration=25.0)),
                                      PipelineConfig(enable_loops=True)).run()
-        assert rep.loop_verified == sum(len(pending) for *_, pending, _ in calls)
+        assert rep.loop_verified == sum(len(pnp_poses[t]) for t, *_ in calls)
         updated, unchanged = [], []
-        for t, before, (p_c, q_c), pending, vertex_poses in calls:
+        for t, p_q, q_q, query_fid, before, (p_c, q_c), pending, vertex_poses in calls:
+            _, _, yaw_q = geo.yaw_roll_pitch_decompose(q_q)
+            assert len(pending) == len(pnp_poses[t])
+            expected = []
+            for pl, (vid, q_wb, p_wb) in zip(pending, pnp_poses[t]):
+                roll_v, pitch_v, yaw_v = geo.yaw_roll_pitch_decompose(q_wb)
+                rel_p = geo.rot_zyx(roll_v, pitch_v, yaw_v).T @ (p_q - p_wb)
+                rel_yaw = geo.wrap_angle(yaw_q - yaw_v)
+                assert (pl.query_frame_id, pl.loop_vertex_id) == (query_fid, vid)
+                np.testing.assert_allclose(pl.edge_rel[0], rel_p, rtol=0, atol=1e-12)
+                assert abs(geo.wrap_angle(pl.edge_rel[1] - rel_yaw)) < 1e-12
+                expected.append((rel_p, rel_yaw))
             if updated and t - updated[-1] <= CORRECTION_INTERVAL:
                 assert np.array_equal(p_c, before[0]) and np.array_equal(q_c, before[1])
                 unchanged.append(t)
                 continue
-            (q_v, p_v), (rel_p, rel_yaw) = vertex_poses[0], pending[0].edge_rel
-            roll_v, pitch_v, yaw_v = geo.yaw_roll_pitch_decompose(q_v)
-            np.testing.assert_allclose(p_c, p_v + geo.rot_zyx(roll_v, pitch_v, yaw_v) @ rel_p,
+            (q_vg, p_vg), (rel_p, rel_yaw) = vertex_poses[0], expected[0]
+            roll_g, pitch_g, yaw_g = geo.yaw_roll_pitch_decompose(q_vg)
+            np.testing.assert_allclose(p_c, p_vg + geo.rot_zyx(roll_g, pitch_g, yaw_g) @ rel_p,
                                        rtol=0, atol=1e-9)
             yaw_c = geo.yaw_roll_pitch_decompose(q_c)[2]
-            assert abs(geo.wrap_angle(yaw_c - (yaw_v + rel_yaw))) < 1e-9
+            assert abs(geo.wrap_angle(yaw_c - (yaw_g + rel_yaw))) < 1e-9
             updated.append(t)
         assert updated and unchanged
 

@@ -1,18 +1,17 @@
 """Output digests of the benchmark workloads, without timing.
 
-    python3 tools/digests.py [--workload loop-noisy] [--scenario-seed 3]
+    python3 tools/digests.py
 
 Run from the root of a checkout; the program is imported from ``src/`` and
-the workloads from ``perfbench/``. For each workload (both by default) one
-benchmark pass runs: a fresh set-up, the VIO pass, then the pose-graph
-session. It prints the VIO digest (the published window and IMU-rate poses
-and the run counts), the session digest (the optimized graph vertices),
-``run_counts`` and the ``repr`` of each accuracy value. Two checkouts whose
+the workloads from ``perfbench/``. For each workload, on the pinned scenario
+seed, one benchmark pass runs: a fresh set-up, the VIO pass, then the
+pose-graph session. It prints the VIO digest (the published window and
+IMU-rate poses and the run counts), the session digest (the optimized graph
+vertices), ``run_counts`` and the ``repr`` of each accuracy value. Two checkouts whose
 outputs are bit-identical print the same lines, so comparing them is one
 ``diff``.
 """
 
-import argparse
 import os
 import sys
 import tempfile
@@ -32,13 +31,8 @@ import workloads  # noqa: E402
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=bench.WORKLOADS, action="append",
-                    help="repeat for several; default: every workload")
-    ap.add_argument("--scenario-seed", type=int, default=workloads.PINNED_SCENARIO_SEED)
-    args = ap.parse_args()
-    for workload in args.workload or bench.WORKLOADS:
-        setup = workloads.set_up(workload, args.scenario_seed)
+    for workload in bench.WORKLOADS:
+        setup = workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED)
         vio = workloads.vio_pass(setup)
         with tempfile.TemporaryDirectory() as workdir:
             session = workloads.graph_session(setup.session, workdir, downsample_seed=1)
