@@ -8,7 +8,9 @@ own. Old keyframes are marginalized into a Gaussian prior with the Schur
 complement; non-keyframes are dropped with their inertial data merged into
 the neighboring pre-integration. Each damped step eliminates the inverse
 depths, whose block of the normal equations is diagonal, and solves the
-remaining pose system by Cholesky.
+remaining pose system by Cholesky. Unless a held frame fixes the window's
+global position and yaw, a step is taken less its component in those four
+unobservable directions.
 
 Local parameterization: per frame (dp, dtheta, dv, dba, dbw) with attitude
 perturbed on the left in the world frame; extrinsic (dp, dtheta); one inverse
@@ -165,7 +167,9 @@ class MarginalizationPrior:
 @dataclass
 class SolverConfig:
     max_iterations: int = 10
-    rel_cost_tol: float = 1e-6
+    # a solve stops at the first accepted step that lowers the cost by less
+    # than this fraction
+    rel_cost_tol: float = 1e-2
 
 
 @dataclass
@@ -336,10 +340,11 @@ def schur_complement(H: np.ndarray, b: np.ndarray, n_marg: int):
 def information_sqrt(H: np.ndarray, b: np.ndarray):
     """Square-root factorization of a reduced information pair.
 
-    Returns (H_p, r_p) with H_p^T H_p = H and H_p^T r_p = b; near-null
-    directions (gauge) are clipped so the prior stays PSD.
+    H must be symmetric, as schur_complement returns it. Returns (H_p, r_p)
+    with H_p^T H_p = H and H_p^T r_p = b; near-null directions (gauge) are
+    clipped so the prior stays PSD.
     """
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.T))
+    vals, vecs = np.linalg.eigh(H)
     vmax = max(float(vals.max(initial=0.0)), 0.0)
     keep = vals > max(vmax * 1e-10, 1e-12)
     if not np.any(keep):
@@ -822,10 +827,11 @@ class _WindowProblem:
         """The current iterate as window frame states, from window frame
         first on."""
         n = self.n_frames
-        rows = (a[first:n] for a in (self.t, self.p, self.q, self.v, self.ba, self.bw))
+        biases = BiasState.stacked(self.ba[first:n], self.bw[first:n])
+        rows = (a[first:n] for a in (self.t, self.p, self.q, self.v))
         return [
-            ImuFrameState(t, p.copy(), q.copy(), v.copy(), BiasState(ba.copy(), bw.copy()))
-            for t, p, q, v, ba, bw in zip(*rows)
+            ImuFrameState(t, p.copy(), q.copy(), v.copy(), bias)
+            for t, p, q, v, bias in zip(*rows, biases)
         ]
 
     def write_back(self, est: SlidingWindowEstimator) -> None:
@@ -1103,11 +1109,39 @@ class _WindowProblem:
                                np.empty((m, m)))
         return self._step_work
 
+    def gauge_basis(self) -> np.ndarray:
+        """(15 n_frames, 4) basis of the window frames' columns that spans
+        the four unobservable directions at the current iterate: a common
+        translation of every frame's position, then a yaw about world z,
+        which adds z to every frame's attitude (a left perturbation) and
+        z x p, z x v to its position and velocity. Biases, the extrinsic and
+        the inverse depths do not move."""
+        n = self.n_frames
+        N = np.zeros((n, 15, 4))
+        N[:, 0:3, 0:3] = np.eye(3)
+        N[:, 0, 3], N[:, 1, 3] = -self.p[:n, 1], self.p[:n, 0]
+        N[:, 5, 3] = 1.0
+        N[:, 6, 3], N[:, 7, 3] = -self.v[:n, 1], self.v[:n, 0]
+        return N.reshape(15 * n, 4)
+
+    def _remove_gauge(self, dx: np.ndarray) -> None:
+        """Subtract from dx, in place, its least-squares component in the
+        span of gauge_basis: the minimum-norm step of a free gauge."""
+        N = self.gauge_basis()
+        m = len(N)
+        dx[:m] -= N @ np.linalg.solve(N.T @ N, N.T @ dx[:m])
+
     def solve(self, config: SolverConfig, mask: np.ndarray) -> SolveReport:
         """Damped Gauss-Newton over the variables selected by the boolean
         mask, which may hold pose and extrinsic columns constant but no depth.
         The held pose columns must lead (the oldest frames) or trail (loop
         frames and the extrinsic) the free ones, which damped_step solves for as one block.
+
+        The window's position and yaw are unobservable unless a held frame
+        fixes them: a loop frame, or window frame 0 held by the mask. Without
+        one, each damped step loses its component in that 4-DOF gauge
+        (gauge_basis) before it is taken, so no iteration is spent moving the
+        whole window rigidly.
 
         Every trial iterate is evaluated for its cost. It is linearized only
         when it is accepted and another iteration will step from it, so a
@@ -1120,6 +1154,7 @@ class _WindowProblem:
             raise ValueError("inverse depths cannot be held constant")
         pose_mask = mask[: self.feat_col]
         _free_run(pose_mask)  # raises before any step
+        free_gauge = len(self.p) == self.n_frames and bool(np.all(pose_mask[:15]))
         report = SolveReport()
         cost, terms = self.evaluate()
         if not np.isfinite(cost):
@@ -1141,6 +1176,8 @@ class _WindowProblem:
                     continue
                 if not np.all(np.isfinite(dx)):
                     raise EstimatorError("non-finite Gauss-Newton step")
+                if free_gauge:
+                    self._remove_gauge(dx)
                 snap = self.snapshot()
                 try:
                     self.retract(dx)

@@ -102,6 +102,10 @@ class RunReport:
     n_frames: int = 0
     n_keyframes: int = 0
     n_solves: int = 0
+    # Gauss-Newton iterations of those solves, and how many stopped at
+    # max_iterations
+    n_iterations: int = 0
+    n_capped_solves: int = 0
     init_events: list = field(default_factory=list)  # (t, "init"/"reinit")
     failure_events: list = field(default_factory=list)  # (t, reason)
     loop_candidates: int = 0
@@ -126,6 +130,8 @@ class RunReport:
             "frames = %d" % self.n_frames,
             "keyframes = %d" % self.n_keyframes,
             "solves = %d" % self.n_solves,
+            "iterations = %d" % self.n_iterations,
+            "capped_solves = %d" % self.n_capped_solves,
             "segments = %d" % self.segments,
         ]
         for t, kind in self.init_events:
@@ -532,11 +538,13 @@ class VioPipeline:
         t0 = self._tic()
         loops = [pl.observations for pl in self._active_loops] + [obs for _, obs, _, _ in new_loops]
         try:
-            self.est.build_and_solve(loops=loops, fix_extrinsic=not warmed_up)
+            solve = self.est.build_and_solve(loops=loops, fix_extrinsic=not warmed_up)
         except EstimatorError:
             self._toc("solve", t0)
             return self._fail(t, "numerical")
         self.report.n_solves += 1
+        self.report.n_iterations += solve.iterations
+        self.report.n_capped_solves += solve.termination == "max_iterations"
         self._toc("solve", t0)
         self._resolve_loops(t, new_loops)
 

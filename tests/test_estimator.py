@@ -455,6 +455,104 @@ class TestSolver:
         assert problem.p is p0  # retract replaces the state arrays
 
 
+# bound on the share of a taken step in the gauge span when nothing holds
+# the gauge: removing the gauge component leaves only rounding (about 1e-16)
+GAUGE_STEP_TOL = 1e-10
+
+
+def _gauge_share(problem, dx):
+    """Norm of the least-squares component of dx's window frame columns in
+    the span of the gauge basis at the problem's iterate, relative to their
+    norm."""
+    N = problem.gauge_basis()
+    d = dx[: len(N)]
+    c, *_ = np.linalg.lstsq(N, d, rcond=None)
+    return float(np.linalg.norm(N @ c) / np.linalg.norm(d))
+
+
+def recorded_steps(monkeypatch):
+    """Patch _WindowProblem so that each step a solve retracts is recorded as
+    (the step damped_step returned, the step retract took), both with their
+    gauge shares at the iterate the step is taken from."""
+    from monovio.estimator import _WindowProblem
+
+    damped_step, retract = _WindowProblem.damped_step, _WindowProblem.retract
+    steps, returned = [], []
+
+    def recording_step(problem, *args):
+        dx = damped_step(problem, *args)
+        returned[:] = [dx.copy()]
+        return dx
+
+    def recording_retract(problem, dx):
+        raw = returned[0]
+        steps.append((raw, dx.copy(), _gauge_share(problem, raw), _gauge_share(problem, dx)))
+        return retract(problem, dx)
+
+    monkeypatch.setattr(_WindowProblem, "damped_step", recording_step)
+    monkeypatch.setattr(_WindowProblem, "retract", recording_retract)
+    return steps
+
+
+class TestGauge:
+    def test_basis_spans_null_directions_of_the_window(self):
+        # without a prior, the window's cost does not change under a common
+        # translation or a yaw about gravity, so its normal equations map
+        # every gauge vector to zero; a yaw that turns the attitudes the
+        # other way is not a null direction
+        from monovio.estimator import _WindowProblem
+
+        cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=8, pixel_sigma_px=1.5,
+                             noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
+        est, _ = seeded_estimator(cfg, build_scenario(cfg))
+        assert est.prior is None
+        problem = _WindowProblem(est, est._optimized_features(), [])
+        H, b = dense_system(problem.linearize(problem.evaluate()[1]))
+        N = np.zeros((problem.dim, 4))
+        N[: 15 * problem.n_frames] = problem.gauge_basis()
+        # relative to the largest gain of H, which its IMU blocks set: the
+        # gauge vectors read about 1e-20, the wrong yaw about 7e-7
+        scale = np.linalg.norm(H, 2)
+        for n in N.T:
+            assert np.linalg.norm(H @ n) < 1e-12 * scale * np.linalg.norm(n)
+            assert abs(b @ n) < 1e-12 * np.linalg.norm(b) * np.linalg.norm(n)
+        wrong = N[:, 3].copy()
+        wrong[5 : 15 * problem.n_frames : 15] = -1.0
+        assert np.linalg.norm(H @ wrong) > 1e-9 * scale * np.linalg.norm(wrong)
+
+    def test_steps_leave_the_gauge_of_a_window_without_loop_frames(self, monkeypatch):
+        # nothing holds the gauge, so each step loses its gauge component,
+        # which damped_step's steps do have
+        est, _, _ = loop_window()
+        steps = recorded_steps(monkeypatch)
+        rep = est.build_and_solve()
+        assert rep.iterations >= 2 and len(steps) >= rep.iterations
+        assert max(taken for *_, taken in steps) < GAUGE_STEP_TOL
+        assert max(raw for _, _, raw, _ in steps) > 1e3 * GAUGE_STEP_TOL
+
+    def test_held_gauge_keeps_the_damped_steps(self, monkeypatch):
+        # a loop frame, or window frame 0 held by the mask, fixes the gauge:
+        # the solve takes damped_step's steps bit for bit
+        from monovio.estimator import SolverConfig, _WindowProblem
+
+        est, _, loop = loop_window()
+        steps = recorded_steps(monkeypatch)
+        est.build_and_solve(loops=[loop])
+        n_loop = len(steps)
+
+        cfg = ScenarioConfig(duration=1.0, cam_rate=4.0, seed=9, n_landmarks=25)
+        est, _ = seeded_estimator(cfg, build_scenario(cfg), n_frames=3,
+                                  config=EstimatorConfig(max_features=8, pixel_sigma=4.0))
+        est.frames[2].p = est.frames[2].p + 0.002
+        problem = _WindowProblem(est, est._optimized_features(), [])
+        mask = np.ones(problem.dim, dtype=bool)
+        mask[0:15] = False
+        problem.solve(SolverConfig(), mask)
+        assert n_loop >= 1 and len(steps) > n_loop
+        for raw, taken, *_ in steps:
+            np.testing.assert_array_equal(taken, raw)
+
+
 def _embed(problem, mask, x):
     dx = np.zeros(problem.dim)
     dx[mask] = x

@@ -12,6 +12,7 @@ from monovio.estimator import (
     EstimatorError,
     FeatureTrack,
     SlidingWindowEstimator,
+    SolverConfig,
     _WindowProblem,
 )
 from monovio.pipeline import (
@@ -238,11 +239,23 @@ class TestPipeline:
 
         monkeypatch.setattr(_WindowProblem, "linearize", counted_linearize)
         monkeypatch.setattr(_WindowProblem, "solve", counted_solve)
+        # a cap of 2 iterations, which 7 of this run's 32 solves reach, so
+        # that both terminations occur
+        capped = EstimatorConfig(solver=SolverConfig(max_iterations=2))
         rep = pipeline_from_scenario(build_scenario(noisy_config(duration=8.0)),
-                                     PipelineConfig(enable_loops=False)).run()
+                                     PipelineConfig(enable_loops=False, estimator=capped)).run()
         assert rep.n_frames and len(per_solve) > 10
         assert {"converged", "max_iterations"} <= {term for *_, term in per_solve}
         assert all(n == iterations for n, iterations, _ in per_solve)
+        # the report counts the steady-state solves, which follow the
+        # initialization's solve in a run without failures
+        assert not rep.failure_events
+        steady = per_solve[-rep.n_solves:]
+        assert rep.n_iterations == sum(iterations for _, iterations, _ in steady)
+        assert rep.n_capped_solves == sum(term == "max_iterations" for *_, term in steady) > 0
+        lines = rep.lines(include_timings=False)
+        assert f"iterations = {rep.n_iterations}" in lines
+        assert f"capped_solves = {rep.n_capped_solves}" in lines
 
     def test_dropping_a_non_keyframe_keeps_the_prior(self, monkeypatch):
         # the dropped frame is the newest, which a prior never holds, so a
