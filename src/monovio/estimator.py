@@ -98,8 +98,48 @@ class ImuFrameState:
         self.q = quat_canonical(np.asarray(self.q, dtype=float))
         self.v = np.asarray(self.v, dtype=float)
 
-    def copy(self) -> "ImuFrameState":
-        return ImuFrameState(self.t, self.p.copy(), self.q.copy(), self.v.copy(), self.bias.copy())
+
+@dataclass
+class FrameStates:
+    """IMU states of consecutive frames as stacked rows: times t (N,), world
+    positions p (N, 3), attitudes q (N, 4), velocities v (N, 3), and
+    accelerometer and gyroscope biases ba, bw (N, 3).
+
+    Row slicing copies, and the window and its solve replace these arrays
+    instead of writing into them, so no states handed out alias the
+    window's.
+    """
+
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    ba: np.ndarray
+    bw: np.ndarray
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=float).reshape(-1)
+        for name, width in (("p", 3), ("q", 4), ("v", 3), ("ba", 3), ("bw", 3)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1, width))
+
+    def _arrays(self):
+        return self.t, self.p, self.q, self.v, self.ba, self.bw
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows: slice) -> "FrameStates":
+        """A copy of the rows that a slice selects."""
+        return FrameStates(*(a[rows].copy() for a in self._arrays()))
+
+    def append(self, other: "FrameStates") -> "FrameStates":
+        """These rows followed by other's, in new arrays."""
+        return FrameStates(*map(np.concatenate, zip(self._arrays(), other._arrays())))
+
+    def state(self, k: int) -> ImuFrameState:
+        """Row k as an ImuFrameState, copied."""
+        return ImuFrameState(float(self.t[k]), self.p[k].copy(), self.q[k], self.v[k].copy(),
+                             BiasState(self.ba[k].copy(), self.bw[k].copy()))
 
 
 @dataclass
@@ -158,7 +198,7 @@ class MarginalizationPrior:
     """
 
     frame_ids: list[int]
-    lin_frames: dict[int, ImuFrameState]
+    lin_states: FrameStates
     lin_extrinsic: ExtrinsicCalib
     r: np.ndarray
     H: np.ndarray
@@ -370,24 +410,15 @@ def _theta_difference(q, q_lin):
     return d, J
 
 
-def stack_states(frames: list[ImuFrameState]):
-    """Frame states as arrays (p, q, v, ba, bw), one row per frame."""
-    return (
-        np.array([f.p for f in frames], dtype=float).reshape(-1, 3),
-        np.array([f.q for f in frames], dtype=float).reshape(-1, 4),
-        np.array([f.v for f in frames], dtype=float).reshape(-1, 3),
-        np.array([f.bias.accel for f in frames], dtype=float).reshape(-1, 3),
-        np.array([f.bias.gyro for f in frames], dtype=float).reshape(-1, 3),
-    )
-
-
-def local_difference(x, lin):
-    """Local differences (N, 15) of stacked states x = (p, q, v, ba, bw) from
+def local_difference(x: FrameStates, lin: FrameStates):
+    """Local differences (N, 15) of the leading N = len(lin) rows of x from
     lin, consistent with the solver parameterization, and the (N, 3, 3)
     attitude blocks of their Jacobians w.r.t. the local perturbation of x
     (the rest of each Jacobian is the identity)."""
-    dth, Jth = _theta_difference(x[1], lin[1])
-    d = np.concatenate([x[0] - lin[0], dth, x[2] - lin[2], x[3] - lin[3], x[4] - lin[4]], axis=1)
+    n = len(lin)
+    dth, Jth = _theta_difference(x.q[:n], lin.q)
+    d = np.concatenate([x.p[:n] - lin.p, dth, x.v[:n] - lin.v, x.ba[:n] - lin.ba,
+                        x.bw[:n] - lin.bw], axis=1)
     return d, Jth
 
 
@@ -406,14 +437,16 @@ def extrinsic_difference(ext: ExtrinsicCalib, lin: ExtrinsicCalib):
 class SlidingWindowEstimator:
     """Single-writer window state machine: feed frames, solve, slide.
 
-    Read-only snapshots (latest_snapshot) are plain value copies, safe to hand
-    to the forward-propagation or pose-graph consumers.
+    The window's frame states are one FrameStates. The states it hands out
+    (latest, pop_marginalized_keyframes, the prior's linearization point)
+    are value copies, safe to hand to the forward-propagation or pose-graph
+    consumers.
     """
 
     def __init__(self, config: EstimatorConfig, extrinsic: ExtrinsicCalib):
         self.config = config
         self.extrinsic = extrinsic.copy()
-        self.frames: list[ImuFrameState] = []
+        self.frames = FrameStates([], [], [], [], [], [])
         self.frame_ids: list[int] = []
         self.keyframe_flags: list[bool] = []
         self.deltas: list[PreintegratedDelta] = []
@@ -427,23 +460,21 @@ class SlidingWindowEstimator:
         return self.config.window_size + 1
 
     def latest(self) -> ImuFrameState:
-        return self.frames[-1]
+        return self.frames.state(-1)
 
-    def latest_snapshot(self) -> ImuFrameState:
-        return self.frames[-1].copy()
-
-    def seed(self, states: list[ImuFrameState], deltas: list[PreintegratedDelta]) -> None:
+    def seed(self, states: FrameStates, deltas: list[PreintegratedDelta]) -> None:
         """Initialize the window from alignment output (all frames keyframes)."""
         if len(states) != len(deltas) + 1:
             raise EstimatorError("seed needs one delta per adjacent pair")
-        if len(states) > self.capacity:
-            deltas = deltas[-(self.capacity - 1) :]
-            states = states[-self.capacity :]
+        frames = states[-self.capacity :]
+        deltas = deltas[len(states) - len(frames) :]
+        frames.q = quat_canonical(frames.q)
+        BiasState.check(frames.ba, frames.bw)
         start = self._next_frame_id
-        self.frames = [s.copy() for s in states]
-        self.frame_ids = list(range(start, start + len(states)))
-        self._next_frame_id = start + len(states)
-        self.keyframe_flags = [True] * len(states)
+        self.frames = frames
+        self.frame_ids = list(range(start, start + len(frames)))
+        self._next_frame_id = start + len(frames)
+        self.keyframe_flags = [True] * len(frames)
         self.deltas = list(deltas)
         self.features = {}
         self.prior = None
@@ -459,25 +490,21 @@ class SlidingWindowEstimator:
             ray = np.asarray(ray, dtype=float)
             feat.obs[fid] = ray / np.linalg.norm(ray)
 
-    def predict_state(self, delta: PreintegratedDelta) -> ImuFrameState:
-        """Propagate the latest state through a pre-integrated delta."""
-        last = self.frames[-1]
-        alpha, beta, gamma = delta.correct_for_bias(last.bias)
-        p, q, v = _compose_imu_state(last, delta.dt_total, alpha, beta, gamma, GRAVITY)
-        return ImuFrameState(last.t + delta.dt_total, p, quat_canonical(q), v, last.bias.copy())
-
     def add_frame(self, t: float, delta: PreintegratedDelta,
                   observations: dict[int, np.ndarray], is_keyframe: bool) -> None:
-        """Insert a new frame, sliding the window first when at capacity."""
-        if not self.frames:
+        """Insert a new frame at the latest state propagated through delta,
+        sliding the window first when at capacity."""
+        if not len(self.frames):
             raise EstimatorError("seed the window before adding frames")
         if len(self.frames) == self.capacity:
             delta = self._slide(delta)
-        state = self.predict_state(delta)
-        state.t = t
+        last = self.latest()
+        alpha, beta, gamma = delta.correct_for_bias(last.bias)
+        p, q, v = _compose_imu_state(last, delta.dt_total, alpha, beta, gamma, GRAVITY)
+        self.frames = self.frames.append(
+            FrameStates(t, p, quat_canonical(q), v, last.bias.accel, last.bias.gyro))
         fid = self._next_frame_id
         self._next_frame_id += 1
-        self.frames.append(state)
         self.frame_ids.append(fid)
         self.keyframe_flags.append(is_keyframe)
         self.deltas.append(delta)
@@ -495,13 +522,17 @@ class SlidingWindowEstimator:
             self._marginalize_oldest()
             return incoming_delta
         dropped_id = self.frame_ids.pop()
-        self.frames.pop()
+        self.frames = self.frames[:-1]
         self.keyframe_flags.pop()
         tail_delta = self.deltas.pop()
-        self._remove_frame_observations(dropped_id, old_cam_pose=None)
+        self._remove_frame_observations(dropped_id)
         return merge_deltas(tail_delta, incoming_delta)
 
-    def _remove_frame_observations(self, frame_id: int, old_cam_pose) -> None:
+    def _remove_frame_observations(self, frame_id: int, cam_poses=None) -> None:
+        """Remove a frame's observations. A feature anchored in it keeps its
+        depth, transferred to its next observation with cam_poses (see
+        _transfer_anchor). Only the oldest frame can anchor a feature that
+        other frames observe, so dropping the latest frame needs no poses."""
         dead = []
         for feat_id, feat in self.features.items():
             if frame_id not in feat.obs:
@@ -511,28 +542,26 @@ class SlidingWindowEstimator:
             if not feat.obs:
                 dead.append(feat_id)
             elif was_anchor and feat.inv_depth is not None:
-                if old_cam_pose is None:
-                    feat.inv_depth = None
-                else:
-                    self._transfer_anchor(feat, old_ray, old_cam_pose)
+                self._transfer_anchor(feat, old_ray, cam_poses)
         for feat_id in dead:
             del self.features[feat_id]
 
-    def _transfer_anchor(self, feat: Feature, old_ray: np.ndarray, old_cam_pose) -> None:
-        """Re-express an optimized depth in the feature's next observation frame."""
-        q_ci, p_ci = old_cam_pose
+    def _transfer_anchor(self, feat: Feature, old_ray: np.ndarray, cam_poses) -> None:
+        """Re-express an optimized depth in the feature's next observation
+        frame. cam_poses holds the camera poses (q, p) of the frame that
+        observed old_ray in row 0, then those of the window's frames."""
+        cam_q, cam_p = cam_poses
         new_anchor = feat.anchor_id()
-        q_cn, p_cn = self._camera_pose(self.frame_ids.index(new_anchor))
-        X = quat_rotate(q_ci, old_ray / feat.inv_depth) + p_ci
-        depth = feat.obs[new_anchor] @ quat_rotate(quat_inverse(q_cn), X - p_cn)
+        k = 1 + self.frame_ids.index(new_anchor)
+        X = quat_rotate(cam_q[0], old_ray / feat.inv_depth) + cam_p[0]
+        depth = feat.obs[new_anchor] @ quat_rotate(quat_inverse(cam_q[k]), X - cam_p[k])
         feat.inv_depth = 1.0 / depth if depth > 1e-3 else None
 
-    def _camera_pose(self, idx: int):
-        """Camera-to-world pose of window frame idx."""
-        f = self.frames[idx]
-        q_wc = quat_mul(f.q, self.extrinsic.q_b_c)
-        p_wc = f.p + quat_rotate(f.q, self.extrinsic.p_b_c)
-        return q_wc, p_wc
+    def camera_poses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Camera-to-world poses of the window's frames: attitudes (N, 4)
+        and positions (N, 3), in window order."""
+        q, p = self.frames.q, self.frames.p
+        return quat_mul(q, self.extrinsic.q_b_c), p + quat_rotate(q, self.extrinsic.p_b_c)
 
     def tracked_feature_count(self) -> int:
         last_id = self.frame_ids[-1]
@@ -543,18 +572,17 @@ class SlidingWindowEstimator:
     def triangulate_new_features(self) -> int:
         """Assign inverse depths to features with enough parallax; returns count."""
         added = 0
+        cam_q, cam_p = self.camera_poses()
+        index = {fid: k for k, fid in enumerate(self.frame_ids)}
         for feat_id in sorted(self.features):
             feat = self.features[feat_id]
             if feat.inv_depth is not None or len(feat.obs) < 2:
                 continue
             keys = sorted(feat.obs)
-            idxs = [self.frame_ids.index(k) for k in keys]
+            idxs = [index[k] for k in keys]
             rays = [feat.obs[k] for k in keys]
-            poses = [self._camera_pose(i) for i in idxs]
-            qs = np.array([p[0] for p in poses])
-            ps = np.array([p[1] for p in poses])
             try:
-                feat.inv_depth = triangulate_feature(rays, qs, ps)
+                feat.inv_depth = triangulate_feature(rays, cam_q[idxs], cam_p[idxs])
                 added += 1
             except TriangulationError:
                 continue
@@ -605,7 +633,7 @@ class SlidingWindowEstimator:
     def _refresh_deltas(self) -> None:
         """Re-propagate deltas whose linearization bias drifted too far."""
         for k, delta in enumerate(self.deltas):
-            bias = self.frames[k].bias
+            bias = BiasState(self.frames.ba[k], self.frames.bw[k])
             if delta.needs_repropagation(bias):
                 self.deltas[k] = delta.repropagate(bias)
 
@@ -622,9 +650,10 @@ class SlidingWindowEstimator:
         old_id = self.frame_ids[0]
         marg_feats = [f for f in self._optimized_features() if f.anchor_id() == old_id]
         self.prior = _WindowProblem(self, marg_feats, [], imu_factors=1).marginalize_frame()
-        self.marginalized_keyframes.append((old_id, self.frames[0].copy()))
-        old_cam_pose = self._camera_pose(0)
-        self.frames.pop(0)
+        self.marginalized_keyframes.append((old_id, self.frames.state(0)))
+        # the departing frame's camera pose, then the retained frames'
+        cam_poses = self.camera_poses()
+        self.frames = self.frames[1:]
         self.frame_ids.pop(0)
         self.keyframe_flags.pop(0)
         self.deltas.pop(0)
@@ -633,13 +662,13 @@ class SlidingWindowEstimator:
             if not feat.obs:
                 del self.features[feat.fid]
                 continue
-            self._transfer_anchor(feat, old_ray, old_cam_pose)
+            self._transfer_anchor(feat, old_ray, cam_poses)
             if feat.inv_depth is None:
                 del self.features[feat.fid]
                 continue
             new_anchor = feat.anchor_id()
             feat.obs = {new_anchor: feat.obs[new_anchor]}
-        self._remove_frame_observations(old_id, old_cam_pose)
+        self._remove_frame_observations(old_id, cam_poses)
 
     def pop_marginalized_keyframes(self) -> list[tuple[int, ImuFrameState]]:
         out = self.marginalized_keyframes
@@ -742,13 +771,14 @@ class _WindowProblem:
         self.imu = StackedDeltas(self.deltas)
         self.sigma = est.config.obs_sigma
 
-        self.t = [f.t for f in est.frames]
-        held = [ImuFrameState(np.nan, loop.p_w_v, loop.q_w_v, np.zeros(3)) for loop in loops]
-        self.p, self.q, self.v, self.ba, self.bw = stack_states(est.frames + held)
+        zeros = np.zeros((len(loops), 3))
+        held = FrameStates(np.full(len(loops), np.nan), [loop.p_w_v for loop in loops],
+                           [loop.q_w_v for loop in loops], zeros, zeros, zeros)
+        self.states = est.frames.append(held)  # the iterate; retract replaces it
         self.extrinsic = est.extrinsic.copy()
         self.lam = np.array([f.inv_depth for f in feats], dtype=float)
 
-        self.ext_col = 15 * len(self.p)
+        self.ext_col = 15 * len(self.states)
         self.feat_col = self.ext_col + 6
         self.dim = self.feat_col + len(feats)
 
@@ -784,35 +814,33 @@ class _WindowProblem:
             ids = self.prior.frame_ids
             if ids != self.frame_ids[: len(ids)]:
                 raise EstimatorError("prior frames are not the window's leading frames")
-            self.prior_lin = stack_states([self.prior.lin_frames[fid] for fid in ids])
 
     # -- iterate management ----------------------------------------------------
 
     def snapshot(self):
-        return (self.p, self.q, self.v, self.ba, self.bw, self.extrinsic.copy(), self.lam.copy())
+        return (self.states, self.extrinsic.copy(), self.lam.copy())
 
     def restore(self, snap):
         # retract replaces the state arrays instead of writing into them, so
         # a snapshot may share them
-        self.p, self.q, self.v, self.ba, self.bw, ext, lam = snap
+        self.states, ext, lam = snap
         self.extrinsic = ext.copy()
         self.lam = lam.copy()
 
     def retract(self, dx: np.ndarray) -> None:
         """Apply a local step. Raises ValueError, leaving the iterate
         unchanged, when the step takes a bias past BiasState's sanity bound."""
+        s = self.states
         d = dx[: self.ext_col].reshape(-1, 15)
-        ba = self.ba + d[:, 9:12]
-        bw = self.bw + d[:, 12:15]
+        ba = s.ba + d[:, 9:12]
+        bw = s.bw + d[:, 12:15]
         BiasState.check(ba, bw)
-        self.p = self.p + d[:, 0:3]
+        q = s.q
         dth = d[:, 3:6]
         turned = np.any(dth != 0.0, axis=1)
         if np.any(turned):
-            q = quat_canonical(quat_mul(small_angle_quat(dth), self.q))
-            self.q = np.where(turned[:, None], q, self.q)
-        self.v = self.v + d[:, 6:9]
-        self.ba, self.bw = ba, bw
+            q = np.where(turned[:, None], quat_canonical(quat_mul(small_angle_quat(dth), q)), q)
+        self.states = FrameStates(s.t, s.p + d[:, 0:3], q, s.v + d[:, 6:9], ba, bw)
         dpe = dx[self.ext_col : self.ext_col + 3]
         dte = dx[self.ext_col + 3 : self.ext_col + 6]
         if np.any(dpe) or np.any(dte):
@@ -823,27 +851,13 @@ class _WindowProblem:
         if len(self.lam):
             self.lam = np.maximum(self.lam + dx[self.feat_col :], 1e-4)
 
-    def frame_states(self, first: int = 0) -> list[ImuFrameState]:
-        """The current iterate as window frame states, from window frame
-        first on."""
-        n = self.n_frames
-        biases = BiasState.stacked(self.ba[first:n], self.bw[first:n])
-        rows = (a[first:n] for a in (self.t, self.p, self.q, self.v))
-        return [
-            ImuFrameState(t, p.copy(), q.copy(), v.copy(), bias)
-            for t, p, q, v, bias in zip(*rows, biases)
-        ]
-
     def write_back(self, est: SlidingWindowEstimator) -> None:
-        est.frames = self.frame_states()
+        est.frames = self.states[: self.n_frames]
         est.extrinsic = self.extrinsic
         for fi, feat in enumerate(self.feats):
             feat.inv_depth = float(self.lam[fi])
 
     # -- evaluation ---------------------------------------------------------------
-
-    def _frame_arrays(self):
-        return quat_to_rot(self.q), self.p
 
     def _visual_terms(self, Rw, pw):
         """Whitened tangent-plane residuals of the visual rows plus geometry
@@ -871,9 +885,7 @@ class _WindowProblem:
         """Prior residual r_p + H_p d and the attitude blocks of the tangent
         map D (identity elsewhere) such that its Jacobian is H_p D: (N, 3, 3)
         for the prior's frames and (3, 3) for the extrinsic."""
-        n = len(self.prior_lin[0])
-        d, Jth = local_difference((self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n]),
-                                  self.prior_lin)
+        d, Jth = local_difference(self.states, self.prior.lin_states)
         d_ext, J_ext = extrinsic_difference(self.extrinsic, self.prior.lin_extrinsic)
         r = self.prior.r + self.prior.H @ np.concatenate([d.ravel(), d_ext])
         return r, Jth, J_ext
@@ -881,9 +893,9 @@ class _WindowProblem:
     def _imu_terms(self):
         """Whitened residuals of all IMU factors, and the intermediates that
         their Jacobians w.r.t. frames k and k + 1 are built from."""
-        n = len(self.imu) + 1
+        n, s = len(self.imu) + 1, self.states
         r, aux = imu_residuals_batch(
-            self.imu, self.p[:n], self.q[:n], self.v[:n], self.ba[:n], self.bw[:n], GRAVITY,
+            self.imu, s.p[:n], s.q[:n], s.v[:n], s.ba[:n], s.bw[:n], GRAVITY,
         )
         return np.einsum("kij,kj->ki", self.imu.sqrt_info, r), aux
 
@@ -894,7 +906,7 @@ class _WindowProblem:
         imu = self._imu_terms() if len(self.imu) else None
         visual = None
         if len(self.v_feat):
-            r, aux = self._visual_terms(*self._frame_arrays())
+            r, aux = self._visual_terms(quat_to_rot(self.states.q), self.states.p)
             visual = (r, np.sum(r * r, axis=1), aux)
         cost = (
             (0.0 if prior is None else float(prior[0] @ prior[0]))
@@ -923,7 +935,7 @@ class _WindowProblem:
         depth column stays per row: v_w_target sums W per entry
         (v_w_entries, flat), and the rows' features sum v and b_l.
         """
-        K, G = len(self.v_feat), len(self.p) + 1
+        K, G = len(self.v_feat), len(self.states) + 1
         groups = np.stack([self.v_anchor, self.v_obs, np.full(K, G - 1)], axis=1)  # (K, B)
         B = groups.shape[1]
         C, P, six = 6 * B, self.feat_col, np.arange(6)
@@ -1119,9 +1131,10 @@ class _WindowProblem:
         n = self.n_frames
         N = np.zeros((n, 15, 4))
         N[:, 0:3, 0:3] = np.eye(3)
-        N[:, 0, 3], N[:, 1, 3] = -self.p[:n, 1], self.p[:n, 0]
+        p, v = self.states.p, self.states.v
+        N[:, 0, 3], N[:, 1, 3] = -p[:n, 1], p[:n, 0]
         N[:, 5, 3] = 1.0
-        N[:, 6, 3], N[:, 7, 3] = -self.v[:n, 1], self.v[:n, 0]
+        N[:, 6, 3], N[:, 7, 3] = -v[:n, 1], v[:n, 0]
         return N.reshape(15 * n, 4)
 
     def _remove_gauge(self, dx: np.ndarray) -> None:
@@ -1154,7 +1167,7 @@ class _WindowProblem:
             raise ValueError("inverse depths cannot be held constant")
         pose_mask = mask[: self.feat_col]
         _free_run(pose_mask)  # raises before any step
-        free_gauge = len(self.p) == self.n_frames and bool(np.all(pose_mask[:15]))
+        free_gauge = len(self.states) == self.n_frames and bool(np.all(pose_mask[:15]))
         report = SolveReport()
         cost, terms = self.evaluate()
         if not np.isfinite(cost):
@@ -1225,6 +1238,5 @@ class _WindowProblem:
         H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
         H_red, b_red = schur_complement(H, b, 15)
         Hp, rp = information_sqrt(H_red, b_red)
-        retained_ids = self.frame_ids[1:]
-        lin_frames = dict(zip(retained_ids, self.frame_states(1)))
-        return MarginalizationPrior(retained_ids, lin_frames, self.extrinsic.copy(), rp, Hp)
+        return MarginalizationPrior(self.frame_ids[1:], self.states[1 : self.n_frames],
+                                    self.extrinsic.copy(), rp, Hp)

@@ -19,6 +19,7 @@ import numpy as np
 from .estimator import (
     EstimatorConfig,
     EstimatorError,
+    FrameStates,
     ImuFrameState,
     LoopObservationSet,
     SlidingWindowEstimator,
@@ -464,11 +465,9 @@ class VioPipeline:
             self._toc("init", t0)
             return False
 
-        bias = BiasState(np.zeros(3), result.gyro_bias)
-        states = [
-            ImuFrameState(world.t[k], world.p_w_b[k], world.q_w_b[k], world.v_w_b[k], bias.copy())
-            for k in range(len(world.t))
-        ]
+        n = len(world.t)
+        states = FrameStates(world.t, world.p_w_b, world.q_w_b, world.v_w_b,
+                             np.zeros((n, 3)), np.tile(result.gyro_bias, (n, 1)))
         self._frames_since_init = 0
         # a new pose-graph segment starts with no odometry->graph correction
         self._set_correction(0.0, np.zeros(3))
@@ -486,7 +485,7 @@ class VioPipeline:
         self.report.segments = self._segment + 1
         kind = "init" if self._segment == 0 else "reinit"
         self.report.init_events.append((float(t), kind))
-        self._last_output = self.est.latest_snapshot()
+        self._last_output = self.est.latest()
         self._last_extrinsic = self.est.extrinsic.copy()
         self._kf_reference = dict(self._init_buffer[-1][2])
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
@@ -562,12 +561,8 @@ class VioPipeline:
             return self._fail(t, reason)
 
         t0 = self._tic()
-        out = self.est.latest_snapshot()
-        rate_states = imu_forward_propagate(
-            ImuFrameState(t_prev, self._last_output.p, self._last_output.q,
-                          self._last_output.v, self._last_output.bias),
-            seg, GRAVITY,
-        )
+        out = self.est.latest()
+        rate_states = imu_forward_propagate(self._last_output, seg, GRAVITY)
         for ts, p, q, _ in rate_states:
             pc_, qc_ = self._corrected_pose(p, q)
             self._rate_out.append((ts, pc_, qc_))
@@ -736,12 +731,14 @@ class VioPipeline:
         """Current world positions of window features with optimized depth."""
         pts = {}
         wanted = set(int(f) for f in feature_ids)
+        cam_q, cam_p = self.est.camera_poses()
+        index = {fid: k for k, fid in enumerate(self.est.frame_ids)}
         for fid, feat in self.est.features.items():
             if fid not in wanted or feat.inv_depth is None:
                 continue
             anchor = feat.anchor_id()
-            q_wc, p_wc = self.est._camera_pose(self.est.frame_ids.index(anchor))
-            pts[fid] = quat_rotate(q_wc, feat.obs[anchor] / feat.inv_depth) + p_wc
+            k = index[anchor]
+            pts[fid] = quat_rotate(cam_q[k], feat.obs[anchor] / feat.inv_depth) + cam_p[k]
         return pts
 
     # -- wrap-up --------------------------------------------------------------------

@@ -89,18 +89,6 @@ class BiasState:
         if np.any(np.linalg.norm(gyro, axis=-1) >= MAX_GYRO_BIAS):
             raise ValueError("gyroscope bias exceeds sanity bound")
 
-    @classmethod
-    def stacked(cls, accel, gyro) -> list["BiasState"]:
-        """One BiasState per row of the float arrays accel and gyro, copied,
-        with one check of the whole stack instead of one per row."""
-        cls.check(accel, gyro)
-        out = []
-        for a, g in zip(accel, gyro):
-            bias = cls.__new__(cls)
-            bias.accel, bias.gyro = a.copy(), g.copy()
-            out.append(bias)
-        return out
-
     def copy(self) -> "BiasState":
         return BiasState(self.accel.copy(), self.gyro.copy())
 

@@ -6,6 +6,7 @@ from monovio.estimator import (
     EstimatorConfig,
     EstimatorError,
     Feature,
+    FrameStates,
     ImuFrameState,
     LoopObservationSet,
     SlidingWindowEstimator,
@@ -56,10 +57,9 @@ def seeded_estimator(cfg, data, n_frames=11, config=None):
     gt, imu = data.ground_truth, data.imu
     cam = camera_times(cfg)[:n_frames]
     est = SlidingWindowEstimator(config or EstimatorConfig(), cfg.extrinsic)
-    states = []
-    for t in cam:
-        i = int(round(t * cfg.imu_rate))
-        states.append(ImuFrameState(t, gt.p[i], gt.q[i], gt.v[i], BiasState()))
+    i = np.round(cam * cfg.imu_rate).astype(int)
+    zeros = np.zeros((len(cam), 3))
+    states = FrameStates(cam, gt.p[i], gt.q[i], gt.v[i], zeros, zeros)
     deltas = [
         integrate_segment(segment_samples(imu, cam[k], cam[k + 1]), BiasState(), MODEL_NOISE)
         for k in range(len(cam) - 1)
@@ -80,20 +80,11 @@ def fixed_point_estimator(cfg, data, n_frames=11):
     gt, imu = data.ground_truth, data.imu
     cam = camera_times(cfg)[:n_frames]
     est = SlidingWindowEstimator(EstimatorConfig(), cfg.extrinsic)
-    first = ImuFrameState(cam[0], gt.p[0], gt.q[0], gt.v[0], BiasState())
-    deltas = [
-        integrate_segment(segment_samples(imu, cam[k], cam[k + 1]), BiasState(), MODEL_NOISE)
-        for k in range(len(cam) - 1)
-    ]
-    states = [first]
-    est.seed([first], [])
-    for d in deltas:
-        nxt = est.predict_state(d)
-        est.frames = [nxt]
-        states.append(nxt)
-    est.seed(states, deltas)
-    for k in range(len(cam)):
-        q_wc, p_wc = est._camera_pose(k)
+    est.seed(FrameStates(cam[0], gt.p[0], gt.q[0], gt.v[0], np.zeros(3), np.zeros(3)), [])
+    for k in range(1, len(cam)):
+        delta = integrate_segment(segment_samples(imu, cam[k - 1], cam[k]), BiasState(), MODEL_NOISE)
+        est.add_frame(cam[k], delta, {}, is_keyframe=True)
+    for k, (q_wc, p_wc) in enumerate(zip(*est.camera_poses())):
         X_c = geo.quat_rotate(geo.quat_inverse(q_wc), gt.landmarks - p_wc)
         d = np.linalg.norm(X_c, axis=1)
         rays = X_c / d[:, None]
@@ -351,15 +342,13 @@ class TestSolver:
         for s in data.imu:
             s.gyro = s.gyro + np.array([0.0, 0.0, 0.2])
         est, _ = seeded_estimator(cfg, data)
-        for f in est.frames:
-            f.bias = near.copy()
+        est.frames.ba[:], est.frames.bw[:] = near.accel, near.gyro
         est.deltas = [d.repropagate(near) for d in est.deltas]
         rep = est.build_and_solve()
         assert isinstance(rep, SolveReport) and rep.iterations >= 1
         assert rep.costs[-1] < rep.costs[0]
-        for f in est.frames:
-            assert np.linalg.norm(f.bias.gyro) < MAX_GYRO_BIAS
-            assert np.linalg.norm(f.bias.accel) < MAX_ACCEL_BIAS
+        assert np.all(np.linalg.norm(est.frames.bw, axis=1) < MAX_GYRO_BIAS)
+        assert np.all(np.linalg.norm(est.frames.ba, axis=1) < MAX_ACCEL_BIAS)
 
     def test_matches_independent_solver_on_small_problem(self):
         # 3-frame window, ground truth start, frame 0 and extrinsic frozen to
@@ -374,8 +363,8 @@ class TestSolver:
 
         rng = np.random.default_rng(4)
         for k in (1, 2):
-            est.frames[k].p = est.frames[k].p + rng.normal(0, 0.002, 3)
-            est.frames[k].v = est.frames[k].v + rng.normal(0, 0.002, 3)
+            est.frames.p[k] += rng.normal(0, 0.002, 3)
+            est.frames.v[k] += rng.normal(0, 0.002, 3)
 
         from monovio.estimator import _WindowProblem
 
@@ -384,23 +373,19 @@ class TestSolver:
         mask[0:15] = False  # freeze frame 0
         mask[problem.ext_col : problem.ext_col + 6] = False  # freeze extrinsic
 
+        def free_states():
+            s = problem.states[1:]
+            return np.concatenate([np.hstack([s.p, s.v, s.ba, s.bw]).ravel(), problem.lam]), s.q
+
         start = problem.snapshot()
         tight = type(est.config.solver)(max_iterations=60, rel_cost_tol=1e-14)
         rep = problem.solve(tight, mask)
-        ours = np.concatenate(
-            [np.concatenate([f.p, f.v, f.bias.accel, f.bias.gyro]) for f in problem.frame_states()[1:]]
-            + [problem.lam]
-        )
-        our_qs = [f.q.copy() for f in problem.frame_states()[1:]]
+        ours, our_qs = free_states()
 
         problem.restore(start)
         x_ind = _independent_minimize(problem, mask)
         problem.retract(_embed(problem, mask, x_ind))
-        ind = np.concatenate(
-            [np.concatenate([f.p, f.v, f.bias.accel, f.bias.gyro]) for f in problem.frame_states()[1:]]
-            + [problem.lam]
-        )
-        ind_qs = [f.q.copy() for f in problem.frame_states()[1:]]
+        ind, ind_qs = free_states()
         assert np.abs(ours - ind).max() < 1e-6
         for qa, qb in zip(our_qs, ind_qs):
             assert geo.quat_angle_between(qa, qb) < 1e-6
@@ -415,33 +400,33 @@ class TestSolver:
         solve, solved = _WindowProblem.solve, []
 
         def recording_solve(problem, config, mask):
-            n = problem.n_frames
-            held = [a[n:].copy() for a in (problem.p, problem.q, problem.v, problem.ba, problem.bw)]
+            n, s = problem.n_frames, problem.states
+            held = [a[n:].copy() for a in (s.p, s.q, s.v, s.ba, s.bw)]
             solved.append((problem, held))
             return solve(problem, config, mask)
 
         monkeypatch.setattr(_WindowProblem, "solve", recording_solve)
         ext = est.extrinsic.copy()
-        window_p = np.array([f.p for f in est.frames])
+        window_p = est.frames.p
         rep = est.build_and_solve(loops=[loop], fix_extrinsic=False)
         (problem, held), = solved
         assert rep.iterations >= 1 and rep.costs[-1] < rep.costs[0]
-        assert len(problem.p) == problem.n_frames + 1
+        assert len(problem.states) == problem.n_frames + 1
         np.testing.assert_array_equal(held[0], [loop.p_w_v])
         np.testing.assert_allclose(held[1], [loop.q_w_v], rtol=0, atol=1e-15)
         assert not np.any(np.concatenate(held[2:]))
-        n = problem.n_frames
-        for now, before in zip((problem.p, problem.q, problem.v, problem.ba, problem.bw), held):
+        n, s = problem.n_frames, problem.states
+        for now, before in zip((s.p, s.q, s.v, s.ba, s.bw), held):
             np.testing.assert_array_equal(now[n:], before)
         np.testing.assert_array_equal(est.extrinsic.p_b_c, ext.p_b_c)
         np.testing.assert_array_equal(est.extrinsic.q_b_c, ext.q_b_c)
-        assert not np.array_equal(np.array([f.p for f in est.frames]), window_p)
+        assert not np.array_equal(est.frames.p, window_p)
 
     def test_rejects_masks_it_cannot_solve(self):
         # a held depth, or held pose columns inside the free ones (frame 1
         # between free frames 0 and 2), is refused before any step
         problem, _ = loop_window_problem()
-        p0 = problem.p
+        s0 = problem.states
         held_depth = np.ones(problem.dim, dtype=bool)
         held_depth[-1] = False
         held_frame = np.ones(problem.dim, dtype=bool)
@@ -452,7 +437,7 @@ class TestSolver:
         with pytest.raises(ValueError):
             problem.damped_step(problem.linearize(problem.evaluate()[1]),
                                 held_frame[: problem.feat_col], 1e-4)
-        assert problem.p is p0  # retract replaces the state arrays
+        assert problem.states is s0  # retract replaces the iterate
 
 
 # bound on the share of a taken step in the gauge span when nothing holds
@@ -543,7 +528,7 @@ class TestGauge:
         cfg = ScenarioConfig(duration=1.0, cam_rate=4.0, seed=9, n_landmarks=25)
         est, _ = seeded_estimator(cfg, build_scenario(cfg), n_frames=3,
                                   config=EstimatorConfig(max_features=8, pixel_sigma=4.0))
-        est.frames[2].p = est.frames[2].p + 0.002
+        est.frames.p[2] += 0.002
         problem = _WindowProblem(est, est._optimized_features(), [])
         mask = np.ones(problem.dim, dtype=bool)
         mask[0:15] = False
@@ -563,16 +548,16 @@ def _residual_stack(problem):
     """Stacked whitened residuals built from the scalar residual references
     (no assembly machinery)."""
     out = []
-    frames = problem.frame_states()
+    s = problem.states
     for k, delta in enumerate(problem.deltas):
-        r, _, _ = imu_residual_jacobians(delta, frames[k], frames[k + 1], GRAVITY)
+        r, _, _ = imu_residual_jacobians(delta, s.state(k), s.state(k + 1), GRAVITY)
         out.append(delta.sqrt_information() @ r)
     for k in range(len(problem.v_feat)):
         fi = problem.v_feat[k]
         ai = problem.v_anchor[k]
         oi = problem.v_obs[k]
         r, _ = visual_residual(
-            frames[ai].q, frames[ai].p, frames[oi].q, frames[oi].p,
+            s.q[ai], s.p[ai], s.q[oi], s.p[oi],
             problem.extrinsic, problem.v_ua[k], problem.lam[fi], problem.v_uo[k],
             with_jacobians=False,
         )
@@ -701,7 +686,7 @@ class TestMarginalization:
         data = build_scenario(cfg)
         est, cam = seeded_estimator(cfg, data)
         est.build_and_solve()
-        frames = [f.copy() for f in est.frames]
+        frames = [est.frames.state(k) for k in range(len(est.frames))]
         ids = list(est.frame_ids)
         ext = est.extrinsic.copy()
         sigma = est.config.obs_sigma
@@ -816,6 +801,47 @@ class TestMarginalization:
             est.triangulate_new_features()
             est.build_and_solve()
         assert marginalized >= 5 and dropped >= 5
+
+    def test_handed_out_states_are_value_copies(self):
+        # the latest state, a marginalized keyframe and a prior's
+        # linearization point stay as they were handed out while the window
+        # moves on, and writing into them leaves the window as it is
+        cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10)
+        data = build_scenario(cfg)
+        est, _ = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        obs_index = TrackObservationIndex(data.tracks)
+        all_cam = camera_times(cfg)
+
+        def add_keyframe(k):
+            seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
+            delta = integrate_segment(seg, est.latest().bias, MODEL_NOISE)
+            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=True)
+            est.triangulate_new_features()
+            est.build_and_solve()
+
+        def arrays(state):
+            return [state.p, state.q, state.v, state.bias.accel, state.bias.gyro]
+
+        add_keyframe(11)
+        latest = est.latest()
+        (_, marg), = est.pop_marginalized_keyframes()
+        lin = est.prior.lin_states
+        handed = arrays(latest) + arrays(marg) + [lin.t, lin.p, lin.q, lin.v, lin.ba, lin.bw]
+        before = [a.copy() for a in handed]
+
+        add_keyframe(12)
+        assert est.prior.lin_states is not lin
+        assert not np.array_equal(est.latest().p, latest.p)
+        for a, b in zip(handed, before):
+            np.testing.assert_array_equal(a, b)
+
+        window = est.frames[:]
+        lin = est.prior.lin_states
+        for a in handed + arrays(est.latest()) + [lin.t, lin.p, lin.q, lin.v, lin.ba, lin.bw]:
+            a.fill(np.nan)
+        for name in ("t", "p", "q", "v", "ba", "bw"):
+            np.testing.assert_array_equal(getattr(est.frames, name), getattr(window, name))
 
 
 class TestForwardPropagation:
@@ -944,11 +970,12 @@ def loop_window():
     assert est.prior is not None
     # move every state off the prior's and the deltas' linearization points
     rng = np.random.default_rng(7)
-    for f in est.frames:
-        f.p = f.p + rng.normal(0.0, 0.003, 3)
-        f.q = geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), f.q)
-        f.v = f.v + rng.normal(0.0, 0.01, 3)
-        f.bias = BiasState(rng.normal(0.0, 0.02, 3), rng.normal(0.0, 0.005, 3))
+    f = est.frames
+    for k in range(len(f)):
+        f.p[k] += rng.normal(0.0, 0.003, 3)
+        f.q[k] = geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), f.q[k])
+        f.v[k] += rng.normal(0.0, 0.01, 3)
+        f.ba[k], f.bw[k] = rng.normal(0.0, 0.02, 3), rng.normal(0.0, 0.005, 3)
     est.extrinsic = ExtrinsicCalib(
         est.extrinsic.p_b_c + rng.normal(0.0, 0.003, 3),
         geo.quat_mul(geo.quat_exp(rng.normal(0.0, 0.002, 3)), est.extrinsic.q_b_c),
@@ -997,14 +1024,14 @@ class TestImuResidualJacobiansInWindow:
         from monovio.estimator import _WindowProblem
 
         problem = _WindowProblem(est, feats, [])
-        frames = problem.frame_states()
-        r_batch, _ = problem._visual_terms(*problem._frame_arrays())
+        s = problem.states
+        r_batch, _ = problem._visual_terms(geo.quat_to_rot(s.q), s.p)
         for k in range(len(problem.v_feat)):
             fi = problem.v_feat[k]
             ai = problem.v_anchor[k]
             oi = problem.v_obs[k]
             r_single, _ = visual_residual(
-                frames[ai].q, frames[ai].p, frames[oi].q, frames[oi].p,
+                s.q[ai], s.p[ai], s.q[oi], s.p[oi],
                 problem.extrinsic, problem.v_ua[k], problem.lam[fi], problem.v_uo[k],
                 with_jacobians=False,
             )
@@ -1042,7 +1069,6 @@ class TestImuResidualJacobiansInWindow:
     def test_batched_imu_kernel_matches_scalar_reference(self):
         # every frame carries its own non-zero bias offset from each delta's
         # linearization bias, so the first-order correction is exercised
-        from monovio.estimator import stack_states
         from monovio.preintegration import (
             StackedDeltas,
             imu_jacobians_batch,
@@ -1054,15 +1080,16 @@ class TestImuResidualJacobiansInWindow:
         data = build_scenario(cfg)
         est, _ = seeded_estimator(cfg, data, n_frames=8)
         rng = np.random.default_rng(6)
-        for f in est.frames:
-            f.bias = BiasState(rng.normal(0.0, 0.05, 3), rng.normal(0.0, 0.01, 3))
+        f = est.frames
+        for k in range(len(f)):
+            f.ba[k], f.bw[k] = rng.normal(0.0, 0.05, 3), rng.normal(0.0, 0.01, 3)
         st = StackedDeltas(est.deltas)
-        r, aux = imu_residuals_batch(st, *stack_states(est.frames), GRAVITY)
+        r, aux = imu_residuals_batch(st, f.p, f.q, f.v, f.ba, f.bw, GRAVITY)
         Jk, Jk1 = imu_jacobians_batch(st, aux)
         assert len(r) == len(est.deltas) == 7
         for k, delta in enumerate(est.deltas):
-            assert np.all(est.frames[k].bias.gyro != delta.lin_bias.gyro)
-            ref = imu_residual_jacobians(delta, est.frames[k], est.frames[k + 1], GRAVITY)
+            assert np.all(f.bw[k] != delta.lin_bias.gyro)
+            ref = imu_residual_jacobians(delta, f.state(k), f.state(k + 1), GRAVITY)
             for got, want in zip((r[k], Jk[k], Jk1[k]), ref):
                 tol = 1e-12 * max(1.0, np.abs(want).max())
                 np.testing.assert_allclose(got, want, rtol=0, atol=tol)
@@ -1077,7 +1104,7 @@ class TestImuResidualJacobiansInWindow:
         ext = problem.extrinsic
 
         n = problem.dim
-        frames = problem.frame_states()
+        x = problem.states
         rows, res = [], []
         ref_cost = 0.0
 
@@ -1085,14 +1112,15 @@ class TestImuResidualJacobiansInWindow:
         D = np.eye(prior.H.shape[1])
         d = np.zeros(prior.H.shape[1])
         pcols = []
+        lin = prior.lin_states
         for blk, fid in enumerate(prior.frame_ids):
-            f, lin = frames[problem.id_to_idx[fid]], prior.lin_frames[fid]
-            pcols += list(range(15 * problem.id_to_idx[fid], 15 * problem.id_to_idx[fid] + 15))
-            e = geo.quat_mul(f.q, geo.quat_inverse(lin.q))
+            i = problem.id_to_idx[fid]
+            pcols += list(range(15 * i, 15 * i + 15))
+            e = geo.quat_mul(x.q[i], geo.quat_inverse(lin.q[blk]))
             e = -e if e[0] < 0 else e
             d[15 * blk : 15 * blk + 15] = np.concatenate(
-                [f.p - lin.p, 2 * e[1:], f.v - lin.v, f.bias.accel - lin.bias.accel,
-                 f.bias.gyro - lin.bias.gyro])
+                [x.p[i] - lin.p[blk], 2 * e[1:], x.v[i] - lin.v[blk], x.ba[i] - lin.ba[blk],
+                 x.bw[i] - lin.bw[blk]])
             D[15 * blk + 3 : 15 * blk + 6, 15 * blk + 3 : 15 * blk + 6] = e[0] * np.eye(3) - geo.skew(e[1:])
         e = geo.quat_mul(ext.q_b_c, geo.quat_inverse(prior.lin_extrinsic.q_b_c))
         e = -e if e[0] < 0 else e
@@ -1107,7 +1135,7 @@ class TestImuResidualJacobiansInWindow:
         ref_cost += r @ r
 
         for k, delta in enumerate(problem.deltas):
-            r, Jk, Jk1 = imu_residual_jacobians(delta, frames[k], frames[k + 1], GRAVITY)
+            r, Jk, Jk1 = imu_residual_jacobians(delta, x.state(k), x.state(k + 1), GRAVITY)
             J = np.zeros((15, n))
             W = delta.sqrt_information()
             J[:, 15 * k : 15 * k + 15] = W @ Jk
@@ -1125,10 +1153,9 @@ class TestImuResidualJacobiansInWindow:
         active = 0
         for k in range(len(problem.v_feat)):
             ai, oi, fi = problem.v_anchor[k], problem.v_obs[k], problem.v_feat[k]
-            fa = frames[ai]
             held = oi >= problem.n_frames
-            q_j, p_j = (loop.q_w_v, loop.p_w_v) if held else (frames[oi].q, frames[oi].p)
-            r, jac = visual_residual(fa.q, fa.p, q_j, p_j, ext, problem.v_ua[k], problem.lam[fi],
+            q_j, p_j = (loop.q_w_v, loop.p_w_v) if held else (x.q[oi], x.p[oi])
+            r, jac = visual_residual(x.q[ai], x.p[ai], q_j, p_j, ext, problem.v_ua[k], problem.lam[fi],
                                      problem.v_uo[k])
             r = r / sigma
             s = float(r @ r)
@@ -1183,7 +1210,7 @@ class TestFramePairAssembly:
         from monovio.estimator import VISUAL_CHUNK_ROWS
 
         problem, _ = loop_window_problem()
-        pairs = problem.v_anchor * len(problem.p) + problem.v_obs
+        pairs = problem.v_anchor * len(problem.states) + problem.v_obs
         assert np.any(problem.v_obs >= problem.n_frames)
         assert np.bincount(pairs).max() > VISUAL_CHUNK_ROWS
         terms = problem.evaluate()[1]
@@ -1205,7 +1232,7 @@ class TestFramePairAssembly:
         assert_blocks_match(second, linearize_per_row(problem, terms))
 
         est = SlidingWindowEstimator(EstimatorConfig(), problem.extrinsic)
-        est.frames, est.frame_ids = problem.frame_states(), list(problem.frame_ids)
+        est.frames, est.frame_ids = problem.states[: problem.n_frames], list(problem.frame_ids)
         est.deltas, est.prior = problem.deltas, problem.prior
         fresh = _WindowProblem(est, problem.feats, [loop])
         fresh.restore(problem.snapshot())

@@ -1,17 +1,24 @@
 """Source hygiene: no module in src/ or tests/ imports a name it never uses,
-no function in src/ takes a parameter it never reads, and no definition in
-src/ is reached only from tests/."""
+no function in src/ takes a parameter it never reads, no definition in
+src/ is reached only from tests/, and the configuration gains no settable
+value."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from monovio.pipeline import PipelineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 # the code a run reaches: the package, the benchmark and the tools
 RUN_FILES = sorted(p for d in ("src", "perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
 FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# fields of PipelineConfig and of the config objects it reaches; a value
+# stays settable only while something sets it to other than its default
+SETTABLE_VALUES = 24
 
 
 def _annotation_names(node):
@@ -162,3 +169,22 @@ def test_reach_scanner_flags_unloaded_and_keeps_loaded():
     caller = "A().used()\nwrap(module, 'named_in_string')\n"
     loaded = loaded_names(src) | loaded_names(caller)
     assert unreached_definitions(src, loaded) == ["A.unused (line 6)", "orphan (line 14)"]
+
+
+def settable_values(config, prefix: str = "") -> list[str]:
+    """Dotted names of the non-dataclass fields of config and of every
+    dataclass its fields hold."""
+    out = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            out += settable_values(value, f"{prefix}{f.name}.")
+        else:
+            out.append(f"{prefix}{f.name}")
+    return out
+
+
+def test_no_new_settable_value():
+    names = settable_values(PipelineConfig())
+    assert len(names) <= SETTABLE_VALUES, (
+        f"{len(names)} settable values, at most {SETTABLE_VALUES}: {', '.join(names)}")

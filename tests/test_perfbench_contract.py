@@ -8,8 +8,10 @@ import numpy as np
 
 from monovio import geometry as geo
 from monovio import pipeline
-from monovio.estimator import ImuFrameState
-from monovio.preintegration import ImuSample
+from monovio.estimator import ImuFrameState, _WindowProblem
+from monovio.preintegration import BiasState, ImuSample, integrate_segment, segment_samples
+from monovio.simulator import ScenarioConfig, build_scenario, camera_times
+from test_estimator import MODEL_NOISE, seeded_estimator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,6 +42,43 @@ def test_forward_propagation_span_and_restore(monkeypatch):
     assert spans[0].attrs == {"samples": len(samples)}
     for owner, attr, raw in originals:
         assert _current(owner, attr) is raw
+
+
+def test_window_hooks_read_a_seeded_estimator(monkeypatch):
+    """The traced pass reads the window's size and slide kind from the
+    estimator's attributes (`layers._window_dim`, `layers._slide_kind`). On
+    a seeded window, before and after the slide that each keyframe choice
+    of the newest frame leads to, the size is the loop-free window
+    problem's dimension, and the slide kind is the one that add_frame
+    takes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10)
+    data = build_scenario(cfg)
+    all_cam = camera_times(cfg)
+    obs_index = pipeline.TrackObservationIndex(data.tracks)
+    seg = segment_samples(data.imu, all_cam[10], all_cam[11])
+    for newest_is_keyframe in (True, False):
+        est, _ = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        est.keyframe_flags[-1] = newest_is_keyframe
+        assert layers._window_dim(est) == {
+            "dim": _WindowProblem(est, est._optimized_features(), []).dim}
+        assert len(est.frames) == est.capacity
+        kind = layers._slide_kind(est)
+        oldest, newest = est.frame_ids[0], est.frame_ids[-1]
+        est.add_frame(all_cam[11], integrate_segment(seg, BiasState(), MODEL_NOISE),
+                      obs_index(all_cam[11]), is_keyframe=True)
+        est.triangulate_new_features()
+        if newest_is_keyframe:
+            assert kind == "estimator.add_frame.marginalize"
+            assert oldest not in est.frame_ids and est.prior is not None
+        else:
+            assert kind == "estimator.add_frame.drop"
+            assert oldest in est.frame_ids and newest not in est.frame_ids
+        assert layers._window_dim(est) == {
+            "dim": _WindowProblem(est, est._optimized_features(), []).dim}
 
 
 def test_graph_session_runs_on_the_driver_api(monkeypatch, tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from monovio import geometry as geo
-from monovio.estimator import stack_states
 from monovio.preintegration import (
     BiasState,
     ImuSample,
@@ -48,6 +47,18 @@ class FrameState:
         self.q = np.asarray(q, dtype=float)
         self.bias = bias if bias is not None else BiasState()
         self.t = t
+
+
+def stacked(states):
+    """The (p, q, v, ba, bw) arrays of the batched IMU kernel, one row per
+    state."""
+    return (
+        np.array([s.p for s in states]),
+        np.array([s.q for s in states]),
+        np.array([s.v for s in states]),
+        np.array([s.bias.accel for s in states]),
+        np.array([s.bias.gyro for s in states]),
+    )
 
 
 def matrix_midpoint_oracle(rate, duration, accel_fn, gyro_fn, ba=np.zeros(3), bw=np.zeros(3)):
@@ -454,7 +465,7 @@ class TestSegmentBoundaries:
 
 def imu_residual(d, sk, sk1, g):
     """Residual of the one factor d between sk and sk1, by the batched kernel."""
-    r, _ = imu_residuals_batch(StackedDeltas([d]), *stack_states([sk, sk1]), g)
+    r, _ = imu_residuals_batch(StackedDeltas([d]), *stacked([sk, sk1]), g)
     return r[0]
 
 
@@ -518,7 +529,7 @@ class TestImuResidual:
                 bias=BiasState(accel=rng.normal(0, 0.01, 3), gyro=rng.normal(0, 0.005, 3)),
             )
             st = StackedDeltas([d])
-            _, aux = imu_residuals_batch(st, *stack_states([sk, sk1]), g)
+            _, aux = imu_residuals_batch(st, *stacked([sk, sk1]), g)
             Jk, Jk1 = (J[0] for J in imu_jacobians_batch(st, aux))
             h = 1e-6
             for which, state, J in ((0, sk, Jk), (1, sk1, Jk1)):
