@@ -242,9 +242,7 @@ class EstimatorConfig:
 def huber_weight(s):
     """Gauss-Newton reweighting d rho / d s, on the robust branch 1/sqrt(s)."""
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore"):
-        w = np.where(s <= 1.0, 1.0, 1.0 / np.sqrt(np.maximum(s, 1e-300)))
-    return w
+    return np.where(s <= 1.0, 1.0, 1.0 / np.sqrt(np.maximum(s, 1.0)))
 
 
 def robust_cost(s):
@@ -424,10 +422,8 @@ def local_difference(x: FrameStates, lin: FrameStates):
 
 def extrinsic_difference(ext: ExtrinsicCalib, lin: ExtrinsicCalib):
     """6-vector counterpart of local_difference for the extrinsic."""
-    d = np.empty(6)
-    d[0:3] = ext.p_b_c - lin.p_b_c
-    d[3:6], Jth = _theta_difference(ext.q_b_c, lin.q_b_c)
-    return d, Jth
+    dth, Jth = _theta_difference(ext.q_b_c, lin.q_b_c)
+    return np.concatenate([ext.p_b_c - lin.p_b_c, dth]), Jth
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +448,7 @@ class SlidingWindowEstimator:
         self.deltas: list[PreintegratedDelta] = []
         self.features: dict[int, Feature] = {}
         self.prior: MarginalizationPrior | None = None
+        self._pending_prior: tuple[MarginalizationPrior, list[Feature]] | None = None
         self._next_frame_id = 0
         self.marginalized_keyframes: list[tuple[int, ImuFrameState]] = []
 
@@ -477,7 +474,7 @@ class SlidingWindowEstimator:
         self.keyframe_flags = [True] * len(frames)
         self.deltas = list(deltas)
         self.features = {}
-        self.prior = None
+        self.prior = self._pending_prior = None
 
     def observe(self, observations: dict[int, np.ndarray], frame_idx: int = -1) -> None:
         """Attach feature rays observed at a window frame (default: latest)."""
@@ -493,7 +490,8 @@ class SlidingWindowEstimator:
     def add_frame(self, t: float, delta: PreintegratedDelta,
                   observations: dict[int, np.ndarray], is_keyframe: bool) -> None:
         """Insert a new frame at the latest state propagated through delta,
-        sliding the window first when at capacity."""
+        sliding the window first when at capacity. A slide that marginalizes
+        needs a solve since the last slide or seed() (EstimatorError)."""
         if not len(self.frames):
             raise EstimatorError("seed the window before adding frames")
         if len(self.frames) == self.capacity:
@@ -518,8 +516,9 @@ class SlidingWindowEstimator:
         merge its IMU samples into the incoming delta. The prior stays as it
         is: it never holds the latest frame.
         """
+        pending, self._pending_prior = self._pending_prior, None
         if self.keyframe_flags[-1]:
-            self._marginalize_oldest()
+            self._marginalize_oldest(pending)
             return incoming_delta
         dropped_id = self.frame_ids.pop()
         self.frames = self.frames[:-1]
@@ -598,14 +597,11 @@ class SlidingWindowEstimator:
             feats.sort(key=lambda f: f.fid)
         return feats
 
-    def prune_bad_depths(self) -> int:
+    def prune_bad_depths(self) -> None:
         """Drop depths that collapsed to the clamp or went non-finite."""
-        n = 0
         for f in self.features.values():
             if f.inv_depth is not None and (not np.isfinite(f.inv_depth) or f.inv_depth <= 2e-4):
                 f.inv_depth = None
-                n += 1
-        return n
 
     # -- solving ----------------------------------------------------------------
 
@@ -615,7 +611,9 @@ class SlidingWindowEstimator:
         Each loop observation set is a frame held at its constant pose. The
         extrinsic is held constant when fix_extrinsic is set for this solve,
         when the configuration disables its refinement, or when loop sets
-        are given: relocalization measures drift, not calibration.
+        are given: relocalization measures drift, not calibration. A solve
+        of a full window ending on a keyframe also takes, from its own
+        problem, the prior that the next slide installs.
         """
         feats = self._optimized_features()
         loops = list(loops)
@@ -628,6 +626,8 @@ class SlidingWindowEstimator:
         problem.write_back(self)
         self.prune_bad_depths()
         self._refresh_deltas()
+        marginalizes = len(self.frames) == self.capacity and self.keyframe_flags[-1]
+        self._pending_prior = problem.marginalize_frame(problem.terms) if marginalizes else None
         return report
 
     def _refresh_deltas(self) -> None:
@@ -639,40 +639,34 @@ class SlidingWindowEstimator:
 
     # -- marginalization ----------------------------------------------------------
 
-    def _marginalize_oldest(self) -> None:
-        """Schur-marginalize the oldest keyframe and its measurements.
+    def _marginalize_oldest(self, pending) -> None:
+        """Install the last solve's prior (build_and_solve); remove the oldest frame.
 
         Every measurement pair of a feature anchored in the departing frame is
         consumed into the prior exactly once: the feature survives with its
         depth transferred to the next observation and only that anchor ray
         retained, so future solves use only not-yet-consumed pairs.
         """
-        old_id = self.frame_ids[0]
-        marg_feats = [f for f in self._optimized_features() if f.anchor_id() == old_id]
-        self.prior = _WindowProblem(self, marg_feats, [], imu_factors=1).marginalize_frame()
-        self.marginalized_keyframes.append((old_id, self.frames.state(0)))
+        if pending is None:
+            raise EstimatorError("marginalizing needs a solve of the window since its last slide")
+        self.prior, marg_feats = pending
         # the departing frame's camera pose, then the retained frames'
         cam_poses = self.camera_poses()
+        old_id = self.frame_ids.pop(0)
+        self.marginalized_keyframes.append((old_id, self.frames.state(0)))
         self.frames = self.frames[1:]
-        self.frame_ids.pop(0)
         self.keyframe_flags.pop(0)
         self.deltas.pop(0)
         for feat in marg_feats:
-            old_ray = feat.obs.pop(old_id)
-            if not feat.obs:
-                del self.features[feat.fid]
-                continue
-            self._transfer_anchor(feat, old_ray, cam_poses)
+            self._transfer_anchor(feat, feat.obs.pop(old_id), cam_poses)
             if feat.inv_depth is None:
                 del self.features[feat.fid]
-                continue
-            new_anchor = feat.anchor_id()
-            feat.obs = {new_anchor: feat.obs[new_anchor]}
+            else:  # only the new anchor's ray stays
+                feat.obs = {feat.anchor_id(): feat.obs[feat.anchor_id()]}
         self._remove_frame_observations(old_id, cam_poses)
 
     def pop_marginalized_keyframes(self) -> list[tuple[int, ImuFrameState]]:
-        out = self.marginalized_keyframes
-        self.marginalized_keyframes = []
+        out, self.marginalized_keyframes = self.marginalized_keyframes, []
         return out
 
 
@@ -742,7 +736,8 @@ class _WindowProblem:
 
     evaluate() returns the robust cost at the current iterate with the
     residual terms and geometry intermediates it computed; linearize() turns
-    those terms into NormalBlocks without recomputing them. The prior's
+    those terms into NormalBlocks without recomputing them, and solve()
+    keeps those of its final iterate as terms. The prior's
     columns are the window's leading frames and the extrinsic, and its
     Jacobian is one product over them; all IMU factors go through one batched
     kernel whitened by each delta's cached sqrt_information, its residual
@@ -760,14 +755,12 @@ class _WindowProblem:
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
-                 loops: list[LoopObservationSet], imu_factors: int | None = None):
-        """imu_factors limits the problem to the window's leading IMU
-        factors (default: all of them)."""
+                 loops: list[LoopObservationSet]):
         self.frame_ids = list(est.frame_ids)
         self.n_frames = len(est.frames)
         self.feats = feats
         self.prior = est.prior
-        self.deltas = list(est.deltas[:imu_factors])
+        self.deltas = list(est.deltas)
         self.imu = StackedDeltas(self.deltas)
         self.sigma = est.config.obs_sigma
 
@@ -782,8 +775,7 @@ class _WindowProblem:
         self.feat_col = self.ext_col + 6
         self.dim = self.feat_col + len(feats)
 
-        id_to_idx = {fid: k for k, fid in enumerate(self.frame_ids)}
-        self.id_to_idx = id_to_idx
+        self.id_to_idx = id_to_idx = {fid: k for k, fid in enumerate(self.frame_ids)}
         feat_pos = {f.fid: i for i, f in enumerate(feats)}
         # visual rows (feature, observer, observed ray): a feature's window
         # observations after its anchor's, then the loop correspondences,
@@ -1006,11 +998,11 @@ class _WindowProblem:
         )
         return J
 
-    def _add_visual(self, blocks: NormalBlocks, r, s, aux) -> None:
-        """Accumulate Huber-reweighted visual rows: their pose columns chunk
-        by chunk, their depth column row by row."""
+    def _add_visual(self, blocks: NormalBlocks, r, s, aux, rows=None) -> None:
+        """Accumulate Huber-reweighted visual rows, or those the mask rows
+        selects: their pose columns chunk by chunk, their depth column row by row."""
         J = self._visual_jacobian(aux, self.v_jac)
-        sw = np.sqrt(huber_weight(s))
+        sw = np.sqrt(huber_weight(s)) * (1.0 if rows is None else rows)
         J *= sw[:, None, None]
         rw = r * sw[:, None]
         C = J.shape[2] - 1
@@ -1049,12 +1041,14 @@ class _WindowProblem:
         blocks.b_p[:n] += g[:n]
         blocks.b_p[e:] += g[n:]
 
-    def _add_imu(self, blocks: NormalBlocks, rw, aux) -> None:
-        """Accumulate all IMU factors of the problem."""
+    def _add_imu(self, blocks: NormalBlocks, rw, aux, rows=None) -> None:
+        """Accumulate the IMU factors, or those the mask rows selects."""
         Jk, Jk1 = imu_jacobians_batch(self.imu, aux)
         K = len(rw)
         n = K + 1
         J = self.imu.sqrt_info @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)
+        if rows is not None:
+            J, rw = J * rows[:, None, None], rw * rows[:, None]
         JT = np.swapaxes(J, 1, 2)
         Hb = JT @ J
         bb = np.einsum("kir,kr->ki", JT, rw)
@@ -1067,9 +1061,10 @@ class _WindowProblem:
             for j, rj in ((0, k), (1, k + 1)):
                 Hv[ri, :, rj, :] += Hb[:, 15 * i : 15 * i + 15, 15 * j : 15 * j + 15]
 
-    def linearize(self, terms) -> NormalBlocks:
+    def linearize(self, terms, rows=(None, None)) -> NormalBlocks:
         """Normal equations at the iterate evaluate() returned terms for, in
-        the problem's own NormalBlocks: valid until the next linearize."""
+        the problem's own NormalBlocks: valid until the next linearize. rows,
+        masks over the IMU factors and the visual rows, keeps those selected."""
         prior, imu, visual = terms
         blocks = self.blocks
         for a in (blocks.H_pp, blocks.W, blocks.v, blocks.b_p, blocks.b_l):
@@ -1077,9 +1072,9 @@ class _WindowProblem:
         if prior is not None:
             self._add_prior(blocks, *prior)
         if imu is not None:
-            self._add_imu(blocks, *imu)
+            self._add_imu(blocks, *imu, rows[0])
         if visual is not None:
-            self._add_visual(blocks, *visual)
+            self._add_visual(blocks, *visual, rows[1])
         return blocks
 
     # -- damped Gauss-Newton ---------------------------------------------------
@@ -1169,14 +1164,14 @@ class _WindowProblem:
         _free_run(pose_mask)  # raises before any step
         free_gauge = len(self.states) == self.n_frames and bool(np.all(pose_mask[:15]))
         report = SolveReport()
-        cost, terms = self.evaluate()
+        cost, self.terms = self.evaluate()
         if not np.isfinite(cost):
             raise EstimatorError("non-finite cost at the initial iterate")
         report.costs.append(cost)
         if cost <= ABS_COST_TOL:
             report.termination = "converged"
             return report
-        blocks = self.linearize(terms)
+        blocks = self.linearize(self.terms)
         lam = INITIAL_LAMBDA
         for it in range(config.max_iterations):
             accepted = False
@@ -1200,7 +1195,7 @@ class _WindowProblem:
                 new_cost, new_terms = self.evaluate()
                 if np.isfinite(new_cost) and new_cost <= cost:
                     rel = (cost - new_cost) / max(cost, 1e-30)
-                    cost, terms = new_cost, new_terms
+                    cost, self.terms = new_cost, new_terms
                     report.costs.append(cost)
                     lam = max(lam / LAMBDA_DOWN, MIN_LAMBDA)
                     accepted = True
@@ -1215,20 +1210,23 @@ class _WindowProblem:
                 report.termination = "converged"
                 return report
             if it + 1 < config.max_iterations:
-                blocks = self.linearize(terms)
+                blocks = self.linearize(self.terms)
         report.termination = "max_iterations"
         return report
 
     # -- marginalization ----------------------------------------------------------
 
-    def marginalize_frame(self) -> MarginalizationPrior:
-        """New prior from eliminating the oldest frame and the problem's
-        features (those anchored in it), consuming the old prior, the
-        problem's IMU factors (only the oldest one, see _marginalize_oldest),
-        and those visual factors (robust weights frozen at the current
-        estimate). The depths are eliminated first by their diagonal Schur
-        complement, then frame 0 from the reduced system."""
-        blocks = self.linearize(self.evaluate()[1])
+    def marginalize_frame(self, terms) -> tuple[MarginalizationPrior, list[Feature]]:
+        """The prior left by eliminating the oldest frame at the iterate of
+        evaluate()'s terms, and the features whose depths it eliminates: those
+        anchored in that frame that still have one. It consumes the old prior,
+        the oldest IMU factor and those features' rows that window frames
+        observe, robust weights frozen. The depths go first, by their diagonal
+        Schur complement, then frame 0, without the loop frames' columns."""
+        old = self.frame_ids[0]
+        consumed = [f.anchor_id() == old and f.inv_depth is not None for f in self.feats]
+        rows = np.array(consumed, dtype=bool)[self.v_feat] & (self.v_obs < self.n_frames)
+        blocks = self.linearize(terms, (np.arange(len(self.imu)) < 1, rows))
         v = blocks.v
         # like schur_complement's pseudo-inverse, a depth without information
         # (no baseline to any observer) is dropped instead of inverted
@@ -1236,7 +1234,9 @@ class _WindowProblem:
         inv_v = np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
         # the problem ends here, so its blocks are reduced in place
         H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
-        H_red, b_red = schur_complement(H, b, 15)
+        cols = np.r_[: 15 * self.n_frames, self.ext_col : self.feat_col]
+        H_red, b_red = schur_complement(H[np.ix_(cols, cols)], b[cols], 15)
         Hp, rp = information_sqrt(H_red, b_red)
-        return MarginalizationPrior(self.frame_ids[1:], self.states[1 : self.n_frames],
-                                    self.extrinsic.copy(), rp, Hp)
+        prior = MarginalizationPrior(self.frame_ids[1:], self.states[1 : self.n_frames],
+                                     self.extrinsic.copy(), rp, Hp)
+        return prior, [f for f, c in zip(self.feats, consumed) if c]

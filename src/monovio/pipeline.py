@@ -684,12 +684,12 @@ class VioPipeline:
             # output, keeping the Eq-style loop terms in the window's own
             # frame; the graph correction is handled separately
             obs_set = LoopObservationSet(*self._raw_vio_pose[vid], pairs)
-            # loop camera pose in the window frame from the absolute-pose
-            # stage; convert to a body pose for the 4-DOF edge
+            # loop camera pose in the window frame from the absolute-pose stage;
+            # the 4-DOF edge's body pose takes the extrinsic _window_points used
             q_wc = rot_to_quat(R_cw.T)
             p_wc = -R_cw.T @ t_cw
-            q_wb = quat_canonical(quat_mul(q_wc, quat_inverse(self.extrinsic.q_b_c)))
-            p_wb = p_wc - quat_rotate(q_wb, self.extrinsic.p_b_c)
+            q_wb = quat_canonical(quat_mul(q_wc, quat_inverse(self.est.extrinsic.q_b_c)))
+            p_wb = p_wc - quat_rotate(q_wb, self.est.extrinsic.p_b_c)
             verified.append((vid, obs_set, len(pairs), (q_wb, p_wb)))
         return verified
 

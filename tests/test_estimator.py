@@ -739,6 +739,59 @@ class TestMarginalization:
         np.testing.assert_allclose(prior.H.T @ prior.H, H_ref, rtol=0, atol=tol)
         np.testing.assert_allclose(prior.H.T @ prior.r, b_ref, rtol=0, atol=tol)
 
+    def test_marginalizing_needs_a_solve_since_the_last_slide(self):
+        # the prior comes from the last solve's problem: a slide that
+        # marginalizes with no solve since seed() or the last slide raises
+        # and leaves the window as it is, and seed() drops a pending prior
+        cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10)
+        data = build_scenario(cfg)
+        est, _ = seeded_estimator(cfg, data)  # a full window of keyframes
+        obs_index = TrackObservationIndex(data.tracks)
+        all_cam = camera_times(cfg)
+
+        def add_keyframe(k):
+            seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
+            est.add_frame(all_cam[k], integrate_segment(seg, est.latest().bias, MODEL_NOISE),
+                          obs_index(all_cam[k]), is_keyframe=True)
+
+        frames, ids = est.frames, list(est.frame_ids)
+        with pytest.raises(EstimatorError):
+            add_keyframe(11)
+        assert est.frames is frames and est.frame_ids == ids and est.prior is None
+        est.build_and_solve()
+        add_keyframe(11)
+        assert est.prior is not None and est.frame_ids == ids[1:] + [ids[-1] + 1]
+        with pytest.raises(EstimatorError):
+            add_keyframe(12)
+        est.build_and_solve()
+        est.seed(est.frames, est.deltas)
+        with pytest.raises(EstimatorError):
+            add_keyframe(12)
+
+    def test_loop_rows_do_not_reach_the_prior(self):
+        # a held loop frame observes features anchored in the oldest frame,
+        # yet the prior equals the loop-free problem's at the same states:
+        # its rows are not consumed and its columns are dropped
+        from monovio.estimator import _WindowProblem
+
+        est, feats, loop = loop_window()
+        with_loop, loop_free = _WindowProblem(est, feats, [loop]), _WindowProblem(est, feats, [])
+        held, consumed = with_loop.marginalize_frame(with_loop.evaluate()[1])
+        ref, ref_consumed = loop_free.marginalize_frame(loop_free.evaluate()[1])
+        fids = [f.fid for f in consumed]
+        assert fids == [f.fid for f in ref_consumed]
+        loop_rows = with_loop.v_obs >= with_loop.n_frames
+        loop_fids = [feats[fi].fid for fi in with_loop.v_feat[loop_rows]]
+        assert set(fids) & set(loop_fids)
+        assert held.frame_ids == ref.frame_ids == est.frame_ids[1:]
+        for name in ("t", "p", "q", "v", "ba", "bw"):
+            np.testing.assert_array_equal(getattr(held.lin_states, name),
+                                          getattr(ref.lin_states, name))
+        info, ref_info = held.H.T @ held.H, ref.H.T @ ref.H
+        np.testing.assert_allclose(info, ref_info, rtol=0, atol=1e-12 * np.abs(ref_info).max())
+        grad, ref_grad = held.H.T @ held.r, ref.H.T @ ref.r
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
+
     def test_nonkeyframe_drop_merges_deltas(self):
         cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=11)
         data = build_scenario(cfg)

@@ -227,9 +227,9 @@ class TestPipeline:
         linearize, solve = _WindowProblem.linearize, _WindowProblem.solve
         built, per_solve = [], []
 
-        def counted_linearize(problem, terms):
+        def counted_linearize(problem, terms, *args):
             built.append(problem)
-            return linearize(problem, terms)
+            return linearize(problem, terms, *args)
 
         def counted_solve(problem, config, mask):
             start = len(built)
@@ -256,6 +256,28 @@ class TestPipeline:
         lines = rep.lines(include_timings=False)
         assert f"iterations = {rep.n_iterations}" in lines
         assert f"capped_solves = {rep.n_capped_solves}" in lines
+
+    def test_each_frame_builds_one_window_problem(self, monkeypatch):
+        # a keyframe's solve also yields the prior that the next slide
+        # installs, so marginalizing builds no problem of its own
+        init, build_and_solve = _WindowProblem.__init__, SlidingWindowEstimator.build_and_solve
+        built, solves = [], []
+
+        def counted_init(problem, *args, **kwargs):
+            built.append(problem)
+            init(problem, *args, **kwargs)
+
+        def counted_build_and_solve(est, *args, **kwargs):
+            solves.append(est)
+            return build_and_solve(est, *args, **kwargs)
+
+        monkeypatch.setattr(_WindowProblem, "__init__", counted_init)
+        monkeypatch.setattr(SlidingWindowEstimator, "build_and_solve", counted_build_and_solve)
+        rep = pipeline_from_scenario(build_scenario(noisy_config(duration=8.0)),
+                                     PipelineConfig(enable_loops=False)).run()
+        assert rep.n_keyframes >= 5  # marginalized keyframes
+        assert len(solves) > rep.n_keyframes
+        assert len(built) == len(solves)
 
     def test_dropping_a_non_keyframe_keeps_the_prior(self, monkeypatch):
         # the dropped frame is the newest, which a prior never holds, so a
@@ -315,14 +337,28 @@ class TestRelocalization:
         # frame of the loop's PnP body pose, both taken right after the
         # query's solve; the query's corrected pose is then the loop vertex's
         # published pose composed with that relative, and further loops within
-        # CORRECTION_INTERVAL leave the correction alone
+        # CORRECTION_INTERVAL leave the correction alone. The PnP body pose is
+        # the PnP camera pose through the window's extrinsic, which placed the
+        # PnP points, not through the initial calibration
+        from monovio.posegraph import verify_loop_candidate
+
         gather, resolve = VioPipeline._gather_loops, VioPipeline._resolve_loops
-        pnp_poses, calls = {}, []
+        pnp_poses, calls, accepted, body_poses = {}, [], [], []
+
+        def verified_candidate(*args, **kwargs):
+            result = verify_loop_candidate(*args, **kwargs)
+            if result is not None:
+                accepted.append(result[1])
+            return result
 
         def gathered(pipe, t):
+            n_accepted = len(accepted)
             verified = gather(pipe, t)
             pnp_poses[t] = [(vid, q_wb.copy(), p_wb.copy())
                             for vid, _, _, (q_wb, p_wb) in verified]
+            body_poses.extend((q_wb, p_wb, R_cw, t_cw, pipe.est.extrinsic.copy(), pipe.extrinsic)
+                              for (_, _, _, (q_wb, p_wb)), (R_cw, t_cw)
+                              in zip(verified, accepted[n_accepted:]))
             return verified
 
         def resolved(pipe, t, new_loops):
@@ -337,11 +373,18 @@ class TestRelocalization:
                               pipe._active_loops[n_pending:],
                               [pipe.driver.vertex_pose(vid) for vid, _, _ in pnp_poses[t]]))
 
+        monkeypatch.setattr("monovio.pipeline.verify_loop_candidate", verified_candidate)
         monkeypatch.setattr(VioPipeline, "_gather_loops", gathered)
         monkeypatch.setattr(VioPipeline, "_resolve_loops", resolved)
         rep = pipeline_from_scenario(build_scenario(noisy_config(duration=25.0)),
                                      PipelineConfig(enable_loops=True)).run()
-        assert rep.loop_verified == sum(len(pnp_poses[t]) for t, *_ in calls)
+        assert rep.loop_verified == sum(len(pnp_poses[t]) for t, *_ in calls) == len(body_poses)
+        for q_wb, p_wb, R_cw, t_cw, ext, initial in body_poses:
+            assert np.linalg.norm(ext.p_b_c - initial.p_b_c) > 1e-3  # the two differ
+            np.testing.assert_allclose(geo.quat_to_rot(geo.quat_mul(q_wb, ext.q_b_c)), R_cw.T,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p_wb + geo.quat_rotate(q_wb, ext.p_b_c), -R_cw.T @ t_cw,
+                                       rtol=0, atol=1e-12)
         updated, unchanged = [], []
         for t, p_q, q_q, query_fid, before, (p_c, q_c), pending, vertex_poses in calls:
             _, _, yaw_q = geo.yaw_roll_pitch_decompose(q_q)

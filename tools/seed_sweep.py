@@ -8,10 +8,11 @@ the workloads from ``perfbench/``. For each workload and each scenario seed
 of SCENARIO_SEEDS (the benchmark pins seed 3; the others are held out), one
 VIO pass runs on a fresh set-up. One line per pass gives ``ate_m``,
 ``drift_pct`` and ``rate_ate_m`` as the benchmark computes them, the failure
-events (time and reason), the camera frames without a published pose, and
-the solves with their Gauss-Newton iterations and how many stopped at
-``max_iterations``. The pose-graph session is not run. The output is
-deterministic, so comparing two checkouts is one ``diff``.
+events (time and reason), the camera frames without a published pose, the
+solves with their Gauss-Newton iterations and how many stopped at
+``max_iterations``, and the marginalized keyframes, verified loops and loop
+edges of ``workloads.run_counts``. The pose-graph session is not run. The
+output is deterministic, so comparing two checkouts is one ``diff``.
 """
 
 import os
@@ -42,12 +43,14 @@ def main() -> int:
                 print(f"{line} error={vio.error}")
                 continue
             rep = vio.report
+            counts = workloads.run_counts(rep)
             for name, value in sorted(vio.accuracy.items()):
                 line += f" {name}={value:.6g}"
             failures = ",".join(f"{t:.1f}:{reason}" for t, reason in rep.failure_events)
             print(f"{line} failures=[{failures}] lost={vio.lost}/{vio.frames}"
                   f" solves={rep.n_solves} iterations={rep.n_iterations}"
-                  f" capped={rep.n_capped_solves}")
+                  f" capped={rep.n_capped_solves} keyframes={counts['keyframes']}"
+                  f" loop_verified={counts['loop_verified']} loop_edges={counts['loop_edges']}")
     return 0
 
 
