@@ -40,6 +40,7 @@ from .initialization import ExtrinsicCalib
 from .preintegration import (
     GRAVITY,
     BiasState,
+    FrameStates,
     PreintegratedDelta,
     StackedDeltas,
     imu_jacobians_batch,
@@ -84,65 +85,6 @@ class TriangulationError(ValueError):
 
 
 @dataclass
-class ImuFrameState:
-    """IMU state at one image time: world pose, velocity, and biases."""
-
-    t: float
-    p: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    bias: BiasState = field(default_factory=BiasState)
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.q = quat_canonical(np.asarray(self.q, dtype=float))
-        self.v = np.asarray(self.v, dtype=float)
-
-
-@dataclass
-class FrameStates:
-    """IMU states of consecutive frames as stacked rows: times t (N,), world
-    positions p (N, 3), attitudes q (N, 4), velocities v (N, 3), and
-    accelerometer and gyroscope biases ba, bw (N, 3).
-
-    Row slicing copies, and the window and its solve replace these arrays
-    instead of writing into them, so no states handed out alias the
-    window's.
-    """
-
-    t: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    ba: np.ndarray
-    bw: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float).reshape(-1)
-        for name, width in (("p", 3), ("q", 4), ("v", 3), ("ba", 3), ("bw", 3)):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1, width))
-
-    def _arrays(self):
-        return self.t, self.p, self.q, self.v, self.ba, self.bw
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, rows: slice) -> "FrameStates":
-        """A copy of the rows that a slice selects."""
-        return FrameStates(*(a[rows].copy() for a in self._arrays()))
-
-    def append(self, other: "FrameStates") -> "FrameStates":
-        """These rows followed by other's, in new arrays."""
-        return FrameStates(*map(np.concatenate, zip(self._arrays(), other._arrays())))
-
-    def state(self, k: int) -> ImuFrameState:
-        """Row k as an ImuFrameState, copied."""
-        return ImuFrameState(float(self.t[k]), self.p[k].copy(), self.q[k], self.v[k].copy(),
-                             BiasState(self.ba[k].copy(), self.bw[k].copy()))
-
-
-@dataclass
 class FeatureTrack:
     """Unit-sphere observations of one feature across frames."""
 
@@ -175,7 +117,8 @@ class Feature:
 
 @dataclass
 class LoopObservationSet:
-    """Feature observations made by a loop-closure frame whose pose is constant."""
+    """Feature observations made by a loop-closure frame whose pose is
+    constant; its rays are normalized once, here, for every solve it joins."""
 
     q_w_v: np.ndarray
     p_w_v: np.ndarray
@@ -186,6 +129,7 @@ class LoopObservationSet:
         self.p_w_v = np.asarray(self.p_w_v, dtype=float)
         if not self.pairs:
             raise ValueError("loop observation set needs at least one correspondence")
+        self.pairs = [(fid, np.divide(ray, np.linalg.norm(ray))) for fid, ray in self.pairs]
 
 
 @dataclass
@@ -304,54 +248,60 @@ def triangulate_feature(rays, cam_q, cam_p) -> float:
     return 1.0 / depth
 
 
-def _compose_imu_state(state: ImuFrameState, dt, alpha, beta, gamma, gravity):
-    """World (p, q, v) reached from state after pre-integrated terms spanning
-    dt. Broadcasts over a leading axis of dt, alpha, beta and gamma."""
+def _compose_imu_state(state: FrameStates, dt, alpha, beta, gamma, gravity):
+    """World (p, q, v) reached from the last row of state after pre-integrated
+    terms spanning dt. Broadcasts over a leading axis of dt, alpha, beta and
+    gamma."""
     g = np.asarray(gravity, dtype=float)
     dt = np.asarray(dt, dtype=float)[..., None]
-    R_t = quat_to_rot(state.q).T
-    p = state.p + state.v * dt - 0.5 * g * dt * dt + alpha @ R_t
-    v = state.v - g * dt + beta @ R_t
-    return p, quat_mul(state.q, gamma), v
+    p0, q0, v0 = state.p[-1], state.q[-1], state.v[-1]
+    R_t = quat_to_rot(q0).T
+    p = p0 + v0 * dt - 0.5 * g * dt * dt + alpha @ R_t
+    v = v0 - g * dt + beta @ R_t
+    return p, quat_mul(q0, gamma), v
 
 
-def imu_forward_propagate(state: ImuFrameState, samples, gravity):
-    """Dead-reckon IMU-rate states from the latest estimate: the state composed
-    with the midpoint path of samples (which start at state.t) at the state's
-    biases. Returns a list of (t, p, q, v), one per sample after the first.
+def imu_forward_propagate(state: FrameStates, samples, gravity):
+    """Dead-reckon IMU-rate states from the latest estimate, the last row of
+    state: that state composed with the midpoint path of samples (which
+    start at its time) at its biases. Returns the arrays (t, p, q, v), one
+    row per sample after the first.
     """
-    path = midpoint_path(samples, state.bias)
+    path = midpoint_path(samples, state.bias(-1))
     p, q, v = _compose_imu_state(
         state, path.t[1:] - path.t[0], path.alpha[1:], path.beta[1:], path.gamma[1:], gravity
     )
-    return list(zip(path.t[1:].tolist(), p, q, v))
+    return path.t[1:], p, q, v
 
 
 def detect_failure(
-    prev: ImuFrameState,
-    cur: ImuFrameState,
+    prev: FrameStates,
+    cur: FrameStates,
     tracked_count: int,
     prev_extrinsic: ExtrinsicCalib | None = None,
     cur_extrinsic: ExtrinsicCalib | None = None,
 ):
-    """Sanity checks on consecutive estimator outputs; returns (failed, reason)."""
+    """Sanity checks on consecutive estimator outputs, the last rows of prev
+    and cur; returns (failed, reason). The position and rotation jumps are
+    checked last, so that a caller that excuses a jump (a relocalization
+    moves the window) still sees a bias or extrinsic failure."""
     if tracked_count < FAILURE_MIN_TRACKED:
         return True, "tracking"
-    if not (np.all(np.isfinite(cur.p)) and np.all(np.isfinite(cur.v))):
+    if not (np.all(np.isfinite(cur.p[-1])) and np.all(np.isfinite(cur.v[-1]))):
         return True, "numerical"
-    if np.linalg.norm(cur.p - prev.p) > FAILURE_POSITION_JUMP:
-        return True, "discontinuity"
-    if quat_angle_between(prev.q, cur.q) > FAILURE_ROTATION_JUMP:
-        return True, "discontinuity"
-    if np.linalg.norm(cur.bias.accel - prev.bias.accel) > FAILURE_BIAS_ACCEL_JUMP:
+    if np.linalg.norm(cur.ba[-1] - prev.ba[-1]) > FAILURE_BIAS_ACCEL_JUMP:
         return True, "bias"
-    if np.linalg.norm(cur.bias.gyro - prev.bias.gyro) > FAILURE_BIAS_GYRO_JUMP:
+    if np.linalg.norm(cur.bw[-1] - prev.bw[-1]) > FAILURE_BIAS_GYRO_JUMP:
         return True, "bias"
     if prev_extrinsic is not None and cur_extrinsic is not None:
         if np.linalg.norm(cur_extrinsic.p_b_c - prev_extrinsic.p_b_c) > FAILURE_EXTRINSIC_POS_JUMP:
             return True, "extrinsic"
         if quat_angle_between(prev_extrinsic.q_b_c, cur_extrinsic.q_b_c) > FAILURE_EXTRINSIC_ROT_JUMP:
             return True, "extrinsic"
+    if np.linalg.norm(cur.p[-1] - prev.p[-1]) > FAILURE_POSITION_JUMP:
+        return True, "discontinuity"
+    if quat_angle_between(prev.q[-1], cur.q[-1]) > FAILURE_ROTATION_JUMP:
+        return True, "discontinuity"
     return False, None
 
 
@@ -434,9 +384,9 @@ class SlidingWindowEstimator:
     """Single-writer window state machine: feed frames, solve, slide.
 
     The window's frame states are one FrameStates. The states it hands out
-    (latest, pop_marginalized_keyframes, the prior's linearization point)
-    are value copies, safe to hand to the forward-propagation or pose-graph
-    consumers.
+    (latest and pop_marginalized_keyframes, one row each, and the prior's
+    linearization point) are value copies, safe to hand to the
+    forward-propagation or pose-graph consumers.
     """
 
     def __init__(self, config: EstimatorConfig, extrinsic: ExtrinsicCalib):
@@ -450,14 +400,15 @@ class SlidingWindowEstimator:
         self.prior: MarginalizationPrior | None = None
         self._pending_prior: tuple[MarginalizationPrior, list[Feature]] | None = None
         self._next_frame_id = 0
-        self.marginalized_keyframes: list[tuple[int, ImuFrameState]] = []
+        self.marginalized_keyframes: list[tuple[int, FrameStates]] = []
 
     @property
     def capacity(self) -> int:
         return self.config.window_size + 1
 
-    def latest(self) -> ImuFrameState:
-        return self.frames.state(-1)
+    def latest(self) -> FrameStates:
+        """The newest frame's state, one row."""
+        return self.frames[-1:]
 
     def seed(self, states: FrameStates, deltas: list[PreintegratedDelta]) -> None:
         """Initialize the window from alignment output (all frames keyframes)."""
@@ -496,11 +447,11 @@ class SlidingWindowEstimator:
             raise EstimatorError("seed the window before adding frames")
         if len(self.frames) == self.capacity:
             delta = self._slide(delta)
-        last = self.latest()
-        alpha, beta, gamma = delta.correct_for_bias(last.bias)
-        p, q, v = _compose_imu_state(last, delta.dt_total, alpha, beta, gamma, GRAVITY)
+        bias = self.frames.bias(-1)
+        alpha, beta, gamma = delta.correct_for_bias(bias)
+        p, q, v = _compose_imu_state(self.frames, delta.dt_total, alpha, beta, gamma, GRAVITY)
         self.frames = self.frames.append(
-            FrameStates(t, p, quat_canonical(q), v, last.bias.accel, last.bias.gyro))
+            FrameStates(t, p, quat_canonical(q), v, bias.accel, bias.gyro))
         fid = self._next_frame_id
         self._next_frame_id += 1
         self.frame_ids.append(fid)
@@ -633,7 +584,7 @@ class SlidingWindowEstimator:
     def _refresh_deltas(self) -> None:
         """Re-propagate deltas whose linearization bias drifted too far."""
         for k, delta in enumerate(self.deltas):
-            bias = BiasState(self.frames.ba[k], self.frames.bw[k])
+            bias = self.frames.bias(k)
             if delta.needs_repropagation(bias):
                 self.deltas[k] = delta.repropagate(bias)
 
@@ -653,7 +604,7 @@ class SlidingWindowEstimator:
         # the departing frame's camera pose, then the retained frames'
         cam_poses = self.camera_poses()
         old_id = self.frame_ids.pop(0)
-        self.marginalized_keyframes.append((old_id, self.frames.state(0)))
+        self.marginalized_keyframes.append((old_id, self.frames[:1]))
         self.frames = self.frames[1:]
         self.keyframe_flags.pop(0)
         self.deltas.pop(0)
@@ -665,7 +616,7 @@ class SlidingWindowEstimator:
                 feat.obs = {feat.anchor_id(): feat.obs[feat.anchor_id()]}
         self._remove_frame_observations(old_id, cam_poses)
 
-    def pop_marginalized_keyframes(self) -> list[tuple[int, ImuFrameState]]:
+    def pop_marginalized_keyframes(self) -> list[tuple[int, FrameStates]]:
         out, self.marginalized_keyframes = self.marginalized_keyframes, []
         return out
 
@@ -782,7 +733,7 @@ class _WindowProblem:
         # each observed by its loop set's frame
         rows = [(fi, id_to_idx[k], feat.obs[k]) for fi, feat in enumerate(feats)
                 for k in sorted(feat.obs)[1:]]
-        rows += [(feat_pos[fid], self.n_frames + i, np.divide(ray, np.linalg.norm(ray)))
+        rows += [(feat_pos[fid], self.n_frames + i, ray)
                  for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
         anchor_ids = [f.anchor_id() for f in feats]
         self.v_feat = np.array([row[0] for row in rows], dtype=int)

@@ -23,7 +23,7 @@ from .geometry import (
     tangent_basis,
     yaw_roll_pitch_decompose,
 )
-from .preintegration import GRAVITY_MAGNITUDE, BiasState, PreintegratedDelta
+from .preintegration import GRAVITY_MAGNITUDE, BiasState, FrameStates, PreintegratedDelta
 
 MIN_ROTATION_EXCITATION = np.deg2rad(5.0)  # total rotation across the window
 MIN_ACCEL_VARIANCE = 0.05  # (m/s^2)^2 across the window
@@ -90,16 +90,6 @@ class InitializationResult:
     gravity_c0: np.ndarray
     scale: float
     q_w_c0: np.ndarray
-
-
-@dataclass
-class WorldFrameInit:
-    """Metric, gravity-aligned seed states for the sliding-window estimator."""
-
-    t: np.ndarray
-    p_w_b: np.ndarray  # (N, 3)
-    q_w_b: np.ndarray  # (N, 4)
-    v_w_b: np.ndarray  # (N, 3)
 
 
 def camera_to_body_poses(frames: list[UpToScaleFrame], extrinsic: ExtrinsicCalib) -> BodyFrames:
@@ -272,11 +262,12 @@ def complete_initialization(
     velocities: np.ndarray,
     gravity_c0: np.ndarray,
     scale: float,
-) -> tuple[InitializationResult, WorldFrameInit]:
+) -> tuple[InitializationResult, FrameStates]:
     """Rotate the aligned solution into the gravity-aligned world frame.
 
-    Output poses are metric, with the first body frame at the origin and the
-    gravity vector mapped onto (0, 0, g).
+    The states are the sliding-window estimator's seed: metric poses with
+    the first body frame at the origin and the gravity vector mapped onto
+    (0, 0, g), zero accelerometer bias and gyro_bias in every row.
     """
     q_w_c0 = gravity_aligning_rotation(gravity_c0)
     result = InitializationResult(
@@ -286,18 +277,12 @@ def complete_initialization(
         scale=float(scale),
         q_w_c0=q_w_c0,
     )
-    n = len(body)
-    p_c0 = body.position(scale)
-    p_w = np.array([quat_rotate(q_w_c0, p_c0[k]) for k in range(n)])
+    p_w = quat_rotate(q_w_c0, body.position(scale))
     p_w -= p_w[0]
-    q_w = np.array([quat_canonical(quat_mul(q_w_c0, body.q_c0_bk[k])) for k in range(n)])
-    v_w = np.array(
-        [
-            quat_rotate(q_w_c0, quat_rotate(body.q_c0_bk[k], velocities[k]))
-            for k in range(n)
-        ]
-    )
-    return result, WorldFrameInit(body.t.copy(), p_w, q_w, v_w)
+    q_w = np.array([quat_canonical(quat_mul(q_w_c0, q)) for q in body.q_c0_bk])
+    v_w = quat_rotate(q_w_c0, quat_rotate(body.q_c0_bk, result.velocities))
+    bw = np.tile(result.gyro_bias, (len(body), 1))
+    return result, FrameStates(body.t.copy(), p_w, q_w, v_w, np.zeros_like(p_w), bw)
 
 
 def excitation_gates(deltas: list[PreintegratedDelta], imu_window) -> bool:
@@ -323,14 +308,15 @@ def run_alignment(
     frames: list[UpToScaleFrame],
     deltas: list[PreintegratedDelta],
     extrinsic: ExtrinsicCalib,
-) -> tuple[InitializationResult, WorldFrameInit, list[PreintegratedDelta]]:
+) -> tuple[InitializationResult, FrameStates, list[PreintegratedDelta]]:
     """Full alignment pipeline: gyro bias, linear solve, gravity refinement,
-    world-frame completion. Returns the re-propagated deltas as well."""
+    world-frame completion. Returns the estimator's seed states and the
+    deltas re-propagated at their biases as well."""
     body = camera_to_body_poses(frames, extrinsic)
     gyro_bias = calibrate_gyro_bias(body.q_c0_bk, deltas)
     new_bias = BiasState(np.zeros(3), gyro_bias)
     deltas = [d.repropagate(new_bias) for d in deltas]
     _, gravity_c0, _ = solve_velocity_gravity_scale(body, deltas, extrinsic)
     gravity_c0, velocities, scale = refine_gravity(gravity_c0, body, deltas, extrinsic)
-    result, world = complete_initialization(body, gyro_bias, velocities, gravity_c0, scale)
-    return result, world, deltas
+    result, states = complete_initialization(body, gyro_bias, velocities, gravity_c0, scale)
+    return result, states, deltas

@@ -19,26 +19,23 @@ import numpy as np
 from .estimator import (
     EstimatorConfig,
     EstimatorError,
-    FrameStates,
-    ImuFrameState,
     LoopObservationSet,
     SlidingWindowEstimator,
     detect_failure,
     imu_forward_propagate,
     keyframe_decision,
-    quat_rotate,
 )
 from .geometry import (
     quat_canonical,
     quat_inverse,
     quat_mul,
+    quat_rotate,
     rot_to_quat,
     rot_zyx,
     wrap_angle,
     yaw_roll_pitch_decompose,
 )
 from .initialization import (
-    BiasState,
     ExtrinsicCalib,
     InitializationError,
     UpToScaleFrame,
@@ -56,12 +53,14 @@ from .posegraph import (
 )
 from .preintegration import (
     GRAVITY,
+    BiasState,
+    FrameStates,
     NoiseParams,
     PreintegrationError,
     integrate_segment,
     segment_samples,
 )
-from .simulator import LoopCandidate, ScenarioData
+from .simulator import LoopCandidate, ScenarioData, camera_times, synthesize_loops
 
 MIN_INIT_TRACKED = 20
 # extrinsic refinement is weakly observable until the window has cycled;
@@ -379,13 +378,14 @@ class VioPipeline:
 
         self._segment = -1
         self._init_buffer: list[tuple[float, UpToScaleFrame, dict]] = []
-        self._last_output: ImuFrameState | None = None
+        self._last_output: FrameStates | None = None
         self._last_extrinsic = extrinsic.copy()
         self._kf_reference: dict[int, np.ndarray] = {}  # the last keyframe's observations
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops: list[_PendingLoop] = []
-        self._window_out: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
-        self._rate_out: list[tuple[float, np.ndarray, np.ndarray]] = []
+        # published poses (t, p, q) in the graph frame, as arrays per frame
+        self._window_out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._rate_out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._timers: dict[str, float] = {}
         self._frames_since_init = 0
         # 4-DOF correction mapping the drifting odometry frame into the graph
@@ -455,7 +455,7 @@ class VioPipeline:
             if not excitation_gates(deltas, window_samples):
                 self._toc("init", t0)
                 return False
-            result, world, deltas = run_alignment(frames, deltas, self.extrinsic)
+            _, states, deltas = run_alignment(frames, deltas, self.extrinsic)
         except PreintegrationError:
             # the window's IMU stream has a gap: start collecting after it
             self._init_buffer.clear()
@@ -465,9 +465,6 @@ class VioPipeline:
             self._toc("init", t0)
             return False
 
-        n = len(world.t)
-        states = FrameStates(world.t, world.p_w_b, world.q_w_b, world.v_w_b,
-                             np.zeros((n, 3)), np.tile(result.gyro_bias, (n, 1)))
         self._frames_since_init = 0
         # a new pose-graph segment starts with no odometry->graph correction
         self._set_correction(0.0, np.zeros(3))
@@ -485,12 +482,10 @@ class VioPipeline:
         self.report.segments = self._segment + 1
         kind = "init" if self._segment == 0 else "reinit"
         self.report.init_events.append((float(t), kind))
-        self._last_output = self.est.latest()
-        self._last_extrinsic = self.est.extrinsic.copy()
         self._kf_reference = dict(self._init_buffer[-1][2])
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops = []
-        self._record_window_output()
+        self._publish_output()
         self._toc("init", t0)
         return True
 
@@ -501,7 +496,7 @@ class VioPipeline:
         self._frames_since_init += 1
         warmed_up = self._frames_since_init > EXTRINSIC_WARMUP_FRAMES
         t0 = self._tic()
-        bias = self.est.latest().bias
+        bias = self.est.frames.bias(-1)
         try:
             seg = segment_samples(self.imu, t_prev, t)
             delta = integrate_segment(seg, bias, cfg.model_noise)
@@ -561,14 +556,9 @@ class VioPipeline:
             return self._fail(t, reason)
 
         t0 = self._tic()
-        out = self.est.latest()
-        rate_states = imu_forward_propagate(self._last_output, seg, GRAVITY)
-        for ts, p, q, _ in rate_states:
-            pc_, qc_ = self._corrected_pose(p, q)
-            self._rate_out.append((ts, pc_, qc_))
-        self._last_output = out
-        self._last_extrinsic = self.est.extrinsic.copy()
-        self._record_window_output()
+        ts, p, q, _ = imu_forward_propagate(self._last_output, seg, GRAVITY)
+        self._rate_out.append((ts, *self._corrected_pose(p, q)))
+        self._publish_output()
         self._toc("propagation", t0)
         return True
 
@@ -583,14 +573,13 @@ class VioPipeline:
 
     def _set_correction(self, yaw: float, t: np.ndarray) -> None:
         """Set the correction p_graph = Rz(yaw) p_vio + t. Rz and its
-        quaternion are kept: every IMU-rate output sample is corrected."""
+        quaternion are kept: every output pose is corrected."""
         Rz = rot_zyx(0.0, 0.0, yaw)
         self._corr_R, self._corr_q, self._corr_t = Rz, rot_to_quat(Rz), t
 
     def _corrected_pose(self, p, q):
-        return self._corr_R @ np.asarray(p, dtype=float) + self._corr_t, quat_canonical(
-            quat_mul(self._corr_q, np.asarray(q, dtype=float))
-        )
+        """Odometry positions (N, 3) and attitudes (N, 4) in the graph frame."""
+        return p @ self._corr_R.T + self._corr_t, quat_canonical(quat_mul(self._corr_q, q))
 
     def _decide_keyframe(self, obs) -> bool:
         ref_obs = self._kf_reference
@@ -602,10 +591,12 @@ class VioPipeline:
             shared, q_rel_cam, cfg.parallax_px, cfg.min_tracked, cfg.focal
         )
 
-    def _record_window_output(self):
-        s = self.est.latest()
-        p, q = self._corrected_pose(s.p, s.q)
-        self._window_out.append((s.t, p, q, s.v.copy()))
+    def _publish_output(self):
+        """Keep the window's newest state and extrinsic as the last output,
+        which the next frame checks and propagates, and publish its pose."""
+        self._last_output = s = self.est.latest()
+        self._last_extrinsic = self.est.extrinsic.copy()
+        self._window_out.append((s.t, *self._corrected_pose(s.p, s.q)))
 
     # -- pose graph and relocalization ------------------------------------------------
 
@@ -615,23 +606,24 @@ class VioPipeline:
             self.report.n_keyframes += 1
             if self._frames_since_init <= GRAPH_ADMISSION_DELAY:
                 continue  # settling-phase pose, keep it out of the graph
+            t, p, q = float(state.t[0]), state.p[0], state.q[0]
             p_g, q_g = self._corrected_pose(state.p, state.q)
             try:
                 # sequential-edge values come from the raw odometry relatives
                 # (vio_* fields); the optimization state starts at the
                 # drift-corrected pose so it lands consistent with the graph
-                vertex = vertex_from_state(fid, state.t, state.p, state.q, self._segment)
-                _, _, yaw_g = yaw_roll_pitch_decompose(q_g)
+                vertex = vertex_from_state(fid, t, p, q, self._segment)
+                _, _, yaw_g = yaw_roll_pitch_decompose(q_g[0])
             except ValueError:
                 continue
-            vertex.p = np.asarray(p_g, dtype=float)
+            vertex.p = p_g[0]
             vertex.yaw = float(wrap_angle(yaw_g))
             self.driver.submit_vertex(vertex)
-            self._raw_vio_pose[fid] = (state.q.copy(), state.p.copy())
-            for pl in (p for p in self._active_loops if p.query_frame_id == fid):
-                if state.t - self._last_edge_time < self.config.loop_edge_cooldown:
+            self._raw_vio_pose[fid] = (q, p)
+            for pl in (a for a in self._active_loops if a.query_frame_id == fid):
+                if t - self._last_edge_time < self.config.loop_edge_cooldown:
                     continue
-                self._last_edge_time = state.t
+                self._last_edge_time = t
                 edge = LoopEdge(
                     pl.loop_vertex_id, fid, pl.edge_rel[0], pl.edge_rel[1],
                     inliers=pl.inliers,
@@ -703,8 +695,9 @@ class VioPipeline:
         the query's graph pose is the loop vertex's published pose composed
         with that relative."""
         query = self.est.latest()
+        p_q, q_q = query.p[0], query.q[0]
         try:
-            _, _, yaw_q = yaw_roll_pitch_decompose(query.q)
+            _, _, yaw_q = yaw_roll_pitch_decompose(q_q)
         except ValueError:
             return
         for vid, observations, inliers, (q_wb, p_wb) in new_loops:
@@ -712,7 +705,7 @@ class VioPipeline:
                 roll_v, pitch_v, yaw_v = yaw_roll_pitch_decompose(q_wb)
             except ValueError:
                 continue
-            rel_p, rel_yaw = relative_4dof(p_wb, roll_v, pitch_v, yaw_v, query.p, yaw_q)
+            rel_p, rel_yaw = relative_4dof(p_wb, roll_v, pitch_v, yaw_v, p_q, yaw_q)
             self._active_loops.append(_PendingLoop(
                 self.est.frame_ids[-1], vid, observations, inliers, (rel_p, rel_yaw)))
             if t - self._corr_update_time <= CORRECTION_INTERVAL:
@@ -724,7 +717,7 @@ class VioPipeline:
                 continue
             p_q_graph = p_vg + rot_zyx(roll_vg, pitch_vg, yaw_vg) @ rel_p
             corr_yaw = wrap_angle(wrap_angle(yaw_vg + rel_yaw) - yaw_q)
-            self._set_correction(corr_yaw, p_q_graph - rot_zyx(0.0, 0.0, corr_yaw) @ query.p)
+            self._set_correction(corr_yaw, p_q_graph - rot_zyx(0.0, 0.0, corr_yaw) @ p_q)
             self._corr_update_time = t
 
     def _window_points(self, feature_ids) -> dict[int, np.ndarray]:
@@ -749,21 +742,17 @@ class VioPipeline:
         if len(graph) > self.config.graph_capacity:
             graph.downsample(self.config.graph_capacity, seed=self.seed)
         self._toc("graph", t0)
-        self.report.timings = dict(self._timers)
+        r = self.report
+        r.timings = dict(self._timers)
+        # a run may end or fail before its first steady frame: no IMU-rate output
         if self._window_out:
-            self.report.window_times = np.array([w[0] for w in self._window_out])
-            self.report.window_p = np.array([w[1] for w in self._window_out])
-            self.report.window_q = np.array([w[2] for w in self._window_out])
+            r.window_times, r.window_p, r.window_q = map(np.concatenate, zip(*self._window_out))
         if self._rate_out:
-            self.report.rate_times = np.array([r[0] for r in self._rate_out])
-            self.report.rate_p = np.array([r[1] for r in self._rate_out])
-            self.report.rate_q = np.array([r[2] for r in self._rate_out])
+            r.rate_times, r.rate_p, r.rate_q = map(np.concatenate, zip(*self._rate_out))
 
 
 def pipeline_from_scenario(data: ScenarioData, config: PipelineConfig) -> VioPipeline:
     """Wire a pipeline onto simulator output."""
-    from .simulator import camera_times, synthesize_loops
-
     cfg = data.config
     cam = camera_times(cfg)
     loops = synthesize_loops(data.ground_truth, cam, cfg.seed) if config.enable_loops else None

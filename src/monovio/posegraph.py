@@ -18,8 +18,10 @@ import numpy as np
 from .estimator import huber_weight, robust_cost
 from .geometry import (
     quat_canonical,
+    quat_exp,
     quat_mul,
     quat_to_rot,
+    rot_to_quat,
     rot_zyx,
     skew,
     tangent_basis,
@@ -224,8 +226,6 @@ def _angular_errors(R, t, points, rays):
 
 def _refine_pnp(R, t, points, rays):
     """Gauss-Newton on tangent-plane reprojection over (theta, t)."""
-    from .geometry import quat_exp, rot_to_quat
-
     q = rot_to_quat(R)
     for _ in range(PNP_REFINE_ITERATIONS):
         Rk = quat_to_rot(q)

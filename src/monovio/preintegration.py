@@ -94,6 +94,49 @@ class BiasState:
 
 
 @dataclass
+class FrameStates:
+    """IMU states x_k = (p, v, q, b_a, b_g) of consecutive frames as stacked
+    rows: times t (N,), world positions p (N, 3), attitudes q (N, 4),
+    velocities v (N, 3), and accelerometer and gyroscope biases ba, bw (N, 3).
+    A single state is one row.
+
+    Row slicing copies, and the window and its solve replace these arrays
+    instead of writing into them, so no states handed out alias the
+    window's.
+    """
+
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    ba: np.ndarray
+    bw: np.ndarray
+
+    def __post_init__(self):
+        self.t = np.asarray(self.t, dtype=float).reshape(-1)
+        for name, width in (("p", 3), ("q", 4), ("v", 3), ("ba", 3), ("bw", 3)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(-1, width))
+
+    def _arrays(self):
+        return self.t, self.p, self.q, self.v, self.ba, self.bw
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows: slice) -> "FrameStates":
+        """A copy of the rows that a slice selects."""
+        return FrameStates(*(a[rows].copy() for a in self._arrays()))
+
+    def append(self, other: "FrameStates") -> "FrameStates":
+        """These rows followed by other's, in new arrays."""
+        return FrameStates(*map(np.concatenate, zip(self._arrays(), other._arrays())))
+
+    def bias(self, k: int) -> BiasState:
+        """Row k's biases, checked against the sanity bounds."""
+        return BiasState(self.ba[k], self.bw[k])
+
+
+@dataclass
 class NoiseParams:
     """Continuous-time noise densities, per axis.
 

@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import FeatureTrack
-from .geometry import quat_canonical, quat_inverse, quat_mul, quat_rotate, tangent_basis
+from .geometry import (
+    quat_canonical,
+    quat_exp,
+    quat_inverse,
+    quat_mul,
+    quat_rotate,
+    quat_to_rot,
+    skew,
+    tangent_basis,
+)
 from .initialization import ExtrinsicCalib, UpToScaleFrame
 from .preintegration import GRAVITY, BiasState, ImuSample, NoiseParams
 
@@ -378,8 +387,6 @@ def synthesize_sfm(gt: GroundTruth, seed: int) -> list[UpToScaleFrame]:
         q_rel = quat_mul(q0_inv, q_wc)
         p_rel = quat_rotate(q0_inv, p_wc - p0) / config.scale_hidden
         if config.sfm_rot_sigma > 0:
-            from .geometry import quat_exp
-
             q_rel = quat_mul(q_rel, quat_exp(rng.standard_normal(3) * config.sfm_rot_sigma))
         if config.sfm_pos_sigma > 0:
             p_rel = p_rel + rng.standard_normal(3) * config.sfm_pos_sigma
@@ -463,8 +470,6 @@ def _essential_between(q_wc_a, p_wc_a, q_wc_b, p_wc_b):
     """Essential matrix with rays_a' E rays_b = 0 for cameras a and b."""
     q_ab = quat_mul(quat_inverse(q_wc_a), q_wc_b)
     t_ab = quat_rotate(quat_inverse(q_wc_a), p_wc_b - p_wc_a)
-    from .geometry import quat_to_rot, skew
-
     return skew(t_ab) @ quat_to_rot(q_ab)
 
 

@@ -126,41 +126,43 @@ def segment_samples_searchsorted(samples, t0, t1):
     return [first, *samples[i0 + 1 : i1], last]
 
 
-def imu_residual_jacobians(delta, state_k, state_k1, gravity):
+def imu_residual_jacobians(delta, states, k, gravity):
     """IMU residual of one pre-integrated delta plus its 15x15 Jacobians
-    w.r.t. both frame states; scalar reference for imu_residuals_batch and
-    imu_jacobians_batch.
+    w.r.t. rows k and k + 1 of states (FrameStates); scalar reference for
+    imu_residuals_batch and imu_jacobians_batch.
 
     The residual is (d_alpha, d_beta, d_theta, d_ba, d_bw), the stored terms
-    first corrected to state_k's bias. state_k/state_k1 need fields p, v, q
-    (world frame) and bias. Per-frame tangent ordering is (dp, dtheta, dv,
-    dba, dbw) with the attitude perturbed on the left in the world frame:
-    q <- dq (x) q.
+    first corrected to row k's biases. Per-frame tangent ordering is (dp,
+    dtheta, dv, dba, dbw) with the attitude perturbed on the left in the
+    world frame: q <- dq (x) q.
     """
     g = np.asarray(gravity, dtype=float)
     dt = delta.dt_total
-    Rk_t = quat_to_rot(state_k.q).T
+    p_k, q_k, v_k = states.p[k], states.q[k], states.v[k]
+    p_k1, q_k1, v_k1 = states.p[k + 1], states.q[k + 1], states.v[k + 1]
+    bias_k = states.bias(k)
+    Rk_t = quat_to_rot(q_k).T
 
-    alpha_c, beta_c, gamma_c = delta.correct_for_bias(state_k.bias)
+    alpha_c, beta_c, gamma_c = delta.correct_for_bias(bias_k)
 
-    u = state_k1.p - state_k.p + 0.5 * g * dt * dt - state_k.v * dt
-    w = state_k1.v + g * dt - state_k.v
+    u = p_k1 - p_k + 0.5 * g * dt * dt - v_k * dt
+    w = v_k1 + g * dt - v_k
 
-    q_rel = quat_mul(quat_inverse(state_k.q), state_k1.q)
+    q_rel = quat_mul(quat_inverse(q_k), q_k1)
     e = quat_mul(q_rel, quat_inverse(gamma_c))
 
     r = np.zeros(15)
     r[0:3] = Rk_t @ u - alpha_c
     r[3:6] = Rk_t @ w - beta_c
     r[6:9] = 2.0 * e[1:]
-    r[9:12] = state_k1.bias.accel - state_k.bias.accel
-    r[12:15] = state_k1.bias.gyro - state_k.bias.gyro
+    r[9:12] = states.ba[k + 1] - states.ba[k]
+    r[12:15] = states.bw[k + 1] - states.bw[k]
 
     L = e[0] * _EYE3 - skew(e[1:])  # d(2 vec([1, x/2] (x) e)) / dx
 
     # theta-row bias Jacobian, exact through the normalized correction
     # quaternion s = normalize([1, 0.5 J dbw]): e = q_rel (x) conj(s) (x) gamma_hat^-1
-    _, dbw = delta.bias_delta(state_k.bias)
+    _, dbw = delta.bias_delta(bias_k)
     s_un = np.concatenate([[1.0], 0.5 * delta.j_gamma_bw @ dbw])
     n = np.linalg.norm(s_un)
     s_hat = s_un / n

@@ -1,7 +1,7 @@
 """Source hygiene: no module in src/ or tests/ imports a name it never uses,
-no function in src/ takes a parameter it never reads, no definition in
-src/ is reached only from tests/, and the configuration gains no settable
-value."""
+no function in src/ imports from the package or takes a parameter it never
+reads, no definition in src/ is reached only from tests/, and the
+configuration gains no settable value."""
 
 import ast
 import dataclasses
@@ -53,6 +53,45 @@ def unused_imports(source: str) -> list[str]:
               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def package_imports_in_functions(source: str) -> list[str]:
+    """Imports from the package (relative, or of monovio) inside a def: the
+    package's module layering shows only in each module's own imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, FUNCTION_DEFS):
+            continue
+        for n in (n for stmt in node.body for n in ast.walk(stmt)):
+            if isinstance(n, ast.ImportFrom):
+                names = [n.module or ""] if n.level == 0 else ["monovio"]
+            elif isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "monovio" for name in names):
+                out.add(f"{node.name} (line {n.lineno})")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_package_import_inside_a_function(path):
+    assert package_imports_in_functions(path.read_text()) == []
+
+
+def test_function_import_scanner_flags_package_and_keeps_others():
+    src = (
+        "from . import geometry\n"
+        "def f():\n"
+        "    from .geometry import skew\n"
+        "    import scipy.sparse as sp\n"
+        "    import monovio.pipeline\n"
+        "def g():\n"
+        "    from monovio import geometry\n"
+        "    from numpy import linalg\n"
+    )
+    assert package_imports_in_functions(src) == ["f (line 3)", "f (line 5)", "g (line 7)"]
 
 
 def unused_parameters(source: str) -> list[str]:

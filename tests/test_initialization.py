@@ -235,11 +235,11 @@ class TestCompletion:
         idx = [int(round(t * cfg.imu_rate)) for t in world.t]
         p_gt = gt.p[idx]
         # 4-DOF alignment: fit yaw + translation from the first/last horizontal displacement
-        d_est = world.p_w_b[-1] - world.p_w_b[0]
+        d_est = world.p[-1] - world.p[0]
         d_gt = p_gt[-1] - p_gt[0]
         yaw = np.arctan2(d_gt[1], d_gt[0]) - np.arctan2(d_est[1], d_est[0])
         Rz = geo.rot_zyx(0.0, 0.0, yaw)
-        aligned = (Rz @ world.p_w_b.T).T
+        aligned = (Rz @ world.p.T).T
         aligned += p_gt[0] - aligned[0]
         assert np.abs(aligned - p_gt).max() < 2e-3
 
@@ -248,8 +248,8 @@ class TestCompletion:
         _, frames, deltas, _ = make_window(cfg)
         _, world, _ = run_alignment(frames, deltas, cfg.extrinsic)
         dt = world.t[1] - world.t[0]
-        v_fd = (world.p_w_b[2:] - world.p_w_b[:-2]) / (2 * dt)
-        err = np.abs(v_fd - world.v_w_b[1:-1]).max()
+        v_fd = (world.p[2:] - world.p[:-2]) / (2 * dt)
+        err = np.abs(v_fd - world.v[1:-1]).max()
         assert err < 0.05  # bounded by a * dt^2 / 6 at the camera rate
 
 
@@ -267,8 +267,23 @@ class TestEndToEnd:
         assert ang < 1e-3
         # velocities against ground truth (norms are frame-invariant)
         idx = [int(round(t * cfg.imu_rate)) for t in world.t]
-        v_err = np.abs(np.linalg.norm(world.v_w_b, axis=1) - np.linalg.norm(gt.v[idx], axis=1))
+        v_err = np.abs(np.linalg.norm(world.v, axis=1) - np.linalg.norm(gt.v[idx], axis=1))
         assert v_err.max() < 1e-3
+
+    def test_returns_the_estimator_seed(self):
+        # one state per frame at the frame's time, zero accelerometer bias
+        # and the calibrated gyro bias in every row, with the deltas
+        # re-propagated at that bias
+        cfg = ScenarioConfig(duration=3.0, seed=12, bias0=BiasState(gyro=[0.015, -0.008, 0.02]))
+        _, frames, deltas, _ = make_window(cfg)
+        res, states, deltas2 = run_alignment(frames, deltas, cfg.extrinsic)
+        n = len(frames)
+        assert len(states) == n == len(deltas2) + 1
+        np.testing.assert_array_equal(states.t, [f.t for f in frames])
+        np.testing.assert_array_equal(states.ba, np.zeros((n, 3)))
+        np.testing.assert_array_equal(states.bw, np.tile(res.gyro_bias, (n, 1)))
+        for d in deltas2:
+            np.testing.assert_array_equal(d.lin_bias.gyro, res.gyro_bias)
 
     def test_excitation_gates(self):
         cfg = ScenarioConfig(duration=3.0, seed=13)

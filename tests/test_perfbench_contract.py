@@ -8,8 +8,14 @@ import numpy as np
 
 from monovio import geometry as geo
 from monovio import pipeline
-from monovio.estimator import ImuFrameState, _WindowProblem
-from monovio.preintegration import BiasState, ImuSample, integrate_segment, segment_samples
+from monovio.estimator import _WindowProblem
+from monovio.preintegration import (
+    BiasState,
+    FrameStates,
+    ImuSample,
+    integrate_segment,
+    segment_samples,
+)
 from monovio.simulator import ScenarioConfig, build_scenario, camera_times
 from test_estimator import MODEL_NOISE, seeded_estimator
 
@@ -29,14 +35,14 @@ def test_forward_propagation_span_and_restore(monkeypatch):
     originals = [(owner, attr, _current(owner, attr)) for owner, attr, *_ in targets]
     g = np.array([0.0, 0.0, 9.81])
     q = geo.quat_exp([0.1, -0.2, 0.3])
-    state = ImuFrameState(0.0, np.zeros(3), q, np.array([0.2, 0.0, 0.1]))
+    state = FrameStates(0.0, np.zeros(3), q, np.array([0.2, 0.0, 0.1]), np.zeros(3), np.zeros(3))
     samples = [ImuSample(0.005 * k, [0.1, 0.2, 9.8], [0.3, -0.1, 0.2]) for k in range(9)]
 
     tracer = tracing.Tracer()
     with tracer.installed(targets):
-        out = pipeline.imu_forward_propagate(state, samples, g)
+        t, p, q, v = pipeline.imu_forward_propagate(state, samples, g)
 
-    assert len(out) == len(samples) - 1
+    assert len(t) == len(p) == len(q) == len(v) == len(samples) - 1
     spans = tracer.by_name("estimator.imu_forward_propagate")
     assert len(spans) == 1
     assert spans[0].attrs == {"samples": len(samples)}

@@ -212,6 +212,20 @@ class TestPipeline:
         assert len(rep.rate_times) > 5 * len(rep.window_times)
         assert np.all(np.diff(rep.rate_times) > 0)
 
+    def test_stream_ending_at_its_initializing_frame(self):
+        # a run whose camera stream ends at the frame that initializes it
+        # publishes that frame's window pose and no IMU-rate output
+        data = build_scenario(quick_config(duration=4.0))
+        config = PipelineConfig(enable_loops=False, model_noise=MODEL)
+        t_init = pipeline_from_scenario(data, config).run().init_events[0][0]
+        pipe = pipeline_from_scenario(data, config)
+        pipe.cam_times = pipe.cam_times[pipe.cam_times <= t_init]
+        rep = pipe.run()
+        assert rep.init_events == [(t_init, "init")] and rep.failure_events == []
+        np.testing.assert_array_equal(rep.window_times, [t_init])
+        assert rep.window_p.shape == (1, 3) and rep.window_q.shape == (1, 4)
+        assert rep.rate_times is None and rep.rate_p is None and rep.rate_q is None
+
     def test_run_leaves_caller_config_unchanged(self):
         cfg = quick_config(duration=4.0)
         pc = PipelineConfig(enable_loops=False, model_noise=MODEL)
@@ -363,13 +377,13 @@ class TestRelocalization:
 
         def resolved(pipe, t, new_loops):
             query = pipe.est.latest()
-            p_q, q_q = query.p.copy(), query.q.copy()
-            before = pipe._corrected_pose(p_q, q_q)
+            p_q, q_q = query.p[0], query.q[0]
+            before = [a[0] for a in pipe._corrected_pose(query.p, query.q)]
             n_pending = len(pipe._active_loops)
             resolve(pipe, t, new_loops)
             if new_loops:
                 calls.append((t, p_q, q_q, pipe.est.frame_ids[-1], before,
-                              pipe._corrected_pose(p_q, q_q),
+                              [a[0] for a in pipe._corrected_pose(query.p, query.q)],
                               pipe._active_loops[n_pending:],
                               [pipe.driver.vertex_pose(vid) for vid, _, _ in pnp_poses[t]]))
 
@@ -581,7 +595,7 @@ class TestFailureRecovery:
 
         def flaky(est, loops=None, **kwargs):
             if loops is not None:  # steady state passes its loop terms
-                steady_calls.append(est.latest().t)
+                steady_calls.append(est.frames.t[-1])
                 if len(steady_calls) == 4:
                     raise EstimatorError("non-finite Gauss-Newton step")
                 return solve(est, loops, **kwargs)
@@ -677,8 +691,6 @@ class TestCli:
         assert "imu.csv:1" in err
 
     def test_posegraph_subcommand(self, tmp_path):
-        from monovio.posegraph import PoseGraph, vertex_from_state
-
         g = PoseGraph()
         for k in range(5):
             g.add_keyframe(vertex_from_state(k, float(k), np.array([0.5 * k, 0, 0]), geo.quat_identity()))

@@ -4,6 +4,7 @@ import pytest
 from monovio import geometry as geo
 from monovio.preintegration import (
     BiasState,
+    FrameStates,
     ImuSample,
     NoiseParams,
     PreintegratedDelta,
@@ -36,29 +37,6 @@ def make_samples(rate, duration, accel_fn, gyro_fn):
 def const_fn(v):
     v = np.asarray(v, dtype=float)
     return lambda t: v
-
-
-class FrameState:
-    """Minimal stand-in for an estimator frame state."""
-
-    def __init__(self, p, v, q, bias=None, t=0.0):
-        self.p = np.asarray(p, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.bias = bias if bias is not None else BiasState()
-        self.t = t
-
-
-def stacked(states):
-    """The (p, q, v, ba, bw) arrays of the batched IMU kernel, one row per
-    state."""
-    return (
-        np.array([s.p for s in states]),
-        np.array([s.q for s in states]),
-        np.array([s.v for s in states]),
-        np.array([s.bias.accel for s in states]),
-        np.array([s.bias.gyro for s in states]),
-    )
 
 
 def matrix_midpoint_oracle(rate, duration, accel_fn, gyro_fn, ba=np.zeros(3), bw=np.zeros(3)):
@@ -463,9 +441,10 @@ class TestSegmentBoundaries:
         assert len(seg) == 42
 
 
-def imu_residual(d, sk, sk1, g):
-    """Residual of the one factor d between sk and sk1, by the batched kernel."""
-    r, _ = imu_residuals_batch(StackedDeltas([d]), *stacked([sk, sk1]), g)
+def imu_residual(d, s, g):
+    """Residual of the one factor d between rows 0 and 1 of s, by the
+    batched kernel."""
+    r, _ = imu_residuals_batch(StackedDeltas([d]), s.p, s.q, s.v, s.ba, s.bw, g)
     return r[0]
 
 
@@ -479,35 +458,35 @@ class TestImuResidual:
         accel = const_fn(a_w + self.g_w)
         gyro = const_fn([0, 0, 0])
         d = integrate_segment(make_samples(200, T, accel, gyro), BiasState(), NO_NOISE)
-        s0 = FrameState(p=[0, 0, 0], v=[0.3, 0, -0.1], q=geo.quat_identity(), t=0.0)
-        p1 = s0.p + s0.v * T + 0.5 * a_w * T**2
-        v1 = s0.v + a_w * T
-        s1 = FrameState(p=p1, v=v1, q=geo.quat_identity(), t=T)
-        return d, s0, s1
+        p0, v0 = np.zeros(3), np.array([0.3, 0, -0.1])
+        p1 = p0 + v0 * T + 0.5 * a_w * T**2
+        v1 = v0 + a_w * T
+        zeros = np.zeros((2, 3))
+        s = FrameStates([0.0, T], [p0, p1], [geo.quat_identity()] * 2, [v0, v1], zeros, zeros)
+        return d, s
 
     def test_zero_at_ground_truth(self):
-        d, s0, s1 = self._states_and_delta()
-        r = imu_residual(d, s0, s1, self.g_w)
+        d, s = self._states_and_delta()
+        r = imu_residual(d, s, self.g_w)
         assert np.linalg.norm(r) < 1e-9
 
     def test_position_perturbation_maps_to_alpha_block(self):
-        d, s0, s1 = self._states_and_delta()
-        s1p = FrameState(p=s1.p + [0.1, 0, 0], v=s1.v, q=s1.q, t=s1.t)
-        r = imu_residual(d, s0, s1p, self.g_w)
+        d, s = self._states_and_delta()
+        s.p = s.p + [[0, 0, 0], [0.1, 0, 0]]
+        r = imu_residual(d, s, self.g_w)
         np.testing.assert_allclose(r[0:3], [0.1, 0, 0], atol=1e-9)
         np.testing.assert_allclose(r[3:15], np.zeros(12), atol=1e-9)
 
     def test_bias_blocks_independent_of_poses(self):
-        d, s0, s1 = self._states_and_delta()
+        d, s = self._states_and_delta()
         rng = np.random.default_rng(5)
-        s0.bias = BiasState(accel=[0.01, 0.02, -0.01], gyro=[0.001, -0.002, 0.001])
-        s1.bias = BiasState(accel=[0.03, -0.01, 0.00], gyro=[0.002, 0.001, -0.001])
+        s.ba = np.array([[0.01, 0.02, -0.01], [0.03, -0.01, 0.00]])
+        s.bw = np.array([[0.001, -0.002, 0.001], [0.002, 0.001, -0.001]])
         for _ in range(5):
-            s0.p = rng.standard_normal(3)
-            s1.p = rng.standard_normal(3)
-            r = imu_residual(d, s0, s1, self.g_w)
-            np.testing.assert_allclose(r[9:12], s1.bias.accel - s0.bias.accel, atol=1e-15)
-            np.testing.assert_allclose(r[12:15], s1.bias.gyro - s0.bias.gyro, atol=1e-15)
+            s.p = rng.standard_normal((2, 3))
+            r = imu_residual(d, s, self.g_w)
+            np.testing.assert_allclose(r[9:12], s.ba[1] - s.ba[0], atol=1e-15)
+            np.testing.assert_allclose(r[12:15], s.bw[1] - s.bw[0], atol=1e-15)
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -516,46 +495,36 @@ class TestImuResidual:
             accel = const_fn(rng.normal(0, 1, 3) + [0, 0, 9.8])
             gyro = const_fn(rng.normal(0, 0.5, 3))
             d = integrate_segment(make_samples(100, 0.3, accel, gyro), BiasState(), NO_NOISE)
-            sk = FrameState(
-                p=rng.standard_normal(3),
-                v=rng.standard_normal(3),
-                q=geo.quat_normalize(rng.standard_normal(4)),
-                bias=BiasState(accel=rng.normal(0, 0.01, 3), gyro=rng.normal(0, 0.005, 3)),
-            )
-            sk1 = FrameState(
-                p=rng.standard_normal(3),
-                v=rng.standard_normal(3),
-                q=geo.quat_normalize(rng.standard_normal(4)),
-                bias=BiasState(accel=rng.normal(0, 0.01, 3), gyro=rng.normal(0, 0.005, 3)),
-            )
+            rows = [(rng.standard_normal(3), rng.standard_normal(3),
+                     geo.quat_normalize(rng.standard_normal(4)),
+                     rng.normal(0, 0.01, 3), rng.normal(0, 0.005, 3)) for _ in range(2)]
+            p, v, q, ba, bw = map(np.array, zip(*rows))
+            s = FrameStates(np.zeros(2), p, q, v, ba, bw)
             st = StackedDeltas([d])
-            _, aux = imu_residuals_batch(st, *stacked([sk, sk1]), g)
+            _, aux = imu_residuals_batch(st, s.p, s.q, s.v, s.ba, s.bw, g)
             Jk, Jk1 = (J[0] for J in imu_jacobians_batch(st, aux))
             h = 1e-6
-            for which, state, J in ((0, sk, Jk), (1, sk1, Jk1)):
+            for which, J in ((0, Jk), (1, Jk1)):
                 fd = np.zeros((15, 15))
                 for col in range(15):
                     dx = np.zeros(15)
                     dx[col] = h
-                    rp = imu_residual(d, *_retract_pair(sk, sk1, which, dx), g)
-                    rm = imu_residual(d, *_retract_pair(sk, sk1, which, -dx), g)
+                    rp = imu_residual(d, _retract_row(s, which, dx), g)
+                    rm = imu_residual(d, _retract_row(s, which, -dx), g)
                     fd[:, col] = (rp - rm) / (2 * h)
                 err = np.linalg.norm(fd - J) / max(np.linalg.norm(J), 1.0)
                 assert err < 1e-4
 
 
-def _retract_pair(sk, sk1, which, dx):
-    states = [sk, sk1]
-    s = states[which]
-    sn = FrameState(
-        p=s.p + dx[0:3],
-        v=s.v + dx[6:9],
-        q=geo.quat_mul(geo.small_angle_quat(dx[3:6]), s.q),
-        bias=BiasState(accel=s.bias.accel + dx[9:12], gyro=s.bias.gyro + dx[12:15]),
-        t=s.t,
-    )
-    states[which] = sn
-    return states
+def _retract_row(s, k, dx):
+    """s with row k moved by the local step dx = (dp, dtheta, dv, dba, dbw)."""
+    p, q, v, ba, bw = (a.copy() for a in (s.p, s.q, s.v, s.ba, s.bw))
+    p[k] += dx[0:3]
+    q[k] = geo.quat_mul(geo.small_angle_quat(dx[3:6]), q[k])
+    v[k] += dx[6:9]
+    ba[k] += dx[9:12]
+    bw[k] += dx[12:15]
+    return FrameStates(s.t, p, q, v, ba, bw)
 
 
 def whitened(r, P):
