@@ -206,13 +206,11 @@ def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float, min_tracked: int
     """
     if not ray_pairs or len(ray_pairs) < min_tracked:
         return True
-    R = quat_to_rot(q_rel_cam)
-    total = 0.0
-    for u_kf, u_cur in ray_pairs:
-        u_comp = R @ u_cur
-        c = np.clip(u_kf @ u_comp / (np.linalg.norm(u_kf) * np.linalg.norm(u_comp)), -1, 1)
-        total += np.arccos(c)
-    avg_px = focal * total / len(ray_pairs)
+    u_kf, u_cur = np.swapaxes(np.asarray(ray_pairs, dtype=float), 0, 1)
+    u_comp = u_cur @ quat_to_rot(q_rel_cam).T
+    c = np.einsum("ki,ki->k", u_kf, u_comp) / (
+        np.linalg.norm(u_kf, axis=1) * np.linalg.norm(u_comp, axis=1))
+    avg_px = focal * np.arccos(np.clip(c, -1, 1)).sum() / len(ray_pairs)
     return avg_px > parallax_px
 
 

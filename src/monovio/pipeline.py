@@ -705,7 +705,7 @@ class VioPipeline:
                 roll_v, pitch_v, yaw_v = yaw_roll_pitch_decompose(q_wb)
             except ValueError:
                 continue
-            rel_p, rel_yaw = relative_4dof(p_wb, roll_v, pitch_v, yaw_v, p_q, yaw_q)
+            rel_p, rel_yaw = relative_4dof(rot_zyx(roll_v, pitch_v, yaw_v), p_wb, yaw_v, p_q, yaw_q)
             self._active_loops.append(_PendingLoop(
                 self.est.frame_ids[-1], vid, observations, inliers, (rel_p, rel_yaw)))
             if t - self._corr_update_time <= CORRECTION_INTERVAL:

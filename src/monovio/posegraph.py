@@ -4,13 +4,18 @@ Vertices carry free position and yaw plus fixed roll/pitch taken from the
 odometry (those angles are observable and drift-free there). Sequential edges
 chain consecutive keyframes; loop edges come from relocalization. Candidate
 loops are verified by a two-stage RANSAC (epipolar test on ray pairs, then
-absolute-pose test against window structure).
+absolute-pose test against window structure). Both stages run one RANSAC
+loop, _consensus: its kernels fit and score a block of RANSAC_BLOCK seeded
+draws per call (one batched SVD per step of the fit), and the block is
+replayed in draw order, so the result is bit for bit that of fitting one
+draw at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice
 
 import numpy as np
@@ -31,6 +36,7 @@ from .geometry import (
 
 RANSAC_ITERATIONS = 200  # most draws per RANSAC stage
 RANSAC_CONFIDENCE = 0.999  # adaptive stopping: chance of one all-inlier draw
+RANSAC_BLOCK = 16  # draws fitted and scored per batched call (8-32 time alike)
 PNP_REFINE_ITERATIONS = 10  # Gauss-Newton steps on the absolute-pose inliers
 DEFAULT_EPIPOLAR_THRESHOLD = 1e-3
 DEFAULT_MIN_INLIERS = 25
@@ -60,33 +66,63 @@ def _ransac_iterations_needed(inlier_ratio: float, sample_size: int) -> int:
     p_good = inlier_ratio**sample_size
     if p_good >= 1.0 - 1e-12:
         return 1
-    return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log(1.0 - p_good))) + 1
+    log_bad = np.log(1.0 - p_good)
+    if log_bad == 0.0:  # p_good is below the float spacing at 1: no cap is enough
+        return RANSAC_ITERATIONS
+    return int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / log_bad)) + 1
 
 
 def _consensus(n: int, sample_size: int, fit, inliers, seed: int):
-    """(model, mask) of the seeded RANSAC draw with the most inliers, under
-    adaptive stopping: fit(pick) makes a model from sample_size of the n
-    pairs (or raises LinAlgError) and inliers(model) masks the pairs it
-    explains. Raises NoConsensusError below sample_size inliers."""
+    """(model, mask, draws) of the seeded RANSAC draw with the most inliers,
+    under adaptive stopping, and the number of draws that took.
+
+    Draws are fitted and scored RANSAC_BLOCK at a time: fit(picks) maps a
+    (B, sample_size) block of draws from the n pairs to (models, ok), a tuple
+    of arrays stacked over the B draws and the mask of the draws that gave a
+    model, and inliers(models) returns their (B, n) inlier masks. The block
+    is then replayed in draw order, so the result is that of fitting one draw
+    at a time; draws past the stopping point are fitted and ignored. A block
+    whose batched fit raises LinAlgError is fitted one draw at a time, and a
+    draw that raises is skipped. Raises NoConsensusError below sample_size
+    inliers."""
     rng = np.random.default_rng(seed)
     best, best_count = None, 0
     needed = RANSAC_ITERATIONS
-    for it in range(RANSAC_ITERATIONS):
-        if it >= needed:
-            break
-        pick = rng.choice(n, size=sample_size, replace=False)
-        try:
-            model = fit(pick)
-        except np.linalg.LinAlgError:
-            continue
-        mask = inliers(model)
-        if mask.sum() > best_count:
-            best_count = int(mask.sum())
-            best = (model, mask)
-            needed = min(RANSAC_ITERATIONS, _ransac_iterations_needed(best_count / n, sample_size))
+    draws = 0
+    while draws < needed:
+        picks = np.array([rng.choice(n, size=sample_size, replace=False)
+                          for _ in range(min(RANSAC_BLOCK, needed - draws))])
+        for models, ok in _fit_block(fit, picks):
+            masks = inliers(models) if ok.any() else np.zeros((len(ok), n), dtype=bool)
+            counts = masks.sum(axis=1)
+            for b in range(len(ok)):
+                if draws >= needed:
+                    break
+                draws += 1
+                if ok[b] and counts[b] > best_count:
+                    best_count = int(counts[b])
+                    best = (tuple(m[b] for m in models), masks[b])
+                    needed = min(RANSAC_ITERATIONS,
+                                 _ransac_iterations_needed(best_count / n, sample_size))
     if best is None or best_count < sample_size:
         raise NoConsensusError(f"no model with at least {sample_size} inliers")
-    return best
+    return (*best, draws)
+
+
+def _fit_block(fit, picks):
+    """[fit(picks)], or, if that raises LinAlgError, the fit of each draw
+    alone, where a draw that raises has no model."""
+    try:
+        return [fit(picks)]
+    except np.linalg.LinAlgError:
+        return [_fit_one(fit, pick) for pick in picks]
+
+
+def _fit_one(fit, pick):
+    try:
+        return fit(pick[None])
+    except np.linalg.LinAlgError:
+        return (), np.zeros(1, dtype=bool)
 
 
 @dataclass
@@ -111,6 +147,12 @@ class PoseGraphVertex:
         if self.vio_yaw is None:
             self.vio_yaw = self.yaw
 
+    @cached_property
+    def vio_rotation(self) -> np.ndarray:
+        """R(roll, pitch, vio_yaw), computed once: the odometry values are
+        frozen, and each vertex starts up to edge_fanout sequential edges."""
+        return rot_zyx(self.roll, self.pitch, self.vio_yaw)
+
 
 @dataclass
 class SequentialEdge:
@@ -134,23 +176,25 @@ class LoopEdge(SequentialEdge):
 
 
 def _epipolar_distances(F: np.ndarray, rays_a: np.ndarray, rays_b: np.ndarray) -> np.ndarray:
-    """Symmetric epipolar distance for unit-ray correspondences a' F b = 0."""
-    lb = rays_b @ F.T  # epipolar plane normals seen from a
+    """(B, n) symmetric epipolar distances of the unit-ray correspondences
+    under each of the (B, 3, 3) models a' F b = 0."""
+    lb = rays_b @ np.swapaxes(F, 1, 2)  # epipolar plane normals seen from a
     la = rays_a @ F
-    e = np.abs(np.sum(rays_a * lb, axis=1))
-    da = e / np.maximum(np.linalg.norm(lb, axis=1), 1e-15)
-    db = e / np.maximum(np.linalg.norm(la, axis=1), 1e-15)
+    e = np.abs(np.sum(rays_a * lb, axis=-1))
+    da = e / np.maximum(np.linalg.norm(lb, axis=-1), 1e-15)
+    db = e / np.maximum(np.linalg.norm(la, axis=-1), 1e-15)
     return np.maximum(da, db)
 
 
 def _eight_point(rays_a: np.ndarray, rays_b: np.ndarray) -> np.ndarray:
-    A = np.einsum("ki,kj->kij", rays_a, rays_b).reshape(len(rays_a), 9)
-    _, s, Vt = np.linalg.svd(A)
-    F = Vt[-1].reshape(3, 3)
+    """(B, 3, 3) rank-2 epipolar models of (B, m, 3) unit-ray pairs."""
+    A = np.einsum("bki,bkj->bkij", rays_a, rays_b).reshape(*rays_a.shape[:2], 9)
+    _, _, Vt = np.linalg.svd(A)
+    F = Vt[:, -1].reshape(-1, 3, 3)
     # enforce rank 2
     U, S, Vt2 = np.linalg.svd(F)
-    S[2] = 0.0
-    return U @ np.diag(S) @ Vt2
+    S[:, 2] = 0.0
+    return (U * S[:, None]) @ Vt2
 
 
 def _rank_check(rays_a: np.ndarray, rays_b: np.ndarray) -> None:
@@ -178,64 +222,76 @@ def ransac_fundamental(
     n = len(rays_query)
     if n < 8:
         raise PoseGraphError("need at least 8 correspondences for the epipolar test")
-    _, best_mask = _consensus(
-        n, 8, lambda pick: _eight_point(rays_query[pick], rays_candidate[pick]),
-        lambda F: _epipolar_distances(F, rays_query, rays_candidate) < threshold, seed,
+
+    def fit(picks):
+        F = _eight_point(rays_query[picks], rays_candidate[picks])
+        return (F,), np.ones(len(F), dtype=bool)
+
+    _, best_mask, _ = _consensus(
+        n, 8, fit,
+        lambda models: _epipolar_distances(*models, rays_query, rays_candidate) < threshold, seed,
     )
-    _rank_check(rays_query[best_mask], rays_candidate[best_mask])
-    F = _eight_point(rays_query[best_mask], rays_candidate[best_mask])
-    mask = _epipolar_distances(F, rays_query, rays_candidate) < threshold
+    inl_q, inl_c = rays_query[best_mask], rays_candidate[best_mask]
+    _rank_check(inl_q, inl_c)
+    F = _eight_point(inl_q[None], inl_c[None])
+    mask = _epipolar_distances(F, rays_query, rays_candidate)[0] < threshold
     if mask.sum() < 8:
         raise NoConsensusError("refined epipolar model lost consensus")
-    return F, mask
+    return F[0], mask
 
 
 def _pnp_dlt(points: np.ndarray, rays: np.ndarray):
-    """Projection-matrix DLT from ray observations; returns (R, t), world->camera."""
-    n = len(points)
-    A = np.zeros((2 * n, 12))
-    Xh = np.concatenate([points, np.ones((n, 1))], axis=1)
+    """Projection-matrix DLT of (B, n) 3D points and their unit-ray
+    observations; returns (R, t, ok): world->camera rotations (B, 3, 3) and
+    translations (B, 3), and the mask of the non-degenerate draws."""
+    B, n = points.shape[:2]
+    A = np.zeros((B, 2 * n, 12))
+    Xh = np.concatenate([points, np.ones((B, n, 1))], axis=2)
     b1, b2 = tangent_basis(rays)
-    A[0::2] = (b1[:, :, None] * Xh[:, None, :]).reshape(n, 12)
-    A[1::2] = (b2[:, :, None] * Xh[:, None, :]).reshape(n, 12)
+    A[:, 0::2] = (b1[..., None] * Xh[..., None, :]).reshape(B, n, 12)
+    A[:, 1::2] = (b2[..., None] * Xh[..., None, :]).reshape(B, n, 12)
     _, _, Vt = np.linalg.svd(A)
-    P = Vt[-1].reshape(3, 4)
-    M = P[:, :3]
-    U, S, Vt2 = np.linalg.svd(M)
+    P = Vt[:, -1].reshape(B, 3, 4)
+    U, S, Vt2 = np.linalg.svd(P[:, :, :3])
     d = np.sign(np.linalg.det(U @ Vt2))
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt2
-    scale = S.mean() * d
-    if abs(scale) < 1e-12:
-        raise np.linalg.LinAlgError("degenerate projection matrix")
-    t = P[:, 3] / scale
+    signs = np.ones((B, 1, 3))
+    signs[:, 0, 2] = d
+    R = (U * signs) @ Vt2
+    scale = S.mean(axis=1) * d
+    ok = np.abs(scale) >= 1e-12
+    t = P[:, :, 3] / np.where(ok, scale, 1.0)[:, None]
     # resolve the global sign by cheirality: points should sit along the rays
-    proj = points @ R.T + t
-    if np.sum(np.einsum("ki,ki->k", proj, rays) > 0) < n / 2:
-        R = U @ np.diag([1.0, 1.0, -d]) @ Vt2
-        t = -t
-    return R, t
+    proj = points @ np.swapaxes(R, 1, 2) + t[:, None]
+    flip = np.sum(np.einsum("bki,bki->bk", proj, rays) > 0, axis=1) < n / 2
+    if flip.any():
+        signs[:, 0, 2] = -d
+        R[flip] = (U[flip] * signs[flip]) @ Vt2[flip]
+        t[flip] = -t[flip]
+    return R, t, ok
 
 
 def _angular_errors(R, t, points, rays):
-    pred = points @ R.T + t
-    norms = np.linalg.norm(pred, axis=1)
+    """(B, n) angles between the rays and the points seen from each of the
+    (B, 3, 3), (B, 3) world->camera poses."""
+    pred = points @ np.swapaxes(R, 1, 2) + t[:, None]
+    norms = np.linalg.norm(pred, axis=-1)
     norms = np.maximum(norms, 1e-12)
-    cosang = np.einsum("ki,ki->k", pred / norms[:, None], rays)
+    cosang = np.einsum("bki,ki->bk", pred / norms[..., None], rays)
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def _refine_pnp(R, t, points, rays):
     """Gauss-Newton on tangent-plane reprojection over (theta, t)."""
     q = rot_to_quat(R)
+    b1, b2 = tangent_basis(rays)
+    B = np.stack([b1, b2], axis=2)
+    I3 = np.eye(3)
     for _ in range(PNP_REFINE_ITERATIONS):
         Rk = quat_to_rot(q)
         pred = points @ Rk.T + t
         norms = np.linalg.norm(pred, axis=1)
         nvec = pred / norms[:, None]
-        b1, b2 = tangent_basis(rays)
-        B = np.stack([b1, b2], axis=2)
         r = np.einsum("kir,ki->kr", B, rays - nvec).reshape(-1)
-        I3 = np.eye(3)
         proj = I3[None] - nvec[:, :, None] * nvec[:, None, :]
         M = -np.einsum("kir,kij->krj", B, proj) / norms[:, None, None]
         J_th = -np.einsum("krj,kja->kra", M, skew(points @ Rk.T))
@@ -266,12 +322,16 @@ def ransac_pnp(
     n = len(points)
     if n < 6:
         raise PoseGraphError("need at least 6 correspondences for the absolute-pose test")
-    (R, t), mask = _consensus(
-        n, 6, lambda pick: _pnp_dlt(points[pick], rays[pick]),
-        lambda model: _angular_errors(*model, points, rays) < threshold, seed,
+
+    def fit(picks):
+        R, t, ok = _pnp_dlt(points[picks], rays[picks])
+        return (R, t), ok
+
+    (R, t), mask, _ = _consensus(
+        n, 6, fit, lambda models: _angular_errors(*models, points, rays) < threshold, seed,
     )
     R, t = _refine_pnp(R, t, points[mask], rays[mask])
-    mask = _angular_errors(R, t, points, rays) < threshold
+    mask = _angular_errors(R[None], t[None], points, rays)[0] < threshold
     if mask.sum() < 6:
         raise NoConsensusError("refined absolute pose lost consensus")
     return R, t, mask
@@ -324,16 +384,16 @@ def verify_loop_candidate(
 # edges
 
 
-def relative_4dof(p_i, roll_i: float, pitch_i: float, yaw_i: float, p_j, yaw_j: float):
+def relative_4dof(R_i, p_i, yaw_i: float, p_j, yaw_j: float):
     """4-DOF pose (rel_p, rel_yaw) of pose j in the frame of pose i:
-    (R_i^T (p_j - p_i), wrap(yaw_j - yaw_i)) with R_i = R(roll_i, pitch_i, yaw_i)."""
-    R_i = rot_zyx(roll_i, pitch_i, yaw_i)
+    (R_i^T (p_j - p_i), wrap(yaw_j - yaw_i)), where R_i = R(roll_i, pitch_i,
+    yaw_i) is the rotation of pose i."""
     return R_i.T @ (p_j - p_i), wrap_angle(yaw_j - yaw_i)
 
 
 def sequential_edge_from_vio(pose_i: PoseGraphVertex, pose_j: PoseGraphVertex) -> SequentialEdge:
     """4-DOF relative measurement from the odometry values of two vertices."""
-    rel_p, rel_yaw = relative_4dof(pose_i.vio_p, pose_i.roll, pose_i.pitch, pose_i.vio_yaw,
+    rel_p, rel_yaw = relative_4dof(pose_i.vio_rotation, pose_i.vio_p, pose_i.vio_yaw,
                                    pose_j.vio_p, pose_j.vio_yaw)
     return SequentialEdge(pose_i.vid, pose_j.vid, rel_p, rel_yaw)
 

@@ -14,6 +14,11 @@ from monovio.geometry import (
     tangent_basis,
     wrap_angle,
 )
+from monovio.posegraph import (
+    RANSAC_ITERATIONS,
+    NoConsensusError,
+    _ransac_iterations_needed,
+)
 from monovio.preintegration import (
     PreintegrationError,
     integrate_segment,
@@ -291,3 +296,96 @@ def linearize_per_row(problem, terms):
         blocks.b_p += np.bincount(cols.ravel(), np.einsum("kri,kr->ki", Jp, rw).ravel(), P)
         blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
     return blocks
+
+
+def consensus_per_draw(n, sample_size, fit, inliers, seed):
+    """(model, mask, draws) of posegraph._consensus, fitting and scoring one
+    draw per call: fit(pick) makes a model from one draw (or raises
+    LinAlgError) and inliers(model) masks the n pairs it explains."""
+    rng = np.random.default_rng(seed)
+    best, best_count = None, 0
+    needed = RANSAC_ITERATIONS
+    draws = 0
+    for it in range(RANSAC_ITERATIONS):
+        if it >= needed:
+            break
+        draws += 1
+        pick = rng.choice(n, size=sample_size, replace=False)
+        try:
+            model = fit(pick)
+        except np.linalg.LinAlgError:
+            continue
+        mask = inliers(model)
+        if mask.sum() > best_count:
+            best_count = int(mask.sum())
+            best = (model, mask)
+            needed = min(RANSAC_ITERATIONS, _ransac_iterations_needed(best_count / n, sample_size))
+    if best is None or best_count < sample_size:
+        raise NoConsensusError(f"no model with at least {sample_size} inliers")
+    return (*best, draws)
+
+
+def eight_point_per_draw(rays_a, rays_b):
+    """Rank-2 epipolar model of one draw's (m, 3) unit-ray pairs."""
+    A = np.einsum("ki,kj->kij", rays_a, rays_b).reshape(len(rays_a), 9)
+    _, s, Vt = np.linalg.svd(A)
+    F = Vt[-1].reshape(3, 3)
+    U, S, Vt2 = np.linalg.svd(F)
+    S[2] = 0.0
+    return U @ np.diag(S) @ Vt2
+
+
+def epipolar_distances_per_draw(F, rays_a, rays_b):
+    lb = rays_b @ F.T
+    la = rays_a @ F
+    e = np.abs(np.sum(rays_a * lb, axis=1))
+    da = e / np.maximum(np.linalg.norm(lb, axis=1), 1e-15)
+    db = e / np.maximum(np.linalg.norm(la, axis=1), 1e-15)
+    return np.maximum(da, db)
+
+
+def pnp_dlt_per_draw(points, rays):
+    """(R, t) world->camera by projection-matrix DLT of one draw; raises
+    LinAlgError on a degenerate draw."""
+    n = len(points)
+    A = np.zeros((2 * n, 12))
+    Xh = np.concatenate([points, np.ones((n, 1))], axis=1)
+    b1, b2 = tangent_basis(rays)
+    A[0::2] = (b1[:, :, None] * Xh[:, None, :]).reshape(n, 12)
+    A[1::2] = (b2[:, :, None] * Xh[:, None, :]).reshape(n, 12)
+    _, _, Vt = np.linalg.svd(A)
+    P = Vt[-1].reshape(3, 4)
+    M = P[:, :3]
+    U, S, Vt2 = np.linalg.svd(M)
+    d = np.sign(np.linalg.det(U @ Vt2))
+    R = U @ np.diag([1.0, 1.0, d]) @ Vt2
+    scale = S.mean() * d
+    if abs(scale) < 1e-12:
+        raise np.linalg.LinAlgError("degenerate projection matrix")
+    t = P[:, 3] / scale
+    proj = points @ R.T + t
+    if np.sum(np.einsum("ki,ki->k", proj, rays) > 0) < n / 2:
+        R = U @ np.diag([1.0, 1.0, -d]) @ Vt2
+        t = -t
+    return R, t
+
+
+def angular_errors_per_draw(R, t, points, rays):
+    pred = points @ R.T + t
+    norms = np.linalg.norm(pred, axis=1)
+    norms = np.maximum(norms, 1e-12)
+    cosang = np.einsum("ki,ki->k", pred / norms[:, None], rays)
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
+def keyframe_decision_per_pair(ray_pairs, q_rel_cam, parallax_px, min_tracked, focal):
+    """estimator.keyframe_decision, one shared ray pair at a time."""
+    if not ray_pairs or len(ray_pairs) < min_tracked:
+        return True
+    R = quat_to_rot(q_rel_cam)
+    total = 0.0
+    for u_kf, u_cur in ray_pairs:
+        u_comp = R @ u_cur
+        c = np.clip(u_kf @ u_comp / (np.linalg.norm(u_kf) * np.linalg.norm(u_comp)), -1, 1)
+        total += np.arccos(c)
+    return focal * total / len(ray_pairs) > parallax_px

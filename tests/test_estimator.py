@@ -39,7 +39,12 @@ from monovio.simulator import (
     camera_times,
     default_extrinsic,
 )
-from reference import imu_residual_jacobians, linearize_per_row, visual_residual
+from reference import (
+    imu_residual_jacobians,
+    keyframe_decision_per_pair,
+    linearize_per_row,
+    visual_residual,
+)
 
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 # bounds on the tracemalloc peaks, above their start, of one linearize and
@@ -139,6 +144,28 @@ class TestKeyframeDecision:
         # with no track gate, a frame sharing nothing with the last keyframe
         # has no parallax to average and is a keyframe
         assert keyframe_decision([], geo.quat_identity(), 20.0, 0, 460.0)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_matches_per_pair_reference(self, rotated):
+        # shared rays with a spread of parallax, compensated by a rotation or
+        # not, at track counts below and above min_tracked = 30
+        rng = np.random.default_rng(7 + rotated)
+        q_rel = geo.quat_exp([0.04, -0.08, 0.15]) if rotated else geo.quat_identity()
+        R = geo.quat_to_rot(q_rel)
+        decisions = set()
+        for _ in range(40):
+            n = int(rng.integers(10, 120))
+            u_cur = rng.standard_normal((n, 3)) + [0.0, 0.0, 3.0]
+            u_cur /= np.linalg.norm(u_cur, axis=1, keepdims=True)
+            shift = rng.uniform(0.0, 0.12) * rng.standard_normal((n, 3))
+            u_kf = u_cur @ R.T + shift
+            u_kf /= np.linalg.norm(u_kf, axis=1, keepdims=True)
+            pairs = list(zip(u_kf, u_cur))
+            for parallax_px in (5.0, 20.0, 40.0):
+                got = keyframe_decision(pairs, q_rel, parallax_px, 30, 460.0)
+                assert got == keyframe_decision_per_pair(pairs, q_rel, parallax_px, 30, 460.0)
+                decisions.add((n < 30, got))
+        assert decisions == {(True, True), (False, True), (False, False)}
 
 
 class TestTriangulation:

@@ -8,22 +8,41 @@ import scipy.sparse.linalg as spla
 from monovio import geometry as geo
 from monovio.cli import main as cli_main
 from monovio.posegraph import (
+    DEFAULT_EPIPOLAR_THRESHOLD,
     HUBER_THRESHOLD,
     LOOP_WEIGHT_SCALE,
+    RANSAC_BLOCK,
+    RANSAC_ITERATIONS,
     DegenerateGeometryError,
     LoopEdge,
+    NoConsensusError,
     PoseGraph,
     PoseGraphConfig,
     PoseGraphError,
     PoseGraphVertex,
     SequentialEdge,
+    _angular_errors,
+    _consensus,
+    _eight_point,
+    _epipolar_distances,
+    _pnp_dlt,
+    _rank_check,
+    _ransac_iterations_needed,
+    _refine_pnp,
     ransac_fundamental,
     ransac_pnp,
     sequential_edge_from_vio,
     verify_loop_candidate,
     vertex_from_state,
 )
-from reference import edge_residual
+from reference import (
+    angular_errors_per_draw,
+    consensus_per_draw,
+    edge_residual,
+    eight_point_per_draw,
+    epipolar_distances_per_draw,
+    pnp_dlt_per_draw,
+)
 
 # absolute-pose inlier gate: 3 px at a 460 px focal length
 PNP_THRESHOLD = 3.0 / 460.0
@@ -137,6 +156,193 @@ class TestVerification:
         rb /= np.linalg.norm(rb, axis=1, keepdims=True)
         points = {i: rng.standard_normal(3) * 5 for i in range(40)}
         assert verify_loop_candidate(np.arange(40), ra, rb, points, PNP_THRESHOLD, seed=5) is None
+
+
+def noisy_scene(n, outlier_frac, seed, noise=2e-4):
+    """two_view_scene with Gaussian noise of std noise on every ray."""
+    X, ra, rb, _, _ = two_view_scene(n=n, outlier_frac=outlier_frac, seed=seed)
+    rng = np.random.default_rng(seed)
+
+    def jitter(rays):
+        rays = rays + rng.normal(0.0, noise, rays.shape)
+        return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+    return X, jitter(ra), jitter(rb)
+
+
+# (pairs, outlier fraction, seed): adaptive stopping ends these RANSAC runs
+# inside the first block, inside a later block or at the draw cap, or finds
+# no consensus (checked by test_cases_stop_inside_and_after_the_first_block)
+CONSENSUS_CASES = [(40, 0.1, 1), (40, 0.1, 2), (60, 0.3, 1), (60, 0.3, 2), (80, 0.5, 1),
+                   (100, 0.6, 1)]
+
+
+def pnp_consensus(X, rays, seed):
+    def fit(picks):
+        R, t, ok = _pnp_dlt(X[picks], rays[picks])
+        return (R, t), ok
+
+    return _consensus(len(X), 6, fit, lambda m: _angular_errors(*m, X, rays) < PNP_THRESHOLD, seed)
+
+
+def pnp_consensus_per_draw(X, rays, seed):
+    return consensus_per_draw(
+        len(X), 6, lambda pick: pnp_dlt_per_draw(X[pick], rays[pick]),
+        lambda model: angular_errors_per_draw(*model, X, rays) < PNP_THRESHOLD, seed)
+
+
+def epipolar_consensus(ra, rb, seed):
+    def fit(picks):
+        F = _eight_point(ra[picks], rb[picks])
+        return (F,), np.ones(len(F), dtype=bool)
+
+    return _consensus(len(ra), 8, fit,
+                      lambda m: _epipolar_distances(*m, ra, rb) < DEFAULT_EPIPOLAR_THRESHOLD, seed)
+
+
+def epipolar_consensus_per_draw(ra, rb, seed):
+    F, mask, draws = consensus_per_draw(
+        len(ra), 8, lambda pick: eight_point_per_draw(ra[pick], rb[pick]),
+        lambda F: epipolar_distances_per_draw(F, ra, rb) < DEFAULT_EPIPOLAR_THRESHOLD, seed)
+    return (F,), mask, draws
+
+
+def outcome(consensus, *args):
+    try:
+        return consensus(*args)
+    except NoConsensusError:
+        return None
+
+
+def assert_same_outcome(got, want):
+    if want is None:
+        assert got is None
+        return
+    (models, mask, draws), (ref_models, ref_mask, ref_draws) = got, want
+    assert draws == ref_draws
+    assert np.array_equal(mask, ref_mask)
+    assert len(models) == len(ref_models)
+    for m, ref_m in zip(models, ref_models):
+        assert np.array_equal(m, ref_m)
+
+
+class TestBatchedConsensus:
+    """The block-batched RANSAC returns what fitting one draw at a time does,
+    bit for bit, after the same number of draws."""
+
+    @pytest.mark.parametrize("case", CONSENSUS_CASES)
+    def test_absolute_pose_stage(self, case):
+        X, _, rays = noisy_scene(*case)
+        seed = case[2]
+        assert_same_outcome(outcome(pnp_consensus, X, rays, seed),
+                            outcome(pnp_consensus_per_draw, X, rays, seed))
+
+    @pytest.mark.parametrize("case", CONSENSUS_CASES)
+    def test_epipolar_stage(self, case):
+        _, ra, rb = noisy_scene(*case)
+        seed = case[2]
+        assert_same_outcome(outcome(epipolar_consensus, ra, rb, seed),
+                            outcome(epipolar_consensus_per_draw, ra, rb, seed))
+
+    def test_cases_stop_inside_and_after_the_first_block(self):
+        for consensus, scene in ((pnp_consensus_per_draw, lambda X, ra, rb: (X, rb)),
+                                 (epipolar_consensus_per_draw, lambda X, ra, rb: (ra, rb))):
+            draws = []
+            for case in CONSENSUS_CASES:
+                out = outcome(consensus, *scene(*noisy_scene(*case)), case[2])
+                draws.append(None if out is None else out[2])
+            done = [d for d in draws if d is not None]
+            assert any(d < RANSAC_BLOCK for d in done)
+            assert any(d > 2 * RANSAC_BLOCK and d % RANSAC_BLOCK for d in done)
+            assert None in draws
+
+    @pytest.mark.parametrize("case", CONSENSUS_CASES[:4])
+    def test_ransac_pnp_matches_per_draw_fits(self, case):
+        X, _, rays = noisy_scene(*case)
+        seed = case[2]
+        R, t, mask = ransac_pnp(X, rays, PNP_THRESHOLD, seed=seed)
+        (R0, t0), mask0, _ = pnp_consensus_per_draw(X, rays, seed)
+        R0, t0 = _refine_pnp(R0, t0, X[mask0], rays[mask0])
+        assert np.array_equal(R, R0) and np.array_equal(t, t0)
+        assert np.array_equal(mask, angular_errors_per_draw(R0, t0, X, rays) < PNP_THRESHOLD)
+
+    @pytest.mark.parametrize("case", CONSENSUS_CASES[:4])
+    def test_ransac_fundamental_matches_per_draw_fits(self, case):
+        _, ra, rb = noisy_scene(*case)
+        seed = case[2]
+        F, mask = ransac_fundamental(ra, rb, seed=seed)
+        _, mask0, _ = epipolar_consensus_per_draw(ra, rb, seed)
+        _rank_check(ra[mask0], rb[mask0])
+        F0 = eight_point_per_draw(ra[mask0], rb[mask0])
+        assert np.array_equal(F, F0)
+        assert np.array_equal(mask, epipolar_distances_per_draw(F0, ra, rb)
+                              < DEFAULT_EPIPOLAR_THRESHOLD)
+
+    @pytest.mark.parametrize("block_raises", [False, True])
+    def test_degenerate_draws_skipped(self, block_raises):
+        # a line y = a x + b through two sampled points; a draw of two
+        # coincident points (ten copies of one outlier) has no model. The
+        # batched fit's slope for it is NaN, and the inlier test counts a NaN
+        # residual as an inlier, so that draw would win if it were kept. With
+        # block_raises, a block holding such a draw raises as a whole and is
+        # fitted one draw at a time.
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1.0, 1.0, 40)
+        y = 0.7 * x - 0.2 + rng.normal(0.0, 1e-3, 40)
+        y[:12] = rng.uniform(-2.0, 2.0, 12)
+        x[:10], y[:10] = 0.5, 1.5
+        n = len(x)
+
+        def line(pick):
+            (x1, x2), (y1, y2) = x[pick], y[pick]
+            if x1 == x2:
+                raise np.linalg.LinAlgError("coincident points")
+            a = (y2 - y1) / (x2 - x1)
+            return a, y1 - a * x1
+
+        def inliers(model):
+            return ~(np.abs(y - (model[0] * x + model[1])) >= 5e-3)
+
+        def fit(picks):
+            (x1, x2), (y1, y2) = x[picks].T, y[picks].T
+            ok = x1 != x2
+            if block_raises and not ok.all():
+                raise np.linalg.LinAlgError("coincident points")
+            with np.errstate(invalid="ignore"):
+                a = (y2 - y1) / (x2 - x1)
+            return (a, y1 - a * x1), ok
+
+        degenerate = 0
+        for seed in range(20):
+            got = _consensus(n, 2, fit, lambda m: inliers((m[0][:, None], m[1][:, None])), seed)
+            want = consensus_per_draw(n, 2, line, inliers, seed)
+            assert_same_outcome(got, want)
+            draws = np.random.default_rng(seed)
+            picks = [draws.choice(n, size=2, replace=False) for _ in range(want[2])]
+            degenerate += sum(int(x[p[0]] == x[p[1]]) for p in picks)
+        assert degenerate > 0
+
+    def test_tiny_inlier_share_needs_every_draw(self):
+        # one inlier of 150 pairs for an 8-pair draw: the chance of a good
+        # draw is below the float spacing at 1, so no number of draws is enough
+        assert _ransac_iterations_needed(1 / 150, 8) == RANSAC_ITERATIONS
+        assert _ransac_iterations_needed(40 / 60, 6) < RANSAC_ITERATIONS
+
+    def test_degenerate_projection_marked(self):
+        # a draw far from the world origin has a projection matrix of almost
+        # zero scale; the per-draw DLT raises, the batched one marks it
+        X, _, rays, _, _ = two_view_scene(n=24, seed=8)
+        points = np.stack([X[:6], X[6:12] + 1e13, X[12:18], X[18:24] * 1e14])
+        obs = np.stack([rays[:6], rays[6:12], rays[12:18], rays[18:24]])
+        R, t, ok = _pnp_dlt(points, obs)
+        for k in range(len(points)):
+            try:
+                R0, t0 = pnp_dlt_per_draw(points[k], obs[k])
+            except np.linalg.LinAlgError:
+                assert not ok[k]
+                continue
+            assert ok[k] and np.array_equal(R[k], R0) and np.array_equal(t[k], t0)
+        assert ok.tolist() == [True, False, True, False]
 
 
 class TestEdges:
