@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .geometry import (
     quat_angle_between,
@@ -39,6 +39,8 @@ from .geometry import (
 from .initialization import ExtrinsicCalib
 from .preintegration import (
     GRAVITY,
+    REPROP_ACCEL_THRESHOLD,
+    REPROP_GYRO_THRESHOLD,
     BiasState,
     FrameStates,
     PreintegratedDelta,
@@ -309,36 +311,45 @@ def schur_complement(H: np.ndarray, b: np.ndarray, n_marg: int):
     Returns (H', b') over the remaining variables such that minimizing the
     reduced quadratic equals minimizing the full one over the eliminated
     variables. Rank-deficient marginal blocks (gauge or zero-information
-    directions) are handled by a pseudo-inverse.
+    directions) are handled by a pseudo-inverse. H' is symmetric, the one
+    new array of its size.
     """
     Hmm = 0.5 * (H[:n_marg, :n_marg] + H[:n_marg, :n_marg].T)
     Hmr = H[:n_marg, n_marg:]
-    Hrr = H[n_marg:, n_marg:]
     vals, vecs = np.linalg.eigh(Hmm)
     good = vals > max(float(vals.max(initial=0.0)) * 1e-12, 1e-14)
     inv_vals = np.where(good, 1.0 / np.where(good, vals, 1.0), 0.0)
     Hmm_inv = (vecs * inv_vals) @ vecs.T
-    H_red = Hrr - Hmr.T @ Hmm_inv @ Hmr
+    H_red = Hmr.T @ (Hmm_inv @ Hmr)
+    np.subtract(H[n_marg:, n_marg:], H_red, out=H_red)
+    H_red += H_red.T
+    H_red *= 0.5
     b_red = b[n_marg:] - Hmr.T @ (Hmm_inv @ b[:n_marg])
-    return 0.5 * (H_red + H_red.T), b_red
+    return H_red, b_red
 
 
 def information_sqrt(H: np.ndarray, b: np.ndarray):
-    """Square-root factorization of a reduced information pair.
+    """Square-root factorization of a reduced information pair by pivoted
+    Cholesky (LAPACK dpstrf), which reads H's lower triangle.
 
-    H must be symmetric, as schur_complement returns it. Returns (H_p, r_p)
-    with H_p^T H_p = H and H_p^T r_p = b; near-null directions (gauge) are
-    clipped so the prior stays PSD.
+    dpstrf factors P^T H P = L L^T with symmetric pivoting and stops at the
+    first pivot below 1e-10 of H's largest diagonal entry; its rank leading
+    columns are L_r, whose top rank rows are the triangle L_rr. Returns
+    (H_p, r_p) = ((P L_r)^T, L_rr^-1 (P^T b)_r): H_p^T H_p = H less the
+    stopped pivots' remainder, H_p^T r_p = b for b in the range of H, and
+    the prior's rank is H_p.shape[0]. The prior is PSD by construction; a
+    zero H gives a (0, n) prior.
     """
-    vals, vecs = np.linalg.eigh(H)
-    vmax = max(float(vals.max(initial=0.0)), 0.0)
-    keep = vals > max(vmax * 1e-10, 1e-12)
-    if not np.any(keep):
-        return np.zeros((0, H.shape[0])), np.zeros(0)
-    s = np.sqrt(vals[keep])
-    U = vecs[:, keep]
-    H_p = (U * s).T
-    r_p = (U / s).T @ b
+    n = H.shape[0]
+    top = float(np.max(np.diagonal(H), initial=0.0))
+    if top <= 0.0:
+        return np.zeros((0, n)), np.zeros(0)
+    c, piv, rank, _ = lapack.dpstrf(H, tol=1e-10 * top, lower=1)
+    piv = piv - 1
+    L = np.tril(c[:, :rank])
+    H_p = np.empty((rank, n))
+    H_p[:, piv] = L.T
+    r_p = solve_triangular(L[:rank], b[piv[:rank]], lower=True, check_finite=False)
     return H_p, r_p
 
 
@@ -574,17 +585,21 @@ class SlidingWindowEstimator:
         report = problem.solve(self.config.solver, mask)
         problem.write_back(self)
         self.prune_bad_depths()
-        self._refresh_deltas()
+        self._refresh_deltas(problem.imu)
         marginalizes = len(self.frames) == self.capacity and self.keyframe_flags[-1]
         self._pending_prior = problem.marginalize_frame(problem.terms) if marginalizes else None
         return report
 
-    def _refresh_deltas(self) -> None:
-        """Re-propagate deltas whose linearization bias drifted too far."""
-        for k, delta in enumerate(self.deltas):
-            bias = self.frames.bias(k)
-            if delta.needs_repropagation(bias):
-                self.deltas[k] = delta.repropagate(bias)
+    def _refresh_deltas(self, imu: StackedDeltas) -> None:
+        """Re-propagate the deltas whose linearization bias, stacked in imu,
+        drifted too far from the bias of the frame each starts at."""
+        n = len(self.deltas)
+        ba, bw = self.frames.ba[:n], self.frames.bw[:n]
+        BiasState.check(ba, bw)
+        drifted = ((np.linalg.norm(ba - imu.lin_ba, axis=1) > REPROP_ACCEL_THRESHOLD)
+                   | (np.linalg.norm(bw - imu.lin_bw, axis=1) > REPROP_GYRO_THRESHOLD))
+        for k in np.flatnonzero(drifted):
+            self.deltas[k] = self.deltas[k].repropagate(BiasState(ba[k], bw[k]))
 
     # -- marginalization ----------------------------------------------------------
 
@@ -632,8 +647,9 @@ class NormalBlocks:
     inverse depth to those columns, and v the depth block, which is diagonal
     because every visual row involves exactly one feature. The visual rows
     reach H_pp and b_p one frame-pair chunk at a time (see
-    _WindowProblem._visual_layout),
-    and W, v and b_l one row at a time.
+    _WindowProblem._visual_layout), and W, v and b_l one row at a time. The
+    blocks of a linearize over a subset of the terms (marginalize_frame's)
+    hold those terms only: every other entry is zero.
 
     The blocks that _WindowProblem.linearize returns are buffers the problem
     owns and refills in place: they are valid until the next linearize on
@@ -872,9 +888,10 @@ class _WindowProblem:
         product with itself (v_products) gives its Hessian block and
         gradient, and one np.bincount over v_target sums them per entry of
         the distinct 6 x 6 blocks of H_pp that the chunks touch and of the
-        groups' 6-segments of b_p (v_h_entries, flat, then v_b_entries). The
-        depth column stays per row: v_w_target sums W per entry
-        (v_w_entries, flat), and the rows' features sum v and b_l.
+        groups' 6-segments of b_p (v_h_entries, flat, then v_b_entries); its
+        rows are the chunks. The depth column stays per row: v_w_target, one
+        row per visual row, sums W per entry (v_w_entries, flat), and the
+        rows' features sum v and b_l.
         """
         K, G = len(self.v_feat), len(self.states) + 1
         groups = np.stack([self.v_anchor, self.v_obs, np.full(K, G - 1)], axis=1)  # (K, B)
@@ -918,18 +935,24 @@ class _WindowProblem:
         self.v_jac = np.empty((K, 2, C + 1))  # the depth column last
         self.v_chunks = np.zeros((n, 2 * VISUAL_CHUNK_ROWS, C + 1))
         self.v_products = np.empty((n, C + 1, C + 1))
-        self.v_target = target.ravel()
+        self.v_target = target.reshape(n, -1)
         self.v_h_entries = h_entries.ravel()
         self.v_b_entries = (15 * np.arange(G)[:, None] + six).ravel()
         self.v_w_entries = w_entries.ravel()
-        self.v_w_target = (w_at[:, None] * 6 + six).ravel()
+        self.v_w_target = (w_at[:, None] * 6 + six).reshape(K, -1)
 
-    def _visual_jacobian(self, aux, J: np.ndarray) -> np.ndarray:
+    def _visual_jacobian(self, aux, J: np.ndarray, rows=None) -> np.ndarray:
         """Whitened Jacobian blocks in the column order of _visual_layout,
-        then the feature's depth, written into J and returned."""
-        R_bc, lam, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec = aux
+        then the feature's depth, of every visual row or of those the index
+        rows selects, written into the leading rows of J and returned."""
+        R_bc, *per_row = aux
+        ua, B = self.v_ua, self.v_B
+        if rows is not None:
+            per_row, ua, B = [a[rows] for a in per_row], ua[rows], B[rows]
+            J = J[: len(rows)]
+        lam, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec = per_row
         # M = d r / d P = -B^T (I - n n^T) / |P|, whitened
-        Bt = np.swapaxes(self.v_B, 1, 2)
+        Bt = np.swapaxes(B, 1, 2)
         Btn = np.einsum("kri,ki->kr", Bt, nvec)
         M = (Btn[:, :, None] * nvec[:, None, :] - Bt) / (nP[:, None, None] * self.sigma)
         MRbc = M @ R_bc.T  # d r / d e_j
@@ -943,34 +966,46 @@ class _WindowProblem:
         J[:, :, 12:15] = MARi - MRbc
         J[:, :, 15:18] = MRbc @ skew(e_j) - MARi @ skew(f_ci @ R_bc.T)
         J[:, :, 18] = np.einsum(
-            "krb,kb->kr", MARi, (self.v_ua @ R_bc.T) * (-1.0 / lam**2)[:, None]
+            "krb,kb->kr", MARi, (ua @ R_bc.T) * (-1.0 / lam**2)[:, None]
         )
         return J
 
     def _add_visual(self, blocks: NormalBlocks, r, s, aux, rows=None) -> None:
-        """Accumulate Huber-reweighted visual rows, or those the mask rows
-        selects: their pose columns chunk by chunk, their depth column row by row."""
-        J = self._visual_jacobian(aux, self.v_jac)
-        sw = np.sqrt(huber_weight(s)) * (1.0 if rows is None else rows)
+        """Accumulate Huber-reweighted visual rows, or those the index rows
+        selects: their pose columns chunk by chunk, their depth column row by
+        row. A subset zeroes, refills and multiplies only the chunks its rows
+        sit in, so the other rows of those chunks hold zeros until the next
+        linearize of every row writes them again."""
+        J = self._visual_jacobian(aux, self.v_jac, rows)
+        slot, feat, w_target = self.v_slot, self.v_feat, self.v_w_target
+        at = slice(None)  # the chunks that the rows sit in
+        if rows is not None:
+            r, s = r[rows], s[rows]
+            slot, feat, w_target = slot[rows], feat[rows], w_target[rows]
+            at = np.unique(slot // VISUAL_CHUNK_ROWS)
+            self.v_chunks[at] = 0.0
+        sw = np.sqrt(huber_weight(s))
         J *= sw[:, None, None]
         rw = r * sw[:, None]
         C = J.shape[2] - 1
         Jp, Jl = J[:, :, :C], J[:, :, C]
-        rows = self.v_chunks.reshape(-1, 2, C + 1)
-        rows[self.v_slot, :, :C] = Jp
-        rows[self.v_slot, :, C] = rw
-        np.matmul(np.swapaxes(self.v_chunks, 1, 2), self.v_chunks, out=self.v_products)
+        chunk_rows = self.v_chunks.reshape(-1, 2, C + 1)
+        chunk_rows[slot, :, :C] = Jp
+        chunk_rows[slot, :, C] = rw
+        chunks = self.v_chunks[at]  # a view of every chunk, or a copy of a subset
+        products = np.matmul(np.swapaxes(chunks, 1, 2), chunks,
+                             out=self.v_products[: len(chunks)])
         nh, nb = len(self.v_h_entries), len(self.v_b_entries)
         # the last sum collects the entries that neither H_pp nor b_p takes
-        sums = np.bincount(self.v_target, self.v_products.ravel(), nh + nb + 1)
+        sums = np.bincount(self.v_target[at].ravel(), products.ravel(), nh + nb + 1)
         blocks.H_pp.reshape(-1)[self.v_h_entries] += sums[:nh]
         blocks.b_p[self.v_b_entries] += sums[nh : nh + nb]
         Wb = np.einsum("kri,kr->ki", Jp, Jl)
         blocks.W.reshape(-1)[self.v_w_entries] += np.bincount(
-            self.v_w_target, Wb.ravel(), len(self.v_w_entries))
+            w_target.ravel(), Wb.ravel(), len(self.v_w_entries))
         F = len(blocks.b_l)
-        blocks.v += np.bincount(self.v_feat, np.einsum("kr,kr->k", Jl, Jl), F)
-        blocks.b_l += np.bincount(self.v_feat, np.einsum("kr,kr->k", Jl, rw), F)
+        blocks.v += np.bincount(feat, np.einsum("kr,kr->k", Jl, Jl), F)
+        blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
 
     def _add_prior(self, blocks: NormalBlocks, rp, Jth, J_ext) -> None:
         """Accumulate the marginalization prior, whose Jacobian is H_p D with
@@ -990,14 +1025,14 @@ class _WindowProblem:
         blocks.b_p[:n] += g[:n]
         blocks.b_p[e:] += g[n:]
 
-    def _add_imu(self, blocks: NormalBlocks, rw, aux, rows=None) -> None:
-        """Accumulate the IMU factors, or those the mask rows selects."""
+    def _add_imu(self, blocks: NormalBlocks, rw, aux, leading=None) -> None:
+        """Accumulate the IMU factors, or only the leading ones."""
+        if leading is not None:
+            rw, aux = rw[:leading], [a[:leading] for a in aux]
         Jk, Jk1 = imu_jacobians_batch(self.imu, aux)
         K = len(rw)
         n = K + 1
-        J = self.imu.sqrt_info @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)
-        if rows is not None:
-            J, rw = J * rows[:, None, None], rw * rows[:, None]
+        J = self.imu.sqrt_info[:K] @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)
         JT = np.swapaxes(J, 1, 2)
         Hb = JT @ J
         bb = np.einsum("kir,kr->ki", JT, rw)
@@ -1010,20 +1045,24 @@ class _WindowProblem:
             for j, rj in ((0, k), (1, k + 1)):
                 Hv[ri, :, rj, :] += Hb[:, 15 * i : 15 * i + 15, 15 * j : 15 * j + 15]
 
-    def linearize(self, terms, rows=(None, None)) -> NormalBlocks:
+    def linearize(self, terms, rows=None) -> NormalBlocks:
         """Normal equations at the iterate evaluate() returned terms for, in
-        the problem's own NormalBlocks: valid until the next linearize. rows,
-        masks over the IMU factors and the visual rows, keeps those selected."""
+        the problem's own NormalBlocks: valid until the next linearize.
+
+        rows = (n_imu, visual), when given, keeps the prior, the leading
+        n_imu IMU factors and the visual rows whose indices the array visual
+        holds, and builds the Jacobians of those terms only."""
         prior, imu, visual = terms
+        n_imu, visual_rows = (None, None) if rows is None else rows
         blocks = self.blocks
         for a in (blocks.H_pp, blocks.W, blocks.v, blocks.b_p, blocks.b_l):
             a.fill(0.0)
         if prior is not None:
             self._add_prior(blocks, *prior)
         if imu is not None:
-            self._add_imu(blocks, *imu, rows[0])
+            self._add_imu(blocks, *imu, n_imu)
         if visual is not None:
-            self._add_visual(blocks, *visual, rows[1])
+            self._add_visual(blocks, *visual, visual_rows)
         return blocks
 
     # -- damped Gauss-Newton ---------------------------------------------------
@@ -1170,21 +1209,29 @@ class _WindowProblem:
         evaluate()'s terms, and the features whose depths it eliminates: those
         anchored in that frame that still have one. It consumes the old prior,
         the oldest IMU factor and those features' rows that window frames
-        observe, robust weights frozen. The depths go first, by their diagonal
-        Schur complement, then frame 0, without the loop frames' columns."""
+        observe, robust weights frozen: only these terms are linearized. The
+        depths go first, by their diagonal Schur complement, then frame 0,
+        without the loop frames' columns. Raises EstimatorError when the
+        system left after the depths is not finite."""
         old = self.frame_ids[0]
-        consumed = [f.anchor_id() == old and f.inv_depth is not None for f in self.feats]
-        rows = np.array(consumed, dtype=bool)[self.v_feat] & (self.v_obs < self.n_frames)
-        blocks = self.linearize(terms, (np.arange(len(self.imu)) < 1, rows))
-        v = blocks.v
+        consumed = np.array([f.anchor_id() == old and f.inv_depth is not None
+                             for f in self.feats], dtype=bool)
+        rows = np.flatnonzero(consumed[self.v_feat] & (self.v_obs < self.n_frames))
+        blocks = self.linearize(terms, (1, rows))
+        fi = np.flatnonzero(consumed)
+        v = blocks.v[fi]
         # like schur_complement's pseudo-inverse, a depth without information
         # (no baseline to any observer) is dropped instead of inverted
         keep = v > max(float(v.max(initial=0.0)) * 1e-12, 1e-14)
         inv_v = np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
         # the problem ends here, so its blocks are reduced in place
-        H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
-        cols = np.r_[: 15 * self.n_frames, self.ext_col : self.feat_col]
-        H_red, b_red = schur_complement(H[np.ix_(cols, cols)], b[cols], 15)
+        H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W[fi], blocks.b_l[fi], inv_v)
+        if len(self.states) > self.n_frames:
+            cols = np.r_[: 15 * self.n_frames, self.ext_col : self.feat_col]
+            H, b = H[np.ix_(cols, cols)], b[cols]
+        if not (np.isfinite(H).all() and np.isfinite(b).all()):
+            raise EstimatorError("non-finite marginalization system")
+        H_red, b_red = schur_complement(H, b, 15)
         Hp, rp = information_sqrt(H_red, b_red)
         prior = MarginalizationPrior(self.frame_ids[1:], self.states[1 : self.n_frames],
                                      self.extrinsic.copy(), rp, Hp)

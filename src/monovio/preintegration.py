@@ -221,13 +221,6 @@ class PreintegratedDelta:
     def bias_delta(self, new_bias: BiasState) -> tuple[np.ndarray, np.ndarray]:
         return new_bias.accel - self.lin_bias.accel, new_bias.gyro - self.lin_bias.gyro
 
-    def needs_repropagation(self, new_bias: BiasState) -> bool:
-        dba, dbw = self.bias_delta(new_bias)
-        return (
-            np.linalg.norm(dba) > REPROP_ACCEL_THRESHOLD
-            or np.linalg.norm(dbw) > REPROP_GYRO_THRESHOLD
-        )
-
     def correct_for_bias(self, new_bias: BiasState):
         """First-order corrected (alpha, beta, gamma) at a nearby bias."""
         dba, dbw = self.bias_delta(new_bias)
@@ -550,15 +543,16 @@ def imu_residuals_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
 
 def imu_jacobians_batch(st: StackedDeltas, aux):
     """Jacobians (K, 15, 15) of the residuals imu_residuals_batch returned aux
-    with, w.r.t. states k and k + 1.
+    with, w.r.t. states k and k + 1: of all of st's factors, or of its
+    leading K when aux is cut to its first K rows.
 
     Per-frame tangent ordering is (dp, dtheta, dv, dba, dbw) with the attitude
     perturbed on the left in the world frame: q <- dq (x) q.
     """
     Rk_t, phi, u, w, q_rel, e = aux
-    K = len(st)
-    dt = st.dt[:, None]
-    J = st.J
+    K = len(Rk_t)
+    dt = st.dt[:K, None]
+    J = st.J[:K]
     j_gamma_bw = J[:, 6:9, 12:15]
     L = e[:, 0, None, None] * _EYE3 - skew(e[:, 1:])
     LR = L @ Rk_t
@@ -571,7 +565,7 @@ def imu_jacobians_batch(st: StackedDeltas, aux):
     proj = np.eye(4) - s_hat[:, :, None] * s_hat[:, None, :]
     ds = (proj @ ds_un) / n[:, None, None]
     ds[:, 1:, :] *= -1.0  # conjugation
-    de_dbw = quat_left_mat(q_rel) @ (quat_right_mat(quat_conjugate(st.gamma)) @ ds)
+    de_dbw = quat_left_mat(q_rel) @ (quat_right_mat(quat_conjugate(st.gamma[:K])) @ ds)
 
     Jk = np.zeros((K, 15, 15))
     Jk1 = np.zeros((K, 15, 15))

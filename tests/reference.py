@@ -3,7 +3,13 @@ bit for bit where the kernel claims bitwise equality."""
 
 import numpy as np
 
-from monovio.estimator import EstimatorError, NormalBlocks, huber_weight
+from monovio.estimator import (
+    EstimatorError,
+    NormalBlocks,
+    eliminate_depths,
+    huber_weight,
+    schur_complement,
+)
 from monovio.geometry import (
     quat_canonical,
     quat_inverse,
@@ -21,6 +27,7 @@ from monovio.posegraph import (
 )
 from monovio.preintegration import (
     PreintegrationError,
+    imu_jacobians_batch,
     integrate_segment,
     interpolate_sample,
     midpoint_path,
@@ -264,17 +271,30 @@ def visual_residual(
     return r, jac
 
 
-def linearize_per_row(problem, terms):
-    """problem.linearize(terms) into fresh NormalBlocks, with every visual
-    row's outer products scattered on their own: np.bincount over each row's
-    flat entries of H_pp and W, without the frame-pair chunks."""
+def linearize_per_row(problem, terms, masks=None):
+    """problem.linearize(terms) into fresh NormalBlocks, with every IMU
+    factor's and every visual row's outer products scattered on their own:
+    one dense block per factor, and np.bincount over each visual row's flat
+    entries of H_pp and W, without the frame-pair chunks.
+
+    masks = (imu, visual), 0/1 weights over the IMU factors and the visual
+    rows, linearizes every term and zero-weights those not selected."""
     prior, imu, visual = terms
+    imu_w, visual_w = (None, None) if masks is None else masks
     P, F = problem.feat_col, len(problem.feats)
     blocks = NormalBlocks(np.zeros((P, P)), np.zeros((F, P)), np.zeros(F), np.zeros(P), np.zeros(F))
     if prior is not None:
         problem._add_prior(blocks, *prior)
     if imu is not None:
-        problem._add_imu(blocks, *imu)
+        rw, aux = imu
+        Jk, Jk1 = imu_jacobians_batch(problem.imu, aux)
+        J = problem.imu.sqrt_info @ np.concatenate([Jk, Jk1], axis=2)
+        if imu_w is not None:
+            J, rw = J * imu_w[:, None, None], rw * imu_w[:, None]
+        for k in range(len(rw)):
+            cols = slice(15 * k, 15 * k + 30)
+            blocks.H_pp[cols, cols] += J[k].T @ J[k]
+            blocks.b_p[cols] += J[k].T @ rw[k]
     if visual is not None:
         r, s, aux = visual
         J = problem._visual_jacobian(aux, np.empty_like(problem.v_jac))
@@ -284,7 +304,7 @@ def linearize_per_row(problem, terms):
         feat = problem.v_feat
         flat_pp = (cols[:, :, None] * P + cols[:, None, :]).ravel()
         flat_w = (feat[:, None] * P + cols).ravel()
-        sw = np.sqrt(huber_weight(s))
+        sw = np.sqrt(huber_weight(s)) * (1.0 if visual_w is None else visual_w)
         Jw = J * sw[:, None, None]
         rw = r * sw[:, None]
         Jp, Jl = Jw[:, :, :-1], Jw[:, :, -1]
@@ -296,6 +316,47 @@ def linearize_per_row(problem, terms):
         blocks.b_p += np.bincount(cols.ravel(), np.einsum("kri,kr->ki", Jp, rw).ravel(), P)
         blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
     return blocks
+
+
+def marginal_masks(problem):
+    """0/1 masks over the IMU factors and the visual rows of the terms that
+    marginalize_frame consumes: IMU factor 0, and the rows that window frames
+    observe of the features anchored in frame 0 that still have a depth."""
+    old = problem.frame_ids[0]
+    consumed = np.array([f.anchor_id() == old and f.inv_depth is not None
+                         for f in problem.feats], dtype=bool)
+    rows = consumed[problem.v_feat] & (problem.v_obs < problem.n_frames)
+    return (np.arange(len(problem.imu)) < 1).astype(float), rows.astype(float)
+
+
+def information_sqrt_eigen(H, b):
+    """information_sqrt by an eigendecomposition of the symmetric H: the
+    eigenvalues above 1e-10 of the largest (and above 1e-12) are kept, and
+    (H_p, r_p) = ((U s)^T, (U / s)^T b) over their eigenvectors U and
+    square roots s."""
+    vals, vecs = np.linalg.eigh(H)
+    vmax = max(float(vals.max(initial=0.0)), 0.0)
+    keep = vals > max(vmax * 1e-10, 1e-12)
+    if not np.any(keep):
+        return np.zeros((0, H.shape[0])), np.zeros(0)
+    s = np.sqrt(vals[keep])
+    U = vecs[:, keep]
+    return (U * s).T, (U / s).T @ b
+
+
+def marginalize_frame_masked(problem, terms):
+    """(H_p, r_p) of problem.marginalize_frame(terms), built from every term:
+    linearize_per_row with marginal_masks' weights, every feature's depth
+    eliminated, the pose columns without the loop frames' cut out by np.ix_,
+    then schur_complement and information_sqrt_eigen."""
+    blocks = linearize_per_row(problem, terms, marginal_masks(problem))
+    v = blocks.v
+    keep = v > max(float(v.max(initial=0.0)) * 1e-12, 1e-14)
+    inv_v = np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
+    H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
+    cols = np.r_[: 15 * problem.n_frames, problem.ext_col : problem.feat_col]
+    H_red, b_red = schur_complement(H[np.ix_(cols, cols)], b[cols], 15)
+    return information_sqrt_eigen(H_red, b_red)
 
 
 def consensus_per_draw(n, sample_size, fit, inliers, seed):

@@ -43,6 +43,8 @@ from reference import (
     imu_residual_jacobians,
     keyframe_decision_per_pair,
     linearize_per_row,
+    marginal_masks,
+    marginalize_frame_masked,
     visual_residual,
 )
 
@@ -54,6 +56,12 @@ MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 # array of the pose block's size (171 x 171, 234 KB) would cross either
 LINEARIZE_PEAK_KB = 600
 STEP_PEAK_KB = 400
+# bound on the tracemalloc peak, above its start, of one marginalize_frame
+# of the warmed loop-free loop_window() problem: 548 KB read with the
+# consumed rows' linearization and the pivoted Cholesky prior, 813 KB with
+# the masked full linearization and the eigendecomposition; one more array
+# of the prior's size (156 x 156, 195 KB) would cross it
+MARGINALIZE_PEAK_KB = 700
 
 
 def seeded_estimator(cfg, data, n_frames=11, config=None):
@@ -1353,3 +1361,135 @@ class TestFramePairAssembly:
         finally:
             tracemalloc.stop()
         assert lin_kb < LINEARIZE_PEAK_KB and step_kb < STEP_PEAK_KB
+
+
+def pruned_depth_problem():
+    """Loop-free problem over loop_window() after a feature anchored in frame
+    0 lost its depth in prune_bad_depths, as a solve leaves it: the problem
+    still holds that feature's rows, in chunks that also hold rows of the
+    features that marginalization consumes."""
+    from monovio.estimator import VISUAL_CHUNK_ROWS, _WindowProblem
+
+    est, feats, _ = loop_window()
+    problem = _WindowProblem(est, feats, [])
+    chunk = problem.v_slot // VISUAL_CHUNK_ROWS
+    old = problem.frame_ids[0]
+    anchored = [fi for fi, f in enumerate(feats) if f.anchor_id() == old]
+    shared = [fi for fi in anchored if np.any(np.isin(
+        chunk[problem.v_feat == fi],
+        chunk[np.isin(problem.v_feat, anchored) & (problem.v_feat != fi)]))]
+    feats[shared[0]].inv_depth = 1e-5  # collapsed onto the clamp
+    est.prune_bad_depths()
+    assert feats[shared[0]].inv_depth is None
+    return problem
+
+
+def marginal_problem(case):
+    """The problem that marginalization is checked on: loop_window_problem()'s
+    for "loop", pruned_depth_problem() for "pruned"."""
+    return loop_window_problem()[0] if case == "loop" else pruned_depth_problem()
+
+
+class TestSquareRootMarginalization:
+    @pytest.mark.parametrize("rank", [1, 7, 29, 30])
+    def test_information_sqrt_factors_psd_matrices_of_known_rank(self, rank):
+        # a spectrum from 1 to 1e-6, exact zeros and a -1e-14 round-off
+        # eigenvalue; b in the range of H
+        n = 30
+        rng = np.random.default_rng(rank)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        vals = np.zeros(n)
+        vals[:rank] = np.logspace(0.0, -6.0, rank)
+        if rank < n:
+            vals[-1] = -1e-14
+        H = (Q * vals) @ Q.T
+        H = 0.5 * (H + H.T)
+        b = H @ rng.standard_normal(n)
+        H_in, b_in = H.copy(), b.copy()
+        H_p, r_p = information_sqrt(H, b)
+        np.testing.assert_array_equal(H, H_in)
+        np.testing.assert_array_equal(b, b_in)
+        eig = np.linalg.eigvalsh(H)
+        assert H_p.shape == (np.sum(eig > 1e-10 * eig.max()), n) == (rank, n)
+        assert r_p.shape == (rank,)
+        np.testing.assert_allclose(H_p.T @ H_p, H, rtol=0, atol=1e-12 * np.abs(H).max())
+        np.testing.assert_allclose(H_p.T @ r_p, b, rtol=0, atol=1e-12 * np.abs(b).max())
+
+    def test_zero_information_gives_an_empty_prior(self):
+        H_p, r_p = information_sqrt(np.zeros((12, 12)), np.zeros(12))
+        assert H_p.shape == (0, 12) and r_p.shape == (0,)
+
+    @pytest.mark.parametrize("case", ["loop", "pruned"])
+    def test_consumed_rows_equal_masked_reference(self, case):
+        # the blocks of the consumed terms alone equal those of every term
+        # with the others zero-weighted, after a linearize of every row has
+        # filled the chunk buffers
+        from monovio.estimator import VISUAL_CHUNK_ROWS
+
+        problem = marginal_problem(case)
+        terms = problem.evaluate()[1]
+        problem.linearize(terms)
+        imu_w, row_w = marginal_masks(problem)
+        rows = np.flatnonzero(row_w)
+        chunk = problem.v_slot // VISUAL_CHUNK_ROWS
+        if case == "loop":
+            consumed = np.unique(problem.v_feat[rows])
+            loop_rows = problem.v_obs >= problem.n_frames
+            assert np.any(np.isin(problem.v_feat[loop_rows], consumed))
+        else:  # a chunk holds kept and unkept rows
+            assert np.intersect1d(chunk[rows], chunk[row_w == 0]).size
+        got = problem.linearize(terms, (1, rows))
+        assert_blocks_match(got, linearize_per_row(problem, terms, (imu_w, row_w)))
+
+    @pytest.mark.parametrize("case", ["loop", "pruned"])
+    def test_prior_equals_masked_eigen_reference(self, case):
+        # the gradients H_p^T r_p are compared at the scale of H x, with x the
+        # reference prior's minimizer (the relative error of the normal
+        # equations): each factorization drops b's share along the
+        # directions it cuts, about 1e-9 of max |b| here, in its own way
+        problem = marginal_problem(case)
+        terms = problem.evaluate()[1]
+        ref_H, ref_r = marginalize_frame_masked(problem, terms)
+        prior, _ = problem.marginalize_frame(terms)
+        info, ref_info = prior.H.T @ prior.H, ref_H.T @ ref_H
+        scale = np.abs(ref_info).max()
+        np.testing.assert_allclose(info, ref_info, rtol=0, atol=1e-10 * scale)
+        x = np.linalg.lstsq(ref_H, ref_r, rcond=None)[0]
+        grad, ref_grad = prior.H.T @ prior.r, ref_H.T @ ref_r
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10 * scale * np.abs(x).max())
+
+    def test_non_finite_terms_raise(self):
+        # a NaN in the consumed IMU factor or in a consumed visual row
+        from monovio.estimator import _WindowProblem
+
+        est, feats, _ = loop_window()
+        problem = _WindowProblem(est, feats, [])
+        prior, (rw, aux), (r, s, vaux) = problem.evaluate()[1]
+        bad_rw = rw.copy()
+        bad_rw[0, 4] = np.nan
+        bad_r = r.copy()
+        bad_r[np.flatnonzero(marginal_masks(problem)[1])[0]] = np.nan
+        for terms in ((prior, (bad_rw, aux), (r, s, vaux)), (prior, (rw, aux), (bad_r, s, vaux))):
+            with pytest.raises(EstimatorError):
+                problem.marginalize_frame(terms)
+
+    def test_marginalize_allocates_below_fixed_bound(self):
+        # reading beside MARGINALIZE_PEAK_KB
+        import tracemalloc
+
+        from monovio.estimator import _WindowProblem
+
+        est, feats, _ = loop_window()
+        problem = _WindowProblem(est, feats, [])
+        terms = problem.evaluate()[1]
+        problem.linearize(terms)
+        problem.marginalize_frame(terms)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            problem.marginalize_frame(terms)
+            kb = (tracemalloc.get_traced_memory()[1] - base) / 1024
+        finally:
+            tracemalloc.stop()
+        assert kb < MARGINALIZE_PEAK_KB
