@@ -140,7 +140,7 @@ def write_sfm_poses(path, frames: list[UpToScaleFrame]) -> None:
 
 # ---------------------------------------------------------------------------
 # loop candidates: header "LOOP query_t candidate_t" then correspondence rows
-# "feature_id cux cuy cuz qux quy quz"
+# "feature_id cux cuy cuz qux quy quz"; rays are made unit where they are read
 
 
 def write_loops(path, candidates: list[LoopCandidate]) -> None:
@@ -196,10 +196,14 @@ def read_loops(path) -> list[LoopCandidate]:
                     vals = [float(x) for x in parts[1:]]
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: {exc}") from None
+                rays = np.reshape(vals, (2, 3))
+                n = np.linalg.norm(rays, axis=1, keepdims=True)
+                if not np.all(np.isfinite(n) & (n > 0.0)):
+                    raise FormatError(f"{path}:{lineno}: zero or non-finite ray")
                 fids, rcs, rqs = current["rows"]
                 fids.append(fid)
-                rcs.append(vals[0:3])
-                rqs.append(vals[3:6])
+                rcs.append(rays[0] / n[0])
+                rqs.append(rays[1] / n[1])
     flush()
     return candidates
 

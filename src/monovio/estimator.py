@@ -131,7 +131,9 @@ class LoopObservationSet:
         self.p_w_v = np.asarray(self.p_w_v, dtype=float)
         if not self.pairs:
             raise ValueError("loop observation set needs at least one correspondence")
-        self.pairs = [(fid, np.divide(ray, np.linalg.norm(ray))) for fid, ray in self.pairs]
+        rays = np.array([ray for _, ray in self.pairs], dtype=float)
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        self.pairs = [(fid, ray) for (fid, _), ray in zip(self.pairs, rays)]
 
 
 @dataclass
@@ -400,7 +402,7 @@ class SlidingWindowEstimator:
 
     def __init__(self, config: EstimatorConfig, extrinsic: ExtrinsicCalib):
         self.config = config
-        self.extrinsic = extrinsic.copy()
+        self.extrinsic = extrinsic  # replaced, never written into
         self.frames = FrameStates([], [], [], [], [], [])
         self.frame_ids: list[int] = []
         self.keyframe_flags: list[bool] = []
@@ -437,15 +439,17 @@ class SlidingWindowEstimator:
         self.prior = self._pending_prior = None
 
     def observe(self, observations: dict[int, np.ndarray], frame_idx: int = -1) -> None:
-        """Attach feature rays observed at a window frame (default: latest)."""
+        """Attach feature rays observed at a window frame (default: latest),
+        normalized as one block."""
         fid = self.frame_ids[frame_idx]
-        for feat_id, ray in observations.items():
+        rays = np.array(list(observations.values()), dtype=float).reshape(-1, 3)
+        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+        for feat_id, ray in zip(observations, rays):
             feat = self.features.get(feat_id)
             if feat is None:
                 feat = Feature(feat_id)
                 self.features[feat_id] = feat
-            ray = np.asarray(ray, dtype=float)
-            feat.obs[fid] = ray / np.linalg.norm(ray)
+            feat.obs[fid] = ray
 
     def add_frame(self, t: float, delta: PreintegratedDelta,
                   observations: dict[int, np.ndarray], is_keyframe: bool) -> None:
@@ -595,7 +599,6 @@ class SlidingWindowEstimator:
         drifted too far from the bias of the frame each starts at."""
         n = len(self.deltas)
         ba, bw = self.frames.ba[:n], self.frames.bw[:n]
-        BiasState.check(ba, bw)
         drifted = ((np.linalg.norm(ba - imu.lin_ba, axis=1) > REPROP_ACCEL_THRESHOLD)
                    | (np.linalg.norm(bw - imu.lin_bw, axis=1) > REPROP_GYRO_THRESHOLD))
         for k in np.flatnonzero(drifted):
@@ -733,7 +736,7 @@ class _WindowProblem:
         held = FrameStates(np.full(len(loops), np.nan), [loop.p_w_v for loop in loops],
                            [loop.q_w_v for loop in loops], zeros, zeros, zeros)
         self.states = est.frames.append(held)  # the iterate; retract replaces it
-        self.extrinsic = est.extrinsic.copy()
+        self.extrinsic = est.extrinsic
         self.lam = np.array([f.inv_depth for f in feats], dtype=float)
 
         self.ext_col = 15 * len(self.states)
@@ -774,15 +777,13 @@ class _WindowProblem:
 
     # -- iterate management ----------------------------------------------------
 
+    # retract replaces the states, the extrinsic and the depths instead of
+    # writing into them, so a snapshot shares them
     def snapshot(self):
-        return (self.states, self.extrinsic.copy(), self.lam.copy())
+        return (self.states, self.extrinsic, self.lam)
 
     def restore(self, snap):
-        # retract replaces the state arrays instead of writing into them, so
-        # a snapshot may share them
-        self.states, ext, lam = snap
-        self.extrinsic = ext.copy()
-        self.lam = lam.copy()
+        self.states, self.extrinsic, self.lam = snap
 
     def retract(self, dx: np.ndarray) -> None:
         """Apply a local step. Raises ValueError, leaving the iterate
@@ -1234,5 +1235,5 @@ class _WindowProblem:
         H_red, b_red = schur_complement(H, b, 15)
         Hp, rp = information_sqrt(H_red, b_red)
         prior = MarginalizationPrior(self.frame_ids[1:], self.states[1 : self.n_frames],
-                                     self.extrinsic.copy(), rp, Hp)
+                                     self.extrinsic, rp, Hp)
         return prior, [f for f, c in zip(self.feats, consumed) if c]

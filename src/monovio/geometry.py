@@ -5,6 +5,14 @@ Conventions used throughout the package:
   - R(q) maps body-frame vectors into the parent frame: v_parent = R(q) @ v_body.
   - Most functions broadcast over leading batch dimensions.
 
+Every stored quaternion is unit and canonical (w >= 0), made so where it is
+made: by quat_canonical, the last step of rot_to_quat, of the window's
+states, the extrinsic, the alignment, the pose graph, each published attitude
+and the rotation since the last keyframe; by small_angle_quat; and, unit by
+construction, by quat_exp and the midpoint chain of
+preintegration.midpoint_path. The kernels that read quaternions (quat_mul,
+quat_inverse, quat_to_rot, quat_rotate) trust them.
+
 Cross products are written out component by component (cross) instead of
 calling np.cross: np.cross spends tens of microseconds per call on
 broadcasting and axis handling, far more than the six products of a
@@ -46,24 +54,22 @@ def quat_canonical(q):
     return q * sign
 
 
-def quat_conjugate(q):
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_inverse(q):
-    # unit quaternion assumed; inverse == conjugate
-    return quat_conjugate(quat_normalize(q))
+    """Inverse of a unit quaternion: its conjugate."""
+    return np.asarray(q, dtype=float) * _CONJUGATE
 
 
 def quat_mul(a, b):
-    """Hamilton product a (x) b, renormalized."""
+    """Hamilton product a (x) b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim == 1 and b.ndim == 1:
         w1, x1, y1, z1 = a
         w2, x2, y2, z2 = b
-        out = np.array(
+        return np.array(
             [
                 w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
                 w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -71,10 +77,9 @@ def quat_mul(a, b):
                 w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
             ]
         )
-        return quat_normalize(out)
     w1, x1, y1, z1 = (a[..., i] for i in range(4))
     w2, x2, y2, z2 = (b[..., i] for i in range(4))
-    out = np.stack(
+    return np.stack(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -83,7 +88,6 @@ def quat_mul(a, b):
         ],
         axis=-1,
     )
-    return quat_normalize(out)
 
 
 def cross(a, b):
@@ -123,7 +127,7 @@ def quat_rotate(q, v):
 
 
 def quat_to_rot(q):
-    q = quat_normalize(q)
+    q = np.asarray(q, dtype=float)
     if q.ndim == 1:
         w, x, y, z = q
         xx, yy, zz = x * x, y * y, z * z
@@ -190,14 +194,14 @@ def quat_exp(rotvec):
         half = 0.5 * angle
         # sin(x)/x Taylor fallback keeps the map smooth through zero
         k = 0.5 - angle * angle / 48.0 if angle < 1e-8 else np.sin(half) / angle
-        return quat_normalize(np.array([np.cos(half), *(rotvec * k)]))
+        return np.array([np.cos(half), *(rotvec * k)])
     angle = np.linalg.norm(rotvec, axis=-1, keepdims=True)
     half = 0.5 * angle
     small = angle < 1e-8
     with np.errstate(invalid="ignore", divide="ignore"):
         k = np.where(small, 0.5 - angle * angle / 48.0, np.sin(half) / np.where(small, 1.0, angle))
     w = np.cos(half)
-    return quat_normalize(np.concatenate([w, rotvec * k], axis=-1))
+    return np.concatenate([w, rotvec * k], axis=-1)
 
 
 def quat_angle(q) -> float:

@@ -23,7 +23,7 @@ from .geometry import (
     tangent_basis,
     yaw_roll_pitch_decompose,
 )
-from .preintegration import GRAVITY_MAGNITUDE, BiasState, FrameStates, PreintegratedDelta
+from .preintegration import GRAVITY_MAGNITUDE, MAX_GYRO_BIAS, BiasState, FrameStates, PreintegratedDelta
 
 MIN_ROTATION_EXCITATION = np.deg2rad(5.0)  # total rotation across the window
 MIN_ACCEL_VARIANCE = 0.05  # (m/s^2)^2 across the window
@@ -59,9 +59,6 @@ class ExtrinsicCalib:
         self.p_b_c = np.asarray(self.p_b_c, dtype=float)
         self.q_b_c = quat_canonical(np.asarray(self.q_b_c, dtype=float))
 
-    def copy(self) -> "ExtrinsicCalib":
-        return ExtrinsicCalib(self.p_b_c.copy(), self.q_b_c.copy())
-
 
 @dataclass
 class BodyFrames:
@@ -81,15 +78,6 @@ class BodyFrames:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-@dataclass
-class InitializationResult:
-    gyro_bias: np.ndarray
-    velocities: np.ndarray  # (N, 3) body-frame
-    gravity_c0: np.ndarray
-    scale: float
-    q_w_c0: np.ndarray
 
 
 def camera_to_body_poses(frames: list[UpToScaleFrame], extrinsic: ExtrinsicCalib) -> BodyFrames:
@@ -139,8 +127,10 @@ def calibrate_gyro_bias(
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e8:
         raise InitializationError("gyro-bias normal equations are rank deficient")
-    dbw = np.linalg.solve(A, b)
-    return deltas[0].lin_bias.gyro + dbw
+    bias = deltas[0].lin_bias.gyro + np.linalg.solve(A, b)
+    if not np.linalg.norm(bias) < MAX_GYRO_BIAS:
+        raise InitializationError("gyro bias exceeds its sanity bound")
+    return bias
 
 
 def _alignment_system(body: BodyFrames, deltas: list[PreintegratedDelta], extrinsic: ExtrinsicCalib):
@@ -262,7 +252,7 @@ def complete_initialization(
     velocities: np.ndarray,
     gravity_c0: np.ndarray,
     scale: float,
-) -> tuple[InitializationResult, FrameStates]:
+) -> FrameStates:
     """Rotate the aligned solution into the gravity-aligned world frame.
 
     The states are the sliding-window estimator's seed: metric poses with
@@ -270,19 +260,12 @@ def complete_initialization(
     (0, 0, g), zero accelerometer bias and gyro_bias in every row.
     """
     q_w_c0 = gravity_aligning_rotation(gravity_c0)
-    result = InitializationResult(
-        gyro_bias=np.asarray(gyro_bias, dtype=float),
-        velocities=np.asarray(velocities, dtype=float),
-        gravity_c0=np.asarray(gravity_c0, dtype=float),
-        scale=float(scale),
-        q_w_c0=q_w_c0,
-    )
     p_w = quat_rotate(q_w_c0, body.position(scale))
     p_w -= p_w[0]
     q_w = np.array([quat_canonical(quat_mul(q_w_c0, q)) for q in body.q_c0_bk])
-    v_w = quat_rotate(q_w_c0, quat_rotate(body.q_c0_bk, result.velocities))
-    bw = np.tile(result.gyro_bias, (len(body), 1))
-    return result, FrameStates(body.t.copy(), p_w, q_w, v_w, np.zeros_like(p_w), bw)
+    v_w = quat_rotate(q_w_c0, quat_rotate(body.q_c0_bk, velocities))
+    bw = np.tile(gyro_bias, (len(body), 1))
+    return FrameStates(body.t.copy(), p_w, q_w, v_w, np.zeros_like(p_w), bw)
 
 
 def excitation_gates(deltas: list[PreintegratedDelta], imu_window) -> bool:
@@ -308,7 +291,7 @@ def run_alignment(
     frames: list[UpToScaleFrame],
     deltas: list[PreintegratedDelta],
     extrinsic: ExtrinsicCalib,
-) -> tuple[InitializationResult, FrameStates, list[PreintegratedDelta]]:
+) -> tuple[FrameStates, list[PreintegratedDelta]]:
     """Full alignment pipeline: gyro bias, linear solve, gravity refinement,
     world-frame completion. Returns the estimator's seed states and the
     deltas re-propagated at their biases as well."""
@@ -318,5 +301,5 @@ def run_alignment(
     deltas = [d.repropagate(new_bias) for d in deltas]
     _, gravity_c0, _ = solve_velocity_gravity_scale(body, deltas, extrinsic)
     gravity_c0, velocities, scale = refine_gravity(gravity_c0, body, deltas, extrinsic)
-    result, states = complete_initialization(body, gyro_bias, velocities, gravity_c0, scale)
-    return result, states, deltas
+    states = complete_initialization(body, gyro_bias, velocities, gravity_c0, scale)
+    return states, deltas

@@ -347,7 +347,8 @@ class _PendingLoop:
 
 
 class VioPipeline:
-    """Batch pipeline over prepared input streams."""
+    """Batch pipeline over prepared input streams, run once. The window
+    normalizes the observed rays; loop_candidates' rays must be unit."""
 
     def __init__(
         self,
@@ -379,7 +380,7 @@ class VioPipeline:
         self._segment = -1
         self._init_buffer: list[tuple[float, UpToScaleFrame, dict]] = []
         self._last_output: FrameStates | None = None
-        self._last_extrinsic = extrinsic.copy()
+        self._last_extrinsic = extrinsic
         self._kf_reference: dict[int, np.ndarray] = {}  # the last keyframe's observations
         self._gamma_since_kf = np.array([1.0, 0.0, 0.0, 0.0])
         self._active_loops: list[_PendingLoop] = []
@@ -407,6 +408,9 @@ class VioPipeline:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RunReport:
+        """Run over the streams and return the report; a second call raises."""
+        if self.driver is not None:
+            raise RuntimeError("VioPipeline.run() runs once; build a new pipeline")
         # live mode's graph worker starts here and is stopped on every exit,
         # so a run that raises leaves no thread behind
         self.driver = GraphDriver(self.graph, threaded=not self.config.test_mode)
@@ -455,7 +459,7 @@ class VioPipeline:
             if not excitation_gates(deltas, window_samples):
                 self._toc("init", t0)
                 return False
-            _, states, deltas = run_alignment(frames, deltas, self.extrinsic)
+            states, deltas = run_alignment(frames, deltas, self.extrinsic)
         except PreintegrationError:
             # the window's IMU stream has a gap: start collecting after it
             self._init_buffer.clear()
@@ -510,7 +514,8 @@ class VioPipeline:
 
         # keyframe decision against the last keyframe reference
         _, _, gamma_c = delta.correct_for_bias(bias)
-        self._gamma_since_kf = quat_mul(self._gamma_since_kf, gamma_c)
+        # a product over any number of frames: normalized where it is stored
+        self._gamma_since_kf = quat_canonical(quat_mul(self._gamma_since_kf, gamma_c))
         is_kf = self._decide_keyframe(obs)
         if is_kf:
             self._kf_reference = dict(obs)
@@ -595,7 +600,7 @@ class VioPipeline:
         """Keep the window's newest state and extrinsic as the last output,
         which the next frame checks and propagates, and publish its pose."""
         self._last_output = s = self.est.latest()
-        self._last_extrinsic = self.est.extrinsic.copy()
+        self._last_extrinsic = self.est.extrinsic
         self._window_out.append((s.t, *self._corrected_pose(s.p, s.q)))
 
     # -- pose graph and relocalization ------------------------------------------------

@@ -21,9 +21,9 @@ from operator import attrgetter
 import numpy as np
 
 from .geometry import (
-    quat_conjugate,
     quat_exp,
     quat_identity,
+    quat_inverse,
     quat_mul,
     quat_to_rot,
     skew,
@@ -70,6 +70,9 @@ class ImuSample:
 
 @dataclass
 class BiasState:
+    """Accelerometer and gyroscope biases, checked against the sanity bounds
+    when made. Never written in place, so holders share one."""
+
     accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -88,9 +91,6 @@ class BiasState:
             raise ValueError("accelerometer bias exceeds sanity bound")
         if np.any(np.linalg.norm(gyro, axis=-1) >= MAX_GYRO_BIAS):
             raise ValueError("gyroscope bias exceeds sanity bound")
-
-    def copy(self) -> "BiasState":
-        return BiasState(self.accel.copy(), self.gyro.copy())
 
 
 @dataclass
@@ -178,7 +178,7 @@ class PreintegratedDelta:
     """
 
     def __init__(self, lin_bias: BiasState, noise: NoiseParams):
-        self.lin_bias = lin_bias.copy()
+        self.lin_bias = lin_bias
         self.noise = noise
         self.alpha = np.zeros(3)
         self.beta = np.zeros(3)
@@ -529,8 +529,8 @@ def imu_residuals_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
 
     u = p[1:] - p[:-1] + 0.5 * g * dt * dt - v[:-1] * dt
     w = v[1:] + g * dt - v[:-1]
-    q_rel = quat_mul(quat_conjugate(q[:-1]), q[1:])
-    e = quat_mul(q_rel, quat_conjugate(gamma_c))
+    q_rel = quat_mul(quat_inverse(q[:-1]), q[1:])
+    e = quat_mul(q_rel, quat_inverse(gamma_c))
 
     r = np.empty((K, 15))
     r[:, 0:3] = _mv(Rk_t, u) - alpha_c
@@ -565,7 +565,7 @@ def imu_jacobians_batch(st: StackedDeltas, aux):
     proj = np.eye(4) - s_hat[:, :, None] * s_hat[:, None, :]
     ds = (proj @ ds_un) / n[:, None, None]
     ds[:, 1:, :] *= -1.0  # conjugation
-    de_dbw = quat_left_mat(q_rel) @ (quat_right_mat(quat_conjugate(st.gamma[:K])) @ ds)
+    de_dbw = quat_left_mat(q_rel) @ (quat_right_mat(quat_inverse(st.gamma[:K])) @ ds)
 
     Jk = np.zeros((K, 15, 15))
     Jk1 = np.zeros((K, 15, 15))

@@ -400,7 +400,9 @@ def synthesize_sfm(gt: GroundTruth, seed: int) -> list[UpToScaleFrame]:
 
 @dataclass
 class LoopCandidate:
-    """A simulated place-recognition hit with labeled correspondences."""
+    """A simulated place-recognition hit with labeled correspondences. Its
+    rays are unit: synthesize_loops and dataio.read_loops make them so, and
+    loop verification reads them as they are."""
 
     query_t: float
     candidate_t: float

@@ -440,7 +440,7 @@ class TestSolver:
             return solve(problem, config, mask)
 
         monkeypatch.setattr(_WindowProblem, "solve", recording_solve)
-        ext = est.extrinsic.copy()
+        ext = est.extrinsic
         window_p = est.frames.p
         rep = est.build_and_solve(loops=[loop], fix_extrinsic=False)
         (problem, held), = solved
@@ -722,7 +722,7 @@ class TestMarginalization:
         est.build_and_solve()
         frames = est.frames
         ids = list(est.frame_ids)
-        ext = est.extrinsic.copy()
+        ext = est.extrinsic
         sigma = est.config.obs_sigma
         marg = [
             (f.inv_depth, [f.obs[k] for k in sorted(f.obs)], [ids.index(k) for k in sorted(f.obs)])

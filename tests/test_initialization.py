@@ -9,6 +9,7 @@ from monovio.initialization import (
     calibrate_gyro_bias,
     camera_to_body_poses,
     excitation_gates,
+    gravity_aligning_rotation,
     refine_gravity,
     run_alignment,
     solve_velocity_gravity_scale,
@@ -42,6 +43,17 @@ def make_window(cfg, n_frames=11, lin_bias=None, model_noise=NO_NOISE):
         for k in range(n_frames - 1)
     ]
     return gt, frames, deltas, samples
+
+
+def alignment_steps(frames, deltas, extrinsic):
+    """The gyro bias, c0-frame gravity, scale and q_w_c0 of run_alignment,
+    from the public steps it runs."""
+    body = camera_to_body_poses(frames, extrinsic)
+    gyro_bias = calibrate_gyro_bias(body.q_c0_bk, deltas)
+    deltas = [d.repropagate(BiasState(np.zeros(3), gyro_bias)) for d in deltas]
+    _, g_c0, _ = solve_velocity_gravity_scale(body, deltas, extrinsic)
+    g_c0, _, scale = refine_gravity(g_c0, body, deltas, extrinsic)
+    return gyro_bias, g_c0, scale, gravity_aligning_rotation(g_c0)
 
 
 class TestCameraToBody:
@@ -221,17 +233,22 @@ class TestCompletion:
     def test_gravity_rotated_to_z(self):
         cfg = ScenarioConfig(duration=3.0, seed=9)
         _, frames, deltas, _ = make_window(cfg)
-        res, world, _ = run_alignment(frames, deltas, cfg.extrinsic)
-        g_w = geo.quat_rotate(res.q_w_c0, res.gravity_c0)
+        _, g_c0, _, q_w_c0 = alignment_steps(frames, deltas, cfg.extrinsic)
+        # the seed's attitudes are the c0-frame body attitudes rotated by q_w_c0
+        world, _ = run_alignment(frames, deltas, cfg.extrinsic)
+        body = camera_to_body_poses(frames, cfg.extrinsic)
+        np.testing.assert_array_equal(
+            world.q, [geo.quat_canonical(geo.quat_mul(q_w_c0, q)) for q in body.q_c0_bk])
+        g_w = geo.quat_rotate(q_w_c0, g_c0)
         np.testing.assert_allclose(g_w, [0, 0, 9.81], atol=1e-9)
         # yaw pinned to zero
-        _, _, yaw = geo.yaw_roll_pitch_decompose(res.q_w_c0)
+        _, _, yaw = geo.yaw_roll_pitch_decompose(q_w_c0)
         assert abs(yaw) < 1e-10
 
     def test_trajectory_matches_up_to_yaw_and_translation(self):
         cfg = ScenarioConfig(duration=3.0, seed=10, scale_hidden=2.5)
         gt, frames, deltas, _ = make_window(cfg)
-        res, world, _ = run_alignment(frames, deltas, cfg.extrinsic)
+        world, _ = run_alignment(frames, deltas, cfg.extrinsic)
         idx = [int(round(t * cfg.imu_rate)) for t in world.t]
         p_gt = gt.p[idx]
         # 4-DOF alignment: fit yaw + translation from the first/last horizontal displacement
@@ -246,7 +263,7 @@ class TestCompletion:
     def test_velocities_consistent_with_positions(self):
         cfg = ScenarioConfig(duration=3.0, seed=11)
         _, frames, deltas, _ = make_window(cfg)
-        _, world, _ = run_alignment(frames, deltas, cfg.extrinsic)
+        world, _ = run_alignment(frames, deltas, cfg.extrinsic)
         dt = world.t[1] - world.t[0]
         v_fd = (world.p[2:] - world.p[:-2]) / (2 * dt)
         err = np.abs(v_fd - world.v[1:-1]).max()
@@ -258,12 +275,13 @@ class TestEndToEnd:
         true_bw = np.array([0.015, -0.008, 0.02])
         cfg = ScenarioConfig(duration=3.0, seed=12, scale_hidden=3.3, bias0=BiasState(gyro=true_bw))
         gt, frames, deltas, samples = make_window(cfg)
-        res, world, deltas2 = run_alignment(frames, deltas, cfg.extrinsic)
-        assert np.linalg.norm(res.gyro_bias - true_bw) < 1e-3
-        assert abs(res.scale - 3.3) / 3.3 < 1e-3
+        world, deltas2 = run_alignment(frames, deltas, cfg.extrinsic)
+        _, g_c0, scale, _ = alignment_steps(frames, deltas, cfg.extrinsic)
+        assert np.linalg.norm(world.bw[0] - true_bw) < 1e-3
+        assert abs(scale - 3.3) / 3.3 < 1e-3
         q0, _ = camera_pose_at(cfg, 0.0)
         g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY)
-        ang = np.arccos(np.clip(res.gravity_c0 @ g_true / (9.81 * 9.81), -1, 1))
+        ang = np.arccos(np.clip(g_c0 @ g_true / (9.81 * 9.81), -1, 1))
         assert ang < 1e-3
         # velocities against ground truth (norms are frame-invariant)
         idx = [int(round(t * cfg.imu_rate)) for t in world.t]
@@ -276,14 +294,15 @@ class TestEndToEnd:
         # re-propagated at that bias
         cfg = ScenarioConfig(duration=3.0, seed=12, bias0=BiasState(gyro=[0.015, -0.008, 0.02]))
         _, frames, deltas, _ = make_window(cfg)
-        res, states, deltas2 = run_alignment(frames, deltas, cfg.extrinsic)
+        states, deltas2 = run_alignment(frames, deltas, cfg.extrinsic)
+        gyro_bias, *_ = alignment_steps(frames, deltas, cfg.extrinsic)
         n = len(frames)
         assert len(states) == n == len(deltas2) + 1
         np.testing.assert_array_equal(states.t, [f.t for f in frames])
         np.testing.assert_array_equal(states.ba, np.zeros((n, 3)))
-        np.testing.assert_array_equal(states.bw, np.tile(res.gyro_bias, (n, 1)))
+        np.testing.assert_array_equal(states.bw, np.tile(gyro_bias, (n, 1)))
         for d in deltas2:
-            np.testing.assert_array_equal(d.lin_bias.gyro, res.gyro_bias)
+            np.testing.assert_array_equal(d.lin_bias.gyro, gyro_bias)
 
     def test_excitation_gates(self):
         cfg = ScenarioConfig(duration=3.0, seed=13)

@@ -27,6 +27,7 @@ from monovio.pipeline import (
     EvaluationError,
     pipeline_from_scenario,
 )
+from monovio.initialization import UpToScaleFrame
 from monovio.posegraph import LoopEdge, PoseGraph, PoseGraphError, vertex_from_state
 from monovio.preintegration import BiasState, ImuSample, NoiseParams
 from monovio.simulator import ScenarioConfig, build_scenario, camera_times
@@ -185,6 +186,53 @@ class TestDataIO:
         assert len(back) == len(loops)
         assert back[0].query_t == pytest.approx(loops[0].query_t, abs=1e-6)
         np.testing.assert_allclose(back[0].rays_candidate, loops[0].rays_candidate, atol=1e-8)
+
+    @staticmethod
+    def _rewrite_rays(src, dst, scale=None, row=None, ray=None):
+        """Copy a loops file, scaling every ray by scale or replacing the
+        candidate ray of correspondence row `row` by `ray`."""
+        lines, k = [], 0
+        for line in src.read_text().splitlines():
+            parts = line.split()
+            if parts[0] != "LOOP":
+                vals = [float(x) for x in parts[1:]]
+                if scale is not None:
+                    vals = [scale * x for x in vals]
+                elif k == row:
+                    vals[0:3] = ray
+                k += 1
+                line = " ".join([parts[0]] + [repr(x) for x in vals])
+            lines.append(line)
+        dst.write_text("\n".join(lines) + "\n")
+
+    def test_loop_rays_become_unit_where_read(self, tmp_path):
+        from monovio.simulator import synthesize_loops, make_ground_truth
+
+        cfg = quick_config(duration=26.0, loop_min_gap=8.0, loop_radius=0.8)
+        loops = synthesize_loops(make_ground_truth(cfg), camera_times(cfg), seed=1)
+        unit, scaled = tmp_path / "unit.txt", tmp_path / "scaled.txt"
+        dataio.write_loops(unit, loops)
+        self._rewrite_rays(unit, scaled, scale=2.0)
+        a, b = dataio.read_loops(unit), dataio.read_loops(scaled)
+        assert len(a) == len(b) == len(loops)
+        for ca, cb in zip(a, b):
+            np.testing.assert_array_equal(cb.rays_query, ca.rays_query)
+            np.testing.assert_array_equal(cb.rays_candidate, ca.rays_candidate)
+            for rays in (ca.rays_query, ca.rays_candidate):
+                np.testing.assert_allclose(np.linalg.norm(rays, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_loops_reject_zero_and_non_finite_rays(self, tmp_path):
+        from monovio.simulator import synthesize_loops, make_ground_truth
+
+        cfg = quick_config(duration=26.0, loop_min_gap=8.0, loop_radius=0.8)
+        loops = synthesize_loops(make_ground_truth(cfg), camera_times(cfg), seed=1)
+        unit, bad = tmp_path / "unit.txt", tmp_path / "bad.txt"
+        dataio.write_loops(unit, loops)
+        # the third correspondence row is on line 4, after the first header
+        for ray in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [0.0, np.inf, 1.0]):
+            self._rewrite_rays(unit, bad, row=2, ray=ray)
+            with pytest.raises(dataio.FormatError, match=r"bad.txt:4: zero or non-finite ray"):
+                dataio.read_loops(bad)
 
 
 class TestPipeline:
@@ -345,6 +393,82 @@ class TestPipeline:
         assert res["drift_pct"] < 0.5
 
 
+def assert_unit_quaternions(q):
+    """Every quaternion row of q has unit norm to 1e-12."""
+    n = np.linalg.norm(np.reshape(q, (-1, 4)), axis=1)
+    np.testing.assert_allclose(n, 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def noisy_loop_run():
+    """A noisy run with loops, long enough to refine the extrinsic. Returns
+    the pipeline, its report, the attitudes of every window iterate the
+    solves wrote back (held loop frames included), of the window, its prior
+    and its extrinsic after each solve, and the caller's extrinsic with
+    copies of its arrays from before the run."""
+    held = []
+    write_back, build_and_solve = _WindowProblem.write_back, SlidingWindowEstimator.build_and_solve
+
+    def recording_write_back(problem, est):
+        held.append(problem.states.q)
+        return write_back(problem, est)
+
+    def recording_solve(est, *args, **kwargs):
+        report = build_and_solve(est, *args, **kwargs)
+        held.extend([est.frames.q, est.extrinsic.q_b_c]
+                    + ([est.prior.lin_states.q] if est.prior is not None else []))
+        return report
+
+    data = build_scenario(noisy_config(duration=25.0))
+    ext = data.config.extrinsic
+    before = (ext.p_b_c.copy(), ext.q_b_c.copy())
+    pipe = pipeline_from_scenario(data, PipelineConfig(enable_loops=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_WindowProblem, "write_back", recording_write_back)
+        mp.setattr(SlidingWindowEstimator, "build_and_solve", recording_solve)
+        rep = pipe.run()
+    return pipe, rep, held, ext, before
+
+
+class TestValidWhereMade:
+    def test_states_and_published_attitudes_are_unit(self, noisy_loop_run):
+        pipe, rep, held, _, _ = noisy_loop_run
+        assert rep.loop_verified > 0  # held loop frames joined solves
+        assert len(held) > 2 * rep.n_solves
+        for q in held:
+            assert_unit_quaternions(q)
+        assert_unit_quaternions(pipe.est.frames.q)
+        assert_unit_quaternions(rep.window_q)
+        assert_unit_quaternions(rep.rate_q)
+
+    def test_run_leaves_caller_extrinsic_unchanged(self, noisy_loop_run):
+        pipe, rep, _, ext, (p_before, q_before) = noisy_loop_run
+        assert rep.failure_events == []
+        assert rep.n_frames > PipelineConfig().init_window + EXTRINSIC_WARMUP_FRAMES
+        assert pipe.config.estimator.optimize_extrinsic
+        # the window refined its own extrinsic...
+        assert not np.array_equal(pipe.est.extrinsic.p_b_c, p_before)
+        assert not np.array_equal(pipe.est.extrinsic.q_b_c, q_before)
+        # ...and the caller's is the object it passed, bit for bit
+        assert pipe.extrinsic is ext
+        np.testing.assert_array_equal(ext.p_b_c, p_before)
+        np.testing.assert_array_equal(ext.q_b_c, q_before)
+
+    def test_second_run_raises_and_leaves_the_first_report(self, noisy_loop_run):
+        pipe, rep, *_ = noisy_loop_run
+        before = {k: (v.copy() if isinstance(v, np.ndarray) else repr(v))
+                  for k, v in vars(rep).items()}
+        with pytest.raises(RuntimeError, match="runs once"):
+            pipe.run()
+        assert pipe.report is rep
+        assert vars(rep).keys() == before.keys()
+        for k, v in vars(rep).items():
+            if isinstance(v, np.ndarray):
+                np.testing.assert_array_equal(v, before[k])
+            else:
+                assert repr(v) == before[k], k
+
+
 class TestRelocalization:
     def test_verified_loop_sets_the_graph_correction(self, monkeypatch):
         # a verified loop's frozen relative is the query's 4-DOF pose in the
@@ -370,7 +494,7 @@ class TestRelocalization:
             verified = gather(pipe, t)
             pnp_poses[t] = [(vid, q_wb.copy(), p_wb.copy())
                             for vid, _, _, (q_wb, p_wb) in verified]
-            body_poses.extend((q_wb, p_wb, R_cw, t_cw, pipe.est.extrinsic.copy(), pipe.extrinsic)
+            body_poses.extend((q_wb, p_wb, R_cw, t_cw, pipe.est.extrinsic, pipe.extrinsic)
                               for (_, _, _, (q_wb, p_wb)), (R_cw, t_cw)
                               in zip(verified, accepted[n_accepted:]))
             return verified
@@ -607,6 +731,17 @@ class TestFailureRecovery:
         assert rep.failure_events == [(steady_calls[3], "numerical")]
         assert [kind for _, kind in rep.init_events] == ["init", "reinit"]
         assert rep.init_events[1][0] > steady_calls[3]
+
+    def test_sfm_poses_implying_a_gyro_bias_past_its_bound(self):
+        # SfM attitudes that turn 1.5 rad/s faster than the gyroscope: every
+        # alignment attempt fails, and the run ends without initializing
+        data = build_scenario(quick_config(duration=6.0))
+        spun = [UpToScaleFrame(f.t, geo.quat_mul(geo.quat_exp([0.0, 0.0, 1.5 * f.t]), f.q_c0_ck),
+                               f.p_bar) for f in data.sfm]
+        config = PipelineConfig(enable_loops=False, model_noise=MODEL)
+        rep = pipeline_from_scenario(replace(data, sfm=spun), config).run()
+        assert rep.n_frames == len(camera_times(data.config))
+        assert rep.init_events == [] and rep.failure_events == []
 
 
 class TestCli:

@@ -62,7 +62,7 @@ class TestTrajectories:
         qm = eval_trajectory(cfg, t - h).q
         qdot = (qp - qm) / (2 * h)
         for k in range(len(t)):
-            qi = geo.quat_conjugate(s.q[k])
+            qi = geo.quat_inverse(s.q[k])
             w_fd = 2.0 * np.array(
                 [
                     qi[0] * qdot[k, 1] + qi[1] * qdot[k, 0] + qi[2] * qdot[k, 3] - qi[3] * qdot[k, 2],

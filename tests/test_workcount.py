@@ -1,0 +1,44 @@
+"""tools/workcount.py: call counts of a pass are exact and repeat."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+from monovio.pipeline import PipelineConfig, pipeline_from_scenario
+from monovio.simulator import ScenarioConfig, build_scenario, camera_times
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "workcount.py"
+
+
+def load_workcount(monkeypatch):
+    # the tool prepends src/ and perfbench/ to sys.path and pins BLAS threads
+    # in os.environ; both are restored after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("workcount", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_a_short_scenario_identically_twice(monkeypatch):
+    workcount = load_workcount(monkeypatch)
+    cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=3, traj={"period": 12.0})
+    data = build_scenario(cfg)
+    frames = len(camera_times(cfg))
+
+    def fresh_run():
+        return pipeline_from_scenario(data, PipelineConfig(enable_loops=False)).run
+
+    fresh_run()()  # warm-up: first-call caches
+    first, second = (workcount.count_calls(fresh_run(), frames) for _ in range(2))
+    assert first == second
+    assert first["calls"] > first["monovio"] > 0
+    assert first["monovio_per_frame"] == round(first["monovio"] / frames, 1)
+    assert first["layer pipeline.VioPipeline.run"] == 1
+    assert first["layer estimator.build_and_solve"] > 0
+    # every quaternion normalization is counted under one of its callers
+    assert first["quat_normalize"] == sum(
+        v for k, v in first.items() if k.startswith("quat_normalize from "))
