@@ -12,7 +12,9 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -240,6 +242,13 @@ class GraphDriver:
     """Applies keyframes and loop edges to the pose graph and publishes the
     vertex values each update changes; readers see only published values.
 
+    A keyframe is published as a copy of its values. A loop closure
+    publishes every vertex and shares each position array that optimize
+    wrote into it: optimize writes new arrays and never writes into them, so
+    readers can hold them under the lock without a copy. An update is
+    published under one hold of the lock, so a reader sees all of a closure
+    or none of it. A vertex id names one vertex, whose time never changes.
+
     With ``threaded=False`` (test mode) the caller applies each update inline.
     With ``threaded=True`` (live mode) one worker thread applies them from a
     queue, beside the odometry; a worker that raises stops applying, and
@@ -250,6 +259,9 @@ class GraphDriver:
         self.graph = graph
         self._lock = threading.Lock()
         self._published: dict[int, tuple] = {}  # vid -> (t, p, roll, pitch, yaw)
+        # the published times, sorted, each with (publication rank, vid)
+        self._times: list[float] = []
+        self._ranked: list[tuple[int, int]] = []
         self._error: Exception | None = None
         self._queue: queue.Queue | None = None
         self._thread: threading.Thread | None = None
@@ -262,19 +274,27 @@ class GraphDriver:
         if isinstance(item, LoopEdge):
             self.graph.add_loop_edge(item)
             self.graph.optimize()
-            changed = self.graph.order
+            self._publish_graph()
         else:
             self.graph.add_keyframe(item)
-            changed = (item.vid,)
-        self._publish(changed)
+            self._publish({item.vid: (item.t, item.p.copy(), item.roll, item.pitch, item.yaw)})
 
-    def _publish(self, vids) -> None:
-        values = {}
-        for vid in vids:
-            v = self.graph.vertices[vid]
-            values[vid] = (v.t, v.p.copy(), v.roll, v.pitch, v.yaw)
+    def _publish_graph(self) -> None:
+        verts = map(self.graph.vertices.__getitem__, self.graph.order)
+        self._publish({v.vid: (v.t, v.p, v.roll, v.pitch, v.yaw) for v in verts})
+
+    def _publish(self, values: dict) -> None:
         with self._lock:
+            n = len(self._published)
             self._published.update(values)
+            # a vertex's time is indexed at its first publication; a NaN
+            # time is within no tolerance of any time
+            for rank, vid in enumerate(islice(self._published, n, None), n):
+                t = self._published[vid][0]
+                if not np.isnan(t):
+                    i = bisect_right(self._times, t)
+                    self._times.insert(i, t)
+                    self._ranked.insert(i, (rank, vid))
 
     def _work(self) -> None:
         try:
@@ -307,11 +327,14 @@ class GraphDriver:
     def vertex_at_time(self, t: float):
         """Id of the first published vertex within VERTEX_TIME_TOL of time t,
         or None."""
+        # the bisection's margin of twice the tolerance covers rounding in
+        # t -/+ VERTEX_TIME_TOL; the test on each time in it is the exact one
         with self._lock:
-            for vid, entry in self._published.items():
-                if abs(entry[0] - t) <= VERTEX_TIME_TOL:
-                    return vid
-        return None
+            lo = bisect_left(self._times, t - 2 * VERTEX_TIME_TOL)
+            hi = bisect_right(self._times, t + 2 * VERTEX_TIME_TOL, lo)
+            hits = [ranked for t_v, ranked in zip(self._times[lo:hi], self._ranked[lo:hi])
+                    if abs(t_v - t) <= VERTEX_TIME_TOL]
+        return min(hits)[1] if hits else None
 
     def close(self) -> None:
         """Stop the worker once it has applied every update already
@@ -327,7 +350,7 @@ class GraphDriver:
         if self._error is not None:
             raise self._error
         self.graph.optimize()
-        self._publish(self.graph.order)
+        self._publish_graph()
         return self.graph
 
 

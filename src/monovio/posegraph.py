@@ -13,6 +13,7 @@ draw at a time.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -416,6 +417,149 @@ _H_ENTRIES = np.array(
 # the graph
 
 
+# an H entry's key in the kept CSC pattern: column << _KEY_BITS | row, so the
+# keys sort by column, then row, at every dimension
+_KEY_BITS = 32
+_EDGE_ARRAYS = ("fi", "ti", "rel_p", "rel_yaw", "inliers", "is_loop", "keep")
+
+
+class _Structure:
+    """What PoseGraph.optimize keeps between calls: everything that depends
+    only on the graph's structure and the fixed set.
+
+    Per vertex, in order: the ids, the vertex objects, roll, pitch and the
+    free column (-1 when fixed). Per edge, the sequential then the loop
+    edges: the end positions fi and ti, rel_p, rel_yaw, inliers, is_loop and
+    keep, the mask of the edge's _H_ENTRIES whose two ends are free. Then the
+    gradient's bincount keys g_keys (from ends, then to ends, 4 per end) and
+    the CSC pattern of H: its sorted entry keys, indices and indptr, and the
+    slot of each kept edge entry (edge-major) and of each diagonal entry.
+    extend() adds the vertices and edges appended since the last call,
+    exactly as a rebuild over the whole graph would order and slot them.
+    """
+
+    def __init__(self, graph: "PoseGraph", fixed: frozenset):
+        self.fixed = fixed
+        self.seq_list, self.loop_list = graph.sequential_edges, graph.loop_edges
+        self.order: list[int] = []
+        self.verts: list[PoseGraphVertex] = []
+        self.pos: dict[int, int] = {}  # vertex id -> position in order
+        self.roll = self.pitch = np.zeros(0)
+        self.free_col = np.zeros(0, dtype=int)
+        self.n_free = 0
+        self.n_seq = self.n_loop = 0
+        self.fi = self.ti = np.zeros(0, dtype=int)
+        self.rel_p = np.zeros((0, 3))
+        self.rel_yaw = self.inliers = np.zeros(0)
+        self.is_loop = np.zeros(0, dtype=bool)
+        self.keep = np.zeros((0, len(_H_ENTRIES)), dtype=bool)
+        self.g_keys = np.zeros((2, 0, 4), dtype=int)
+        self.pattern = np.zeros(0, dtype=np.int64)
+        self.indices = np.zeros(0, dtype=int)
+        self.indptr = np.zeros(1, dtype=int)
+        self.edge_slot = self.diag_slot = np.zeros(0, dtype=int)
+        self.seq_entries = 0  # kept entries of the sequential edges
+
+    def holds(self, graph: "PoseGraph", fixed: frozenset) -> bool:
+        """Whether graph differs from the kept one only by appended
+        vertices and edges, and the fixed set is the kept one."""
+        return (fixed == self.fixed
+                and graph.sequential_edges is self.seq_list and len(self.seq_list) >= self.n_seq
+                and graph.loop_edges is self.loop_list and len(self.loop_list) >= self.n_loop
+                and graph.order[: len(self.order)] == self.order)
+
+    def extend(self, graph: "PoseGraph") -> None:
+        """Add the vertices, then the edges, appended since the last call."""
+        dim = 4 * self.n_free
+        new_ids = graph.order[len(self.order):]
+        if new_ids:
+            verts = [graph.vertices[v] for v in new_ids]
+            self.pos.update(zip(new_ids, range(len(self.order), len(graph.order))))
+            self.order += new_ids
+            self.verts += verts
+            self.roll = np.concatenate([self.roll, [v.roll for v in verts]])
+            self.pitch = np.concatenate([self.pitch, [v.pitch for v in verts]])
+            free = ~np.isin(new_ids, list(self.fixed))
+            self.free_col = np.concatenate(
+                [self.free_col, np.where(free, self.n_free + np.cumsum(free) - 1, -1)])
+            self.n_free += int(free.sum())
+        seq = self._edges(self.seq_list[self.n_seq:], False)
+        loop = self._edges(self.loop_list[self.n_loop:], True)
+        # every free column has its diagonal entry, also without an edge
+        cols = np.arange(dim, 4 * self.n_free)
+        slots = self._merge(np.concatenate([seq.pop("keys"), loop.pop("keys"),
+                                            cols << _KEY_BITS | cols]))
+        # a rebuild orders the edges sequential first, so new sequential
+        # edges go in before the kept loop edges
+        n_seq, n_loop = len(seq["fi"]), len(loop["fi"])
+        e_seq, e_loop = int(seq["keep"].sum()), int(loop["keep"].sum())
+        n, at = self.n_seq, self.seq_entries
+        for name in _EDGE_ARRAYS:
+            old = getattr(self, name)
+            setattr(self, name, np.concatenate([old[:n], seq[name], old[n:], loop[name]]))
+        self.g_keys = np.concatenate(
+            [self.g_keys[:, :n], seq["g_keys"], self.g_keys[:, n:], loop["g_keys"]], axis=1)
+        self.edge_slot = np.concatenate(
+            [self.edge_slot[:at], slots[:e_seq], self.edge_slot[at:], slots[e_seq:e_seq + e_loop]])
+        self.diag_slot = np.concatenate([self.diag_slot, slots[e_seq + e_loop:]])
+        self.n_seq += n_seq
+        self.n_loop += n_loop
+        self.seq_entries += e_seq
+
+    def _edges(self, edges: list, is_loop: bool) -> dict:
+        """The per-edge arrays of new edges, their g_keys and the keys of
+        their kept H entries, in edge-major order."""
+        fi = np.array([self.pos[e.from_id] for e in edges], dtype=int)
+        ti = np.array([self.pos[e.to_id] for e in edges], dtype=int)
+        row_end, row_comp, col_end, col_comp, _, _ = _H_ENTRIES.T
+        base = 4 * self.free_col[np.stack([fi, ti], axis=1)]
+        keep = (base[:, row_end] >= 0) & (base[:, col_end] >= 0)
+        keys = (base[:, col_end] + col_comp) << _KEY_BITS | (base[:, row_end] + row_comp)
+        return {"fi": fi, "ti": ti,
+                "rel_p": np.array([e.rel_p for e in edges], dtype=float).reshape(-1, 3),
+                "rel_yaw": np.array([e.rel_yaw for e in edges], dtype=float),
+                "inliers": np.array([getattr(e, "inliers", 0) for e in edges], dtype=float),
+                "is_loop": np.full(len(edges), is_loop), "keep": keep,
+                "g_keys": np.stack([fi, ti])[:, :, None] * 4 + np.arange(4), "keys": keys[keep]}
+
+    def _merge(self, keys: np.ndarray) -> np.ndarray:
+        """Merge keys into the pattern and return the slot of each. A kept
+        slot moves up by the number of new keys that sort before it."""
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+        uniq = sorted_keys[first]
+        m = len(self.pattern)
+        at = np.searchsorted(self.pattern, uniq)
+        found = np.zeros(len(uniq), dtype=bool)
+        inside = at < m
+        found[inside] = self.pattern[at[inside]] == uniq[inside]
+        new_keys, new_at = uniq[~found], at[~found]
+        n_new = len(new_at)
+        moved = np.repeat(np.arange(n_new + 1), np.diff(new_at, prepend=0, append=m))
+        moved += np.arange(m)
+        new_slot = new_at + np.arange(n_new)
+        pattern = np.empty(m + n_new, dtype=np.int64)
+        pattern[moved] = self.pattern
+        pattern[new_slot] = new_keys
+        self.pattern = pattern
+        self.indices = pattern & ((1 << _KEY_BITS) - 1)
+        # indptr[c] counts the entries left of column c: the kept ones, then
+        # the new ones
+        cols = np.arange(4 * self.n_free + 1)
+        self.indptr = (self.indptr[np.minimum(cols, len(self.indptr) - 1)]
+                       + np.searchsorted(new_keys >> _KEY_BITS, cols))
+        self.edge_slot = moved[self.edge_slot]
+        self.diag_slot = moved[self.diag_slot]
+        slot = np.empty(len(uniq), dtype=int)
+        slot[found] = moved[at[found]]
+        slot[~found] = new_slot
+        out = np.empty(len(keys), dtype=int)
+        out[order] = slot[np.cumsum(first) - 1]
+        return out
+
+
 @dataclass
 class PoseGraphConfig:
     edge_fanout: int = DEFAULT_EDGE_FANOUT
@@ -431,8 +575,15 @@ class PoseGraphConfig:
 class PoseGraph:
     """Keyframe vertices with sequential and loop edges; 4-DOF optimization.
 
-    An edge list is appended to or replaced, and an edge is not changed once
-    it is in one: optimize keeps the rows of the edges it has read.
+    optimize keeps what depends only on the graph's structure between calls
+    (see _Structure) and extends it by the vertices and edges appended since.
+    That assumes an edge is never edited once it is in a list, a vertex's
+    roll and pitch never change, and a vertex leaves the graph only through
+    downsample. A replaced edge list, a changed order (downsample changes
+    it) or a different fixed set start the kept structure anew; a loaded
+    graph starts with none. Vertex positions and yaws, and the loop edges'
+    base weights (from config), are read on every call. optimize writes new
+    position arrays into the vertices and never writes into them in place.
     """
 
     def __init__(self, config: PoseGraphConfig | None = None):
@@ -441,7 +592,7 @@ class PoseGraph:
         self.order: list[int] = []
         self.sequential_edges: list[SequentialEdge] = []
         self.loop_edges: list[LoopEdge] = []
-        self._rows: dict = {}  # edge list name -> (list, rows); see _edge_rows
+        self._kept: _Structure | None = None  # see optimize
 
     def __len__(self) -> int:
         return len(self.order)
@@ -472,44 +623,14 @@ class PoseGraph:
 
     # -- optimization -------------------------------------------------------
 
-    def _edge_rows(self) -> list[np.ndarray]:
-        """Rows (from id, to id, rel_p, rel_yaw, inliers) of the sequential
-        then the loop edges. Each edge is read once: a list's rows are
-        extended by the edges appended to it since the last call, and dropped
-        when the list object is replaced. An edge is not changed once added."""
-        tables = []
-        for name in ("sequential_edges", "loop_edges"):
-            edges = getattr(self, name)
-            held, rows = self._rows.get(name, (None, None))
-            if held is not edges or len(rows) > len(edges):
-                rows = np.zeros((0, 7))
-            if len(edges) > len(rows):
-                new = [(e.from_id, e.to_id, *e.rel_p, e.rel_yaw, getattr(e, "inliers", 0))
-                       for e in edges[len(rows):]]
-                rows = np.concatenate([rows, np.array(new, dtype=float)])
-            self._rows[name] = (edges, rows)
-            tables.append(rows)
-        return tables
-
-    def _packed(self, fixed: set[int]):
-        """Array views of the graph for batched optimization."""
-        verts = [self.vertices[v] for v in self.order]
-        p = np.array([v.p for v in verts])
-        roll, pitch, yaw = np.array([(v.roll, v.pitch, v.yaw) for v in verts]).T.copy()
-        ids = np.array(self.order)
-        free = ~np.isin(ids, list(fixed))
-        free_col = np.where(free, np.cumsum(free) - 1, -1)
-        seq, loop = self._edge_rows()
-        rows = np.concatenate([seq, loop])
-        sorter = np.argsort(ids)
-        fi, ti = sorter[np.searchsorted(ids, rows[:, :2].T.astype(int), sorter=sorter)]
-        is_loop = np.arange(len(rows)) >= len(seq)
-        base_w = np.where(
-            is_loop, np.maximum(rows[:, 6] / self.config.min_inliers, 1.0) * LOOP_WEIGHT_SCALE, 1.0
-        )
-        # contiguous copies: strided columns slow every gather in linearize
-        return (p, yaw, roll, pitch, free_col, int(free.sum()), fi, ti,
-                np.ascontiguousarray(rows[:, 2:5]), rows[:, 5].copy(), is_loop, base_w)
+    def _structure(self, fixed: set[int]) -> _Structure:
+        """The kept structure, extended by what was appended since the last
+        call; a new one when the graph or the fixed set changed otherwise."""
+        fixed = frozenset(fixed)
+        if self._kept is None or not self._kept.holds(self, fixed):
+            self._kept = _Structure(self, fixed)
+        self._kept.extend(self)
+        return self._kept
 
     def optimize(self, fixed: set[int] | None = None) -> dict:
         """Levenberg-Marquardt over (p, yaw); roll/pitch stay constant.
@@ -550,16 +671,22 @@ class PoseGraph:
         if not fixed:
             raise PoseGraphError("at least one vertex must be fixed per segment")
         cfg = self.config
-        (p, yaw, roll, pitch, free_col, n_free, fi, ti, rel_p, rel_yaw,
-         is_loop, base_w) = self._packed(fixed)
-        if not len(fi) or n_free == 0:
+        kept = self._structure(fixed)
+        fi, ti, rel_p, rel_yaw, is_loop = kept.fi, kept.ti, kept.rel_p, kept.rel_yaw, kept.is_loop
+        if not len(fi) or kept.n_free == 0:
             return {"iterations": 0, "costs": [], "termination": "nothing_to_do"}
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
+        p = np.array([v.p for v in kept.verts])
+        yaw = np.array([v.yaw for v in kept.verts])
+        roll, pitch = kept.roll, kept.pitch
+        base_w = np.where(
+            is_loop, np.maximum(kept.inliers / cfg.min_inliers, 1.0) * LOOP_WEIGHT_SCALE, 1.0
+        )
         th = HUBER_THRESHOLD
-        free = free_col >= 0
-        dim = 4 * n_free
+        free = kept.free_col >= 0
+        dim = 4 * kept.n_free
 
         def linearize(p, yaw):
             """Cost, weights and world-frame residual terms at (p, yaw)."""
@@ -574,7 +701,7 @@ class PoseGraph:
             return c, w, d, q, r_y
 
         # gradient rows: (vertex, component) of the from and to ends
-        g_keys = (np.concatenate([fi, ti])[:, None] * 4 + np.arange(4)).ravel()
+        g_keys = kept.g_keys.ravel()
         n_rows = 4 * len(p)
 
         def gradient(w, d, q, r_y):
@@ -588,31 +715,20 @@ class PoseGraph:
             g = np.bincount(g_keys, g.ravel(), minlength=n_rows)
             return g.reshape(-1, 4)[free].ravel()
 
-        # CSC pattern of H, fixed for this call: the _H_ENTRIES of each edge
-        # whose two ends are free, plus the diagonal of every free column (an
-        # edge-less free vertex has only that)
-        row_end, row_comp, col_end, col_comp, term, sign = _H_ENTRIES.T
-        base = 4 * free_col[np.stack([fi, ti], axis=1)]
-        keep = (base[:, row_end] >= 0) & (base[:, col_end] >= 0)
-        rows = (base[:, row_end] + row_comp)[keep]
-        cols = (base[:, col_end] + col_comp)[keep]
-        keys = np.concatenate([cols * dim + rows, np.arange(dim) * (dim + 1)])
-        pattern, slot = np.unique(keys, return_inverse=True)
-        indices = pattern % dim
-        indptr = np.zeros(dim + 1, dtype=int)
-        np.cumsum(np.bincount(pattern // dim, minlength=dim), out=indptr[1:])
-        edge_slot, diag_slot = slot[: len(rows)], slot[len(rows):]
+        # the CSC pattern of H holds the _H_ENTRIES of each edge whose two
+        # ends are free, and the diagonal of every free column
+        _, _, _, _, term, sign = _H_ENTRIES.T
+        keep, edge_slot, diag_slot, n_slots = kept.keep, kept.edge_slot, kept.diag_slot, len(kept.pattern)
 
         def factor(w, d, lam):
             """SuperLU factor of H + lam diag(H) at the iterate of (w, d)."""
             u2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
             # u = z x d = (-d_y, d_x, 0)
             terms = np.stack([w, w * (u2 + 1.0), -w * d[:, 1], w * d[:, 0]], axis=1)
-            data = np.bincount(edge_slot, (terms[:, term] * sign)[keep],
-                               minlength=len(pattern))
+            data = np.bincount(edge_slot, (terms[:, term] * sign)[keep], minlength=n_slots)
             diag = data[diag_slot]
             data[diag_slot] += lam * np.maximum(diag, 1e-12)
-            A = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
+            A = sp.csc_matrix((data, kept.indices, kept.indptr), shape=(dim, dim))
             return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                              options={"SymmetricMode": True})
 
@@ -662,8 +778,7 @@ class PoseGraph:
                 break
             if rel < cfg.rel_cost_tol or cost < 1e-20:
                 break
-        for vid, p_i, yaw_i in zip(self.order, p, wrap_angle(yaw).tolist()):
-            v = self.vertices[vid]
+        for v, p_i, yaw_i in zip(kept.verts, p, wrap_angle(yaw).tolist()):
             v.p = p_i
             v.yaw = yaw_i
         termination = "converged" if accepted else "stalled"
@@ -741,7 +856,6 @@ class PoseGraph:
                     edges[k] = outgoing[key[0]][k] = incoming[key[1]][k] = e
             removed += 1
         self.sequential_edges = list(edges.values())
-        self._rows.pop("sequential_edges", None)  # frees the replaced list
         return removed
 
     # -- serialization -----------------------------------------------------------
@@ -781,11 +895,13 @@ class PoseGraph:
                     if len(parts) != 10:
                         raise PoseGraphError(f"malformed VERTEX on line {lineno}")
                     try:
-                        vid, t, seg = int(parts[1]), float(parts[2]), int(parts[9])
-                        p = np.array([float(x) for x in parts[3:6]])
-                        roll, pitch, yaw = (float(x) for x in parts[6:9])
+                        vid, seg = int(parts[1]), int(parts[9])
+                        values = [float(x) for x in parts[2:9]]  # t, p, roll, pitch, yaw
                     except ValueError:
                         raise PoseGraphError(f"non-numeric VERTEX field on line {lineno}") from None
+                    if not all(map(math.isfinite, values)):
+                        raise PoseGraphError(f"non-finite VERTEX field on line {lineno}")
+                    t, p, (roll, pitch, yaw) = values[0], np.array(values[1:4]), values[4:]
                     if vid in graph.vertices:
                         raise PoseGraphError(f"repeated VERTEX {vid} on line {lineno}")
                     graph.vertices[vid] = PoseGraphVertex(vid, t, p, yaw, roll, pitch, seg)
@@ -796,10 +912,12 @@ class PoseGraph:
                     kind = parts[1]
                     try:
                         from_id, to_id, inliers = int(parts[2]), int(parts[3]), int(parts[8])
-                        rel_p = np.array([float(x) for x in parts[4:7]])
-                        rel_yaw = float(parts[7])
+                        values = [float(x) for x in parts[4:8]]  # rel_p, rel_yaw
                     except ValueError:
                         raise PoseGraphError(f"non-numeric EDGE field on line {lineno}") from None
+                    if not all(map(math.isfinite, values)):
+                        raise PoseGraphError(f"non-finite EDGE field on line {lineno}")
+                    rel_p, rel_yaw = np.array(values[:3]), values[3]
                     if from_id not in graph.vertices or to_id not in graph.vertices:
                         raise PoseGraphError(f"EDGE names an unknown vertex on line {lineno}")
                     if from_id == to_id:

@@ -123,13 +123,21 @@ class FrameStates:
     def __len__(self) -> int:
         return len(self.t)
 
+    @classmethod
+    def _of(cls, arrays) -> "FrameStates":
+        """States over arrays that are already float and shaped, which
+        __post_init__ would only convert again."""
+        out = cls.__new__(cls)
+        out.t, out.p, out.q, out.v, out.ba, out.bw = arrays
+        return out
+
     def __getitem__(self, rows: slice) -> "FrameStates":
         """A copy of the rows that a slice selects."""
-        return FrameStates(*(a[rows].copy() for a in self._arrays()))
+        return FrameStates._of(a[rows].copy() for a in self._arrays())
 
     def append(self, other: "FrameStates") -> "FrameStates":
         """These rows followed by other's, in new arrays."""
-        return FrameStates(*map(np.concatenate, zip(self._arrays(), other._arrays())))
+        return FrameStates._of(map(np.concatenate, zip(self._arrays(), other._arrays())))
 
     def bias(self, k: int) -> BiasState:
         """Row k's biases, checked against the sanity bounds."""

@@ -20,10 +20,14 @@ from monovio.geometry import (
     tangent_basis,
     wrap_angle,
 )
+from monovio.pipeline import VERTEX_TIME_TOL
 from monovio.posegraph import (
+    _H_ENTRIES,
+    _KEY_BITS,
     RANSAC_ITERATIONS,
     NoConsensusError,
     _ransac_iterations_needed,
+    _Structure,
 )
 from monovio.preintegration import (
     PreintegrationError,
@@ -219,6 +223,61 @@ def edge_residual(vi, vj, edge):
     r[:3] = R_i.T @ (vj.p - vi.p) - edge.rel_p
     r[3] = wrap_angle(vj.yaw - vi.yaw - edge.rel_yaw)
     return r
+
+
+def rebuilt_structure(graph, fixed):
+    """PoseGraph's kept structure rebuilt over the whole graph, as optimize
+    rebuilt it on every call before it kept one: every edge read anew, its
+    ends found by searchsorted over the vertex ids, and the CSC pattern of H
+    from np.unique over the keys of every entry."""
+    s = _Structure(graph, frozenset(fixed))
+    verts = [graph.vertices[v] for v in graph.order]
+    ids = np.array(graph.order)
+    free = ~np.isin(ids, list(fixed))
+    free_col = np.where(free, np.cumsum(free) - 1, -1)
+    edges = graph.sequential_edges + graph.loop_edges
+    rows = np.array([(e.from_id, e.to_id, *e.rel_p, e.rel_yaw, getattr(e, "inliers", 0))
+                     for e in edges], dtype=float).reshape(-1, 7)
+    sorter = np.argsort(ids)
+    fi, ti = sorter[np.searchsorted(ids, rows[:, :2].T.astype(int), sorter=sorter)]
+    dim = 4 * int(free.sum())
+    row_end, row_comp, col_end, col_comp, _, _ = _H_ENTRIES.T
+    base = 4 * free_col[np.stack([fi, ti], axis=1)]
+    keep = (base[:, row_end] >= 0) & (base[:, col_end] >= 0)
+    rows_h = (base[:, row_end] + row_comp)[keep]
+    cols_h = (base[:, col_end] + col_comp)[keep]
+    keys = np.concatenate([cols_h * dim + rows_h, np.arange(dim) * (dim + 1)])
+    pattern, slot = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(dim + 1, dtype=int)
+    np.cumsum(np.bincount(pattern // max(dim, 1), minlength=dim), out=indptr[1:])
+
+    s.order, s.verts = list(graph.order), verts
+    s.pos = {vid: k for k, vid in enumerate(graph.order)}
+    s.roll = np.array([v.roll for v in verts], dtype=float)
+    s.pitch = np.array([v.pitch for v in verts], dtype=float)
+    s.free_col, s.n_free = free_col, int(free.sum())
+    s.n_seq, s.n_loop = len(graph.sequential_edges), len(graph.loop_edges)
+    s.fi, s.ti = fi, ti
+    s.rel_p = np.ascontiguousarray(rows[:, 2:5])
+    s.rel_yaw, s.inliers = rows[:, 5].copy(), rows[:, 6].copy()
+    s.is_loop = np.arange(len(rows)) >= s.n_seq
+    s.keep = keep
+    s.g_keys = (np.concatenate([fi, ti])[:, None] * 4 + np.arange(4)).reshape(2, -1, 4)
+    s.pattern = (pattern // max(dim, 1)) << _KEY_BITS | pattern % max(dim, 1)
+    s.indices, s.indptr = pattern % max(dim, 1), indptr
+    s.edge_slot, s.diag_slot = slot[: len(rows_h)], slot[len(rows_h):]
+    s.seq_entries = int(keep[: s.n_seq].sum())
+    return s
+
+
+def vertex_at_time_scan(driver, t):
+    """GraphDriver.vertex_at_time by a scan of every published entry in
+    publication order."""
+    with driver._lock:
+        for vid, entry in driver._published.items():
+            if abs(entry[0] - t) <= VERTEX_TIME_TOL:
+                return vid
+    return None
 
 
 def visual_residual(

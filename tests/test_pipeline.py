@@ -18,6 +18,7 @@ from monovio.estimator import (
 from monovio.pipeline import (
     CORRECTION_INTERVAL,
     EXTRINSIC_WARMUP_FRAMES,
+    VERTEX_TIME_TOL,
     GraphDriver,
     PipelineConfig,
     TrackObservationIndex,
@@ -32,6 +33,7 @@ from monovio.posegraph import LoopEdge, PoseGraph, PoseGraphError, vertex_from_s
 from monovio.preintegration import BiasState, ImuSample, NoiseParams
 from monovio.simulator import ScenarioConfig, build_scenario, camera_times
 from monovio import geometry as geo
+from reference import vertex_at_time_scan
 
 MODEL = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 
@@ -618,6 +620,84 @@ class TestGraphDriver:
             assert np.array_equal(qa, geo.rot_to_quat(geo.rot_zyx(v.roll, v.pitch, v.yaw)))
         assert inline.vertex_pose(999) is None and threaded.vertex_pose(999) is None
         assert inline.vertex_at_time(-1.0) is None and threaded.vertex_at_time(-1.0) is None
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+    def test_vertex_at_time_matches_a_scan(self, threaded):
+        # times out of order, vertices within the tolerance of each other (the
+        # later-published one first in time), a repeated time and a NaN
+        tol = VERTEX_TIME_TOL
+        times = [0.0, 2.0, 1.0 + 0.6 * tol, 1.0, 3.0, 1.0 - 0.9 * tol, 2.0, np.nan, 4.0, 2.0 + 1.5 * tol]
+        driver = GraphDriver(PoseGraph(), threaded=threaded)
+        for k, t in enumerate(times):
+            th = 0.5 * k
+            driver.submit_vertex(vertex_from_state(k, t, np.array([np.cos(th), np.sin(th), 0.0]),
+                                                   geo.rot_to_quat(geo.rot_zyx(0.0, 0.0, th))))
+            if k in (4, 8):  # closures republish every vertex
+                driver.submit_loop_edge(LoopEdge(0, k, np.zeros(3), 0.0, inliers=40))
+        driver.finish()
+        offsets = [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.5, -2.5]
+        queries = [t + f * tol for t in times for f in offsets] + [np.nan, np.inf, -np.inf, -1.0, 1e9]
+        found = [driver.vertex_at_time(t) for t in queries]
+        assert found == [vertex_at_time_scan(driver, t) for t in queries]
+        assert found[:: len(offsets)][:4] == [0, 1, 2, 2]  # 3 and 5 lie within 2's reach
+        # 6 shares 1's time, and a NaN time matches nothing
+        assert {vid for vid in found if vid is not None} == set(range(len(times))) - {6, 7}
+
+    def test_reader_never_sees_a_closure_half_published(self):
+        def published(driver):
+            return {vid: (p.tobytes(), yaw) for vid, (_, p, _, _, yaw) in driver._published.items()}
+
+        class RecordingLock:
+            """The driver's lock, recording the published values at each
+            release: every state that a reader can see."""
+
+            def __init__(self, driver):
+                self.lock, self.driver, self.states = threading.Lock(), driver, []
+
+            def __enter__(self):
+                self.lock.acquire()
+
+            def __exit__(self, *exc):
+                self.states.append(published(self.driver))
+                self.lock.release()
+
+        inline = GraphDriver(PoseGraph())
+        states = [published(inline)]
+        for item in driver_script():
+            (inline.submit_loop_edge if isinstance(item, LoopEdge) else inline.submit_vertex)(item)
+            states.append(published(inline))
+        inline.finish()
+        states.append(published(inline))
+
+        threaded = GraphDriver(PoseGraph(), threaded=True)
+        threaded._lock = recorder = RecordingLock(threaded)  # before any update is submitted
+        done, unpublished = threading.Event(), []
+
+        def read():  # a reader beside the worker, as the odometry is
+            while not done.is_set():
+                for k in range(0, 48, 7):
+                    vid = threaded.vertex_at_time(0.4 * k)
+                    if vid is not None and threaded.vertex_pose(vid) is None:
+                        unpublished.append(vid)
+
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the reader and the worker often
+        try:
+            reader.start()
+            for item in driver_script():
+                (threaded.submit_loop_edge if isinstance(item, LoopEdge) else threaded.submit_vertex)(item)
+            threaded.finish()
+        finally:
+            done.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and unpublished == []
+        assert published(threaded) == states[-1]
+        # every update was published whole: each state a reader could see
+        # is one the inline driver held between two updates
+        assert len(recorder.states) >= len(states) - 1
+        assert all(state in states for state in recorder.states)
 
     def test_threaded_worker_error_raised_by_finish(self):
         def vertex(k):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from dataclasses import replace
 
@@ -42,6 +43,7 @@ from reference import (
     eight_point_per_draw,
     epipolar_distances_per_draw,
     pnp_dlt_per_draw,
+    rebuilt_structure,
 )
 
 # absolute-pose inlier gate: 3 px at a 460 px focal length
@@ -771,6 +773,102 @@ class TestGraphSolver:
         assert abs(g.vertices[99].yaw - yaw) <= 1e-12
 
 
+def add_keyframes(g, segment, ids, loops=()):
+    """Keyframes on a circle (one per segment), then loop edges (from, to,
+    inliers) measured from the odometry values with a small error."""
+    center = np.array([0.4, -0.3, 0.2]) * segment
+    for vid in ids:
+        th = 0.45 * vid
+        p = center + np.array([np.cos(th), np.sin(th), 0.1 * np.sin(2 * th)])
+        q = geo.rot_to_quat(geo.rot_zyx(0.05 * np.sin(th), 0.04 * np.cos(th), th + np.pi / 2))
+        g.add_keyframe(vertex_from_state(vid, 0.4 * vid, p, q, segment=segment))
+    for a, b, inliers in loops:
+        va, vb = g.vertices[a], g.vertices[b]
+        rel_p = geo.rot_zyx(va.roll, va.pitch, va.vio_yaw).T @ (vb.vio_p - va.vio_p) + 0.03
+        g.add_loop_edge(LoopEdge(a, b, rel_p, geo.wrap_angle(vb.vio_yaw - va.vio_yaw + 0.01), inliers))
+
+
+def assert_same_structure(kept, ref):
+    assert vars(kept).keys() == vars(ref).keys()
+    for name, want in vars(ref).items():
+        have = getattr(kept, name)
+        if isinstance(want, np.ndarray):
+            assert have.dtype == want.dtype and have.shape == want.shape, name
+            assert np.array_equal(have, want), name
+        elif name in ("seq_list", "loop_list"):
+            assert have is want, name
+        elif name == "verts":
+            assert len(have) == len(want) and all(a is b for a, b in zip(have, want))
+        else:
+            assert have == want, name
+
+
+def assert_kept_matches_rebuild(g, fixed=None):
+    """The structure optimize keeps, and the vertices it optimizes, equal
+    those of a rebuild over the whole graph (tests/reference.py), bit for
+    bit; returns the kept structure."""
+    resolved = fixed
+    if fixed is None:
+        resolved = {next(v for v in g.order if g.vertices[v].segment == s) for s in g.segments()}
+    kept = g._structure(resolved)
+    assert_same_structure(kept, rebuilt_structure(g, resolved))
+    ref = copy.deepcopy(g)
+    ref._kept = rebuilt_structure(ref, resolved)
+    info, ref_info = g.optimize(fixed), ref.optimize(fixed)
+    assert info == ref_info and info["iterations"] >= 1
+    for vid in g.order:
+        assert np.array_equal(g.vertices[vid].p, ref.vertices[vid].p)
+        assert g.vertices[vid].yaw == ref.vertices[vid].yaw
+    assert g._kept is kept
+    return kept
+
+
+class TestKeptStructure:
+    def test_every_step_matches_a_rebuild(self, tmp_path):
+        g = PoseGraph()
+        add_keyframes(g, 0, range(8))
+        add_keyframes(g, 1, range(8, 13), loops=[(1, 6, 50)])
+        kept = assert_kept_matches_rebuild(jittered(g, 1))
+        # growth of both segments, and loops inside and across them: the new
+        # sequential edges go in before the kept loop edge
+        add_keyframes(g, 0, range(13, 17))
+        add_keyframes(g, 1, range(17, 20), loops=[(2, 15, 40), (9, 18, 30), (5, 19, 60)])
+        assert assert_kept_matches_rebuild(jittered(g, 2)) is kept
+        # loop edges alone: no new vertex or column
+        add_keyframes(g, 0, (), loops=[(0, 11, 45)])
+        assert assert_kept_matches_rebuild(jittered(g, 3)) is kept
+
+        # each step, then growth after it; an explicit fixed set is kept
+        # while it is the same, and a replaced config changes no structure
+        steps = [
+            (lambda: None, {0, 5, 8}, True),
+            (lambda: None, None, True),  # back to the default fixed set
+            (lambda: setattr(g, "config", PoseGraphConfig(min_inliers=40)), None, False),
+            (lambda: setattr(g, "sequential_edges", [
+                SequentialEdge(e.from_id, e.to_id, e.rel_p + 0.02, e.rel_yaw - 0.01)
+                for e in g.sequential_edges]), None, True),
+            (lambda: g.order.insert(3, g.order.pop(5)), None, True),  # in place
+            # downsampled, then grown past its old size before the next call
+            (lambda: (g.downsample(len(g) - 3, seed=2), add_keyframes(g, 1, range(40, 44))), None, True),
+        ]
+        vid = 20
+        for k, (step, fixed, restarts) in enumerate(steps):
+            step()
+            assert (assert_kept_matches_rebuild(jittered(g, 10 + k), fixed) is not kept) == restarts
+            kept = g._kept
+            add_keyframes(g, k % 2, (vid, vid + 1), loops=[(g.order[2], vid + 1, 35)])
+            vid += 2
+            assert assert_kept_matches_rebuild(jittered(g, 20 + k), fixed) is kept
+
+        path = tmp_path / "graph.txt"
+        g.save(path)
+        g = PoseGraph.load(path)
+        assert g._kept is None
+        kept = assert_kept_matches_rebuild(jittered(g, 30))
+        add_keyframes(g, 1, (vid, vid + 1), loops=[(g.order[4], vid, 55)])
+        assert assert_kept_matches_rebuild(jittered(g, 31)) is kept
+
+
 def pinned_downsample_graph():
     """Two noisy figure-eight segments of 70 and 50 keyframes, fanout 4,
     with loop edges inside and across them."""
@@ -900,6 +998,13 @@ INCONSISTENT_GRAPHS = {
                         "EDGE LOOP 0 1 1 0 0 0 x\n",
     "edge_to_itself": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
                       "EDGE SEQ 1 1 0 0 0 0 0\n",
+    "nan_vertex_position": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\nVERTEX 2 2 nan 0 0 0 0 0 0\n",
+    "inf_vertex_yaw": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\nVERTEX 2 2 2 0 0 0 0 inf 0\n",
+    "nan_vertex_time": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\nVERTEX 2 NaN 2 0 0 0 0 0 0\n",
+    "inf_edge_position": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
+                         "EDGE SEQ 0 1 1 -inf 0 0 0\n",
+    "nan_edge_yaw": "VERTEX 0 0 0 0 0 0 0 0 0\nVERTEX 1 1 1 0 0 0 0 0 0\n"
+                    "EDGE LOOP 0 1 1 0 0 nan 30\n",
 }
 
 

@@ -568,3 +568,21 @@ class TestValidation:
             BiasState(accel=[3.0, 0, 0])
         with pytest.raises(ValueError):
             BiasState(gyro=[0, 1.5, 0])
+
+
+class TestFrameStates:
+    def test_rows_are_shaped_copies_made_without_conversion(self, monkeypatch):
+        s = FrameStates([0.0, 0.2, 0.4], np.arange(9.0).reshape(3, 3), [geo.quat_identity()] * 3,
+                        np.ones((3, 3)), np.zeros((3, 3)), np.full((3, 3), 0.01))
+        converted = []
+        post_init = FrameStates.__post_init__
+        monkeypatch.setattr(FrameStates, "__post_init__",
+                            lambda self: converted.append(1) or post_init(self))
+        rows = {0: s[:0], 1: s[-1:], 2: s[1:], 3: s[:2].append(s[2:])}
+        assert converted == []
+        for n, r in rows.items():
+            assert len(r) == n
+            for a, b, width in zip(r._arrays(), s._arrays(), (None, 3, 4, 3, 3, 3)):
+                assert a.dtype == np.float64 and a.shape == ((n,) if width is None else (n, width))
+                assert not np.shares_memory(a, b)
+                assert np.array_equal(a, b[3 - n:] if n in (1, 2) else b[:n])

@@ -1,4 +1,5 @@
-"""tools/workcount.py: call counts of a pass are exact and repeat."""
+"""tools/workcount.py: call counts of a pass and of a pose-graph session
+are exact and repeat."""
 
 import importlib.util
 import os
@@ -42,3 +43,22 @@ def test_counts_a_short_scenario_identically_twice(monkeypatch):
     # every quaternion normalization is counted under one of its callers
     assert first["quat_normalize"] == sum(
         v for k, v in first.items() if k.startswith("quat_normalize from "))
+
+
+def test_counts_a_short_session_identically_twice(monkeypatch, tmp_path):
+    workcount = load_workcount(monkeypatch)
+    full = workcount.workloads.make_session_inputs()
+    n = 200
+    inputs = workcount.workloads.SessionInputs(
+        full.t[:n], full.p_gt[:n], full.rpy[:n], full.p_odo[:n], full.yaw_odo[:n],
+        {k: loop for k, loop in full.loops.items() if k < n})
+    workcount.workloads.graph_session(inputs, str(tmp_path), downsample_seed=1)  # warm-up
+    first, second = (workcount.count_session(inputs, str(tmp_path)) for _ in range(2))
+    assert first == second
+    assert first["closures"] == len(inputs.loops) > 10
+    assert first["calls_per_closure"] == round(first["calls"] / first["closures"], 1)
+    # a closure factors H at least once, and optimize keeps its pattern
+    # without np.unique
+    assert first["splu"] >= first["closures"]
+    assert first["ndarray.argsort"] > 0
+    assert first["np.unique from PoseGraph.optimize"] == 0

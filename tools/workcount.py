@@ -1,4 +1,5 @@
-"""Call counts of the benchmark workloads' VIO pass, without timing.
+"""Call counts of the benchmark workloads' VIO pass and of the pose-graph
+session, without timing.
 
     python3 tools/workcount.py
 
@@ -15,9 +16,15 @@ VIO pass under ``cProfile``. It prints:
     of ``np.array``, of ``quat_normalize`` and ``BiasState.check``, and of
     ``quat_normalize`` by each caller
 
-The pose-graph session is not run. Call counts do not depend on the host's
-speed or load, so two checkouts compare with one ``diff``, and a count that
-falls is a measured saving even where timings are too noisy to read.
+Then one warm-up pose-graph session runs (the benchmark's session inputs,
+which do not depend on the workload), and a second one under ``cProfile``.
+It prints the session's Python-level calls in total and per loop closure,
+and the calls of ``np.unique`` (in total and from ``PoseGraph.optimize``),
+of ``ndarray.argsort`` (which ``np.argsort`` also calls) and of ``splu``.
+
+Call counts do not depend on the host's speed or load, so two checkouts
+compare with one ``diff``, and a count that falls is a measured saving even
+where timings are too noisy to read.
 """
 
 import cProfile
@@ -25,6 +32,7 @@ import inspect
 import os
 import pstats
 import sys
+import tempfile
 from pathlib import Path
 
 # the benchmark's thread pinning, before numpy loads
@@ -36,11 +44,13 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
 
 import bench  # noqa: E402
 import layers  # noqa: E402
 import workloads  # noqa: E402
 from monovio import geometry  # noqa: E402
+from monovio.posegraph import PoseGraph  # noqa: E402
 from monovio.preintegration import BiasState  # noqa: E402
 
 PACKAGE = str(Path(geometry.__file__).resolve().parent)
@@ -66,15 +76,20 @@ def counted_functions() -> list[tuple[str, tuple]]:
     return out
 
 
-def count_calls(run, frames: int) -> dict[str, int | float]:
-    """Run run() under cProfile and return its call counts by label."""
+def profiled(run) -> dict:
+    """cProfile's stats of run()."""
     prof = cProfile.Profile()
     prof.enable()
     try:
         run()
     finally:
         prof.disable()
-    stats = pstats.Stats(prof).stats
+    return pstats.Stats(prof).stats
+
+
+def count_calls(run, frames: int) -> dict[str, int | float]:
+    """Run run() under cProfile and return its call counts by label."""
+    stats = profiled(run)
     monovio = sum(v[1] for k, v in stats.items() if k[0].startswith(PACKAGE))
     counts = {
         "calls": sum(v[1] for v in stats.values()),
@@ -90,6 +105,24 @@ def count_calls(run, frames: int) -> dict[str, int | float]:
     return counts
 
 
+def count_session(inputs, workdir: str) -> dict[str, int | float]:
+    """Run one pose-graph session over inputs under cProfile and return its
+    call counts by label."""
+    results = []
+    stats = profiled(lambda: results.append(workloads.graph_session(inputs, workdir, downsample_seed=1)))
+    closures = len(results[0].loop_ms)
+    calls = sum(v[1] for v in stats.values())
+    counts = {"calls": calls, "closures": closures, "calls_per_closure": round(calls / closures, 1)}
+    unique = _key(np.unique)
+    for label, key in (("np.unique", unique),
+                       ("ndarray.argsort", ("~", 0, "<method 'argsort' of 'numpy.ndarray' objects>")),
+                       ("splu", _key(spla.splu))):
+        counts[label] = stats[key][1] if key in stats else 0
+    callers = stats[unique][4] if unique in stats else {}
+    counts["np.unique from PoseGraph.optimize"] = callers.get(_key(PoseGraph.optimize), (0, 0))[1]
+    return counts
+
+
 def main() -> int:
     for workload in bench.WORKLOADS:
         workloads.vio_pass(workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED))
@@ -98,6 +131,13 @@ def main() -> int:
         print(f"[{workload}]")
         for label, value in counts.items():
             print(f"{label} = {value}")
+    inputs = workloads.make_session_inputs()
+    with tempfile.TemporaryDirectory() as workdir:
+        workloads.graph_session(inputs, workdir, downsample_seed=1)
+        counts = count_session(inputs, workdir)
+    print("[graph-session]")
+    for label, value in counts.items():
+        print(f"{label} = {value}")
     return 0
 
 
