@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack, solve_triangular
 
 from .geometry import (
@@ -43,6 +44,7 @@ from .preintegration import (
     REPROP_GYRO_THRESHOLD,
     BiasState,
     FrameStates,
+    MidpointPath,
     PreintegratedDelta,
     StackedDeltas,
     imu_jacobians_batch,
@@ -263,13 +265,18 @@ def _compose_imu_state(state: FrameStates, dt, alpha, beta, gamma, gravity):
     return p, quat_mul(q0, gamma), v
 
 
-def imu_forward_propagate(state: FrameStates, samples, gravity):
+def imu_forward_propagate(state: FrameStates, samples, gravity, path: MidpointPath | None = None):
     """Dead-reckon IMU-rate states from the latest estimate, the last row of
     state: that state composed with the midpoint path of samples (which
     start at its time) at its biases. Returns the arrays (t, p, q, v), one
     row per sample after the first.
+
+    path, when given, is that midpoint path already built, such as the
+    path of a delta that integrate_segment made from samples at state's
+    biases; its mean rows are composed with instead of integrating again.
     """
-    path = midpoint_path(samples, state.bias(-1))
+    if path is None:
+        path = midpoint_path(samples, state.bias(-1))
     p, q, v = _compose_imu_state(
         state, path.t[1:] - path.t[0], path.alpha[1:], path.beta[1:], path.gamma[1:], gravity
     )
@@ -599,8 +606,8 @@ class SlidingWindowEstimator:
         drifted too far from the bias of the frame each starts at."""
         n = len(self.deltas)
         ba, bw = self.frames.ba[:n], self.frames.bw[:n]
-        drifted = ((np.linalg.norm(ba - imu.lin_ba, axis=1) > REPROP_ACCEL_THRESHOLD)
-                   | (np.linalg.norm(bw - imu.lin_bw, axis=1) > REPROP_GYRO_THRESHOLD))
+        drifted = ((np.linalg.norm(ba - imu.lin_b[:, :3], axis=1) > REPROP_ACCEL_THRESHOLD)
+                   | (np.linalg.norm(bw - imu.lin_b[:, 3:], axis=1) > REPROP_GYRO_THRESHOLD))
         for k in np.flatnonzero(drifted):
             self.deltas[k] = self.deltas[k].repropagate(BiasState(ba[k], bw[k]))
 
@@ -692,6 +699,20 @@ VISUAL_CHUNK_ROWS = 8
 _BLOCK36 = np.arange(36).reshape(6, 6)
 
 
+def _factor_bands(H: np.ndarray, b: np.ndarray, K: int):
+    """Writable views of H (P, P) and b (P,) on the (30, 30) and (30,)
+    blocks of frames (k, k + 1), k < K: (H_even, H_odd, b_even, b_odd), the
+    blocks of the even k and those of the odd k, one per row. Frame k's 15
+    columns start at 15 k, and 15 (K + 1) <= P."""
+    sr, sc = H.strides
+    (sb,) = b.strides
+    H_step, b_step = (30 * (sr + sc), sr, sc), (30 * sb, sb)
+    return (as_strided(H, ((K + 1) // 2, 30, 30), H_step),
+            as_strided(H[15:, 15:], (K // 2, 30, 30), H_step),
+            as_strided(b, ((K + 1) // 2, 30), b_step),
+            as_strided(b[15:], (K // 2, 30), b_step))
+
+
 class _WindowProblem:
     """Normal equations over one window configuration, kept as NormalBlocks.
 
@@ -766,6 +787,7 @@ class _WindowProblem:
         # zeroed by linearize
         self.blocks = NormalBlocks(np.empty((P, P)), np.empty((F, P)), np.empty(F),
                                    np.empty(P), np.empty(F))
+        self.imu_bands = _factor_bands(self.blocks.H_pp, self.blocks.b_p, len(self.imu))
         self._step_work = None  # damped_step's buffers, sized by its free columns
 
         if self.prior is not None:
@@ -1026,25 +1048,24 @@ class _WindowProblem:
         blocks.b_p[:n] += g[:n]
         blocks.b_p[e:] += g[n:]
 
-    def _add_imu(self, blocks: NormalBlocks, rw, aux, leading=None) -> None:
-        """Accumulate the IMU factors, or only the leading ones."""
+    def _add_imu(self, rw, aux, leading=None) -> None:
+        """Accumulate the IMU factors, or only the leading ones, into the
+        problem's own blocks. Factor k fills the (30, 30) block of frames
+        (k, k + 1); the blocks of the even factors do not overlap, nor do
+        those of the odd ones, so each set is added in one strided pass
+        (imu_bands, see _factor_bands)."""
         if leading is not None:
             rw, aux = rw[:leading], [a[:leading] for a in aux]
-        Jk, Jk1 = imu_jacobians_batch(self.imu, aux)
         K = len(rw)
-        n = K + 1
-        J = self.imu.sqrt_info[:K] @ np.concatenate([Jk, Jk1], axis=2)  # (K, 15, 30)
+        J = self.imu.sqrt_info[:K] @ imu_jacobians_batch(self.imu, aux)  # (K, 15, 30)
         JT = np.swapaxes(J, 1, 2)
         Hb = JT @ J
         bb = np.einsum("kir,kr->ki", JT, rw)
-        # factor k fills the 2x2 block of frames (k, k + 1)
-        Hv = blocks.H_pp[: 15 * n, : 15 * n].reshape(n, 15, n, 15)
-        bv = blocks.b_p[: 15 * n].reshape(n, 15)
-        k = np.arange(K)
-        for i, ri in ((0, k), (1, k + 1)):
-            bv[ri] += bb[:, 15 * i : 15 * i + 15]
-            for j, rj in ((0, k), (1, k + 1)):
-                Hv[ri, :, rj, :] += Hb[:, 15 * i : 15 * i + 15, 15 * j : 15 * j + 15]
+        H_even, H_odd, b_even, b_odd = self.imu_bands
+        H_even[: (K + 1) // 2] += Hb[0::2]
+        H_odd[: K // 2] += Hb[1::2]
+        b_even[: (K + 1) // 2] += bb[0::2]
+        b_odd[: K // 2] += bb[1::2]
 
     def linearize(self, terms, rows=None) -> NormalBlocks:
         """Normal equations at the iterate evaluate() returned terms for, in
@@ -1061,7 +1082,7 @@ class _WindowProblem:
         if prior is not None:
             self._add_prior(blocks, *prior)
         if imu is not None:
-            self._add_imu(blocks, *imu, n_imu)
+            self._add_imu(*imu, n_imu)
         if visual is not None:
             self._add_visual(blocks, *visual, visual_rows)
         return blocks

@@ -77,17 +77,15 @@ def quat_mul(a, b):
                 w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
             ]
         )
-    w1, x1, y1, z1 = (a[..., i] for i in range(4))
-    w2, x2, y2, z2 = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
+    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out = np.empty(w.shape + (4,))
+    out[..., 0] = w
+    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    return out
 
 
 def cross(a, b):
@@ -140,7 +138,7 @@ def quat_to_rot(q):
                 [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
             ]
         )
-    w, x, y, z = (q[..., i] for i in range(4))
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z

@@ -584,7 +584,9 @@ class VioPipeline:
             return self._fail(t, reason)
 
         t0 = self._tic()
-        ts, p, q, _ = imu_forward_propagate(self._last_output, seg, GRAVITY)
+        # delta was integrated over seg at the last output's biases: its
+        # path is the one forward propagation composes with
+        ts, p, q, _ = imu_forward_propagate(self._last_output, seg, GRAVITY, delta.path)
         self._rate_out.append((ts, *self._corrected_pose(p, q)))
         self._publish_output()
         self._toc("propagation", t0)

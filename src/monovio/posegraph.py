@@ -815,14 +815,17 @@ class PoseGraph:
         removed = 0
         while len(self.order) > capacity and removable.any():
             n = len(self.order)
-            fwd = np.linalg.norm(pos[1:] - pos[:-1], axis=1)
+            # mean gap to the same-segment neighbours in order; 1e9 without one
             same = seg[1:] == seg[:-1]
-            prev_gap = np.full(n, np.nan)
-            next_gap = np.full(n, np.nan)
-            prev_gap[1:][same] = fwd[same]
-            next_gap[:-1][same] = fwd[same]
-            mean_gap = np.nanmean(np.stack([prev_gap, next_gap]), axis=0)
-            dens = 1.0 / np.maximum(np.where(np.isnan(mean_gap), 1e9, mean_gap), 1e-6)
+            fwd = np.where(same, np.linalg.norm(pos[1:] - pos[:-1], axis=1), 0.0)
+            gap_sum = np.zeros(n)
+            gap_sum[1:] = fwd
+            gap_sum[:-1] += fwd
+            n_gaps = np.zeros(n)
+            n_gaps[1:] = same
+            n_gaps[:-1] += same
+            mean_gap = np.divide(gap_sum, n_gaps, out=np.full(n, 1e9), where=n_gaps > 0)
+            dens = 1.0 / np.maximum(mean_gap, 1e-6)
             dens[~removable] = 0.0
             total = dens.sum()
             if total <= 0:

@@ -52,6 +52,7 @@ class PreintegrationError(ValueError):
 
 
 _EYE3 = np.eye(3)
+_EYE6 = np.eye(6)
 _EYE15 = np.eye(15)
 
 
@@ -180,9 +181,9 @@ class PreintegratedDelta:
     """Pre-integrated IMU terms between two frame timestamps.
 
     Built by integrate_segment: the mean (alpha, beta, gamma) is the endpoint
-    of midpoint_path over the retained samples, the same path that IMU-rate
-    forward propagation composes with; P and J follow that path. Treat as
-    immutable once built.
+    of midpoint_path over the retained samples, whose mean rows the delta
+    keeps as path: the rows that IMU-rate forward propagation composes with.
+    P and J follow that path. Treat as immutable once built.
     """
 
     def __init__(self, lin_bias: BiasState, noise: NoiseParams):
@@ -195,6 +196,7 @@ class PreintegratedDelta:
         self.P = np.zeros((15, 15))
         self.J = np.eye(15)
         self.samples: list[ImuSample] = []
+        self.path: MidpointPath | None = None  # mean rows only; None below two samples
         self._sqrt_info = None  # cached L^-1 of P
 
     def sqrt_information(self) -> np.ndarray:
@@ -247,23 +249,15 @@ class PreintegratedDelta:
 
 
 def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> PreintegratedDelta:
-    """Pre-integrate the concatenated sample buffers at the first delta's bias.
-
-    The mean path is integrated over the whole buffer, but the covariance
-    and Jacobian recursion continues from first.P and first.J over the
-    second delta's steps only: the first delta's steps are the same
-    operations at the same bias, so the result equals integrate_segment over
-    the concatenated buffer bit for bit.
-    """
+    """Pre-integrate the concatenated sample buffers at the first delta's bias:
+    integrate_segment over the whole buffer."""
     if not first.samples:
         return second.repropagate(first.lin_bias)
     if not second.samples:
         return first.repropagate(first.lin_bias)
     if abs(first.samples[-1].t - second.samples[0].t) > 1e-9:
         raise PreintegrationError("deltas are not adjacent")
-    samples = first.samples + second.samples[1:]
-    return _integrate_from(samples, first.lin_bias, first.noise,
-                           len(first.samples) - 1, first.P, first.J)
+    return integrate_segment(first.samples + second.samples[1:], first.lin_bias, first.noise)
 
 
 def so3_right_jacobian_batch(rotvecs: np.ndarray) -> np.ndarray:
@@ -286,21 +280,22 @@ def _mv(M, x):
 class MidpointPath:
     """Midpoint-rule mean path over N + 1 samples at a fixed bias.
 
-    Row k of alpha, beta, gamma and R is the pre-integrated mean from the
-    first sample to sample k (row 0 is the identity). The per-step arrays
-    (N rows) and accel hold what the covariance recursion of
-    integrate_segment needs.
+    Row k of alpha, beta, gamma is the pre-integrated mean from the first
+    sample to sample k (row 0 is the identity). The per-step arrays (N rows),
+    accel and the attitude matrices R hold what the covariance recursion of
+    integrate_segment needs; the path a delta keeps has only its mean rows,
+    the others None.
     """
 
     t: np.ndarray  # (N + 1,) sample times
-    accel: np.ndarray  # (N + 1, 3) bias-corrected specific force
-    dt: np.ndarray  # (N,) step lengths
-    rotvec: np.ndarray  # (N, 3) midpoint rotation of each step
-    dq: np.ndarray  # (N, 4) exact step increment, quat_exp(rotvec)
     alpha: np.ndarray  # (N + 1, 3)
     beta: np.ndarray  # (N + 1, 3)
     gamma: np.ndarray  # (N + 1, 4)
-    R: np.ndarray  # (N + 1, 3, 3) attitude matrices of gamma
+    accel: np.ndarray | None = None  # (N + 1, 3) bias-corrected specific force
+    dt: np.ndarray | None = None  # (N,) step lengths
+    rotvec: np.ndarray | None = None  # (N, 3) midpoint rotation of each step
+    dq: np.ndarray | None = None  # (N, 4) exact step increment, quat_exp(rotvec)
+    R: np.ndarray | None = None  # (N + 1, 3, 3) attitude matrices of gamma
 
 
 def midpoint_path(samples: list[ImuSample], bias: BiasState) -> MidpointPath:
@@ -341,7 +336,7 @@ def midpoint_path(samples: list[ImuSample], bias: BiasState) -> MidpointPath:
     np.cumsum(dv, axis=0, out=beta[1:])
     alpha = np.zeros((len(ts), 3))
     np.cumsum((beta[:-1] + 0.5 * dv) * dts[:, None], axis=0, out=alpha[1:])
-    return MidpointPath(ts, acc, dts, rotvecs, dqs, alpha, beta, gammas, Rs)
+    return MidpointPath(ts, alpha, beta, gammas, acc, dts, rotvecs, dqs, Rs)
 
 
 def integrate_segment(
@@ -357,44 +352,40 @@ def integrate_segment(
 
     Every step's A and injected term is built in one batch from the path's
     arrays (_transition_batch); only the recursion over P and J is a
-    sequential loop, one product at a time in step order. A pairwise
-    (parallel-prefix) product of the A's would be faster but rounds
+    sequential loop, one product at a time in step order. P is symmetrized
+    once, after the last step: the recursion keeps it symmetric up to
+    rounding, and each step's rounding stays at the 1e-16 relative level.
+    A pairwise (parallel-prefix) product of the A's would round J
     differently, so it is not used.
     """
-    if len(samples) < 2:
-        return PreintegratedDelta(bias, noise)
-    return _integrate_from(samples, bias, noise, 0, np.zeros((15, 15)), np.eye(15))
-
-
-def _integrate_from(samples, bias, noise, start: int, P, J) -> PreintegratedDelta:
-    """integrate_segment with the covariance and Jacobian recursion started
-    at step `start` from the P and J that its first `start` steps reach."""
     delta = PreintegratedDelta(bias, noise)
+    if len(samples) < 2:
+        return delta
     path = midpoint_path(samples, bias)
-    A, Q = _transition_batch(path, noise.q_diag(), start)
+    A, Q = _transition_batch(path, noise.q_diag())
+    P = np.zeros((15, 15))
+    J = _EYE15
     dot = np.dot  # the same BLAS products as @, with less call overhead
     for A_i, Q_i in zip(A, Q):
         P = dot(dot(A_i, P), A_i.T)
         P += Q_i
-        P = 0.5 * (P + P.T)  # keep symmetric PSD
         J = dot(A_i, J)
 
     delta.alpha = path.alpha[-1]
     delta.beta = path.beta[-1]
     delta.gamma = path.gamma[-1]
     delta.dt_total = float(path.t[-1] - path.t[0])
-    delta.P = P
+    delta.P = 0.5 * (P + P.T)
     delta.J = J
     delta.samples = list(samples)
+    delta.path = MidpointPath(path.t, path.alpha, path.beta, path.gamma)
     return delta
 
 
-def _transition_batch(path: MidpointPath, qd: np.ndarray, start: int):
+def _transition_batch(path: MidpointPath, qd: np.ndarray):
     """Per-step transitions A = I + F dt (N, 15, 15) and injected noise
-    (G * (qd dt)) G^T (N, 15, 15) of a midpoint path's steps from `start`
-    on, qd being the diagonal of the density matrix. Each step's pair is
-    computed from that step's arrays alone, so it is the same whatever
-    `start` is.
+    (G * (qd dt)) G^T (N, 15, 15) of a midpoint path's steps, qd being the
+    diagonal of the density matrix.
 
     F is the discrete transition of the midpoint step; its dt->0 limit is
     the continuous-time error dynamics (alpha row coupled only through
@@ -402,11 +393,11 @@ def _transition_batch(path: MidpointPath, qd: np.ndarray, start: int):
     keep the bias Jacobian consistent with finite differences of
     re-propagation at the 1e-4 level.
     """
-    dt = path.dt[start:, None, None]
-    R0, R1 = path.R[start:-1], path.R[start + 1 :]
-    T = np.swapaxes(quat_to_rot(path.dq[start:]), 1, 2)
-    Jr = so3_right_jacobian_batch(path.rotvec[start:])
-    sk = skew(path.accel[start:])
+    dt = path.dt[:, None, None]
+    R0, R1 = path.R[:-1], path.R[1:]
+    T = np.swapaxes(quat_to_rot(path.dq), 1, 2)
+    Jr = so3_right_jacobian_batch(path.rotvec)
+    sk = skew(path.accel)
     R1a1 = R1 @ sk[1:]
     m_theta = -0.5 * (R0 @ sk[:-1] + R1a1 @ T)
     bw_to_amid = (0.5 * dt) * (R1a1 @ Jr)
@@ -473,40 +464,47 @@ def segment_samples(samples: list[ImuSample], t0: float, t1: float) -> list[ImuS
     return seg
 
 
-def _quat_mat(rows) -> np.ndarray:
-    M = np.empty(np.shape(rows[0][0]) + (4, 4))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            M[..., i, j] = entry
-    return M
+# L(q) and R(q) as entries of q: index table and signs per matrix entry
+_QUAT_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1.0, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]])
+_RIGHT_SIGN = np.array([[1.0, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
 
 
 def quat_left_mat(q) -> np.ndarray:
     """4x4 matrix L(q) with L(q) @ p == q (x) p; broadcasts over leading axes."""
-    w, x, y, z = (np.asarray(q, dtype=float)[..., i] for i in range(4))
-    return _quat_mat([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+    return np.asarray(q, dtype=float)[..., _QUAT_IDX] * _LEFT_SIGN
 
 
 def quat_right_mat(q) -> np.ndarray:
     """4x4 matrix R(q) with R(q) @ p == p (x) q; broadcasts over leading axes."""
-    w, x, y, z = (np.asarray(q, dtype=float)[..., i] for i in range(4))
-    return _quat_mat([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
+    return np.asarray(q, dtype=float)[..., _QUAT_IDX] * _RIGHT_SIGN
 
 
 class StackedDeltas:
     """Terms of consecutive deltas stacked along a leading factor axis, for
-    imu_residuals_batch and imu_jacobians_batch. Factor k links window
+    imu_residuals_batch and imu_jacobians_batch, with every array those
+    kernels need from the deltas alone built once. Factor k links window
     states k and k + 1."""
 
     def __init__(self, deltas: list[PreintegratedDelta]):
-        self.dt = np.array([d.dt_total for d in deltas])
-        self.alpha = np.array([d.alpha for d in deltas]).reshape(-1, 3)
-        self.beta = np.array([d.beta for d in deltas]).reshape(-1, 3)
-        self.gamma = np.array([d.gamma for d in deltas]).reshape(-1, 4)
-        self.lin_ba = np.array([d.lin_bias.accel for d in deltas]).reshape(-1, 3)
-        self.lin_bw = np.array([d.lin_bias.gyro for d in deltas]).reshape(-1, 3)
-        self.J = np.array([d.J for d in deltas]).reshape(-1, 15, 15)
+        K = len(deltas)
+        self.dt = np.array([d.dt_total for d in deltas]).reshape(-1, 1)  # (K, 1)
+        self.ab = np.array([(d.alpha, d.beta) for d in deltas]).reshape(-1, 6)  # (alpha, beta)
+        self.lin_b = np.array([(d.lin_bias.accel, d.lin_bias.gyro) for d in deltas]).reshape(-1, 6)
+        # d(alpha, beta, theta) / d(b_a, b_w): the blocks of the bias correction
+        self.j_bias = np.array([d.J[0:9, 9:15] for d in deltas]).reshape(-1, 9, 6)
+        gamma = np.array([d.gamma for d in deltas]).reshape(-1, 4)
+        self.gamma_inv_right = quat_right_mat(quat_inverse(gamma))  # p -> p (x) gamma^-1
         self.sqrt_info = np.array([d.sqrt_information() for d in deltas]).reshape(-1, 15, 15)
+        # d[1, -theta/2] / d b_w of the correction quaternion's conjugate
+        self.dc_dbw = np.zeros((K, 4, 3))
+        self.dc_dbw[:, 1:] = -0.5 * self.j_bias[:, 6:9, 3:6]
+        # the Jacobian entries that do not depend on the states: the bias
+        # correction's blocks and the bias random walk's -I and I
+        self.jacobian_constants = np.zeros((K, 15, 30))
+        self.jacobian_constants[:, 0:6, 9:15] = -self.j_bias[:, 0:6]
+        self.jacobian_constants[:, 9:15, 9:15] = -_EYE6
+        self.jacobian_constants[:, 9:15, 24:30] = _EYE6
 
     def __len__(self) -> int:
         return len(self.dt)
@@ -520,79 +518,70 @@ def imu_residuals_batch(st: StackedDeltas, p, q, v, ba, bw, gravity):
     and k + 1. p, q, v, ba, bw stack the K + 1 window states. Returns the
     residuals (K, 15) and the intermediates that imu_jacobians_batch builds
     the Jacobians at this iterate from.
+
+    The corrected attitude is gamma (x) s with s the small-angle quaternion
+    [1, phi/2] normalized (PreintegratedDelta.correct_for_bias), so the
+    attitude error q_k^-1 (x) q_k+1 (x) (gamma (x) s)^-1 is M s^-1 with
+    M = R(gamma^-1) L(q_k)^T L(q_k+1); L(q)^T is L(q^-1) for a unit q.
     """
     g = np.asarray(gravity, dtype=float)
     K = len(st)
-    dt = st.dt[:, None]
-    Rk_t = np.swapaxes(quat_to_rot(q[:-1]), 1, 2)
-    J = st.J
+    dt = st.dt
+    Rk = quat_to_rot(q[:-1])
+    b = np.concatenate((ba, bw), axis=1)
+    # first-order bias correction of alpha, beta and the attitude, one product
+    corr = _mv(st.j_bias, b[:-1] - st.lin_b)
+    c = np.empty((K, 4))
+    c[:, 0] = 1.0
+    c[:, 1:] = -0.5 * corr[:, 6:9]
+    n = np.sqrt(np.einsum("ki,ki->k", c, c))
+    s_inv = c / n[:, None]
+    Lq = quat_left_mat(q)
+    M = st.gamma_inv_right @ (np.swapaxes(Lq[:-1], 1, 2) @ Lq[1:])
+    e = _mv(M, s_inv)
 
-    # first-order bias correction (PreintegratedDelta.correct_for_bias)
-    dba = ba[:-1] - st.lin_ba
-    dbw = bw[:-1] - st.lin_bw
-    alpha_c = st.alpha + _mv(J[:, 0:3, 9:12], dba) + _mv(J[:, 0:3, 12:15], dbw)
-    beta_c = st.beta + _mv(J[:, 3:6, 9:12], dba) + _mv(J[:, 3:6, 12:15], dbw)
-    phi = _mv(J[:, 6:9, 12:15], dbw)
-    gamma_c = quat_mul(st.gamma, small_angle_quat(phi))
-
-    u = p[1:] - p[:-1] + 0.5 * g * dt * dt - v[:-1] * dt
-    w = v[1:] + g * dt - v[:-1]
-    q_rel = quat_mul(quat_inverse(q[:-1]), q[1:])
-    e = quat_mul(q_rel, quat_inverse(gamma_c))
+    uw = np.empty((K, 2, 3))  # position and velocity changes, gravity's removed
+    uw[:, 0] = p[1:] - p[:-1] + (0.5 * dt * dt) * g - v[:-1] * dt
+    uw[:, 1] = v[1:] + g * dt - v[:-1]
 
     r = np.empty((K, 15))
-    r[:, 0:3] = _mv(Rk_t, u) - alpha_c
-    r[:, 3:6] = _mv(Rk_t, w) - beta_c
+    r[:, 0:6] = (uw @ Rk).reshape(K, 6) - st.ab - corr[:, 0:6]
     r[:, 6:9] = 2.0 * e[:, 1:]
-    r[:, 9:12] = ba[1:] - ba[:-1]
-    r[:, 12:15] = bw[1:] - bw[:-1]
-    return r, (Rk_t, phi, u, w, q_rel, e)
+    r[:, 9:15] = b[1:] - b[:-1]
+    return r, (Rk, uw, s_inv, n, M, e)
 
 
-def imu_jacobians_batch(st: StackedDeltas, aux):
-    """Jacobians (K, 15, 15) of the residuals imu_residuals_batch returned aux
-    with, w.r.t. states k and k + 1: of all of st's factors, or of its
-    leading K when aux is cut to its first K rows.
+def imu_jacobians_batch(st: StackedDeltas, aux) -> np.ndarray:
+    """Jacobians (K, 15, 30) of the residuals imu_residuals_batch returned aux
+    with, w.r.t. states k (columns 0:15) and k + 1 (columns 15:30): of all of
+    st's factors, or of its leading K when aux is cut to its first K rows.
 
     Per-frame tangent ordering is (dp, dtheta, dv, dba, dbw) with the attitude
     perturbed on the left in the world frame: q <- dq (x) q.
     """
-    Rk_t, phi, u, w, q_rel, e = aux
-    K = len(Rk_t)
-    dt = st.dt[:K, None]
-    J = st.J[:K]
-    j_gamma_bw = J[:, 6:9, 12:15]
-    L = e[:, 0, None, None] * _EYE3 - skew(e[:, 1:])
-    LR = L @ Rk_t
-    # theta-row bias Jacobian through the normalized correction quaternion
-    s_un = np.concatenate([np.ones((K, 1)), 0.5 * phi], axis=1)
-    n = np.linalg.norm(s_un, axis=1)
-    s_hat = s_un / n[:, None]
-    ds_un = np.zeros((K, 4, 3))
-    ds_un[:, 1:, :] = 0.5 * j_gamma_bw
-    proj = np.eye(4) - s_hat[:, :, None] * s_hat[:, None, :]
-    ds = (proj @ ds_un) / n[:, None, None]
-    ds[:, 1:, :] *= -1.0  # conjugation
-    de_dbw = quat_left_mat(q_rel) @ (quat_right_mat(quat_inverse(st.gamma[:K])) @ ds)
+    Rk, uw, s_inv, n, M, e = aux
+    K = len(Rk)
+    Rk_t = np.swapaxes(Rk, 1, 2)
+    neg_Rk_t = -Rk_t
+    RS = Rk_t[:, None] @ skew(uw)  # R_k^T [u]x and R_k^T [w]x
+    LR = (e[:, 0, None, None] * _EYE3 - skew(e[:, 1:])) @ Rk_t
+    # theta-row bias Jacobian through the normalized correction quaternion:
+    # d(c/|c|) = (I - s^-1 s^-T) dc / |c|
+    dc = st.dc_dbw[:K]
+    ds_inv = (dc - s_inv[:, :, None] * (s_inv[:, None, :] @ dc)) / n[:, None, None]
 
-    Jk = np.zeros((K, 15, 15))
-    Jk1 = np.zeros((K, 15, 15))
-    Jk[:, 0:3, 0:3] = -Rk_t
-    Jk[:, 0:3, 3:6] = Rk_t @ skew(u)
-    Jk[:, 0:3, 6:9] = -Rk_t * dt[:, :, None]
-    Jk[:, 0:3, 9:15] = -J[:, 0:3, 9:15]
-    Jk1[:, 0:3, 0:3] = Rk_t
-    Jk[:, 3:6, 3:6] = Rk_t @ skew(w)
-    Jk[:, 3:6, 6:9] = -Rk_t
-    Jk[:, 3:6, 9:15] = -J[:, 3:6, 9:15]
-    Jk1[:, 3:6, 6:9] = Rk_t
-    Jk[:, 6:9, 3:6] = -LR
-    Jk[:, 6:9, 12:15] = 2.0 * de_dbw[:, 1:, :]
-    Jk1[:, 6:9, 3:6] = LR
-    for a in (9, 12):
-        Jk[:, a : a + 3, a : a + 3] = -_EYE3
-        Jk1[:, a : a + 3, a : a + 3] = _EYE3
-    return Jk, Jk1
+    J = st.jacobian_constants[:K].copy()
+    J[:, 0:3, 0:3] = neg_Rk_t
+    J[:, 0:3, 3:6] = RS[:, 0]
+    J[:, 0:3, 6:9] = neg_Rk_t * st.dt[:K, :, None]
+    J[:, 0:3, 15:18] = Rk_t
+    J[:, 3:6, 3:6] = RS[:, 1]
+    J[:, 3:6, 6:9] = neg_Rk_t
+    J[:, 3:6, 21:24] = Rk_t
+    J[:, 6:9, 3:6] = -LR
+    J[:, 6:9, 12:15] = 2.0 * (M[:, 1:] @ ds_inv)
+    J[:, 6:9, 18:21] = LR
+    return J
 
 
 def covariance_sqrt(P: np.ndarray) -> np.ndarray:

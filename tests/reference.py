@@ -8,6 +8,7 @@ from monovio.estimator import (
     NormalBlocks,
     eliminate_depths,
     huber_weight,
+    imu_forward_propagate,
     schur_complement,
 )
 from monovio.geometry import (
@@ -43,10 +44,12 @@ from monovio.preintegration import (
 _EYE3 = np.eye(3)
 
 
-def integrate_segment_stepwise(samples, bias, noise):
+def integrate_segment_stepwise(samples, bias, noise, symmetrize_each_step=False):
     """(P, J) of integrate_segment, with each step's transition A and
     injected noise built inside the per-step loop, one small product at a
-    time."""
+    time. P is symmetrized once, after the last step, as integrate_segment
+    does; or, with symmetrize_each_step, after every step, as it did before
+    (P then differs from integrate_segment's by rounding only)."""
     path = midpoint_path(samples, bias)
     Rs = path.R
     Ts = np.swapaxes(quat_to_rot(path.dq), 1, 2)
@@ -81,9 +84,16 @@ def integrate_segment_stepwise(samples, bias, noise):
         A.flat[::16] += 1.0
         P = (A @ P) @ A.T
         P += (G * (qd * dt)) @ G.T
-        P = 0.5 * (P + P.T)
+        if symmetrize_each_step:
+            P = 0.5 * (P + P.T)
         J = A @ J
-    return P, J
+    return P if symmetrize_each_step else 0.5 * (P + P.T), J
+
+
+def imu_forward_propagate_reintegrated(state, samples, gravity, path=None):
+    """imu_forward_propagate with the path it is given set aside: the
+    midpoint path of samples integrated again at state's last biases."""
+    return imu_forward_propagate(state, samples, gravity, midpoint_path(samples, state.bias(-1)))
 
 
 def merge_deltas_reintegrated(first, second):
@@ -346,8 +356,7 @@ def linearize_per_row(problem, terms, masks=None):
         problem._add_prior(blocks, *prior)
     if imu is not None:
         rw, aux = imu
-        Jk, Jk1 = imu_jacobians_batch(problem.imu, aux)
-        J = problem.imu.sqrt_info @ np.concatenate([Jk, Jk1], axis=2)
+        J = problem.imu.sqrt_info @ imu_jacobians_batch(problem.imu, aux)
         if imu_w is not None:
             J, rw = J * imu_w[:, None, None], rw * imu_w[:, None]
         for k in range(len(rw)):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from monovio import dataio
+from monovio import dataio, pipeline
 from monovio.cli import main as cli_main
 from monovio.estimator import (
     EstimatorConfig,
@@ -33,7 +33,7 @@ from monovio.posegraph import LoopEdge, PoseGraph, PoseGraphError, vertex_from_s
 from monovio.preintegration import BiasState, ImuSample, NoiseParams
 from monovio.simulator import ScenarioConfig, build_scenario, camera_times
 from monovio import geometry as geo
-from reference import vertex_at_time_scan
+from reference import imu_forward_propagate_reintegrated, vertex_at_time_scan
 
 MODEL = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 
@@ -393,6 +393,48 @@ class TestPipeline:
         gt = data.ground_truth
         res = evaluate_ate(rep.window_times, rep.window_p, gt.t, gt.p, "4dof", 50)
         assert res["drift_pct"] < 0.5
+
+
+class TestForwardPropagationPath:
+    """Forward propagation composes with the midpoint path of the frame's
+    own delta, which integrate_segment built over the frame's samples at the
+    biases of the last output: the path it would integrate again."""
+
+    @pytest.mark.parametrize("blackout", [None, 6.0])
+    def test_rate_output_equals_reintegrated_path(self, monkeypatch, blackout):
+        kw = {} if blackout is None else dict(blackout_start=blackout, blackout_duration=2.0)
+        data = build_scenario(noisy_config(duration=18.0, **kw))
+        config = PipelineConfig(enable_loops=True)
+        integrate, propagate = pipeline.integrate_segment, pipeline.imu_forward_propagate
+        deltas, checked = [], []
+
+        def recording_integrate(seg, bias, noise):
+            deltas.append(integrate(seg, bias, noise))
+            return deltas[-1]
+
+        def checked_propagate(state, seg, gravity, path):
+            # the frame's delta is the last one the pipeline integrated
+            delta = deltas[-1]
+            assert path is delta.path and delta.samples == seg
+            assert np.array_equal(delta.lin_bias.accel, state.ba[-1])
+            assert np.array_equal(delta.lin_bias.gyro, state.bw[-1])
+            checked.append(float(state.t[-1]))
+            return propagate(state, seg, gravity, path)
+
+        monkeypatch.setattr(pipeline, "integrate_segment", recording_integrate)
+        monkeypatch.setattr(pipeline, "imu_forward_propagate", checked_propagate)
+        rep = pipeline_from_scenario(data, config).run()
+        monkeypatch.setattr(pipeline, "imu_forward_propagate", imu_forward_propagate_reintegrated)
+        ref = pipeline_from_scenario(data, config).run()
+
+        # every published frame but the (re-)initializing ones propagated,
+        # the first one after each of those included
+        inits = [t for t, _ in rep.init_events]
+        assert len(inits) == (1 if blackout is None else 2)
+        assert set(inits) <= set(checked)
+        assert len(checked) == len(rep.window_times) - len(inits)
+        for name in ("rate_times", "rate_p", "rate_q", "window_times", "window_p", "window_q"):
+            assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 def assert_unit_quaternions(q):

@@ -908,7 +908,48 @@ PINNED_DOWNSAMPLE = {
 }
 
 
+def interleaved_graph(segments):
+    """12 keyframes on a widening spiral whose segments interleave in order:
+    vertex k belongs to segments[k]."""
+    g = PoseGraph()
+    for k, seg in enumerate(segments):
+        th = 0.5 * k
+        p = np.array([np.cos(th), np.sin(th), 0.05 * seg]) * (1.0 + 0.1 * k)
+        q = geo.rot_to_quat(geo.rot_zyx(0.02 * np.sin(th), 0.01 * k, th))
+        g.add_keyframe(vertex_from_state(k, 0.4 * k, p, q, segment=seg))
+    return g
+
+
+# interleaved_graph(segments) downsampled to 6 by the np.nanmean density:
+# (segments, seed) -> (surviving ids, SHA-256 of the edge rows as in
+# PINNED_DOWNSAMPLE)
+ALTERNATING, MIXED = (0, 1) * 6, (0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0)
+PINNED_INTERLEAVED = {
+    (ALTERNATING, 0): ([0, 1, 4, 5, 6, 9],
+                       "40670b82f28b77fdb24139eccd137d3176390fe75e24a84d4ae559190bd7d8ac"),
+    (ALTERNATING, 1): ([0, 1, 6, 9, 10, 11],
+                       "2b6bdb49f0db5e70a042c4a785a806e19c0c476b67d2faae3f9e556c8157b5b6"),
+    (MIXED, 0): ([0, 3, 4, 7, 8, 9],
+                 "0e4f2ae545d968eb2109db101fb7158283c96d8327e29aca1efe9d54a13262c2"),
+    (MIXED, 1): ([0, 3, 4, 6, 9, 10],
+                 "4ae880415c03d69d922b384fcc0c399972a8ec1fdedd125c827ebb44bdd95488"),
+}
+
+
 class TestDownsample:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("segments, seed", sorted(PINNED_INTERLEAVED))
+    def test_interleaved_segments_without_warning(self, segments, seed):
+        # a vertex without a same-segment neighbour in order has no gap to
+        # average; its density falls back to that of a 1e9 gap, silently
+        ids, digest = PINNED_INTERLEAVED[segments, seed]
+        g = interleaved_graph(segments)
+        assert g.downsample(6, seed) == 6
+        assert g.order == ids
+        rows = np.array([(e.from_id, e.to_id, *e.rel_p, e.rel_yaw) for e in g.sequential_edges],
+                        dtype="<f8")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
     def test_under_capacity_unchanged(self):
         g = circle_graph(10, loop=False)
         removed = g.downsample(20, seed=0)

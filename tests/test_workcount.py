@@ -45,6 +45,36 @@ def test_counts_a_short_scenario_identically_twice(monkeypatch):
         v for k, v in first.items() if k.startswith("quat_normalize from "))
 
 
+def test_counts_inside_the_imu_kernels_identically_twice(monkeypatch):
+    workcount = load_workcount(monkeypatch)
+    cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=3, traj={"period": 12.0})
+    data = build_scenario(cfg)
+
+    def fresh_run():
+        return pipeline_from_scenario(data, PipelineConfig(enable_loops=False)).run
+
+    kernels = [(owner, attr, getattr(owner, attr)) for owner, attr in workcount.IMU_KERNELS]
+    bindings = {(m.__name__, name): v for m in workcount.PACKAGE_MODULES
+                for name, v in vars(m).items() if callable(v)}
+    fresh_run()()  # warm-up: first-call caches
+    first, second = (workcount.count_inside_kernels(fresh_run()) for _ in range(2))
+    assert first == second
+    for owner, attr, fn in kernels:
+        label = f"{owner.__name__}.{attr}"
+        assert first[f"{label} calls"] > 0 and first[f"{label} inside"] > 0
+        assert first[f"{label} inside_per_call"] == round(
+            first[f"{label} inside"] / first[f"{label} calls"], 1)
+        assert getattr(owner, attr) is fn  # unwrapped after the count
+    assert bindings == {(m.__name__, name): v for m in workcount.PACKAGE_MODULES
+                        for name, v in vars(m).items() if callable(v)}
+    # the frame's path is integrated once: by integrate_segment, not again
+    # by forward propagation
+    counts = workcount.count_calls(fresh_run(), len(camera_times(cfg)))
+    assert counts["monovio.preintegration.midpoint_path"] == counts[
+        "monovio.preintegration._transition_batch"] == first[
+        "monovio.preintegration.midpoint_path calls"]
+
+
 def test_counts_a_short_session_identically_twice(monkeypatch, tmp_path):
     workcount = load_workcount(monkeypatch)
     full = workcount.workloads.make_session_inputs()

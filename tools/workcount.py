@@ -16,6 +16,12 @@ VIO pass under ``cProfile``. It prints:
     of ``np.array``, of ``quat_normalize`` and ``BiasState.check``, and of
     ``quat_normalize`` by each caller
 
+A third fresh set-up runs one more VIO pass with the IMU layer's kernels
+(``midpoint_path``, ``_transition_batch``, ``imu_residuals_batch``,
+``imu_jacobians_batch`` and ``StackedDeltas``) each profiled only while it
+runs. It prints each kernel's calls, the Python-level calls made inside it
+(those of the functions it calls, at any depth) in total and per call of it.
+
 Then one warm-up pose-graph session runs (the benchmark's session inputs,
 which do not depend on the workload), and a second one under ``cProfile``.
 It prints the session's Python-level calls in total and per loop closure,
@@ -28,6 +34,7 @@ where timings are too noisy to read.
 """
 
 import cProfile
+import functools
 import inspect
 import os
 import pstats
@@ -49,11 +56,22 @@ import scipy.sparse.linalg as spla  # noqa: E402
 import bench  # noqa: E402
 import layers  # noqa: E402
 import workloads  # noqa: E402
-from monovio import geometry  # noqa: E402
+from monovio import estimator, geometry, pipeline, preintegration  # noqa: E402
 from monovio.posegraph import PoseGraph  # noqa: E402
 from monovio.preintegration import BiasState  # noqa: E402
 
 PACKAGE = str(Path(geometry.__file__).resolve().parent)
+# the IMU layer's kernels, as (owner, attribute)
+IMU_KERNELS = (
+    (preintegration, "midpoint_path"),
+    (preintegration, "_transition_batch"),
+    (preintegration, "imu_residuals_batch"),
+    (preintegration, "imu_jacobians_batch"),
+    (preintegration.StackedDeltas, "__init__"),
+)
+# the modules whose names a kernel may be bound to
+PACKAGE_MODULES = (estimator, pipeline, preintegration)
+_DISABLE = ("~", 0, "<method 'disable' of '_lsprof.Profiler' objects>")
 
 
 def _key(fn):
@@ -71,6 +89,8 @@ def counted_functions() -> list[tuple[str, tuple]]:
     for attr in ("norm", "svd", "cholesky", "solve"):
         out.append((f"np.linalg.{attr}", _key(getattr(np.linalg, attr))))
     out.append(("np.array", ("~", 0, "<built-in method numpy.array>")))
+    for owner, attr in IMU_KERNELS:
+        out.append((f"{owner.__name__}.{attr}", _key(getattr(owner, attr))))
     out.append(("quat_normalize", _key(geometry.quat_normalize)))
     out.append(("BiasState.check", _key(BiasState.check)))
     return out
@@ -105,6 +125,60 @@ def count_calls(run, frames: int) -> dict[str, int | float]:
     return counts
 
 
+def count_inside_kernels(run) -> dict[str, int | float]:
+    """Run run() with each of IMU_KERNELS profiled only while it runs, and
+    return per kernel its calls and the Python-level calls made inside it, in
+    total and per call. A kernel called inside another one is counted as
+    called, and its calls as made inside the outer one."""
+    active = []
+    counts = {}
+    patches = []
+
+    def profiled_while_running(fn, label, prof):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[label] += 1
+            if active:
+                return fn(*args, **kwargs)
+            active.append(prof)
+            prof.enable()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                prof.disable()
+                active.pop()
+        return wrapper
+
+    profiles = {}
+    for owner, attr in IMU_KERNELS:
+        fn = getattr(owner, attr)
+        label = f"{owner.__name__}.{attr}"
+        counts[label] = 0
+        profiles[label] = (fn, cProfile.Profile())
+        wrapper = profiled_while_running(fn, label, profiles[label][1])
+        homes = [owner] if isinstance(owner, type) else PACKAGE_MODULES
+        for home in homes:
+            for name, value in list(vars(home).items()):
+                if value is fn:
+                    patches.append((home, name, fn))
+                    setattr(home, name, wrapper)
+    try:
+        run()
+    finally:
+        for home, name, fn in patches:
+            setattr(home, name, fn)
+    out = {}
+    for label, (fn, prof) in profiles.items():
+        prof.create_stats()
+        own = {_key(fn), _DISABLE}
+        inside = sum(v[1] for k, v in prof.stats.items() if k not in own)
+        calls = counts[label]
+        out[f"{label} calls"] = calls
+        out[f"{label} inside"] = inside
+        out[f"{label} inside_per_call"] = round(inside / calls, 1) if calls else 0.0
+    return out
+
+
 def count_session(inputs, workdir: str) -> dict[str, int | float]:
     """Run one pose-graph session over inputs under cProfile and return its
     call counts by label."""
@@ -128,6 +202,8 @@ def main() -> int:
         workloads.vio_pass(workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED))
         setup = workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED)
         counts = count_calls(lambda: workloads.vio_pass(setup), len(setup.pipe.cam_times))
+        setup = workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED)
+        counts.update(count_inside_kernels(lambda: workloads.vio_pass(setup)))
         print(f"[{workload}]")
         for label, value in counts.items():
             print(f"{label} = {value}")
