@@ -21,9 +21,9 @@ the tangent plane of the observed ray.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack, solve_triangular
 
 from .geometry import (
@@ -80,10 +80,6 @@ class EstimatorError(RuntimeError):
     pass
 
 
-class TriangulationError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -109,14 +105,31 @@ class FeatureTrack:
 
 @dataclass
 class Feature:
-    """Window-internal feature: per-frame rays plus optimized inverse depth."""
+    """Window-internal feature: per-frame rays plus optimized inverse depth.
+
+    The keys of obs ascend: frames are observed in window order and a slide
+    only removes keys, so the first key is the anchor, the oldest frame
+    that observes the feature.
+    """
 
     fid: int
     obs: dict[int, np.ndarray] = field(default_factory=dict)  # frame id -> unit ray
     inv_depth: float | None = None
 
     def anchor_id(self) -> int:
-        return min(self.obs)
+        return next(iter(self.obs))
+
+
+def _gather_obs(feats: list[Feature]):
+    """The observations of feats as flat arrays, feature after feature, each
+    in key order: (counts (F,), frame ids (N,), rays (N, 3)), counts[i]
+    being feature i's number of observations."""
+    obs = [f.obs for f in feats]
+    counts = np.fromiter(map(len, obs), dtype=int, count=len(obs))
+    ids = np.fromiter(chain.from_iterable(obs), dtype=int, count=int(counts.sum()))
+    rays = list(chain.from_iterable(map(dict.values, obs)))
+    rays = np.concatenate(rays).reshape(-1, 3) if rays else np.empty((0, 3))
+    return counts, ids, rays
 
 
 @dataclass
@@ -220,36 +233,53 @@ def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float, min_tracked: int
     return avg_px > parallax_px
 
 
-def triangulate_feature(rays, cam_q, cam_p) -> float:
-    """Linear (DLT) triangulation; returns inverse depth along the first ray.
+def triangulate_features(rays, frames, counts, cam_q, cam_p) -> np.ndarray:
+    """Linear (DLT) triangulation of a batch of features; returns each one's
+    inverse depth along its first ray, NaN where it is rejected: its largest
+    rotation-compensated parallax against that ray is below
+    MIN_TRIANGULATION_PARALLAX_DEG, or its point lies behind that ray's
+    camera.
 
-    rays are unit vectors in each observing camera; cam_q/cam_p are the
-    camera-to-world poses of those cameras.
+    rays (N, 3) are unit vectors, feature after feature, counts (F,) of
+    them per feature, at least two each; frames (N,) index each ray's
+    observing camera in cam_q (M, 4) and cam_p (M, 3), camera-to-world
+    poses. Each feature's DLT system is zero-padded to the longest one's,
+    which leaves its least-squares solution as it is, and all are solved
+    by one batched SVD with lstsq's cutoff for its own row count.
     """
     rays = np.asarray(rays, dtype=float)
-    n = len(rays)
-    if n < 2:
-        raise TriangulationError("need at least two observations")
-    Rs = quat_to_rot(np.asarray(cam_q, dtype=float))
-    ps = np.asarray(cam_p, dtype=float)
-    # rotation-compensated parallax against the anchor ray
-    max_par = 0.0
-    for k in range(1, n):
-        uk = Rs[0].T @ (Rs[k] @ rays[k])
-        max_par = max(max_par, np.arccos(np.clip(rays[0] @ uk, -1, 1)))
-    if max_par < np.deg2rad(MIN_TRIANGULATION_PARALLAX_DEG):
-        raise TriangulationError("insufficient parallax")
-    A = np.zeros((3 * n, 3))
-    b = np.zeros(3 * n)
-    for k in range(n):
-        S = skew(rays[k]) @ Rs[k].T
-        A[3 * k : 3 * k + 3] = S
-        b[3 * k : 3 * k + 3] = S @ ps[k]
-    X, *_ = np.linalg.lstsq(A, b, rcond=None)
-    depth = rays[0] @ (Rs[0].T @ (X - ps[0]))
-    if depth <= 0.0:
-        raise TriangulationError("triangulated point behind the anchor camera")
-    return 1.0 / depth
+    counts = np.asarray(counts, dtype=int)
+    inv_depth = np.full(len(counts), np.nan)
+    if not len(counts):
+        return inv_depth
+    first = np.cumsum(counts) - counts
+    feat = np.repeat(np.arange(len(counts)), counts)
+    R = quat_to_rot(np.asarray(cam_q, dtype=float))[frames]
+    p = np.asarray(cam_p, dtype=float)[frames]
+    # rotation-compensated parallax of each ray against its anchor ray
+    R0t = np.swapaxes(R[first], 1, 2)
+    u = np.matvec(R0t[feat], np.matvec(R, rays))
+    parallax = np.arccos(np.clip(np.vecdot(rays[first][feat], u), -1, 1))
+    parallax[first] = 0.0
+    sel = np.flatnonzero(np.maximum.reduceat(parallax, first)
+                         >= np.deg2rad(MIN_TRIANGULATION_PARALLAX_DEG))
+    # DLT rows skew(u_k) R_k^T X = skew(u_k) R_k^T p_k, zero-padded per feature
+    S = skew(rays) @ np.swapaxes(R, 1, 2)
+    at = feat, np.arange(len(rays)) - first[feat]
+    A = np.zeros((len(counts), int(counts.max()), 3, 3))
+    y = np.zeros(A.shape[:3])
+    A[at] = S
+    y[at] = np.matvec(S, p)
+    m = 3 * A.shape[1]
+    U, s, Vt = np.linalg.svd(A[sel].reshape(-1, m, 3), full_matrices=False)
+    big = s > (np.finfo(float).eps * 3 * counts[sel])[:, None] * s[:, :1]
+    c = np.einsum("fkj,fk->fj", U, y[sel].reshape(-1, m)) / np.where(big, s, 1.0)
+    X = np.einsum("fji,fj->fi", Vt, np.where(big, c, 0.0))
+    # cheirality: depth along the anchor ray
+    depth = np.vecdot(rays[first[sel]], np.matvec(R0t[sel], X - p[first[sel]]))
+    front = depth > 0.0
+    inv_depth[sel[front]] = 1.0 / depth[front]
+    return inv_depth
 
 
 def _compose_imu_state(state: FrameStates, dt, alpha, beta, gamma, gravity):
@@ -447,7 +477,8 @@ class SlidingWindowEstimator:
 
     def observe(self, observations: dict[int, np.ndarray], frame_idx: int = -1) -> None:
         """Attach feature rays observed at a window frame (default: latest),
-        normalized as one block."""
+        normalized as one block. Frames are observed in window order, so
+        that each feature's keys ascend (see Feature)."""
         fid = self.frame_ids[frame_idx]
         rays = np.array(list(observations.values()), dtype=float).reshape(-1, 3)
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
@@ -498,34 +529,32 @@ class SlidingWindowEstimator:
         self._remove_frame_observations(dropped_id)
         return merge_deltas(tail_delta, incoming_delta)
 
-    def _remove_frame_observations(self, frame_id: int, cam_poses=None) -> None:
-        """Remove a frame's observations. A feature anchored in it keeps its
-        depth, transferred to its next observation with cam_poses (see
-        _transfer_anchor). Only the oldest frame can anchor a feature that
-        other frames observe, so dropping the latest frame needs no poses."""
-        dead = []
-        for feat_id, feat in self.features.items():
-            if frame_id not in feat.obs:
-                continue
-            was_anchor = feat.anchor_id() == frame_id
-            old_ray = feat.obs.pop(frame_id)
+    def _remove_frame_observations(self, frame_id: int) -> None:
+        """Remove the latest frame's observations, and the features left
+        without one. A feature that this frame anchors has no other
+        observation, so no depth needs transferring."""
+        for feat in [f for f in self.features.values() if frame_id in f.obs]:
+            del feat.obs[frame_id]
             if not feat.obs:
-                dead.append(feat_id)
-            elif was_anchor and feat.inv_depth is not None:
-                self._transfer_anchor(feat, old_ray, cam_poses)
-        for feat_id in dead:
-            del self.features[feat_id]
+                del self.features[feat.fid]
 
-    def _transfer_anchor(self, feat: Feature, old_ray: np.ndarray, cam_poses) -> None:
-        """Re-express an optimized depth in the feature's next observation
-        frame. cam_poses holds the camera poses (q, p) of the frame that
-        observed old_ray in row 0, then those of the window's frames."""
+    def _transfer_anchors(self, feats: list[Feature], old_rays: list[np.ndarray],
+                          cam_poses) -> list[float | None]:
+        """The optimized depths of feats, whose anchor ray old_rays[i] has
+        left their obs, re-expressed in each one's new anchor (None where
+        the point would sit within 1 mm of that camera or behind it), in
+        one batch. cam_poses holds the camera poses (q, p) of the frame
+        that observed old_rays in row 0, then those of the window's frames."""
+        if not feats:
+            return []
         cam_q, cam_p = cam_poses
-        new_anchor = feat.anchor_id()
-        k = 1 + self.frame_ids.index(new_anchor)
-        X = quat_rotate(cam_q[0], old_ray / feat.inv_depth) + cam_p[0]
-        depth = feat.obs[new_anchor] @ quat_rotate(quat_inverse(cam_q[k]), X - cam_p[k])
-        feat.inv_depth = 1.0 / depth if depth > 1e-3 else None
+        new_ids = [next(iter(f.obs)) for f in feats]
+        k = 1 + np.searchsorted(self.frame_ids, new_ids)
+        inv = np.array([f.inv_depth for f in feats])
+        X = quat_rotate(cam_q[0], np.array(old_rays) / inv[:, None]) + cam_p[0]
+        new_rays = np.array([f.obs[i] for f, i in zip(feats, new_ids)])
+        depth = np.vecdot(new_rays, quat_rotate(quat_inverse(cam_q[k]), X - cam_p[k]))
+        return [1.0 / d if d > 1e-3 else None for d in depth.tolist()]
 
     def camera_poses(self) -> tuple[np.ndarray, np.ndarray]:
         """Camera-to-world poses of the window's frames: attitudes (N, 4)
@@ -540,23 +569,20 @@ class SlidingWindowEstimator:
     # -- feature management ---------------------------------------------------
 
     def triangulate_new_features(self) -> int:
-        """Assign inverse depths to features with enough parallax; returns count."""
-        added = 0
+        """Assign inverse depths to features with enough parallax, as one
+        batch (triangulate_features); returns count."""
+        new = [f for f in self.features.values() if f.inv_depth is None and len(f.obs) >= 2]
+        if not new:
+            return 0
+        counts, ids, rays = _gather_obs(new)
         cam_q, cam_p = self.camera_poses()
-        index = {fid: k for k, fid in enumerate(self.frame_ids)}
-        for feat_id in sorted(self.features):
-            feat = self.features[feat_id]
-            if feat.inv_depth is not None or len(feat.obs) < 2:
-                continue
-            keys = sorted(feat.obs)
-            idxs = [index[k] for k in keys]
-            rays = [feat.obs[k] for k in keys]
-            try:
-                feat.inv_depth = triangulate_feature(rays, cam_q[idxs], cam_p[idxs])
-                added += 1
-            except TriangulationError:
-                continue
-        return added
+        # frame ids ascend in window order
+        inv_depth = triangulate_features(rays, np.searchsorted(self.frame_ids, ids), counts,
+                                         cam_q, cam_p)
+        ok = np.isfinite(inv_depth)
+        for feat, lam in zip(compress(new, ok), inv_depth[ok].tolist()):
+            feat.inv_depth = lam
+        return int(ok.sum())
 
     def _optimized_features(self) -> list[Feature]:
         """Features entering the cost: valid depth and at least two window obs."""
@@ -571,7 +597,8 @@ class SlidingWindowEstimator:
     def prune_bad_depths(self) -> None:
         """Drop depths that collapsed to the clamp or went non-finite."""
         for f in self.features.values():
-            if f.inv_depth is not None and (not np.isfinite(f.inv_depth) or f.inv_depth <= 2e-4):
+            # a NaN fails both comparisons
+            if f.inv_depth is not None and not 2e-4 < f.inv_depth < np.inf:
                 f.inv_depth = None
 
     # -- solving ----------------------------------------------------------------
@@ -631,13 +658,25 @@ class SlidingWindowEstimator:
         self.frames = self.frames[1:]
         self.keyframe_flags.pop(0)
         self.deltas.pop(0)
-        for feat in marg_feats:
-            self._transfer_anchor(feat, feat.obs.pop(old_id), cam_poses)
-            if feat.inv_depth is None:
+        # the departing frame anchors every feature that it observes
+        moved, old_rays = [], []
+        for feat in [f for f in self.features.values() if old_id in f.obs]:
+            ray = feat.obs.pop(old_id)
+            if not feat.obs:
+                del self.features[feat.fid]
+            elif feat.inv_depth is not None:
+                moved.append(feat)
+                old_rays.append(ray)
+        consumed = {f.fid for f in marg_feats}
+        for feat, inv_depth in zip(moved, self._transfer_anchors(moved, old_rays, cam_poses)):
+            feat.inv_depth = inv_depth
+            if feat.fid not in consumed:
+                continue
+            if inv_depth is None:
                 del self.features[feat.fid]
             else:  # only the new anchor's ray stays
-                feat.obs = {feat.anchor_id(): feat.obs[feat.anchor_id()]}
-        self._remove_frame_observations(old_id, cam_poses)
+                anchor = feat.anchor_id()
+                feat.obs = {anchor: feat.obs[anchor]}
 
     def pop_marginalized_keyframes(self) -> list[tuple[int, FrameStates]]:
         out, self.marginalized_keyframes = self.marginalized_keyframes, []
@@ -696,7 +735,9 @@ def _free_run(pose_mask: np.ndarray) -> tuple[int, int]:
 
 # visual rows per chunk of the frame-pair layout (see _WindowProblem._visual_layout)
 VISUAL_CHUNK_ROWS = 8
-_BLOCK36 = np.arange(36).reshape(6, 6)
+# each entry's place in its 6 x 6 block, over the 18 x 18 pose columns of
+# a visual row (three 6-column groups)
+_BLOCK_ENTRIES = np.tile(np.arange(36).reshape(6, 6), (3, 3))
 
 
 def _factor_bands(H: np.ndarray, b: np.ndarray, K: int):
@@ -707,10 +748,10 @@ def _factor_bands(H: np.ndarray, b: np.ndarray, K: int):
     sr, sc = H.strides
     (sb,) = b.strides
     H_step, b_step = (30 * (sr + sc), sr, sc), (30 * sb, sb)
-    return (as_strided(H, ((K + 1) // 2, 30, 30), H_step),
-            as_strided(H[15:, 15:], (K // 2, 30, 30), H_step),
-            as_strided(b, ((K + 1) // 2, 30), b_step),
-            as_strided(b[15:], (K // 2, 30), b_step))
+    return (np.ndarray(((K + 1) // 2, 30, 30), H.dtype, H, 0, H_step),
+            np.ndarray((K // 2, 30, 30), H.dtype, H, 15 * (sr + sc), H_step),
+            np.ndarray(((K + 1) // 2, 30), b.dtype, b, 0, b_step),
+            np.ndarray((K // 2, 30), b.dtype, b, 15 * sb, b_step))
 
 
 class _WindowProblem:
@@ -764,22 +805,27 @@ class _WindowProblem:
         self.feat_col = self.ext_col + 6
         self.dim = self.feat_col + len(feats)
 
-        self.id_to_idx = id_to_idx = {fid: k for k, fid in enumerate(self.frame_ids)}
-        feat_pos = {f.fid: i for i, f in enumerate(feats)}
         # visual rows (feature, observer, observed ray): a feature's window
         # observations after its anchor's, then the loop correspondences,
         # each observed by its loop set's frame
-        rows = [(fi, id_to_idx[k], feat.obs[k]) for fi, feat in enumerate(feats)
-                for k in sorted(feat.obs)[1:]]
-        rows += [(feat_pos[fid], self.n_frames + i, ray)
-                 for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
-        anchor_ids = [f.anchor_id() for f in feats]
-        self.v_feat = np.array([row[0] for row in rows], dtype=int)
-        self.v_obs = np.array([row[1] for row in rows], dtype=int)
-        self.v_uo = np.array([row[2] for row in rows], dtype=float).reshape(-1, 3)
-        self.v_anchor = np.array([id_to_idx[anchor_ids[fi]] for fi in self.v_feat], dtype=int)
-        self.v_ua = np.array([feats[fi].obs[anchor_ids[fi]] for fi in self.v_feat],
-                             dtype=float).reshape(-1, 3)
+        counts, ids, rays = _gather_obs(feats)
+        obs_idx = np.searchsorted(self.frame_ids, ids)  # frame ids ascend in window order
+        first = np.cumsum(counts) - counts  # each feature's anchor observation
+        later = np.ones(len(ids), dtype=bool)
+        later[first] = False
+        v_feat = np.repeat(np.arange(len(feats)), counts - 1)
+        v_obs, v_uo = obs_idx[later], rays[later]
+        feat_pos = {f.fid: i for i, f in enumerate(feats)}
+        loop_rows = [(feat_pos[fid], self.n_frames + i, ray)
+                     for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
+        if loop_rows:
+            fi, oi, ui = zip(*loop_rows)
+            v_feat, v_obs, v_uo = (np.concatenate([v_feat, fi]), np.concatenate([v_obs, oi]),
+                                   np.concatenate([v_uo, ui]))
+        self.v_feat, self.v_obs, self.v_uo = v_feat, v_obs, v_uo
+        self.f_anchor = obs_idx[first]  # each feature's anchor frame index
+        self.v_anchor = self.f_anchor[v_feat]
+        self.v_ua = rays[first][v_feat]
         self.v_B = np.stack(tangent_basis(self.v_uo), axis=2)  # (K, 3, 2)
         self._visual_layout()
 
@@ -834,8 +880,8 @@ class _WindowProblem:
     def write_back(self, est: SlidingWindowEstimator) -> None:
         est.frames = self.states[: self.n_frames]
         est.extrinsic = self.extrinsic
-        for fi, feat in enumerate(self.feats):
-            feat.inv_depth = float(self.lam[fi])
+        for feat, lam in zip(self.feats, self.lam.tolist()):
+            feat.inv_depth = lam
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -919,7 +965,7 @@ class _WindowProblem:
         K, G = len(self.v_feat), len(self.states) + 1
         groups = np.stack([self.v_anchor, self.v_obs, np.full(K, G - 1)], axis=1)  # (K, B)
         B = groups.shape[1]
-        C, P, six = 6 * B, self.feat_col, np.arange(6)
+        C, P, F, six = 6 * B, self.feat_col, len(self.feats), np.arange(6)
 
         # rows in pair order; each pair starts a new chunk
         pair = groups[:, 0] * G + groups[:, 1]
@@ -938,20 +984,25 @@ class _WindowProblem:
 
         # entry (c, i, j) of the products: H_pp for i, j < C, b_p for the
         # residual column (j = C), nothing for the rest; the sums hold the
-        # distinct 6 x 6 blocks of group pairs, then a 6-segment per group
-        block_pairs = chunk_groups[:, :, None] * G + chunk_groups[:, None, :]
-        blocks, at = np.unique(block_pairs.ravel(), return_inverse=True)
+        # distinct 6 x 6 blocks of group pairs, ranked by a cumulative sum
+        # over a G x G occupancy table, then a 6-segment per group
+        block_pairs = (chunk_groups[:, :, None] * G + chunk_groups[:, None, :]).ravel()
+        used = np.zeros(G * G, dtype=bool)
+        used[block_pairs] = True
+        blocks, at = np.flatnonzero(used), (np.cumsum(used) - 1)[block_pairs]
         nh = 36 * len(blocks)
         target = np.full((n, C + 1, C + 1), nh + 6 * G)
-        at = (36 * at).reshape(n, B, 1, B, 1) + _BLOCK36[:, None, :]
-        target[:, :C, :C] = at.reshape(n, C, C)
+        target[:, :C, :C] = (36 * at).reshape(n, B, B).repeat(6, 1).repeat(6, 2) + _BLOCK_ENTRIES
         target[:, :C, C] = (nh + 6 * chunk_groups[:, :, None] + six).reshape(n, C)
         bi, bj = np.divmod(blocks, G)
         h_entries = (15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()
 
-        # W entries: distinct (feature, group) pairs
-        fg, w_at = np.unique((self.v_feat[:, None] * G + groups).ravel(), return_inverse=True)
-        fi, g = np.divmod(fg, G)
+        # W entries: distinct (feature, group) pairs, ranked alike over F x G
+        feat_groups = (self.v_feat[:, None] * G + groups).ravel()
+        used = np.zeros(F * G, dtype=bool)
+        used[feat_groups] = True
+        fi, g = np.divmod(np.flatnonzero(used), G)
+        w_at = (np.cumsum(used) - 1)[feat_groups]
         w_entries = (fi * P + 15 * g)[:, None] + six
 
         self.v_slot = slot
@@ -1235,9 +1286,8 @@ class _WindowProblem:
         depths go first, by their diagonal Schur complement, then frame 0,
         without the loop frames' columns. Raises EstimatorError when the
         system left after the depths is not finite."""
-        old = self.frame_ids[0]
-        consumed = np.array([f.anchor_id() == old and f.inv_depth is not None
-                             for f in self.feats], dtype=bool)
+        consumed = (self.f_anchor == 0) & np.array([f.inv_depth is not None for f in self.feats],
+                                                   dtype=bool)
         rows = np.flatnonzero(consumed[self.v_feat] & (self.v_obs < self.n_frames))
         blocks = self.linearize(terms, (1, rows))
         fi = np.flatnonzero(consumed)

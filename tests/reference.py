@@ -4,6 +4,8 @@ bit for bit where the kernel claims bitwise equality."""
 import numpy as np
 
 from monovio.estimator import (
+    MIN_TRIANGULATION_PARALLAX_DEG,
+    VISUAL_CHUNK_ROWS,
     EstimatorError,
     NormalBlocks,
     eliminate_depths,
@@ -15,6 +17,7 @@ from monovio.geometry import (
     quat_canonical,
     quat_inverse,
     quat_mul,
+    quat_rotate,
     quat_to_rot,
     rot_zyx,
     skew,
@@ -33,7 +36,6 @@ from monovio.posegraph import (
 from monovio.preintegration import (
     PreintegrationError,
     imu_jacobians_batch,
-    integrate_segment,
     interpolate_sample,
     midpoint_path,
     quat_left_mat,
@@ -94,12 +96,6 @@ def imu_forward_propagate_reintegrated(state, samples, gravity, path=None):
     """imu_forward_propagate with the path it is given set aside: the
     midpoint path of samples integrated again at state's last biases."""
     return imu_forward_propagate(state, samples, gravity, midpoint_path(samples, state.bias(-1)))
-
-
-def merge_deltas_reintegrated(first, second):
-    """merge_deltas of two adjacent deltas with sample buffers, by
-    integrate_segment over the whole concatenated buffer."""
-    return integrate_segment(first.samples + second.samples[1:], first.lin_bias, first.noise)
 
 
 def quat_log(q):
@@ -288,6 +284,137 @@ def vertex_at_time_scan(driver, t):
             if abs(entry[0] - t) <= VERTEX_TIME_TOL:
                 return vid
     return None
+
+
+class TriangulationError(ValueError):
+    pass
+
+
+def triangulate_feature(rays, cam_q, cam_p) -> float:
+    """Linear (DLT) triangulation of one feature, ray by ray; returns its
+    inverse depth along the first ray, and raises TriangulationError with
+    the reason where triangulate_features gives NaN.
+
+    rays are unit vectors in each observing camera; cam_q/cam_p are the
+    camera-to-world poses of those cameras.
+    """
+    rays = np.asarray(rays, dtype=float)
+    n = len(rays)
+    if n < 2:
+        raise TriangulationError("need at least two observations")
+    Rs = quat_to_rot(np.asarray(cam_q, dtype=float))
+    ps = np.asarray(cam_p, dtype=float)
+    # rotation-compensated parallax against the anchor ray
+    max_par = 0.0
+    for k in range(1, n):
+        uk = Rs[0].T @ (Rs[k] @ rays[k])
+        max_par = max(max_par, np.arccos(np.clip(rays[0] @ uk, -1, 1)))
+    if max_par < np.deg2rad(MIN_TRIANGULATION_PARALLAX_DEG):
+        raise TriangulationError("insufficient parallax")
+    A = np.zeros((3 * n, 3))
+    b = np.zeros(3 * n)
+    for k in range(n):
+        S = skew(rays[k]) @ Rs[k].T
+        A[3 * k : 3 * k + 3] = S
+        b[3 * k : 3 * k + 3] = S @ ps[k]
+    X, *_ = np.linalg.lstsq(A, b, rcond=None)
+    depth = rays[0] @ (Rs[0].T @ (X - ps[0]))
+    if depth <= 0.0:
+        raise TriangulationError("triangulated point behind the anchor camera")
+    return 1.0 / depth
+
+
+def triangulate_new_features_per_feature(est):
+    """The inverse depths that est.triangulate_new_features() would assign,
+    by triangulate_feature over each feature without a depth and with at
+    least two observations, in sorted key order: {feature id: inverse depth,
+    or None where it raises}. The window is not changed."""
+    cam_q, cam_p = est.camera_poses()
+    index = {fid: k for k, fid in enumerate(est.frame_ids)}
+    out = {}
+    for feat_id in sorted(est.features):
+        feat = est.features[feat_id]
+        if feat.inv_depth is not None or len(feat.obs) < 2:
+            continue
+        keys = sorted(feat.obs)
+        idxs = [index[k] for k in keys]
+        try:
+            out[feat_id] = triangulate_feature([feat.obs[k] for k in keys], cam_q[idxs], cam_p[idxs])
+        except TriangulationError:
+            out[feat_id] = None
+    return out
+
+
+def transferred_inv_depth(inv_depth, old_ray, new_ray, q_old, p_old, q_new, p_new):
+    """One feature's depth transfer, as a slide once made it feature by
+    feature: the point at inverse depth inv_depth along old_ray of the
+    camera (q_old, p_old), as an inverse depth along new_ray of the camera
+    (q_new, p_new); None within 1 mm of that camera or behind it."""
+    X = quat_rotate(q_old, old_ray / inv_depth) + p_old
+    depth = new_ray @ quat_rotate(quat_inverse(q_new), X - p_new)
+    return 1.0 / depth if depth > 1e-3 else None
+
+
+def visual_rows_per_row(est, feats, loops):
+    """(v_feat, v_obs, v_uo, v_anchor, v_ua) of _WindowProblem(est, feats,
+    loops), built row by row: each feature's keys sorted, its anchor the
+    smallest, then the loop correspondences of optimized features."""
+    id_to_idx = {fid: k for k, fid in enumerate(est.frame_ids)}
+    feat_pos = {f.fid: i for i, f in enumerate(feats)}
+    n_frames = len(est.frames)
+    rows = [(fi, id_to_idx[k], feat.obs[k]) for fi, feat in enumerate(feats)
+            for k in sorted(feat.obs)[1:]]
+    rows += [(feat_pos[fid], n_frames + i, ray)
+             for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
+    anchor_ids = [min(f.obs) for f in feats]
+    v_feat = np.array([row[0] for row in rows], dtype=int)
+    return (v_feat,
+            np.array([row[1] for row in rows], dtype=int),
+            np.array([row[2] for row in rows], dtype=float).reshape(-1, 3),
+            np.array([id_to_idx[anchor_ids[fi]] for fi in v_feat], dtype=int),
+            np.array([feats[fi].obs[anchor_ids[fi]] for fi in v_feat], dtype=float).reshape(-1, 3))
+
+
+def visual_layout_unique(v_feat, v_anchor, v_obs, n_states, feat_col):
+    """The arrays that _WindowProblem._visual_layout fixes for these visual
+    rows, by name, with the distinct 6 x 6 blocks and (feature, group)
+    pairs ranked by two np.unique sorts."""
+    K, G = len(v_feat), n_states + 1
+    groups = np.stack([v_anchor, v_obs, np.full(K, G - 1)], axis=1)
+    B = groups.shape[1]
+    C, P, six = 6 * B, feat_col, np.arange(6)
+    pair = groups[:, 0] * G + groups[:, 1]
+    order = np.argsort(pair, kind="stable")
+    count = np.bincount(pair, minlength=G * G)
+    n_chunks = -(-count // VISUAL_CHUNK_ROWS)
+    chunk0 = np.cumsum(n_chunks) - n_chunks
+    first = np.cumsum(count) - count
+    sorted_pair = pair[order]
+    slot = np.empty(K, dtype=int)
+    slot[order] = chunk0[sorted_pair] * VISUAL_CHUNK_ROWS + np.arange(K) - first[sorted_pair]
+    n = int(n_chunks.sum())
+    chunk_groups = np.empty((n, B), dtype=int)
+    chunk_groups[slot // VISUAL_CHUNK_ROWS] = groups
+    block_pairs = chunk_groups[:, :, None] * G + chunk_groups[:, None, :]
+    blocks, at = np.unique(block_pairs.ravel(), return_inverse=True)
+    nh = 36 * len(blocks)
+    target = np.full((n, C + 1, C + 1), nh + 6 * G)
+    at = (36 * at).reshape(n, B, 1, B, 1) + np.arange(36).reshape(6, 6)[:, None, :]
+    target[:, :C, :C] = at.reshape(n, C, C)
+    target[:, :C, C] = (nh + 6 * chunk_groups[:, :, None] + six).reshape(n, C)
+    bi, bj = np.divmod(blocks, G)
+    h_entries = (15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()
+    fg, w_at = np.unique((v_feat[:, None] * G + groups).ravel(), return_inverse=True)
+    fi, g = np.divmod(fg, G)
+    return {
+        "v_slot": slot,
+        "v_target": target.reshape(n, -1),
+        "v_h_entries": h_entries.ravel(),
+        "v_b_entries": (15 * np.arange(G)[:, None] + six).ravel(),
+        "v_w_entries": ((fi * P + 15 * g)[:, None] + six).ravel(),
+        "v_w_target": (w_at[:, None] * 6 + six).reshape(K, -1),
+        "v_chunks": np.zeros((n, 2 * VISUAL_CHUNK_ROWS, C + 1)),
+    }
 
 
 def visual_residual(

@@ -9,7 +9,6 @@ from monovio.estimator import (
     LoopObservationSet,
     SlidingWindowEstimator,
     SolveReport,
-    TriangulationError,
     detect_failure,
     huber_weight,
     imu_forward_propagate,
@@ -17,7 +16,7 @@ from monovio.estimator import (
     keyframe_decision,
     robust_cost,
     schur_complement,
-    triangulate_feature,
+    triangulate_features,
 )
 from monovio.initialization import ExtrinsicCalib
 from monovio.pipeline import TrackObservationIndex
@@ -40,12 +39,18 @@ from monovio.simulator import (
     default_extrinsic,
 )
 from reference import (
+    TriangulationError,
     imu_residual_jacobians,
     keyframe_decision_per_pair,
     linearize_per_row,
     marginal_masks,
     marginalize_frame_masked,
+    triangulate_feature,
+    transferred_inv_depth,
+    triangulate_new_features_per_feature,
+    visual_layout_unique,
     visual_residual,
+    visual_rows_per_row,
 )
 
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
@@ -176,6 +181,11 @@ class TestKeyframeDecision:
         assert decisions == {(True, True), (False, True), (False, False)}
 
 
+def triangulate_one(rays, cam_q, cam_p) -> float:
+    """triangulate_features over a batch of one feature."""
+    return triangulate_features(rays, np.arange(len(rays)), [len(rays)], cam_q, cam_p)[0]
+
+
 class TestTriangulation:
     def test_two_view_exact(self):
         # baseline 1 m, landmark 5 m ahead of the first camera
@@ -185,7 +195,7 @@ class TestTriangulation:
         q = geo.quat_identity()
         u0 = X / np.linalg.norm(X)
         u1 = (X - p1) / np.linalg.norm(X - p1)
-        lam = triangulate_feature([u0, u1], [q, q], [p0, p1])
+        lam = triangulate_one([u0, u1], [q, q], [p0, p1])
         assert lam == pytest.approx(0.2, abs=1e-9)
 
     def test_behind_camera_rejected(self):
@@ -194,16 +204,20 @@ class TestTriangulation:
         u0 = np.array([0.0, 0.0, 1.0])
         u1 = np.array([-1.0, 0.0, -2.0])
         u1 = u1 / np.linalg.norm(u1)
-        with pytest.raises(TriangulationError):
-            triangulate_feature([u0, u1], [geo.quat_identity()] * 2, [np.zeros(3), p1])
+        poses = [geo.quat_identity()] * 2, [np.zeros(3), p1]
+        assert np.isnan(triangulate_one([u0, u1], *poses))
+        with pytest.raises(TriangulationError, match="behind"):
+            triangulate_feature([u0, u1], *poses)
 
     def test_insufficient_parallax_rejected(self):
         X = np.array([0.0, 0.0, 500.0])
         p1 = np.array([0.01, 0.0, 0.0])
         u0 = X / np.linalg.norm(X)
         u1 = (X - p1) / np.linalg.norm(X - p1)
-        with pytest.raises(TriangulationError):
-            triangulate_feature([u0, u1], [geo.quat_identity()] * 2, [np.zeros(3), p1])
+        poses = [geo.quat_identity()] * 2, [np.zeros(3), p1]
+        assert np.isnan(triangulate_one([u0, u1], *poses))
+        with pytest.raises(TriangulationError, match="parallax"):
+            triangulate_feature([u0, u1], *poses)
 
     def test_noisy_reprojection_rms(self):
         rng = np.random.default_rng(1)
@@ -221,7 +235,7 @@ class TestTriangulation:
                 n = rng.normal(0, sigma, 2)
                 u = u + n[0] * b1 + n[1] * b2
                 rays.append(u / np.linalg.norm(u))
-            lam = triangulate_feature(rays, qs, ps)
+            lam = triangulate_one(rays, qs, ps)
             Xh = rays[0] / lam
             errs = []
             for p, u in zip(ps, rays):
@@ -230,6 +244,77 @@ class TestTriangulation:
                 errs.append(np.arccos(np.clip(pred @ u, -1, 1)))
             rms_list.append(np.sqrt(np.mean(np.square(errs))))
         assert np.mean(rms_list) < 2 * sigma
+
+    def test_batch_matches_per_feature_reference(self):
+        # one batch of two-ray and many-ray features, some with too little
+        # parallax and some behind their anchor camera, observed by rotated
+        # cameras in any order: the same decisions as the per-feature DLT,
+        # and the same depths to 1e-12 relative
+        rng = np.random.default_rng(4)
+        cam_q = np.array([geo.quat_exp(rng.normal(0.0, 0.3, 3)) for _ in range(11)])
+        cam_p = rng.normal(0.0, 0.4, (11, 3))
+        rays, frames, counts, kinds = [], [], [], []
+        for i in range(60):
+            n = (2, 3, 7, 11)[i % 4]
+            cams = rng.choice(11, n, replace=False)
+            kind = ("near", "far", "behind")[i % 3]
+            X = cam_p[cams[0]] + geo.quat_rotate(cam_q[cams[0]], [0.0, 0.0, 1.0]) * 3.0
+            X += rng.normal(0.0, 0.5, 3)
+            if kind == "far":  # a baseline of well under a degree
+                X = cam_p[cams[0]] + 500.0 * (X - cam_p[cams[0]])
+            u = geo.quat_rotate(geo.quat_inverse(cam_q[cams]), X - cam_p[cams])
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            u += rng.normal(0.0, 1e-3, u.shape)
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            if kind == "behind":
+                u[0] = -u[0]
+            rays.append(u)
+            frames.append(cams)
+            counts.append(n)
+            kinds.append(kind)
+        got = triangulate_features(np.concatenate(rays), np.concatenate(frames), counts, cam_q, cam_p)
+        decisions = set()
+        for u, cams, kind, lam in zip(rays, frames, kinds, got):
+            try:
+                ref = triangulate_feature(u, cam_q[cams], cam_p[cams])
+            except TriangulationError as err:
+                assert np.isnan(lam), err
+                decisions.add((kind, str(err)))
+                continue
+            assert lam == pytest.approx(ref, rel=1e-12, abs=0.0)
+            decisions.add((kind, "accepted"))
+        assert {("near", "accepted"), ("far", "insufficient parallax"),
+                ("behind", "triangulated point behind the anchor camera")} <= decisions
+
+    def test_window_batches_match_per_feature_reference(self):
+        # every frame's candidates of a noisy sliding window: the same
+        # decisions as triangulate_feature feature by feature, and the same
+        # depths to 1e-12 relative
+        noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
+        cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=12, pixel_sigma_px=1.5, noise=noise)
+        data = build_scenario(cfg)
+        est, _ = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        obs_index = TrackObservationIndex(data.tracks)
+        all_cam = camera_times(cfg)
+        accepted = rejected = 0
+        for k in range(11, 26):
+            seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
+            delta = integrate_segment(seg, est.frames.bias(-1), noise)
+            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=k % 3 != 0)
+            ref = triangulate_new_features_per_feature(est)
+            added = est.triangulate_new_features()
+            assert added == sum(lam is not None for lam in ref.values())
+            for fid, lam in ref.items():
+                got = est.features[fid].inv_depth
+                if lam is None:
+                    assert got is None
+                    rejected += 1
+                else:
+                    assert got == pytest.approx(lam, rel=1e-12, abs=0.0)
+                    accepted += 1
+            est.build_and_solve()
+        assert accepted > 50 and rejected > 0
 
 
 class TestVisualResidual:
@@ -888,6 +973,67 @@ class TestMarginalization:
             est.build_and_solve()
         assert marginalized >= 5 and dropped >= 5
 
+    def test_anchor_transfer_matches_per_feature_reference(self):
+        # a marginalizing slide re-expresses, in one batch, the depth of each
+        # feature that the departing frame anchors in its next observation,
+        # bit for bit as the per-feature transfer; the features the prior
+        # consumes keep only that ray, and are dropped with their depth; a
+        # cap on the optimized features leaves depths that are not consumed,
+        # and points moved next to the departing camera lose theirs
+        noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
+        cfg = ScenarioConfig(duration=8.0, cam_rate=5.0, seed=12, pixel_sigma_px=1.5, noise=noise)
+        data = build_scenario(cfg)
+        est, _ = seeded_estimator(cfg, data, config=EstimatorConfig(max_features=40))
+        est.build_and_solve()
+        obs_index = TrackObservationIndex(data.tracks)
+        all_cam = camera_times(cfg)
+        seen = set()
+        for k in range(11, 30):
+            expected = {}
+            if est.keyframe_flags[-1]:
+                consumed = {f.fid for f in est._pending_prior[1]}
+                if not seen:  # points 1 um ahead of the departing camera
+                    for f in est._pending_prior[1][::2]:
+                        f.inv_depth = 1e6
+                cam_q, cam_p = est.camera_poses()
+                ids = est.frame_ids
+                for f in est.features.values():
+                    keys = list(f.obs)
+                    if keys[0] != ids[0]:
+                        continue
+                    if len(keys) == 1:
+                        expected[f.fid] = None
+                        seen.add("gone")
+                        continue
+                    lam = None
+                    if f.inv_depth is not None:
+                        j = ids.index(keys[1])
+                        lam = transferred_inv_depth(f.inv_depth, f.obs[keys[0]], f.obs[keys[1]],
+                                                    cam_q[0], cam_p[0], cam_q[j], cam_p[j])
+                    if f.fid in consumed:
+                        expected[f.fid] = None if lam is None else (lam, keys[1:2])
+                        seen.add("consumed" if lam is not None else "dropped")
+                    else:
+                        expected[f.fid] = (lam, keys[1:])
+                        seen.add("kept" if f.inv_depth is None else "moved")
+            seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
+            delta = integrate_segment(seg, est.frames.bias(-1), noise)
+            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=k % 3 != 0)
+            for fid, exp in expected.items():
+                if exp is None:  # gone, or back with the new frame's observation alone
+                    f = est.features.get(fid)
+                    assert f is None or (list(f.obs) == est.frame_ids[-1:] and f.inv_depth is None)
+                    continue
+                lam, keys = exp
+                f = est.features[fid]
+                assert f.inv_depth == lam  # bit for bit, or both None
+                # the new frame's observation may follow the kept keys
+                assert list(f.obs)[: len(keys)] == keys
+                assert set(f.obs) - set(keys) <= {est.frame_ids[-1]}
+            est.triangulate_new_features()
+            est.build_and_solve()
+        assert {"gone", "consumed", "dropped", "moved"} <= seen
+
     def test_handed_out_states_are_value_copies(self):
         # the latest state, a marginalized keyframe and a prior's
         # linearization point stay as they were handed out while the window
@@ -1212,7 +1358,7 @@ class TestImuResidualJacobiansInWindow:
         pcols = []
         lin = prior.lin_states
         for blk, fid in enumerate(prior.frame_ids):
-            i = problem.id_to_idx[fid]
+            i = problem.frame_ids.index(fid)
             pcols += list(range(15 * i, 15 * i + 15))
             e = geo.quat_mul(x.q[i], geo.quat_inverse(lin.q[blk]))
             e = -e if e[0] < 0 else e
@@ -1362,6 +1508,59 @@ class TestFramePairAssembly:
         finally:
             tracemalloc.stop()
         assert lin_kb < LINEARIZE_PEAK_KB and step_kb < STEP_PEAK_KB
+
+
+def assert_construction_matches_per_row(est, feats, loops):
+    """Every array that _WindowProblem(est, feats, loops) builds for its
+    visual rows equals, bit for bit and dtype for dtype, the per-row
+    reference's; returns the problem."""
+    from monovio.estimator import _WindowProblem
+
+    problem = _WindowProblem(est, feats, loops)
+    rows = visual_rows_per_row(est, feats, loops)
+    v_feat, v_obs, _, v_anchor, _ = rows
+    layout = visual_layout_unique(v_feat, v_anchor, v_obs, len(problem.states), problem.feat_col)
+    for name, ref in [*zip(("v_feat", "v_obs", "v_uo", "v_anchor", "v_ua"), rows),
+                      *layout.items()]:
+        got = getattr(problem, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    return problem
+
+
+class TestConstructionFromArrays:
+    def test_matches_per_row_reference_with_loop_sets(self):
+        # two loop sets, the second with a correspondence of a feature that
+        # is not optimized, which gives no row
+        est, feats, loop = loop_window()
+        optimized = {f.fid for f in feats}
+        outside = next(fid for fid in est.features if fid not in optimized)
+        second = LoopObservationSet(loop.q_w_v, loop.p_w_v,
+                                    [(outside, loop.pairs[1][1])] + loop.pairs[3:])
+        problem = assert_construction_matches_per_row(est, feats, [loop, second])
+        loop_rows = problem.v_obs >= problem.n_frames
+        assert np.sum(loop_rows) == len(loop.pairs) + len(second.pairs) - 1
+        assert np.any(problem.v_obs == problem.n_frames + 1)
+
+    def test_matches_per_row_reference_after_a_marginalization(self):
+        # after a marginalizing slide, features keep only their new anchor's
+        # ray; given to the problem with every other feature that has a
+        # depth, such a feature gets a depth column and no row
+        cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10, pixel_sigma_px=1.5)
+        data = build_scenario(cfg)
+        est, cam = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        t_new = camera_times(cfg)[11]
+        delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
+        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+        est.triangulate_new_features()
+        assert est.prior is not None
+        assert_construction_matches_per_row(est, est._optimized_features(), [])
+        with_depth = [f for _, f in sorted(est.features.items()) if f.inv_depth is not None]
+        single = [fi for fi, f in enumerate(with_depth) if len(f.obs) == 1]
+        assert single
+        problem = assert_construction_matches_per_row(est, with_depth, [])
+        assert not np.any(np.isin(problem.v_feat, single))
 
 
 def pruned_depth_problem():

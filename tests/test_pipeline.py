@@ -362,6 +362,35 @@ class TestPipeline:
         assert sum(before is not None for before, _ in drops) >= 5
         assert all(after is before for before, after in drops)
 
+    def test_feature_keys_ascend_after_every_frame(self, monkeypatch):
+        # each frame's slide and observations, and each (re-)initialization's
+        # seeding, keep every feature's keys ascending window frame ids, so
+        # that its first key is its anchor
+        checks = []
+
+        def check(est):
+            window = est.frame_ids
+            for f in est.features.values():
+                keys = list(f.obs)
+                assert keys == sorted(keys) and set(keys) <= set(window)
+                assert f.anchor_id() == keys[0] == min(keys)
+            checks.append(len(est.features))
+
+        def checked(method):
+            def run(est, *args, **kwargs):
+                out = method(est, *args, **kwargs)
+                check(est)
+                return out
+            return run
+
+        for name in ("add_frame", "triangulate_new_features"):
+            monkeypatch.setattr(SlidingWindowEstimator, name,
+                                checked(getattr(SlidingWindowEstimator, name)))
+        cfg = noisy_config(duration=16.0, blackout_start=6.0, blackout_duration=2.0)
+        rep = pipeline_from_scenario(build_scenario(cfg), PipelineConfig(enable_loops=False)).run()
+        assert any(kind == "reinit" for _, kind in rep.init_events)
+        assert rep.n_keyframes >= 5 and len(checks) > len(camera_times(cfg)) and max(checks) > 0
+
     def test_blackout_triggers_failure_and_new_segment(self):
         cfg = noisy_config(duration=30.0, blackout_start=12.0, blackout_duration=2.0)
         data = build_scenario(cfg)

@@ -21,7 +21,6 @@ from monovio.preintegration import (
 from monovio.simulator import ScenarioConfig, build_scenario
 from reference import (
     integrate_segment_stepwise,
-    merge_deltas_reintegrated,
     segment_samples_searchsorted,
 )
 
@@ -398,14 +397,15 @@ class TestBatchedTransitions:
 
     @pytest.mark.parametrize("n", [2, 41, 81])
     def test_merge_continues_bitwise_from_first(self, stream, n):
-        # merge_deltas continues the first delta's recursion; it must equal
-        # re-integrating the concatenated buffer, whatever the split
+        # merging two adjacent deltas continues from the first one's start
+        # and bias: it must equal integrating, at that bias, the stretch of
+        # the stream that the two span, whatever the split
         for start, n2 in ((0, 2), (57, 41), (230, 81)):
             d1 = integrate_segment(stream[start : start + n], self.BIAS, self.NOISE)
             tail = stream[start + n - 1 : start + n - 1 + n2]
             d2 = integrate_segment(tail, BiasState(), self.NOISE)
             merged = merge_deltas(d1, d2)
-            ref = merge_deltas_reintegrated(d1, d2)
+            ref = integrate_segment(stream[start : start + n - 1 + n2], self.BIAS, self.NOISE)
             for name in ("P", "J", "alpha", "beta", "gamma"):
                 assert np.array_equal(getattr(merged, name), getattr(ref, name)), name
             assert merged.P.tobytes() == ref.P.tobytes()  # signed zeros too

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from monovio import geometry as geo
-from monovio.estimator import triangulate_feature
+from monovio.estimator import triangulate_features
 from monovio.preintegration import GRAVITY, BiasState, NoiseParams, integrate_segment, segment_samples
 from monovio.simulator import (
     ScenarioConfig,
@@ -166,9 +166,8 @@ class TestTracks:
                 continue
             qs = np.array([poses[t][0] for t in track.times])
             ps = np.array([poses[t][1] for t in track.times])
-            try:
-                lam = triangulate_feature(track.rays, qs, ps)
-            except Exception:
+            lam = triangulate_features(track.rays, np.arange(len(track)), [len(track)], qs, ps)[0]
+            if np.isnan(lam):
                 continue
             q0, p0 = poses[track.times[0]]
             X = geo.quat_rotate(q0, track.rays[0] / lam) + p0

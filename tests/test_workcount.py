@@ -75,6 +75,31 @@ def test_counts_inside_the_imu_kernels_identically_twice(monkeypatch):
         "monovio.preintegration.midpoint_path calls"]
 
 
+def test_counts_inside_the_feature_kernels_identically_twice(monkeypatch):
+    workcount = load_workcount(monkeypatch)
+    cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=3, traj={"period": 12.0})
+    data = build_scenario(cfg)
+
+    def fresh_run():
+        return pipeline_from_scenario(data, PipelineConfig(enable_loops=False)).run
+
+    kernels = [(owner, attr, getattr(owner, attr)) for owner, attr in workcount.FEATURE_KERNELS]
+    fresh_run()()  # warm-up: first-call caches
+    first, second = (workcount.count_inside_kernels(fresh_run()) for _ in range(2))
+    assert first == second
+    for owner, attr, fn in kernels:
+        label = f"{owner.__name__}.{attr}"
+        assert first[f"{label} calls"] > 0 and first[f"{label} inside"] > 0
+        assert getattr(owner, attr) is fn  # unwrapped after the count
+    # a kernel run inside another one counts inside it too: StackedDeltas
+    # and the visual layout are built inside each window problem's
+    # construction, and nowhere else
+    build, nested = "_WindowProblem.__init__", ("StackedDeltas.__init__", "_WindowProblem._visual_layout")
+    assert all(first[f"{label} calls"] == first[f"{build} calls"] for label in nested)
+    assert first[f"{build} inside"] > sum(first[f"{label} inside"] + first[f"{label} calls"]
+                                          for label in nested)
+
+
 def test_counts_a_short_session_identically_twice(monkeypatch, tmp_path):
     workcount = load_workcount(monkeypatch)
     full = workcount.workloads.make_session_inputs()

@@ -16,11 +16,15 @@ VIO pass under ``cProfile``. It prints:
     of ``np.array``, of ``quat_normalize`` and ``BiasState.check``, and of
     ``quat_normalize`` by each caller
 
-A third fresh set-up runs one more VIO pass with the IMU layer's kernels
-(``midpoint_path``, ``_transition_batch``, ``imu_residuals_batch``,
-``imu_jacobians_batch`` and ``StackedDeltas``) each profiled only while it
-runs. It prints each kernel's calls, the Python-level calls made inside it
-(those of the functions it calls, at any depth) in total and per call of it.
+A third fresh set-up runs one more VIO pass with each of KERNELS profiled
+only while it runs: the IMU layer's kernels (``midpoint_path``,
+``_transition_batch``, ``imu_residuals_batch``, ``imu_jacobians_batch`` and
+``StackedDeltas``) and the window's feature bookkeeping
+(``_WindowProblem.__init__``, ``_WindowProblem._visual_layout``,
+``triangulate_new_features`` and ``_marginalize_oldest``). It prints each
+kernel's calls, the Python-level calls made inside it (those of the
+functions it calls, at any depth, kernels included) in total and per call
+of it.
 
 Then one warm-up pose-graph session runs (the benchmark's session inputs,
 which do not depend on the workload), and a second one under ``cProfile``.
@@ -69,6 +73,14 @@ IMU_KERNELS = (
     (preintegration, "imu_jacobians_batch"),
     (preintegration.StackedDeltas, "__init__"),
 )
+# the window's feature bookkeeping, as (owner, attribute)
+FEATURE_KERNELS = (
+    (estimator._WindowProblem, "__init__"),
+    (estimator._WindowProblem, "_visual_layout"),
+    (estimator.SlidingWindowEstimator, "triangulate_new_features"),
+    (estimator.SlidingWindowEstimator, "_marginalize_oldest"),
+)
+KERNELS = IMU_KERNELS + FEATURE_KERNELS
 # the modules whose names a kernel may be bound to
 PACKAGE_MODULES = (estimator, pipeline, preintegration)
 _DISABLE = ("~", 0, "<method 'disable' of '_lsprof.Profiler' objects>")
@@ -89,7 +101,7 @@ def counted_functions() -> list[tuple[str, tuple]]:
     for attr in ("norm", "svd", "cholesky", "solve"):
         out.append((f"np.linalg.{attr}", _key(getattr(np.linalg, attr))))
     out.append(("np.array", ("~", 0, "<built-in method numpy.array>")))
-    for owner, attr in IMU_KERNELS:
+    for owner, attr in KERNELS:
         out.append((f"{owner.__name__}.{attr}", _key(getattr(owner, attr))))
     out.append(("quat_normalize", _key(geometry.quat_normalize)))
     out.append(("BiasState.check", _key(BiasState.check)))
@@ -126,36 +138,45 @@ def count_calls(run, frames: int) -> dict[str, int | float]:
 
 
 def count_inside_kernels(run) -> dict[str, int | float]:
-    """Run run() with each of IMU_KERNELS profiled only while it runs, and
-    return per kernel its calls and the Python-level calls made inside it, in
-    total and per call. A kernel called inside another one is counted as
-    called, and its calls as made inside the outer one."""
-    active = []
-    counts = {}
+    """Run run() with each of KERNELS profiled only while it runs, and return
+    per kernel its calls and the Python-level calls made inside it, in total
+    and per call. A kernel called inside another one gets a profiler of its
+    own, keyed by the kernels it runs inside, while the outer one pauses; it
+    is counted as called, and its calls as made inside every outer one too."""
+    stack = []  # (label, profiler) of the running kernels, innermost last
+    counts = {}  # label -> calls
+    profiles = {}  # the labels of the running kernels, innermost last -> (calls, profiler)
     patches = []
 
-    def profiled_while_running(fn, label, prof):
+    def profiled_while_running(fn, label):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            if stack:
+                stack[-1][1].disable()
+            path = tuple(entry[0] for entry in stack) + (label,)
+            if path not in profiles:
+                profiles[path] = [0, cProfile.Profile()]
+            entry = profiles[path]
+            entry[0] += 1
             counts[label] += 1
-            if active:
-                return fn(*args, **kwargs)
-            active.append(prof)
-            prof.enable()
+            stack.append((label, entry[1]))
+            entry[1].enable()
             try:
                 return fn(*args, **kwargs)
             finally:
-                prof.disable()
-                active.pop()
+                entry[1].disable()
+                stack.pop()
+                if stack:
+                    stack[-1][1].enable()
         return wrapper
 
-    profiles = {}
-    for owner, attr in IMU_KERNELS:
+    fns = {}
+    for owner, attr in KERNELS:
         fn = getattr(owner, attr)
         label = f"{owner.__name__}.{attr}"
         counts[label] = 0
-        profiles[label] = (fn, cProfile.Profile())
-        wrapper = profiled_while_running(fn, label, profiles[label][1])
+        fns[label] = fn
+        wrapper = profiled_while_running(fn, label)
         homes = [owner] if isinstance(owner, type) else PACKAGE_MODULES
         for home in homes:
             for name, value in list(vars(home).items()):
@@ -167,15 +188,21 @@ def count_inside_kernels(run) -> dict[str, int | float]:
     finally:
         for home, name, fn in patches:
             setattr(home, name, fn)
-    out = {}
-    for label, (fn, prof) in profiles.items():
+    inside = dict.fromkeys(counts, 0)
+    for path, (calls, prof) in profiles.items():
         prof.create_stats()
-        own = {_key(fn), _DISABLE}
-        inside = sum(v[1] for k, v in prof.stats.items() if k not in own)
-        calls = counts[label]
+        own = {_key(fns[path[-1]]), _DISABLE}
+        n = sum(v[1] for k, v in prof.stats.items() if k not in own)
+        inside[path[-1]] += n
+        # an outer kernel's own profile holds the call of this kernel's
+        # wrapper; its function's calls and those made inside it are added
+        for outer in set(path[:-1]):
+            inside[outer] += n + calls
+    out = {}
+    for label, calls in counts.items():
         out[f"{label} calls"] = calls
-        out[f"{label} inside"] = inside
-        out[f"{label} inside_per_call"] = round(inside / calls, 1) if calls else 0.0
+        out[f"{label} inside"] = inside[label]
+        out[f"{label} inside_per_call"] = round(inside[label] / calls, 1) if calls else 0.0
     return out
 
 
