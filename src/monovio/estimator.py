@@ -214,22 +214,23 @@ def robust_cost(s):
     return np.where(s <= 1.0, s, 2.0 * np.sqrt(np.maximum(s, 0.0)) - 1.0)
 
 
-def keyframe_decision(ray_pairs, q_rel_cam, parallax_px: float, min_tracked: int,
+def keyframe_decision(u_kf, u_cur, q_rel_cam, parallax_px: float, min_tracked: int,
                       focal: float) -> bool:
     """Keyframe if rotation-compensated average parallax exceeds the threshold
     or too few features are tracked (none at all is always too few).
 
-    ray_pairs: (ray in last keyframe camera, ray in current camera) per shared
-    feature; q_rel_cam rotates current-camera vectors into the keyframe camera
-    (from short-term gyro integration), cancelling rotation-induced parallax.
+    u_kf, u_cur (N, 3): the rays of the N shared features in the last
+    keyframe camera and in the current camera, row by row; q_rel_cam rotates
+    current-camera vectors into the keyframe camera (from short-term gyro
+    integration), cancelling rotation-induced parallax.
     """
-    if not ray_pairs or len(ray_pairs) < min_tracked:
+    n = len(u_kf)
+    if not n or n < min_tracked:
         return True
-    u_kf, u_cur = np.swapaxes(np.asarray(ray_pairs, dtype=float), 0, 1)
     u_comp = u_cur @ quat_to_rot(q_rel_cam).T
     c = np.einsum("ki,ki->k", u_kf, u_comp) / (
         np.linalg.norm(u_kf, axis=1) * np.linalg.norm(u_comp, axis=1))
-    avg_px = focal * np.arccos(np.clip(c, -1, 1)).sum() / len(ray_pairs)
+    avg_px = focal * np.arccos(np.clip(c, -1, 1)).sum() / n
     return avg_px > parallax_px
 
 
@@ -392,6 +393,9 @@ def information_sqrt(H: np.ndarray, b: np.ndarray):
     return H_p, r_p
 
 
+_I3 = np.eye(3)
+
+
 def _theta_difference(q, q_lin):
     """2 vec(q (x) q_lin^-1) with its exact tangent Jacobian; broadcasts over
     leading axes.
@@ -402,7 +406,7 @@ def _theta_difference(q, q_lin):
     e = quat_mul(q, quat_inverse(q_lin))
     e = e * np.where(e[..., :1] < 0.0, -1.0, 1.0)
     d = 2.0 * e[..., 1:]
-    J = e[..., 0, None, None] * np.eye(3) - skew(e[..., 1:])
+    J = e[..., 0, None, None] * _I3 - skew(e[..., 1:])
     return d, J
 
 
@@ -781,7 +785,7 @@ class _WindowProblem:
     Every iteration writes into buffers that the problem allocates once: the
     NormalBlocks that linearize() zeroes and refills (valid until its next
     call), the visual rows' Jacobian, chunk and product buffers, and
-    damped_step's masked system, depth couplings and elimination products.
+    damped_step's masked system and elimination products.
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
@@ -863,16 +867,15 @@ class _WindowProblem:
         BiasState.check(ba, bw)
         q = s.q
         dth = d[:, 3:6]
-        turned = np.any(dth != 0.0, axis=1)
-        if np.any(turned):
+        turned = (dth != 0.0).any(axis=1)
+        if turned.any():
             q = np.where(turned[:, None], quat_canonical(quat_mul(small_angle_quat(dth), q)), q)
-        self.states = FrameStates(s.t, s.p + d[:, 0:3], q, s.v + d[:, 6:9], ba, bw)
-        dpe = dx[self.ext_col : self.ext_col + 3]
-        dte = dx[self.ext_col + 3 : self.ext_col + 6]
-        if np.any(dpe) or np.any(dte):
+        self.states = FrameStates._of((s.t, s.p + d[:, 0:3], q, s.v + d[:, 6:9], ba, bw))
+        de = dx[self.ext_col : self.feat_col]
+        if de.any():
             self.extrinsic = ExtrinsicCalib(
-                self.extrinsic.p_b_c + dpe,
-                quat_canonical(quat_mul(small_angle_quat(dte), self.extrinsic.q_b_c)),
+                self.extrinsic.p_b_c + de[:3],
+                quat_canonical(quat_mul(small_angle_quat(de[3:]), self.extrinsic.q_b_c)),
             )
         if len(self.lam):
             self.lam = np.maximum(self.lam + dx[self.feat_col :], 1e-4)
@@ -891,20 +894,18 @@ class _WindowProblem:
         R_bc = quat_to_rot(self.extrinsic.q_b_c)
         p_bc = self.extrinsic.p_b_c
         lam = self.lam[self.v_feat]
-        f_ci = self.v_ua / lam[:, None]
-        f_bi = f_ci @ R_bc.T + p_bc
+        Rf_ci = (self.v_ua / lam[:, None]) @ R_bc.T
         Ri = Rw[self.v_anchor]
-        f_w = np.einsum("kab,kb->ka", Ri, f_bi) + pw[self.v_anchor]
-        obs_R = Rw[self.v_obs]
-        d_j = f_w - pw[self.v_obs]
-        e_j = np.einsum("kba,kb->ka", obs_R, d_j) - p_bc
+        Rf_bi = np.einsum("kab,kb->ka", Ri, Rf_ci + p_bc)
+        d_j = Rf_bi + pw[self.v_anchor] - pw[self.v_obs]
+        e_j = np.einsum("kba,kb->ka", Rw[self.v_obs], d_j) - p_bc
         P = e_j @ R_bc
-        nP = np.linalg.norm(P, axis=1)
-        if np.any(nP < 1e-6):
+        nP = np.sqrt(np.add.reduce(P * P, axis=1))  # np.linalg.norm's arithmetic
+        if (nP < 1e-6).any():
             raise EstimatorError("feature collapses onto an observing camera center")
         nvec = P / nP[:, None]
         r = np.einsum("kir,ki->kr", self.v_B, self.v_uo - nvec) / self.sigma
-        aux = (R_bc, lam, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec)
+        aux = (R_bc, Rw, lam, Rf_ci, Rf_bi, Ri, d_j, e_j, nP, nvec)
         return r, aux
 
     def _prior_residual(self):
@@ -933,11 +934,11 @@ class _WindowProblem:
         visual = None
         if len(self.v_feat):
             r, aux = self._visual_terms(quat_to_rot(self.states.q), self.states.p)
-            visual = (r, np.sum(r * r, axis=1), aux)
+            visual = (r, (r * r).sum(axis=1), aux)
         cost = (
             (0.0 if prior is None else float(prior[0] @ prior[0]))
-            + (0.0 if imu is None else float(np.sum(imu[0] * imu[0])))
-            + (0.0 if visual is None else float(np.sum(robust_cost(visual[1]))))
+            + (0.0 if imu is None else float((imu[0] * imu[0]).sum()))
+            + (0.0 if visual is None else float(robust_cost(visual[1]).sum()))
         )
         return cost, (prior, imu, visual)
 
@@ -1019,26 +1020,27 @@ class _WindowProblem:
         """Whitened Jacobian blocks in the column order of _visual_layout,
         then the feature's depth, of every visual row or of those the index
         rows selects, written into the leading rows of J and returned."""
-        R_bc, *per_row = aux
-        ua, B = self.v_ua, self.v_B
+        R_bc, Rw, *per_row = aux
+        ua, B, obs = self.v_ua, self.v_B, self.v_obs
         if rows is not None:
-            per_row, ua, B = [a[rows] for a in per_row], ua[rows], B[rows]
+            per_row, ua, B, obs = [a[rows] for a in per_row], ua[rows], B[rows], obs[rows]
             J = J[: len(rows)]
-        lam, f_ci, f_bi, Ri, obs_R, d_j, e_j, nP, nvec = per_row
+        lam, Rf_ci, Rf_bi, Ri, d_j, e_j, nP, nvec = per_row
         # M = d r / d P = -B^T (I - n n^T) / |P|, whitened
-        Bt = np.swapaxes(B, 1, 2)
+        Bt = B.swapaxes(1, 2)
         Btn = np.einsum("kri,ki->kr", Bt, nvec)
         M = (Btn[:, :, None] * nvec[:, None, :] - Bt) / (nP[:, None, None] * self.sigma)
-        MRbc = M @ R_bc.T  # d r / d e_j
-        MA = MRbc @ np.swapaxes(obs_R, 1, 2)  # d r / d f_w
+        MRbc = (M.reshape(-1, 3) @ R_bc.T).reshape(M.shape)  # d r / d e_j, as one GEMM
+        # d r / d f_w, by the observers' transposes gathered contiguous
+        MA = MRbc @ Rw.swapaxes(1, 2).copy()[obs]
         MARi = MA @ Ri
 
         J[:, :, 0:3] = MA
-        J[:, :, 3:6] = -MA @ skew(np.einsum("kab,kb->ka", Ri, f_bi))
+        J[:, :, 3:6] = -MA @ skew(Rf_bi)
         J[:, :, 6:9] = -MA
         J[:, :, 9:12] = MA @ skew(d_j)
         J[:, :, 12:15] = MARi - MRbc
-        J[:, :, 15:18] = MRbc @ skew(e_j) - MARi @ skew(f_ci @ R_bc.T)
+        J[:, :, 15:18] = MRbc @ skew(e_j) - MARi @ skew(Rf_ci)
         J[:, :, 18] = np.einsum(
             "krb,kb->kr", MARi, (ua @ R_bc.T) * (-1.0 / lam**2)[:, None]
         )
@@ -1064,10 +1066,10 @@ class _WindowProblem:
         C = J.shape[2] - 1
         Jp, Jl = J[:, :, :C], J[:, :, C]
         chunk_rows = self.v_chunks.reshape(-1, 2, C + 1)
-        chunk_rows[slot, :, :C] = Jp
+        chunk_rows[slot] = J  # then the residual over the depth column
         chunk_rows[slot, :, C] = rw
         chunks = self.v_chunks[at]  # a view of every chunk, or a copy of a subset
-        products = np.matmul(np.swapaxes(chunks, 1, 2), chunks,
+        products = np.matmul(chunks.swapaxes(1, 2), chunks,
                              out=self.v_products[: len(chunks)])
         nh, nb = len(self.v_h_entries), len(self.v_b_entries)
         # the last sum collects the entries that neither H_pp nor b_p takes
@@ -1087,7 +1089,7 @@ class _WindowProblem:
         JT = self.prior.H.T.copy()  # (H_p D)^T, mapped in place below
         n = 15 * len(Jth)
         att = JT[:n].reshape(len(Jth), 15, -1)[:, 3:6]
-        att[...] = np.swapaxes(Jth, 1, 2) @ att
+        att[...] = Jth.swapaxes(1, 2) @ att
         JT[-3:] = J_ext.T @ JT[-3:]
         JtJ = JT @ JT.T
         g = JT @ rp
@@ -1109,7 +1111,7 @@ class _WindowProblem:
             rw, aux = rw[:leading], [a[:leading] for a in aux]
         K = len(rw)
         J = self.imu.sqrt_info[:K] @ imu_jacobians_batch(self.imu, aux)  # (K, 15, 30)
-        JT = np.swapaxes(J, 1, 2)
+        JT = J.swapaxes(1, 2)
         Hb = JT @ J
         bb = np.einsum("kir,kr->ki", JT, rw)
         H_even, H_odd, b_even, b_odd = self.imu_bands
@@ -1151,29 +1153,31 @@ class _WindowProblem:
         """
         lo, hi = _free_run(pose_mask)
         m = hi - lo
-        H, W, A, AtA = self._step_buffers(m)
+        H, A, AtA = self._step_buffers(m)
         np.copyto(H, blocks.H_pp[lo:hi, lo:hi])
-        np.copyto(W, blocks.W[:, lo:hi])
-        H.flat[:: m + 1] += lam * np.maximum(np.diagonal(H), 1e-12)
+        W = blocks.W[:, lo:hi]
+        diag = H.reshape(-1)[:: m + 1]
+        diag += lam * np.maximum(diag, 1e-12)
         v_lam = blocks.v + lam * np.maximum(blocks.v, 1e-12)
         S, g = eliminate_depths(H, blocks.b_p[lo:hi], W, blocks.b_l, 1.0 / v_lam, A, AtA)
-        # numpy factors: scipy may link a BLAS of its own, whose thread pool,
+        # numpy factors: scipy links a BLAS of its own, whose thread pool,
         # woken by a factorization of this size, contends with numpy's when
-        # the thread count is not pinned; its triangular solves stay serial
+        # the thread count is not pinned (scipy's dpotrf here made unpinned
+        # runs over twice as slow); its triangular solves stay serial, and
+        # LAPACK takes them on L's F-ordered view L^T without a copy
         L = np.linalg.cholesky(S)
-        y = solve_triangular(L, -g, lower=True, check_finite=False)
-        dp = solve_triangular(L, y, trans="T", lower=True, check_finite=False)
+        y, _ = lapack.dtrtrs(L.T, -g, lower=0, trans=1)
+        dp, _ = lapack.dtrtrs(L.T, y, lower=0, trans=0)
         dx = np.zeros(self.dim)
         dx[lo:hi] = dp
         dx[self.feat_col :] = -(blocks.b_l + W @ dp) / v_lam
         return dx
 
     def _step_buffers(self, m: int):
-        """damped_step's (H, W, A, AtA) for m free pose columns, allocated
+        """damped_step's (H, A, AtA) for m free pose columns, allocated
         again only when m changes."""
         if self._step_work is None or len(self._step_work[0]) != m:
-            F = len(self.feats)
-            self._step_work = (np.empty((m, m)), np.empty((F, m)), np.empty((F, m)),
+            self._step_work = (np.empty((m, m)), np.empty((len(self.feats), m)),
                                np.empty((m, m)))
         return self._step_work
 

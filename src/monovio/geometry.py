@@ -41,8 +41,9 @@ def quat_normalize(q):
         if n < 1e-12:
             raise ValueError("cannot normalize near-zero quaternion")
         return q / n
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n < 1e-12):
+    # np.linalg.norm's own arithmetic, without its per-call dispatch
+    n = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    if (n < 1e-12).any():
         raise ValueError("cannot normalize near-zero quaternion")
     return q / n
 
@@ -77,14 +78,14 @@ def quat_mul(a, b):
                 w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
             ]
         )
-    w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    # every product a_i b_j in one call, then the signed sums above
+    p = a[..., :, None] * b[..., None, :]
+    w = p[..., 0, 0] - p[..., 1, 1] - p[..., 2, 2] - p[..., 3, 3]
     out = np.empty(w.shape + (4,))
     out[..., 0] = w
-    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    out[..., 1] = p[..., 0, 1] + p[..., 1, 0] + p[..., 2, 3] - p[..., 3, 2]
+    out[..., 2] = p[..., 0, 2] - p[..., 1, 3] + p[..., 2, 0] + p[..., 3, 1]
+    out[..., 3] = p[..., 0, 3] + p[..., 1, 2] - p[..., 2, 1] + p[..., 3, 0]
     return out
 
 

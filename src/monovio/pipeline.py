@@ -613,12 +613,17 @@ class VioPipeline:
 
     def _decide_keyframe(self, obs) -> bool:
         ref_obs = self._kf_reference
-        shared = [(ref_obs[fid], ray) for fid, ray in obs.items() if fid in ref_obs]
+        shared = [fid for fid in obs if fid in ref_obs]
+        if shared:
+            u_kf = np.concatenate([ref_obs[fid] for fid in shared]).reshape(-1, 3)
+            u_cur = np.concatenate([obs[fid] for fid in shared]).reshape(-1, 3)
+        else:
+            u_kf = u_cur = np.empty((0, 3))
         q_bc = self.extrinsic.q_b_c
         q_rel_cam = quat_mul(quat_inverse(q_bc), quat_mul(self._gamma_since_kf, q_bc))
         cfg = self.config.estimator
         return keyframe_decision(
-            shared, q_rel_cam, cfg.parallax_px, cfg.min_tracked, cfg.focal
+            u_kf, u_cur, q_rel_cam, cfg.parallax_px, cfg.min_tracked, cfg.focal
         )
 
     def _publish_output(self):

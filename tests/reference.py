@@ -468,10 +468,14 @@ def visual_residual(
 
 
 def linearize_per_row(problem, terms, masks=None):
-    """problem.linearize(terms) into fresh NormalBlocks, with every IMU
-    factor's and every visual row's outer products scattered on their own:
-    one dense block per factor, and np.bincount over each visual row's flat
-    entries of H_pp and W, without the frame-pair chunks.
+    """problem.linearize(terms) into fresh NormalBlocks, built without the
+    problem's own Jacobian and assembly kernels: the prior's Jacobian as the
+    dense product H_p D, each IMU factor's outer products (imu_jacobians_batch
+    over the intermediates in terms) as one dense block, and each visual
+    row's Jacobian from the scalar visual_residual at the problem's iterate,
+    whose outer products go into H_pp and W entry by entry. The prior's
+    residual and D's attitude blocks and the visual rows' residuals are
+    taken from terms.
 
     masks = (imu, visual), 0/1 weights over the IMU factors and the visual
     rows, linearizes every term and zero-weights those not selected."""
@@ -480,7 +484,17 @@ def linearize_per_row(problem, terms, masks=None):
     P, F = problem.feat_col, len(problem.feats)
     blocks = NormalBlocks(np.zeros((P, P)), np.zeros((F, P)), np.zeros(F), np.zeros(P), np.zeros(F))
     if prior is not None:
-        problem._add_prior(blocks, *prior)
+        rp, Jth, J_ext = prior
+        H_p = problem.prior.H
+        n = 15 * len(Jth)
+        D = np.eye(n + 6)
+        for k in range(len(Jth)):
+            D[15 * k + 3 : 15 * k + 6, 15 * k + 3 : 15 * k + 6] = Jth[k]
+        D[n + 3 :, n + 3 :] = J_ext
+        J = H_p @ D
+        cols = np.r_[:n, problem.ext_col : problem.feat_col]
+        blocks.H_pp[np.ix_(cols, cols)] += J.T @ J
+        blocks.b_p[cols] += J.T @ rp
     if imu is not None:
         rw, aux = imu
         J = problem.imu.sqrt_info @ imu_jacobians_batch(problem.imu, aux)
@@ -491,25 +505,24 @@ def linearize_per_row(problem, terms, masks=None):
             blocks.H_pp[cols, cols] += J[k].T @ J[k]
             blocks.b_p[cols] += J[k].T @ rw[k]
     if visual is not None:
-        r, s, aux = visual
-        J = problem._visual_jacobian(aux, np.empty_like(problem.v_jac))
-        cols = np.concatenate(
-            [15 * f[:, None] + np.arange(6) for f in (problem.v_anchor, problem.v_obs)]
-            + [np.broadcast_to(problem.ext_col + np.arange(6), (len(r), 6))], axis=1)
-        feat = problem.v_feat
-        flat_pp = (cols[:, :, None] * P + cols[:, None, :]).ravel()
-        flat_w = (feat[:, None] * P + cols).ravel()
-        sw = np.sqrt(huber_weight(s)) * (1.0 if visual_w is None else visual_w)
-        Jw = J * sw[:, None, None]
-        rw = r * sw[:, None]
-        Jp, Jl = Jw[:, :, :-1], Jw[:, :, -1]
-        Hb = np.swapaxes(Jp, 1, 2) @ Jp
-        blocks.H_pp += np.bincount(flat_pp, Hb.ravel(), P * P).reshape(P, P)
-        Wb = np.einsum("kri,kr->ki", Jp, Jl)
-        blocks.W += np.bincount(flat_w, Wb.ravel(), F * P).reshape(F, P)
-        blocks.v += np.bincount(feat, np.einsum("kr,kr->k", Jl, Jl), F)
-        blocks.b_p += np.bincount(cols.ravel(), np.einsum("kri,kr->ki", Jp, rw).ravel(), P)
-        blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
+        r, s, _ = visual
+        x, ext, sigma = problem.states, problem.extrinsic, problem.sigma
+        for k in range(len(r)):
+            ai, oi, fi = problem.v_anchor[k], problem.v_obs[k], problem.v_feat[k]
+            _, jac = visual_residual(x.q[ai], x.p[ai], x.q[oi], x.p[oi], ext, problem.v_ua[k],
+                                     problem.lam[fi], problem.v_uo[k])
+            w = np.sqrt(float(huber_weight(s[k]))) * (1.0 if visual_w is None else visual_w[k])
+            Jp = w / sigma * np.hstack([jac["p_i"], jac["th_i"], jac["p_j"], jac["th_j"],
+                                        jac["ext_p"], jac["ext_th"]])
+            Jl = w / sigma * jac["lam"][:, 0]
+            rw = w * r[k]
+            cols = np.r_[15 * ai : 15 * ai + 6, 15 * oi : 15 * oi + 6,
+                         problem.ext_col : problem.feat_col]
+            blocks.H_pp[np.ix_(cols, cols)] += Jp.T @ Jp
+            blocks.b_p[cols] += Jp.T @ rw
+            blocks.W[fi, cols] += Jp.T @ Jl
+            blocks.v[fi] += Jl @ Jl
+            blocks.b_l[fi] += Jl @ rw
     return blocks
 
 

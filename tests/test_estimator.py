@@ -131,12 +131,18 @@ class TestHuber:
             assert float(huber_weight(s)) == pytest.approx(float(fd), rel=1e-5)
 
 
+def decide(pairs, *args) -> bool:
+    """keyframe_decision over a list of (keyframe ray, current ray) pairs."""
+    u_kf, u_cur = (np.array([pair[i] for pair in pairs], dtype=float).reshape(-1, 3) for i in (0, 1))
+    return keyframe_decision(u_kf, u_cur, *args)
+
+
 class TestKeyframeDecision:
     def test_parallax_above_threshold(self):
         # rays 25/460 rad apart with identity compensation
         ang = 25.0 / 460.0
         pairs = [(np.array([0, 0, 1.0]), np.array([np.sin(ang), 0, np.cos(ang)]))] * 40
-        assert keyframe_decision(pairs, geo.quat_identity(), 20.0, 30, 460.0)
+        assert decide(pairs, geo.quat_identity(), 20.0, 30, 460.0)
 
     def test_pure_rotation_compensated_away(self):
         rng = np.random.default_rng(0)
@@ -148,15 +154,15 @@ class TestKeyframeDecision:
             u_cur[2] = abs(u_cur[2]) + 1
             u_cur /= np.linalg.norm(u_cur)
             pairs.append((R @ u_cur, u_cur))  # raw parallax large, compensated zero
-        assert not keyframe_decision(pairs, q_rel, 20.0, 30, 460.0)
-        assert keyframe_decision(pairs, geo.quat_identity(), 20.0, 30, 460.0)
+        assert not decide(pairs, q_rel, 20.0, 30, 460.0)
+        assert decide(pairs, geo.quat_identity(), 20.0, 30, 460.0)
 
     def test_low_track_count(self):
         pairs = [(np.array([0, 0, 1.0]), np.array([0, 0, 1.0]))] * 15
-        assert keyframe_decision(pairs, geo.quat_identity(), 20.0, 30, 460.0)
+        assert decide(pairs, geo.quat_identity(), 20.0, 30, 460.0)
         # with no track gate, a frame sharing nothing with the last keyframe
         # has no parallax to average and is a keyframe
-        assert keyframe_decision([], geo.quat_identity(), 20.0, 0, 460.0)
+        assert decide([], geo.quat_identity(), 20.0, 0, 460.0)
 
     @pytest.mark.parametrize("rotated", [False, True])
     def test_matches_per_pair_reference(self, rotated):
@@ -175,7 +181,7 @@ class TestKeyframeDecision:
             u_kf /= np.linalg.norm(u_kf, axis=1, keepdims=True)
             pairs = list(zip(u_kf, u_cur))
             for parallax_px in (5.0, 20.0, 40.0):
-                got = keyframe_decision(pairs, q_rel, parallax_px, 30, 460.0)
+                got = keyframe_decision(u_kf, u_cur, q_rel, parallax_px, 30, 460.0)
                 assert got == keyframe_decision_per_pair(pairs, q_rel, parallax_px, 30, 460.0)
                 decisions.add((n < 30, got))
         assert decisions == {(True, True), (False, True), (False, False)}
@@ -1440,6 +1446,47 @@ class TestImuResidualJacobiansInWindow:
                 ref[mask] = np.linalg.solve(damped, -b[mask])
                 dx = problem.damped_step(blocks, mask[: problem.feat_col], lam)
                 np.testing.assert_allclose(dx, ref, rtol=0, atol=1e-6 * np.abs(ref).max())
+
+    def test_step_on_a_system_not_positive_definite_raises(self):
+        # with H_pp's diagonal zeroed and a tiny damping, the reduced system
+        # has non-positive pivots
+        problem, _ = loop_window_problem()
+        blocks = problem.linearize(problem.evaluate()[1])
+        mask = np.ones(problem.feat_col, dtype=bool)
+        assert np.all(np.isfinite(problem.damped_step(blocks, mask, 1e-4)))
+        np.fill_diagonal(blocks.H_pp, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            problem.damped_step(blocks, mask, 1e-12)
+
+    def test_solve_raises_the_damping_past_steps_not_positive_definite(self):
+        # every system the solve builds has a zero diagonal, so each damped
+        # step raises; the solve raises the damping on each, gives up after
+        # MAX_DAMPING_RETRIES and returns its report with the iterate as it was
+        from monovio.estimator import INITIAL_LAMBDA, LAMBDA_UP, MAX_DAMPING_RETRIES, SolverConfig
+
+        problem, _ = loop_window_problem()
+        linearize, damped_step = problem.linearize, problem.damped_step
+        lams = []
+
+        def linearize_without_diagonal(terms, rows=None):
+            blocks = linearize(terms, rows)
+            np.fill_diagonal(blocks.H_pp, 0.0)
+            return blocks
+
+        def recorded_step(blocks, pose_mask, lam):
+            lams.append(lam)
+            return damped_step(blocks, pose_mask, lam)
+
+        problem.linearize, problem.damped_step = linearize_without_diagonal, recorded_step
+        before = problem.snapshot()
+        mask = np.ones(problem.dim, dtype=bool)
+        mask[15 * problem.n_frames : problem.feat_col] = False
+        report = problem.solve(SolverConfig(), mask)
+        assert report.termination == "no_decrease_after_max_damping"
+        assert report.iterations == 1 and len(report.costs) == 1
+        np.testing.assert_allclose(
+            lams, INITIAL_LAMBDA * LAMBDA_UP ** np.arange(MAX_DAMPING_RETRIES), rtol=1e-12)
+        assert all(a is b for a, b in zip(problem.snapshot(), before))
 
 
 def assert_blocks_match(got, ref):

@@ -100,6 +100,29 @@ def test_counts_inside_the_feature_kernels_identically_twice(monkeypatch):
                                           for label in nested)
 
 
+def test_counts_inside_the_solve_kernels_identically_twice(monkeypatch):
+    workcount = load_workcount(monkeypatch)
+    cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=3, traj={"period": 12.0})
+    data = build_scenario(cfg)
+
+    def fresh_run():
+        return pipeline_from_scenario(data, PipelineConfig(enable_loops=False)).run
+
+    kernels = [(owner, attr, getattr(owner, attr)) for owner, attr in workcount.SOLVE_KERNELS]
+    fresh_run()()  # warm-up: first-call caches
+    first, second = (workcount.count_inside_kernels(fresh_run()) for _ in range(2))
+    assert first == second
+    for owner, attr, fn in kernels:
+        label = f"{owner.__name__}.{attr}"
+        assert first[f"{label} calls"] > 0 and first[f"{label} inside"] > 0
+        assert getattr(owner, attr) is fn  # unwrapped after the count
+    # a trial step is retracted only when its damped step was solved, and
+    # each marginalization linearizes its problem once more
+    calls = {attr: first[f"_WindowProblem.{attr} calls"] for _, attr in workcount.SOLVE_KERNELS}
+    assert calls["retract"] <= calls["damped_step"]
+    assert calls["linearize"] > calls["marginalize_frame"]
+
+
 def test_counts_a_short_session_identically_twice(monkeypatch, tmp_path):
     workcount = load_workcount(monkeypatch)
     full = workcount.workloads.make_session_inputs()

@@ -19,9 +19,11 @@ VIO pass under ``cProfile``. It prints:
 A third fresh set-up runs one more VIO pass with each of KERNELS profiled
 only while it runs: the IMU layer's kernels (``midpoint_path``,
 ``_transition_batch``, ``imu_residuals_batch``, ``imu_jacobians_batch`` and
-``StackedDeltas``) and the window's feature bookkeeping
+``StackedDeltas``), the window's feature bookkeeping
 (``_WindowProblem.__init__``, ``_WindowProblem._visual_layout``,
-``triangulate_new_features`` and ``_marginalize_oldest``). It prints each
+``triangulate_new_features`` and ``_marginalize_oldest``) and the
+Gauss-Newton iteration's kernels (``_WindowProblem.evaluate``,
+``linearize``, ``damped_step``, ``retract`` and ``marginalize_frame``). It prints each
 kernel's calls, the Python-level calls made inside it (those of the
 functions it calls, at any depth, kernels included) in total and per call
 of it.
@@ -80,7 +82,16 @@ FEATURE_KERNELS = (
     (estimator.SlidingWindowEstimator, "triangulate_new_features"),
     (estimator.SlidingWindowEstimator, "_marginalize_oldest"),
 )
-KERNELS = IMU_KERNELS + FEATURE_KERNELS
+# the Gauss-Newton iteration's kernels and the marginalization that runs
+# them on a keyframe's problem, as (owner, attribute)
+SOLVE_KERNELS = (
+    (estimator._WindowProblem, "evaluate"),
+    (estimator._WindowProblem, "linearize"),
+    (estimator._WindowProblem, "damped_step"),
+    (estimator._WindowProblem, "retract"),
+    (estimator._WindowProblem, "marginalize_frame"),
+)
+KERNELS = IMU_KERNELS + FEATURE_KERNELS + SOLVE_KERNELS
 # the modules whose names a kernel may be bound to
 PACKAGE_MODULES = (estimator, pipeline, preintegration)
 _DISABLE = ("~", 0, "<method 'disable' of '_lsprof.Profiler' objects>")
