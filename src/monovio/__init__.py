@@ -10,6 +10,18 @@ Submodules:
   dataio          text formats: IMU / track CSVs, trajectories, SfM poses, loops, configs
   pipeline        end-to-end batch runner and trajectory evaluation
   cli             command-line entry points
+
+The BLAS and OpenMP pools run one thread. Importing this package sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to "1", over any
+inherited value, because the rounding of a BLAS product depends on how its
+work is split: a run writes the same bytes only at a fixed thread count. The
+pools read the variables when numpy (or scipy) first loads, so a caller that
+imported numpy before this package keeps the count it started with.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 __version__ = "0.1.0"

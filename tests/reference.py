@@ -552,19 +552,22 @@ def information_sqrt_eigen(H, b):
     return (U * s).T, (U / s).T @ b
 
 
-def marginalize_frame_masked(problem, terms):
+def marginalize_frame_masked(problem, terms, masks=None):
     """(H_p, r_p) of problem.marginalize_frame(terms), built from every term:
-    linearize_per_row with marginal_masks' weights, every feature's depth
-    eliminated, the pose columns without the loop frames' cut out by np.ix_,
-    then schur_complement and information_sqrt_eigen."""
-    blocks = linearize_per_row(problem, terms, marginal_masks(problem))
+    linearize_per_row with the weights masks (marginal_masks' when None),
+    every feature's depth eliminated, the pose columns without the loop
+    frames' cut out by np.ix_, then schur_complement and
+    information_sqrt_eigen. Also returns (max |H_pp|, max |b_p|), the
+    magnitude of the system before any reduction."""
+    blocks = linearize_per_row(problem, terms, marginal_masks(problem) if masks is None else masks)
+    magnitude = (np.abs(blocks.H_pp).max(), np.abs(blocks.b_p).max())
     v = blocks.v
     keep = v > max(float(v.max(initial=0.0)) * 1e-12, 1e-14)
     inv_v = np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
     H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
     cols = np.r_[: 15 * problem.n_frames, problem.ext_col : problem.feat_col]
     H_red, b_red = schur_complement(H[np.ix_(cols, cols)], b[cols], 15)
-    return information_sqrt_eigen(H_red, b_red)
+    return *information_sqrt_eigen(H_red, b_red), magnitude
 
 
 def consensus_per_draw(n, sample_size, fit, inliers, seed):

@@ -1,7 +1,7 @@
 """Source hygiene: no module in src/ or tests/ imports a name it never uses,
 no function in src/ imports from the package or takes a parameter it never
-reads, no definition in src/ is reached only from tests/, and the
-configuration gains no settable value."""
+reads, no definition in src/ is reached only from tests/, only the package
+sets the BLAS thread count, and the configuration gains no settable value."""
 
 import ast
 import dataclasses
@@ -16,6 +16,9 @@ FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 # the code a run reaches: the package, the benchmark and the tools
 RUN_FILES = sorted(p for d in ("src", "perfbench", "tools") for p in (ROOT / d).rglob("*.py"))
 FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the one module that sets them, at package import
+BLAS_PIN = ROOT / "src" / "monovio" / "__init__.py"
 # fields of PipelineConfig and of the config objects it reaches; a value
 # stays settable only while something sets it to other than its default
 SETTABLE_VALUES = 24
@@ -208,6 +211,59 @@ def test_reach_scanner_flags_unloaded_and_keeps_loaded():
     caller = "A().used()\nwrap(module, 'named_in_string')\n"
     loaded = loaded_names(src) | loaded_names(caller)
     assert unreached_definitions(src, loaded) == ["A.unused (line 6)", "orphan (line 14)"]
+
+
+def _is_environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            or isinstance(node, ast.Name) and node.id == "environ")
+
+
+def blas_thread_writes(source: str) -> list[str]:
+    """Lines that may set a BLAS thread variable in the running process: an
+    item of os.environ assigned, or a setenv or putenv call (monkeypatch's
+    too). A key that is not a string constant counts when the module names
+    one of the variables. An env dict handed to a child process is not a
+    write."""
+    tree = ast.parse(source)
+    named = any(isinstance(n, ast.Constant) and n.value in BLAS_THREAD_VARS
+                for n in ast.walk(tree))
+
+    def may_set(key):
+        return key.value in BLAS_THREAD_VARS if isinstance(key, ast.Constant) else named
+
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assign):
+            if any(isinstance(t, ast.Subscript) and _is_environ(t.value) and may_set(t.slice)
+                   for t in n.targets):
+                out.add(n.lineno)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr in ("setenv", "putenv") and (may_set(n.args[0]) if n.args else named)):
+            out.add(n.lineno)
+    return [f"line {line}" for line in sorted(out)]
+
+
+def test_only_the_package_sets_the_blas_thread_count():
+    files = sorted(p for d in ("src", "tools", "tests") for p in (ROOT / d).rglob("*.py"))
+    writes = {str(p.relative_to(ROOT)): blas_thread_writes(p.read_text())
+              for p in files if p != BLAS_PIN}
+    assert {k: v for k, v in writes.items() if v} == {}
+
+
+def test_blas_thread_scanner_flags_process_writes_and_keeps_child_envs():
+    src = (
+        "import os\n"
+        "for var in ('OMP_NUM_THREADS',):\n"
+        "    os.environ[var] = '1'\n"
+        "os.environ['PATH'] = ''\n"
+        "monkeypatch.setenv('OPENBLAS_NUM_THREADS', '2')\n"
+        "os.putenv('HOME', '/')\n"
+        "env = {'OMP_NUM_THREADS': '2', 'PATH': os.environ.get('PATH', '')}\n"
+        "env.update(MKL_NUM_THREADS='1')\n"
+        "subprocess.run(cmd, env=env)\n"
+    )
+    assert blas_thread_writes(src) == ["line 3", "line 5"]
+    assert len(blas_thread_writes(BLAS_PIN.read_text())) == 1
 
 
 def settable_values(config, prefix: str = "") -> list[str]:

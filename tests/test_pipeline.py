@@ -1,10 +1,14 @@
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monovio
 from monovio import dataio, pipeline
 from monovio.cli import main as cli_main
 from monovio.estimator import (
@@ -928,6 +932,32 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(cfg), "--out-dir", str(b)]) == 0
         for name in ("traj_window.txt", "traj_imu_rate.txt", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a 14 s run of the benchmark's noisy scenario, in a child process
+        # whose environment leaves the thread variables unset, sets them to
+        # 1 and sets them to 2 (no higher count: that starts more threads
+        # than the check needs); the package's own pin makes every run's
+        # arithmetic the same
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(
+            "duration = 14\nperiod = 12\nseed = 3\ncam_rate = 5\nimu_rate = 200\n"
+            "sigma_a = 0.02\nsigma_w = 2e-4\nsigma_ba = 1e-4\nsigma_bw = 1e-5\n"
+            "pixel_sigma_px = 1.5\nbias_a = 0.02 -0.01 0.015\nbias_w = 0.003 -0.002 0.004\n"
+        )
+        src = str(Path(monovio.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in (None, "1", "2"):
+            env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src}
+            if threads is not None:
+                env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-m", "monovio.cli", "run", "--scenario", str(cfg),
+                            "--out-dir", str(out)], env=env, check=True, capture_output=True)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["report.txt", "traj_imu_rate.txt", "traj_window.txt"]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_file_driven_run_seed(self, tmp_path, monkeypatch):
         # an explicit --seed, 0 included, overrides the config file's seed

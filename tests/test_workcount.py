@@ -2,7 +2,6 @@
 are exact and repeat."""
 
 import importlib.util
-import os
 import sys
 from pathlib import Path
 
@@ -13,11 +12,9 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "workcount.py"
 
 
 def load_workcount(monkeypatch):
-    # the tool prepends src/ and perfbench/ to sys.path and pins BLAS threads
-    # in os.environ; both are restored after the test
+    # the tool prepends src/ and perfbench/ to sys.path, which is restored
+    # after the test
     monkeypatch.setattr(sys, "path", list(sys.path))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, os.environ.get(var, "1"))
     spec = importlib.util.spec_from_file_location("workcount", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

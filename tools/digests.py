@@ -12,20 +12,16 @@ outputs are bit-identical print the same lines, so comparing them is one
 ``diff``.
 """
 
-import os
 import sys
 import tempfile
 from pathlib import Path
-
-# the benchmark's thread pinning, before numpy loads: the digests are
-# bit-stable only with a fixed thread count
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+# first: importing monovio pins the BLAS pools to one thread before numpy loads
+import monovio  # noqa: E402,F401
 import bench  # noqa: E402
 import workloads  # noqa: E402
 

@@ -20,7 +20,6 @@ the JSON result.
 
 import argparse
 import json
-import os
 import resource
 import statistics
 import sys
@@ -28,14 +27,12 @@ import tempfile
 import time
 from pathlib import Path
 
-# the benchmark's thread pinning, before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+# first: importing monovio pins the BLAS pools to one thread before numpy loads
+import monovio  # noqa: E402,F401
 import workloads  # noqa: E402
 
 

@@ -42,20 +42,17 @@ where timings are too noisy to read.
 import cProfile
 import functools
 import inspect
-import os
 import pstats
 import sys
 import tempfile
 from pathlib import Path
 
-# the benchmark's thread pinning, before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+# first: importing monovio pins the BLAS pools to one thread before numpy loads
+import monovio  # noqa: E402,F401
 import numpy as np  # noqa: E402
 import scipy.sparse.linalg as spla  # noqa: E402
 
