@@ -16,12 +16,19 @@ OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to "1", over any
 inherited value, because the rounding of a BLAS product depends on how its
 work is split: a run writes the same bytes only at a fixed thread count. The
 pools read the variables when numpy (or scipy) first loads, so a caller that
-imported numpy before this package keeps the count it started with.
+imported numpy before this package keeps the count it started with, and is
+warned (UserWarning) unless each variable already read "1".
 """
 
 import os
+import sys
+import warnings
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(var) != "1" for var in _BLAS_THREADS):
+    warnings.warn("numpy was imported before monovio with its BLAS thread count not pinned to 1, "
+                  "so outputs may depend on it and a solve may wait on scipy's pool", UserWarning)
+for _var in _BLAS_THREADS:
     os.environ[_var] = "1"
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 from .geometry import (
     quat_angle_between,
@@ -351,26 +351,24 @@ def schur_complement(H: np.ndarray, b: np.ndarray, n_marg: int):
     Returns (H', b') over the remaining variables such that minimizing the
     reduced quadratic equals minimizing the full one over the eliminated
     variables. Rank-deficient marginal blocks (gauge or zero-information
-    directions) are handled by a pseudo-inverse. H' is symmetric, the one
-    new array of its size.
+    directions) are handled by a pseudo-inverse. Only H's upper triangle is
+    read, and H', the one new array of its size, is valid in its upper one.
     """
-    Hmm = 0.5 * (H[:n_marg, :n_marg] + H[:n_marg, :n_marg].T)
     Hmr = H[:n_marg, n_marg:]
-    vals, vecs = np.linalg.eigh(Hmm)
+    vals, vecs = np.linalg.eigh(H[:n_marg, :n_marg], UPLO="U")
     good = vals > max(float(vals.max(initial=0.0)) * 1e-12, 1e-14)
     inv_vals = np.where(good, 1.0 / np.where(good, vals, 1.0), 0.0)
     Hmm_inv = (vecs * inv_vals) @ vecs.T
     H_red = Hmr.T @ (Hmm_inv @ Hmr)
     np.subtract(H[n_marg:, n_marg:], H_red, out=H_red)
-    H_red += H_red.T
-    H_red *= 0.5
     b_red = b[n_marg:] - Hmr.T @ (Hmm_inv @ b[:n_marg])
     return H_red, b_red
 
 
 def information_sqrt(H: np.ndarray, b: np.ndarray):
     """Square-root factorization of a reduced information pair by pivoted
-    Cholesky (LAPACK dpstrf), which reads H's lower triangle.
+    Cholesky (LAPACK dpstrf), which reads H's upper triangle only: the lower
+    one of its F-ordered transpose, which LAPACK takes without reordering.
 
     dpstrf factors P^T H P = L L^T with symmetric pivoting and stops at the
     first pivot below 1e-10 of H's largest diagonal entry; its rank leading
@@ -384,12 +382,12 @@ def information_sqrt(H: np.ndarray, b: np.ndarray):
     top = float(np.max(np.diagonal(H), initial=0.0))
     if top <= 0.0:
         return np.zeros((0, n)), np.zeros(0)
-    c, piv, rank, _ = lapack.dpstrf(H, tol=1e-10 * top, lower=1)
+    c, piv, rank, _ = lapack.dpstrf(H.T, tol=1e-10 * top, lower=1)
     piv = piv - 1
     L = np.tril(c[:, :rank])
     H_p = np.empty((rank, n))
     H_p[:, piv] = L.T
-    r_p = solve_triangular(L[:rank], b[piv[:rank]], lower=True, check_finite=False)
+    r_p, _ = lapack.dtrtrs(L[:rank], b[piv[:rank]], lower=1)
     return H_p, r_p
 
 
@@ -716,15 +714,17 @@ class NormalBlocks:
     b_l: np.ndarray  # (F,)
 
 
-def eliminate_depths(H_pp, b_p, W, b_l, inv_v, A=None, AtA=None):
+def eliminate_depths(H_pp, b_p, W, b_l, inv_v, A=None):
     """Schur complement of a diagonal depth block given its inverse inv_v:
     the pose-and-extrinsic system (H_pp, b) left after minimizing over the
-    depths. H_pp is reduced in place; A and AtA are work arrays of the shapes
-    of W and H_pp, allocated when not given."""
+    depths. Only H_pp's upper triangle is read and reduced, in place for a
+    C-ordered H_pp: BLAS dsyrk updates the lower triangle of its F-ordered
+    transpose, and the strict lower triangle keeps its entries. A is a work
+    array of W's shape, allocated when not given."""
     root = np.sqrt(inv_v)
     A = np.multiply(W, root[:, None], out=A)
-    H_pp -= np.matmul(A.T, A, out=AtA)
-    return H_pp, b_p - A.T @ (root * b_l)
+    S = blas.dsyrk(-1.0, A.T, beta=1.0, c=H_pp.T, lower=1, overwrite_c=1).T
+    return S, b_p - A.T @ (root * b_l)
 
 
 def _free_run(pose_mask: np.ndarray) -> tuple[int, int]:
@@ -785,7 +785,7 @@ class _WindowProblem:
     Every iteration writes into buffers that the problem allocates once: the
     NormalBlocks that linearize() zeroes and refills (valid until its next
     call), the visual rows' Jacobian, chunk and product buffers, and
-    damped_step's masked system and elimination products.
+    damped_step's masked system and scaled depth couplings.
     """
 
     def __init__(self, est: SlidingWindowEstimator, feats: list[Feature],
@@ -1148,37 +1148,37 @@ class _WindowProblem:
         masked pose columns must be one run (see _free_run).
 
         The damped depth block stays diagonal, so the depths are eliminated
-        first and the reduced pose system is solved by Cholesky; raises
-        LinAlgError when that system is not positive definite.
+        first and the reduced pose system is solved by Cholesky, on its upper
+        triangle; raises LinAlgError when it is not positive definite.
         """
         lo, hi = _free_run(pose_mask)
         m = hi - lo
-        H, A, AtA = self._step_buffers(m)
+        H, A = self._step_buffers(m)
         np.copyto(H, blocks.H_pp[lo:hi, lo:hi])
         W = blocks.W[:, lo:hi]
         diag = H.reshape(-1)[:: m + 1]
         diag += lam * np.maximum(diag, 1e-12)
         v_lam = blocks.v + lam * np.maximum(blocks.v, 1e-12)
-        S, g = eliminate_depths(H, blocks.b_p[lo:hi], W, blocks.b_l, 1.0 / v_lam, A, AtA)
-        # numpy factors: scipy links a BLAS of its own, whose thread pool,
-        # woken by a factorization of this size, contends with numpy's when
-        # the thread count is not pinned (scipy's dpotrf here made unpinned
-        # runs over twice as slow); its triangular solves stay serial, and
-        # LAPACK takes them on L's F-ordered view L^T without a copy
-        L = np.linalg.cholesky(S)
-        y, _ = lapack.dtrtrs(L.T, -g, lower=0, trans=1)
-        dp, _ = lapack.dtrtrs(L.T, y, lower=0, trans=0)
+        S, g = eliminate_depths(H, blocks.b_p[lo:hi], W, blocks.b_l, 1.0 / v_lam, A)
+        # LAPACK factors S's upper triangle in place, as the lower one of its
+        # F-ordered transpose. scipy's BLAS pool, apart from numpy's, runs the
+        # package's one thread; unpinned, the two contended and doubled run time
+        L, info = lapack.dpotrf(S.T, lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise np.linalg.LinAlgError("reduced pose system is not positive definite")
+        dp, _ = lapack.dpotrs(L, -g, lower=1)
         dx = np.zeros(self.dim)
         dx[lo:hi] = dp
         dx[self.feat_col :] = -(blocks.b_l + W @ dp) / v_lam
         return dx
 
     def _step_buffers(self, m: int):
-        """damped_step's (H, A, AtA) for m free pose columns, allocated
-        again only when m changes."""
+        """damped_step's (H, A) for m free pose columns, allocated again only
+        when m changes: the C-ordered damped pose block, whose upper triangle
+        the elimination and the factorization overwrite, and the scaled
+        depth couplings."""
         if self._step_work is None or len(self._step_work[0]) != m:
-            self._step_work = (np.empty((m, m)), np.empty((len(self.feats), m)),
-                               np.empty((m, m)))
+            self._step_work = (np.empty((m, m)), np.empty((len(self.feats), m)))
         return self._step_work
 
     def gauge_basis(self) -> np.ndarray:
@@ -1305,7 +1305,7 @@ class _WindowProblem:
         if len(self.states) > self.n_frames:
             cols = np.r_[: 15 * self.n_frames, self.ext_col : self.feat_col]
             H, b = H[np.ix_(cols, cols)], b[cols]
-        if not (np.isfinite(H).all() and np.isfinite(b).all()):
+        if not (np.isfinite(np.triu(H)).all() and np.isfinite(b).all()):
             raise EstimatorError("non-finite marginalization system")
         H_red, b_red = schur_complement(H, b, 15)
         Hp, rp = information_sqrt(H_red, b_red)

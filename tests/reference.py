@@ -8,10 +8,8 @@ from monovio.estimator import (
     VISUAL_CHUNK_ROWS,
     EstimatorError,
     NormalBlocks,
-    eliminate_depths,
     huber_weight,
     imu_forward_propagate,
-    schur_complement,
 )
 from monovio.geometry import (
     quat_canonical,
@@ -553,21 +551,25 @@ def information_sqrt_eigen(H, b):
 
 
 def marginalize_frame_masked(problem, terms, masks=None):
-    """(H_p, r_p) of problem.marginalize_frame(terms), built from every term:
+    """(H_p, r_p) of problem.marginalize_frame(terms), built from every term
+    by dense products over both triangles, none of the library's reductions:
     linearize_per_row with the weights masks (marginal_masks' when None),
-    every feature's depth eliminated, the pose columns without the loop
-    frames' cut out by np.ix_, then schur_complement and
-    information_sqrt_eigen. Also returns (max |H_pp|, max |b_p|), the
-    magnitude of the system before any reduction."""
+    every feature's depth eliminated as H_pp - W^T diag(1/v) W, the pose
+    columns without the loop frames' cut out by np.ix_, frame 0's 15
+    eliminated by np.linalg.pinv of its block, then the reduced H
+    symmetrized and information_sqrt_eigen. Also returns (max |H_pp|,
+    max |b_p|), the magnitude of the system before any reduction."""
     blocks = linearize_per_row(problem, terms, marginal_masks(problem) if masks is None else masks)
     magnitude = (np.abs(blocks.H_pp).max(), np.abs(blocks.b_p).max())
     v = blocks.v
     keep = v > max(float(v.max(initial=0.0)) * 1e-12, 1e-14)
-    inv_v = np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
-    H, b = eliminate_depths(blocks.H_pp, blocks.b_p, blocks.W, blocks.b_l, inv_v)
+    WtV = blocks.W.T * np.where(keep, 1.0 / np.where(keep, v, 1.0), 0.0)
+    H, b = blocks.H_pp - WtV @ blocks.W, blocks.b_p - WtV @ blocks.b_l
     cols = np.r_[: 15 * problem.n_frames, problem.ext_col : problem.feat_col]
-    H_red, b_red = schur_complement(H[np.ix_(cols, cols)], b[cols], 15)
-    return *information_sqrt_eigen(H_red, b_red), magnitude
+    H, b = H[np.ix_(cols, cols)], b[cols]
+    G = H[15:, :15] @ np.linalg.pinv(H[:15, :15], 1e-12, hermitian=True)
+    H_red = H[15:, 15:] - G @ H[:15, 15:]
+    return *information_sqrt_eigen(0.5 * (H_red + H_red.T), b[15:] - G @ b[:15]), magnitude
 
 
 def consensus_per_draw(n, sample_size, fit, inliers, seed):

@@ -55,14 +55,16 @@ from reference import (
 
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
 # bounds on the tracemalloc peaks, above their start, of one linearize and
-# one damped_step of loop_window_problem: 455 and 237 KB read with the
-# per-problem buffers (linearize's peak is the prior's Jacobian and product,
-# allocated per call), 818 and 905 KB with the per-row assembly; one more
-# array of the pose block's size (171 x 171, 234 KB) would cross either
+# one damped_step of loop_window_problem: 455 and 67 KB read with the
+# per-problem buffers and the step's reductions in place on one triangle
+# (linearize's peak is the prior's Jacobian and product, allocated per call;
+# the step read 279 KB with a product buffer and a new Cholesky factor), 818
+# and 905 KB with the per-row assembly; one more array of the free pose
+# block's size (186 x 186, 270 KB) would cross either
 LINEARIZE_PEAK_KB = 600
-STEP_PEAK_KB = 400
+STEP_PEAK_KB = 250
 # bound on the tracemalloc peak, above its start, of one marginalize_frame
-# of the warmed loop-free loop_window() problem: 548 KB read with the
+# of the warmed loop-free loop_window() problem: 576 KB read with the
 # consumed rows' linearization and the pivoted Cholesky prior, 813 KB with
 # the masked full linearization and the eigendecomposition; one more array
 # of the prior's size (156 x 156, 195 KB) would cross it
@@ -1457,6 +1459,32 @@ class TestImuResidualJacobiansInWindow:
         np.fill_diagonal(blocks.H_pp, 0.0)
         with pytest.raises(np.linalg.LinAlgError):
             problem.damped_step(blocks, mask, 1e-12)
+
+    def test_step_and_prior_read_one_triangle_of_the_pose_block(self):
+        # the reductions read H_pp's upper triangle only: with its strict
+        # lower triangle NaN, the steps (extrinsic free and held) and the
+        # prior equal those of the clean blocks bit for bit
+        problem, _ = loop_window_problem()
+        terms = problem.evaluate()[1]
+        masks = [np.ones(problem.feat_col, dtype=bool) for _ in range(2)]
+        masks[1][problem.ext_col :] = False
+
+        def outputs():
+            steps = [problem.damped_step(problem.linearize(terms), m, 1e-4) for m in masks]
+            prior, _ = problem.marginalize_frame(terms)
+            return (*steps, prior.H, prior.r)
+
+        clean = outputs()
+        linearize = problem.linearize
+
+        def linearize_lower_nan(terms, rows=None):
+            blocks = linearize(terms, rows)
+            blocks.H_pp[np.tril_indices(len(blocks.H_pp), -1)] = np.nan
+            return blocks
+
+        problem.linearize = linearize_lower_nan
+        for got, ref in zip(outputs(), clean):
+            assert np.array_equal(got, ref)
 
     def test_solve_raises_the_damping_past_steps_not_positive_definite(self):
         # every system the solve builds has a zero diagonal, so each damped

@@ -959,6 +959,26 @@ class TestCli:
         assert sorted(outputs[0]) == ["report.txt", "traj_imu_rate.txt", "traj_window.txt"]
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("code, threads, warned", [
+        ("import numpy, monovio", None, True),
+        ("import numpy, monovio", "2", True),
+        ("import numpy, monovio", "1", False),
+        ("import monovio, numpy", None, False),
+        ("import monovio, numpy", "2", False),
+    ])
+    def test_warns_a_caller_that_loaded_numpy_unpinned(self, code, threads, warned):
+        # a child process whose BLAS pools started before the package's pin,
+        # at a thread count other than 1, is warned at import; one that
+        # imported monovio first, or pinned the count itself, is not
+        env = {"PATH": os.environ.get("PATH", ""),
+               "PYTHONPATH": str(Path(monovio.__file__).resolve().parent.parent)}
+        if threads is not None:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert ("UserWarning: numpy was imported before monovio" in run.stderr) == warned
+
     def test_file_driven_run_seed(self, tmp_path, monkeypatch):
         # an explicit --seed, 0 included, overrides the config file's seed
         import monovio.cli
