@@ -6,8 +6,9 @@ Submodules:
   initialization  loosely-coupled visual-inertial alignment
   estimator       tightly-coupled sliding-window MAP estimator
   posegraph       4-DOF pose graph with geometric loop verification
-  simulator       synthetic scenario generator (trajectories, IMU, tracks, loops)
-  dataio          text formats: IMU / track CSVs, trajectories, SfM poses, loops, configs
+  simulator       synthetic scenario generator (trajectories, IMU, observations
+                  by camera time, loops)
+  dataio          text formats: IMU / observation CSVs, trajectories, SfM poses, loops, configs
   pipeline        end-to-end batch runner and trajectory evaluation
   cli             command-line entry points
 

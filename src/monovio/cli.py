@@ -15,7 +15,6 @@ from .pipeline import (
     VioPipeline,
     evaluate_ate,
     pipeline_from_scenario,
-    TrackObservationIndex,
 )
 from .posegraph import PoseGraph, PoseGraphConfig, PoseGraphError
 from .preintegration import NoiseParams
@@ -95,7 +94,7 @@ def cmd_simulate(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     dataio.write_imu_csv(os.path.join(out, "imu.csv"), data.imu)
-    dataio.write_tracks_csv(os.path.join(out, "tracks.csv"), data.tracks)
+    dataio.write_tracks_csv(os.path.join(out, "tracks.csv"), data.observations)
     dataio.write_sfm_poses(os.path.join(out, "sfm.txt"), data.sfm)
     gt = data.ground_truth
     dataio.write_trajectory(os.path.join(out, "ground_truth.txt"), gt.t, gt.p, gt.q)
@@ -123,13 +122,12 @@ def cmd_run(args) -> int:
         cfg_dict = dataio.parse_config(args.config) if args.config else {}
         pc = _pipeline_config(cfg_dict, args)
         imu = dataio.read_imu_csv(args.imu)
-        tracks = dataio.read_tracks_csv(args.tracks)
-        obs_index = TrackObservationIndex(tracks)
+        observations = dataio.read_tracks_csv(args.tracks)
         sfm = dataio.read_sfm_poses(args.sfm) if args.sfm else []
         loops = dataio.read_loops(args.loops) if args.loops else []
         cfg_for_ext = dataio.scenario_from_config(cfg_dict)
         pipe = VioPipeline(
-            imu, obs_index.times(), obs_index, sfm, cfg_for_ext.extrinsic, pc,
+            imu, observations.times(), observations, sfm, cfg_for_ext.extrinsic, pc,
             loop_candidates=loops,
             seed=args.seed if args.seed is not None else cfg_dict.get("seed", 0),
         )
@@ -188,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--scenario", help="scenario config (simulator-driven run)")
     pr.add_argument("--config", help="pipeline config for file-driven runs")
     pr.add_argument("--imu", help="IMU CSV (timestamp_ns, wx..wz, ax..az)")
-    pr.add_argument("--tracks", help="feature-track CSV")
+    pr.add_argument("--tracks", help="observations CSV (timestamp_ns, feature_id, ux..uz)")
     pr.add_argument("--sfm", help="up-to-scale pose file for initialization")
     pr.add_argument("--loops", help="loop-candidate file")
     pr.add_argument("--gt", help="ground-truth trajectory for metrics")

@@ -1,11 +1,13 @@
-"""File formats: IMU / feature-track CSV, trajectory text, loop candidates,
+"""File formats: IMU / observation CSV, trajectory text, loop candidates,
 and the line-oriented run configuration."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .estimator import FeatureTrack
+from .estimator import Observations
 from .geometry import quat_canonical, rot_to_quat, rot_zyx
 from .initialization import ExtrinsicCalib, UpToScaleFrame
 from .preintegration import BiasState, ImuSample, NoiseParams
@@ -45,6 +47,8 @@ def read_imu_csv(path) -> list[ImuSample]:
                 vals = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, vals)):
+                raise FormatError(f"{path}:{lineno}: non-finite value")
             samples.append(ImuSample(t, np.array(vals[3:6]), np.array(vals[0:3])))
     if len(samples) < 2:
         raise FormatError(f"{path}: needs at least two IMU samples")
@@ -52,23 +56,22 @@ def read_imu_csv(path) -> list[ImuSample]:
 
 
 # ---------------------------------------------------------------------------
-# feature tracks CSV: timestamp_ns, feature_id, ux, uy, uz
+# observations by camera time, CSV: timestamp_ns, feature_id, ux, uy, uz
 
 
-def write_tracks_csv(path, tracks: list[FeatureTrack]) -> None:
-    rows = []
-    for tr in tracks:
-        for t, ray in zip(tr.times, tr.rays):
-            rows.append((round(t * 1e9), tr.feature_id, ray))
-    rows.sort(key=lambda r: (r[0], r[1]))
+def write_tracks_csv(path, observations: Observations) -> None:
     with open(path, "w") as f:
         f.write("#timestamp_ns,feature_id,ux,uy,uz\n")
-        for ts, fid, ray in rows:
-            f.write("%d,%d,%.9g,%.9g,%.9g\n" % (ts, fid, ray[0], ray[1], ray[2]))
+        for t in observations.times():
+            ts = round(t * 1e9)
+            for fid, ray in observations(t).items():
+                f.write("%d,%d,%.9g,%.9g,%.9g\n" % (ts, fid, ray[0], ray[1], ray[2]))
 
 
-def read_tracks_csv(path) -> list[FeatureTrack]:
-    tracks: dict[int, FeatureTrack] = {}
+def read_tracks_csv(path) -> Observations:
+    """The observations of a CSV, each ray made unit where it is read; rows
+    may come in any order, but a feature is seen at most once per time."""
+    by_time: dict[float, dict[int, np.ndarray]] = {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -83,12 +86,14 @@ def read_tracks_csv(path) -> list[FeatureTrack]:
                 ray = np.array([float(x) for x in parts[2:5]])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-            track = tracks.setdefault(fid, FeatureTrack(fid))
-            try:
-                track.add(t, ray)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return [tracks[k] for k in sorted(tracks)]
+            n = np.linalg.norm(ray)
+            if not (math.isfinite(n) and n > 0.0):
+                raise FormatError(f"{path}:{lineno}: zero or non-finite ray")
+            frame = by_time.setdefault(t, {})
+            if fid in frame:
+                raise FormatError(f"{path}:{lineno}: feature {fid} seen twice at one time")
+            frame[fid] = ray / n
+    return Observations({t: dict(sorted(frame.items())) for t, frame in by_time.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -84,23 +84,19 @@ class EstimatorError(RuntimeError):
 # domain types
 
 
-@dataclass
-class FeatureTrack:
-    """Unit-sphere observations of one feature across frames."""
+class Observations:
+    """Unit-ray observations by camera time: {time: {feature id: unit ray}},
+    each time's features in ascending id, keyed by the time rounded to the
+    nanosecond. A time without observations has no entry."""
 
-    feature_id: int
-    times: list[float] = field(default_factory=list)
-    rays: list[np.ndarray] = field(default_factory=list)
+    def __init__(self, by_time: dict[float, dict[int, np.ndarray]]):
+        self._by_time = {round(float(t), 9): obs for t, obs in by_time.items()}
 
-    def add(self, t: float, ray) -> None:
-        if self.times and t <= self.times[-1]:
-            raise ValueError("track timestamps must be strictly increasing")
-        ray = np.asarray(ray, dtype=float)
-        self.rays.append(ray / np.linalg.norm(ray))
-        self.times.append(float(t))
+    def times(self) -> np.ndarray:
+        return np.array(sorted(self._by_time))
 
-    def __len__(self) -> int:
-        return len(self.times)
+    def __call__(self, t: float) -> dict[int, np.ndarray]:
+        return dict(self._by_time.get(round(t, 9), {}))
 
 
 @dataclass

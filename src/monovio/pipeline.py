@@ -370,8 +370,11 @@ class _PendingLoop:
 
 
 class VioPipeline:
-    """Batch pipeline over prepared input streams, run once. The window
-    normalizes the observed rays; loop_candidates' rays must be unit."""
+    """Batch pipeline over prepared input streams, run once. Its vision input
+    is the observations by camera time: observations_by_time(t) returns a
+    new dict from feature id to ray, as an estimator.Observations does. The
+    window normalizes the observed rays; loop_candidates' rays must be
+    unit."""
 
     def __init__(
         self,
@@ -791,24 +794,7 @@ def pipeline_from_scenario(data: ScenarioData, config: PipelineConfig) -> VioPip
     cfg = data.config
     cam = camera_times(cfg)
     loops = synthesize_loops(data.ground_truth, cam, cfg.seed) if config.enable_loops else None
-    obs_index = TrackObservationIndex(data.tracks)
     return VioPipeline(
-        data.imu, cam, obs_index, data.sfm, cfg.extrinsic, config,
+        data.imu, cam, data.observations, data.sfm, cfg.extrinsic, config,
         loop_candidates=loops, seed=cfg.seed,
     )
-
-
-class TrackObservationIndex:
-    """Track observations bucketed by rounded timestamp."""
-
-    def __init__(self, tracks):
-        self._by_time: dict[float, dict[int, np.ndarray]] = {}
-        for track in tracks:
-            for tt, ray in zip(track.times, track.rays):
-                self._by_time.setdefault(round(tt, 9), {})[track.feature_id] = ray
-
-    def times(self):
-        return np.array(sorted(self._by_time))
-
-    def __call__(self, t: float) -> dict[int, np.ndarray]:
-        return dict(self._by_time.get(round(t, 9), {}))

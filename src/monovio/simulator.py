@@ -1,5 +1,6 @@
 """Synthetic scenario generation: analytic trajectories, IMU streams,
-unit-sphere feature tracks, up-to-scale camera poses, and loop candidates.
+unit-ray observations by camera time, up-to-scale camera poses, and loop
+candidates.
 
 Every stream is a deterministic function of the scenario configuration
 (including its seed), so identical configs produce bit-identical data. The
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import FeatureTrack
+from .estimator import Observations
 from .geometry import (
     quat_canonical,
     quat_exp,
@@ -322,12 +323,12 @@ def camera_times(config: ScenarioConfig) -> np.ndarray:
     return np.arange(n + 1) / config.cam_rate
 
 
-def camera_pose_at(config: ScenarioConfig, t) -> tuple[np.ndarray, np.ndarray]:
-    """Camera-to-world pose at time t (scalar)."""
-    s = eval_trajectory(config, np.array([t]))
-    q_wb, p_wb = s.q[0], s.p[0]
-    q_wc = quat_mul(q_wb, config.extrinsic.q_b_c)
-    p_wc = p_wb + quat_rotate(q_wb, config.extrinsic.p_b_c)
+def camera_poses(config: ScenarioConfig, times) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-to-world poses at times, from one evaluation of the
+    trajectory: q_wc (N, 4) and p_wc (N, 3)."""
+    s = eval_trajectory(config, times)
+    q_wc = quat_mul(s.q, config.extrinsic.q_b_c)
+    p_wc = s.p + quat_rotate(s.q, config.extrinsic.p_b_c)
     return q_wc, p_wc
 
 
@@ -340,20 +341,20 @@ def _visible_mask(config: ScenarioConfig, q_wc, p_wc, landmarks):
     return rng_ok & in_fov, u
 
 
-def synthesize_tracks(gt: GroundTruth, seed: int) -> list[FeatureTrack]:
+def synthesize_observations(gt: GroundTruth, seed: int) -> Observations:
     """Project landmarks to unit-sphere observations with tangent-plane noise.
 
-    Observations inside the configured blackout window are dropped.
+    Camera times inside the configured blackout window observe nothing.
     """
     config = gt.config
     rng = np.random.default_rng(seed + 2)
     sigma = config.pixel_sigma_rad
-    tracks: dict[int, FeatureTrack] = {}
-    for t in camera_times(config):
-        if config.blackout_start is not None:
-            if config.blackout_start <= t < config.blackout_start + config.blackout_duration:
-                continue
-        q_wc, p_wc = camera_pose_at(config, t)
+    times = camera_times(config)
+    if config.blackout_start is not None:
+        end = config.blackout_start + config.blackout_duration
+        times = times[(times < config.blackout_start) | (times >= end)]
+    by_time: dict[float, dict[int, np.ndarray]] = {}
+    for t, q_wc, p_wc in zip(times, *camera_poses(config, times)):
         mask, rays = _visible_mask(config, q_wc, p_wc, gt.landmarks)
         idxs = np.where(mask)[0]
         if sigma > 0 and len(idxs):
@@ -363,13 +364,9 @@ def synthesize_tracks(gt: GroundTruth, seed: int) -> list[FeatureTrack]:
             noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
         else:
             noisy = rays[idxs]
-        for row, lid in enumerate(idxs):
-            track = tracks.get(int(lid))
-            if track is None:
-                track = FeatureTrack(int(lid))
-                tracks[int(lid)] = track
-            track.add(float(t), noisy[row])
-    return [tracks[k] for k in sorted(tracks)]
+        if len(idxs):
+            by_time[t] = dict(zip(idxs.tolist(), noisy))
+    return Observations(by_time)
 
 
 def synthesize_sfm(gt: GroundTruth, seed: int) -> list[UpToScaleFrame]:
@@ -380,12 +377,12 @@ def synthesize_sfm(gt: GroundTruth, seed: int) -> list[UpToScaleFrame]:
         raise ValueError("scale_hidden must be positive")
     rng = np.random.default_rng(seed + 3)
     frames = []
-    q0, p0 = camera_pose_at(config, 0.0)
-    q0_inv = quat_inverse(q0)
-    for t in camera_times(config):
-        q_wc, p_wc = camera_pose_at(config, t)
-        q_rel = quat_mul(q0_inv, q_wc)
-        p_rel = quat_rotate(q0_inv, p_wc - p0) / config.scale_hidden
+    times = camera_times(config)
+    q_wc, p_wc = camera_poses(config, times)
+    q0_inv = quat_inverse(q_wc[0])
+    q_rels = quat_mul(q0_inv, q_wc)
+    p_rels = quat_rotate(q0_inv, p_wc - p_wc[0]) / config.scale_hidden
+    for t, q_rel, p_rel in zip(times, q_rels, p_rels):
         if config.sfm_rot_sigma > 0:
             q_rel = quat_mul(q_rel, quat_exp(rng.standard_normal(3) * config.sfm_rot_sigma))
         if config.sfm_pos_sigma > 0:
@@ -421,26 +418,29 @@ def synthesize_loops(gt: GroundTruth, keyframe_times, seed: int) -> list[LoopCan
     times = np.asarray(sorted(keyframe_times), dtype=float)
     if len(times) < 2:
         return []
-    poses = eval_trajectory(config, times)
+    # places are near by body position; candidates are built at camera poses
+    p_wb = eval_trajectory(config, times).p
+    poses = list(zip(*camera_poses(config, times)))
     out: list[LoopCandidate] = []
     for qi, tq in enumerate(times):
         gaps = tq - times
-        near = np.linalg.norm(poses.p - poses.p[qi], axis=1)
+        near = np.linalg.norm(p_wb - p_wb[qi], axis=1)
         cand_idx = np.where((gaps >= config.loop_min_gap) & (near <= config.loop_radius))[0]
         if not len(cand_idx):
             continue
         cand_idx = cand_idx[np.argsort(near[cand_idx])][: config.loop_max_per_query]
         for ci in cand_idx:
-            cand = _build_candidate(gt, float(tq), float(times[ci]), rng)
+            cand = _build_candidate(gt, float(tq), float(times[ci]), poses[qi], poses[ci], rng)
             if cand is not None:
                 out.append(cand)
     return out
 
 
-def _build_candidate(gt: GroundTruth, tq: float, tc: float, rng) -> LoopCandidate | None:
+def _build_candidate(gt: GroundTruth, tq: float, tc: float, pose_q, pose_c,
+                     rng) -> LoopCandidate | None:
+    """pose_q and pose_c: the (q_wc, p_wc) camera poses at tq and tc."""
     config = gt.config
-    qwc_q, pwc_q = camera_pose_at(config, tq)
-    qwc_c, pwc_c = camera_pose_at(config, tc)
+    (qwc_q, pwc_q), (qwc_c, pwc_c) = pose_q, pose_c
     mask_q, rays_q = _visible_mask(config, qwc_q, pwc_q, gt.landmarks)
     mask_c, rays_c = _visible_mask(config, qwc_c, pwc_c, gt.landmarks)
     both = np.where(mask_q & mask_c)[0]
@@ -504,13 +504,13 @@ class ScenarioData:
     config: ScenarioConfig
     ground_truth: GroundTruth
     imu: list[ImuSample]
-    tracks: list[FeatureTrack]
+    observations: Observations
     sfm: list[UpToScaleFrame]
 
 
 def build_scenario(config: ScenarioConfig) -> ScenarioData:
     gt = make_ground_truth(config)
     imu, _ = synthesize_imu(gt, config.noise, config.bias0, config.seed)
-    tracks = synthesize_tracks(gt, config.seed)
+    observations = synthesize_observations(gt, config.seed)
     sfm = synthesize_sfm(gt, config.seed)
-    return ScenarioData(config, gt, imu, tracks, sfm)
+    return ScenarioData(config, gt, imu, observations, sfm)

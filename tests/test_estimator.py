@@ -19,7 +19,6 @@ from monovio.estimator import (
     triangulate_features,
 )
 from monovio.initialization import ExtrinsicCalib
-from monovio.pipeline import TrackObservationIndex
 from monovio.preintegration import (
     GRAVITY,
     MAX_ACCEL_BIAS,
@@ -84,9 +83,8 @@ def seeded_estimator(cfg, data, n_frames=11, config=None):
         for k in range(len(cam) - 1)
     ]
     est.seed(states, deltas)
-    obs_index = TrackObservationIndex(data.tracks)
     for k, t in enumerate(cam):
-        for fid, ray in obs_index(t).items():
+        for fid, ray in data.observations(t).items():
             f = est.features.setdefault(fid, Feature(fid))
             f.obs[est.frame_ids[k]] = ray
     est.triangulate_new_features()
@@ -303,13 +301,12 @@ class TestTriangulation:
         data = build_scenario(cfg)
         est, _ = seeded_estimator(cfg, data)
         est.build_and_solve()
-        obs_index = TrackObservationIndex(data.tracks)
         all_cam = camera_times(cfg)
         accepted = rejected = 0
         for k in range(11, 26):
             seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
             delta = integrate_segment(seg, est.frames.bias(-1), noise)
-            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=k % 3 != 0)
+            est.add_frame(all_cam[k], delta, data.observations(all_cam[k]), is_keyframe=k % 3 != 0)
             ref = triangulate_new_features_per_feature(est)
             added = est.triangulate_new_features()
             assert added == sum(lam is not None for lam in ref.values())
@@ -798,7 +795,7 @@ class TestMarginalization:
         t_new = camera_times(cfg)[11]
         seg = segment_samples(data.imu, cam[-1], t_new)
         delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
-        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
         assert est.prior is not None
         n = est.config.window_size
         assert est.prior.H.shape[1] == 15 * n + 6
@@ -858,7 +855,7 @@ class TestMarginalization:
 
         t_new = camera_times(cfg)[11]
         delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
-        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
         prior = est.prior
         assert prior.frame_ids == ids[1:]
         tol = 1e-8 * np.abs(H_ref).max()
@@ -872,13 +869,12 @@ class TestMarginalization:
         cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10)
         data = build_scenario(cfg)
         est, _ = seeded_estimator(cfg, data)  # a full window of keyframes
-        obs_index = TrackObservationIndex(data.tracks)
         all_cam = camera_times(cfg)
 
         def add_keyframe(k):
             seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
             est.add_frame(all_cam[k], integrate_segment(seg, est.frames.bias(-1), MODEL_NOISE),
-                          obs_index(all_cam[k]), is_keyframe=True)
+                          data.observations(all_cam[k]), is_keyframe=True)
 
         frames, ids = est.frames, list(est.frame_ids)
         with pytest.raises(EstimatorError):
@@ -928,7 +924,7 @@ class TestMarginalization:
         seg = segment_samples(data.imu, cam[-1], t_new)
         delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
         samples_before = list(est.deltas[-1].samples)
-        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
         # merged delta covers the union of the two sample buffers
         merged = est.deltas[-1]
         assert merged.samples[0].t == samples_before[0].t
@@ -950,7 +946,7 @@ class TestMarginalization:
             t_prev, t_new = all_cam[k - 1], all_cam[k]
             seg = segment_samples(data.imu, t_prev, t_new)
             delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
-            est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+            est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
             est.triangulate_new_features()
             est.build_and_solve()
             i = int(round(t_new * cfg.imu_rate))
@@ -966,14 +962,13 @@ class TestMarginalization:
         data = build_scenario(cfg)
         est, cam = seeded_estimator(cfg, data)
         est.build_and_solve()
-        obs_index = TrackObservationIndex(data.tracks)
         all_cam = camera_times(cfg)
         marginalized = dropped = 0
         for k in range(11, 35):
             dropped += not est.keyframe_flags[-1]
             seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
             delta = integrate_segment(seg, est.frames.bias(-1), noise)
-            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=k % 3 != 0)
+            est.add_frame(all_cam[k], delta, data.observations(all_cam[k]), is_keyframe=k % 3 != 0)
             marginalized += len(est.pop_marginalized_keyframes())
             window = set(est.frame_ids)
             assert all(set(f.obs) <= window for f in est.features.values())
@@ -993,7 +988,6 @@ class TestMarginalization:
         data = build_scenario(cfg)
         est, _ = seeded_estimator(cfg, data, config=EstimatorConfig(max_features=40))
         est.build_and_solve()
-        obs_index = TrackObservationIndex(data.tracks)
         all_cam = camera_times(cfg)
         seen = set()
         for k in range(11, 30):
@@ -1026,7 +1020,7 @@ class TestMarginalization:
                         seen.add("kept" if f.inv_depth is None else "moved")
             seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
             delta = integrate_segment(seg, est.frames.bias(-1), noise)
-            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=k % 3 != 0)
+            est.add_frame(all_cam[k], delta, data.observations(all_cam[k]), is_keyframe=k % 3 != 0)
             for fid, exp in expected.items():
                 if exp is None:  # gone, or back with the new frame's observation alone
                     f = est.features.get(fid)
@@ -1050,13 +1044,12 @@ class TestMarginalization:
         data = build_scenario(cfg)
         est, _ = seeded_estimator(cfg, data)
         est.build_and_solve()
-        obs_index = TrackObservationIndex(data.tracks)
         all_cam = camera_times(cfg)
 
         def add_keyframe(k):
             seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
             delta = integrate_segment(seg, est.frames.bias(-1), MODEL_NOISE)
-            est.add_frame(all_cam[k], delta, obs_index(all_cam[k]), is_keyframe=True)
+            est.add_frame(all_cam[k], delta, data.observations(all_cam[k]), is_keyframe=True)
             est.triangulate_new_features()
             est.build_and_solve()
 
@@ -1216,7 +1209,7 @@ def loop_window():
     est.build_and_solve()
     t_new = camera_times(cfg)[11]
     delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
-    est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+    est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
     est.triangulate_new_features()
     assert est.prior is not None
     # move every state off the prior's and the deltas' linearization points
@@ -1627,7 +1620,7 @@ class TestConstructionFromArrays:
         est.build_and_solve()
         t_new = camera_times(cfg)[11]
         delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(), MODEL_NOISE)
-        est.add_frame(t_new, delta, TrackObservationIndex(data.tracks)(t_new), is_keyframe=True)
+        est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
         est.triangulate_new_features()
         assert est.prior is not None
         assert_construction_matches_per_row(est, est._optimized_features(), [])

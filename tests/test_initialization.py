@@ -17,7 +17,7 @@ from monovio.initialization import (
 from monovio.preintegration import GRAVITY, BiasState, NoiseParams, integrate_segment, segment_samples
 from monovio.simulator import (
     ScenarioConfig,
-    camera_pose_at,
+    camera_poses,
     camera_times,
     make_ground_truth,
     synthesize_imu,
@@ -81,7 +81,7 @@ class TestCameraToBody:
         cfg = ScenarioConfig(duration=3.0, scale_hidden=2.0, seed=3)
         gt, frames, _, _ = make_window(cfg, 8)
         body = camera_to_body_poses(frames, cfg.extrinsic)
-        q0, p0 = camera_pose_at(cfg, 0.0)
+        (q0,), (p0,) = camera_poses(cfg, [0.0])
         for k in range(8):
             i = int(round(body.t[k] * cfg.imu_rate))
             # body rotation in c0 frame vs ground truth
@@ -147,7 +147,7 @@ class TestLinearAlignment:
         body = camera_to_body_poses(frames, cfg.extrinsic)
         vel, g_c0, s = solve_velocity_gravity_scale(body, deltas, cfg.extrinsic)
         assert abs(s - 3.3) / 3.3 < 1e-3
-        q0, _ = camera_pose_at(cfg, 0.0)
+        (q0,), _ = camera_poses(cfg, [0.0])
         g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY)
         ang = np.arccos(np.clip(g_c0 @ g_true / (np.linalg.norm(g_c0) * 9.81), -1, 1))
         assert np.rad2deg(ang) < 0.1
@@ -183,7 +183,7 @@ class TestGravityRefinement:
         cfg = ScenarioConfig(duration=3.0, seed=seed, scale_hidden=2.0, imu_rate=imu_rate, **GENTLE)
         _, frames, deltas, _ = make_window(cfg)
         body = camera_to_body_poses(frames, cfg.extrinsic)
-        q0, _ = camera_pose_at(cfg, 0.0)
+        (q0,), _ = camera_poses(cfg, [0.0])
         g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY)
         return cfg, body, deltas, g_true
 
@@ -279,7 +279,7 @@ class TestEndToEnd:
         _, g_c0, scale, _ = alignment_steps(frames, deltas, cfg.extrinsic)
         assert np.linalg.norm(world.bw[0] - true_bw) < 1e-3
         assert abs(scale - 3.3) / 3.3 < 1e-3
-        q0, _ = camera_pose_at(cfg, 0.0)
+        (q0,), _ = camera_poses(cfg, [0.0])
         g_true = geo.quat_rotate(geo.quat_inverse(q0), GRAVITY)
         ang = np.arccos(np.clip(g_c0 @ g_true / (9.81 * 9.81), -1, 1))
         assert ang < 1e-3

@@ -63,7 +63,6 @@ def test_window_hooks_read_a_seeded_estimator(monkeypatch):
     cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=10)
     data = build_scenario(cfg)
     all_cam = camera_times(cfg)
-    obs_index = pipeline.TrackObservationIndex(data.tracks)
     seg = segment_samples(data.imu, all_cam[10], all_cam[11])
     for newest_is_keyframe in (True, False):
         est, _ = seeded_estimator(cfg, data)
@@ -75,7 +74,7 @@ def test_window_hooks_read_a_seeded_estimator(monkeypatch):
         kind = layers._slide_kind(est)
         oldest, newest = est.frame_ids[0], est.frame_ids[-1]
         est.add_frame(all_cam[11], integrate_segment(seg, BiasState(), MODEL_NOISE),
-                      obs_index(all_cam[11]), is_keyframe=True)
+                      data.observations(all_cam[11]), is_keyframe=True)
         est.triangulate_new_features()
         if newest_is_keyframe:
             assert kind == "estimator.add_frame.marginalize"

@@ -14,7 +14,7 @@ from monovio.cli import main as cli_main
 from monovio.estimator import (
     EstimatorConfig,
     EstimatorError,
-    FeatureTrack,
+    Observations,
     SlidingWindowEstimator,
     SolverConfig,
     _WindowProblem,
@@ -25,7 +25,6 @@ from monovio.pipeline import (
     VERTEX_TIME_TOL,
     GraphDriver,
     PipelineConfig,
-    TrackObservationIndex,
     VioPipeline,
     align_4dof,
     evaluate_ate,
@@ -129,16 +128,51 @@ class TestDataIO:
         with pytest.raises(dataio.FormatError, match="bad.csv:1"):
             dataio.read_imu_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_imu_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,0,0,0,0,0,9.81\n"
+                        f"5000000,0,0,0,0,{value},9.81\n"
+                        "10000000,0,0,0,0,0,9.81\n")
+        with pytest.raises(dataio.FormatError, match="bad.csv:2: non-finite"):
+            dataio.read_imu_csv(path)
+
     def test_tracks_round_trip(self, tmp_path):
-        tr = FeatureTrack(7)
-        tr.add(0.2, [0.1, 0.2, 0.97])
-        tr.add(0.4, [0.15, 0.18, 0.97])
+        u = np.array([[0.1, 0.2, 0.97], [0.15, 0.18, 0.97], [-0.3, 0.1, 0.9]])
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        obs = Observations({0.2: {3: u[2], 7: u[0]}, 0.4: {7: u[1]}})
         path = tmp_path / "tracks.csv"
-        dataio.write_tracks_csv(path, [tr])
+        dataio.write_tracks_csv(path, obs)
         back = dataio.read_tracks_csv(path)
-        assert back[0].feature_id == 7
-        assert len(back[0]) == 2
-        np.testing.assert_allclose(back[0].rays[0], tr.rays[0], atol=1e-8)
+        np.testing.assert_array_equal(back.times(), [0.2, 0.4])
+        assert list(back(0.2)) == [3, 7] and list(back(0.4)) == [7]
+        np.testing.assert_allclose(back(0.2)[7], u[0], atol=1e-8)
+        np.testing.assert_allclose(back(0.4)[7], u[1], atol=1e-8)
+        # rays written scaled by 2 read back unit
+        path.write_text("".join("200000000,%d,%.9g,%.9g,%.9g\n" % (fid, *(2.0 * ray))
+                                for fid, ray in ((3, u[2]), (7, u[0]))))
+        back = dataio.read_tracks_csv(path)
+        for fid, ray in ((3, u[2]), (7, u[0])):
+            assert np.linalg.norm(back(0.2)[fid]) == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(back(0.2)[fid], ray, atol=1e-8)
+
+    @pytest.mark.parametrize("ray", ["0,0,0", "nan,0,1", "0,inf,1"])
+    def test_tracks_reject_zero_or_non_finite_rays(self, tmp_path, ray):
+        path = tmp_path / "tracks.csv"
+        path.write_text(f"#timestamp_ns,feature_id,ux,uy,uz\n0,1,0,0,1\n0,2,{ray}\n")
+        with pytest.raises(dataio.FormatError, match="tracks.csv:3: zero or non-finite ray"):
+            dataio.read_tracks_csv(path)
+
+    def test_tracks_rows_in_any_order_but_one_ray_per_feature_and_time(self, tmp_path):
+        path = tmp_path / "tracks.csv"
+        path.write_text("400000000,7,0,0,1\n200000000,9,0,1,1\n200000000,7,1,0,1\n")
+        back = dataio.read_tracks_csv(path)
+        np.testing.assert_array_equal(back.times(), [0.2, 0.4])
+        assert list(back(0.2)) == [7, 9] and list(back(0.4)) == [7]
+        np.testing.assert_allclose(back(0.2)[7], [2**-0.5, 0.0, 2**-0.5])
+        path.write_text("200000000,7,0,0,1\n400000000,7,0,0,1\n200000000,7,1,0,1\n")
+        with pytest.raises(dataio.FormatError, match="tracks.csv:3: feature 7 seen twice"):
+            dataio.read_tracks_csv(path)
 
     def test_trajectory_round_trip(self, tmp_path):
         t = np.array([0.0, 0.1])
@@ -411,12 +445,11 @@ class TestPipeline:
         cfg = quick_config(duration=8.0)
         data = build_scenario(cfg)
         dataio.write_imu_csv(tmp_path / "imu.csv", data.imu)
-        dataio.write_tracks_csv(tmp_path / "tracks.csv", data.tracks)
+        dataio.write_tracks_csv(tmp_path / "tracks.csv", data.observations)
         dataio.write_sfm_poses(tmp_path / "sfm.txt", data.sfm)
         imu = dataio.read_imu_csv(tmp_path / "imu.csv")
-        tracks = dataio.read_tracks_csv(tmp_path / "tracks.csv")
+        obs = dataio.read_tracks_csv(tmp_path / "tracks.csv")
         sfm = dataio.read_sfm_poses(tmp_path / "sfm.txt")
-        obs = TrackObservationIndex(tracks)
         pipe = VioPipeline(
             imu, obs.times(), obs, sfm, cfg.extrinsic,
             PipelineConfig(enable_loops=False, model_noise=MODEL), seed=3,

@@ -7,14 +7,14 @@ from monovio.preintegration import GRAVITY, BiasState, NoiseParams, integrate_se
 from monovio.simulator import (
     ScenarioConfig,
     build_scenario,
-    camera_pose_at,
+    camera_poses,
     camera_times,
     eval_trajectory,
     make_ground_truth,
     synthesize_imu,
     synthesize_loops,
+    synthesize_observations,
     synthesize_sfm,
-    synthesize_tracks,
 )
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0)
@@ -142,45 +142,70 @@ class TestTracks:
     def test_on_axis_landmark(self):
         cfg = stationary_config(n_landmarks=1)
         gt = make_ground_truth(cfg)
-        q_wc, p_wc = camera_pose_at(cfg, 0.0)
+        (q_wc,), (p_wc,) = camera_poses(cfg, [0.0])
         gt.landmarks = (p_wc + geo.quat_rotate(q_wc, np.array([0, 0, 3.0])))[None, :]
-        tracks = synthesize_tracks(gt, seed=0)
-        np.testing.assert_allclose(tracks[0].rays[0], [0, 0, 1], atol=1e-12)
+        obs = synthesize_observations(gt, seed=0)
+        np.testing.assert_allclose(obs(0.0)[0], [0, 0, 1], atol=1e-12)
 
     def test_behind_camera_absent(self):
         cfg = stationary_config(n_landmarks=1, fov_deg=120.0)
         gt = make_ground_truth(cfg)
-        q_wc, p_wc = camera_pose_at(cfg, 0.0)
+        (q_wc,), (p_wc,) = camera_poses(cfg, [0.0])
         gt.landmarks = (p_wc + geo.quat_rotate(q_wc, np.array([0, 0, -3.0])))[None, :]
-        tracks = synthesize_tracks(gt, seed=0)
-        assert tracks == []
+        obs = synthesize_observations(gt, seed=0)
+        assert len(obs.times()) == 0
+        assert obs(0.0) == {}
+
+    def test_camera_poses_equal_one_time_evaluations(self):
+        # one batch over a noisy scenario's camera times, row for row and bit
+        # for bit equal to evaluating each time alone
+        cfg = ScenarioConfig(duration=30.0, seed=3, traj={"period": 12.0},
+                             noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5), pixel_sigma_px=1.5)
+        cam = camera_times(cfg)
+        q_wc, p_wc = camera_poses(cfg, cam)
+        assert q_wc.shape == (len(cam), 4) and p_wc.shape == (len(cam), 3)
+        for k, t in enumerate(cam):
+            (q,), (p,) = camera_poses(cfg, [t])
+            np.testing.assert_array_equal(q_wc[k], q)
+            np.testing.assert_array_equal(p_wc[k], p)
 
     def test_triangulation_roundtrip(self):
         cfg = ScenarioConfig(duration=2.0, seed=9, n_landmarks=40)
         data = build_scenario(cfg)
         cam = camera_times(cfg)
-        poses = {t: camera_pose_at(cfg, t) for t in cam}
+        poses = dict(zip(cam, zip(*camera_poses(cfg, cam))))
+        # regrouped by feature id: the times and rays of each feature
+        tracks: dict[int, tuple[list, list]] = {}
+        for t in data.observations.times():
+            for fid, ray in data.observations(t).items():
+                times, rays = tracks.setdefault(fid, ([], []))
+                times.append(t)
+                rays.append(ray)
         checked = 0
-        for track in data.tracks:
-            if len(track) < 4:
+        for fid, (times, rays) in sorted(tracks.items()):
+            if len(times) < 4:
                 continue
-            qs = np.array([poses[t][0] for t in track.times])
-            ps = np.array([poses[t][1] for t in track.times])
-            lam = triangulate_features(track.rays, np.arange(len(track)), [len(track)], qs, ps)[0]
+            qs = np.array([poses[t][0] for t in times])
+            ps = np.array([poses[t][1] for t in times])
+            lam = triangulate_features(np.array(rays), np.arange(len(times)), [len(times)], qs, ps)[0]
             if np.isnan(lam):
                 continue
-            q0, p0 = poses[track.times[0]]
-            X = geo.quat_rotate(q0, track.rays[0] / lam) + p0
-            assert np.linalg.norm(X - data.ground_truth.landmarks[track.feature_id]) < 1e-9
+            q0, p0 = poses[times[0]]
+            X = geo.quat_rotate(q0, rays[0] / lam) + p0
+            assert np.linalg.norm(X - data.ground_truth.landmarks[fid]) < 1e-9
             checked += 1
         assert checked > 10
 
     def test_blackout_removes_observations(self):
         cfg = ScenarioConfig(duration=4.0, blackout_start=1.0, blackout_duration=1.0)
         data = build_scenario(cfg)
-        for track in data.tracks:
-            for t in track.times:
-                assert not (1.0 <= t < 2.0)
+        times = data.observations.times()
+        assert len(times) > 0
+        for t in times:
+            assert not (1.0 <= t < 2.0)
+        for t in camera_times(cfg):
+            if 1.0 <= t < 2.0:
+                assert data.observations(t) == {}
 
 
 class TestSfm:
@@ -188,9 +213,9 @@ class TestSfm:
         cfg = ScenarioConfig(duration=2.0, scale_hidden=1.0)
         gt = make_ground_truth(cfg)
         frames = synthesize_sfm(gt, seed=0)
-        q0, p0 = camera_pose_at(cfg, 0.0)
+        (q0,), (p0,) = camera_poses(cfg, [0.0])
         for f in frames[:5]:
-            q_wc, p_wc = camera_pose_at(cfg, f.t)
+            (q_wc,), (p_wc,) = camera_poses(cfg, [f.t])
             np.testing.assert_allclose(
                 f.p_bar, geo.quat_rotate(geo.quat_inverse(q0), p_wc - p0), atol=1e-12
             )
@@ -253,9 +278,13 @@ class TestDeterminism:
             assert a.t == b.t
             np.testing.assert_array_equal(a.accel, b.accel)
             np.testing.assert_array_equal(a.gyro, b.gyro)
-        for ta, tb in zip(d1.tracks, d2.tracks):
-            assert ta.feature_id == tb.feature_id
-            np.testing.assert_array_equal(np.array(ta.rays), np.array(tb.rays))
+        times = d1.observations.times()
+        np.testing.assert_array_equal(times, d2.observations.times())
+        assert len(times) > 0
+        for t in times:
+            a, b = d1.observations(t), d2.observations(t)
+            assert list(a) == list(b)
+            np.testing.assert_array_equal(np.array(list(a.values())), np.array(list(b.values())))
 
     def test_kinematic_consistency_of_ground_truth(self):
         cfg = ScenarioConfig(duration=4.0)

@@ -137,3 +137,11 @@ def test_counts_a_short_session_identically_twice(monkeypatch, tmp_path):
     assert first["splu"] >= first["closures"]
     assert first["ndarray.argsort"] > 0
     assert first["np.unique from PoseGraph.optimize"] == 0
+
+
+def test_counts_a_set_up_identically_twice(monkeypatch):
+    workcount = load_workcount(monkeypatch)
+    workcount.count_setup("loop-noisy")  # warm-up: first-call caches
+    (setup, first), (_, second) = (workcount.count_setup("loop-noisy") for _ in range(2))
+    assert first == second > 0
+    assert len(setup.pipe.cam_times) == len(camera_times(setup.data.config))

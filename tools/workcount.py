@@ -6,9 +6,11 @@ session, without timing.
 Run from the root of a checkout; the program is imported from ``src/`` and
 the workloads from ``perfbench/``. For each workload, on the pinned scenario
 seed, a fresh set-up runs one warm-up VIO pass, which fills the first-call
-caches of ``abc`` and ``scipy.linalg``. A second fresh set-up then runs one
-VIO pass under ``cProfile``. It prints:
+caches of ``abc`` and ``scipy.linalg``. A second set-up then runs under
+``cProfile``, and so does one VIO pass on it. It prints:
 
+  - the Python-level calls of that set-up (``workloads.set_up``: the
+    scenario, the pipeline on it and the session inputs)
   - the Python-level calls of that pass in total, into ``monovio``, and into
     ``monovio`` per camera frame
   - the calls of each function that ``perfbench/layers.py`` wraps
@@ -214,6 +216,15 @@ def count_inside_kernels(run) -> dict[str, int | float]:
     return out
 
 
+def count_setup(workload: str):
+    """Run one set-up of workload on the pinned scenario seed under cProfile
+    and return it with its Python-level calls."""
+    setups = []
+    stats = profiled(lambda: setups.append(
+        workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED)))
+    return setups[0], sum(v[1] for v in stats.values())
+
+
 def count_session(inputs, workdir: str) -> dict[str, int | float]:
     """Run one pose-graph session over inputs under cProfile and return its
     call counts by label."""
@@ -235,8 +246,9 @@ def count_session(inputs, workdir: str) -> dict[str, int | float]:
 def main() -> int:
     for workload in bench.WORKLOADS:
         workloads.vio_pass(workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED))
-        setup = workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED)
-        counts = count_calls(lambda: workloads.vio_pass(setup), len(setup.pipe.cam_times))
+        setup, setup_calls = count_setup(workload)
+        counts = {"setup_calls": setup_calls}
+        counts.update(count_calls(lambda: workloads.vio_pass(setup), len(setup.pipe.cam_times)))
         setup = workloads.set_up(workload, workloads.PINNED_SCENARIO_SEED)
         counts.update(count_inside_kernels(lambda: workloads.vio_pass(setup)))
         print(f"[{workload}]")
