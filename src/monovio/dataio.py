@@ -10,7 +10,7 @@ import numpy as np
 from .estimator import Observations
 from .geometry import quat_canonical, rot_to_quat, rot_zyx
 from .initialization import ExtrinsicCalib, UpToScaleFrame
-from .preintegration import BiasState, ImuSample, NoiseParams
+from .preintegration import BiasState, ImuSamples, NoiseParams
 from .simulator import LoopCandidate, ScenarioConfig
 
 
@@ -22,18 +22,15 @@ class FormatError(ValueError):
 # IMU CSV: timestamp_ns, wx, wy, wz, ax, ay, az
 
 
-def write_imu_csv(path, samples: list[ImuSample]) -> None:
+def write_imu_csv(path, samples: ImuSamples) -> None:
     with open(path, "w") as f:
         f.write("#timestamp_ns,wx,wy,wz,ax,ay,az\n")
-        for s in samples:
-            f.write(
-                "%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n"
-                % (round(s.t * 1e9), *s.gyro, *s.accel)
-            )
+        for t, gyro, accel in zip(samples.t.tolist(), samples.gyro.tolist(), samples.accel.tolist()):
+            f.write("%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" % (round(t * 1e9), *gyro, *accel))
 
 
-def read_imu_csv(path) -> list[ImuSample]:
-    samples = []
+def read_imu_csv(path) -> ImuSamples:
+    rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -49,10 +46,19 @@ def read_imu_csv(path) -> list[ImuSample]:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, vals)):
                 raise FormatError(f"{path}:{lineno}: non-finite value")
-            samples.append(ImuSample(t, np.array(vals[3:6]), np.array(vals[0:3])))
-    if len(samples) < 2:
+            rows.append([t, *vals])
+    if len(rows) < 2:
         raise FormatError(f"{path}: needs at least two IMU samples")
-    return samples
+    rows = np.array(rows)
+    return ImuSamples(rows[:, 0], rows[:, 4:7], rows[:, 1:4])
+
+
+def _rescaled_norm(ray) -> float:
+    """The norm of a ray whose squares overflow np.linalg.norm, taken of the
+    ray divided by its largest component; for a zero or non-finite ray, that
+    component (0, inf or nan)."""
+    s = float(np.abs(ray).max())
+    return s * float(np.linalg.norm(ray / s)) if 0.0 < s < math.inf else s
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +78,7 @@ def read_tracks_csv(path) -> Observations:
     """The observations of a CSV, each ray made unit where it is read; rows
     may come in any order, but a feature is seen at most once per time."""
     by_time: dict[float, dict[int, np.ndarray]] = {}
-    with open(path) as f:
+    with open(path) as f, np.errstate(over="ignore"):
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -87,6 +93,8 @@ def read_tracks_csv(path) -> Observations:
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
             n = np.linalg.norm(ray)
+            if n == math.inf:
+                n = _rescaled_norm(ray)
             if not (math.isfinite(n) and n > 0.0):
                 raise FormatError(f"{path}:{lineno}: zero or non-finite ray")
             frame = by_time.setdefault(t, {})
@@ -123,9 +131,15 @@ def read_trajectory(path):
                 vals = [float(x) for x in parts]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, vals)):
+                raise FormatError(f"{path}:{lineno}: non-finite value")
+            q = [vals[7], vals[4], vals[5], vals[6]]  # wxyz internal
+            # quat_canonical's norm, summed in its order, must be in [1e-12, inf)
+            if not 1e-12 <= math.sqrt(sum(c * c for c in q)) < math.inf:
+                raise FormatError(f"{path}:{lineno}: zero or overflowing quaternion")
             times.append(vals[0])
             ps.append(vals[1:4])
-            qs.append([vals[7], vals[4], vals[5], vals[6]])  # wxyz internal
+            qs.append(q)
     if not times:
         raise FormatError(f"{path}: empty trajectory")
     return np.array(times), np.array(ps), quat_canonical(np.array(qs))
@@ -160,57 +174,41 @@ def write_loops(path, candidates: list[LoopCandidate]) -> None:
 
 
 def read_loops(path) -> list[LoopCandidate]:
-    candidates = []
-    current = None
-
-    def flush():
-        if current is None:
-            return
-        fids, rcs, rqs = current["rows"]
-        if fids:
-            candidates.append(
-                LoopCandidate(
-                    current["query_t"], current["candidate_t"],
-                    np.array(fids, dtype=int), np.array(rqs), np.array(rcs),
-                    np.ones(len(fids), dtype=bool),
-                )
-            )
-
-    with open(path) as f:
+    loops = []  # per LOOP header: query_t, candidate_t, [(feature id, unit rays)]
+    with open(path) as f, np.errstate(over="ignore"):
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "LOOP":
-                if len(parts) != 3:
-                    raise FormatError(f"{path}:{lineno}: malformed LOOP header")
-                flush()
-                current = {
-                    "query_t": float(parts[1]),
-                    "candidate_t": float(parts[2]),
-                    "rows": ([], [], []),
-                }
-            else:
-                if current is None:
-                    raise FormatError(f"{path}:{lineno}: correspondence before LOOP header")
-                if len(parts) != 7:
-                    raise FormatError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
-                try:
-                    fid = int(parts[0])
-                    vals = [float(x) for x in parts[1:]]
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: {exc}") from None
-                rays = np.reshape(vals, (2, 3))
-                n = np.linalg.norm(rays, axis=1, keepdims=True)
-                if not np.all(np.isfinite(n) & (n > 0.0)):
-                    raise FormatError(f"{path}:{lineno}: zero or non-finite ray")
-                fids, rcs, rqs = current["rows"]
-                fids.append(fid)
-                rcs.append(rays[0] / n[0])
-                rqs.append(rays[1] / n[1])
-    flush()
-    return candidates
+            header = parts[0] == "LOOP"
+            if header and len(parts) != 3:
+                raise FormatError(f"{path}:{lineno}: malformed LOOP header")
+            if not (header or loops):
+                raise FormatError(f"{path}:{lineno}: correspondence before LOOP header")
+            if not header and len(parts) != 7:
+                raise FormatError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
+            try:
+                fid = None if header else int(parts[0])
+                vals = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if header:
+                loops.append((*vals, []))
+                continue
+            rays = np.reshape(vals, (2, 3))  # candidate, query
+            n = np.linalg.norm(rays, axis=1, keepdims=True)
+            if np.isinf(n).any():
+                n = np.array([[_rescaled_norm(r)] for r in rays])
+            if not np.all(np.isfinite(n) & (n > 0.0)):
+                raise FormatError(f"{path}:{lineno}: zero or non-finite ray")
+            loops[-1][2].append((fid, rays / n))
+    return [
+        LoopCandidate(query_t, candidate_t, np.array([fid for fid, _ in rows], dtype=int),
+                      np.array([r[1] for _, r in rows]), np.array([r[0] for _, r in rows]),
+                      np.ones(len(rows), dtype=bool))
+        for query_t, candidate_t, rows in loops if rows
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def excitation_gates(deltas: list[PreintegratedDelta], imu_window) -> bool:
     """True when the window carries enough motion for alignment to be solvable.
 
     Requires total pre-integrated rotation above MIN_ROTATION_EXCITATION and
-    raw accelerometer variance above MIN_ACCEL_VARIANCE.
+    raw accelerometer variance of the ImuSamples imu_window above MIN_ACCEL_VARIANCE.
     """
     total_rot = 0.0
     for d in deltas:
@@ -280,10 +280,9 @@ def excitation_gates(deltas: list[PreintegratedDelta], imu_window) -> bool:
         total_rot += 2.0 * np.arccos(w)
     if total_rot < MIN_ROTATION_EXCITATION:
         return False
-    accels = np.array([s.accel for s in imu_window])
-    if accels.shape[0] < 2:
+    if len(imu_window) < 2:
         return False
-    var = float(np.mean(np.var(accels, axis=0)))
+    var = float(np.mean(np.var(imu_window.accel, axis=0)))
     return var > MIN_ACCEL_VARIANCE
 
 

@@ -370,11 +370,10 @@ class _PendingLoop:
 
 
 class VioPipeline:
-    """Batch pipeline over prepared input streams, run once. Its vision input
-    is the observations by camera time: observations_by_time(t) returns a
-    new dict from feature id to ray, as an estimator.Observations does. The
-    window normalizes the observed rays; loop_candidates' rays must be
-    unit."""
+    """Batch pipeline over prepared input streams, run once: ImuSamples, and
+    the observations by camera time: observations_by_time(t) returns a new
+    dict from feature id to ray, as an estimator.Observations does. The
+    window normalizes the observed rays; loop_candidates' rays must be unit."""
 
     def __init__(
         self,

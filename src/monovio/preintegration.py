@@ -14,9 +14,7 @@ g_w = (0, 0, +9.81): a resting sensor at identity attitude reads +g on z.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -57,16 +55,27 @@ _EYE15 = np.eye(15)
 
 
 @dataclass
-class ImuSample:
-    """One inertial measurement: time (s), specific force (m/s^2), body rate (rad/s)."""
+class ImuSamples:
+    """Inertial measurements as stacked rows: times t (N,) in s, specific
+    force accel (N, 3) in m/s^2 and body rate gyro (N, 3) in rad/s. Nothing
+    writes into the arrays once they are made, so slices and deltas share them.
+    """
 
-    t: float
+    t: np.ndarray
     accel: np.ndarray
     gyro: np.ndarray
 
     def __post_init__(self):
-        self.accel = np.asarray(self.accel, dtype=float)
-        self.gyro = np.asarray(self.gyro, dtype=float)
+        self.t = np.asarray(self.t, dtype=float).reshape(-1)
+        self.accel = np.asarray(self.accel, dtype=float).reshape(-1, 3)
+        self.gyro = np.asarray(self.gyro, dtype=float).reshape(-1, 3)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows) -> "ImuSamples":
+        """The rows that a slice or an index array selects."""
+        return ImuSamples(self.t[rows], self.accel[rows], self.gyro[rows])
 
 
 @dataclass
@@ -195,7 +204,7 @@ class PreintegratedDelta:
         self.dt_total = 0.0
         self.P = np.zeros((15, 15))
         self.J = np.eye(15)
-        self.samples: list[ImuSample] = []
+        self.samples = ImuSamples((), (), ())
         self.path: MidpointPath | None = None  # mean rows only; None below two samples
         self._sqrt_info = None  # cached L^-1 of P
 
@@ -249,15 +258,18 @@ class PreintegratedDelta:
 
 
 def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> PreintegratedDelta:
-    """Pre-integrate the concatenated sample buffers at the first delta's bias:
-    integrate_segment over the whole buffer."""
+    """Pre-integrate the concatenated sample buffers, their junction sample
+    once, at the first delta's bias: integrate_segment over the whole buffer."""
     if not first.samples:
         return second.repropagate(first.lin_bias)
     if not second.samples:
         return first.repropagate(first.lin_bias)
-    if abs(first.samples[-1].t - second.samples[0].t) > 1e-9:
+    a, b = first.samples, second.samples
+    if abs(a.t[-1] - b.t[0]) > 1e-9:
         raise PreintegrationError("deltas are not adjacent")
-    return integrate_segment(first.samples + second.samples[1:], first.lin_bias, first.noise)
+    joined = ImuSamples(np.concatenate((a.t, b.t[1:])), np.concatenate((a.accel, b.accel[1:])),
+                        np.concatenate((a.gyro, b.gyro[1:])))
+    return integrate_segment(joined, first.lin_bias, first.noise)
 
 
 def so3_right_jacobian_batch(rotvecs: np.ndarray) -> np.ndarray:
@@ -298,21 +310,21 @@ class MidpointPath:
     R: np.ndarray | None = None  # (N + 1, 3, 3) attitude matrices of gamma
 
 
-def midpoint_path(samples: list[ImuSample], bias: BiasState) -> MidpointPath:
-    """Validate a sample list and integrate its mean with the midpoint rule.
+def midpoint_path(samples: ImuSamples, bias: BiasState) -> MidpointPath:
+    """Validate a sample stream and integrate its mean with the midpoint rule.
 
     The attitude chain gamma_{k+1} = gamma_k (x) exp(w_mid dt) is the only
     sequential part; the midpoint specific force and the cumulative sums for
     beta and alpha are vectorized over all steps.
     """
-    ts = np.array([s.t for s in samples])
+    ts = samples.t
     dts = np.diff(ts)
     if np.any(dts <= 0.0):
         raise PreintegrationError("non-monotonic timestamps in segment")
     if np.any(dts > MAX_SAMPLE_GAP):
         raise PreintegrationError(f"sample gap exceeds {MAX_SAMPLE_GAP}s")
-    acc = np.array([s.accel for s in samples]) - bias.accel
-    gyr = np.array([s.gyro for s in samples])
+    acc = samples.accel - bias.accel
+    gyr = samples.gyro
     rotvecs = (0.5 * (gyr[:-1] + gyr[1:]) - bias.gyro) * dts[:, None]
     dqs = quat_exp(rotvecs)
 
@@ -340,9 +352,9 @@ def midpoint_path(samples: list[ImuSample], bias: BiasState) -> MidpointPath:
 
 
 def integrate_segment(
-    samples: list[ImuSample], bias: BiasState, noise: NoiseParams
+    samples: ImuSamples, bias: BiasState, noise: NoiseParams
 ) -> PreintegratedDelta:
-    """Pre-integrate a sample list at a linearization bias.
+    """Pre-integrate a sample stream at a linearization bias.
 
     The mean is the endpoint of midpoint_path. Covariance and bias Jacobian
     follow that path with the first-order transition
@@ -377,7 +389,7 @@ def integrate_segment(
     delta.dt_total = float(path.t[-1] - path.t[0])
     delta.P = 0.5 * (P + P.T)
     delta.J = J
-    delta.samples = list(samples)
+    delta.samples = samples
     delta.path = MidpointPath(path.t, path.alpha, path.beta, path.gamma)
     return delta
 
@@ -425,42 +437,33 @@ def _transition_batch(path: MidpointPath, qd: np.ndarray):
     return A, Q
 
 
-def interpolate_sample(s0: ImuSample, s1: ImuSample, t: float) -> ImuSample:
-    """Linear interpolation of both channels at a frame-boundary time."""
-    if not (s0.t <= t <= s1.t):
-        raise PreintegrationError("interpolation time outside sample interval")
-    w = 0.0 if s1.t == s0.t else (t - s0.t) / (s1.t - s0.t)
-    return ImuSample(t, (1 - w) * s0.accel + w * s1.accel, (1 - w) * s0.gyro + w * s1.gyro)
-
-
-_sample_time = attrgetter("t")
-
-
-def segment_samples(samples: list[ImuSample], t0: float, t1: float) -> list[ImuSample]:
+def segment_samples(samples: ImuSamples, t0: float, t1: float) -> ImuSamples:
     """Samples covering [t0, t1], with boundary samples interpolated at t0 and t1.
 
     Boundaries within 1e-9 s of a raw sample snap to it (matching the
     adjacency tolerance used when deltas are merged), so segments produced
-    from the same boundary time share the identical junction sample.
+    from the same boundary time share the identical junction sample. The
+    segment has at least two rows, even when both ends snap to one sample.
     """
     if t1 <= t0:
         raise PreintegrationError("empty segment")
-    # binary searches over the time-ordered stream: the last sample at or
-    # before t0 (+ snap) and the first at or after t1 (- snap)
-    i0 = bisect_right(samples, t0 + 1e-9, key=_sample_time) - 1
-    i1 = bisect_left(samples, t1 - 1e-9, key=_sample_time)
+    # the last sample at or before t0 (+ snap) and the first at or after
+    # t1 (- snap) of the time-ordered stream
+    i0 = int(np.searchsorted(samples.t, t0 + 1e-9, side="right")) - 1
+    i1 = int(np.searchsorted(samples.t, t1 - 1e-9, side="left"))
     if i0 < 0 or i1 >= len(samples):
         raise PreintegrationError("segment extends beyond the sample stream")
-    seg: list[ImuSample] = []
-    if abs(samples[i0].t - t0) < 1e-9:
-        seg.append(samples[i0])
-    else:
-        seg.append(interpolate_sample(samples[i0], samples[i0 + 1], t0))
-    seg += samples[i0 + 1 : i1]
-    if abs(samples[i1].t - t1) < 1e-9:
-        seg.append(samples[i1])
-    else:
-        seg.append(interpolate_sample(samples[i1 - 1], samples[i1], t1))
+    # a copy of rows i0 to i1, which is two rows when both ends snap to one sample
+    seg = samples[np.arange(i0, i1 + 1) if i1 > i0 else [i0, i1]]
+    for row, ia, tb in ((0, i0, t0), (-1, i1 - 1, t1)):
+        if abs(seg.t[row] - tb) >= 1e-9:  # both channels interpolated at tb
+            ta, tc = samples.t[ia], samples.t[ia + 1]
+            if not (ta <= tb <= tc):
+                raise PreintegrationError("interpolation time outside sample interval")
+            w = 0.0 if tc == ta else (tb - ta) / (tc - ta)
+            seg.t[row] = tb
+            seg.accel[row] = (1 - w) * samples.accel[ia] + w * samples.accel[ia + 1]
+            seg.gyro[row] = (1 - w) * samples.gyro[ia] + w * samples.gyro[ia + 1]
     return seg
 
 

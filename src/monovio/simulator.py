@@ -26,7 +26,7 @@ from .geometry import (
     tangent_basis,
 )
 from .initialization import ExtrinsicCalib, UpToScaleFrame
-from .preintegration import GRAVITY, BiasState, ImuSample, NoiseParams
+from .preintegration import GRAVITY, BiasState, ImuSamples, NoiseParams
 
 
 def default_extrinsic() -> ExtrinsicCalib:
@@ -288,9 +288,9 @@ def _sample_landmarks(config: ScenarioConfig) -> np.ndarray:
 
 
 def synthesize_imu(gt: GroundTruth, noise: NoiseParams, bias0: BiasState, seed: int):
-    """IMU stream with white noise and random-walk biases; returns (samples,
-    bias trace). Noise scales as density/sqrt(dt), walk increments as
-    density*sqrt(dt)."""
+    """IMU stream with white noise and random-walk biases at the ground-truth
+    times; returns (ImuSamples, bias trace). Noise scales as density/sqrt(dt),
+    walk increments as density*sqrt(dt)."""
     rng = np.random.default_rng(seed)
     n = len(gt.t)
     dt = 1.0 / gt.config.imu_rate
@@ -314,8 +314,7 @@ def synthesize_imu(gt: GroundTruth, noise: NoiseParams, bias0: BiasState, seed: 
     accel_body = quat_rotate(q_inv, specific_force)
     accel = accel_body + bias_a + n_a
     gyro = gt.omega_body + bias_w + n_w
-    samples = [ImuSample(float(gt.t[i]), accel[i], gyro[i]) for i in range(n)]
-    return samples, (bias_a, bias_w)
+    return ImuSamples(gt.t, accel, gyro), (bias_a, bias_w)
 
 
 def camera_times(config: ScenarioConfig) -> np.ndarray:
@@ -503,7 +502,7 @@ def _sample_outlier_ray(rng, rays_c, u_query, E_gt, qwc_c, pwc_c, true_point):
 class ScenarioData:
     config: ScenarioConfig
     ground_truth: GroundTruth
-    imu: list[ImuSample]
+    imu: ImuSamples
     observations: Observations
     sfm: list[UpToScaleFrame]
 

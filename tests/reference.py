@@ -1,6 +1,9 @@
 """Plain-numpy references that tests compare the library's kernels against,
 bit for bit where the kernel claims bitwise equality."""
 
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+
 import numpy as np
 
 from monovio.estimator import (
@@ -32,9 +35,9 @@ from monovio.posegraph import (
     _Structure,
 )
 from monovio.preintegration import (
+    ImuSamples,
     PreintegrationError,
     imu_jacobians_batch,
-    interpolate_sample,
     midpoint_path,
     quat_left_mat,
     quat_right_mat,
@@ -125,14 +128,37 @@ def tangent_basis_np(g):
     return b1, np.cross(g, b1)
 
 
-def segment_samples_searchsorted(samples, t0, t1):
-    """segment_samples with its boundary indices found by np.searchsorted
-    over an array of every sample time."""
-    if t1 <= t0:
-        raise PreintegrationError("empty segment")
-    times = np.array([s.t for s in samples])
-    i0 = int(np.searchsorted(times, t0 + 1e-9, side="right")) - 1
-    i1 = int(np.searchsorted(times, t1 - 1e-9, side="left"))
+@dataclass
+class ImuSample:
+    """One inertial measurement as its own object, the form the list-based
+    segment references below take: time (s), specific force, body rate."""
+
+    t: float
+    accel: np.ndarray
+    gyro: np.ndarray
+
+
+def sample_list(samples: ImuSamples) -> list[ImuSample]:
+    """One ImuSample per row of samples."""
+    return [ImuSample(t, a, w) for t, a, w in zip(samples.t.tolist(), samples.accel, samples.gyro)]
+
+
+def stack_samples(samples: list[ImuSample]) -> ImuSamples:
+    """The ImuSamples of a sample list."""
+    return ImuSamples([s.t for s in samples], [s.accel for s in samples], [s.gyro for s in samples])
+
+
+def interpolate_sample(s0, s1, t):
+    """Linear interpolation of both channels at a frame-boundary time."""
+    if not (s0.t <= t <= s1.t):
+        raise PreintegrationError("interpolation time outside sample interval")
+    w = 0.0 if s1.t == s0.t else (t - s0.t) / (s1.t - s0.t)
+    return ImuSample(t, (1 - w) * s0.accel + w * s1.accel, (1 - w) * s0.gyro + w * s1.gyro)
+
+
+def _segment_from(samples, i0, i1, t0, t1):
+    """The segment of a sample list between the boundary indices that
+    segment_samples finds, its ends snapped or interpolated."""
     if i0 < 0 or i1 >= len(samples):
         raise PreintegrationError("segment extends beyond the sample stream")
     if abs(samples[i0].t - t0) < 1e-9:
@@ -144,6 +170,27 @@ def segment_samples_searchsorted(samples, t0, t1):
     else:
         last = interpolate_sample(samples[i1 - 1], samples[i1], t1)
     return [first, *samples[i0 + 1 : i1], last]
+
+
+def segment_samples_bisect(samples, t0, t1):
+    """segment_samples over a sample list, its boundary indices found by
+    bisection with the sample time as key."""
+    if t1 <= t0:
+        raise PreintegrationError("empty segment")
+    i0 = bisect_right(samples, t0 + 1e-9, key=lambda s: s.t) - 1
+    i1 = bisect_left(samples, t1 - 1e-9, key=lambda s: s.t)
+    return _segment_from(samples, i0, i1, t0, t1)
+
+
+def segment_samples_searchsorted(samples, t0, t1):
+    """segment_samples over a sample list, its boundary indices found by
+    np.searchsorted over an array of every sample time."""
+    if t1 <= t0:
+        raise PreintegrationError("empty segment")
+    times = np.array([s.t for s in samples])
+    i0 = int(np.searchsorted(times, t0 + 1e-9, side="right")) - 1
+    i1 = int(np.searchsorted(times, t1 - 1e-9, side="left"))
+    return _segment_from(samples, i0, i1, t0, t1)
 
 
 def imu_residual_jacobians(delta, states, k, gravity):

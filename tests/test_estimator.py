@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from monovio.preintegration import (
     MAX_GYRO_BIAS,
     BiasState,
     FrameStates,
-    ImuSample,
+    ImuSamples,
     NoiseParams,
     PreintegrationError,
     integrate_segment,
@@ -463,8 +465,8 @@ class TestSolver:
         near = BiasState(gyro=[0.0, 0.0, 0.95])
         cfg = ScenarioConfig(duration=4.0, cam_rate=5.0, seed=18, bias0=near)
         data = build_scenario(cfg)
-        for s in data.imu:
-            s.gyro = s.gyro + np.array([0.0, 0.0, 0.2])
+        imu = data.imu
+        data = replace(data, imu=ImuSamples(imu.t, imu.accel, imu.gyro + np.array([0.0, 0.0, 0.2])))
         est, _ = seeded_estimator(cfg, data)
         est.frames.ba[:], est.frames.bw[:] = near.accel, near.gyro
         est.deltas = [d.repropagate(near) for d in est.deltas]
@@ -923,12 +925,13 @@ class TestMarginalization:
         t_new = all_cam[11]
         seg = segment_samples(data.imu, cam[-1], t_new)
         delta = integrate_segment(seg, BiasState(), MODEL_NOISE)
-        samples_before = list(est.deltas[-1].samples)
+        samples_before = est.deltas[-1].samples
         est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
         # merged delta covers the union of the two sample buffers
         merged = est.deltas[-1]
-        assert merged.samples[0].t == samples_before[0].t
-        assert merged.samples[-1].t == pytest.approx(t_new)
+        assert len(merged.samples) == len(samples_before) + len(seg) - 1
+        assert merged.samples.t[0] == samples_before.t[0]
+        assert merged.samples.t[-1] == pytest.approx(t_new)
         reference = integrate_segment(merged.samples, merged.lin_bias, MODEL_NOISE)
         np.testing.assert_allclose(merged.alpha, reference.alpha, atol=1e-12)
         np.testing.assert_allclose(merged.gamma, reference.gamma, atol=1e-12)
@@ -1089,7 +1092,7 @@ class TestForwardPropagation:
         g = np.array([0.0, 0.0, 9.81])
         state = one_state(0.0, [1, 2, 3], q, [0, 0, 0])
         a_body = geo.quat_rotate(geo.quat_inverse(q), g)
-        samples = [ImuSample(0.01 * k, a_body, np.zeros(3)) for k in range(21)]
+        samples = ImuSamples(0.01 * np.arange(21), np.tile(a_body, (21, 1)), np.zeros((21, 3)))
         _, p, _, v = imu_forward_propagate(state, samples, g)
         np.testing.assert_allclose(p[-1], [1, 2, 3], atol=1e-12)
         np.testing.assert_allclose(v[-1], [0, 0, 0], atol=1e-12)
@@ -1098,7 +1101,7 @@ class TestForwardPropagation:
         g = np.array([0.0, 0.0, 9.81])
         v0 = np.array([0.5, 0.0, 0.2])
         state = one_state(0.0, np.zeros(3), geo.quat_identity(), v0)
-        samples = [ImuSample(0.01 * k, np.zeros(3), np.zeros(3)) for k in range(51)]
+        samples = ImuSamples(0.01 * np.arange(51), np.zeros((51, 3)), np.zeros((51, 3)))
         _, p, _, v = imu_forward_propagate(state, samples, g)
         T = 0.5
         np.testing.assert_allclose(p[-1], v0 * T - 0.5 * g * T**2, atol=1e-12)
@@ -1118,7 +1121,7 @@ class TestForwardPropagation:
 
     def test_timestamp_regression_rejected(self):
         state = one_state(0.0, np.zeros(3), geo.quat_identity(), np.zeros(3))
-        samples = [ImuSample(0.0, np.zeros(3), np.zeros(3)), ImuSample(-0.01, np.zeros(3), np.zeros(3))]
+        samples = ImuSamples([0.0, -0.01], np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(PreintegrationError):
             imu_forward_propagate(state, samples, np.array([0, 0, 9.81]))
 

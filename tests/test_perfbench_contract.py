@@ -12,7 +12,7 @@ from monovio.estimator import _WindowProblem
 from monovio.preintegration import (
     BiasState,
     FrameStates,
-    ImuSample,
+    ImuSamples,
     integrate_segment,
     segment_samples,
 )
@@ -36,7 +36,8 @@ def test_forward_propagation_span_and_restore(monkeypatch):
     g = np.array([0.0, 0.0, 9.81])
     q = geo.quat_exp([0.1, -0.2, 0.3])
     state = FrameStates(0.0, np.zeros(3), q, np.array([0.2, 0.0, 0.1]), np.zeros(3), np.zeros(3))
-    samples = [ImuSample(0.005 * k, [0.1, 0.2, 9.8], [0.3, -0.1, 0.2]) for k in range(9)]
+    samples = ImuSamples(0.005 * np.arange(9), np.tile([0.1, 0.2, 9.8], (9, 1)),
+                         np.tile([0.3, -0.1, 0.2], (9, 1)))
 
     tracer = tracing.Tracer()
     with tracer.installed(targets):

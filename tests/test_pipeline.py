@@ -33,7 +33,7 @@ from monovio.pipeline import (
 )
 from monovio.initialization import UpToScaleFrame
 from monovio.posegraph import LoopEdge, PoseGraph, PoseGraphError, vertex_from_state
-from monovio.preintegration import BiasState, ImuSample, NoiseParams
+from monovio.preintegration import BiasState, ImuSamples, NoiseParams
 from monovio.simulator import ScenarioConfig, build_scenario, camera_times
 from monovio import geometry as geo
 from reference import imu_forward_propagate_reintegrated, vertex_at_time_scan
@@ -109,18 +109,19 @@ class TestEvaluateAte:
 
 class TestDataIO:
     def test_imu_round_trip(self, tmp_path):
-        samples = [
-            ImuSample(k * 0.005, np.array([0.1 * k, -0.2, 9.8]), np.array([0.01, 0.02 * k, -0.03]))
-            for k in range(10)
-        ]
+        k = np.arange(10)
+        samples = ImuSamples(
+            k * 0.005,
+            np.stack([0.1 * k, np.full(10, -0.2), np.full(10, 9.8)], axis=1),
+            np.stack([np.full(10, 0.01), 0.02 * k, np.full(10, -0.03)], axis=1),
+        )
         path = tmp_path / "imu.csv"
         dataio.write_imu_csv(path, samples)
         back = dataio.read_imu_csv(path)
         assert len(back) == 10
-        for a, b in zip(samples, back):
-            assert a.t == pytest.approx(b.t, abs=1e-9)
-            np.testing.assert_allclose(a.accel, b.accel, rtol=1e-8)
-            np.testing.assert_allclose(a.gyro, b.gyro, rtol=1e-8)
+        np.testing.assert_allclose(back.t, samples.t, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(back.accel, samples.accel, rtol=1e-8)
+        np.testing.assert_allclose(back.gyro, samples.gyro, rtol=1e-8)
 
     def test_imu_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -163,6 +164,18 @@ class TestDataIO:
         with pytest.raises(dataio.FormatError, match="tracks.csv:3: zero or non-finite ray"):
             dataio.read_tracks_csv(path)
 
+    def test_tracks_read_rays_whose_squares_overflow(self, tmp_path):
+        # a finite ray past about 1e154 overflows np.linalg.norm's squares:
+        # it is measured rescaled, and every ordinary ray reads the same bits
+        rays = {1: [0.3, -0.2, 0.9], 2: [1e200, 1e200, 1e200], 3: [-1e300, 0.0, 2e299]}
+        path = tmp_path / "tracks.csv"
+        path.write_text("".join("0,%d,%r,%r,%r\n" % (fid, *r) for fid, r in rays.items()))
+        back = dataio.read_tracks_csv(path)(0.0)
+        plain = np.array(rays[1])
+        assert back[1].tobytes() == (plain / np.linalg.norm(plain)).tobytes()
+        np.testing.assert_allclose(back[2], np.full(3, 3**-0.5), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(back[3], np.array([-5.0, 0.0, 1.0]) / 26**0.5, rtol=0, atol=1e-15)
+
     def test_tracks_rows_in_any_order_but_one_ray_per_feature_and_time(self, tmp_path):
         path = tmp_path / "tracks.csv"
         path.write_text("400000000,7,0,0,1\n200000000,9,0,1,1\n200000000,7,1,0,1\n")
@@ -185,6 +198,22 @@ class TestDataIO:
         np.testing.assert_allclose(p2, p, atol=1e-8)
         for a, b in zip(q, q2):
             assert geo.quat_angle_between(a, b) < 1e-7
+
+    @pytest.mark.parametrize("line", ["0.1 nan 0 0 0 0 0 1", "0.1 0 0 0 0 0 0 inf",
+                                      "inf 0 0 0 0 0 0 1", "0.1 0 -inf 0 0 0 0 1"])
+    def test_trajectory_rejects_non_finite_fields(self, tmp_path, line):
+        path = tmp_path / "traj.txt"
+        path.write_text(f"0.0 0 0 0 0 0 0 1\n{line}\n")
+        with pytest.raises(dataio.FormatError, match="traj.txt:2: non-finite value"):
+            dataio.read_trajectory(path)
+
+    @pytest.mark.parametrize("quat", ["0 0 0 0", "1e-13 0 0 0", "0 1e200 0 1e200"])
+    def test_trajectory_rejects_quaternions_it_cannot_normalize(self, tmp_path, quat):
+        # too small for quat_canonical to normalize, or with squares that overflow
+        path = tmp_path / "sfm.txt"
+        path.write_text(f"0.0 0 0 0 0 0 0 1\n\n0.2 1 2 3 {quat}\n")
+        with pytest.raises(dataio.FormatError, match="sfm.txt:3: zero or overflowing quaternion"):
+            dataio.read_sfm_poses(path)
 
     def test_config_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -260,6 +289,29 @@ class TestDataIO:
             np.testing.assert_array_equal(cb.rays_candidate, ca.rays_candidate)
             for rays in (ca.rays_query, ca.rays_candidate):
                 np.testing.assert_allclose(np.linalg.norm(rays, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_loops_read_rays_whose_squares_overflow(self, tmp_path):
+        from monovio.simulator import synthesize_loops, make_ground_truth
+
+        cfg = quick_config(duration=26.0, loop_min_gap=8.0, loop_radius=0.8)
+        loops = synthesize_loops(make_ground_truth(cfg), camera_times(cfg), seed=1)
+        unit, big = tmp_path / "unit.txt", tmp_path / "big.txt"
+        dataio.write_loops(unit, loops)
+        self._rewrite_rays(unit, big, row=2, ray=[1e200, -1e200, 1e200])
+        a, b = dataio.read_loops(unit), dataio.read_loops(big)
+        np.testing.assert_allclose(b[0].rays_candidate[2], [3**-0.5, -(3**-0.5), 3**-0.5],
+                                   rtol=0, atol=1e-15)
+        # every other ray reads the same bits
+        b[0].rays_candidate[2] = a[0].rays_candidate[2]
+        for ca, cb in zip(a, b):
+            assert cb.rays_query.tobytes() == ca.rays_query.tobytes()
+            assert cb.rays_candidate.tobytes() == ca.rays_candidate.tobytes()
+
+    def test_loops_reject_a_header_time_that_is_not_a_number(self, tmp_path):
+        path = tmp_path / "loops.txt"
+        path.write_text("LOOP 10.0 2.0\n1 0 0 1 0 0 1\n\nLOOP 12.0 abc\n2 0 0 1 0 0 1\n")
+        with pytest.raises(dataio.FormatError, match="loops.txt:4: could not convert"):
+            dataio.read_loops(path)
 
     def test_loops_reject_zero_and_non_finite_rays(self, tmp_path):
         from monovio.simulator import synthesize_loops, make_ground_truth
@@ -481,7 +533,7 @@ class TestForwardPropagationPath:
         def checked_propagate(state, seg, gravity, path):
             # the frame's delta is the last one the pipeline integrated
             delta = deltas[-1]
-            assert path is delta.path and delta.samples == seg
+            assert path is delta.path and delta.samples is seg
             assert np.array_equal(delta.lin_bias.accel, state.ba[-1])
             assert np.array_equal(delta.lin_bias.gyro, state.bw[-1])
             checked.append(float(state.t[-1]))
@@ -878,7 +930,7 @@ class TestFailureRecovery:
     )
     def test_imu_gap(self, gap, steady):
         data = build_scenario(quick_config(duration=12.0))
-        data = replace(data, imu=[s for s in data.imu if not gap[0] < s.t < gap[1]])
+        data = replace(data, imu=data.imu[~((gap[0] < data.imu.t) & (data.imu.t < gap[1]))])
         rep = pipeline_from_scenario(data, PipelineConfig(enable_loops=False, model_noise=MODEL)).run()
         kinds = [kind for _, kind in rep.init_events]
         if steady:
@@ -1023,7 +1075,7 @@ class TestCli:
             raise Seen(seed)
 
         monkeypatch.setattr(monovio.cli, "VioPipeline", capture)
-        imu = [ImuSample(0.005 * k, np.zeros(3), np.array([0.0, 0.0, 9.81])) for k in range(5)]
+        imu = ImuSamples(0.005 * np.arange(5), np.zeros((5, 3)), np.tile([0.0, 0.0, 9.81], (5, 1)))
         dataio.write_imu_csv(tmp_path / "imu.csv", imu)
         (tmp_path / "tracks.csv").write_text("0,1,0,0,1\n")
         (tmp_path / "run.cfg").write_text("seed = 7\n")
@@ -1045,6 +1097,20 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "rmse = 0" in out
+
+    def test_eval_reports_a_bad_trajectory_line(self, tmp_path, capsys):
+        t = np.linspace(0, 5, 26)
+        p = np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=1)
+        dataio.write_trajectory(tmp_path / "gt.txt", t, p, np.tile(geo.quat_identity(), (26, 1)))
+        lines = (tmp_path / "gt.txt").read_text().splitlines()
+        for bad, message in (("0 0 0 0", "zero or overflowing quaternion"),
+                             ("0 nan 0 1", "non-finite value")):
+            lines[4] = " ".join(lines[4].split()[:4] + bad.split())
+            (tmp_path / "est.txt").write_text("\n".join(lines) + "\n")
+            assert cli_main([
+                "eval", "--estimate", str(tmp_path / "est.txt"), "--gt", str(tmp_path / "gt.txt"),
+            ]) == 1
+            assert f"est.txt:5: {message}" in capsys.readouterr().err
 
     def test_corrupt_csv_row_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "imu.csv"

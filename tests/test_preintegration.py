@@ -5,7 +5,7 @@ from monovio import geometry as geo
 from monovio.preintegration import (
     BiasState,
     FrameStates,
-    ImuSample,
+    ImuSamples,
     NoiseParams,
     PreintegratedDelta,
     PreintegrationError,
@@ -14,14 +14,16 @@ from monovio.preintegration import (
     imu_jacobians_batch,
     imu_residuals_batch,
     integrate_segment,
-    interpolate_sample,
     merge_deltas,
     segment_samples,
 )
 from monovio.simulator import ScenarioConfig, build_scenario
 from reference import (
     integrate_segment_stepwise,
+    sample_list,
+    segment_samples_bisect,
     segment_samples_searchsorted,
+    stack_samples,
 )
 
 NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0)
@@ -30,7 +32,7 @@ NO_NOISE = NoiseParams(0.0, 0.0, 0.0, 0.0)
 def make_samples(rate, duration, accel_fn, gyro_fn):
     n = int(round(rate * duration))
     ts = np.arange(n + 1) / rate
-    return [ImuSample(t, accel_fn(t), gyro_fn(t)) for t in ts]
+    return ImuSamples(ts, [accel_fn(t) for t in ts], [gyro_fn(t) for t in ts])
 
 
 def const_fn(v):
@@ -85,16 +87,14 @@ class TestMeanIntegration:
         np.testing.assert_array_equal(d.beta, np.zeros(3))
 
     def test_rejects_non_monotonic(self):
-        s0 = ImuSample(0.0, np.zeros(3), np.zeros(3))
-        s1 = ImuSample(-0.01, np.zeros(3), np.zeros(3))
+        samples = ImuSamples([0.0, -0.01], np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(PreintegrationError):
-            integrate_segment([s0, s1], BiasState(), NO_NOISE)
+            integrate_segment(samples, BiasState(), NO_NOISE)
 
     def test_rejects_gap(self):
-        s0 = ImuSample(0.0, np.zeros(3), np.zeros(3))
-        s1 = ImuSample(0.2, np.zeros(3), np.zeros(3))
+        samples = ImuSamples([0.0, 0.2], np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(PreintegrationError):
-            integrate_segment([s0, s1], BiasState(), NO_NOISE)
+            integrate_segment(samples, BiasState(), NO_NOISE)
 
     def test_smooth_segment_against_fine_oracle(self):
         # 200 Hz production integration vs an independent 20 kHz matrix-form
@@ -150,9 +150,11 @@ class TestCovariance:
     def test_psd_and_symmetric_along_random_motion(self):
         rng = np.random.default_rng(3)
         noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
-        samples = [ImuSample(0.0, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3))]
+        accel, gyro = [rng.normal(0, 1, 3)], [rng.normal(0, 0.5, 3)]
         for k in range(1, 151):
-            samples.append(ImuSample(0.005 * k, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3)))
+            accel.append(rng.normal(0, 1, 3))
+            gyro.append(rng.normal(0, 0.5, 3))
+            samples = ImuSamples(0.005 * np.arange(k + 1), accel, gyro)
             d = integrate_segment(samples, BiasState(), noise)
             np.testing.assert_array_equal(d.P, d.P.T)
             assert np.linalg.eigvalsh(d.P).min() > -1e-12
@@ -169,11 +171,7 @@ class TestCovariance:
         gyro_clean = np.tile([0.3, 0.1, -0.2], (n + 1, 1))
         ts = np.arange(n + 1) * dt
 
-        ref = integrate_segment(
-            [ImuSample(t, a, w) for t, a, w in zip(ts, accel_clean, gyro_clean)],
-            BiasState(),
-            noise,
-        )
+        ref = integrate_segment(ImuSamples(ts, accel_clean, gyro_clean), BiasState(), noise)
 
         runs = 1500
         errs = np.zeros((runs, 9))
@@ -182,10 +180,7 @@ class TestCovariance:
         for k in range(runs):
             na = rng.normal(0, sa, (n + 1, 3))
             nw = rng.normal(0, sw, (n + 1, 3))
-            samples = [
-                ImuSample(t, a + ea, w + ew)
-                for t, a, w, ea, ew in zip(ts, accel_clean, gyro_clean, na, nw)
-            ]
+            samples = ImuSamples(ts, accel_clean + na, gyro_clean + nw)
             d = integrate_segment(samples, BiasState(), NO_NOISE)
             dq = geo.quat_mul(geo.quat_inverse(ref.gamma), d.gamma)
             errs[k, 0:3] = d.alpha - ref.alpha
@@ -341,18 +336,23 @@ class TestMergeAndSegment:
     def test_segment_interpolates_boundaries(self):
         samples = make_samples(100, 1.0, lambda t: np.array([t, 0, 0]), const_fn([0, 0, 0]))
         seg = segment_samples(samples, 0.123, 0.456)
-        assert seg[0].t == pytest.approx(0.123)
-        assert seg[-1].t == pytest.approx(0.456)
-        np.testing.assert_allclose(seg[0].accel, [0.123, 0, 0], atol=1e-12)
+        assert seg.t[0] == pytest.approx(0.123)
+        assert seg.t[-1] == pytest.approx(0.456)
+        np.testing.assert_allclose(seg.accel[0], [0.123, 0, 0], atol=1e-12)
         # interior samples are the raw stream
-        assert seg[1].t == pytest.approx(0.13)
+        assert seg.t[1] == pytest.approx(0.13)
 
     def test_interpolate_sample(self):
-        s0 = ImuSample(0.0, [0, 0, 0], [0, 0, 0])
-        s1 = ImuSample(0.01, [1, 2, 3], [4, 5, 6])
-        m = interpolate_sample(s0, s1, 0.005)
-        np.testing.assert_allclose(m.accel, [0.5, 1.0, 1.5])
-        np.testing.assert_allclose(m.gyro, [2.0, 2.5, 3.0])
+        # both channels of both ends, between the two samples they fall in
+        s = ImuSamples([0.0, 0.01, 0.02], [[0, 0, 0], [1, 2, 3], [3, 2, 1]],
+                       [[0, 0, 0], [4, 5, 6], [0, 1, 2]])
+        seg = segment_samples(s, 0.005, 0.015)
+        np.testing.assert_array_equal(seg.t, [0.005, 0.01, 0.015])
+        np.testing.assert_allclose(seg.accel[[0, 2]], [[0.5, 1.0, 1.5], [2.0, 2.0, 2.0]])
+        np.testing.assert_allclose(seg.gyro[[0, 2]], [[2.0, 2.5, 3.0], [2.0, 3.0, 4.0]])
+        # the stream itself is left as it was
+        np.testing.assert_array_equal(s.t, [0.0, 0.01, 0.02])
+        np.testing.assert_array_equal(s.accel[0], [0, 0, 0])
 
 
 class TestBatchedTransitions:
@@ -413,44 +413,70 @@ class TestBatchedTransitions:
 
 
 class TestSegmentBoundaries:
-    """segment_samples finds its boundaries by bisection; the segments must
-    be the ones the whole-stream searchsorted gave, snapping included."""
+    """segment_samples copies rows of the stacked stream; its segments must
+    be the ones the list-based references cut from a list of per-sample
+    objects, snapping included, bit for bit."""
+
+    # +-1e-9 exactly: t0 + 1e-9 (t1 - 1e-9) lands on a sample time, where
+    # the right and left sides of the search differ
+    OFFSETS = [0.0, 0.4e-9, -0.4e-9, 1e-9, -1e-9, 0.99e-9, -0.99e-9, 1.01e-9, -1.01e-9,
+               3e-9, 0.0025]
+
+    @staticmethod
+    def assert_same_segment(got, want):
+        assert len(got) == len(want)
+        assert got.t.tobytes() == want.t.tobytes()
+        assert got.accel.tobytes() == want.accel.tobytes()
+        assert got.gyro.tobytes() == want.gyro.tobytes()
 
     def test_matches_searchsorted(self):
         samples = make_samples(200, 1.0, lambda t: np.array([t, 0, 0]), const_fn([0, 0, 0.1]))
-        times = [s.t for s in samples]
-        raw = {id(s) for s in samples}
-        # +-1e-9 exactly: t0 + 1e-9 (t1 - 1e-9) lands on a sample time, where
-        # the right and left sides of the search differ
-        offsets = [0.0, 0.4e-9, -0.4e-9, 1e-9, -1e-9, 0.99e-9, -0.99e-9, 1.01e-9, -1.01e-9,
-                   3e-9, 0.0025]
+        listed = sample_list(samples)
+        times = samples.t
         bounds = [t + d for t in (times[0], times[1], times[37], times[-2], times[-1])
-                  for d in offsets]
+                  for d in self.OFFSETS]
         checked = 0
         for t0 in bounds:
             for t1 in bounds:
                 try:
-                    want = segment_samples_searchsorted(samples, t0, t1)
+                    want = segment_samples_bisect(listed, t0, t1)
                 except PreintegrationError:
+                    with pytest.raises(PreintegrationError):
+                        segment_samples_searchsorted(listed, t0, t1)
                     with pytest.raises(PreintegrationError):
                         segment_samples(samples, t0, t1)
                     continue
                 got = segment_samples(samples, t0, t1)
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    assert g.t == w.t
-                    assert np.array_equal(g.accel, w.accel)
-                    assert np.array_equal(g.gyro, w.gyro)
-                # snapped and interior samples are the stream's own objects
-                assert [id(g) in raw for g in got] == [id(w) in raw for w in want]
+                self.assert_same_segment(got, stack_samples(want))
+                self.assert_same_segment(
+                    got, stack_samples(segment_samples_searchsorted(listed, t0, t1)))
                 checked += 1
         assert checked > 300
 
     def test_snaps_to_raw_samples(self):
         samples = make_samples(200, 1.0, lambda t: np.array([t, 0, 0]), const_fn([0, 0, 0]))
-        seg = segment_samples(samples, samples[10].t + 0.5e-9, samples[51].t - 0.5e-9)
-        assert seg[0] is samples[10] and seg[-1] is samples[51]
-        assert len(seg) == 42
+        seg = segment_samples(samples, samples.t[10] + 0.5e-9, samples.t[51] - 0.5e-9)
+        self.assert_same_segment(seg, samples[10:52])
+
+    def test_merge_equals_reference_concatenation(self):
+        # merge_deltas joins two segments' arrays without the junction row:
+        # the concatenation of the two reference segments, junction once
+        stream = build_scenario(ScenarioConfig(duration=2.0, seed=3)).imu
+        listed = sample_list(stream)
+        bias = TestBatchedTransitions.BIAS
+        noise = TestBatchedTransitions.NOISE
+        for ta, tb, tc in ((0.1, 0.3, 0.5), (0.2111, 0.43 + 0.4e-9, 0.7777), (1.0, 1.2, 1.2001)):
+            d1 = integrate_segment(segment_samples(stream, ta, tb), bias, noise)
+            d2 = integrate_segment(segment_samples(stream, tb, tc), BiasState(), noise)
+            merged = merge_deltas(d1, d2)
+            first = segment_samples_bisect(listed, ta, tb)
+            joined = stack_samples(first + segment_samples_bisect(listed, tb, tc)[1:])
+            self.assert_same_segment(merged.samples, joined)
+            ref = integrate_segment(joined, bias, noise)
+            assert merged.P.tobytes() == ref.P.tobytes()
+            for name in ("J", "alpha", "beta", "gamma"):
+                assert getattr(merged, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert merged.dt_total == ref.dt_total
 
 
 def imu_residual(d, s, g):
