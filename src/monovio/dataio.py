@@ -30,7 +30,7 @@ def write_imu_csv(path, samples: ImuSamples) -> None:
 
 
 def read_imu_csv(path) -> ImuSamples:
-    rows = []
+    rows, prev_ns = [], -math.inf  # timestamps ascend strictly
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -40,13 +40,16 @@ def read_imu_csv(path) -> ImuSamples:
             if len(parts) != 7:
                 raise FormatError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
             try:
-                t = int(parts[0]) * 1e-9
+                ns = int(parts[0])
                 vals = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, vals)):
                 raise FormatError(f"{path}:{lineno}: non-finite value")
-            rows.append([t, *vals])
+            if ns <= prev_ns:
+                raise FormatError(f"{path}:{lineno}: timestamp not after the previous sample's")
+            prev_ns = ns
+            rows.append([ns * 1e-9, *vals])
     if len(rows) < 2:
         raise FormatError(f"{path}: needs at least two IMU samples")
     rows = np.array(rows)

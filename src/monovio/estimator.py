@@ -20,7 +20,7 @@ the tangent plane of the observed ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain, compress
 
 import numpy as np
@@ -101,7 +101,7 @@ class Observations:
 
 @dataclass
 class Feature:
-    """Window-internal feature: per-frame rays plus optimized inverse depth.
+    """Window-internal feature: observation-table rows plus optimized inverse depth.
 
     The keys of obs ascend: frames are observed in window order and a slide
     only removes keys, so the first key is the anchor, the oldest frame
@@ -109,42 +109,31 @@ class Feature:
     """
 
     fid: int
-    obs: dict[int, np.ndarray] = field(default_factory=dict)  # frame id -> unit ray
+    obs: dict[int, int] = field(default_factory=dict)  # frame id -> table row
     inv_depth: float | None = None
 
     def anchor_id(self) -> int:
         return next(iter(self.obs))
 
 
-def _gather_obs(feats: list[Feature]):
-    """The observations of feats as flat arrays, feature after feature, each
-    in key order: (counts (F,), frame ids (N,), rays (N, 3)), counts[i]
-    being feature i's number of observations."""
-    obs = [f.obs for f in feats]
-    counts = np.fromiter(map(len, obs), dtype=int, count=len(obs))
-    ids = np.fromiter(chain.from_iterable(obs), dtype=int, count=int(counts.sum()))
-    rays = list(chain.from_iterable(map(dict.values, obs)))
-    rays = np.concatenate(rays).reshape(-1, 3) if rays else np.empty((0, 3))
-    return counts, ids, rays
-
-
 @dataclass
 class LoopObservationSet:
-    """Feature observations made by a loop-closure frame whose pose is
-    constant; its rays are normalized once, here, for every solve it joins."""
+    """Feature observations of a loop-closure frame at a constant pose, made once
+    from pairs (feature id, ray) into feature_ids, unit rays and their bases."""
 
     q_w_v: np.ndarray
     p_w_v: np.ndarray
-    pairs: list[tuple[int, np.ndarray]]  # (feature id, unit ray in loop camera)
+    pairs: InitVar[list[tuple[int, np.ndarray]]]
 
-    def __post_init__(self):
+    def __post_init__(self, pairs):
         self.q_w_v = quat_canonical(np.asarray(self.q_w_v, dtype=float))
         self.p_w_v = np.asarray(self.p_w_v, dtype=float)
-        if not self.pairs:
+        if not pairs:
             raise ValueError("loop observation set needs at least one correspondence")
-        rays = np.array([ray for _, ray in self.pairs], dtype=float)
-        rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        self.pairs = [(fid, ray) for (fid, _), ray in zip(self.pairs, rays)]
+        self.feature_ids = np.array([fid for fid, _ in pairs], dtype=int)
+        self.rays = np.array([ray for _, ray in pairs], dtype=float)
+        self.rays /= np.linalg.norm(self.rays, axis=1, keepdims=True)
+        self.bases = np.stack(tangent_basis(self.rays), axis=2)
 
 
 @dataclass
@@ -433,6 +422,10 @@ class SlidingWindowEstimator:
     (latest and pop_marginalized_keyframes, one row each, and the prior's
     linearization point) are value copies, safe to hand to the
     forward-propagation or pose-graph consumers.
+
+    Its observations are one table, in window order: row r holds the
+    observing frame's id, a unit ray and its (3, 2) tangent basis, at
+    r - _row0 of _row_frames, _rays and _bases; Feature.obs maps ids to rows.
     """
 
     def __init__(self, config: EstimatorConfig, extrinsic: ExtrinsicCalib):
@@ -443,6 +436,8 @@ class SlidingWindowEstimator:
         self.keyframe_flags: list[bool] = []
         self.deltas: list[PreintegratedDelta] = []
         self.features: dict[int, Feature] = {}
+        self._row0, self._row_frames = 0, np.empty(0, dtype=int)
+        self._rays, self._bases = np.empty((0, 3)), np.empty((0, 3, 2))
         self.prior: MarginalizationPrior | None = None
         self._pending_prior: tuple[MarginalizationPrior, list[Feature]] | None = None
         self._next_frame_id = 0
@@ -471,21 +466,41 @@ class SlidingWindowEstimator:
         self.keyframe_flags = [True] * len(frames)
         self.deltas = list(deltas)
         self.features = {}
+        self._row0, self._row_frames = 0, np.empty(0, dtype=int)
+        self._rays, self._bases = np.empty((0, 3)), np.empty((0, 3, 2))
         self.prior = self._pending_prior = None
 
     def observe(self, observations: dict[int, np.ndarray], frame_idx: int = -1) -> None:
-        """Attach feature rays observed at a window frame (default: latest),
-        normalized as one block. Frames are observed in window order, so
-        that each feature's keys ascend (see Feature)."""
+        """Append the rays observed at a window frame (default: latest) to the
+        observation table as one block, normalized and given bases together.
+        Frames are observed in window order, so keys and rows ascend (Feature)."""
         fid = self.frame_ids[frame_idx]
         rays = np.array(list(observations.values()), dtype=float).reshape(-1, 3)
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        for feat_id, ray in zip(observations, rays):
+        for row, feat_id in enumerate(observations, self._row0 + len(self._rays)):
             feat = self.features.get(feat_id)
             if feat is None:
                 feat = Feature(feat_id)
                 self.features[feat_id] = feat
-            feat.obs[fid] = ray
+            feat.obs[fid] = row
+        bases = np.empty((len(rays), 3, 2))
+        bases[..., 0], bases[..., 1] = tangent_basis(rays)
+        self._row_frames = np.concatenate([self._row_frames, np.full(len(rays), fid)])
+        self._rays = np.concatenate([self._rays, rays])
+        self._bases = np.concatenate([self._bases, bases])
+
+    def rays(self, rows) -> np.ndarray:
+        """The unit rays of observation-table rows (values of Feature.obs)."""
+        return self._rays[np.asarray(rows, dtype=int) - self._row0]
+
+    def _gather_obs(self, feats: list[Feature]):
+        """(counts (F,), frame ids (N,), table indices (N,)) of feats' observations, in key order."""
+        obs = [f.obs for f in feats]
+        counts = np.fromiter(map(len, obs), dtype=int, count=len(obs))
+        n = int(counts.sum())
+        ids = np.fromiter(chain.from_iterable(obs), dtype=int, count=n)
+        rows = np.fromiter(chain.from_iterable(map(dict.values, obs)), dtype=int, count=n)
+        return counts, ids, rows - self._row0
 
     def add_frame(self, t: float, delta: PreintegratedDelta,
                   observations: dict[int, np.ndarray], is_keyframe: bool) -> None:
@@ -528,29 +543,32 @@ class SlidingWindowEstimator:
         return merge_deltas(tail_delta, incoming_delta)
 
     def _remove_frame_observations(self, frame_id: int) -> None:
-        """Remove the latest frame's observations, and the features left
-        without one. A feature that this frame anchors has no other
-        observation, so no depth needs transferring."""
+        """Remove the latest frame's observations, its rows at the table's
+        end, and the features left without one. A feature that this frame
+        anchors has no other observation, so no depth needs transferring."""
         for feat in [f for f in self.features.values() if frame_id in f.obs]:
             del feat.obs[frame_id]
             if not feat.obs:
                 del self.features[feat.fid]
+        n = int(np.searchsorted(self._row_frames, frame_id))
+        self._row_frames, self._rays, self._bases = (
+            self._row_frames[:n], self._rays[:n], self._bases[:n])
 
-    def _transfer_anchors(self, feats: list[Feature], old_rays: list[np.ndarray],
+    def _transfer_anchors(self, feats: list[Feature], old_rows: list[int],
                           cam_poses) -> list[float | None]:
-        """The optimized depths of feats, whose anchor ray old_rays[i] has
+        """The optimized depths of feats, whose anchor ray in row old_rows[i] has
         left their obs, re-expressed in each one's new anchor (None where
         the point would sit within 1 mm of that camera or behind it), in
         one batch. cam_poses holds the camera poses (q, p) of the frame
-        that observed old_rays in row 0, then those of the window's frames."""
+        that observed those rays in row 0, then those of the window's frames."""
         if not feats:
             return []
         cam_q, cam_p = cam_poses
         new_ids = [next(iter(f.obs)) for f in feats]
         k = 1 + np.searchsorted(self.frame_ids, new_ids)
         inv = np.array([f.inv_depth for f in feats])
-        X = quat_rotate(cam_q[0], np.array(old_rays) / inv[:, None]) + cam_p[0]
-        new_rays = np.array([f.obs[i] for f, i in zip(feats, new_ids)])
+        X = quat_rotate(cam_q[0], self.rays(old_rows) / inv[:, None]) + cam_p[0]
+        new_rays = self.rays([f.obs[i] for f, i in zip(feats, new_ids)])
         depth = np.vecdot(new_rays, quat_rotate(quat_inverse(cam_q[k]), X - cam_p[k]))
         return [1.0 / d if d > 1e-3 else None for d in depth.tolist()]
 
@@ -572,11 +590,10 @@ class SlidingWindowEstimator:
         new = [f for f in self.features.values() if f.inv_depth is None and len(f.obs) >= 2]
         if not new:
             return 0
-        counts, ids, rays = _gather_obs(new)
+        counts, ids, rows = self._gather_obs(new)
         cam_q, cam_p = self.camera_poses()
-        # frame ids ascend in window order
-        inv_depth = triangulate_features(rays, np.searchsorted(self.frame_ids, ids), counts,
-                                         cam_q, cam_p)
+        frames = np.searchsorted(self.frame_ids, ids)  # frame ids ascend in window order
+        inv_depth = triangulate_features(self._rays[rows], frames, counts, cam_q, cam_p)
         ok = np.isfinite(inv_depth)
         for feat, lam in zip(compress(new, ok), inv_depth[ok].tolist()):
             feat.inv_depth = lam
@@ -657,16 +674,16 @@ class SlidingWindowEstimator:
         self.keyframe_flags.pop(0)
         self.deltas.pop(0)
         # the departing frame anchors every feature that it observes
-        moved, old_rays = [], []
+        moved, old_rows = [], []
         for feat in [f for f in self.features.values() if old_id in f.obs]:
-            ray = feat.obs.pop(old_id)
+            row = feat.obs.pop(old_id)
             if not feat.obs:
                 del self.features[feat.fid]
             elif feat.inv_depth is not None:
                 moved.append(feat)
-                old_rays.append(ray)
+                old_rows.append(row)
         consumed = {f.fid for f in marg_feats}
-        for feat, inv_depth in zip(moved, self._transfer_anchors(moved, old_rays, cam_poses)):
+        for feat, inv_depth in zip(moved, self._transfer_anchors(moved, old_rows, cam_poses)):
             feat.inv_depth = inv_depth
             if feat.fid not in consumed:
                 continue
@@ -675,6 +692,9 @@ class SlidingWindowEstimator:
             else:  # only the new anchor's ray stays
                 anchor = feat.anchor_id()
                 feat.obs = {anchor: feat.obs[anchor]}
+        n = int(np.searchsorted(self._row_frames, old_id, side="right"))
+        self._row0, self._row_frames, self._rays, self._bases = (
+            self._row0 + n, self._row_frames[n:], self._rays[n:], self._bases[n:])
 
     def pop_marginalized_keyframes(self) -> list[tuple[int, FrameStates]]:
         out, self.marginalized_keyframes = self.marginalized_keyframes, []
@@ -775,8 +795,8 @@ class _WindowProblem:
     are assembled per frame pair: a layout fixed at construction
     (_visual_layout) packs the rows of one pair into chunks whose products are
     summed into H_pp and b_p, while the depth column goes into W, v and b_l
-    row by row. The observed rays, and so their tangent bases, are fixed at
-    construction too.
+    row by row. The observed rays and their tangent bases come from where they
+    were made, once: the estimator's observation table and the loop sets.
 
     Every iteration writes into buffers that the problem allocates once: the
     NormalBlocks that linearize() zeroes and refills (valid until its next
@@ -794,10 +814,12 @@ class _WindowProblem:
         self.imu = StackedDeltas(self.deltas)
         self.sigma = est.config.obs_sigma
 
-        zeros = np.zeros((len(loops), 3))
-        held = FrameStates(np.full(len(loops), np.nan), [loop.p_w_v for loop in loops],
-                           [loop.q_w_v for loop in loops], zeros, zeros, zeros)
-        self.states = est.frames.append(held)  # the iterate; retract replaces it
+        self.states = est.frames  # the iterate; retract replaces it, never writes into it
+        if loops:
+            zeros = np.zeros((len(loops), 3))
+            held = FrameStates(np.full(len(loops), np.nan), [loop.p_w_v for loop in loops],
+                               [loop.q_w_v for loop in loops], zeros, zeros, zeros)
+            self.states = est.frames.append(held)
         self.extrinsic = est.extrinsic
         self.lam = np.array([f.inv_depth for f in feats], dtype=float)
 
@@ -805,28 +827,31 @@ class _WindowProblem:
         self.feat_col = self.ext_col + 6
         self.dim = self.feat_col + len(feats)
 
-        # visual rows (feature, observer, observed ray): a feature's window
-        # observations after its anchor's, then the loop correspondences,
-        # each observed by its loop set's frame
-        counts, ids, rays = _gather_obs(feats)
+        # visual rows (feature, observer, observed ray and basis): a feature's
+        # window observations after its anchor's, then the loop correspondences
+        # of optimized features, each observed by its loop set's frame
+        counts, ids, rows = est._gather_obs(feats)
         obs_idx = np.searchsorted(self.frame_ids, ids)  # frame ids ascend in window order
         first = np.cumsum(counts) - counts  # each feature's anchor observation
         later = np.ones(len(ids), dtype=bool)
         later[first] = False
         v_feat = np.repeat(np.arange(len(feats)), counts - 1)
-        v_obs, v_uo = obs_idx[later], rays[later]
-        feat_pos = {f.fid: i for i, f in enumerate(feats)}
-        loop_rows = [(feat_pos[fid], self.n_frames + i, ray)
-                     for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
-        if loop_rows:
-            fi, oi, ui = zip(*loop_rows)
-            v_feat, v_obs, v_uo = (np.concatenate([v_feat, fi]), np.concatenate([v_obs, oi]),
-                                   np.concatenate([v_uo, ui]))
-        self.v_feat, self.v_obs, self.v_uo = v_feat, v_obs, v_uo
+        v_obs, v_uo, v_B = obs_idx[later], est._rays[rows[later]], est._bases[rows[later]]
+        if loops and feats:
+            fids = np.array([f.fid for f in feats])
+            order = np.argsort(fids)
+            loop_fids = np.concatenate([loop.feature_ids for loop in loops])
+            at = order[np.minimum(np.searchsorted(fids, loop_fids, sorter=order), len(fids) - 1)]
+            hit = fids[at] == loop_fids
+            observer = np.repeat(self.n_frames + np.arange(len(loops)),
+                                 [len(loop.feature_ids) for loop in loops])[hit]
+            v_feat, v_obs = np.concatenate([v_feat, at[hit]]), np.concatenate([v_obs, observer])
+            v_uo = np.concatenate([v_uo, np.concatenate([loop.rays for loop in loops])[hit]])
+            v_B = np.concatenate([v_B, np.concatenate([loop.bases for loop in loops])[hit]])
+        self.v_feat, self.v_obs, self.v_uo, self.v_B = v_feat, v_obs, v_uo, v_B
         self.f_anchor = obs_idx[first]  # each feature's anchor frame index
         self.v_anchor = self.f_anchor[v_feat]
-        self.v_ua = rays[first][v_feat]
-        self.v_B = np.stack(tangent_basis(self.v_uo), axis=2)  # (K, 3, 2)
+        self.v_ua = est._rays[rows[first][v_feat]]
         self._visual_layout()
 
         P, F = self.feat_col, len(feats)

@@ -56,6 +56,7 @@ def quat_canonical(q):
 
 
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+_X_AXIS, _Z_AXIS = np.eye(3)[[0, 2]]
 
 
 def quat_inverse(q):
@@ -95,7 +96,7 @@ def cross(a, b):
     before the subtraction)."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    c = np.empty(np.broadcast(a, b).shape)
     c[..., 0] = a1 * b2 - a2 * b1
     c[..., 1] = a2 * b0 - a0 * b2
     c[..., 2] = a0 * b1 - a1 * b0
@@ -240,17 +241,13 @@ def tangent_basis(g_dir):
     when g_dir is nearly parallel to the x axis; b2 = g_dir x b1.
     """
     g = np.asarray(g_dir, dtype=float)
-    n = np.linalg.norm(g, axis=-1)
-    if np.any(np.abs(n - 1.0) > 1e-6):
+    n = np.sqrt(np.add.reduce(g * g, axis=-1))  # np.linalg.norm's arithmetic, as below
+    if (np.abs(n - 1.0) > 1e-6).any():
         raise ValueError("tangent_basis expects a unit vector")
-    pivot_x = np.zeros_like(g)
-    pivot_x[..., 0] = 1.0
-    pivot_z = np.zeros_like(g)
-    pivot_z[..., 2] = 1.0
     use_z = (np.abs(g[..., 0]) > 1.0 - 1e-6)[..., None]
-    pivot = np.where(use_z, pivot_z, pivot_x)
+    pivot = np.where(use_z, _Z_AXIS, _X_AXIS)
     b1 = cross(g, pivot)
-    b1 = b1 / np.linalg.norm(b1, axis=-1, keepdims=True)
+    b1 = b1 / np.sqrt(np.add.reduce(b1 * b1, axis=-1, keepdims=True))
     b2 = cross(g, b1)
     return b1, b2
 

@@ -570,7 +570,8 @@ class VioPipeline:
         self.report.n_iterations += solve.iterations
         self.report.n_capped_solves += solve.termination == "max_iterations"
         self._toc("solve", t0)
-        self._resolve_loops(t, new_loops)
+        if new_loops:
+            self._resolve_loops(t, new_loops)
 
         settling = self._frames_since_init <= EXTRINSIC_WARMUP_FRAMES + 2
         failed, reason = detect_failure(
@@ -759,17 +760,16 @@ class VioPipeline:
 
     def _window_points(self, feature_ids) -> dict[int, np.ndarray]:
         """Current world positions of window features with optimized depth."""
-        pts = {}
         wanted = set(int(f) for f in feature_ids)
+        feats = [f for f in self.est.features.values() if f.fid in wanted and f.inv_depth is not None]
+        if not feats:
+            return {}
+        anchors, rows = zip(*(next(iter(f.obs.items())) for f in feats))
+        k = np.searchsorted(self.est.frame_ids, anchors)  # frame ids ascend in window order
         cam_q, cam_p = self.est.camera_poses()
-        index = {fid: k for k, fid in enumerate(self.est.frame_ids)}
-        for fid, feat in self.est.features.items():
-            if fid not in wanted or feat.inv_depth is None:
-                continue
-            anchor = feat.anchor_id()
-            k = index[anchor]
-            pts[fid] = quat_rotate(cam_q[k], feat.obs[anchor] / feat.inv_depth) + cam_p[k]
-        return pts
+        inv = np.array([f.inv_depth for f in feats])
+        pts = quat_rotate(cam_q[k], self.est.rays(rows) / inv[:, None]) + cam_p[k]
+        return dict(zip([f.fid for f in feats], pts))
 
     # -- wrap-up --------------------------------------------------------------------
 

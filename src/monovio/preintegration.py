@@ -74,8 +74,10 @@ class ImuSamples:
         return len(self.t)
 
     def __getitem__(self, rows) -> "ImuSamples":
-        """The rows that a slice or an index array selects."""
-        return ImuSamples(self.t[rows], self.accel[rows], self.gyro[rows])
+        """The rows that a slice or an index array selects (__post_init__ skipped)."""
+        out = ImuSamples.__new__(ImuSamples)
+        out.t, out.accel, out.gyro = self.t[rows], self.accel[rows], self.gyro[rows]
+        return out
 
 
 @dataclass
@@ -207,6 +209,7 @@ class PreintegratedDelta:
         self.samples = ImuSamples((), (), ())
         self.path: MidpointPath | None = None  # mean rows only; None below two samples
         self._sqrt_info = None  # cached L^-1 of P
+        self._stack_row = None  # cached row of StackedDeltas
 
     def sqrt_information(self) -> np.ndarray:
         """Whitener L^-1 with L L^T = P (see covariance_sqrt), so that L^-1 r
@@ -215,6 +218,16 @@ class PreintegratedDelta:
             L = covariance_sqrt(self.P)
             self._sqrt_info = np.linalg.solve(L, _EYE15)
         return self._sqrt_info
+
+    def stack_row(self) -> np.ndarray:
+        """This delta's row of StackedDeltas (a _STACK_ROW scalar), made once."""
+        if self._stack_row is None:
+            row = self._stack_row = np.zeros((), _STACK_ROW)
+            row["dt"], row["ab"][:3], row["ab"][3:] = self.dt_total, self.alpha, self.beta
+            row["lin_b"][:3], row["lin_b"][3:] = self.lin_bias.accel, self.lin_bias.gyro
+            row["j_bias"], row["sqrt_info"] = self.J[0:9, 9:15], self.sqrt_information()
+            row["gamma_inv_right"] = quat_right_mat(quat_inverse(self.gamma))
+        return self._stack_row
 
     # Jacobian sub-blocks of Eq-style bias correction
     @property
@@ -483,6 +496,12 @@ def quat_right_mat(q) -> np.ndarray:
     return np.asarray(q, dtype=float)[..., _QUAT_IDX] * _RIGHT_SIGN
 
 
+# a delta's terms as StackedDeltas stacks them; j_bias is d(alpha, beta, theta) / d(b_a, b_w)
+_STACK_ROW = np.dtype([("dt", float, (1,)), ("ab", float, (6,)), ("lin_b", float, (6,)),
+                       ("j_bias", float, (9, 6)), ("gamma_inv_right", float, (4, 4)),
+                       ("sqrt_info", float, (15, 15))])
+
+
 class StackedDeltas:
     """Terms of consecutive deltas stacked along a leading factor axis, for
     imu_residuals_batch and imu_jacobians_batch, with every array those
@@ -491,14 +510,10 @@ class StackedDeltas:
 
     def __init__(self, deltas: list[PreintegratedDelta]):
         K = len(deltas)
-        self.dt = np.array([d.dt_total for d in deltas]).reshape(-1, 1)  # (K, 1)
-        self.ab = np.array([(d.alpha, d.beta) for d in deltas]).reshape(-1, 6)  # (alpha, beta)
-        self.lin_b = np.array([(d.lin_bias.accel, d.lin_bias.gyro) for d in deltas]).reshape(-1, 6)
-        # d(alpha, beta, theta) / d(b_a, b_w): the blocks of the bias correction
-        self.j_bias = np.array([d.J[0:9, 9:15] for d in deltas]).reshape(-1, 9, 6)
-        gamma = np.array([d.gamma for d in deltas]).reshape(-1, 4)
-        self.gamma_inv_right = quat_right_mat(quat_inverse(gamma))  # p -> p (x) gamma^-1
-        self.sqrt_info = np.array([d.sqrt_information() for d in deltas]).reshape(-1, 15, 15)
+        rows = np.array([d.stack_row() for d in deltas], dtype=_STACK_ROW)
+        # contiguous copies of the fields; gamma_inv_right maps p -> p (x) gamma^-1
+        self.dt, self.ab, self.lin_b, self.j_bias, self.gamma_inv_right, self.sqrt_info = [
+            rows[name].copy() for name in _STACK_ROW.names]
         # d[1, -theta/2] / d b_w of the correction quaternion's conjugate
         self.dc_dbw = np.zeros((K, 4, 3))
         self.dc_dbw[:, 1:] = -0.5 * self.j_bias[:, 6:9, 3:6]

@@ -384,7 +384,8 @@ def triangulate_new_features_per_feature(est):
         keys = sorted(feat.obs)
         idxs = [index[k] for k in keys]
         try:
-            out[feat_id] = triangulate_feature([feat.obs[k] for k in keys], cam_q[idxs], cam_p[idxs])
+            rays = [est.rays(feat.obs[k]) for k in keys]
+            out[feat_id] = triangulate_feature(rays, cam_q[idxs], cam_p[idxs])
         except TriangulationError:
             out[feat_id] = None
     return out
@@ -407,17 +408,56 @@ def visual_rows_per_row(est, feats, loops):
     id_to_idx = {fid: k for k, fid in enumerate(est.frame_ids)}
     feat_pos = {f.fid: i for i, f in enumerate(feats)}
     n_frames = len(est.frames)
-    rows = [(fi, id_to_idx[k], feat.obs[k]) for fi, feat in enumerate(feats)
+    rows = [(fi, id_to_idx[k], est.rays(feat.obs[k])) for fi, feat in enumerate(feats)
             for k in sorted(feat.obs)[1:]]
-    rows += [(feat_pos[fid], n_frames + i, ray)
-             for i, loop in enumerate(loops) for fid, ray in loop.pairs if fid in feat_pos]
+    rows += [(feat_pos[fid], n_frames + i, ray) for i, loop in enumerate(loops)
+             for fid, ray in zip(loop.feature_ids.tolist(), loop.rays) if fid in feat_pos]
     anchor_ids = [min(f.obs) for f in feats]
     v_feat = np.array([row[0] for row in rows], dtype=int)
     return (v_feat,
             np.array([row[1] for row in rows], dtype=int),
             np.array([row[2] for row in rows], dtype=float).reshape(-1, 3),
             np.array([id_to_idx[anchor_ids[fi]] for fi in v_feat], dtype=int),
-            np.array([feats[fi].obs[anchor_ids[fi]] for fi in v_feat], dtype=float).reshape(-1, 3))
+            np.array([est.rays(feats[fi].obs[anchor_ids[fi]]) for fi in v_feat],
+                     dtype=float).reshape(-1, 3))
+
+
+def window_rows_gathered(est, feats, loops):
+    """The row arrays of _WindowProblem(est, feats, loops), by name, as its
+    construction built them before the observation table held each ray's
+    basis: every feature's rays gathered observation by observation and
+    concatenated, the loop correspondences walked pair by pair, and the
+    tangent bases of all rows computed for the build by one tangent_basis
+    call; v_slot is visual_layout_unique's."""
+    obs = [f.obs for f in feats]
+    counts = np.array([len(o) for o in obs], dtype=int)
+    ids = np.array([k for o in obs for k in o], dtype=int)
+    rays = [est.rays(row) for o in obs for row in o.values()]
+    rays = np.concatenate(rays).reshape(-1, 3) if rays else np.empty((0, 3))
+    obs_idx = np.searchsorted(est.frame_ids, ids)
+    first = np.cumsum(counts) - counts
+    later = np.ones(len(ids), dtype=bool)
+    later[first] = False
+    v_feat = np.repeat(np.arange(len(feats)), counts - 1)
+    v_obs, v_uo = obs_idx[later], rays[later]
+    feat_pos = {f.fid: i for i, f in enumerate(feats)}
+    n_frames = len(est.frames)
+    loop_rows = [(feat_pos[fid], n_frames + i, ray) for i, loop in enumerate(loops)
+                 for fid, ray in zip(loop.feature_ids.tolist(), loop.rays) if fid in feat_pos]
+    if loop_rows:
+        fi, oi, ui = zip(*loop_rows)
+        v_feat, v_obs, v_uo = (np.concatenate([v_feat, fi]), np.concatenate([v_obs, oi]),
+                               np.concatenate([v_uo, ui]))
+    f_anchor = obs_idx[first]
+    v_anchor = f_anchor[v_feat]
+    n_states = n_frames + len(loops)
+    return {
+        "v_feat": v_feat, "v_obs": v_obs, "v_anchor": v_anchor, "v_uo": v_uo,
+        "v_ua": rays[first][v_feat], "v_B": np.stack(tangent_basis(v_uo), axis=2),
+        "f_anchor": f_anchor,
+        "v_slot": visual_layout_unique(v_feat, v_anchor, v_obs, n_states,
+                                       15 * n_states + 6)["v_slot"],
+    }
 
 
 def visual_layout_unique(v_feat, v_anchor, v_obs, n_states, feat_col):

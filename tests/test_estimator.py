@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from monovio import geometry as geo
 from monovio.estimator import (
     EstimatorConfig,
     EstimatorError,
-    Feature,
     LoopObservationSet,
     SlidingWindowEstimator,
     SolveReport,
@@ -52,6 +52,7 @@ from reference import (
     visual_layout_unique,
     visual_residual,
     visual_rows_per_row,
+    window_rows_gathered,
 )
 
 MODEL_NOISE = NoiseParams(2e-3, 2e-5, 1e-6, 1e-7)
@@ -86,9 +87,7 @@ def seeded_estimator(cfg, data, n_frames=11, config=None):
     ]
     est.seed(states, deltas)
     for k, t in enumerate(cam):
-        for fid, ray in data.observations(t).items():
-            f = est.features.setdefault(fid, Feature(fid))
-            f.obs[est.frame_ids[k]] = ray
+        est.observe(data.observations(t), frame_idx=k)
     est.triangulate_new_features()
     return est, cam
 
@@ -108,9 +107,7 @@ def fixed_point_estimator(cfg, data, n_frames=11):
         d = np.linalg.norm(X_c, axis=1)
         rays = X_c / d[:, None]
         keep = (rays[:, 2] > np.cos(np.deg2rad(95.0))) & (d > 0.3)
-        for lid in np.where(keep)[0]:
-            f = est.features.setdefault(int(lid), Feature(int(lid)))
-            f.obs[est.frame_ids[k]] = rays[lid]
+        est.observe({int(lid): rays[lid] for lid in np.flatnonzero(keep)}, frame_idx=k)
     est.triangulate_new_features()
     return est
 
@@ -817,7 +814,8 @@ class TestMarginalization:
         ext = est.extrinsic
         sigma = est.config.obs_sigma
         marg = [
-            (f.inv_depth, [f.obs[k] for k in sorted(f.obs)], [ids.index(k) for k in sorted(f.obs)])
+            (f.inv_depth, list(est.rays([f.obs[k] for k in sorted(f.obs)])),
+             [ids.index(k) for k in sorted(f.obs)])
             for f in est._optimized_features() if f.anchor_id() == ids[0]
         ]
         assert marg
@@ -1013,7 +1011,8 @@ class TestMarginalization:
                     lam = None
                     if f.inv_depth is not None:
                         j = ids.index(keys[1])
-                        lam = transferred_inv_depth(f.inv_depth, f.obs[keys[0]], f.obs[keys[1]],
+                        ray0, ray1 = est.rays([f.obs[keys[0]], f.obs[keys[1]]])
+                        lam = transferred_inv_depth(f.inv_depth, ray0, ray1,
                                                     cam_q[0], cam_p[0], cam_q[j], cam_p[j])
                     if f.fid in consumed:
                         expected[f.fid] = None if lam is None else (lam, keys[1:2])
@@ -1536,7 +1535,8 @@ class TestFramePairAssembly:
         # reference there, and bit for bit a fresh problem at that iterate
         from monovio.estimator import _WindowProblem
 
-        problem, loop = loop_window_problem()
+        est, feats, loop = loop_window()
+        problem = _WindowProblem(est, feats, [loop])
         first = problem.linearize(problem.evaluate()[1])
         H_first = first.H_pp.copy()
         mask = np.ones(problem.feat_col, dtype=bool)
@@ -1546,10 +1546,8 @@ class TestFramePairAssembly:
         assert second is first and not np.array_equal(second.H_pp, H_first)
         assert_blocks_match(second, linearize_per_row(problem, terms))
 
-        est = SlidingWindowEstimator(EstimatorConfig(), problem.extrinsic)
-        est.frames, est.frame_ids = problem.states[: problem.n_frames], list(problem.frame_ids)
-        est.deltas, est.prior = problem.deltas, problem.prior
-        fresh = _WindowProblem(est, problem.feats, [loop])
+        # the problem replaces its iterate instead of writing into the window
+        fresh = _WindowProblem(est, feats, [loop])
         fresh.restore(problem.snapshot())
         blocks = fresh.linearize(fresh.evaluate()[1])
         for name in ("H_pp", "W", "v", "b_p", "b_l"):
@@ -1584,7 +1582,8 @@ class TestFramePairAssembly:
 def assert_construction_matches_per_row(est, feats, loops):
     """Every array that _WindowProblem(est, feats, loops) builds for its
     visual rows equals, bit for bit and dtype for dtype, the per-row
-    reference's; returns the problem."""
+    reference's and the gathered reference's (window_rows_gathered: rays
+    gathered one by one, bases computed per build); returns the problem."""
     from monovio.estimator import _WindowProblem
 
     problem = _WindowProblem(est, feats, loops)
@@ -1592,7 +1591,7 @@ def assert_construction_matches_per_row(est, feats, loops):
     v_feat, v_obs, _, v_anchor, _ = rows
     layout = visual_layout_unique(v_feat, v_anchor, v_obs, len(problem.states), problem.feat_col)
     for name, ref in [*zip(("v_feat", "v_obs", "v_uo", "v_anchor", "v_ua"), rows),
-                      *layout.items()]:
+                      *layout.items(), *window_rows_gathered(est, feats, loops).items()]:
         got = getattr(problem, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
@@ -1606,11 +1605,11 @@ class TestConstructionFromArrays:
         est, feats, loop = loop_window()
         optimized = {f.fid for f in feats}
         outside = next(fid for fid in est.features if fid not in optimized)
-        second = LoopObservationSet(loop.q_w_v, loop.p_w_v,
-                                    [(outside, loop.pairs[1][1])] + loop.pairs[3:])
+        pairs = list(zip(loop.feature_ids.tolist(), loop.rays))
+        second = LoopObservationSet(loop.q_w_v, loop.p_w_v, [(outside, pairs[1][1])] + pairs[3:])
         problem = assert_construction_matches_per_row(est, feats, [loop, second])
         loop_rows = problem.v_obs >= problem.n_frames
-        assert np.sum(loop_rows) == len(loop.pairs) + len(second.pairs) - 1
+        assert np.sum(loop_rows) == len(loop.feature_ids) + len(second.feature_ids) - 1
         assert np.any(problem.v_obs == problem.n_frames + 1)
 
     def test_matches_per_row_reference_after_a_marginalization(self):
@@ -1632,6 +1631,105 @@ class TestConstructionFromArrays:
         assert single
         problem = assert_construction_matches_per_row(est, with_depth, [])
         assert not np.any(np.isin(problem.v_feat, single))
+
+
+    def test_matches_gathered_reference_after_slides_of_both_kinds(self):
+        # after each marginalizing slide (anchor transfers, consumed
+        # features left with their new anchor's ray) and each dropping
+        # slide, the loop-free problem of the optimized features and that
+        # of every feature with a depth hold the rows that gathering the
+        # rays and computing the bases per build gives
+        noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
+        cfg = ScenarioConfig(duration=8.0, cam_rate=5.0, seed=12, pixel_sigma_px=1.5, noise=noise)
+        data = build_scenario(cfg)
+        est, _ = seeded_estimator(cfg, data, config=EstimatorConfig(max_features=40))
+        est.build_and_solve()
+        all_cam = camera_times(cfg)
+        kinds = set()
+        for k in range(11, 20):
+            kinds.add("marginalize" if est.keyframe_flags[-1] else "drop")
+            seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
+            delta = integrate_segment(seg, est.frames.bias(-1), noise)
+            est.add_frame(all_cam[k], delta, data.observations(all_cam[k]), is_keyframe=k % 3 != 0)
+            est.triangulate_new_features()
+            with_depth = [f for _, f in sorted(est.features.items()) if f.inv_depth is not None]
+            assert_construction_matches_per_row(est, est._optimized_features(), [])
+            assert_construction_matches_per_row(est, with_depth, [])
+            est.build_and_solve()
+        assert kinds == {"marginalize", "drop"}
+
+
+class TestObservationTable:
+    def test_rows_hold_the_observed_rays_and_bases_after_every_slide(self, monkeypatch):
+        # each row keeps, bit for bit, the ray observe() normalized and its
+        # tangent basis, and the observing frame's id; the table holds the
+        # window frames' rows and nothing else, frame ids ascending
+        observed, count = {}, {}
+        observe = SlidingWindowEstimator.observe
+
+        def recording_observe(est, observations, frame_idx=-1):
+            fid = est.frame_ids[frame_idx]
+            rays = np.array(list(observations.values()), dtype=float).reshape(-1, 3)
+            rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+            observed.update(((fid, feat_id), ray) for feat_id, ray in zip(observations, rays))
+            count[fid] = count.get(fid, 0) + len(rays)
+            observe(est, observations, frame_idx)
+
+        monkeypatch.setattr(SlidingWindowEstimator, "observe", recording_observe)
+        noise = NoiseParams(0.02, 2e-4, 1e-4, 1e-5)
+        cfg = ScenarioConfig(duration=8.0, cam_rate=5.0, seed=12, pixel_sigma_px=1.5, noise=noise)
+        data = build_scenario(cfg)
+        est, _ = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        all_cam = camera_times(cfg)
+        for k in range(11, 30):
+            seg = segment_samples(data.imu, all_cam[k - 1], all_cam[k])
+            delta = integrate_segment(seg, est.frames.bias(-1), noise)
+            est.add_frame(all_cam[k], delta, data.observations(all_cam[k]), is_keyframe=k % 3 != 0)
+            frames = est._row_frames
+            assert len(frames) == len(est._rays) == len(est._bases)
+            assert len(frames) == sum(count[fid] for fid in est.frame_ids)
+            assert np.all(np.diff(frames) >= 0) and set(frames.tolist()) <= set(est.frame_ids)
+            keys = [(key, f.fid, row) for f in est.features.values() for key, row in f.obs.items()]
+            at = np.array([row for _, _, row in keys]) - est._row0
+            assert at.min() >= 0 and at.max() < len(frames)
+            assert frames[at].tolist() == [key for key, _, _ in keys]
+            rays = np.array([observed[key, fid] for key, fid, _ in keys])
+            assert est._rays[at].tobytes() == rays.tobytes()
+            assert est.rays([row for _, _, row in keys]).tobytes() == rays.tobytes()
+            assert (est._bases[at].tobytes()
+                    == np.stack(geo.tangent_basis(rays), axis=2).tobytes())
+            est.triangulate_new_features()
+            est.build_and_solve()
+
+    def test_stays_bounded_over_a_loop_noisy_pass(self, monkeypatch):
+        # over the benchmark's loop-noisy pass, after every frame, the table
+        # holds exactly the rows observed at the window's frames
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        from monovio.pipeline import PipelineConfig, pipeline_from_scenario
+
+        sizes, count = [], {}
+        observe, add_frame = SlidingWindowEstimator.observe, SlidingWindowEstimator.add_frame
+
+        def counting_observe(est, observations, frame_idx=-1):
+            fid = est.frame_ids[frame_idx]
+            count[fid] = count.get(fid, 0) + len(observations)
+            observe(est, observations, frame_idx)
+
+        def checked_add_frame(est, *args, **kwargs):
+            add_frame(est, *args, **kwargs)
+            assert len(est._rays) == sum(count[fid] for fid in est.frame_ids)
+            sizes.append(len(est._rays))
+
+        monkeypatch.setattr(SlidingWindowEstimator, "observe", counting_observe)
+        monkeypatch.setattr(SlidingWindowEstimator, "add_frame", checked_add_frame)
+        cfg = workloads.scenario_config("loop-noisy", workloads.PINNED_SCENARIO_SEED)
+        pipe = pipeline_from_scenario(build_scenario(cfg), PipelineConfig(enable_loops=True))
+        report = pipe.run()
+        assert report.failure_events == [] and report.loop_verified > 0 and len(sizes) > 100
+        assert max(sizes) <= pipe.est.capacity * max(count.values())
 
 
 def pruned_depth_problem():

@@ -138,6 +138,17 @@ class TestDataIO:
         with pytest.raises(dataio.FormatError, match="bad.csv:2: non-finite"):
             dataio.read_imu_csv(path)
 
+    @pytest.mark.parametrize("stamps", [(0, 10000000, 5000000, 15000000),
+                                        (0, 5000000, 5000000, 10000000)],
+                             ids=["swapped", "repeated"])
+    def test_imu_rejects_time_not_ascending(self, tmp_path, stamps):
+        # the third line's timestamp is not after the second's: two rows
+        # swapped, or one timestamp repeated
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(f"{ns},0,0,0,0,0,9.81\n" for ns in stamps))
+        with pytest.raises(dataio.FormatError, match="bad.csv:3: timestamp not after"):
+            dataio.read_imu_csv(path)
+
     def test_tracks_round_trip(self, tmp_path):
         u = np.array([[0.1, 0.2, 0.97], [0.15, 0.18, 0.97], [-0.3, 0.1, 0.9]])
         u /= np.linalg.norm(u, axis=1, keepdims=True)

@@ -429,6 +429,22 @@ class TestSegmentBoundaries:
         assert got.accel.tobytes() == want.accel.tobytes()
         assert got.gyro.tobytes() == want.gyro.tobytes()
 
+    def test_row_selection_does_not_convert_again(self, monkeypatch):
+        # selected rows are already float and shaped: a slice, an index
+        # array and a repeated index take them as they are
+        s = ImuSamples(0.005 * np.arange(6), np.arange(18.0).reshape(6, 3), -np.arange(18.0))
+
+        def converted(self):
+            raise AssertionError("rows converted again")
+
+        monkeypatch.setattr(ImuSamples, "__post_init__", converted)
+        for rows in (slice(1, 4), np.array([0, 2, 5]), [3, 3]):
+            got = s[rows]
+            for name in ("t", "accel", "gyro"):
+                want = getattr(s, name)[rows]
+                assert getattr(got, name).shape == want.shape
+                assert getattr(got, name).tobytes() == want.tobytes()
+
     def test_matches_searchsorted(self):
         samples = make_samples(200, 1.0, lambda t: np.array([t, 0, 0]), const_fn([0, 0, 0.1]))
         listed = sample_list(samples)

@@ -3,8 +3,12 @@ are exact and repeat."""
 
 import importlib.util
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
+
+from monovio.estimator import LoopObservationSet
 from monovio.pipeline import PipelineConfig, pipeline_from_scenario
 from monovio.simulator import ScenarioConfig, build_scenario, camera_times
 
@@ -84,10 +88,25 @@ def test_counts_inside_the_feature_kernels_identically_twice(monkeypatch):
     fresh_run()()  # warm-up: first-call caches
     first, second = (workcount.count_inside_kernels(fresh_run()) for _ in range(2))
     assert first == second
+    # a loop-free run makes no loop set, so loop sets are made apart
+    loop_set = "LoopObservationSet.__post_init__"
+    rays = np.array([[0.1, 0.2, 1.0], [-0.3, 0.1, 2.0], [0.0, 0.0, 1.0]])
+    loop_counts = [workcount.count_inside_kernels(
+        lambda: [LoopObservationSet(np.array([1.0, 0, 0, 0]), np.zeros(3), list(enumerate(rays)))
+                 for _ in range(2)]) for _ in range(2)]
+    assert loop_counts[0] == loop_counts[1] and first[f"{loop_set} calls"] == 0
+    first.update({k: v for k, v in loop_counts[0].items() if k.startswith(loop_set)})
+    assert first[f"{loop_set} calls"] == 2
     for owner, attr, fn in kernels:
         label = f"{owner.__name__}.{attr}"
         assert first[f"{label} calls"] > 0 and first[f"{label} inside"] > 0
         assert getattr(owner, attr) is fn  # unwrapped after the count
+    # the observation table's rows and their bases are made where the
+    # window observes a frame, and cut where it slides: each frame is
+    # observed once, and a full window slides once per frame added
+    observe, slide = "SlidingWindowEstimator.observe", "SlidingWindowEstimator._slide"
+    assert first[f"{observe} calls"] >= first[f"{slide} calls"] > 0
+    assert first[f"{slide} inside"] > first["SlidingWindowEstimator._marginalize_oldest inside"]
     # a kernel run inside another one counts inside it too: StackedDeltas
     # and the visual layout are built inside each window problem's
     # construction, and nowhere else
@@ -137,6 +156,30 @@ def test_counts_a_short_session_identically_twice(monkeypatch, tmp_path):
     assert first["splu"] >= first["closures"]
     assert first["ndarray.argsort"] > 0
     assert first["np.unique from PoseGraph.optimize"] == 0
+
+
+def test_counts_do_not_depend_on_garbage_made_before(monkeypatch):
+    # a collection inside a count would run the weakref callbacks of
+    # garbage made before it, which are Python-level calls; the counted run
+    # collects that garbage first and holds the collector off
+    workcount = load_workcount(monkeypatch)
+
+    class Node:
+        pass
+
+    registry = weakref.WeakValueDictionary()
+
+    def run():  # enough live containers to start collections
+        return [[] for _ in range(20000)]
+
+    run()
+    base = workcount.count_calls(run, 1)
+    for i in range(5):
+        node = Node()
+        node.self = node
+        registry[i] = node
+    del node
+    assert workcount.count_calls(run, 1) == base
 
 
 def test_counts_a_set_up_identically_twice(monkeypatch):

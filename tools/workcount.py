@@ -23,7 +23,9 @@ only while it runs: the IMU layer's kernels (``midpoint_path``,
 ``_transition_batch``, ``imu_residuals_batch``, ``imu_jacobians_batch`` and
 ``StackedDeltas``), the window's feature bookkeeping
 (``_WindowProblem.__init__``, ``_WindowProblem._visual_layout``,
-``triangulate_new_features`` and ``_marginalize_oldest``) and the
+``observe``, ``triangulate_new_features``, ``_slide``,
+``_marginalize_oldest`` and ``LoopObservationSet.__post_init__``, where
+the observation table's rows and the loop sets' arrays are made) and the
 Gauss-Newton iteration's kernels (``_WindowProblem.evaluate``,
 ``linearize``, ``damped_step``, ``retract`` and ``marginalize_frame``). It prints each
 kernel's calls, the Python-level calls made inside it (those of the
@@ -38,11 +40,15 @@ of ``ndarray.argsort`` (which ``np.argsort`` also calls) and of ``splu``.
 
 Call counts do not depend on the host's speed or load, so two checkouts
 compare with one ``diff``, and a count that falls is a measured saving even
-where timings are too noisy to read.
+where timings are too noisy to read. Each counted run first collects the
+garbage made before it and holds the garbage collector off while it runs,
+so a count does not depend on what ran earlier in the process.
 """
 
 import cProfile
+import contextlib
 import functools
+import gc
 import inspect
 import pstats
 import sys
@@ -78,8 +84,11 @@ IMU_KERNELS = (
 FEATURE_KERNELS = (
     (estimator._WindowProblem, "__init__"),
     (estimator._WindowProblem, "_visual_layout"),
+    (estimator.SlidingWindowEstimator, "observe"),
     (estimator.SlidingWindowEstimator, "triangulate_new_features"),
+    (estimator.SlidingWindowEstimator, "_slide"),
     (estimator.SlidingWindowEstimator, "_marginalize_oldest"),
+    (estimator.LoopObservationSet, "__post_init__"),
 )
 # the Gauss-Newton iteration's kernels and the marginalization that runs
 # them on a keyframe's problem, as (owner, attribute)
@@ -118,14 +127,29 @@ def counted_functions() -> list[tuple[str, tuple]]:
     return out
 
 
-def profiled(run) -> dict:
-    """cProfile's stats of run()."""
-    prof = cProfile.Profile()
-    prof.enable()
+@contextlib.contextmanager
+def collector_held():
+    """Collect the garbage made so far, then hold the collector off. A
+    collection inside a count would run the weakref callbacks of objects
+    from before it, which are Python-level calls, so the count would depend
+    on what ran before."""
+    gc.collect()
+    gc.disable()
     try:
-        run()
+        yield
     finally:
-        prof.disable()
+        gc.enable()
+
+
+def profiled(run) -> dict:
+    """cProfile's stats of run(), with the collector held off."""
+    prof = cProfile.Profile()
+    with collector_held():
+        prof.enable()
+        try:
+            run()
+        finally:
+            prof.disable()
     return pstats.Stats(prof).stats
 
 
@@ -194,7 +218,8 @@ def count_inside_kernels(run) -> dict[str, int | float]:
                     patches.append((home, name, fn))
                     setattr(home, name, wrapper)
     try:
-        run()
+        with collector_held():
+            run()
     finally:
         for home, name, fn in patches:
             setattr(home, name, fn)
