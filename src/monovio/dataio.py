@@ -4,6 +4,7 @@ and the line-oriented run configuration."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -248,9 +249,18 @@ _TRAJ_PARAM_KEYS = {
 }
 
 
-def parse_config(path) -> dict:
+class ConfigValues(dict):
+    """A config file's typed values by key; where[key] is the 'path:line'
+    that the key was read from."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path, self.where = str(path), {}
+
+
+def parse_config(path) -> ConfigValues:
     """Read key = value lines into a typed dict; unknown keys are errors."""
-    out: dict = {}
+    out = ConfigValues(path)
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -281,10 +291,24 @@ def parse_config(path) -> dict:
                 raise
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad value for '{key}': {exc}") from None
+            out.where[key] = f"{path}:{lineno}"
     return out
 
 
 def scenario_from_config(cfg: dict) -> ScenarioConfig:
+    """The scenario that a parsed config describes. A value that the
+    scenario's own checks reject raises FormatError at the line of the
+    first key that the check's message names (ConfigValues.where)."""
+    try:
+        return _scenario(cfg)
+    except ValueError as exc:
+        where = getattr(cfg, "where", {})
+        at = next((where[w] for w in re.findall(r"\w+", str(exc)) if w in where),
+                  getattr(cfg, "path", "config"))
+        raise FormatError(f"{at}: {exc}") from None
+
+
+def _scenario(cfg: dict) -> ScenarioConfig:
     traj = {k: cfg[k] for k in _TRAJ_PARAM_KEYS if k in cfg}
     noise = NoiseParams(
         cfg.get("sigma_a", 0.0), cfg.get("sigma_w", 0.0),

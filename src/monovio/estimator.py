@@ -21,6 +21,7 @@ the tangent plane of the observed ray.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from itertools import chain, compress
 
 import numpy as np
@@ -753,11 +754,35 @@ def _free_run(pose_mask: np.ndarray) -> tuple[int, int]:
     return lo, hi
 
 
+def _group_views(blocks: NormalBlocks, G: int):
+    """Writable views of blocks' H_pp and b_p on the leading 6 columns (dp,
+    dtheta) of each of G 15-column groups, the last being the 6 extrinsic
+    columns that end the pose columns: (G, 6, G, 6) and (G, 6)."""
+    H, b = blocks.H_pp, blocks.b_p
+    (sr, sc), (sb,) = H.strides, b.strides
+    return (np.ndarray((G, 6, G, 6), H.dtype, H, 0, (15 * sr, sr, 15 * sc, sc)),
+            np.ndarray((G, 6), b.dtype, b, 0, (15 * sb, sb)))
+
+
+@lru_cache(maxsize=2)
+def _pair_layout(G: int):
+    """Where the chunks and rows of frame pair (a, o), row a G + o, sum:
+    the flat entries of the (M + 1) x (M + 1) table over the M = 6 G group
+    columns of _group_views, then the residual, that the (C + 1) x (C + 1)
+    product of a chunk goes to, and the pose columns of its C = 18 columns:
+    the groups of a, of o and of the extrinsic (G - 1). Shared; read only."""
+    M, (a, o) = 6 * G, np.divmod(np.arange(G * G), G)
+    groups = np.stack([a, o, np.full(G * G, G - 1)], axis=1)[:, :, None]
+    cols = np.full((G * G, 19), M)
+    cols[:, :18] = (6 * groups + np.arange(6)).reshape(-1, 18)
+    target = ((M + 1) * cols[:, :, None] + cols[:, None, :]).reshape(G * G, -1)
+    pose_cols = (15 * groups + np.arange(6)).reshape(-1, 18)
+    target.flags.writeable = pose_cols.flags.writeable = False
+    return target, pose_cols
+
+
 # visual rows per chunk of the frame-pair layout (see _WindowProblem._visual_layout)
 VISUAL_CHUNK_ROWS = 8
-# each entry's place in its 6 x 6 block, over the 18 x 18 pose columns of
-# a visual row (three 6-column groups)
-_BLOCK_ENTRIES = np.tile(np.arange(36).reshape(6, 6), (3, 3))
 
 
 def _factor_bands(H: np.ndarray, b: np.ndarray, K: int):
@@ -859,6 +884,7 @@ class _WindowProblem:
         self.blocks = NormalBlocks(np.empty((P, P)), np.empty((F, P)), np.empty(F),
                                    np.empty(P), np.empty(F))
         self.imu_bands = _factor_bands(self.blocks.H_pp, self.blocks.b_p, len(self.imu))
+        self.v_blocks = _group_views(self.blocks, len(self.states) + 1)
         self._step_work = None  # damped_step's buffers, sized by its free columns
 
         if self.prior is not None:
@@ -977,20 +1003,20 @@ class _WindowProblem:
         of that buffer seen as (chunks * VISUAL_CHUNK_ROWS, 2, C + 1): the
         whitened pose Jacobian, then the whitened residual. Each chunk's
         product with itself (v_products) gives its Hessian block and
-        gradient, and one np.bincount over v_target sums them per entry of
-        the distinct 6 x 6 blocks of H_pp that the chunks touch and of the
-        groups' 6-segments of b_p (v_h_entries, flat, then v_b_entries); its
-        rows are the chunks. The depth column stays per row: v_w_target, one
-        row per visual row, sums W per entry (v_w_entries, flat), and the
-        rows' features sum v and b_l.
+        gradient, and one np.bincount over v_target sums them into an
+        (M + 1) x (M + 1) table over the M = 6 G group columns that visual
+        rows reach (_group_views), the last row and column the residual's:
+        H_pp's entries, then b_p's in the last column; its rows are the
+        chunks, whose entries depend on their frame pair only
+        (_pair_layout). The depth column stays per row: v_w_target, one row
+        per visual row, sums W per entry, and the rows' features sum v and
+        b_l. An entry sums the same terms in the same order as a sum over
+        only the entries that rows reach would, and the others sum to zero.
         """
         K, G = len(self.v_feat), len(self.states) + 1
-        groups = np.stack([self.v_anchor, self.v_obs, np.full(K, G - 1)], axis=1)  # (K, B)
-        B = groups.shape[1]
-        C, P, F, six = 6 * B, self.feat_col, len(self.feats), np.arange(6)
 
         # rows in pair order; each pair starts a new chunk
-        pair = groups[:, 0] * G + groups[:, 1]
+        pair = self.v_anchor * G + self.v_obs
         order = np.argsort(pair, kind="stable")
         count = np.bincount(pair, minlength=G * G)
         n_chunks = -(-count // VISUAL_CHUNK_ROWS)
@@ -1000,42 +1026,15 @@ class _WindowProblem:
         slot = np.empty(K, dtype=int)
         slot[order] = (chunk0[sorted_pair] * VISUAL_CHUNK_ROWS
                        + np.arange(K) - first[sorted_pair])
-        n = int(n_chunks.sum())
-        chunk_groups = np.empty((n, B), dtype=int)
-        chunk_groups[slot // VISUAL_CHUNK_ROWS] = groups
-
-        # entry (c, i, j) of the products: H_pp for i, j < C, b_p for the
-        # residual column (j = C), nothing for the rest; the sums hold the
-        # distinct 6 x 6 blocks of group pairs, ranked by a cumulative sum
-        # over a G x G occupancy table, then a 6-segment per group
-        block_pairs = (chunk_groups[:, :, None] * G + chunk_groups[:, None, :]).ravel()
-        used = np.zeros(G * G, dtype=bool)
-        used[block_pairs] = True
-        blocks, at = np.flatnonzero(used), (np.cumsum(used) - 1)[block_pairs]
-        nh = 36 * len(blocks)
-        target = np.full((n, C + 1, C + 1), nh + 6 * G)
-        target[:, :C, :C] = (36 * at).reshape(n, B, B).repeat(6, 1).repeat(6, 2) + _BLOCK_ENTRIES
-        target[:, :C, C] = (nh + 6 * chunk_groups[:, :, None] + six).reshape(n, C)
-        bi, bj = np.divmod(blocks, G)
-        h_entries = (15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()
-
-        # W entries: distinct (feature, group) pairs, ranked alike over F x G
-        feat_groups = (self.v_feat[:, None] * G + groups).ravel()
-        used = np.zeros(F * G, dtype=bool)
-        used[feat_groups] = True
-        fi, g = np.divmod(np.flatnonzero(used), G)
-        w_at = (np.cumsum(used) - 1)[feat_groups]
-        w_entries = (fi * P + 15 * g)[:, None] + six
+        n, C = int(n_chunks.sum()), 18
+        targets, cols = _pair_layout(G)
 
         self.v_slot = slot
         self.v_jac = np.empty((K, 2, C + 1))  # the depth column last
         self.v_chunks = np.zeros((n, 2 * VISUAL_CHUNK_ROWS, C + 1))
         self.v_products = np.empty((n, C + 1, C + 1))
-        self.v_target = target.reshape(n, -1)
-        self.v_h_entries = h_entries.ravel()
-        self.v_b_entries = (15 * np.arange(G)[:, None] + six).ravel()
-        self.v_w_entries = w_entries.ravel()
-        self.v_w_target = (w_at[:, None] * 6 + six).reshape(K, -1)
+        self.v_target = targets[np.repeat(np.arange(G * G), n_chunks)]
+        self.v_w_target = self.v_feat[:, None] * self.feat_col + cols[pair]
 
     def _visual_jacobian(self, aux, J: np.ndarray, rows=None) -> np.ndarray:
         """Whitened Jacobian blocks in the column order of _visual_layout,
@@ -1092,14 +1091,16 @@ class _WindowProblem:
         chunks = self.v_chunks[at]  # a view of every chunk, or a copy of a subset
         products = np.matmul(chunks.swapaxes(1, 2), chunks,
                              out=self.v_products[: len(chunks)])
-        nh, nb = len(self.v_h_entries), len(self.v_b_entries)
-        # the last sum collects the entries that neither H_pp nor b_p takes
-        sums = np.bincount(self.v_target[at].ravel(), products.ravel(), nh + nb + 1)
-        blocks.H_pp.reshape(-1)[self.v_h_entries] += sums[:nh]
-        blocks.b_p[self.v_b_entries] += sums[nh : nh + nb]
+        # the table of _visual_layout onto the group columns of H_pp and b_p;
+        # a zero sum leaves an entry as it is
+        H_g, b_g = self.v_blocks
+        M = b_g.size
+        sums = np.bincount(self.v_target[at].ravel(), products.ravel(), (M + 1) ** 2)
+        sums = sums.reshape(M + 1, M + 1)
+        H_g += sums[:M, :M].reshape(H_g.shape)
+        b_g += sums[:M, M].reshape(b_g.shape)
         Wb = np.einsum("kri,kr->ki", Jp, Jl)
-        blocks.W.reshape(-1)[self.v_w_entries] += np.bincount(
-            w_target.ravel(), Wb.ravel(), len(self.v_w_entries))
+        blocks.W += np.bincount(w_target.ravel(), Wb.ravel(), blocks.W.size).reshape(blocks.W.shape)
         F = len(blocks.b_l)
         blocks.v += np.bincount(feat, np.einsum("kr,kr->k", Jl, Jl), F)
         blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
@@ -1326,7 +1327,10 @@ class _WindowProblem:
         if len(self.states) > self.n_frames:
             cols = np.r_[: 15 * self.n_frames, self.ext_col : self.feat_col]
             H, b = H[np.ix_(cols, cols)], b[cols]
-        if not (np.isfinite(np.triu(H)).all() and np.isfinite(b).all()):
+        # H's upper triangle times ones by dsymv, which reads that triangle
+        # only: a non-finite entry there makes its rows' sums non-finite
+        sums = blas.dsymv(1.0, H.T, np.ones(len(b)), lower=1)
+        if not (np.isfinite(sums).all() and np.isfinite(b).all()):
             raise EstimatorError("non-finite marginalization system")
         H_red, b_red = schur_complement(H, b, 15)
         Hp, rp = information_sqrt(H_red, b_red)

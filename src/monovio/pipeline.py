@@ -501,7 +501,10 @@ class VioPipeline:
         self.est.seed(states, deltas)
         for k, (_, _, frame_obs) in enumerate(self._init_buffer):
             self.est.observe(frame_obs, frame_idx=k)
-        self.est.triangulate_new_features()
+        if not self.est.triangulate_new_features():
+            # no depth, so no visual row: the window's structure is unknown
+            self._toc("init", t0)
+            return False
         try:
             self.est.build_and_solve(fix_extrinsic=True)  # released after warm-up
         except EstimatorError:

@@ -96,13 +96,19 @@ class BiasState:
     @staticmethod
     def check(accel, gyro) -> None:
         """Raise ValueError unless every bias row (last axis) is finite and
-        inside the sanity bounds MAX_ACCEL_BIAS and MAX_GYRO_BIAS."""
-        if not (np.all(np.isfinite(accel)) and np.all(np.isfinite(gyro))):
+        inside the sanity bounds MAX_ACCEL_BIAS and MAX_GYRO_BIAS. The row
+        norms take np.linalg.norm's own arithmetic without its per-call
+        dispatch, so each bound decision is np.linalg.norm's. A NaN or an
+        infinity fails a bound too; only then are the entries tested."""
+        norm_a = np.sqrt(np.add.reduce(accel * accel, axis=-1))
+        norm_w = np.sqrt(np.add.reduce(gyro * gyro, axis=-1))
+        if ((norm_a < MAX_ACCEL_BIAS) & (norm_w < MAX_GYRO_BIAS)).all():
+            return
+        if not (np.isfinite(accel).all() and np.isfinite(gyro).all()):
             raise ValueError("bias must be finite")
-        if np.any(np.linalg.norm(accel, axis=-1) >= MAX_ACCEL_BIAS):
+        if not (norm_a < MAX_ACCEL_BIAS).all():
             raise ValueError("accelerometer bias exceeds sanity bound")
-        if np.any(np.linalg.norm(gyro, axis=-1) >= MAX_GYRO_BIAS):
-            raise ValueError("gyroscope bias exceeds sanity bound")
+        raise ValueError("gyroscope bias exceeds sanity bound")
 
 
 @dataclass
@@ -194,7 +200,8 @@ class PreintegratedDelta:
     Built by integrate_segment: the mean (alpha, beta, gamma) is the endpoint
     of midpoint_path over the retained samples, whose mean rows the delta
     keeps as path: the rows that IMU-rate forward propagation composes with.
-    P and J follow that path. Treat as immutable once built.
+    P and J follow that path; P_end is P before its symmetrization, the
+    state that a merge continues from. Treat as immutable once built.
     """
 
     def __init__(self, lin_bias: BiasState, noise: NoiseParams):
@@ -205,6 +212,7 @@ class PreintegratedDelta:
         self.gamma = quat_identity()
         self.dt_total = 0.0
         self.P = np.zeros((15, 15))
+        self.P_end = self.P
         self.J = np.eye(15)
         self.samples = ImuSamples((), (), ())
         self.path: MidpointPath | None = None  # mean rows only; None below two samples
@@ -271,8 +279,12 @@ class PreintegratedDelta:
 
 
 def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> PreintegratedDelta:
-    """Pre-integrate the concatenated sample buffers, their junction sample
-    once, at the first delta's bias: integrate_segment over the whole buffer."""
+    """The delta over the concatenated sample buffers, their junction sample
+    once, at the first delta's bias: integrate_segment over the whole buffer,
+    which continues first's integration over second's samples only. first
+    keeps its end state as the recursion left it, and the recursion is
+    sequential, so the result is the whole buffer's re-integration bit for
+    bit."""
     if not first.samples:
         return second.repropagate(first.lin_bias)
     if not second.samples:
@@ -282,7 +294,7 @@ def merge_deltas(first: PreintegratedDelta, second: PreintegratedDelta) -> Prein
         raise PreintegrationError("deltas are not adjacent")
     joined = ImuSamples(np.concatenate((a.t, b.t[1:])), np.concatenate((a.accel, b.accel[1:])),
                         np.concatenate((a.gyro, b.gyro[1:])))
-    return integrate_segment(joined, first.lin_bias, first.noise)
+    return integrate_segment(joined, first.lin_bias, first.noise, start=first)
 
 
 def so3_right_jacobian_batch(rotvecs: np.ndarray) -> np.ndarray:
@@ -323,12 +335,16 @@ class MidpointPath:
     R: np.ndarray | None = None  # (N + 1, 3, 3) attitude matrices of gamma
 
 
-def midpoint_path(samples: ImuSamples, bias: BiasState) -> MidpointPath:
+def midpoint_path(samples: ImuSamples, bias: BiasState,
+                  start: MidpointPath | None = None) -> MidpointPath:
     """Validate a sample stream and integrate its mean with the midpoint rule.
 
     The attitude chain gamma_{k+1} = gamma_k (x) exp(w_mid dt) is the only
     sequential part; the midpoint specific force and the cumulative sums for
-    beta and alpha are vectorized over all steps.
+    beta and alpha are vectorized over all steps. With start, a path at the
+    same bias whose last sample is samples' first, the chain and the sums
+    begin at start's last row instead of the identity, so they round as one
+    path over both sample streams would.
     """
     ts = samples.t
     dts = np.diff(ts)
@@ -343,7 +359,7 @@ def midpoint_path(samples: ImuSamples, bias: BiasState) -> MidpointPath:
 
     # Hamilton product on Python floats: per-step numpy calls would cost more
     # than the arithmetic
-    gw, gx, gy, gz = 1.0, 0.0, 0.0, 0.0
+    gw, gx, gy, gz = (1.0, 0.0, 0.0, 0.0) if start is None else start.gamma[-1].tolist()
     chain = [(gw, gx, gy, gz)]
     for dw, dx, dy, dz in dqs.tolist():
         w = gw * dw - gx * dx - gy * dy - gz * dz
@@ -357,15 +373,26 @@ def midpoint_path(samples: ImuSamples, bias: BiasState) -> MidpointPath:
     Rs = quat_to_rot(gammas)
 
     dv = 0.5 * (_mv(Rs[:-1], acc[:-1]) + _mv(Rs[1:], acc[1:])) * dts[:, None]
-    beta = np.zeros((len(ts), 3))
-    np.cumsum(dv, axis=0, out=beta[1:])
-    alpha = np.zeros((len(ts), 3))
-    np.cumsum((beta[:-1] + 0.5 * dv) * dts[:, None], axis=0, out=alpha[1:])
+    beta = _running_sum(None if start is None else start.beta[-1], dv)
+    alpha = _running_sum(None if start is None else start.alpha[-1],
+                         (beta[:-1] + 0.5 * dv) * dts[:, None])
     return MidpointPath(ts, alpha, beta, gammas, acc, dts, rotvecs, dqs, Rs)
 
 
+def _running_sum(x0, steps: np.ndarray) -> np.ndarray:
+    """Rows x0, x0 + s_0, (x0 + s_0) + s_1, ... of steps (N, 3), summed in
+    order; x0 None is zero, which the sums start at without adding it."""
+    out = np.zeros((len(steps) + 1, 3))
+    if x0 is not None:
+        out[0] = x0
+        steps = np.concatenate((x0 + steps[:1], steps[1:]))
+    np.cumsum(steps, axis=0, out=out[1:])
+    return out
+
+
 def integrate_segment(
-    samples: ImuSamples, bias: BiasState, noise: NoiseParams
+    samples: ImuSamples, bias: BiasState, noise: NoiseParams,
+    start: PreintegratedDelta | None = None,
 ) -> PreintegratedDelta:
     """Pre-integrate a sample stream at a linearization bias.
 
@@ -382,28 +409,41 @@ def integrate_segment(
     rounding, and each step's rounding stays at the 1e-16 relative level.
     A pairwise (parallel-prefix) product of the A's would round J
     differently, so it is not used.
+
+    The delta keeps the end state as the loop left it: the path's last
+    rows, J, and P before its symmetrization. start, a delta at this bias
+    over the leading samples of samples, lets the integration continue from
+    that state over the samples after start's instead of from the first
+    sample. Each step depends only on the state before it, so the result
+    has the bits of the whole buffer's integration (merge_deltas).
     """
     delta = PreintegratedDelta(bias, noise)
     if len(samples) < 2:
         return delta
-    path = midpoint_path(samples, bias)
+    head = 0 if start is None else len(start.samples) - 1
+    path = midpoint_path(samples[head:], bias, None if start is None else start.path)
     A, Q = _transition_batch(path, noise.q_diag())
-    P = np.zeros((15, 15))
-    J = _EYE15
+    P, J = (np.zeros((15, 15)), _EYE15) if start is None else (start.P_end, start.J)
     dot = np.dot  # the same BLAS products as @, with less call overhead
     for A_i, Q_i in zip(A, Q):
         P = dot(dot(A_i, P), A_i.T)
         P += Q_i
         J = dot(A_i, J)
+    rows = [path.t, path.alpha, path.beta, path.gamma]
+    if start is not None:
+        kept = start.path
+        rows = [np.concatenate((a, b[1:])) for a, b in
+                zip((kept.t, kept.alpha, kept.beta, kept.gamma), rows)]
 
-    delta.alpha = path.alpha[-1]
-    delta.beta = path.beta[-1]
-    delta.gamma = path.gamma[-1]
-    delta.dt_total = float(path.t[-1] - path.t[0])
+    delta.alpha = rows[1][-1]
+    delta.beta = rows[2][-1]
+    delta.gamma = rows[3][-1]
+    delta.dt_total = float(rows[0][-1] - rows[0][0])
+    delta.P_end = P
     delta.P = 0.5 * (P + P.T)
     delta.J = J
     delta.samples = samples
-    delta.path = MidpointPath(path.t, path.alpha, path.beta, path.gamma)
+    delta.path = MidpointPath(*rows)
     return delta
 
 

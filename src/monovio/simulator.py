@@ -76,10 +76,15 @@ class ScenarioConfig:
     blackout_duration: float = 0.0
 
     def __post_init__(self):
-        if self.imu_rate <= 0 or self.cam_rate <= 0:
-            raise ValueError("rates must be positive")
+        # each message names the field it rejects
+        for name in ("duration", "imu_rate", "cam_rate"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.imu_rate < self.cam_rate:
-            raise ValueError("IMU rate must be at least the camera rate")
+            raise ValueError("imu_rate must be at least cam_rate")
+        if not self.pixel_sigma_px >= 0.0:
+            raise ValueError("pixel_sigma_px must be non-negative")
+        _traj_params(self)  # the trajectory model is known
 
     @property
     def pixel_sigma_rad(self) -> float:

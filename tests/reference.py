@@ -38,6 +38,7 @@ from monovio.preintegration import (
     ImuSamples,
     PreintegrationError,
     imu_jacobians_batch,
+    integrate_segment,
     midpoint_path,
     quat_left_mat,
     quat_right_mat,
@@ -91,6 +92,22 @@ def integrate_segment_stepwise(samples, bias, noise, symmetrize_each_step=False)
             P = 0.5 * (P + P.T)
         J = A @ J
     return P if symmetrize_each_step else 0.5 * (P + P.T), J
+
+
+def merge_deltas_reintegrated(first, second):
+    """merge_deltas as a re-integration: the concatenated sample buffers,
+    their junction sample once, integrated from their first sample at the
+    first delta's bias."""
+    if not first.samples:
+        return second.repropagate(first.lin_bias)
+    if not second.samples:
+        return first.repropagate(first.lin_bias)
+    a, b = first.samples, second.samples
+    if abs(a.t[-1] - b.t[0]) > 1e-9:
+        raise PreintegrationError("deltas are not adjacent")
+    joined = ImuSamples(np.concatenate((a.t, b.t[1:])), np.concatenate((a.accel, b.accel[1:])),
+                        np.concatenate((a.gyro, b.gyro[1:])))
+    return integrate_segment(joined, first.lin_bias, first.noise)
 
 
 def imu_forward_propagate_reintegrated(state, samples, gravity, path=None):
@@ -428,7 +445,7 @@ def window_rows_gathered(est, feats, loops):
     basis: every feature's rays gathered observation by observation and
     concatenated, the loop correspondences walked pair by pair, and the
     tangent bases of all rows computed for the build by one tangent_basis
-    call; v_slot is visual_layout_unique's."""
+    call; v_slot is visual_layout_per_chunk's."""
     obs = [f.obs for f in feats]
     counts = np.array([len(o) for o in obs], dtype=int)
     ids = np.array([k for o in obs for k in o], dtype=int)
@@ -455,51 +472,97 @@ def window_rows_gathered(est, feats, loops):
         "v_feat": v_feat, "v_obs": v_obs, "v_anchor": v_anchor, "v_uo": v_uo,
         "v_ua": rays[first][v_feat], "v_B": np.stack(tangent_basis(v_uo), axis=2),
         "f_anchor": f_anchor,
-        "v_slot": visual_layout_unique(v_feat, v_anchor, v_obs, n_states,
-                                       15 * n_states + 6)["v_slot"],
+        "v_slot": visual_layout_per_chunk(v_feat, v_anchor, v_obs, n_states)["v_slot"],
     }
 
 
-def visual_layout_unique(v_feat, v_anchor, v_obs, n_states, feat_col):
+def visual_layout_per_chunk(v_feat, v_anchor, v_obs, n_states):
     """The arrays that _WindowProblem._visual_layout fixes for these visual
-    rows, by name, with the distinct 6 x 6 blocks and (feature, group)
-    pairs ranked by two np.unique sorts."""
-    K, G = len(v_feat), n_states + 1
-    groups = np.stack([v_anchor, v_obs, np.full(K, G - 1)], axis=1)
-    B = groups.shape[1]
-    C, P, six = 6 * B, feat_col, np.arange(6)
-    pair = groups[:, 0] * G + groups[:, 1]
-    order = np.argsort(pair, kind="stable")
-    count = np.bincount(pair, minlength=G * G)
-    n_chunks = -(-count // VISUAL_CHUNK_ROWS)
-    chunk0 = np.cumsum(n_chunks) - n_chunks
-    first = np.cumsum(count) - count
-    sorted_pair = pair[order]
-    slot = np.empty(K, dtype=int)
-    slot[order] = chunk0[sorted_pair] * VISUAL_CHUNK_ROWS + np.arange(K) - first[sorted_pair]
-    n = int(n_chunks.sum())
-    chunk_groups = np.empty((n, B), dtype=int)
-    chunk_groups[slot // VISUAL_CHUNK_ROWS] = groups
-    block_pairs = chunk_groups[:, :, None] * G + chunk_groups[:, None, :]
-    blocks, at = np.unique(block_pairs.ravel(), return_inverse=True)
-    nh = 36 * len(blocks)
-    target = np.full((n, C + 1, C + 1), nh + 6 * G)
-    at = (36 * at).reshape(n, B, 1, B, 1) + np.arange(36).reshape(6, 6)[:, None, :]
-    target[:, :C, :C] = at.reshape(n, C, C)
-    target[:, :C, C] = (nh + 6 * chunk_groups[:, :, None] + six).reshape(n, C)
-    bi, bj = np.divmod(blocks, G)
-    h_entries = (15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()
-    fg, w_at = np.unique((v_feat[:, None] * G + groups).ravel(), return_inverse=True)
-    fi, g = np.divmod(fg, G)
+    rows, by name, built pair by pair and chunk by chunk: each frame pair's
+    rows, in row order, fill VISUAL_CHUNK_ROWS-row chunks in pair order. The
+    G = n_states + 1 column groups are the anchor's, the observer's and the
+    extrinsic's (the last); entry (i, j) of a chunk's product is binned at
+    (M + 1) u_i + u_j of the (M + 1) x (M + 1) table with M = 6 G: u is the
+    table column of the entry's group column (6 g + k, M for the residual).
+    A row's depth coupling with pose column c is binned at f P + c, f being
+    the row's feature and P the pose columns."""
+    G = n_states + 1
+    M, C = 6 * G, 18
+    rows_of = {}
+    for k, pair in enumerate(zip(v_anchor.tolist(), v_obs.tolist())):
+        rows_of.setdefault(pair, []).append(k)
+    slot = np.empty(len(v_feat), dtype=int)
+    targets = []
+    for a, o in sorted(rows_of):
+        u = [6 * g + i for g in (a, o, G - 1) for i in range(6)] + [M]
+        target = [[(M + 1) * ui + uj for uj in u] for ui in u]
+        rows = rows_of[a, o]
+        for at in range(0, len(rows), VISUAL_CHUNK_ROWS):
+            chunk = rows[at : at + VISUAL_CHUNK_ROWS]
+            slot[chunk] = len(targets) * VISUAL_CHUNK_ROWS + np.arange(len(chunk))
+            targets.append(target)
+    P = 15 * n_states + 6
+    w_target = [[P * f + 15 * g + i for g in (a, o, G - 1) for i in range(6)]
+                for f, a, o in zip(v_feat.tolist(), v_anchor.tolist(), v_obs.tolist())]
+    n = len(targets)
     return {
         "v_slot": slot,
-        "v_target": target.reshape(n, -1),
-        "v_h_entries": h_entries.ravel(),
-        "v_b_entries": (15 * np.arange(G)[:, None] + six).ravel(),
-        "v_w_entries": ((fi * P + 15 * g)[:, None] + six).ravel(),
-        "v_w_target": (w_at[:, None] * 6 + six).reshape(K, -1),
+        "v_target": np.array(targets, dtype=int).reshape(n, (C + 1) ** 2),
+        "v_w_target": np.array(w_target, dtype=int).reshape(len(v_feat), C),
         "v_chunks": np.zeros((n, 2 * VISUAL_CHUNK_ROWS, C + 1)),
     }
+
+
+def add_visual_ranked(problem, blocks, r, s, aux, rows=None):
+    """_WindowProblem._add_visual with the chunk products binned as the
+    ranked layout bins them: over only the distinct 6 x 6 blocks of H_pp
+    and (feature, group) pairs of W that the rows reach, ranked by two
+    np.unique sorts, then added into those entries alone. Chunks are filled
+    in the problem's slots but in buffers of its own."""
+    K, G = len(problem.v_feat), len(problem.states) + 1
+    groups = np.stack([problem.v_anchor, problem.v_obs, np.full(K, G - 1)], axis=1)
+    C, P, six = 18, problem.feat_col, np.arange(6)
+    slot = problem.v_slot
+    n = len(problem.v_chunks)
+    chunk_groups = np.empty((n, 3), dtype=int)
+    chunk_groups[slot // VISUAL_CHUNK_ROWS] = groups
+    blocks_at, at = np.unique((chunk_groups[:, :, None] * G + chunk_groups[:, None, :]).ravel(),
+                              return_inverse=True)
+    nh = 36 * len(blocks_at)
+    target = np.full((n, C + 1, C + 1), nh + 6 * G)
+    at = (36 * at).reshape(n, 3, 1, 3, 1) + np.arange(36).reshape(6, 6)[:, None, :]
+    target[:, :C, :C] = at.reshape(n, C, C)
+    target[:, :C, C] = (nh + 6 * chunk_groups[:, :, None] + six).reshape(n, C)
+    bi, bj = np.divmod(blocks_at, G)
+    h_entries = ((15 * P * bi + 15 * bj)[:, None] + (six[:, None] * P + six).ravel()).ravel()
+    fg, w_at = np.unique((problem.v_feat[:, None] * G + groups).ravel(), return_inverse=True)
+    fi, g = np.divmod(fg, G)
+    w_entries = ((fi * P + 15 * g)[:, None] + six).ravel()
+    w_target = (w_at[:, None] * 6 + six).reshape(K, -1)
+
+    J = problem._visual_jacobian(aux, np.empty_like(problem.v_jac), rows)
+    feat, chunks_at = problem.v_feat, slice(None)
+    if rows is not None:
+        r, s, slot = r[rows], s[rows], slot[rows]
+        feat, w_target = feat[rows], w_target[rows]
+        chunks_at = np.unique(slot // VISUAL_CHUNK_ROWS)
+    sw = np.sqrt(huber_weight(s))
+    J *= sw[:, None, None]
+    rw = r * sw[:, None]
+    chunk_rows = np.zeros((n * VISUAL_CHUNK_ROWS, 2, C + 1))
+    chunk_rows[slot] = J
+    chunk_rows[slot, :, C] = rw
+    chunks = chunk_rows.reshape(n, 2 * VISUAL_CHUNK_ROWS, C + 1)[chunks_at]
+    products = np.matmul(chunks.swapaxes(1, 2), chunks)
+    sums = np.bincount(target[chunks_at].reshape(-1), products.ravel(), nh + 6 * G + 1)
+    blocks.H_pp.reshape(-1)[h_entries] += sums[:nh]
+    blocks.b_p[(15 * np.arange(G)[:, None] + six).ravel()] += sums[nh : nh + 6 * G]
+    Jp, Jl = J[:, :, :C], J[:, :, C]
+    blocks.W.reshape(-1)[w_entries] += np.bincount(
+        w_target.ravel(), np.einsum("kri,kr->ki", Jp, Jl).ravel(), len(w_entries))
+    F = len(blocks.b_l)
+    blocks.v += np.bincount(feat, np.einsum("kr,kr->k", Jl, Jl), F)
+    blocks.b_l += np.bincount(feat, np.einsum("kr,kr->k", Jl, rw), F)
 
 
 def visual_residual(

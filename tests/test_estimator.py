@@ -41,6 +41,7 @@ from monovio.simulator import (
 )
 from reference import (
     TriangulationError,
+    add_visual_ranked,
     imu_residual_jacobians,
     keyframe_decision_per_pair,
     linearize_per_row,
@@ -49,7 +50,7 @@ from reference import (
     triangulate_feature,
     transferred_inv_depth,
     triangulate_new_features_per_feature,
-    visual_layout_unique,
+    visual_layout_per_chunk,
     visual_residual,
     visual_rows_per_row,
     window_rows_gathered,
@@ -455,6 +456,28 @@ class TestSolver:
         rep = est.build_and_solve()
         assert all(b <= a for a, b in zip(rep.costs, rep.costs[1:]))
         assert rep.costs[-1] <= rep.costs[0]
+
+    def test_window_without_visual_rows_solves_over_imu_and_prior(self):
+        # no feature has a depth, so the window problem has no visual row:
+        # the solve runs over the IMU factors (and then the prior) alone, and
+        # a keyframe's solve still leaves the prior that the next slide takes
+        cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=20, pixel_sigma_px=1.5,
+                             noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
+        data = build_scenario(cfg)
+        est, cam = seeded_estimator(cfg, data)
+        t_new = camera_times(cfg)[11]
+        for step in range(2):
+            for f in est.features.values():
+                f.inv_depth = None
+            assert est._optimized_features() == []
+            rep = est.build_and_solve()
+            assert isinstance(rep, SolveReport) and rep.termination == "converged"
+            assert np.all(np.isfinite(est.frames.p)) and est._pending_prior is not None
+            if step == 0:
+                delta = integrate_segment(segment_samples(data.imu, cam[-1], t_new), BiasState(),
+                                          MODEL_NOISE)
+                est.add_frame(t_new, delta, data.observations(t_new), is_keyframe=True)
+                assert est.prior is not None and est.prior.H.shape[0] > 0
 
     def test_bias_step_past_bound_is_rejected(self):
         # window seeded at a gyro bias of 0.95 rad/s (bound 1.0) while the
@@ -1589,7 +1612,7 @@ def assert_construction_matches_per_row(est, feats, loops):
     problem = _WindowProblem(est, feats, loops)
     rows = visual_rows_per_row(est, feats, loops)
     v_feat, v_obs, _, v_anchor, _ = rows
-    layout = visual_layout_unique(v_feat, v_anchor, v_obs, len(problem.states), problem.feat_col)
+    layout = visual_layout_per_chunk(v_feat, v_anchor, v_obs, len(problem.states))
     for name, ref in [*zip(("v_feat", "v_obs", "v_uo", "v_anchor", "v_ua"), rows),
                       *layout.items(), *window_rows_gathered(est, feats, loops).items()]:
         got = getattr(problem, name)
@@ -1732,6 +1755,73 @@ class TestObservationTable:
         assert max(sizes) <= pipe.est.capacity * max(count.values())
 
 
+def assert_layout_sums_as_ranked_blocks(est, feats, loops):
+    """A window problem built on the shared _pair_layout tables equals, bit
+    for bit, one whose visual rows are binned by the ranked-block layout
+    (add_visual_ranked) and one built after the tables are made afresh: the
+    NormalBlocks of its first linearization, over all rows and over the
+    oldest frame's, and its first damped step."""
+    from functools import partial
+
+    from monovio.estimator import _pair_layout, _WindowProblem
+
+    problems = [_WindowProblem(est, feats, loops), _WindowProblem(est, feats, loops)]
+    problems[1]._add_visual = partial(add_visual_ranked, problems[1])
+    _pair_layout.cache_clear()
+    problems.append(_WindowProblem(est, feats, loops))
+    outputs = []
+    for problem in problems:
+        terms = problem.evaluate()[1]
+        oldest = problem.linearize(terms, (1, np.flatnonzero(problem.v_anchor == 0)))
+        out = [getattr(oldest, name).copy() for name in ("H_pp", "W", "v", "b_p", "b_l")]
+        blocks = problem.linearize(terms)
+        mask = np.ones(problem.feat_col, dtype=bool)
+        outputs.append(out + [getattr(blocks, name).copy() for name in ("H_pp", "W", "v", "b_p", "b_l")]
+                       + [problem.damped_step(blocks, mask, 1e-4)])
+    for got, *refs in zip(*outputs):
+        for ref in refs:
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestPairLayout:
+    """The visual layout is made afresh for each window problem from the
+    per-pair tables that _pair_layout shares between problems of one window
+    size; it sums every entry as the ranked-block layout did, bit for bit,
+    after slides of both kinds, a re-propagated delta and with loop sets."""
+
+    def test_after_slides_of_both_kinds_and_a_repropagated_delta(self):
+        cfg = ScenarioConfig(duration=6.0, cam_rate=5.0, seed=20, pixel_sigma_px=1.5,
+                             noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5))
+        data = build_scenario(cfg)
+        est, cam = seeded_estimator(cfg, data)
+        est.build_and_solve()
+        all_cam = camera_times(cfg)
+        for k, (is_kf, slide) in enumerate(((False, "marginalize"), (True, "drop")), 11):
+            kind = "marginalize" if est.keyframe_flags[-1] else "drop"
+            assert kind == slide
+            delta = integrate_segment(segment_samples(data.imu, all_cam[k - 1], all_cam[k]),
+                                      est.frames.bias(-1), MODEL_NOISE)
+            est.add_frame(all_cam[k], delta, data.observations(all_cam[k]), is_keyframe=is_kf)
+            est.triangulate_new_features()
+            assert_layout_sums_as_ranked_blocks(est, est._optimized_features(), [])
+            est.build_and_solve()
+        # a bias far from a delta's linearization point: _refresh_deltas
+        # re-propagates that delta
+        from monovio.preintegration import StackedDeltas
+
+        before = list(est.deltas)
+        est.frames.ba[4] += 0.2
+        est._refresh_deltas(StackedDeltas(est.deltas))
+        moved = [k for k, (a, b) in enumerate(zip(before, est.deltas)) if a is not b]
+        assert moved == [4]
+        assert_layout_sums_as_ranked_blocks(est, est._optimized_features(), [])
+
+    def test_with_loop_sets(self):
+        est, feats, loop = loop_window()
+        assert_layout_sums_as_ranked_blocks(est, feats, [loop])
+        assert_layout_sums_as_ranked_blocks(est, feats, [])
+
+
 def pruned_depth_problem():
     """Loop-free problem over loop_window() after a feature anchored in frame
     0 lost its depth in prune_bad_depths, as a solve leaves it: the problem
@@ -1860,6 +1950,25 @@ class TestSquareRootMarginalization:
         for terms in ((prior, (bad_rw, aux), (r, s, vaux)), (prior, (rw, aux), (bad_r, s, vaux))):
             with pytest.raises(EstimatorError):
                 problem.marginalize_frame(terms)
+
+    @pytest.mark.parametrize("entry", [(3, 150), (0, 0), (0, 185), (185, 185)])
+    def test_non_finite_upper_triangle_raises(self, entry):
+        # the check reads the upper triangle, which the reductions read: a
+        # NaN there raises, as one in the strict lower triangle does not
+        # (test_step_and_prior_read_one_triangle_of_the_pose_block); the
+        # last entry is the extrinsic's, after the dropped loop frame's
+        problem, _ = loop_window_problem()
+        terms = problem.evaluate()[1]
+        linearize = problem.linearize
+
+        def linearize_upper_nan(terms, rows=None):
+            blocks = linearize(terms, rows)
+            blocks.H_pp[entry] = np.nan
+            return blocks
+
+        problem.linearize = linearize_upper_nan
+        with pytest.raises(EstimatorError, match="non-finite marginalization system"):
+            problem.marginalize_frame(terms)
 
     def test_marginalize_allocates_below_fixed_bound(self):
         # reading beside MARGINALIZE_PEAK_KB

@@ -994,6 +994,21 @@ class TestFailureRecovery:
         assert rep.n_frames == len(camera_times(data.config))
         assert rep.init_events == [] and rep.failure_events == []
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+    @pytest.mark.parametrize("planar", [False, True], ids=["excited", "planar"])
+    @pytest.mark.parametrize("trajectory", ["figure_eight", "circle", "line", "stationary_excited"])
+    def test_every_motion_model_returns_a_report(self, trajectory, planar, noisy):
+        # each trajectory model, with its default roll and pitch excitation
+        # and without it, noise-free and noisy: whatever the motion does to
+        # initialization and tracking, run() returns a report
+        kw = dict(roll_amp=0.0, pitch_amp=0.0) if planar else {}
+        if noisy:
+            kw.update(noise=NoiseParams(0.02, 2e-4, 1e-4, 1e-5), pixel_sigma_px=1.5)
+        data = build_scenario(ScenarioConfig(trajectory=trajectory, duration=10.0, seed=1, **kw))
+        rep = pipeline_from_scenario(data, PipelineConfig()).run()
+        assert isinstance(rep, pipeline.RunReport)
+        assert rep.n_frames == len(camera_times(data.config))
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, duration=10.0):
@@ -1122,6 +1137,17 @@ class TestCli:
                 "eval", "--estimate", str(tmp_path / "est.txt"), "--gt", str(tmp_path / "gt.txt"),
             ]) == 1
             assert f"est.txt:5: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["cam_rate = 0", "duration = nan", "sigma_a = -0.1",
+                                      "trajectory = nope", "pixel_sigma_px = -1"])
+    def test_scenario_value_out_of_range_names_its_line(self, tmp_path, capsys, line):
+        # rejected by the scenario's own checks, not by the parser
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"seed = 2\n{line}\n")
+        for command in ("simulate", "run"):
+            assert cli_main([command, "--scenario", str(path), "--out-dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:2: ") and "Traceback" not in err
 
     def test_corrupt_csv_row_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "imu.csv"

@@ -20,6 +20,7 @@ from monovio.preintegration import (
 from monovio.simulator import ScenarioConfig, build_scenario
 from reference import (
     integrate_segment_stepwise,
+    merge_deltas_reintegrated,
     sample_list,
     segment_samples_bisect,
     segment_samples_searchsorted,
@@ -412,6 +413,80 @@ class TestBatchedTransitions:
             assert merged.dt_total == ref.dt_total and len(merged.samples) == len(ref.samples)
 
 
+class TestContinuedMerge:
+    """merge_deltas continues the first delta's integration over the second
+    delta's samples; the delta it makes must be the whole buffer's
+    re-integration (merge_deltas_reintegrated) bit for bit."""
+
+    NOISE = TestBatchedTransitions.NOISE
+    BIAS = TestBatchedTransitions.BIAS
+    OTHER_BIAS = BiasState([-0.03, 0.01, 0.02], [0.002, 0.001, -0.004])
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return build_scenario(ScenarioConfig(duration=2.0, seed=3,
+                                             noise=TestBatchedTransitions.NOISE)).imu
+
+    def assert_same_delta(self, got, ref):
+        for name in ("alpha", "beta", "gamma", "P", "P_end", "J"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert got.dt_total == ref.dt_total
+        assert got.lin_bias is ref.lin_bias
+        for name in ("t", "accel", "gyro"):
+            assert getattr(got.samples, name).tobytes() == getattr(ref.samples, name).tobytes(), name
+        if ref.path is None:
+            assert got.path is None
+            return
+        for name in ("t", "alpha", "beta", "gamma"):
+            assert getattr(got.path, name).tobytes() == getattr(ref.path, name).tobytes(), name
+
+    def deltas(self, stream, cuts):
+        """Deltas over consecutive stretches of stream between the cut rows,
+        the first at BIAS, the others at OTHER_BIAS."""
+        return [integrate_segment(stream[a : b + 1], self.OTHER_BIAS if k else self.BIAS, self.NOISE)
+                for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))]
+
+    @pytest.mark.parametrize("cuts", [(0, 1, 2), (0, 40, 80), (57, 58, 98), (100, 181, 182), (3, 44, 130)])
+    def test_equals_reintegration(self, stream, cuts):
+        first, second = self.deltas(stream, cuts)
+        self.assert_same_delta(merge_deltas(first, second), merge_deltas_reintegrated(first, second))
+
+    def test_chained_merges_equal_reintegration(self, stream):
+        # a merged delta merged again, twice: each merge continues the last
+        d1, d2, d3, d4 = self.deltas(stream, (10, 50, 90, 91, 131))
+        merged, ref = d1, d1
+        for d in (d2, d3, d4):
+            merged, ref = merge_deltas(merged, d), merge_deltas_reintegrated(ref, d)
+            self.assert_same_delta(merged, ref)
+        self.assert_same_delta(ref, integrate_segment(stream[10:132], self.BIAS, self.NOISE))
+
+    def test_repropagated_first_delta(self, stream):
+        # a first delta that repropagate rebuilt, itself a merge, at a new
+        # bias: the merge continues at that bias
+        d1, d2, d3 = self.deltas(stream, (0, 40, 80, 120))
+        first = merge_deltas(d1, d2).repropagate(self.OTHER_BIAS)
+        self.assert_same_delta(merge_deltas(first, d3), merge_deltas_reintegrated(first, d3))
+
+    def test_fallbacks_below_two_samples(self, stream):
+        # a delta of fewer than two samples keeps none, so the other delta is
+        # integrated again at the first one's bias
+        single = integrate_segment(stream[40:41], self.OTHER_BIAS, self.NOISE)
+        first, second = self.deltas(stream, (0, 40, 80))
+        assert not single.samples
+        for pair in ((single, second), (first, single)):
+            merged = merge_deltas(*pair)
+            self.assert_same_delta(merged, merge_deltas_reintegrated(*pair))
+            assert merged.lin_bias is pair[0].lin_bias
+        with pytest.raises(PreintegrationError):
+            merge_deltas(single, single)
+
+    def test_rejects_deltas_that_are_not_adjacent(self, stream):
+        first, _ = self.deltas(stream, (0, 40, 80))
+        _, later = self.deltas(stream, (0, 41, 80))
+        with pytest.raises(PreintegrationError, match="not adjacent"):
+            merge_deltas(first, later)
+
+
 class TestSegmentBoundaries:
     """segment_samples copies rows of the stacked stream; its segments must
     be the ones the list-based references cut from a list of per-sample
@@ -623,6 +698,40 @@ class TestValidation:
             BiasState(accel=[3.0, 0, 0])
         with pytest.raises(ValueError):
             BiasState(gyro=[0, 1.5, 0])
+
+    def test_bias_bounds_decide_as_np_linalg_norm(self):
+        # rows whose norms lie within a few ulps of each bound, one at a time
+        # and stacked: BiasState.check accepts exactly those that
+        # np.linalg.norm puts below the bound
+        from monovio.preintegration import MAX_ACCEL_BIAS, MAX_GYRO_BIAS
+
+        rng = np.random.default_rng(5)
+        dirs = rng.standard_normal((200, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        scale = 1.0 + np.finfo(float).eps * rng.integers(-4, 5, 200)
+        for bound, which in ((MAX_ACCEL_BIAS, 0), (MAX_GYRO_BIAS, 1)):
+            rows = dirs * (bound * scale)[:, None]
+            inside = np.linalg.norm(rows, axis=1) < bound
+            assert inside.any() and not inside.all()
+            def args(r):
+                return (r, np.zeros_like(r)) if which == 0 else (np.zeros_like(r), r)
+
+            for row, ok in zip(rows, inside):
+                if ok:
+                    BiasState.check(*args(row))
+                else:
+                    with pytest.raises(ValueError, match="exceeds sanity bound"):
+                        BiasState.check(*args(row))
+            BiasState.check(*args(rows[inside]))
+            with pytest.raises(ValueError, match="exceeds sanity bound"):
+                BiasState.check(*args(rows))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bias_must_be_finite(self, bad):
+        row = np.array([0.1, bad, 0.0])
+        for accel, gyro in ((row, np.zeros(3)), (np.zeros(3), row)):
+            with pytest.raises(ValueError, match="bias must be finite"):
+                BiasState.check(accel, gyro)
 
 
 class TestFrameStates:

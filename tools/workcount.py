@@ -20,8 +20,8 @@ caches of ``abc`` and ``scipy.linalg``. A second set-up then runs under
 
 A third fresh set-up runs one more VIO pass with each of KERNELS profiled
 only while it runs: the IMU layer's kernels (``midpoint_path``,
-``_transition_batch``, ``imu_residuals_batch``, ``imu_jacobians_batch`` and
-``StackedDeltas``), the window's feature bookkeeping
+``_transition_batch``, ``merge_deltas``, ``imu_residuals_batch``,
+``imu_jacobians_batch`` and ``StackedDeltas``), the window's feature bookkeeping
 (``_WindowProblem.__init__``, ``_WindowProblem._visual_layout``,
 ``observe``, ``triangulate_new_features``, ``_slide``,
 ``_marginalize_oldest`` and ``LoopObservationSet.__post_init__``, where
@@ -76,6 +76,7 @@ PACKAGE = str(Path(geometry.__file__).resolve().parent)
 IMU_KERNELS = (
     (preintegration, "midpoint_path"),
     (preintegration, "_transition_batch"),
+    (preintegration, "merge_deltas"),
     (preintegration, "imu_residuals_batch"),
     (preintegration, "imu_jacobians_batch"),
     (preintegration.StackedDeltas, "__init__"),
